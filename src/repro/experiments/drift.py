@@ -23,7 +23,7 @@ import numpy as np
 from ..graphs import TRAINING_CONFIGS, GraphDelta, load_training_dataset
 from ..models import GNNConfig, MaxKGNN
 from ..serving import InferenceService, ServiceConfig
-from ..training import Trainer
+from ..training import Engine, FullGraphFlow
 from .common import format_table
 
 __all__ = ["DriftWindow", "DriftResult", "run", "report"]
@@ -152,7 +152,7 @@ def run(
         dropout=cfg.dropout,
     )
     model = MaxKGNN(graph, config, seed=seed)
-    Trainer(model, graph, lr=cfg.lr).fit(
+    Engine(model, graph, FullGraphFlow(), lr=cfg.lr).fit(
         epochs if epochs is not None else cfg.epochs, eval_every=20
     )
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from ..graphs import TRAINING_CONFIGS, load_training_dataset
 from ..models import GNNConfig, MaxKGNN
-from ..training import Trainer, TrainResult
+from ..training import Engine, FullGraphFlow, TrainResult
 from .common import format_table, scaled_k
 
 __all__ = ["ConvergenceResult", "run", "report"]
@@ -69,8 +69,8 @@ def run(
             dropout=cfg.dropout,
         )
         model = MaxKGNN(graph, config, seed=seed)
-        trainer = Trainer(model, graph, lr=cfg.lr)
-        variants[label] = trainer.fit(epochs, eval_every=eval_every)
+        engine = Engine(model, graph, FullGraphFlow(), lr=cfg.lr)
+        variants[label] = engine.fit(epochs, eval_every=eval_every)
 
     train_variant("relu", "relu")
     for paper_k in paper_k_values:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..graphs import TRAINING_CONFIGS, load_training_dataset
 from ..models import GNNConfig, MaxKGNN
-from ..training import Trainer
+from ..training import Engine, FullGraphFlow
 from .common import epoch_model_for, format_table, scaled_k
 
 __all__ = ["Table5Row", "Table5Result", "PAPER_K_SELECTIONS", "run", "report"]
@@ -89,9 +89,11 @@ def _train_quality(
         k=k,
         dropout=cfg.dropout,
     )
-    trainer = Trainer(MaxKGNN(graph, config, seed=seed), graph, lr=cfg.lr)
-    result = trainer.fit(epochs if epochs is not None else cfg.epochs,
-                         eval_every=20)
+    engine = Engine(
+        MaxKGNN(graph, config, seed=seed), graph, FullGraphFlow(), lr=cfg.lr
+    )
+    result = engine.fit(epochs if epochs is not None else cfg.epochs,
+                        eval_every=20)
     return result.test_at_best_val, result.metric_name
 
 

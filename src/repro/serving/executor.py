@@ -11,12 +11,11 @@ replayed result is bit-identical, so clients cannot observe a recovery.
 Parameters ship only when the model version changes (a respawned worker
 has seen nothing, so its first op always carries them).
 
-Supervision mirrors :class:`~repro.training.parallel.ReplicaProcessPool`:
-every reply is awaited against the worker's pipe *and* process sentinel
-under :class:`~repro.training.parallel.SupervisorConfig` deadlines;
-``max_retries`` consecutive infrastructure failures raise
-:class:`~repro.training.parallel.WorkerSupervisionError` so the service
-degrades to in-process serving with one cached warning.
+Supervision is :class:`~repro.training.supervision.SupervisedPool`'s
+(see that module for the rules): this pool only supplies the worker, the
+frame validators and the replay recipe. Exhausted recovery raises
+:class:`~repro.training.supervision.WorkerSupervisionError` so the
+service degrades to in-process serving with one cached warning.
 
 Fault injection (``serving`` scope, coordinates ``(executor, 1-based
 infer-op count)``): ``kill_executor`` / ``hang_executor`` die or stall
@@ -27,21 +26,18 @@ paths are drivable deterministically.
 
 from __future__ import annotations
 
-import os
-import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graphs.graph import Graph
 from ..graphs.shm import SharedGraphStore
-from ..sparse.ops import get_backend, set_backend
-from ..training.faults import current_fault_plan
-from ..training.parallel import (
+from ..sparse.ops import set_backend
+from ..training.parallel import unpack_parameters
+from ..training.supervision import (
+    SupervisedPool,
     SupervisorConfig,
-    WorkerSupervisionError,
-    _await_frame,
-    unpack_parameters,
+    _apply_faults,
 )
 from .batcher import MicroBatcher, build_ego_batch, forward_rows
 from .queue import Request
@@ -51,46 +47,6 @@ __all__ = ["ExecutorPool", "InferItem"]
 #: One dispatched query: ``(rid, node, seed)`` — everything an executor
 #: needs beyond the current parameters to reproduce the result exactly.
 InferItem = Tuple[int, int, int]
-
-#: How long an injected ``hang_executor`` stalls — far past any sane
-#: supervision deadline, so the parent's timeout path is what ends it.
-_HANG_SECONDS = 3600.0
-
-
-def _consume_serving_events(events: List, a: int, b: int
-                            ) -> List[Tuple[str, Optional[float]]]:
-    """``(action, param)`` pairs scheduled at ``(a, b)``; one-shots consumed.
-
-    Same consumption rule as the training pools (non-wildcard events are
-    dropped when shipped so a respawn cannot re-fire its predecessor's
-    fault; wildcards persist to drive retry exhaustion), but serving
-    actions may carry a parameter, so pairs are returned instead of bare
-    action strings.
-    """
-    actions: List[Tuple[str, Optional[float]]] = []
-    for event in list(events):
-        if event.matches(a, b):
-            actions.append((event.action, event.param))
-            if not event.persistent:
-                events.remove(event)
-    return actions
-
-
-def _apply_serving_faults(actions: Sequence[Tuple[str, Optional[float]]]
-                          ) -> bool:
-    """Worker-side injection point. Returns whether to corrupt the reply."""
-    corrupt = False
-    for action, param in actions:
-        if action == "kill_executor":
-            os._exit(3)
-        elif action == "hang_executor":
-            time.sleep(_HANG_SECONDS)
-            os._exit(3)
-        elif action == "slow_request":
-            time.sleep((param or 0.0) / 1000.0)
-        elif action == "corrupt_result":
-            corrupt = True
-    return corrupt
 
 
 def _serving_worker(conn, spec: dict) -> None:
@@ -139,7 +95,7 @@ def _serving_worker(conn, spec: dict) -> None:
                 conn.send(("rebound",))
                 continue
             _, version, flat, items, actions = message
-            corrupt = _apply_serving_faults(actions)
+            corrupt = _apply_faults(conn, actions)
             if flat is not None:
                 unpack_parameters(parameters, np.asarray(flat))
             requests = [
@@ -179,121 +135,40 @@ class ExecutorPool:
     def __init__(self, graph: Graph, config, n_hops: int, fanout: int,
                  executors: int, param_sizes: Sequence[int],
                  supervisor: Optional[SupervisorConfig] = None):
-        import multiprocessing as mp
-
         if executors < 1:
             raise ValueError("need at least one executor")
         self.executors = executors
-        self.supervisor = supervisor or SupervisorConfig.from_env()
-        plan = current_fault_plan()
-        self._events = list(plan.events_for("serving")) if plan else []
-        self._store = SharedGraphStore.export(graph)
-        self._closed = False
-        self._ctx = mp.get_context("spawn")
-        self._config = config
-        self._n_hops = n_hops
-        self._fanout = fanout
+        spec = {"config": config, "n_hops": n_hops, "fanout": fanout}
         self._param_sizes = [int(size) for size in param_sizes]
         self._flat: Optional[np.ndarray] = None
         self._version = 0
-        self._conns: List = [None] * executors
-        self._procs: List = [None] * executors
         #: Last parameter version each executor's mirror holds (None =
         #: fresh worker that has seen nothing, must be sent the vector).
         self._shipped: List[Optional[int]] = [None] * executors
         self._ops = [0] * executors
-        self._retries = [0] * executors
+        #: The op each executor owes a reply to — what a replay re-issues:
+        #: ``("infer", items, op number)`` or ``("rebind", handle)``.
+        self._pending: List[Optional[tuple]] = [None] * executors
         self._next = 0
         self.respawns = 0
         self.rebinds = 0
-        try:
-            for executor in range(executors):
-                self._spawn(executor)
-        except BaseException:
-            self.close()
-            raise
-
-    # -- lifecycle -----------------------------------------------------
-    def _spawn(self, executor: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        spec = {
-            "backend": get_backend().name,
-            "handle": self._store.handle(),
-            "config": self._config,
-            "n_hops": self._n_hops,
-            "fanout": self._fanout,
-        }
-        proc = self._ctx.Process(
-            target=_serving_worker, args=(child_conn, spec),
-            name=f"repro-executor-{executor}", daemon=True,
+        self._pool = SupervisedPool(
+            graph, executors, label="serving executor", scope="serving",
+            target=_serving_worker, spec_for=lambda executor: spec,
+            check_ready=self._check_ready, check_reply=self._check_reply,
+            replay=self._replay, supervisor=supervisor,
         )
-        proc.start()
-        child_conn.close()
-        self._conns[executor] = parent_conn
-        self._procs[executor] = proc
-        self._shipped[executor] = None
-        status, frame = _await_frame(
-            parent_conn, proc, self.supervisor.deadline(0)
-        )
-        if status != "ok" or not (
-            isinstance(frame, tuple) and len(frame) == 2
-            and frame[0] == "ready" and list(frame[1]) == self._param_sizes
-        ):
-            detail = (
-                f"exited with code {frame}" if status == "dead"
-                else "no ready handshake" if status == "hung"
-                else f"bad handshake {frame!r}"
-            )
-            self._kill(executor)
-            raise RuntimeError(
-                f"serving executor {executor} failed to start ({detail})"
-            )
-
-    def _kill(self, executor: int) -> None:
-        proc = self._procs[executor]
-        conn = self._conns[executor]
-        if proc is not None:
-            if proc.is_alive():
-                proc.kill()
-            proc.join(timeout=5.0)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._procs[executor] = None
-        self._conns[executor] = None
-        self._shipped[executor] = None
 
     def close(self) -> None:
         """Stop the executors, join them, free the shared segments."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.send(("stop",))
-            except Exception:
-                pass
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5.0)
-        for conn in self._conns:
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        self._conns = []
-        self._procs = []
-        self._store.close()
-        self._store.unlink()
+        self._pool.close()
+
+    def _check_ready(self, executor: int, frame) -> Optional[str]:
+        if not (isinstance(frame, tuple) and len(frame) == 2
+                and frame[0] == "ready"
+                and list(frame[1]) == self._param_sizes):
+            return f"bad handshake {frame!r}"
+        return None
 
     # -- live graph mutation ---------------------------------------------
     def rebind(self, graph: Graph) -> None:
@@ -303,62 +178,18 @@ class ExecutorPool:
         worker swaps its zero-copy views over to them (keeping its warm
         model mirror — re-attach, not restart) and the old segments are
         unlinked, so any stale :class:`SharedGraphHandle` attach raises
-        :class:`~repro.graphs.shm.StaleHandleError`. A worker that dies or
-        hangs mid-swap is killed and respawned against the new store (the
-        respawn spec reads ``self._store``), which completes its rebind;
+        :class:`~repro.graphs.shm.StaleHandleError`. The ``rebind`` op is
+        supervised like any other: a worker that dies or hangs mid-swap is
+        killed, respawned against the new store and sent the op again;
         ``max_retries`` exhaustion raises
-        :class:`WorkerSupervisionError` as usual.
+        :class:`~repro.training.supervision.WorkerSupervisionError`.
         """
-        old_store = self._store
-        self._store = SharedGraphStore.export(graph)
-        handle = self._store.handle()
-        try:
+        with self._pool.reexported(graph) as handle:
             for executor in range(self.executors):
-                self._rebind_one(executor, handle)
-        finally:
-            old_store.close()
-            old_store.unlink()
+                self._pending[executor] = ("rebind", handle)
+                self._issue(executor)
+                self._pool.recv(executor)
         self.rebinds += 1
-
-    def _rebind_one(self, executor: int, handle) -> None:
-        try:
-            self._conns[executor].send(("rebind", handle))
-        except (OSError, BrokenPipeError, ValueError):
-            pass  # the sentinel wait will classify the dead worker
-        attempt = self._retries[executor]
-        status, frame = _await_frame(
-            self._conns[executor], self._procs[executor],
-            self.supervisor.deadline(attempt),
-        )
-        if status == "ok" and frame == ("rebound",):
-            self._retries[executor] = 0
-            return
-        cause = (
-            f"executor exited during rebind (exit code {frame})"
-            if status == "dead"
-            else "no rebind acknowledgement within the deadline"
-            if status == "hung"
-            else f"malformed rebind acknowledgement {frame!r}"
-        )
-        self._kill(executor)
-        self._retries[executor] += 1
-        if self._retries[executor] > self.supervisor.max_retries:
-            raise WorkerSupervisionError(
-                f"serving executor {executor} failed "
-                f"{self._retries[executor]} consecutive times during a "
-                f"graph rebind (last cause: {cause}); degrading to "
-                "in-process serving"
-            )
-        try:
-            self._spawn(executor)
-        except Exception as exc:
-            raise WorkerSupervisionError(
-                f"serving executor {executor} could not be respawned "
-                f"during a graph rebind ({cause}): {exc!r}"
-            ) from exc
-        # The respawned worker attached the *new* store in _spawn, so its
-        # rebind is already complete.
-        self.respawns += 1
 
     # -- parameters -----------------------------------------------------
     def set_params(self, flat: np.ndarray, version: int) -> None:
@@ -376,9 +207,9 @@ class ExecutorPool:
         """Serve one window on the next executor; returns rows in order.
 
         Blocks through any respawn-and-replay recovery. Raises
-        :class:`WorkerSupervisionError` once ``max_retries`` consecutive
-        infrastructure failures exhaust the budget — the service then
-        degrades to in-process serving.
+        :class:`~repro.training.supervision.WorkerSupervisionError` once
+        ``max_retries`` consecutive infrastructure failures exhaust the
+        budget — the service then degrades to in-process serving.
         """
         if self._flat is None:
             raise RuntimeError("ExecutorPool.set_params was never called")
@@ -386,55 +217,48 @@ class ExecutorPool:
         self._next = (self._next + 1) % self.executors
         items = [(int(r), int(n), int(s)) for r, n, s in items]
         self._ops[executor] += 1
-        number = self._ops[executor]
-        self._send_infer(executor, items, number)
-        return self._await_result(executor, items, number)
+        self._pending[executor] = ("infer", items, self._ops[executor])
+        self._issue(executor)
+        frame = self._pool.recv(executor)
+        return [np.asarray(row, dtype=np.float64) for row in frame[2]]
 
-    def _send_infer(self, executor: int, items: List[InferItem],
-                    number: int) -> None:
-        actions = _consume_serving_events(self._events, executor, number)
+    def _issue(self, executor: int) -> None:
+        """Send ``executor`` its pending op (fresh or replayed)."""
+        op = self._pending[executor]
+        if op[0] == "rebind":
+            self._pool.send(executor, op)
+            return
+        _, items, number = op
         flat = None
         if self._shipped[executor] != self._version:
             flat = self._flat
-        try:
-            self._conns[executor].send(
-                ("infer", self._version, flat, items, actions)
-            )
-        except (OSError, BrokenPipeError, ValueError):
-            pass  # the sentinel wait will classify the dead worker
+        self._pool.send(
+            executor, ("infer", self._version, flat, items),
+            at=(executor, number),
+        )
         self._shipped[executor] = self._version
 
-    def _await_result(self, executor: int, items: List[InferItem],
-                      number: int) -> List[np.ndarray]:
-        while True:
-            attempt = self._retries[executor]
-            status, frame = _await_frame(
-                self._conns[executor], self._procs[executor],
-                self.supervisor.deadline(attempt),
-            )
-            if status == "hung":
-                self._infra_failure(
-                    executor, items, number,
-                    "no reply within the "
-                    f"{self.supervisor.deadline(attempt):.1f}s deadline "
-                    "(hung executor killed)",
-                )
-                continue
-            if status == "dead":
-                self._infra_failure(
-                    executor, items, number,
-                    f"executor exited unexpectedly (exit code {frame})",
-                )
-                continue
-            problem = self._frame_problem(frame, len(items))
-            if problem is not None:
-                self._infra_failure(executor, items, number, problem)
-                continue
-            self._retries[executor] = 0
-            return [np.asarray(row, dtype=np.float64) for row in frame[2]]
+    def _replay(self, executor: int) -> None:
+        """Re-send the pending op to the respawned executor.
 
-    def _frame_problem(self, frame, n_items: int) -> Optional[str]:
-        """Why ``frame`` is unusable as the result reply, or ``None``."""
+        The replayed window is bit-identical (pure function of (params,
+        items) — the fresh mirror has seen no parameters, so it receives
+        the same vector and rebuilds the same seeded ego-nets), so
+        recovery is invisible to the requests in the window. A respawn
+        during a rebind already attached the new store; re-sending the op
+        only has it confirm that through the same supervised receive.
+        """
+        self.respawns += 1
+        self._shipped[executor] = None
+        self._issue(executor)
+
+    def _check_reply(self, executor: int, frame) -> Optional[str]:
+        """Why ``frame`` cannot answer the pending op, or ``None``."""
+        op = self._pending[executor]
+        if op[0] == "rebind":
+            if frame != ("rebound",):
+                return f"malformed rebind acknowledgement {frame!r}"
+            return None
         if not isinstance(frame, tuple) or len(frame) != 3 \
                 or frame[0] != "result":
             return f"malformed result frame {frame!r}"
@@ -444,7 +268,7 @@ class ExecutorPool:
                 f"(current {self._version})"
             )
         rows = frame[2]
-        if not isinstance(rows, (list, tuple)) or len(rows) != n_items:
+        if not isinstance(rows, (list, tuple)) or len(rows) != len(op[1]):
             return "corrupt result payload (wrong arity)"
         for row in rows:
             try:
@@ -454,30 +278,3 @@ class ExecutorPool:
             if arr.ndim != 1 or arr.size == 0:
                 return "corrupt result payload (bad row shape)"
         return None
-
-    def _infra_failure(self, executor: int, items: List[InferItem],
-                       number: int, cause: str) -> None:
-        """Kill, respawn, re-send the in-flight window — or give up.
-
-        The replayed op is bit-identical (pure function of (params, items)
-        — the respawned mirror receives the same parameter vector and
-        rebuilds the same seeded ego-nets), so recovery is invisible to
-        the requests in the window.
-        """
-        self._kill(executor)
-        self._retries[executor] += 1
-        if self._retries[executor] > self.supervisor.max_retries:
-            raise WorkerSupervisionError(
-                f"serving executor {executor} failed "
-                f"{self._retries[executor]} consecutive times (last cause: "
-                f"{cause}); degrading to in-process serving"
-            )
-        try:
-            self._spawn(executor)
-        except Exception as exc:
-            raise WorkerSupervisionError(
-                f"serving executor {executor} could not be respawned after "
-                f"a failure ({cause}): {exc!r}"
-            ) from exc
-        self.respawns += 1
-        self._send_infer(executor, items, number)

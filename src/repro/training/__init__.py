@@ -31,26 +31,18 @@ from .dataflow import (
     SubgraphCache,
     make_flow,
 )
-from .engine import Engine, ReplicaGradients, batch_loss
+from .engine import Engine, ReplicaGradients, TrainResult, batch_loss
 from .parallel import (
     ReplicaWorkerError,
-    SupervisorConfig,
-    WorkerSupervisionError,
     available_cores,
     reset_fallback_warnings,
     resolve_process_workers,
 )
 from .metrics import accuracy, micro_f1, roc_auc
-from .partitioned import (
-    PartitionedTrainer,
-    SampledTrainer,
-    SubgraphTrainResult,
-    copy_parameters,
-)
 from .schedulers import CosineLR, EarlyStopping, StepLR
 from .seeds import SeededResult, run_seeded
+from .supervision import SupervisorConfig, WorkerSupervisionError
 from .timing import EpochBreakdown, EpochCostModel, ModelShape
-from .trainer import Trainer, TrainResult
 
 __all__ = [
     "accuracy",
@@ -80,15 +72,10 @@ __all__ = [
     "PrefetchFlow",
     "SubgraphCache",
     "make_flow",
-    "Trainer",
     "TrainResult",
     "EpochBreakdown",
     "EpochCostModel",
     "ModelShape",
-    "PartitionedTrainer",
-    "SampledTrainer",
-    "SubgraphTrainResult",
-    "copy_parameters",
     "state_dict",
     "load_state_dict",
     "save_checkpoint",

@@ -7,9 +7,7 @@ by scanning each module's attributes in construction order — the same
 order :meth:`Module.parameters` iterates — and :func:`state_dict` keys
 each array by ``path:shape`` (e.g. ``conv0.linear.weight:8x16``), so a
 checkpoint can never silently load into a different architecture that
-happens to flatten to the same positional list. The historical
-``param_<index>`` keys are still *read* (legacy fallback) but no longer
-written.
+happens to flatten to the same positional list.
 
 The *container* layer (:func:`write_checkpoint` / :func:`read_checkpoint`)
 wraps an ``.npz`` body with a CRC32 integrity footer and writes it
@@ -26,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import struct
 import zlib
 from dataclasses import asdict, is_dataclass
@@ -62,8 +59,6 @@ _FOOTER = struct.Struct("<4sQI")
 
 #: Key reserved for the JSON metadata entry inside the npz body.
 _META_KEY = "__meta__"
-
-_LEGACY_KEY = re.compile(r"^param_(\d+)$")
 
 
 # ----------------------------------------------------------------------
@@ -147,14 +142,9 @@ def state_dict(model: Module) -> dict:
 def load_state_dict(model: Module, state: dict) -> None:
     """Load arrays produced by :func:`state_dict` into ``model`` in place.
 
-    Accepts the historical positional ``param_<index>`` key scheme as a
-    read-only fallback; mismatched architectures and shapes are rejected
-    with messages naming the offending parameter.
+    Mismatched architectures and shapes are rejected with messages naming
+    the offending parameter.
     """
-    parameters = list(model.parameters())
-    if state and all(_LEGACY_KEY.match(key) for key in state):
-        _load_legacy(parameters, state)
-        return
     named = named_parameters(model)
     expected = {
         f"{name}:{_shape_tag(param.data.shape)}": param
@@ -180,22 +170,6 @@ def load_state_dict(model: Module, state: dict) -> None:
         if value.shape != param.data.shape:
             raise ValueError(
                 f"{key}: shape {value.shape} does not match "
-                f"{param.data.shape}"
-            )
-        param.data[...] = value
-
-
-def _load_legacy(parameters: list, state: dict) -> None:
-    expected = {f"param_{index}" for index in range(len(parameters))}
-    if set(state) != expected:
-        raise ValueError(
-            f"state dict has keys {sorted(state)}, expected {sorted(expected)}"
-        )
-    for index, param in enumerate(parameters):
-        value = np.asarray(state[f"param_{index}"])
-        if value.shape != param.data.shape:
-            raise ValueError(
-                f"param_{index}: shape {value.shape} does not match "
                 f"{param.data.shape}"
             )
         param.data[...] = value
@@ -318,28 +292,21 @@ def save_checkpoint(model: Module, path: Union[str, Path]) -> None:
 def load_checkpoint(model: Module, path: Union[str, Path]) -> None:
     """Restore parameters written by :func:`save_checkpoint`.
 
-    Also reads legacy plain-``.npz`` checkpoints (positional keys). For
-    container checkpoints carrying a config fingerprint, a model with a
-    different architecture fingerprint is rejected before any array is
-    touched.
+    A file without the container footer is rejected
+    (:class:`CheckpointError`); for checkpoints carrying a config
+    fingerprint, a model with a different architecture fingerprint is
+    rejected before any array is touched.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) >= _FOOTER.size and \
-            data[-_FOOTER.size:][:len(_MAGIC)] == _MAGIC:
-        arrays, meta = read_checkpoint(path)
-        config = getattr(model, "config", None)
-        expected = meta.get("fingerprint")
-        if expected is not None and config is not None:
-            actual = config_fingerprint(config)
-            if actual != expected:
-                raise CheckpointError(
-                    f"{path} was written for a different model "
-                    f"configuration (fingerprint {expected}, this model is "
-                    f"{actual}); refusing to load mismatched weights"
-                )
-        load_state_dict(model, arrays)
-        return
-    # Legacy pre-container archive (np.savez straight to disk).
-    with np.load(path) as archive:
-        load_state_dict(model, dict(archive))
+    arrays, meta = read_checkpoint(path)
+    config = getattr(model, "config", None)
+    expected = meta.get("fingerprint")
+    if expected is not None and config is not None:
+        actual = config_fingerprint(config)
+        if actual != expected:
+            raise CheckpointError(
+                f"{path} was written for a different model "
+                f"configuration (fingerprint {expected}, this model is "
+                f"{actual}); refusing to load mismatched weights"
+            )
+    load_state_dict(model, arrays)

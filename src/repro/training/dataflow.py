@@ -582,8 +582,7 @@ class PartitionedFlow(DataFlow):
     """BNS-GCN flow: every epoch visits each partition with a fresh halo.
 
     The partition is computed once per graph and reused; the sampled
-    boundary halo is re-drawn every (epoch, part) visit, matching the
-    original :class:`PartitionedTrainer` schedule.
+    boundary halo is re-drawn every (epoch, part) visit.
     """
 
     name = "partitioned"

@@ -4,11 +4,13 @@ Every recovery path the supervision layer implements (dead worker, hung
 worker, corrupt payload, torn pipe) must be testable in CI without flaky
 timing games. A :class:`FaultPlan` is a *seeded schedule* of fault events:
 each event names an action, a scope (which pool type it targets) and a
-deterministic coordinate inside that scope's schedule. The pools read the
-active plan at construction and thread the relevant events into their
-worker specs; workers consult them at well-defined injection points, so a
-given plan produces the exact same failure at the exact same schedule
-position on every run.
+deterministic coordinate inside that scope's schedule. A
+:class:`~repro.training.supervision.SupervisedPool` reads its scope's
+events from the active plan at construction and ships the actions due at
+an op's coordinates with the op; the worker runs them through the one
+injection point, :func:`repro.training.supervision._apply_faults`, which
+understands every action for every scope. A given plan therefore produces
+the exact same failure at the exact same schedule position on every run.
 
 Scopes and coordinates:
 

@@ -18,27 +18,18 @@ zero-copy instead of unpickling it:
   returns its flat (or top-k compressed) gradient contribution for the
   parent's fixed-ascending-order all-reduce.
 
-Both pools are *supervised*: every reply is awaited with
-``multiprocessing.connection.wait`` over the worker's pipe **and** its
-process sentinel, so a SIGKILLed child is detected the moment it dies
-(exit code captured) and a hung one at a per-attempt deadline
-(:class:`SupervisorConfig`; exponential backoff across retries). Failed
-workers are respawned and the failed work is **deterministically
-replayed** — a prefetch slot is just rebuilt (pure function of its
-coordinates); a replica worker is resurrected from its last
-state snapshot (every gradient reply ships the worker's post-step PCG64
-state and error-feedback residual row), the active batch is rebuilt, and
-the failed op re-issued, so the post-recovery trajectory is bit-identical
-to a clean run. Deterministic *application* errors (a worker's own
+Both pools are thin clients of
+:class:`~repro.training.supervision.SupervisedPool`, which owns spawning,
+the sentinel-watched reply wait, kill, respawn and retry accounting (see
+that module for the supervision rules). What lives here is what makes a
+replay *bit-identical*: a prefetch slot is a pure function of its
+coordinates, so the failed slot is simply re-sent to the respawned
+worker; a replica worker is resurrected from its last state snapshot
+(every gradient reply ships the worker's post-step PCG64 state and
+error-feedback residual row), the active batch is rebuilt, and the failed
+op re-issued. Deterministic *application* errors (a worker's own
 exception frame) are never retried — they raise immediately with the
-worker's traceback attached. After ``max_retries`` consecutive
-infrastructure failures the pool raises :class:`WorkerSupervisionError`
-and the caller degrades to the in-process path with one cached warning.
-
-Recovery paths are testable without timing games: the pools consult
-:func:`~repro.training.faults.current_fault_plan` and ship each scheduled
-fault action alongside the op it targets, so workers crash/hang/corrupt
-at exact deterministic schedule coordinates.
+worker's traceback attached.
 
 :func:`resolve_process_workers` is the shared degradation gate: no usable
 shared memory, an unpicklable flow, or fewer CPU cores than requested all
@@ -56,20 +47,20 @@ import time
 import traceback
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.shm import (
-    SharedGraphHandle,
-    SharedGraphStore,
-    shared_memory_available,
-)
+from ..graphs.shm import SharedGraphStore, shared_memory_available
 from ..sparse import CSRMatrix
-from ..sparse.ops import get_backend, set_backend
-from .faults import current_fault_plan
+from ..sparse.ops import set_backend
+from .supervision import (
+    SupervisedPool,
+    SupervisorConfig,
+    WorkerSupervisionError,
+    _apply_faults,
+)
 
 __all__ = [
     "available_cores",
@@ -91,16 +82,6 @@ __all__ = [
 #: Set to ``1`` to run process pools even when the host reports fewer CPU
 #: cores than requested workers (tests / single-core CI coverage).
 FORCE_ENV = "REPRO_FORCE_PROCS"
-
-#: Override the per-call worker reply deadline, in seconds.
-TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT"
-
-#: Override how many consecutive infra failures trigger degradation.
-RETRIES_ENV = "REPRO_WORKER_RETRIES"
-
-#: How long an injected ``hang_worker`` fault sleeps — far past any sane
-#: supervision deadline, so the parent's timeout path is what ends it.
-_HANG_SECONDS = 3600.0
 
 
 def available_cores() -> int:
@@ -179,144 +160,6 @@ def resolve_process_workers(requested: int, label: str = "workers",
         )
         return 0
     return requested
-
-
-# ----------------------------------------------------------------------
-# Supervision primitives shared by both pools.
-# ----------------------------------------------------------------------
-
-@dataclass
-class SupervisorConfig:
-    """How patiently a pool waits for workers, and when it gives up.
-
-    ``deadline(attempt)`` is the per-reply timeout for a given consecutive
-    retry count — exponential backoff, so a slow-but-healthy host that
-    trips the first deadline gets progressively more slack before the pool
-    concludes the worker class is hopeless and degrades in-process.
-    """
-
-    timeout: float = 120.0
-    max_retries: int = 2
-    backoff: float = 2.0
-
-    @classmethod
-    def from_env(cls) -> "SupervisorConfig":
-        config = cls()
-        raw = os.environ.get(TIMEOUT_ENV, "").strip()
-        if raw:
-            try:
-                config.timeout = max(float(raw), 0.05)
-            except ValueError:
-                pass
-        raw = os.environ.get(RETRIES_ENV, "").strip()
-        if raw:
-            try:
-                config.max_retries = max(int(raw), 0)
-            except ValueError:
-                pass
-        return config
-
-    def deadline(self, attempt: int = 0) -> float:
-        return self.timeout * self.backoff ** min(max(attempt, 0), 8)
-
-
-class WorkerSupervisionError(RuntimeError):
-    """Supervised recovery is exhausted; the caller should degrade.
-
-    Raised only after ``max_retries`` consecutive respawn-and-replay
-    attempts (or an unrecoverable respawn) — deterministic application
-    errors raise their own typed errors immediately instead.
-    """
-
-
-class ReplicaWorkerError(RuntimeError):
-    """A replica worker failed on its own code (deterministic — no retry).
-
-    Carries the worker's last traceback and, when the child already died,
-    its exit code, so the cause is never reduced to a bare ``EOFError``.
-    """
-
-    def __init__(self, replica: int, summary: str,
-                 worker_traceback: str = "",
-                 exitcode: Optional[int] = None):
-        message = f"replica worker {replica} failed: {summary}"
-        if exitcode is not None:
-            message += f" (worker exit code {exitcode})"
-        if worker_traceback:
-            message += f"\n{worker_traceback}"
-        super().__init__(message)
-        self.replica = replica
-        self.summary = summary
-        self.worker_traceback = worker_traceback
-        self.exitcode = exitcode
-        self.deterministic = True
-
-
-def _await_frame(conn, proc, timeout: float):
-    """Wait for one frame from ``conn``, watching ``proc``'s sentinel.
-
-    Returns ``("ok", frame)``, ``("dead", exitcode)`` when the child died
-    without flushing a frame, or ``("hung", None)`` when the deadline
-    passed with the child still alive.
-    """
-    from multiprocessing.connection import wait as _wait
-
-    ready = _wait([conn, proc.sentinel], timeout=max(timeout, 0.0))
-    if not ready:
-        return "hung", None
-    if conn in ready:
-        try:
-            return "ok", conn.recv()
-        except (EOFError, OSError):
-            proc.join(timeout=1.0)
-            return "dead", proc.exitcode
-    # Sentinel only: the child died. Its last frame may still be in the
-    # pipe buffer (workers write an error frame before exiting where they
-    # can) — drain it before declaring the cause lost.
-    if conn.poll(0.25):
-        try:
-            return "ok", conn.recv()
-        except (EOFError, OSError):
-            pass
-    proc.join(timeout=1.0)
-    return "dead", proc.exitcode
-
-
-def _consume_events(events: List, a: int, b: int) -> List[str]:
-    """Fault actions scheduled at ``(a, b)``; drop the one-shot ones.
-
-    Non-wildcard events are consumed the moment they are shipped (they
-    *will* fire — matching is deterministic), so a respawned worker
-    replaying the same coordinates cannot re-trigger the fault that killed
-    its predecessor. Wildcard events persist by design: they keep firing
-    until the caller's retry budget is exhausted.
-    """
-    actions = []
-    for event in list(events):
-        if event.matches(a, b):
-            actions.append(event.action)
-            if not event.persistent:
-                events.remove(event)
-    return actions
-
-
-def _apply_faults(conn, actions: Sequence[str]) -> bool:
-    """Worker-side injection point. Returns whether to corrupt the reply."""
-    corrupt = False
-    for action in actions:
-        if action == "kill_worker":
-            os._exit(3)
-        elif action == "hang_worker":
-            time.sleep(_HANG_SECONDS)
-            os._exit(3)
-        elif action == "drop_pipe":
-            try:
-                conn.close()
-            finally:
-                os._exit(0)
-        elif action == "corrupt_payload":
-            corrupt = True
-    return corrupt
 
 
 # ----------------------------------------------------------------------
@@ -467,114 +310,33 @@ class ProcessPrefetchPool:
     promptly surface a SIGKILLed child — the lost task only shows up as a
     result timeout; a sentinel-watched ``Process`` reports it instantly).
     Slots are dispatched one-at-a-time per worker; because a batch is a
-    pure function of ``(seed, slot)``, a failed slot can be replayed on
-    any respawned worker with a bit-identical result.
+    pure function of ``(seed, slot)``, a failed slot is replayed on the
+    respawned worker with a bit-identical result.
     """
 
     def __init__(self, inner_flow, graph: Graph, workers: int,
                  warm_norms: Sequence[str] = (),
                  supervisor: Optional[SupervisorConfig] = None):
-        import multiprocessing as mp
-
         self.workers = workers
         self.graph = graph
-        self.supervisor = supervisor or SupervisorConfig.from_env()
-        plan = current_fault_plan()
-        self._events = list(plan.events_for("prefetch")) if plan else []
-        self._ctx = mp.get_context("spawn")
-        self._store = SharedGraphStore.export(graph)
-        self._spec = {
-            "backend": get_backend().name,
-            "handle": self._store.handle(),
+        spec = {
             "flow": pickle.dumps(inner_flow),
             "warm_norms": tuple(warm_norms),
         }
-        self._conns: List = [None] * workers
-        self._procs: List = [None] * workers
         self._inflight: Dict[int, Tuple[int, int]] = {}  # worker -> task
-        self._deadlines: Dict[int, float] = {}
         self._queue: deque = deque()
         self._results: Dict[Tuple[int, int], Graph] = {}
         self._failures: Dict[Tuple[int, int], BaseException] = {}
-        self._retries: Dict[Tuple[int, int], int] = {}
-        self._closed = False
-        try:
-            for worker in range(workers):
-                self._spawn(worker)
-        except BaseException:
-            self.close()
-            raise
-
-    # -- lifecycle -----------------------------------------------------
-    def _spawn(self, worker: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_prefetch_worker, args=(child_conn, self._spec),
-            name=f"repro-prefetch-{worker}", daemon=True,
+        self._pool = SupervisedPool(
+            graph, workers, label="prefetch worker", scope="prefetch",
+            target=_prefetch_worker, spec_for=lambda worker: spec,
+            check_ready=self._check_ready, check_reply=self._check_reply,
+            replay=self._send, supervisor=supervisor,
         )
-        proc.start()
-        child_conn.close()
-        self._conns[worker] = parent_conn
-        self._procs[worker] = proc
-        status, frame = _await_frame(
-            parent_conn, proc, self.supervisor.deadline(0)
-        )
-        if status != "ok" or not (isinstance(frame, tuple)
-                                  and frame and frame[0] == "ready"):
-            detail = (
-                f"exit code {frame}" if status == "dead"
-                else "no ready handshake" if status == "hung"
-                else f"unexpected handshake {frame!r}"
-            )
-            self._kill(worker)
-            raise RuntimeError(
-                f"prefetch worker {worker} failed to start ({detail})"
-            )
-
-    def _kill(self, worker: int) -> None:
-        proc = self._procs[worker]
-        conn = self._conns[worker]
-        if proc is not None:
-            if proc.is_alive():
-                proc.kill()
-            proc.join(timeout=5.0)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._procs[worker] = None
-        self._conns[worker] = None
 
     def close(self) -> None:
         """Stop/kill the workers and free the shared segments (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.send(("stop",))
-            except Exception:
-                pass
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5.0)
-        for conn in self._conns:
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        self._conns = []
-        self._procs = []
-        self._store.close()
-        self._store.unlink()
+        self._pool.close()
 
     # -- dispatch ------------------------------------------------------
     def submit_epoch(self, epoch: int, n_plans: int) -> None:
@@ -587,22 +349,15 @@ class ProcessPrefetchPool:
         for worker in range(self.workers):
             if not self._queue:
                 return
-            if worker not in self._inflight and \
-                    self._procs[worker] is not None:
-                self._send(worker, self._queue.popleft())
+            if worker not in self._inflight:
+                self._inflight[worker] = self._queue.popleft()
+                self._send(worker)
 
-    def _send(self, worker: int, task: Tuple[int, int]) -> None:
-        epoch, index = task
-        actions = _consume_events(self._events, epoch, index)
-        try:
-            self._conns[worker].send(("build", epoch, index, actions))
-        except (OSError, BrokenPipeError, ValueError):
-            pass  # the sentinel wait will classify the dead worker
-        self._inflight[worker] = task
-        attempt = self._retries.get(task, 0)
-        self._deadlines[worker] = (
-            time.monotonic() + self.supervisor.deadline(attempt)
-        )
+    def _send(self, worker: int) -> None:
+        """Send ``worker`` its in-flight slot — also the whole replay
+        recipe: a respawned worker rebuilds the same slot from scratch."""
+        epoch, index = task = self._inflight[worker]
+        self._pool.send(worker, ("build", epoch, index), at=task)
 
     # -- supervision ---------------------------------------------------
     def result(self, epoch: int, index: int) -> Graph:
@@ -625,7 +380,9 @@ class ProcessPrefetchPool:
                 raise RuntimeError(
                     f"plan slot {index} of epoch {epoch} was never submitted"
                 )
-            self._pump()
+            worker, _ = self._pool.recv_any(list(self._inflight))
+            del self._inflight[worker]
+            self._dispatch()
 
     def failure_for(self, epoch: int) -> Optional[Tuple[int, BaseException]]:
         """Earliest recorded deterministic builder failure of ``epoch``."""
@@ -635,64 +392,20 @@ class ProcessPrefetchPool:
         slot = min(slots)
         return slot, self._failures[(epoch, slot)]
 
-    def _pump(self) -> None:
-        from multiprocessing.connection import wait as _wait
+    @staticmethod
+    def _check_ready(worker: int, frame) -> Optional[str]:
+        if frame != ("ready",):
+            return f"unexpected handshake {frame!r}"
+        return None
 
-        self._dispatch()
-        if not self._inflight:
-            return
-        now = time.monotonic()
-        timeout = max(
-            0.0, min(self._deadlines[w] for w in self._inflight) - now
-        )
-        sources: Dict[object, int] = {}
-        for worker in self._inflight:
-            sources[self._conns[worker]] = worker
-            sources[self._procs[worker].sentinel] = worker
-        ready = _wait(list(sources), timeout=timeout)
-        handled = set()
-        for obj in ready:
-            worker = sources[obj]
-            if worker in handled or worker not in self._inflight:
-                continue
-            handled.add(worker)
-            self._service(worker)
-        if not ready:
-            now = time.monotonic()
-            for worker in [w for w in self._inflight
-                           if self._deadlines[w] <= now]:
-                self._worker_failed(
-                    worker,
-                    "no reply within the "
-                    f"{self.supervisor.deadline(0):.1f}s deadline "
-                    "(hung worker killed)",
-                )
-        self._dispatch()
+    def _check_reply(self, worker: int, frame) -> Optional[str]:
+        """Validate a build reply and bank what it carries.
 
-    def _service(self, worker: int) -> None:
-        conn = self._conns[worker]
-        proc = self._procs[worker]
-        if not conn.poll(0):
-            # Sentinel fired with an empty pipe: drain a final flushed
-            # frame if one lands, else record the death with its code.
-            if not conn.poll(0.25):
-                proc.join(timeout=1.0)
-                self._worker_failed(
-                    worker, f"worker died (exit code {proc.exitcode})"
-                )
-                return
-        try:
-            frame = conn.recv()
-        except (EOFError, OSError):
-            proc.join(timeout=1.0)
-            self._worker_failed(
-                worker, f"worker died (exit code {proc.exitcode})"
-            )
-            return
-        self._handle_frame(worker, frame)
-
-    def _handle_frame(self, worker: int, frame) -> None:
-        task = self._inflight.get(worker)
+        A ``built`` frame is accepted only once its payload decodes into a
+        batch (stored for :meth:`result`); an ``error`` frame is the
+        slot's deterministic failure, recorded and never retried.
+        """
+        task = self._inflight[worker]
         try:
             kind = frame[0]
             if kind == "built":
@@ -702,60 +415,47 @@ class ProcessPrefetchPool:
             else:
                 raise ValueError(f"unexpected frame kind {kind!r}")
         except (ValueError, TypeError, IndexError):
-            self._worker_failed(worker, f"malformed reply frame {frame!r}")
-            return
+            return f"malformed reply frame {frame!r}"
         if task != (epoch, index):
-            self._worker_failed(
-                worker, f"reply for {(epoch, index)} while {task} in flight"
-            )
-            return
+            return f"reply for {(epoch, index)} while {task} in flight"
         if kind == "error":
-            self._inflight.pop(worker)
-            self._deadlines.pop(worker, None)
-            self._retries.pop(task, None)
             self._failures.setdefault(
                 task, RuntimeError(f"{summary}\n{worker_tb}")
             )
-            return
+            return None
         try:
-            batch = graph_from_payload(payload)
+            self._results[task] = graph_from_payload(payload)
         except Exception as exc:
-            self._worker_failed(
-                worker, f"corrupt batch payload ({exc!r})"
-            )
-            return
-        self._inflight.pop(worker)
-        self._deadlines.pop(worker, None)
-        self._retries.pop(task, None)
-        self._results[task] = batch
-
-    def _worker_failed(self, worker: int, cause: str) -> None:
-        task = self._inflight.pop(worker, None)
-        self._deadlines.pop(worker, None)
-        self._kill(worker)
-        if task is not None:
-            count = self._retries.get(task, 0) + 1
-            self._retries[task] = count
-            if count > self.supervisor.max_retries:
-                raise WorkerSupervisionError(
-                    f"prefetch build of plan slot {task[1]} (epoch "
-                    f"{task[0]}) failed {count} consecutive times; last "
-                    f"cause: {cause}"
-                )
-        try:
-            self._spawn(worker)
-        except Exception as exc:
-            raise WorkerSupervisionError(
-                f"prefetch worker {worker} could not be respawned after "
-                f"a failure ({cause}): {exc!r}"
-            ) from exc
-        if task is not None:
-            self._queue.appendleft(task)
+            return f"corrupt batch payload ({exc!r})"
+        return None
 
 
 # ----------------------------------------------------------------------
 # Process-per-replica round executor (DistributedFlow's multi-core path).
 # ----------------------------------------------------------------------
+
+class ReplicaWorkerError(RuntimeError):
+    """A replica worker failed on its own code (deterministic — no retry).
+
+    Carries the worker's last traceback and, when the child already died,
+    its exit code, so the cause is never reduced to a bare ``EOFError``.
+    """
+
+    def __init__(self, replica: int, summary: str,
+                 worker_traceback: str = "",
+                 exitcode: Optional[int] = None):
+        message = f"replica worker {replica} failed: {summary}"
+        if exitcode is not None:
+            message += f" (worker exit code {exitcode})"
+        if worker_traceback:
+            message += f"\n{worker_traceback}"
+        super().__init__(message)
+        self.replica = replica
+        self.summary = summary
+        self.worker_traceback = worker_traceback
+        self.exitcode = exitcode
+        self.deterministic = True
+
 
 def _replica_worker(conn, spec: dict) -> None:
     """One replica: persistent model mirror + gradient store, message loop.
@@ -914,28 +614,23 @@ class ReplicaProcessPool:
     in-process, seeded from :meth:`worker_states`.
     """
 
+    #: The reply kind each supervised op is answered with.
+    _REPLY_KIND = {"build": "built", "step": "grad"}
+
     def __init__(self, graph: Graph, inner_flow, config, rng_state,
                  replicas: int, grad_topk: Optional[int],
                  fused_loss: bool, param_sizes: Sequence[int],
                  supervisor: Optional[SupervisorConfig] = None,
                  resume_states: Optional[Sequence[Optional[dict]]] = None):
-        import multiprocessing as mp
-
         self.replicas = replicas
-        self.supervisor = supervisor or SupervisorConfig.from_env()
-        plan = current_fault_plan()
-        self._events = list(plan.events_for("replica")) if plan else []
-        self._store = SharedGraphStore.export(graph)
-        self._closed = False
-        self._ctx = mp.get_context("spawn")
-        self._flow_bytes = pickle.dumps(inner_flow)
-        self._config = config
-        self._rng_state = rng_state
-        self._grad_topk = grad_topk
-        self._fused_loss = fused_loss
+        self._spec = {
+            "flow": pickle.dumps(inner_flow),
+            "config": config,
+            "rng_state": rng_state,
+            "grad_topk": grad_topk,
+            "fused_loss": fused_loss,
+        }
         self._param_sizes = [int(size) for size in param_sizes]
-        self._conns: List = [None] * replicas
-        self._procs: List = [None] * replicas
         self._states: List[Optional[dict]] = [None] * replicas
         if resume_states:
             for replica, state in enumerate(resume_states):
@@ -945,116 +640,47 @@ class ReplicaProcessPool:
             [None] * replicas
         )
         self._last_op: List[Optional[Tuple[tuple, int]]] = [None] * replicas
-        self._retries = [0] * replicas
         self._ops = [0] * replicas
-        try:
-            for replica in range(replicas):
-                self._spawn(replica)
-        except BaseException:
-            self.close()
-            raise
-
-    # -- lifecycle -----------------------------------------------------
-    def _spawn(self, replica: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        spec = {
-            "backend": get_backend().name,
-            "handle": self._store.handle(),
-            "flow": self._flow_bytes,
-            "config": self._config,
-            "rng_state": self._rng_state,
-            "replica": replica,
-            "grad_topk": self._grad_topk,
-            "fused_loss": self._fused_loss,
-            "resume_state": self._states[replica],
-        }
-        proc = self._ctx.Process(
-            target=_replica_worker, args=(child_conn, spec),
-            name=f"repro-replica-{replica}", daemon=True,
+        self._pool = SupervisedPool(
+            graph, replicas, label="replica worker", scope="replica",
+            target=_replica_worker, spec_for=self._spec_for,
+            check_ready=self._check_ready, check_reply=self._check_reply,
+            replay=self._replay, supervisor=supervisor,
         )
-        proc.start()
-        child_conn.close()
-        self._conns[replica] = parent_conn
-        self._procs[replica] = proc
-        status, frame = _await_frame(
-            parent_conn, proc, self.supervisor.deadline(0)
-        )
-        if status != "ok":
-            detail = (
-                f"exited with code {frame}" if status == "dead"
-                else "no ready handshake before the deadline"
-            )
-            self._kill(replica)
-            raise RuntimeError(
-                f"replica worker {replica} failed to start ({detail})"
-            )
-        if isinstance(frame, tuple) and frame and frame[0] == "error":
-            self._kill(replica)
-            raise ReplicaWorkerError(
-                replica, frame[1], worker_traceback=frame[2]
-            )
-        if not (isinstance(frame, tuple) and len(frame) == 3
-                and frame[0] == "ready"
-                and list(frame[1]) == self._param_sizes):
-            self._kill(replica)
-            raise RuntimeError(
-                f"replica worker {replica} mirror layout mismatch: "
-                f"{frame!r} != {self._param_sizes}"
-            )
-        self._states[replica] = frame[2]
-
-    def _kill(self, replica: int) -> None:
-        proc = self._procs[replica]
-        conn = self._conns[replica]
-        if proc is not None:
-            if proc.is_alive():
-                proc.kill()
-            proc.join(timeout=5.0)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._procs[replica] = None
-        self._conns[replica] = None
 
     def close(self) -> None:
         """Stop the workers, join them, free the shared segments."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.send(("stop",))
-            except Exception:
-                pass
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5.0)
-        for conn in self._conns:
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        self._conns = []
-        self._procs = []
-        self._store.close()
-        self._store.unlink()
+        self._pool.close()
+
+    def _spec_for(self, replica: int) -> dict:
+        return dict(
+            self._spec, replica=replica, resume_state=self._states[replica]
+        )
+
+    @staticmethod
+    def _raise_worker_error(replica: int, frame) -> None:
+        """Surface a worker's own exception frame, traceback attached.
+
+        A deterministic application error: retrying replays the same
+        exception, so it is raised instead of being counted as a failure.
+        """
+        if isinstance(frame, tuple) and frame and frame[0] == "error":
+            raise ReplicaWorkerError(
+                replica, frame[1], worker_traceback=frame[2]
+            )
+
+    def _check_ready(self, replica: int, frame) -> Optional[str]:
+        self._raise_worker_error(replica, frame)
+        if not (isinstance(frame, tuple) and len(frame) == 3
+                and frame[0] == "ready"
+                and list(frame[1]) == self._param_sizes):
+            return f"mirror layout mismatch: {frame!r} != {self._param_sizes}"
+        self._states[replica] = frame[2]
+        return None
 
     # -- supervised op transport ----------------------------------------
     def _send(self, replica: int, op: tuple, number: int) -> None:
-        actions = _consume_events(self._events, replica, number)
-        try:
-            self._conns[replica].send(op + (actions,))
-        except (OSError, BrokenPipeError, ValueError):
-            pass  # the sentinel wait will classify the dead worker
+        self._pool.send(replica, op, at=(replica, number))
         self._last_op[replica] = (op, number)
 
     def _send_fresh(self, replica: int, op: tuple) -> None:
@@ -1064,100 +690,45 @@ class ReplicaProcessPool:
             self._active_build[replica] = (op[1], op[2], number)
         self._send(replica, op, number)
 
-    def _await(self, replica: int, expect: str) -> tuple:
-        """One supervised reply of kind ``expect`` for the outstanding op."""
-        while True:
-            attempt = self._retries[replica]
-            status, frame = _await_frame(
-                self._conns[replica], self._procs[replica],
-                self.supervisor.deadline(attempt),
-            )
-            if status == "hung":
-                self._infra_failure(
-                    replica,
-                    "no reply within the "
-                    f"{self.supervisor.deadline(attempt):.1f}s deadline "
-                    "(hung worker killed)",
-                )
-                continue
-            if status == "dead":
-                self._infra_failure(
-                    replica,
-                    f"worker exited unexpectedly (exit code {frame})",
-                )
-                continue
-            if isinstance(frame, tuple) and frame and frame[0] == "error":
-                # Deterministic application error: retrying replays the
-                # same exception, so surface it with the worker's own
-                # traceback instead.
-                self._retries[replica] = 0
-                raise ReplicaWorkerError(
-                    replica, frame[1], worker_traceback=frame[2]
-                )
-            problem = self._frame_problem(frame, expect)
-            if problem is not None:
-                self._infra_failure(replica, problem)
-                continue
-            self._retries[replica] = 0
-            if frame[0] == "grad":
-                self._states[replica] = frame[4]
-            return frame
+    def _check_reply(self, replica: int, frame) -> Optional[str]:
+        """Why ``frame`` cannot answer the outstanding op, or ``None``.
 
-    def _frame_problem(self, frame, expect: str) -> Optional[str]:
-        """Why ``frame`` is unusable as the ``expect`` reply, or ``None``."""
+        A validated ``grad`` frame banks the worker's post-step snapshot;
+        a worker's own exception frame raises :class:`ReplicaWorkerError`.
+        """
+        self._raise_worker_error(replica, frame)
         if not isinstance(frame, tuple) or not frame:
             return f"malformed reply frame {frame!r}"
         kind = frame[0]
+        expect = self._REPLY_KIND[self._last_op[replica][0][0]]
         if kind != expect:
             return f"expected a {expect!r} reply, got {kind!r}"
         if kind == "built":
             if len(frame) != 4:
                 return "malformed built frame"
             return None
-        if kind == "grad":
-            if len(frame) != 5:
-                return "malformed grad frame"
-            payload, state = frame[1], frame[4]
-            if not isinstance(state, dict) or "rng_state" not in state:
-                return "grad reply carries no worker state snapshot"
-            if not isinstance(payload, (list, tuple)) or \
-                    len(payload) != len(self._param_sizes):
-                return "corrupt gradient payload (wrong arity)"
-            for size, entry in zip(self._param_sizes, payload):
-                if entry is None:
-                    continue
-                if isinstance(entry, tuple):
-                    if len(entry) != 2:
-                        return "corrupt sparse gradient entry"
-                    continue
-                try:
-                    if np.asarray(entry).size != size:
-                        return "corrupt gradient payload (span mismatch)"
-                except Exception:
-                    return "corrupt gradient payload (not an array)"
-            return None
+        if len(frame) != 5:
+            return "malformed grad frame"
+        payload, state = frame[1], frame[4]
+        if not isinstance(state, dict) or "rng_state" not in state:
+            return "grad reply carries no worker state snapshot"
+        if not isinstance(payload, (list, tuple)) or \
+                len(payload) != len(self._param_sizes):
+            return "corrupt gradient payload (wrong arity)"
+        for size, entry in zip(self._param_sizes, payload):
+            if entry is None:
+                continue
+            if isinstance(entry, tuple):
+                if len(entry) != 2:
+                    return "corrupt sparse gradient entry"
+                continue
+            try:
+                if np.asarray(entry).size != size:
+                    return "corrupt gradient payload (span mismatch)"
+            except Exception:
+                return "corrupt gradient payload (not an array)"
+        self._states[replica] = state
         return None
-
-    def _infra_failure(self, replica: int, cause: str) -> None:
-        """Kill, respawn from the banked snapshot, and replay — or give up."""
-        self._kill(replica)
-        self._retries[replica] += 1
-        if self._retries[replica] > self.supervisor.max_retries:
-            raise WorkerSupervisionError(
-                f"replica worker {replica} failed "
-                f"{self._retries[replica]} consecutive times (last cause: "
-                f"{cause}); degrading to in-process replicas"
-            )
-        try:
-            self._spawn(replica)
-        except ReplicaWorkerError:
-            raise
-        except Exception as exc:
-            raise WorkerSupervisionError(
-                f"replica worker {replica} could not be respawned after a "
-                f"failure ({cause}): {exc!r}"
-            ) from exc
-        self._replay(replica)
 
     def _replay(self, replica: int) -> None:
         """Re-issue the failed op (rebuilding the active batch first).
@@ -1167,14 +738,11 @@ class ReplicaProcessPool:
         builds consume no randomness, and the dropout stream/residual row
         advance only on a successful ``grad`` reply.
         """
-        outstanding = self._last_op[replica]
-        if outstanding is None:
-            return
-        op, number = outstanding
+        op, number = self._last_op[replica]
         if op[0] == "step" and self._active_build[replica] is not None:
             epoch, plan_index, build_number = self._active_build[replica]
             self._send(replica, ("build", epoch, plan_index), build_number)
-            self._await(replica, "built")
+            self._pool.recv(replica)
         self._send(replica, op, number)
 
     # -- public round protocol -----------------------------------------
@@ -1185,7 +753,7 @@ class ReplicaProcessPool:
             self._send_fresh(replica, ("build", epoch, plan_index))
         infos = {}
         for replica, _ in assignments:
-            _, skip, n_nodes, n_edges = self._await(replica, "built")
+            _, skip, n_nodes, n_edges = self._pool.recv(replica)
             if skip:
                 self._active_build[replica] = None
             infos[replica] = (bool(skip), int(n_nodes), int(n_edges))
@@ -1198,18 +766,13 @@ class ReplicaProcessPool:
             self._send_fresh(replica, ("step", flat_params))
         replies = {}
         for replica in participants:
-            _, payload, loss, seconds, _ = self._await(replica, "grad")
+            _, payload, loss, seconds, _ = self._pool.recv(replica)
             replies[replica] = (payload, float(loss), float(seconds))
         return replies
 
     def retire(self, participants: Sequence[int]) -> None:
         for replica in participants:
-            conn = self._conns[replica]
-            if conn is not None:
-                try:
-                    conn.send(("retire",))
-                except (OSError, BrokenPipeError):
-                    pass
+            self._pool.send(replica, ("retire",))
             self._active_build[replica] = None
 
     def worker_states(self) -> List[Optional[dict]]:

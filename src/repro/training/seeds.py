@@ -16,7 +16,8 @@ import numpy as np
 
 from ..graphs import TRAINING_CONFIGS, load_training_dataset
 from ..models import GNNConfig, MaxKGNN
-from .trainer import Trainer
+from .dataflow import FullGraphFlow
+from .engine import Engine
 
 __all__ = ["SeededResult", "run_seeded"]
 
@@ -69,8 +70,11 @@ def run_seeded(
             k=k,
             dropout=cfg.dropout,
         )
-        trainer = Trainer(MaxKGNN(graph, config, seed=seed), graph, lr=cfg.lr)
-        result = trainer.fit(epochs, eval_every=max(epochs // 4, 1))
+        engine = Engine(
+            MaxKGNN(graph, config, seed=seed), graph, FullGraphFlow(),
+            lr=cfg.lr,
+        )
+        result = engine.fit(epochs, eval_every=max(epochs // 4, 1))
         metrics.append(result.test_at_best_val)
         metric_name = result.metric_name
     return SeededResult(metrics=metrics, metric_name=metric_name)

@@ -11,7 +11,6 @@ from repro.training import (
     PartitionedFlow,
     SampledFlow,
     SubgraphCache,
-    Trainer,
     make_flow,
 )
 from repro.training.schedulers import EarlyStopping
@@ -37,16 +36,6 @@ def make_engine(graph, flow=None, seed=0, **kwargs):
 
 
 class TestEngineFullFlow:
-    def test_matches_trainer_bitwise(self, graph):
-        """The Trainer shim and a bare engine produce identical runs."""
-        trainer = Trainer(MaxKGNN(graph, maxk_config(), seed=0), graph, lr=0.01)
-        engine = make_engine(graph, FullGraphFlow(), seed=0)
-        a = trainer.fit(12, eval_every=5)
-        b = engine.fit(12, eval_every=5)
-        assert a.train_losses == b.train_losses
-        assert a.val_metrics == b.val_metrics
-        assert a.test_metrics == b.test_metrics
-
     def test_default_flow_is_full(self, graph):
         engine = make_engine(graph)
         assert engine.flow.name == "full"

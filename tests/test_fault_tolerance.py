@@ -51,24 +51,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_state():
-    reset_fallback_warnings()
-    set_fault_plan(None)
-    yield
-    set_fault_plan(None)
-
-
-@pytest.fixture
-def force_procs(monkeypatch):
-    monkeypatch.setenv("REPRO_FORCE_PROCS", "1")
-
-
-@pytest.fixture
-def quick_retries(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-
-
 @pytest.fixture(params=ops.available_backends())
 def backend(request):
     with ops.use_backend(request.param):
@@ -175,13 +157,13 @@ class TestFaultPlan:
 
     def test_wildcard_events_are_persistent(self):
         events = [FaultEvent("kill_worker", "prefetch", 1, 0)]
-        from repro.training.parallel import _consume_events
+        from repro.training.supervision import _consume_events
 
         assert _consume_events(events, 0, 0) == []
-        assert _consume_events(events, 1, 0) == ["kill_worker"]
+        assert _consume_events(events, 1, 0) == [("kill_worker", None)]
         assert events == []  # exact-coordinate events consume
         wild = [FaultEvent("kill_worker", "prefetch", -1, -1)]
-        assert _consume_events(wild, 5, 9) == ["kill_worker"]
+        assert _consume_events(wild, 5, 9) == [("kill_worker", None)]
         assert wild  # wildcards never consume
 
 
@@ -547,7 +529,7 @@ class TestCheckpointIntegrity:
         leftovers = [p for p in tmp_path.iterdir() if p.name != "ck.ckpt"]
         assert leftovers == []
 
-    def test_legacy_npz_file_still_loads(self, tmp_path):
+    def test_legacy_npz_file_is_rejected(self, tmp_path):
         from repro.training import load_checkpoint
 
         graph = _task_graph()
@@ -558,9 +540,12 @@ class TestCheckpointIntegrity:
             for i, p in enumerate(net.parameters())
         })
         clone = MaxKGNN(graph, _config(), seed=99)
-        load_checkpoint(clone, path)
-        for original, restored in zip(net.parameters(), clone.parameters()):
-            np.testing.assert_array_equal(original.data, restored.data)
+        before = [p.data.copy() for p in clone.parameters()]
+        # A footer-less archive is not a checkpoint any writer produces.
+        with pytest.raises(CheckpointError, match="footer"):
+            load_checkpoint(clone, path)
+        for kept, param in zip(before, clone.parameters()):
+            np.testing.assert_array_equal(kept, param.data)
 
 
 class TestSegmentHygiene:

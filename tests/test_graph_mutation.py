@@ -36,23 +36,8 @@ from repro.graphs.shm import SharedGraphStore, StaleHandleError
 from repro.models import GNNConfig, MaxKGNN
 from repro.serving import InferenceService, ServiceConfig
 from repro.sparse import CSRMatrix, coo_to_csr, ops
-from repro.training import set_fault_plan
-from repro.training.parallel import reset_fallback_warnings
 
 SEEDS = [0, 1, 2]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_state():
-    reset_fallback_warnings()
-    set_fault_plan(None)
-    yield
-    set_fault_plan(None)
-
-
-@pytest.fixture
-def force_procs(monkeypatch):
-    monkeypatch.setenv("REPRO_FORCE_PROCS", "1")
 
 
 @pytest.fixture(params=ops.available_backends())
@@ -496,8 +481,8 @@ class TestServingRebind:
         service = _service(executors=1, default_deadline=60.0)
         try:
             assert service.pool is not None
-            pid = service.pool._procs[0].pid
-            old_handle = service.pool._store.handle()
+            pid = service.pool._pool._procs[0].pid
+            old_handle = service.pool._pool._store.handle()
 
             first = service.submit(3, seed=5)
             service.drain()
@@ -509,7 +494,7 @@ class TestServingRebind:
             # Re-attached, not restarted: same worker process, one
             # rebind, zero respawns, still not degraded.
             assert service.pool is not None and not service.degraded
-            assert service.pool._procs[0].pid == pid
+            assert service.pool._pool._procs[0].pid == pid
             assert service.pool.rebinds == 1
             assert service.pool.respawns == 0
 
@@ -536,7 +521,7 @@ class TestServingRebind:
         service = _service(executors=1, default_deadline=60.0)
         try:
             assert service.pool is not None
-            proc = service.pool._procs[0]
+            proc = service.pool._pool._procs[0]
             proc.kill()
             proc.join(timeout=5.0)
 

@@ -1,6 +1,6 @@
 """Integration tests across the full stack.
 
-These exercise the complete MaxK-GNN pipeline: dataset → model → trainer →
+These exercise the complete MaxK-GNN pipeline: dataset → model → engine →
 kernels → cost model, asserting the paper's end-to-end claims at small scale.
 """
 
@@ -13,7 +13,7 @@ from repro.gpusim import spgemm_execute, sspmm_execute
 from repro.graphs import load_training_dataset, TRAINING_CONFIGS
 from repro.models import GNNConfig, MaxKGNN
 from repro.tensor import Tensor, maxk, spmm_agg
-from repro.training import Trainer
+from repro.training import Engine, FullGraphFlow
 
 
 class TestAutogradMatchesKernelDataflow:
@@ -73,8 +73,10 @@ class TestEndToEndTraining:
             hidden=32, out_features=int(graph.labels.max()) + 1,
             n_layers=2, nonlinearity="maxk", k=8, dropout=0.1,
         )
-        trainer = Trainer(MaxKGNN(graph, config), graph, lr=0.01)
-        result = trainer.fit(40, eval_every=20)
+        engine = Engine(
+            MaxKGNN(graph, config), graph, FullGraphFlow(), lr=0.01
+        )
+        result = engine.fit(40, eval_every=20)
         n_classes = int(graph.labels.max()) + 1
         assert result.test_at_best_val > 1.5 / n_classes
 
@@ -90,8 +92,11 @@ class TestEndToEndTraining:
                 n_layers=cfg.layers, nonlinearity=nonlinearity, k=k,
                 dropout=cfg.dropout,
             )
-            trainer = Trainer(MaxKGNN(graph, config, seed=0), graph, lr=cfg.lr)
-            scores[nonlinearity] = trainer.fit(60, eval_every=20).test_at_best_val
+            engine = Engine(
+                MaxKGNN(graph, config, seed=0), graph, FullGraphFlow(),
+                lr=cfg.lr,
+            )
+            scores[nonlinearity] = engine.fit(60, eval_every=20).test_at_best_val
         assert scores["maxk"] > scores["relu"] - 0.08
 
     def test_multilabel_pipeline(self):
@@ -102,8 +107,10 @@ class TestEndToEndTraining:
             out_features=graph.labels.shape[1], n_layers=2,
             nonlinearity="maxk", k=8, dropout=0.2,
         )
-        trainer = Trainer(MaxKGNN(graph, config), graph, lr=0.01)
-        result = trainer.fit(30, eval_every=15)
+        engine = Engine(
+            MaxKGNN(graph, config), graph, FullGraphFlow(), lr=0.01
+        )
+        result = engine.fit(30, eval_every=15)
         assert result.metric_name == "micro_f1"
         assert result.final_test > 0.3
 
@@ -166,8 +173,10 @@ class TestCBSRKernelTrainingPath:
             nonlinearity="maxk", k=8, dropout=cfg.dropout,
             use_cbsr_kernels=True,
         )
-        trainer = Trainer(MaxKGNN(graph, config, seed=0), graph, lr=cfg.lr)
-        result = trainer.fit(40, eval_every=20)
+        engine = Engine(
+            MaxKGNN(graph, config, seed=0), graph, FullGraphFlow(), lr=cfg.lr
+        )
+        result = engine.fit(40, eval_every=20)
         n_classes = int(graph.labels.max()) + 1
         assert result.test_at_best_val > 1.5 / n_classes
 

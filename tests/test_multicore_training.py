@@ -31,25 +31,12 @@ from repro.graphs import (
 from repro.models import GNNConfig, MaxKGNN
 from repro.sparse import ops
 from repro.training import Engine, PrefetchWorkerError, make_flow
-from repro.training.parallel import available_cores, reset_fallback_warnings
+from repro.training.parallel import available_cores
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(),
     reason="host cannot create POSIX shared memory",
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_cache():
-    # The degradation warning is cached per (reason, label) process-wide;
-    # each test must observe its own first occurrence.
-    reset_fallback_warnings()
-    yield
-
-
-@pytest.fixture
-def force_procs(monkeypatch):
-    monkeypatch.setenv("REPRO_FORCE_PROCS", "1")
 
 
 @pytest.fixture(params=ops.available_backends())

@@ -46,25 +46,6 @@ from repro.training.checkpoint import (
     write_checkpoint,
 )
 from repro.training.faults import FaultEvent
-from repro.training.parallel import reset_fallback_warnings
-
-
-@pytest.fixture(autouse=True)
-def _fresh_state():
-    reset_fallback_warnings()
-    set_fault_plan(None)
-    yield
-    set_fault_plan(None)
-
-
-@pytest.fixture
-def force_procs(monkeypatch):
-    monkeypatch.setenv("REPRO_FORCE_PROCS", "1")
-
-
-@pytest.fixture
-def quick_retries(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
 
 
 @pytest.fixture(params=ops.available_backends())

@@ -39,14 +39,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_warning_cache():
-    # The resolver's denial warning is cached per (reason, label)
-    # process-wide; each test must observe its own first occurrence.
-    reset_fallback_warnings()
-    yield
-
-
 def _task_graph(n=120, seed=5):
     graph = sbm_graph(n, 4, 8.0, intra_fraction=0.7, seed=seed).to_undirected()
     attach_classification_task(graph, n_features=8, signal=0.5, seed=seed)

@@ -69,16 +69,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="shape mismatch"):
             load_state_dict(net, state)
 
-    def test_legacy_positional_keys_still_load(self, model):
+    def test_legacy_positional_keys_are_rejected(self, model):
         net, graph = model
         legacy = {
             f"param_{i}": p.data.copy()
             for i, p in enumerate(net.parameters())
         }
         clone = MaxKGNN(graph, net.config, seed=99)
-        load_state_dict(clone, legacy)
-        for original, restored in zip(net.parameters(), clone.parameters()):
-            np.testing.assert_array_equal(original.data, restored.data)
+        with pytest.raises(ValueError,
+                           match="does not match the model architecture"):
+            load_state_dict(clone, legacy)
 
 
 class TestSchedulers:
