@@ -2,9 +2,15 @@
 
 Every benchmark regenerates one paper table/figure, times the regeneration
 via pytest-benchmark, asserts the paper's qualitative claims, and writes the
-rendered table to ``benchmarks/results/<artifact>.txt`` so the output
-survives pytest's capture. Machine-readable results additionally land in
-JSON files via :func:`record_json` (e.g. ``results/BENCH_pipeline.json``).
+rendered table to ``<artifact>.txt`` so the output survives pytest's
+capture. Machine-readable results additionally land in JSON files via
+:func:`record_json` (e.g. ``BENCH_pipeline.json``).
+
+A run never writes to a tracked file: full-protocol output goes to the
+git-ignored ``benchmarks/results/full/`` and ``REPRO_PERF_SMOKE=1`` output
+to ``benchmarks/results/smoke/``, under the same file names as the
+committed baselines in ``benchmarks/results/`` that ``check_trend.py``
+reads. A baseline moves only when someone copies a run's file over it.
 """
 
 import json
@@ -36,17 +42,19 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    """Where this run's artifacts go (created on demand, never tracked)."""
+    directory = RESULTS_DIR / ("smoke" if perf_smoke_enabled() else "full")
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
 
 
 @pytest.fixture
 def record_result(results_dir):
-    """Write one artifact's rendered report to the results directory.
+    """Write one artifact's rendered report to the run's results directory.
 
     Assert-only smoke runs (``REPRO_PERF_SMOKE=1`` — the CI perf gate)
-    still print the table but do not write: the committed artifacts record
-    the full protocol, and a shrunken smoke run must not clobber them.
+    still print the table but do not write: a shrunken protocol's table
+    is not comparable to the committed one.
     """
     smoke = perf_smoke_enabled()
 
@@ -64,20 +72,16 @@ def record_result(results_dir):
 def record_json(results_dir):
     """Merge one benchmark's machine-readable payload into a JSON artifact.
 
-    ``record_json(file_stem, key, payload)`` updates ``results/<stem>.json``
-    under ``key`` (read–update–write, so independent tests and repeated
-    runs compose). Smoke runs never clobber the committed full-protocol
-    artifacts; they write to ``results/smoke/<stem>.json`` instead, which
-    CI uploads as workflow artifacts and feeds to the trend check
+    ``record_json(file_stem, key, payload)`` updates ``<stem>.json`` in
+    the run's results directory under ``key`` (read–update–write, so
+    independent tests and repeated runs compose). CI uploads the smoke
+    directory as workflow artifacts and feeds it to the trend check
     (``benchmarks/check_trend.py``) against the committed baselines.
     """
-    smoke = perf_smoke_enabled()
 
     def _record(stem: str, key: str, payload) -> None:
         print(f"\n=== {stem}:{key} ===\n{json.dumps(payload, indent=2)}")
-        directory = results_dir / "smoke" if smoke else results_dir
-        directory.mkdir(exist_ok=True)
-        path = directory / f"{stem}.json"
+        path = results_dir / f"{stem}.json"
         merged = {}
         if path.exists():
             merged = json.loads(path.read_text())

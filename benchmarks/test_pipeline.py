@@ -1,10 +1,11 @@
-"""Pipelined sampled-training benchmark: prefetch, fused loss, blocked SpMM.
+"""Pipelined sampled-training benchmark: prefetch, blocked SpMM.
 
 PR 3 drove the *per-kernel* dense work to near-zero allocation; what was
-left on the sampled flow's wall-clock was the unfused loss stage, the
-sampler/induction/CSR-build work sitting on the critical path of fresh
-batches, and the vectorized backend's gather-dominated SpMM. This
-benchmark measures the PR-4 remedies on the scaled Reddit stand-in:
+left on the sampled flow's wall-clock was the sampler/induction/CSR-build
+work sitting on the critical path of fresh batches and the vectorized
+backend's gather-dominated SpMM. This benchmark measures the PR-4
+remedies on the scaled Reddit stand-in (the fused loss, measured here at
+1.005× / 1.01× until PR 13, is now the engine's only training loss):
 
 * **prefetch** — the unpooled sampled protocol (a fresh half-graph batch
   every epoch, so sampling *is* on the critical path) with and without
@@ -12,10 +13,6 @@ benchmark measures the PR-4 remedies on the scaled Reddit stand-in:
   Trajectories are asserted bit-identical; the measured ratio is
   recorded, not gated (thread overlap needs a second, idle core, which
   tier-1 cannot assume; ``python -m bench`` is the timing authority).
-* **fused loss** — the pooled PR-3 protocol with the engine's composed
-  loss versus the workspace-planned ``fused_ce``; bit-identical, gated
-  against regression (its headline win is the allocation probe in
-  ``test_dense_hotpath.py``, not wall-clock).
 * **blocked SpMM** — the vectorized backend's degree-bucketed
   gather–accumulate against its historical flat-index bincount path,
   bit-identical and ≥ the speedup floor on the scaled Reddit adjacency.
@@ -49,10 +46,6 @@ TIMING_ROUNDS = 30 if SMOKE else 60
 #: Overlap needs a second core; recorded next to the ratio it explains.
 MULTI_CORE = (len(os.sched_getaffinity(0))
               if hasattr(os, "sched_getaffinity") else os.cpu_count()) > 1
-#: The fused loss must not regress the epoch (typically ~1.0x in time —
-#: the win is the 200 KB → <64 KB loss-stage churn gated in
-#: test_dense_hotpath.py).
-FUSED_LOSS_FLOOR = 0.9
 #: Blocked gather–scatter SpMM vs the flat-index bincount baseline
 #: (typically ~3-4x measured; floored so CI noise cannot flake it).
 BLOCKED_SPMM_FLOOR = 1.5
@@ -66,10 +59,10 @@ def _config(graph, cfg):
     )
 
 
-def _engine(graph, cfg, flow, seed, fused_loss=True):
+def _engine(graph, cfg, flow, seed):
     return Engine(
         MaxKGNN(graph, _config(graph, cfg), seed=seed), graph, flow,
-        lr=cfg.lr, fused_loss=fused_loss,
+        lr=cfg.lr,
     )
 
 
@@ -79,13 +72,6 @@ def _unpooled_flow(graph, seed, prefetch):
         sample_size=graph.n_nodes // 2, seed=seed,
     )
     return PrefetchFlow(flow, prefetch) if prefetch else flow
-
-
-def _pooled_flow(graph, seed):
-    return SampledFlow(
-        sampler="node", batches_per_epoch=1,
-        sample_size=graph.n_nodes // 2, pool_size=8, seed=seed,
-    )
 
 
 def _interleave(engine_a, engine_b, start=1000):
@@ -152,42 +138,6 @@ def test_prefetch_pipeline_bit_identity_and_overlap(record_result, record_json):
     # The worker actually built the stream (schedule order preserved).
     assert built >= epochs
     assert np.isfinite(ratio) and ratio > 0
-
-
-@pytest.mark.slow
-def test_fused_loss_epoch_no_regression(record_result, record_json):
-    cfg = TRAINING_CONFIGS[DATASET]
-    graph = load_training_dataset(DATASET, seed=0)
-    epochs = cfg.epochs if SMOKE else 2 * cfg.epochs
-
-    composed = _engine(graph, cfg, _pooled_flow(graph, 0), 0,
-                       fused_loss=False)
-    fused = _engine(graph, cfg, _pooled_flow(graph, 0), 0, fused_loss=True)
-    result_composed = composed.fit(epochs, eval_every=20)
-    result_fused = fused.fit(epochs, eval_every=20)
-    identical = result_composed.train_losses == result_fused.train_losses
-    composed_ms, fused_ms, ratio = _interleave(composed, fused)
-
-    backend = get_backend().name
-    payload = {
-        "backend": backend, "protocol": "pooled node n/2 (PR-3 protocol)",
-        "composed_loss_ms": round(composed_ms, 2),
-        "fused_loss_ms": round(fused_ms, 2),
-        "speedup": round(ratio, 3), "identical": identical,
-    }
-    record_json("BENCH_pipeline", f"fused_loss[{backend}]", payload)
-    record_result(
-        "pipeline_fused_loss",
-        format_table(
-            ["arm", "ms_per_epoch"],
-            [("composed loss", round(composed_ms, 1)),
-             ("fused_ce", round(fused_ms, 1))],
-        )
-        + f"\nratio {ratio:.2f}x on {backend}, identical: {identical}",
-    )
-
-    assert identical
-    assert ratio >= FUSED_LOSS_FLOOR, ratio
 
 
 @pytest.mark.slow

@@ -409,10 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stack this many consecutive batches of the "
                             "chosen flow into one fused dense pass")
     train.add_argument("--prefetch", type=int, default=0,
-                       help="materialise up to N batches ahead on a "
-                            "background thread (sampling, induction, CSR "
-                            "build, backend registration); trajectories "
-                            "are bit-identical to --prefetch 0")
+                       help="build batches ahead of the trainer (sampling, "
+                            "induction, CSR build, backend registration); "
+                            "N > 0 enables it and bounds the background "
+                            "thread's hand-off queue — worker processes "
+                            "(--prefetch-workers N) run N slots ahead "
+                            "instead; trajectories are bit-identical to "
+                            "--prefetch 0")
     train.add_argument("--prefetch-workers", default="thread",
                        help="'thread' (default) builds prefetched batches "
                             "on a background thread; an integer N builds "

@@ -29,9 +29,11 @@ import numpy as np
 from ..graphs import Graph, batch_graphs
 from ..graphs.sampling import khop_neighborhood
 from ..sparse.ops import get_backend
+from ..training.parallel import conv_norms, warm_batch
 from .queue import AdmissionQueue, Request
 
-__all__ = ["BatcherConfig", "EgoBatch", "MicroBatcher", "build_ego_batch"]
+__all__ = ["BatcherConfig", "EgoBatch", "MicroBatcher", "build_ego_batch",
+           "serve_window"]
 
 
 @dataclass(frozen=True)
@@ -156,21 +158,11 @@ class MicroBatcher:
             self.requests_batched += len(window)
         return window
 
-    # -- execution helpers (shared by the in-process path and workers) --
-    def build(self, graph: Graph, requests: Sequence[Request]) -> EgoBatch:
-        return build_ego_batch(
-            graph, requests, self.config.n_hops, self.config.fanout
-        )
-
+    # -- execution helpers (the stages of :func:`serve_window`) ----------
     @staticmethod
     def warm(model, merged: Graph) -> None:
         """Register the merged adjacencies with the active backend."""
-        matrices = []
-        for conv in getattr(model, "convs", ()):
-            matrices.append(merged.adjacency(conv.norm))
-            matrices.append(merged.adjacency_transpose(conv.norm))
-        if matrices:
-            get_backend().warm(matrices)
+        warm_batch(merged, conv_norms(model))
 
     @staticmethod
     def release(batch: EgoBatch) -> None:
@@ -207,3 +199,19 @@ def forward_rows(model, batch: EgoBatch) -> List[np.ndarray]:
         if was_training:
             model.train()
     return [logits[row].copy() for row in batch.query_rows]
+
+
+def serve_window(graph: Graph, model, requests: Sequence[Request],
+                 n_hops: int, fanout: int) -> List[np.ndarray]:
+    """Serve one window: build the ego batch → warm → fused forward.
+
+    What both the in-process service and a worker executor run, so served
+    rows are bit-identical wherever a window lands. The window's backend
+    wrappers are released whether or not the forward succeeds.
+    """
+    batch = build_ego_batch(graph, requests, n_hops, fanout)
+    try:
+        MicroBatcher.warm(model, batch.merged)
+        return forward_rows(model, batch)
+    finally:
+        MicroBatcher.release(batch)

@@ -2,9 +2,10 @@
 
 Each executor is a spawn-started worker attached to the
 :class:`~repro.graphs.shm.SharedGraphStore` (zero-copy graph reads) that
-holds a persistent eval-mode model mirror and serves ``infer`` ops —
-build the window's ego-net batch, run one fused forward, ship each
-request's logits row back. Because a request is a pure function of
+holds a persistent eval-mode model mirror and answers ``infer`` ops with
+:func:`~repro.serving.batcher.serve_window` — the function the in-process
+service runs — shipping each request's logits row back. Because a
+request is a pure function of
 ``(model params, node, seed)``, a dead/hung/corrupt executor is survived
 by killing it, respawning, and **re-sending the in-flight batch**: the
 replayed result is bit-identical, so clients cannot observe a recovery.
@@ -39,7 +40,7 @@ from ..training.supervision import (
     SupervisorConfig,
     _apply_faults,
 )
-from .batcher import MicroBatcher, build_ego_batch, forward_rows
+from .batcher import serve_window
 from .queue import Request
 
 __all__ = ["ExecutorPool", "InferItem"]
@@ -103,10 +104,7 @@ def _serving_worker(conn, spec: dict) -> None:
                         deadline=float("inf"), submitted=0.0)
                 for rid, node, seed in items
             ]
-            batch = build_ego_batch(graph, requests, n_hops, fanout)
-            MicroBatcher.warm(model, batch.merged)
-            rows = forward_rows(model, batch)
-            MicroBatcher.release(batch)
+            rows = serve_window(graph, model, requests, n_hops, fanout)
             if corrupt:
                 conn.send(("result", version, "corrupted-rows"))
             else:

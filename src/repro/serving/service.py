@@ -52,7 +52,7 @@ from ..training.parallel import (
     pack_parameters,
     resolve_process_workers,
 )
-from .batcher import BatcherConfig, MicroBatcher, build_ego_batch, forward_rows
+from .batcher import BatcherConfig, MicroBatcher, serve_window
 from .cache import ResultCache
 from .executor import ExecutorPool
 from .queue import (
@@ -236,17 +236,11 @@ class InferenceService:
             try:
                 self.pool.rebind(self.graph)
             except WorkerSupervisionError as exc:
-                _warn_once(
-                    "executors-rebind-exhausted", "serving executors",
+                self._degrade(
+                    "executors-rebind-exhausted",
                     f"serving executor pool gave up during a graph rebind "
                     f"({exc}); degrading to in-process serving",
                 )
-                pool, self.pool = self.pool, None
-                self.degraded = True
-                try:
-                    pool.close()
-                except Exception:
-                    pass
         return {
             "generation": self.generation,
             "drained": drained,
@@ -421,31 +415,30 @@ class InferenceService:
             try:
                 return self.pool.infer(items)
             except WorkerSupervisionError as exc:
-                # Availability over parallelism: retire the pool and keep
-                # serving in-process. One cached warning, zero lost
-                # requests — the window is re-served below.
-                _warn_once(
-                    "executors-exhausted", "serving executors",
+                # Zero lost requests — the window is re-served below.
+                self._degrade(
+                    "executors-exhausted",
                     f"serving executor pool gave up ({exc}); degrading "
                     "to in-process serving",
                 )
-                pool, self.pool = self.pool, None
-                self.degraded = True
-                try:
-                    pool.close()
-                except Exception:
-                    pass
         return self._serve_inline(requests)
 
-    def _serve_inline(self, requests: List[Request]) -> List[np.ndarray]:
-        batch = build_ego_batch(
-            self.graph, requests, self.config.n_hops, self.config.fanout
-        )
+    def _degrade(self, reason: str, message: str) -> None:
+        """Availability over parallelism: retire the pool and keep serving
+        in-process, with one cached warning per reason."""
+        _warn_once(reason, "serving executors", message)
+        pool, self.pool = self.pool, None
+        self.degraded = True
         try:
-            MicroBatcher.warm(self.model, batch.merged)
-            return forward_rows(self.model, batch)
-        finally:
-            MicroBatcher.release(batch)
+            pool.close()
+        except Exception:
+            pass
+
+    def _serve_inline(self, requests: List[Request]) -> List[np.ndarray]:
+        return serve_window(
+            self.graph, self.model, requests,
+            self.config.n_hops, self.config.fanout,
+        )
 
     def infer_single(self, node: int, seed: int = 0) -> np.ndarray:
         """Reference path: serve one node alone, bypassing queue and cache.

@@ -345,18 +345,16 @@ def spmm_agg(
         Node features ``(n_nodes, dim)``.
     adj_t:
         Optional pre-materialised ``A^T`` used by the backward pass. When
-        omitted, it is built on first use and cached on the ``adj`` object,
-        matching the paper's zero-extra-storage observation that the CSC view
-        of ``A^T`` shares buffers with the CSR of ``A``.
+        omitted, it is built inside the backward pass and dropped with
+        it; callers that aggregate over one adjacency repeatedly pass the
+        transpose they already hold
+        (:meth:`~repro.graphs.Graph.adjacency_transpose`).
     workspace / slot:
         Optional :class:`~repro.tensor.workspace.Workspace` routing the
         forward product, the backward product and the incoming gradient
         into planned ``out=`` buffers (zero fresh large allocations in
         steady state).
     """
-    if adj_t is None:
-        adj_t = _cached_transpose(adj)
-
     take = _taker(workspace, slot)
     if workspace is None:
         data = adj.matmul_dense(x.data)
@@ -368,29 +366,20 @@ def spmm_agg(
     def backward(grad):
         if not x.requires_grad:
             return
+        transpose = adj_t if adj_t is not None else adj.transpose()
         if workspace is None:
-            x._accumulate(adj_t.matmul_dense(grad))
+            x._accumulate(transpose.matmul_dense(grad))
         else:
             x._accumulate(
-                adj_t.matmul_dense(np.asarray(grad), out=take(".gx", x.shape))
+                transpose.matmul_dense(
+                    np.asarray(grad), out=take(".gx", x.shape)
+                )
             )
 
     out = Tensor._make(data, (x,), backward)
     if workspace is not None and out.requires_grad:
         out._grad_buffer = workspace.buffer(slot + ".grad", data.shape)
     return out
-
-
-_TRANSPOSE_CACHE = {}
-
-
-def _cached_transpose(adj: CSRMatrix) -> CSRMatrix:
-    key = id(adj)
-    cached = _TRANSPOSE_CACHE.get(key)
-    if cached is None or cached[0] is not adj:
-        cached = (adj, adj.transpose())
-        _TRANSPOSE_CACHE[key] = cached
-    return cached[1]
 
 
 def dropout(

@@ -17,8 +17,9 @@ runs the identical optimisation loop over whichever stream it is handed
   boundary halos every epoch;
 * :class:`PrefetchFlow` — a wrapper that materialises the next batches of
   any schedulable flow (sampling, induction, CSR build, backend matrix
-  registration) on a background thread, double-buffered against the
-  consumer;
+  registration) ahead of the consumer: one consumer loop over a builder
+  that is either a background thread or a pool of worker processes, both
+  warming batches through :func:`~repro.training.parallel.build_adjacencies`;
 * :class:`DistributedFlow` — simulated multi-GPU data parallelism: the
   inner flow's epoch schedule is sharded across ``R`` replicas in rounds,
   the engine all-reduces replica gradients in a fixed order (one optimizer
@@ -59,6 +60,7 @@ from .parallel import (
     ProcessPrefetchPool,
     WorkerSupervisionError,
     resolve_process_workers,
+    warm_batch,
 )
 
 __all__ = [
@@ -186,7 +188,7 @@ class DataFlow:
 
         Flows whose batches are pure functions of their deterministic
         ``(seed, slot)`` schedule return one :class:`BatchPlan` per batch;
-        :class:`PrefetchFlow` builds those ahead on its worker thread.
+        :class:`PrefetchFlow` builds those ahead on its builder.
         Returning ``None`` (the default) marks the flow unschedulable and
         prefetch falls back to inline iteration.
         """
@@ -652,20 +654,23 @@ class _PartitionBatchPlan(BatchPlan):
 
 
 class PrefetchFlow(DataFlow):
-    """Materialise an inner flow's next batches on a background thread.
+    """Materialise an inner flow's next batches ahead of the consumer.
 
     Every schedulable flow's batch content is a pure function of its
     ``(seed, slot)`` schedule, so building a batch early moves only *when*
     the sampling / induction / CSR-build / backend-registration work
-    happens — trajectories are bit-identical with prefetch on or off. The
-    worker processes :meth:`DataFlow.plan` entries strictly in schedule
-    order (so the subgraph pool's LRU sees the exact same get/put
-    sequence) and hands batches over through a bounded queue of ``depth``
-    entries; while the trainer consumes epoch ``e`` the worker is already
-    building epoch ``e + 1``. An engine can install a per-batch warm-up
-    via :meth:`set_warmer` (adjacency construction plus
-    :meth:`~repro.sparse.ops.SparseOpsBackend.warm` registration) to move
-    those costs off the critical path as well.
+    happens — trajectories are bit-identical with prefetch on or off. A
+    *builder* processes :meth:`DataFlow.plan` entries in schedule order
+    (so the subgraph pool's LRU sees the exact same get/put sequence) and
+    :meth:`batches` consumes them through ``submit_epoch`` / ``result``,
+    whichever builder answers: the background thread
+    (:class:`_ThreadBuilder`, a hand-off queue bounded by ``depth``) or,
+    with an integer ``workers``, that many spawn processes
+    (:class:`~repro.training.parallel.ProcessPrefetchPool`, which runs
+    ``workers`` slots ahead whatever ``depth`` says). While the trainer
+    consumes epoch ``e`` the builder is already on epoch ``e + 1``. An
+    engine names its model's adjacencies via :meth:`set_warm_norms`, and
+    every builder pre-builds those too.
 
     Notes
     -----
@@ -676,15 +681,18 @@ class PrefetchFlow(DataFlow):
       them — a perf quirk, never a correctness issue.)
     * One-shot batches are released by the *consumer* after their step
       (:meth:`BatchPlan.retire`), exactly as in sequential execution.
-    * Epochs are assumed to be consumed in the order they are requested;
-      an out-of-order request simply discards the lookahead and rebuilds.
+    * Epochs are assumed to be consumed in the order they are requested
+      and to the end: an out-of-order request, a new graph or an abandoned
+      epoch shuts the builder down (retiring what it built ahead) and the
+      next request starts a fresh one.
+    * Only two builder failures reach the consumer: a *deterministic*
+      build error (:class:`PrefetchWorkerError` — retrying cannot help)
+      and the process pool's supervised-recovery exhaustion, on which the
+      flow warns once, builds the epoch's remaining slots inline, and
+      pins the thread builder for the rest of its life.
     """
 
     name = "prefetch"
-
-    #: Seconds between stop-flag checks while the worker waits on a full
-    #: hand-off queue; bounds how long a discarded job can occupy it.
-    _POLL_SECONDS = 0.05
 
     def __init__(self, inner: DataFlow, depth: int = 2,
                  workers: Union[None, str, int] = None):
@@ -698,30 +706,25 @@ class PrefetchFlow(DataFlow):
                 "positive process count"
             )
         self.inner = inner
+        #: Capacity of the thread builder's hand-off queue (0 disables
+        #: prefetching altogether).
         self.depth = depth
-        #: ``None``/``"thread"`` = the historical background thread; an
-        #: ``int`` asks for that many spawn worker processes building
-        #: against a shared-memory graph store (degrades back to the
-        #: thread on hosts that cannot support it — see
+        #: ``None``/``"thread"`` = the background thread; an ``int`` asks
+        #: for that many spawn worker processes building against a
+        #: shared-memory graph store (degrades back to the thread on hosts
+        #: that cannot support it — see
         #: :func:`repro.training.parallel.resolve_process_workers`).
         self.workers = workers
-        #: Optional callable(Graph) run by the worker on every built batch.
-        self.warm: Optional[Callable[[Graph], None]] = None
-        #: Adjacency normalisations process workers pre-build per batch
-        #: (the engine installs its convolutions' norms here — the
-        #: cross-process analogue of :meth:`set_warmer`).
+        #: Adjacency normalisations every builder pre-builds per batch
+        #: (the engine installs its convolutions' norms here).
         self.warm_norms: Tuple[str, ...] = ()
-        self._jobs: "queue.Queue[Optional[_PrefetchJob]]" = queue.Queue()
-        self._pending: "OrderedDict[Tuple[int, int], _PrefetchJob]" = (
-            OrderedDict()
-        )
-        self._pending_graph: Optional[Graph] = None
-        self._thread: Optional[threading.Thread] = None
-        self._proc_pool: Optional[ProcessPrefetchPool] = None
-        self._proc_graph: Optional[Graph] = None
-        self._proc_pending: Dict[Tuple[int, int], list] = {}
+        self._builder: Union[None, _ThreadBuilder, ProcessPrefetchPool] = None
+        self._builder_graph: Optional[Graph] = None
+        #: The look-ahead table: plans of epochs handed to the builder
+        #: but not yet consumed.
+        self._ahead: Dict[int, List[BatchPlan]] = {}
         self._proc_workers: Optional[int] = None  # resolved lazily
-        self.built = 0  # batches built by the worker (stats/tests)
+        self.built = 0  # batches delivered by a builder (stats/tests)
 
     def describe(self) -> str:
         if isinstance(self.workers, int):
@@ -731,117 +734,42 @@ class PrefetchFlow(DataFlow):
             )
         return f"{self.inner.describe()}+prefetch{self.depth}"
 
-    def set_warmer(self, warm: Optional[Callable[[Graph], None]]) -> None:
-        """Install the per-batch warm-up the worker runs after building."""
-        self.warm = warm
-
     def set_warm_norms(self, norms: Tuple[str, ...]) -> None:
-        """Adjacency norms process workers pre-build into each payload."""
+        """Adjacency norms the builders pre-build on every batch."""
         self.warm_norms = tuple(norms)
 
-    # -- worker --------------------------------------------------------
-    def _ensure_worker(self) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._work, name="repro-prefetch", daemon=True
-            )
-            self._thread.start()
-
-    def _offer(self, job: "_PrefetchJob", item) -> bool:
-        """Put with periodic stop checks so discarded jobs cannot wedge
-        the worker behind a full queue nobody will drain. The timeout
-        backs off exponentially (capped at 1 s): a lookahead job whose
-        consumer never arrives — e.g. the epoch after ``fit()``'s last —
-        parks the worker at a negligible poll rate instead of 20 Hz."""
-        delay = self._POLL_SECONDS
-        while True:
-            if job.stop.is_set():
-                return False
-            try:
-                job.results.put(item, timeout=delay)
-                return True
-            except queue.Full:
-                delay = min(2.0 * delay, 1.0)
-
-    def _work(self) -> None:
-        while True:
-            job = self._jobs.get()
-            if job is None:
-                return
-            for index, plan in enumerate(job.plans):
-                if job.stop.is_set():
-                    break
+    # -- builder -------------------------------------------------------
+    def _ensure_builder(self, graph: Graph):
+        """The builder bound to ``graph``: worker processes when requested
+        *and* viable (resolved once; a denial warns once and pins the
+        thread), else the background thread."""
+        if self._builder is None:
+            if isinstance(self.workers, int) and self._proc_workers is None:
+                self._proc_workers = resolve_process_workers(
+                    self.workers, label="prefetch workers", payload=self.inner
+                )
+            if self._proc_workers:
                 try:
-                    batch = plan.build()
-                    warm = self.warm
-                    if warm is not None:
-                        warm(batch)
-                except BaseException as exc:  # delivered to the consumer
-                    # Record first (the consumer polls job.error before
-                    # each hand-off, so the failure surfaces promptly even
-                    # with built batches still queued ahead of it), then
-                    # queue it as well for a consumer already blocked in
-                    # ``get()``.
-                    job.error = (index, exc)
-                    self._offer(job, ("error", exc, index))
-                    break
-                self.built += 1
-                if not self._offer(job, ("batch", batch, plan)):
-                    # Discarded job: nobody will consume this batch, so
-                    # run its consumer-side cleanup here (one-shot flows
-                    # release the backend wrappers the warmer registered).
-                    plan.retire(batch)
-                    break
-                if job.stop.is_set():
-                    # Cancellation raced the hand-off: the canceller may
-                    # have drained before this item landed. Retire is
-                    # idempotent (backend release pops at most once), so
-                    # covering it from both sides cannot double-free.
-                    plan.retire(batch)
-                    break
-
-    # -- scheduling ----------------------------------------------------
-    def _schedule(self, graph: Graph, epoch: int) -> Optional["_PrefetchJob"]:
-        plans = self.inner.plan(graph, epoch)
-        if plans is None:
-            return None
-        job = _PrefetchJob(plans, self.depth)
-        self._ensure_worker()
-        self._jobs.put(job)
-        return job
-
-    def _schedule_ahead(self, graph: Graph, epoch: int) -> None:
-        key = (id(graph), epoch)
-        if key in self._pending:
-            return
-        job = self._schedule(graph, epoch)
-        if job is not None:
-            self._pending[key] = job
-
-    @staticmethod
-    def _cancel(job: "_PrefetchJob") -> None:
-        job.stop.set()
-        while True:
-            try:
-                kind, payload, plan = job.results.get_nowait()
-            except queue.Empty:
-                return
-            if kind == "batch":
-                # Never-consumed batches still get their consumer-side
-                # cleanup, or one-shot subgraphs' warmed backend wrappers
-                # would stay pinned in the backend's LRU.
-                plan.retire(payload)
-
-    def _discard_pending(self) -> None:
-        while self._pending:
-            _, job = self._pending.popitem(last=False)
-            self._cancel(job)
-        self._pending_graph = None
+                    self._builder = ProcessPrefetchPool(
+                        self.inner, graph, self._proc_workers, self.warm_norms
+                    )
+                except Exception as exc:
+                    warnings.warn(
+                        f"prefetch process pool failed to start ({exc!r}); "
+                        "falling back to the prefetch thread",
+                        RuntimeWarning,
+                        stacklevel=4,
+                    )
+                    self._proc_workers = 0
+            if self._builder is None:
+                self._builder = _ThreadBuilder(self)
+            self._builder_graph = graph
+        return self._builder
 
     def close(self) -> None:
-        """Drop pending lookahead batches, stop the worker thread, and
-        shut down any process pool (joining its workers and unlinking the
-        shared-memory segments).
+        """Drop pending lookahead batches and shut the builder down (the
+        thread is joined; a process pool's workers are joined and its
+        shared-memory segments unlinked).
 
         Call when a flow is retired for good (the CLI does after
         training). Not required between ``fit()`` calls — the next
@@ -851,116 +779,23 @@ class PrefetchFlow(DataFlow):
         consumed. A process-mode flow should always be closed: its
         workers and shared segments outlive garbage collection.
         """
-        self._discard_pending()
-        if self._thread is not None and self._thread.is_alive():
-            self._jobs.put(None)
-            self._thread.join(timeout=5.0)
-        self._thread = None
-        self._close_proc_pool()
+        builder, self._builder = self._builder, None
+        self._builder_graph = None
+        self._ahead.clear()
+        if builder is not None:
+            builder.close()
 
-    # -- process pool --------------------------------------------------
-    def _close_proc_pool(self) -> None:
-        if self._proc_pool is not None:
-            self._proc_pool.close()
-        self._proc_pool = None
-        self._proc_graph = None
-        self._proc_pending = {}
-
-    def _use_processes(self) -> bool:
-        """Whether the process path is requested *and* viable (resolved
-        once; a denial warns once and pins the thread fallback)."""
-        if not isinstance(self.workers, int):
-            return False
-        if self._proc_workers is None:
-            self._proc_workers = resolve_process_workers(
-                self.workers, label="prefetch workers", payload=self.inner
-            )
-        return self._proc_workers > 0
-
-    def _ensure_proc_pool(self, graph: Graph
-                          ) -> Optional[ProcessPrefetchPool]:
-        if self._proc_pool is not None and self._proc_graph is not graph:
-            self._close_proc_pool()
-        if self._proc_pool is None:
-            try:
-                self._proc_pool = ProcessPrefetchPool(
-                    self.inner, graph, self._proc_workers, self.warm_norms
-                )
-            except Exception as exc:
-                warnings.warn(
-                    f"prefetch process pool failed to start ({exc!r}); "
-                    "falling back to the prefetch thread",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-                self._proc_workers = 0
-                return None
-            self._proc_graph = graph
-            self._proc_pending = {}
-        return self._proc_pool
-
-    def _submit_ahead(self, graph: Graph, epoch: int) -> None:
-        key = (id(graph), epoch)
-        if key in self._proc_pending:
-            return
-        plans = self.inner.plan(graph, epoch)
-        if plans is not None:
-            self._proc_pool.submit_epoch(epoch, len(plans))
-            self._proc_pending[key] = len(plans)
-
-    def _process_batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
-        """Consume one epoch built by the supervised worker processes.
-
-        Workers rebuild the deterministic ``(seed, slot)`` schedule
-        against the shared-memory graph, so payloads are byte-identical
-        to thread-built batches — and because any worker can rebuild any
-        slot, the pool transparently respawns crashed or hung workers and
-        replays their slots (:class:`ProcessPrefetchPool`). Only two
-        failures reach this consumer: a *deterministic* build error
-        (:class:`PrefetchWorkerError` — retrying cannot help, so it
-        propagates exactly like the thread path's) and supervised-recovery
-        exhaustion (:class:`WorkerSupervisionError`), on which the flow
-        warns once, finishes the epoch's remaining slots inline, and pins
-        the thread fallback for the rest of its life.
-        """
-        plans = self.inner.plan(graph, epoch)
-        if plans is None:  # unschedulable inner flow: inline fallback
-            yield from self.inner.batches(graph, epoch)
-            return
-        pool = self._ensure_proc_pool(graph)
-        if pool is None:  # pool refused to start; warned already
-            yield from self.inner.batches(graph, epoch)
-            return
-        submitted = self._proc_pending.pop((id(graph), epoch), None)
-        if submitted is None or submitted != len(plans):
-            self._proc_pending = {}  # out-of-order request: drop lookahead
-            pool.submit_epoch(epoch, len(plans))
-        # Lookahead: queue the next epoch while this one is consumed.
-        self._submit_ahead(graph, epoch + 1)
-        for index, plan in enumerate(plans):
-            try:
-                batch = pool.result(epoch, index)
-            except WorkerSupervisionError as exc:
-                warnings.warn(
-                    f"prefetch process pool exhausted supervised recovery "
-                    f"({exc}); building the remaining batches in-process",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                self._proc_workers = 0
-                self._close_proc_pool()
-                for inline_plan in plans[index:]:
-                    built = inline_plan.build()
-                    warm = self.warm
-                    if warm is not None:
-                        warm(built)
-                    self.built += 1
-                    yield built
-                    inline_plan.retire(built)
-                return
-            self.built += 1
-            yield batch
-            plan.retire(batch)
+    # -- scheduling ----------------------------------------------------
+    def _submit(self, graph: Graph, epoch: int) -> Optional[List[BatchPlan]]:
+        """Hand ``epoch``'s plans to the builder (once); ``None`` when the
+        inner flow exposes no schedule."""
+        plans = self._ahead.get(epoch)
+        if plans is None:
+            plans = self.inner.plan(graph, epoch)
+            if plans is not None:
+                self._ensure_builder(graph).submit_epoch(epoch, plans)
+                self._ahead[epoch] = plans
+        return plans
 
     # -- consumption ---------------------------------------------------
     def plan(self, graph: Graph, epoch: int) -> Optional[List[BatchPlan]]:
@@ -969,43 +804,44 @@ class PrefetchFlow(DataFlow):
         return self.inner.plan(graph, epoch)
 
     def batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
-        if self.depth == 0:
+        if self._builder_graph is not graph or epoch not in self._ahead:
+            self.close()  # new graph / out-of-order request
+        plans = self._submit(graph, epoch) if self.depth else None
+        if plans is None:  # prefetch disabled or unschedulable inner flow
             yield from self.inner.batches(graph, epoch)
             return
-        if self._use_processes():
-            yield from self._process_batches(graph, epoch)
-            return
-        job = None
-        if self._pending_graph is graph:
-            job = self._pending.pop((id(graph), epoch), None)
-        if job is None:
-            self._discard_pending()
-            job = self._schedule(graph, epoch)
-        if job is None:  # inner flow is not schedulable
-            yield from self.inner.batches(graph, epoch)
-            return
-        self._pending_graph = graph
-        # Lookahead: start the next epoch while this one is consumed (the
-        # bounded hand-off queue caps how far ahead the worker runs).
-        self._schedule_ahead(graph, epoch + 1)
+        del self._ahead[epoch]
+        # Lookahead: start the next epoch while this one is consumed.
+        self._submit(graph, epoch + 1)
+        builder = self._builder
         try:
-            for plan in job.plans:
-                error = job.error
-                if error is not None:
-                    # Prompt propagation: surface a recorded failure at
-                    # the next hand-off even when built batches are still
-                    # queued ahead of it (they are retired by _cancel).
-                    slot, original = error
-                    raise PrefetchWorkerError(slot, epoch, original) \
-                        from original
-                kind, payload, extra = job.results.get()
-                if kind == "error":
-                    raise PrefetchWorkerError(extra, epoch, payload) \
-                        from payload
-                yield payload
-                plan.retire(payload)
-        finally:
-            self._cancel(job)
+            for index, plan in enumerate(plans):
+                if builder is not None:
+                    try:
+                        batch = builder.result(epoch, index)
+                    except WorkerSupervisionError as exc:
+                        warnings.warn(
+                            "prefetch process pool exhausted supervised "
+                            f"recovery ({exc}); building the remaining "
+                            "batches in-process",
+                            RuntimeWarning,
+                            stacklevel=3,
+                        )
+                        self._proc_workers = 0
+                        self.close()
+                        builder = None
+                if builder is None:
+                    batch = plan.build()
+                    warm_batch(batch, self.warm_norms)
+                self.built += 1
+                yield batch
+                plan.retire(batch)
+        except BaseException:
+            # An abandoned (GeneratorExit) or failed epoch leaves built
+            # batches nobody will consume; closing retires them.
+            if self._builder is builder:
+                self.close()
+            raise
 
 
 class DistributedFlow(DataFlow):
@@ -1287,13 +1123,128 @@ class _PrefetchJob:
 
     def __init__(self, plans: List[BatchPlan], depth: int):
         self.plans = plans
-        self.results: "queue.Queue[Tuple[str, object]]" = queue.Queue(
+        self.results: "queue.Queue[Tuple[str, object, object]]" = queue.Queue(
             maxsize=max(depth, 1)
         )
         self.stop = threading.Event()
         #: ``(slot, exception)`` set by the worker *before* queueing the
         #: error item, so the consumer sees failures promptly.
         self.error: Optional[Tuple[int, BaseException]] = None
+
+
+class _ThreadBuilder:
+    """:class:`~repro.training.parallel.ProcessPrefetchPool`'s
+    ``submit_epoch`` / ``result`` / ``close`` on one background thread of
+    this process.
+
+    Builds each submitted epoch's plans in order, warms every batch and
+    hands it over through the epoch's bounded queue — the happens-before
+    edge: the trainer only ever reads a built ``_adj_cache``, the two
+    threads never race to construct one.
+    """
+
+    #: Seconds between stop-flag checks while the worker waits on a full
+    #: hand-off queue; bounds how long a discarded job can occupy it.
+    _POLL_SECONDS = 0.05
+
+    def __init__(self, flow: PrefetchFlow):
+        self.flow = flow
+        self._queue: "queue.Queue[Optional[_PrefetchJob]]" = queue.Queue()
+        self._jobs: Dict[int, _PrefetchJob] = {}
+        self._thread: Optional[threading.Thread] = None
+
+    def submit_epoch(self, epoch: int, plans: List[BatchPlan]) -> None:
+        job = self._jobs[epoch] = _PrefetchJob(plans, self.flow.depth)
+        if self._thread is None or not self._thread.is_alive():
+            self._thread = threading.Thread(
+                target=self._work, name="repro-prefetch", daemon=True
+            )
+            self._thread.start()
+        self._queue.put(job)
+
+    def result(self, epoch: int, index: int) -> Graph:
+        """The next built batch of ``epoch`` (slots arrive in order)."""
+        job = self._jobs[epoch]
+        # Prompt propagation: surface a recorded failure at the next
+        # hand-off even when built batches are still queued ahead of it
+        # (close() retires them).
+        error = job.error
+        if error is None:
+            kind, payload, extra = job.results.get()
+            if kind == "batch":
+                if index + 1 == len(job.plans):
+                    del self._jobs[epoch]
+                return payload
+            error = (extra, payload)
+        slot, original = error
+        raise PrefetchWorkerError(slot, epoch, original) from original
+
+    def close(self) -> None:
+        """Stop every unfinished job and join the thread."""
+        while self._jobs:
+            _, job = self._jobs.popitem()
+            job.stop.set()
+            while not job.results.empty():
+                kind, payload, plan = job.results.get_nowait()
+                if kind == "batch":
+                    # Never-consumed batches still get their consumer-side
+                    # cleanup, or one-shot subgraphs' warmed backend
+                    # wrappers would stay pinned in the backend's LRU.
+                    plan.retire(payload)
+        if self._thread is not None and self._thread.is_alive():
+            self._queue.put(None)
+            self._thread.join(timeout=5.0)
+        self._thread = None
+
+    def _offer(self, job: _PrefetchJob, item) -> bool:
+        """Put with periodic stop checks so discarded jobs cannot wedge
+        the worker behind a full queue nobody will drain. The timeout
+        backs off exponentially (capped at 1 s): a lookahead job whose
+        consumer never arrives — e.g. the epoch after ``fit()``'s last —
+        parks the worker at a negligible poll rate instead of 20 Hz."""
+        delay = self._POLL_SECONDS
+        while True:
+            if job.stop.is_set():
+                return False
+            try:
+                job.results.put(item, timeout=delay)
+                return True
+            except queue.Full:
+                delay = min(2.0 * delay, 1.0)
+
+    def _work(self) -> None:
+        while True:
+            job = self._queue.get()
+            if job is None:
+                return
+            for index, plan in enumerate(job.plans):
+                if job.stop.is_set():
+                    break
+                try:
+                    batch = plan.build()
+                    warm_batch(batch, self.flow.warm_norms)
+                except BaseException as exc:  # delivered to the consumer
+                    # Record first (the consumer polls job.error before
+                    # each hand-off, so the failure surfaces promptly even
+                    # with built batches still queued ahead of it), then
+                    # queue it as well for a consumer already blocked in
+                    # ``get()``.
+                    job.error = (index, exc)
+                    self._offer(job, ("error", exc, index))
+                    break
+                if not self._offer(job, ("batch", batch, plan)):
+                    # Discarded job: nobody will consume this batch, so
+                    # run its consumer-side cleanup here (one-shot flows
+                    # release the backend wrappers the warm-up registered).
+                    plan.retire(batch)
+                    break
+                if job.stop.is_set():
+                    # Cancellation raced the hand-off: the canceller may
+                    # have drained before this item landed. Retire is
+                    # idempotent (backend release pops at most once), so
+                    # covering it from both sides cannot double-free.
+                    plan.retire(batch)
+                    break
 
 
 def make_flow(
@@ -1306,10 +1257,11 @@ def make_flow(
     ``micro_batch > 1`` wraps the flow in a :class:`MicroBatchedFlow` that
     merges that many consecutive batches into one fused dense pass;
     ``prefetch > 0`` wraps the result in a :class:`PrefetchFlow` that
-    builds up to that many batches ahead — on a background thread by
-    default, or on ``prefetch_workers`` spawn processes against a
-    shared-memory graph store when an integer count is given
-    (``"thread"`` names the default explicitly).
+    builds batches ahead — on a background thread by default, whose
+    hand-off queue holds up to that many, or on ``prefetch_workers`` spawn
+    processes against a shared-memory graph store when an integer count
+    is given (they run ``prefetch_workers`` slots ahead, whatever the
+    depth; ``"thread"`` names the default explicitly).
 
     ``distributed`` consumes ``replicas`` (simulated data-parallel width),
     ``grad_topk`` (optional top-k gradient-exchange compression),

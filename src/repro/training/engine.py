@@ -14,7 +14,6 @@ streams.
 from __future__ import annotations
 
 import atexit
-import inspect
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -49,21 +48,23 @@ from .metrics import accuracy, micro_f1, roc_auc
 from .parallel import (
     ReplicaProcessPool,
     WorkerSupervisionError,
-    pack_parameters,
+    conv_norms,
     resolve_process_workers,
 )
 from .schedulers import EarlyStopping
 
-__all__ = ["TrainResult", "Engine", "ReplicaGradients", "batch_loss"]
+__all__ = ["TrainResult", "Engine", "ReplicaGradients", "batch_loss",
+           "forward_backward"]
 
 
 def batch_loss(model, logits: Tensor, subgraph: Graph,
-               fused_loss: bool) -> Tensor:
-    """The engine's training loss for one batch, as a free function.
+               fused: bool) -> Tensor:
+    """The training loss for one batch, as a free function.
 
-    Factored out of :meth:`Engine._loss` so a process-per-replica worker
-    (:mod:`repro.training.parallel`) computes byte-identical losses from
-    its model mirror without holding an :class:`Engine`.
+    ``fused`` routes single-label training losses through the
+    workspace-planned ``fused_ce`` kernel (bit-identical values, zero
+    loss-stage allocations) — what :func:`forward_backward` always does;
+    the composed path stays as the oracle the fused one is tested against.
     """
     weights = subgraph.loss_weights
     if subgraph.multilabel:
@@ -75,12 +76,27 @@ def batch_loss(model, logits: Tensor, subgraph: Graph,
         return weighted_cross_entropy(
             logits, subgraph.labels, weights, subgraph.train_mask
         )
-    if fused_loss and model.training:
+    if fused and model.training:
         return fused_ce(
             logits, subgraph.labels, subgraph.train_mask,
             workspace=getattr(model, "workspace", None), slot="loss",
         )
     return cross_entropy(logits, subgraph.labels, subgraph.train_mask)
+
+
+def forward_backward(model, features: np.ndarray, batch: Graph) -> Tensor:
+    """``zero_grad → forward → batch_loss → backward`` on a bound model.
+
+    The one training step :meth:`Engine.train_batch`, the engine's
+    in-process replicas and a process-per-replica worker's model mirror
+    all run, so their losses and gradients are byte-identical by
+    construction. ``model`` must already be bound to ``batch``.
+    """
+    for p in model.parameters():
+        p.zero_grad()
+    loss = batch_loss(model, model(features), batch, True)
+    loss.backward()
+    return loss
 
 
 @dataclass
@@ -189,13 +205,7 @@ class ReplicaGradients:
         on one simulated device), so the next replica's backward overwrites
         them.
         """
-        for index, (p, (lo, hi)) in enumerate(
-            zip(self.parameters, self._spans)
-        ):
-            present = p.grad is not None
-            self._present[replica, index] = present
-            if present:
-                self._arena[replica, lo:hi] = p.grad.ravel()
+        self.deposit(replica, [p.grad for p in self.parameters])
 
     def reduce(self, participants: Sequence[int],
                preselected: bool = False) -> None:
@@ -326,10 +336,11 @@ class ReplicaGradients:
         return payload
 
     def deposit(self, replica: int, payload: Sequence[object]) -> None:
-        """Adopt a worker-shipped payload as ``replica``'s arena row.
+        """Adopt per-parameter gradients as ``replica``'s arena row.
 
-        The inverse of :meth:`export_payload` on the parent side of the
-        process-per-replica exchange; follow with
+        Fed a worker-shipped payload it is the inverse of
+        :meth:`export_payload` on the parent side of the
+        process-per-replica exchange; follow that with
         ``reduce(participants, preselected=True)``.
         """
         if len(payload) != len(self.parameters):
@@ -349,7 +360,7 @@ class ReplicaGradients:
                 row[:] = 0.0
                 row[indices] = values
             else:
-                np.copyto(row, entry)
+                np.copyto(row, np.ravel(entry))
 
     def load_residuals(self, rows: Sequence[Optional[np.ndarray]]) -> None:
         """Adopt per-replica error-feedback residual rows.
@@ -397,6 +408,61 @@ class ReplicaGradients:
         return payloads
 
 
+class _InProcessReplicas:
+    """:class:`ReplicaProcessPool`'s ``build`` / ``step`` / ``retire``, run
+    serially on the engine's own model.
+
+    One simulated device hosts every replica: each replica's step rebinds
+    the shared model to its batch, runs :func:`forward_backward` and
+    snapshots the gradients into its row of the replica store before the
+    next replica's backward overwrites them. What the round loop uses
+    without a pool, and swaps in when one exhausts supervised recovery.
+    """
+
+    #: Rows hold raw gradients; the parent reduce does the top-k selection.
+    preselected = False
+
+    def __init__(self, engine: "Engine", plans: Dict[int, BatchPlan]):
+        self.engine = engine
+        self.plans = plans
+        self._built: Dict[int, Tuple[BatchPlan, Graph]] = {}
+
+    def build(self, assignments: Sequence[Tuple[int, int]], epoch: int
+              ) -> Dict[int, Tuple[bool, int, int]]:
+        infos = {}
+        for replica, plan_index in assignments:
+            plan = self.plans[plan_index]
+            batch = plan.build()
+            mask = batch.train_mask
+            skip = mask is not None and not np.any(mask)
+            if skip:
+                plan.retire(batch)
+            else:
+                self._built[replica] = (plan, batch)
+            infos[replica] = (skip, batch.n_nodes, batch.n_edges)
+        return infos
+
+    def step(self, participants: Sequence[int], store: ReplicaGradients
+             ) -> Dict[int, Tuple[float, float]]:
+        engine = self.engine
+        replies = {}
+        for replica in participants:
+            _, batch = self._built[replica]
+            start = time.perf_counter()
+            engine._bind(batch)
+            loss = forward_backward(
+                engine.model, engine._features_of(batch), batch
+            )
+            store.capture(replica)
+            replies[replica] = (loss.item(), time.perf_counter() - start)
+        return replies
+
+    def retire(self, participants: Sequence[int]) -> None:
+        for replica in participants:
+            plan, batch = self._built.pop(replica)
+            plan.retire(batch)
+
+
 class Engine:
     """Trains a :class:`MaxKGNN` through a pluggable data-flow strategy.
 
@@ -415,7 +481,6 @@ class Engine:
         weight_decay: float = 0.0,
         metric: Optional[str] = None,
         early_stopping: Optional[EarlyStopping] = None,
-        fused_loss: bool = True,
     ):
         if graph.features is None or graph.labels is None:
             raise ValueError("graph must carry features and labels")
@@ -425,10 +490,6 @@ class Engine:
         self.model = model
         self.graph = graph
         self.flow = flow if flow is not None else FullGraphFlow()
-        #: Route single-label training losses through the workspace-planned
-        #: ``fused_ce`` kernel (bit-identical values; zero loss-stage
-        #: allocations). Disable to time the composed loss path.
-        self.fused_loss = fused_loss
         self.optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
         if metric is None:
             metric = "micro_f1" if graph.multilabel else "accuracy"
@@ -452,53 +513,26 @@ class Engine:
         #: continues the exact error-feedback + dropout trajectory.
         self._resume_residuals: Optional[List[Optional[np.ndarray]]] = None
         self._resume_worker_states: Optional[List[Optional[dict]]] = None
-        # A prefetching flow builds future batches on a background thread;
-        # hand it the model-specific warm-up (adjacency + backend
-        # registration) so that work leaves the training critical path too.
-        set_warmer = getattr(self.flow, "set_warmer", None)
-        if set_warmer is not None:
-            set_warmer(self._warm_subgraph)
-        # Its process-pool counterpart: workers cannot call back into this
-        # engine, so hand them the conv norms and they pre-build the same
-        # adjacencies straight into each shipped payload.
+        # A prefetching flow builds future batches off the training
+        # critical path; tell it which adjacencies this model aggregates
+        # over so it builds (and registers) those ahead as well.
         set_warm_norms = getattr(self.flow, "set_warm_norms", None)
         if set_warm_norms is not None:
-            norms: List[str] = []
-            for conv in getattr(model, "convs", ()):
-                if conv.norm not in norms:
-                    norms.append(conv.norm)
-            set_warm_norms(tuple(norms))
+            set_warm_norms(conv_norms(model))
         # A killed/forgotten run must not leak worker processes or shared
         # segments; interpreter exit closes every live engine.
         atexit.register(self.close)
 
     # ------------------------------------------------------------------
-    def _warm_subgraph(self, subgraph: Graph) -> None:
-        """Materialise a future batch's hot state (prefetch-thread hook).
-
-        Builds the normalised adjacency and its transpose for every
-        convolution's aggregator and registers them with the active sparse
-        backend (scipy wrappers / vectorized SpMM plans), so the trainer
-        finds everything warm when the batch arrives. Runs strictly
-        *before* the batch is handed over (the prefetch queue is the
-        happens-before edge), so the trainer only ever reads a built
-        ``_adj_cache`` — the two threads never race to construct the same
-        graph's adjacency.
-        """
-        matrices = []
-        for conv in getattr(self.model, "convs", ()):
-            matrices.append(subgraph.adjacency(conv.norm))
-            matrices.append(subgraph.adjacency_transpose(conv.norm))
-        if matrices:
-            get_backend().warm(matrices)
-
     def _bind(self, subgraph: Graph) -> None:
         if self._bound is not subgraph:
             self.model.bind_graph(subgraph)
             self._bound = subgraph
 
-    def _loss(self, logits: Tensor, subgraph: Graph) -> Tensor:
-        return batch_loss(self.model, logits, subgraph, self.fused_loss)
+    def _features_of(self, subgraph: Graph) -> np.ndarray:
+        if subgraph is self.graph:
+            return self._features
+        return np.asarray(subgraph.features, dtype=np.float64)
 
     def _score(self, logits: np.ndarray, mask: np.ndarray) -> float:
         if self.metric == "accuracy":
@@ -523,16 +557,10 @@ class Engine:
     def train_batch(self, subgraph: Graph, steps: int = 1) -> float:
         """``steps`` gradient steps on one batch; returns the last loss."""
         self._bind(subgraph)
-        features = (
-            self._features if subgraph is self.graph
-            else np.asarray(subgraph.features, dtype=np.float64)
-        )
+        features = self._features_of(subgraph)
         loss_value = float("nan")
         for _ in range(steps):
-            self.optimizer.zero_grad()
-            logits = self.model(features)
-            loss = self._loss(logits, subgraph)
-            loss.backward()
+            loss = forward_backward(self.model, features, subgraph)
             self.optimizer.step()
             loss_value = loss.item()
         return loss_value
@@ -564,116 +592,90 @@ class Engine:
     ) -> float:
         """One data-parallel epoch: a round of replica batches per step.
 
-        Replicas execute serially against the shared model (one simulated
-        device hosts them all), each snapshotting its gradients into its
-        own workspace row; the fixed-order all-reduce then averages the
-        round and a single optimizer step covers it. With one replica per
-        round this replays sequential execution bit for bit. When the flow
-        requests ``processes`` and a pool can be provisioned, each replica
-        instead runs in its own OS process (:meth:`_train_epoch_rounds_procs`).
+        Every round is ``build`` → ``steps_per_batch`` × (``step`` →
+        fixed-order all-reduce → one optimizer step) → ``retire`` against
+        an executor: the process-per-replica pool when the flow requests
+        ``processes`` and one can be provisioned, else
+        :class:`_InProcessReplicas`. With one replica per round either
+        executor replays sequential execution bit for bit. Once the pool
+        exhausts supervised recovery the in-process executor takes over
+        mid-round: a failed build/step mutated nothing parent-side
+        (deposits and the optimizer step only happen on validated
+        replies), so the interrupted round is rebuilt and resumes at the
+        step it reached, continuing the *exact* trajectory.
         """
         flow = self.flow
-        if getattr(flow, "processes", False):
-            pool = self._ensure_replica_pool()
-            if pool is not None:
-                return self._train_epoch_rounds_procs(
-                    rounds, steps_per_batch, result, epoch, pool
-                )
         store = self._replica_store(
             flow.replicas, getattr(flow, "grad_topk", None)
         )
-        telemetry = self._round_telemetry()
+        plans = {
+            round_index * flow.replicas + replica: plan
+            for round_index, round_plans in enumerate(rounds)
+            for replica, plan in enumerate(round_plans)
+        }
+        executor = None
+        if getattr(flow, "processes", False):
+            executor = self._ensure_replica_pool()
+        if executor is None:
+            executor = _InProcessReplicas(self, plans)
+        note = getattr(flow, "note_replica_step", None)
+        note_exchange = getattr(flow, "note_gradient_exchange", None)
         losses: List[float] = []
         for round_index, round_plans in enumerate(rounds):
-            self._run_round_inproc(
-                store, round_plans, round_index, steps_per_batch,
-                result, losses, telemetry,
-            )
+            first_slot = round_index * flow.replicas
+            assignments = [
+                (replica, first_slot + replica)
+                for replica in range(len(round_plans))
+            ]
+            last_loss: Dict[int, float] = {}
+            steps_done = 0
+            while True:
+                try:
+                    infos = executor.build(assignments, epoch)
+                    participants = [
+                        replica for replica, _ in assignments
+                        if not infos[replica][0]
+                    ]
+                    if not participants:
+                        # Nothing trained this round, so nothing may step:
+                        # clear any gradients left over from the previous
+                        # round's reduce before skipping, or a later
+                        # consumer could mistake them for this round's
+                        # (stale-gradient hazard).
+                        for p in store.parameters:
+                            p.grad = None
+                        break
+                    while steps_done < steps_per_batch:
+                        replies = executor.step(participants, store)
+                        for replica in participants:
+                            last_loss[replica], seconds = replies[replica]
+                            if note is not None:
+                                note(replica, seconds, infos[replica][2],
+                                     slot=first_slot + replica)
+                        store.reduce(
+                            participants, preselected=executor.preselected
+                        )
+                        if note_exchange is not None:
+                            note_exchange(
+                                store.dense_nbytes, store.payload_nbytes
+                            )
+                        self.optimizer.step()
+                        steps_done += 1
+                    executor.retire(participants)
+                    break
+                except WorkerSupervisionError as exc:
+                    self._degrade_to_inproc(exc, store)
+                    executor = _InProcessReplicas(self, plans)
+            for replica in participants:
+                value = last_loss.get(replica)
+                if value is not None:
+                    losses.append(value)
+                    if result is not None:
+                        result.batch_losses.append(value)
+                        result.batch_sizes.append(infos[replica][1])
         if not losses:
             return float("nan")
         return float(np.mean(losses))
-
-    def _round_telemetry(self) -> tuple:
-        """The flow's optional per-step hooks, resolved once per epoch."""
-        flow = self.flow
-        note = getattr(flow, "note_replica_step", None)
-        accepts_slot = (
-            note is not None
-            and "slot" in inspect.signature(note).parameters
-        )
-        note_exchange = getattr(flow, "note_gradient_exchange", None)
-        return note, accepts_slot, note_exchange
-
-    def _run_round_inproc(
-        self,
-        store: ReplicaGradients,
-        round_plans: List[BatchPlan],
-        round_index: int,
-        steps: int,
-        result: Optional[TrainResult],
-        losses: List[float],
-        telemetry: tuple,
-    ) -> None:
-        """Build and train one data-parallel round in this process.
-
-        The unit the process-pool path falls back to: after pool
-        degradation mid-epoch, the engine finishes the interrupted round
-        (with the steps that remain) and every later round through this
-        exact code, so both paths share one definition of a round.
-        """
-        flow = self.flow
-        note, accepts_slot, note_exchange = telemetry
-        built: List[Tuple[int, BatchPlan, Graph]] = []
-        for replica, plan in enumerate(round_plans):
-            batch = plan.build()
-            mask = batch.train_mask
-            if mask is not None and not np.any(mask):
-                plan.retire(batch)
-                continue
-            built.append((replica, plan, batch))
-        if not built:
-            # Nothing trained this round, so nothing may step: clear
-            # any gradients left over from the previous round's reduce
-            # before skipping, or a later consumer could mistake them
-            # for this round's (stale-gradient hazard).
-            for p in store.parameters:
-                p.grad = None
-            return
-        participants = [replica for replica, _, _ in built]
-        last_loss: Dict[int, float] = {}
-        for _ in range(steps):
-            for replica, _, batch in built:
-                start = time.perf_counter()
-                self._bind(batch)
-                self.optimizer.zero_grad()
-                features = (
-                    self._features if batch is self.graph
-                    else np.asarray(batch.features, dtype=np.float64)
-                )
-                logits = self.model(features)
-                loss = self._loss(logits, batch)
-                loss.backward()
-                store.capture(replica)
-                last_loss[replica] = loss.item()
-                if note is not None:
-                    elapsed = time.perf_counter() - start
-                    if accepts_slot:
-                        note(replica, elapsed, batch.n_edges,
-                             slot=round_index * flow.replicas + replica)
-                    else:
-                        note(replica, elapsed, batch.n_edges)
-            store.reduce(participants)
-            if note_exchange is not None:
-                note_exchange(store.dense_nbytes, store.payload_nbytes)
-            self.optimizer.step()
-        for replica, plan, batch in built:
-            value = last_loss.get(replica)
-            if value is not None:
-                losses.append(value)
-                if result is not None:
-                    result.batch_losses.append(value)
-                    result.batch_sizes.append(batch.n_nodes)
-            plan.retire(batch)
 
     def _ensure_replica_pool(self):
         """Provision (or reuse) the process-per-replica pool, or ``None``.
@@ -725,7 +727,6 @@ class Engine:
                 rng.bit_generator.state,
                 flow.replicas,
                 getattr(flow, "grad_topk", None),
-                self.fused_loss,
                 [int(p.data.size) for p in self.optimizer.parameters],
                 resume_states=resume_states,
             )
@@ -760,106 +761,6 @@ class Engine:
         close_flow = getattr(getattr(self, "flow", None), "close", None)
         if close_flow is not None:
             close_flow()
-
-    def _train_epoch_rounds_procs(
-        self,
-        rounds: List[List[BatchPlan]],
-        steps_per_batch: int,
-        result: Optional[TrainResult],
-        epoch: int,
-        pool: ReplicaProcessPool,
-    ) -> float:
-        """One data-parallel epoch with one OS process per replica.
-
-        Workers rebuild their deterministic plan against the shared-memory
-        graph and run forward/backward on a persistent model mirror; the
-        parent ships flat parameters down, deposits each returned gradient
-        payload into the replica store in fixed ascending order, and runs
-        the exact same reduce + optimizer step as the in-process path.
-        Workers already applied top-k selection and updated their own
-        error-feedback residuals, so the parent reduce is ``preselected``.
-        """
-        flow = self.flow
-        store = self._replica_store(
-            flow.replicas, getattr(flow, "grad_topk", None)
-        )
-        telemetry = self._round_telemetry()
-        note, accepts_slot, note_exchange = telemetry
-        losses: List[float] = []
-        flat: Optional[np.ndarray] = None
-        current_round = 0
-        steps_done = 0
-        try:
-            for round_index, round_plans in enumerate(rounds):
-                current_round = round_index
-                steps_done = 0
-                assignments = [
-                    (replica, round_index * flow.replicas + replica)
-                    for replica in range(len(round_plans))
-                ]
-                infos = pool.build(assignments, epoch)
-                participants = [
-                    replica for replica, _ in assignments
-                    if not infos[replica][0]
-                ]
-                if not participants:
-                    # Same stale-gradient hazard as the in-process path: a
-                    # fully-skipped round must not leave the previous
-                    # round's reduced gradients on the parameters.
-                    for p in store.parameters:
-                        p.grad = None
-                    continue
-                last_loss: Dict[int, float] = {}
-                for _ in range(steps_per_batch):
-                    flat = pack_parameters(self.optimizer.parameters, flat)
-                    replies = pool.step(participants, flat)
-                    for replica in participants:
-                        payload, loss_value, seconds = replies[replica]
-                        store.deposit(replica, payload)
-                        last_loss[replica] = loss_value
-                        if note is not None:
-                            if accepts_slot:
-                                note(
-                                    replica, seconds, infos[replica][2],
-                                    slot=round_index * flow.replicas
-                                    + replica,
-                                )
-                            else:
-                                note(replica, seconds, infos[replica][2])
-                    store.reduce(participants, preselected=True)
-                    if note_exchange is not None:
-                        note_exchange(
-                            store.dense_nbytes, store.payload_nbytes
-                        )
-                    self.optimizer.step()
-                    steps_done += 1
-                pool.retire(participants)
-                for replica in participants:
-                    value = last_loss[replica]
-                    losses.append(value)
-                    if result is not None:
-                        result.batch_losses.append(value)
-                        result.batch_sizes.append(infos[replica][1])
-        except WorkerSupervisionError as exc:
-            # Supervised recovery is exhausted. The pool's banked worker
-            # snapshots let the in-process path continue the *exact*
-            # trajectory: a failed build/step mutated nothing parent-side
-            # (deposits and the optimizer step only happen on validated
-            # replies), so the interrupted round resumes at the step it
-            # reached, then the rest of the epoch runs normally.
-            self._degrade_to_inproc(exc, store)
-            self._run_round_inproc(
-                store, rounds[current_round], current_round,
-                steps_per_batch - steps_done, result, losses, telemetry,
-            )
-            for later in range(current_round + 1, len(rounds)):
-                self._run_round_inproc(
-                    store, rounds[later], later, steps_per_batch,
-                    result, losses, telemetry,
-                )
-        if not losses:
-            return float("nan")
-        return float(np.mean(losses))
 
     def _degrade_to_inproc(self, exc: WorkerSupervisionError,
                            store: ReplicaGradients) -> None:

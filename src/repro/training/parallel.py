@@ -9,14 +9,16 @@ zero-copy instead of unpickling it:
   deterministic ``BatchPlan`` schedule against the shared graph and ship
   compact subgraph payloads back (batch content is a pure function of
   ``(seed, slot)``, so worker-built batches are byte-identical to
-  thread-built or inline ones — and any worker can rebuild any slot);
+  thread-built or inline ones — and any worker can rebuild any slot),
+  behind the ``submit_epoch`` / ``result`` calls ``PrefetchFlow``'s
+  thread builder answers too;
 * :class:`ReplicaProcessPool` — ``DistributedFlow``'s process-per-replica
   round executor: each worker holds a persistent model mirror plus its own
   single-row :class:`~repro.training.engine.ReplicaGradients` (so
   ``--grad-topk`` error-feedback residuals live where the gradients are
-  computed), receives ``(round, plan index, current flat params)`` and
-  returns its flat (or top-k compressed) gradient contribution for the
-  parent's fixed-ascending-order all-reduce.
+  computed) and runs :func:`~repro.training.engine.forward_backward` on
+  the parameters the parent ships, behind the ``build`` / ``step`` /
+  ``retire`` calls the engine's in-process replicas answer too.
 
 Both pools are thin clients of
 :class:`~repro.training.supervision.SupervisedPool`, which owns spawning,
@@ -54,7 +56,7 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..graphs.shm import SharedGraphStore, shared_memory_available
 from ..sparse import CSRMatrix
-from ..sparse.ops import set_backend
+from ..sparse.ops import get_backend, set_backend
 from .supervision import (
     SupervisedPool,
     SupervisorConfig,
@@ -67,6 +69,9 @@ __all__ = [
     "processes_forced",
     "resolve_process_workers",
     "reset_fallback_warnings",
+    "conv_norms",
+    "build_adjacencies",
+    "warm_batch",
     "graph_payload",
     "graph_from_payload",
     "pack_parameters",
@@ -163,6 +168,33 @@ def resolve_process_workers(requested: int, label: str = "workers",
 
 
 # ----------------------------------------------------------------------
+# Build-and-warm: what every prefetch builder, the inline remainder after
+# a degraded pool and a served window do to a batch before it is used.
+# ----------------------------------------------------------------------
+
+def conv_norms(model) -> Tuple[str, ...]:
+    """The distinct adjacency normalisations ``model``'s convs aggregate over."""
+    return tuple(dict.fromkeys(
+        conv.norm for conv in getattr(model, "convs", ())
+    ))
+
+
+def build_adjacencies(graph: Graph, norms: Sequence[str]) -> List[CSRMatrix]:
+    """Build ``adjacency(norm)`` and its transpose (into the graph's cache)."""
+    matrices = []
+    for norm in norms:
+        matrices.append(graph.adjacency(norm))
+        matrices.append(graph.adjacency_transpose(norm))
+    return matrices
+
+
+def warm_batch(graph: Graph, norms: Sequence[str]) -> None:
+    """:func:`build_adjacencies`, registered with the active sparse backend
+    (scipy wrappers / vectorized SpMM plans)."""
+    get_backend().warm(build_adjacencies(graph, norms))
+
+
+# ----------------------------------------------------------------------
 # Subgraph payload codec: what a builder worker ships back to the parent.
 # Built subgraphs are process-local copies (induced/sampled arrays), so
 # pickling them back is safe; adjacency CSRs the engine will need are
@@ -171,16 +203,7 @@ def resolve_process_workers(requested: int, label: str = "workers",
 
 def graph_payload(graph: Graph, warm_norms: Sequence[str] = ()) -> dict:
     """Serialise a built batch, pre-building the engine's adjacencies."""
-    adjacency = {}
-    for norm in warm_norms:
-        key = "none" if norm == "gin" else norm
-        for cache_key, csr in (
-            (key, graph.adjacency(norm)),
-            (key + "^T", graph.adjacency_transpose(norm)),
-        ):
-            adjacency[cache_key] = (
-                csr.indptr, csr.indices, csr.data, tuple(csr.shape)
-            )
+    build_adjacencies(graph, warm_norms)
     return {
         "n_nodes": graph.n_nodes,
         "name": graph.name,
@@ -192,7 +215,10 @@ def graph_payload(graph: Graph, warm_norms: Sequence[str] = ()) -> dict:
                 "val_mask", "test_mask", "communities", "loss_weights",
             )
         },
-        "adjacency": adjacency,
+        "adjacency": {
+            key: (csr.indptr, csr.indices, csr.data, tuple(csr.shape))
+            for key, csr in graph._adj_cache.items()
+        },
     }
 
 
@@ -339,9 +365,10 @@ class ProcessPrefetchPool:
         self._pool.close()
 
     # -- dispatch ------------------------------------------------------
-    def submit_epoch(self, epoch: int, n_plans: int) -> None:
-        """Queue every plan of ``epoch``; workers start building at once."""
-        for index in range(n_plans):
+    def submit_epoch(self, epoch: int, plans: Sequence) -> None:
+        """Queue every plan of ``epoch``; workers start building at once
+        (they rebuild the schedule themselves — only the count is used)."""
+        for index in range(len(plans)):
             self._queue.append((epoch, index))
         self._dispatch()
 
@@ -383,14 +410,6 @@ class ProcessPrefetchPool:
             worker, _ = self._pool.recv_any(list(self._inflight))
             del self._inflight[worker]
             self._dispatch()
-
-    def failure_for(self, epoch: int) -> Optional[Tuple[int, BaseException]]:
-        """Earliest recorded deterministic builder failure of ``epoch``."""
-        slots = [slot for (e, slot) in self._failures if e == epoch]
-        if not slots:
-            return None
-        slot = min(slots)
-        return slot, self._failures[(epoch, slot)]
 
     @staticmethod
     def _check_ready(worker: int, frame) -> Optional[str]:
@@ -468,7 +487,8 @@ def _replica_worker(conn, spec: dict) -> None:
       the spot).
     * ``("step", flat_params, actions)`` → ``("grad", payload, loss,
       seconds, state)`` — overwrite the mirror's parameters, run
-      forward/backward on the current batch, pass the gradients through
+      :func:`~repro.training.engine.forward_backward` on the current
+      batch, pass the gradients through
       the worker's own single-row :class:`ReplicaGradients` (identity for
       dense; top-k selection + error-feedback residual update for
       ``grad_topk``), and ship the per-parameter payload. ``state`` is
@@ -490,7 +510,7 @@ def _replica_worker(conn, spec: dict) -> None:
         flow = pickle.loads(spec["flow"])
 
         from ..models import MaxKGNN
-        from .engine import ReplicaGradients, batch_loss
+        from .engine import ReplicaGradients, forward_backward
 
         # Parameter values are overwritten from the parent's flat vector
         # every step, so the mirror's init seed is irrelevant — only the
@@ -512,7 +532,6 @@ def _replica_worker(conn, spec: dict) -> None:
         grads = ReplicaGradients(parameters, 1, topk=spec["grad_topk"])
         if resume is not None and resume.get("residual") is not None:
             grads.load_residuals([np.asarray(resume["residual"])])
-        fused_loss = spec["fused_loss"]
 
         def snapshot() -> dict:
             state = {
@@ -560,11 +579,7 @@ def _replica_worker(conn, spec: dict) -> None:
                 corrupt = _apply_faults(conn, actions)
                 start = time.perf_counter()
                 unpack_parameters(parameters, flat_params)
-                for p in parameters:
-                    p.zero_grad()
-                logits = model(features)
-                loss = batch_loss(model, logits, batch, fused_loss)
-                loss.backward()
+                loss = forward_backward(model, features, batch)
                 grads.capture(0)
                 # Single-participant reduce: dense is copy × 1.0 (exact);
                 # top-k applies the residual-corrected selection and
@@ -617,9 +632,13 @@ class ReplicaProcessPool:
     #: The reply kind each supervised op is answered with.
     _REPLY_KIND = {"build": "built", "step": "grad"}
 
+    #: Workers already ran top-k selection and the residual update in
+    #: their own single-row stores; the parent reduce must only sum.
+    preselected = True
+
     def __init__(self, graph: Graph, inner_flow, config, rng_state,
                  replicas: int, grad_topk: Optional[int],
-                 fused_loss: bool, param_sizes: Sequence[int],
+                 param_sizes: Sequence[int],
                  supervisor: Optional[SupervisorConfig] = None,
                  resume_states: Optional[Sequence[Optional[dict]]] = None):
         self.replicas = replicas
@@ -628,9 +647,9 @@ class ReplicaProcessPool:
             "config": config,
             "rng_state": rng_state,
             "grad_topk": grad_topk,
-            "fused_loss": fused_loss,
         }
         self._param_sizes = [int(size) for size in param_sizes]
+        self._flat: Optional[np.ndarray] = None
         self._states: List[Optional[dict]] = [None] * replicas
         if resume_states:
             for replica, state in enumerate(resume_states):
@@ -759,15 +778,24 @@ class ReplicaProcessPool:
             infos[replica] = (bool(skip), int(n_nodes), int(n_edges))
         return infos
 
-    def step(self, participants: Sequence[int], flat_params: np.ndarray
-             ) -> Dict[int, Tuple[list, float, float]]:
-        """One synchronous gradient step across the participants."""
+    def step(self, participants: Sequence[int], store
+             ) -> Dict[int, Tuple[float, float]]:
+        """One synchronous gradient step: ``{replica: (loss, seconds)}``.
+
+        Ships ``store``'s parameters down and deposits the returned
+        payloads into it in ascending replica order — once *every* reply
+        is validated, so an exhausted step leaves the store untouched.
+        """
+        self._flat = pack_parameters(store.parameters, self._flat)
         for replica in participants:
-            self._send_fresh(replica, ("step", flat_params))
+            self._send_fresh(replica, ("step", self._flat))
+        frames = [self._pool.recv(replica) for replica in participants]
         replies = {}
-        for replica in participants:
-            _, payload, loss, seconds, _ = self._pool.recv(replica)
-            replies[replica] = (payload, float(loss), float(seconds))
+        for replica, (_, payload, loss, seconds, _) in zip(
+            participants, frames
+        ):
+            store.deposit(replica, payload)
+            replies[replica] = (float(loss), float(seconds))
         return replies
 
     def retire(self, participants: Sequence[int]) -> None:

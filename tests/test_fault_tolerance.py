@@ -33,6 +33,7 @@ from repro.training import (
     CheckpointError,
     Engine,
     FaultPlan,
+    TrainResult,
     current_fault_plan,
     make_flow,
     set_fault_plan,
@@ -91,7 +92,7 @@ def _run_sampled(workers, epochs=2, plan=None):
 
 
 def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2,
-                     plan=None):
+                     plan=None, steps=1):
     set_fault_plan(plan)
     try:
         graph = _task_graph()
@@ -102,18 +103,29 @@ def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2,
         )
         engine = Engine(MaxKGNN(graph, _config(dropout), seed=0), graph,
                         flow, lr=0.01)
+        result = TrainResult()
         try:
-            losses = [engine.train_epoch(epoch=e) for e in range(epochs)]
+            losses = [
+                engine.train_epoch(epoch=e, steps_per_batch=steps,
+                                   result=result)
+                for e in range(epochs)
+            ]
             params = [p.data.copy() for p in engine.optimizer.parameters]
         finally:
             engine.close()
-        return losses, params
+        bookkeeping = (
+            result.batch_losses, result.batch_sizes,
+            flow.replica_steps.tolist(), flow.grad_exchanges,
+        )
+        return losses, params, bookkeeping
     finally:
         set_fault_plan(None)
 
 
 def _identical(a, b):
-    return a[0] == b[0] and all(
+    """Epoch losses, final parameters and (for distributed runs) the
+    per-batch bookkeeping + flow telemetry, all exactly equal."""
+    return a[0] == b[0] and a[2:] == b[2:] and all(
         np.array_equal(x, y) for x, y in zip(a[1], b[1])
     )
 
@@ -300,6 +312,24 @@ class TestReplicaRecovery:
         assert len(relevant) == 1
         assert "exit code" in str(relevant[0].message)
         assert _identical(inproc, degraded)
+        _no_leaks()
+
+    def test_exhaustion_mid_round_resumes_at_the_step_it_reached(
+        self, force_procs, quick_retries
+    ):
+        # Op 3 of every worker is step 2 of the first round (build, step,
+        # step): the pool dies with one of three steps taken, and the
+        # in-process executor must rebuild the round and take the other
+        # two — every loss, batch size and telemetry count as if nothing
+        # had happened.
+        inproc = _run_distributed(2, False, dropout=0.0, topk=4, steps=3)
+        with pytest.warns(RuntimeWarning, match="in-process"):
+            degraded = _run_distributed(
+                2, True, dropout=0.0, topk=4, steps=3,
+                plan=FaultPlan.parse("kill_worker:replica:*:3"),
+            )
+        assert _identical(inproc, degraded)
+        assert degraded[2][2] == [12, 12] and degraded[2][3] == 12
         _no_leaks()
 
     def test_engine_close_after_degradation_leaves_nothing(

@@ -24,13 +24,19 @@ import pytest
 
 from repro.graphs import (
     attach_classification_task,
+    bfs_partition,
     owned_segment_count,
     sbm_graph,
     shared_memory_available,
 )
 from repro.models import GNNConfig, MaxKGNN
 from repro.sparse import ops
-from repro.training import Engine, PrefetchWorkerError, make_flow
+from repro.training import (
+    Engine,
+    PrefetchWorkerError,
+    TrainResult,
+    make_flow,
+)
 from repro.training.parallel import available_cores
 
 pytestmark = pytest.mark.skipif(
@@ -73,25 +79,44 @@ def _run_sampled(workers, epochs=2):
     return losses, params
 
 
-def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2):
+def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2,
+                     steps=1, unlabelled_part=None):
     graph = _task_graph()
+    boundary_fraction = 0.2
+    if unlabelled_part is not None:
+        # No halo and not one training node in the part: whichever
+        # executor builds that slot must skip it.
+        boundary_fraction = 0.0
+        members = bfs_partition(graph, 4, seed=7).members(unlabelled_part)
+        graph.train_mask = graph.train_mask.copy()
+        graph.train_mask[members] = False
     flow = make_flow(
         "distributed", inner="partitioned", replicas=replicas,
         grad_topk=topk, processes=processes, n_parts=4,
-        boundary_fraction=0.2, seed=7,
+        boundary_fraction=boundary_fraction, seed=7,
     )
     engine = Engine(MaxKGNN(graph, _config(dropout), seed=0), graph, flow,
                     lr=0.01)
+    result = TrainResult()
     try:
-        losses = [engine.train_epoch(epoch=e) for e in range(epochs)]
+        losses = [
+            engine.train_epoch(epoch=e, steps_per_batch=steps, result=result)
+            for e in range(epochs)
+        ]
         params = [p.data.copy() for p in engine.optimizer.parameters]
     finally:
         engine.close()
-    return losses, params
+    bookkeeping = (
+        result.batch_losses, result.batch_sizes,
+        flow.replica_steps.tolist(), flow.grad_exchanges,
+    )
+    return losses, params, bookkeeping
 
 
 def _identical(a, b):
-    return a[0] == b[0] and all(
+    """Epoch losses, final parameters and (for distributed runs) the
+    per-batch bookkeeping + flow telemetry, all exactly equal."""
+    return a[0] == b[0] and a[2:] == b[2:] and all(
         np.array_equal(x, y) for x, y in zip(a[1], b[1])
     )
 
@@ -150,11 +175,89 @@ class TestReplicaProcesses:
         _no_leaks()
 
     def test_r2_dense_bit_identical_without_dropout(self, force_procs):
-        assert _identical(
-            _run_distributed(2, False, dropout=0.0),
-            _run_distributed(2, True, dropout=0.0),
-        )
+        for unlabelled_part in (None, 1):
+            inproc = _run_distributed(
+                2, False, dropout=0.0, unlabelled_part=unlabelled_part
+            )
+            assert _identical(inproc, _run_distributed(
+                2, True, dropout=0.0, unlabelled_part=unlabelled_part
+            ))
+        # The skipped slot trained nothing on either executor.
+        assert inproc[2][2] == [4, 2] and len(inproc[2][0]) == 6
         _no_leaks()
+
+    def test_zero_steps_train_nothing_on_either_executor(self, force_procs):
+        runs = [
+            _run_distributed(2, processes, dropout=0.0, steps=0, epochs=1)
+            for processes in (False, True)
+        ]
+        for losses, _, bookkeeping in runs:
+            assert np.isnan(losses).all()
+            assert bookkeeping == ([], [], [0, 0], 0)
+        assert all(np.array_equal(x, y) for x, y in zip(runs[0][1],
+                                                        runs[1][1]))
+        _no_leaks()
+
+    def test_round_loop_drives_any_executor_in_order(self):
+        """The one round loop against a recording fake (no processes):
+        build → step × steps → retire per round, gradients landed by the
+        executor, and ``preselected`` handed through to the reduce."""
+        graph = _task_graph()
+        flow = make_flow(
+            "distributed", inner="partitioned", replicas=2, grad_topk=1,
+            processes=True, n_parts=4, boundary_fraction=0.2, seed=7,
+        )
+        engine = Engine(MaxKGNN(graph, _config(), seed=0), graph, flow,
+                        lr=0.01)
+        calls = []
+
+        class FakeExecutor:
+            preselected = True
+
+            def build(self, assignments, epoch):
+                calls.append(("build", list(assignments), epoch))
+                # Replica 1 of the second round reports an unlabelled batch.
+                return {
+                    replica: (slot == 3, 10 + slot, 100 + slot)
+                    for replica, slot in assignments
+                }
+
+            def step(self, participants, store):
+                calls.append(("step", list(participants)))
+                for replica in participants:
+                    store.deposit(replica, [
+                        np.full(p.data.size, 1.0 + replica)
+                        for p in store.parameters
+                    ])
+                return {replica: (0.5 + replica, 0.01)
+                        for replica in participants}
+
+            def retire(self, participants):
+                calls.append(("retire", list(participants)))
+
+        engine._ensure_replica_pool = FakeExecutor
+        result = TrainResult()
+        try:
+            loss = engine.train_epoch(epoch=3, steps_per_batch=2,
+                                      result=result)
+        finally:
+            engine.close()
+        assert calls == [
+            ("build", [(0, 0), (1, 1)], 3),
+            ("step", [0, 1]), ("step", [0, 1]), ("retire", [0, 1]),
+            ("build", [(0, 2), (1, 3)], 3),
+            ("step", [0]), ("step", [0]), ("retire", [0]),
+        ]
+        assert result.batch_losses == [0.5, 1.5, 0.5]
+        assert result.batch_sizes == [10, 11, 12]
+        assert loss == pytest.approx(2.5 / 3)
+        assert flow.replica_steps.tolist() == [4, 2]
+        assert flow.replica_edges.tolist() == [2 * 100 + 2 * 102, 2 * 101]
+        assert flow.grad_exchanges == 4
+        # preselected=True: the top-1 store summed the deposited rows
+        # as they were instead of selecting one entry per tensor again.
+        for p in engine.optimizer.parameters:
+            assert np.array_equal(p.grad, np.ones_like(p.data))
 
     def test_r2_topk_bit_identical_without_dropout(self, force_procs):
         assert _identical(

@@ -5,7 +5,8 @@ Covers the three tentpole layers and their seams:
 * :class:`~repro.training.dataflow.PrefetchFlow` — bit-identical
   trajectories with prefetch on/off across every backend and flow shape
   (pooled / unpooled / micro-batched), worker error propagation, fallback
-  for unschedulable flows, and the engine's warm-hook wiring;
+  for unschedulable flows, abandonment against both builders, and the
+  warm-up every builder shares with the inline path;
 * ``fused_ce`` — bitwise equality against the composed
   ``cross_entropy`` and a finite-difference gradcheck, per backend;
 * the vectorized backend's blocked gather–scatter SpMM — bitwise
@@ -15,13 +16,17 @@ Covers the three tentpole layers and their seams:
 * the fused GIN path — bit-identical to the composed ops.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.graphs import (
     Graph,
     attach_classification_task,
+    owned_segment_count,
     sbm_graph,
+    shared_memory_available,
 )
 from repro.models import GNNConfig, MaxKGNN
 from repro.sparse import CSRMatrix, ops
@@ -33,9 +38,16 @@ from repro.training import (
     PartitionedFlow,
     PrefetchFlow,
     SampledFlow,
+    batch_loss,
     make_flow,
 )
+from repro.training.parallel import warm_batch
 from tests.test_tensor import finite_difference
+
+#: Prefetch builders: the background thread, and (where the host has
+#: shared memory) two worker processes. Looped over inside the cases
+#: below rather than parametrised, so their test ids stay stable.
+BUILDERS = ["thread"] + ([2] if shared_memory_available() else [])
 
 
 @pytest.fixture(params=ops.available_backends())
@@ -50,15 +62,13 @@ def _task_graph(n=150, seed=3):
     return graph
 
 
-def _engine(graph, flow=None, seed=0, model_type="sage", use_workspace=True,
-            fused_loss=True):
+def _engine(graph, flow=None, seed=0, model_type="sage", use_workspace=True):
     config = GNNConfig(
         model_type=model_type, in_features=8, hidden=16, out_features=4,
         n_layers=2, nonlinearity="maxk", k=4, dropout=0.2,
         use_workspace=use_workspace,
     )
-    return Engine(MaxKGNN(graph, config, seed=seed), graph, flow, lr=0.01,
-                  fused_loss=fused_loss)
+    return Engine(MaxKGNN(graph, config, seed=seed), graph, flow, lr=0.01)
 
 
 # ----------------------------------------------------------------------
@@ -114,6 +124,18 @@ class TestPrefetchDeterminism:
             return result
 
         assert run(0).train_losses == run(2).train_losses
+
+
+class _RecordingFlow(SampledFlow):
+    """Remembers every batch sampled in *this* process (module-level so it
+    pickles into spawn workers, whose own recordings stay with them)."""
+
+    sampled = ()
+
+    def _sample(self, graph, slot):
+        subgraph = super()._sample(graph, slot)
+        self.sampled = [*self.sampled, subgraph]
+        return subgraph
 
 
 class TestPrefetchMechanics:
@@ -201,43 +223,67 @@ class TestPrefetchMechanics:
         assert built_fresh is not built_stale
         assert fresh_cache.get(0) is built_fresh
 
-    def test_cancelled_prefetch_retires_oneshot_batches(self):
-        """Batches built ahead but never consumed must still be retired,
-        or their warmed backend wrappers stay pinned."""
+    def test_cancelled_prefetch_retires_oneshot_batches(self, force_procs):
+        """A consumer that abandons mid-epoch leaves nothing behind on
+        either builder: batches built ahead but never consumed are still
+        retired (or their warmed backend wrappers stay pinned), the flow
+        keeps serving later epochs, and close() frees every resource."""
+        for workers in BUILDERS:
+            self._abandon_mid_epoch(workers)
+
+    def _abandon_mid_epoch(self, workers):
         graph = _task_graph(60)
-        flow = PrefetchFlow(
-            SampledFlow(sampler="node", batches_per_epoch=3, sample_size=20,
-                        seed=0), 2)
-        backend = ops.get_backend()
-        registered = []
-
-        def warmer(subgraph):
-            matrix = subgraph.adjacency("sage")
-            backend.warm([matrix])
-            registered.append(matrix)
-
-        flow.set_warmer(warmer)
+        inner = _RecordingFlow(sampler="node", batches_per_epoch=3,
+                               sample_size=20, seed=0)
+        flow = PrefetchFlow(inner, 2, workers=workers)
+        flow.set_warm_norms(("sage",))
         stream = flow.batches(graph, 0)
-        next(stream)
+        held = next(stream)
         stream.close()  # abandon: queued + in-flight batches are dropped
-        flow.close()    # joins the worker, so all retires have run
-        # Every dropped batch's registration was released; only the batch
-        # the abandoned generator handed out stays registered (matching
-        # sequential flows, which also skip release on abandonment).
-        assert ops.release(registered) == 1
+        assert len(list(flow.batches(graph, 5))) == 3  # still serves
+        flow.close()    # joins the builder, so all retires have run
+        # Every dropped batch's registrations were released; only the
+        # batch the abandoned generator handed out may stay registered
+        # (matching sequential flows, which also skip release on
+        # abandonment) — and only the thread builder registers at all.
+        built = [
+            matrix for subgraph in inner.sampled
+            for matrix in subgraph._adj_cache.values()
+        ]
+        held_matrices = list(held._adj_cache.values())
+        assert len(held_matrices) == 2
+        expected = 2 if workers == "thread" else 0
+        assert ops.release(built + held_matrices) == expected
+        assert owned_segment_count() == 0
+        assert not multiprocessing.active_children()
 
-    def test_engine_installs_warmer(self, backend):
+    def test_engine_installs_warmer(self, backend, force_procs):
+        """The engine names its model's adjacencies once, and a prefetched
+        batch arrives with exactly the matrices an inline-warmed one
+        holds, whichever builder made it."""
         graph = _task_graph(80)
-        flow = PrefetchFlow(
-            SampledFlow(sampler="node", sample_size=30, pool_size=2, seed=0), 2)
-        engine = _engine(graph, flow)
-        assert flow.warm is not None
-        engine.fit(2, eval_every=2)
-        flow.close()
-        # The warmer built both adjacencies on every prefetched batch.
-        slot = flow.inner.cache.get(0)
-        assert slot is not None
-        assert "sage" in slot._adj_cache and "sage^T" in slot._adj_cache
+
+        def inner():
+            return SampledFlow(sampler="node", sample_size=30, seed=0)
+
+        inline = next(inner().batches(graph, 0))
+        for workers in BUILDERS:
+            flow = PrefetchFlow(inner(), 2, workers=workers)
+            engine = _engine(graph, flow)
+            assert flow.warm_norms == ("sage",)
+            warm_batch(inline, flow.warm_norms)
+            try:
+                prefetched = next(flow.batches(graph, 0))
+            finally:
+                engine.close()
+            assert set(inline._adj_cache) == {"sage", "sage^T"}
+            assert set(prefetched._adj_cache) == set(inline._adj_cache)
+            for key, matrix in inline._adj_cache.items():
+                twin = prefetched._adj_cache[key]
+                assert twin.data.tobytes() == matrix.data.tobytes()
+                assert twin.indices.tobytes() == matrix.indices.tobytes()
+            ops.release(prefetched._adj_cache.values())
+        ops.release(inline._adj_cache.values())
 
 
 # ----------------------------------------------------------------------
@@ -292,11 +338,21 @@ class TestFusedCE:
         assert a.grad.tobytes() == b.grad.tobytes()
 
     def test_engine_fused_loss_matches_composed(self, backend):
+        """The engine's (fused) training loss against the composed oracle:
+        value and input gradient, bitwise, on a real model's logits."""
         graph = _task_graph()
-        fused = _engine(graph, fused_loss=True).fit(4, eval_every=2)
-        composed = _engine(graph, fused_loss=False).fit(4, eval_every=2)
-        assert fused.train_losses == composed.train_losses
-        assert fused.val_metrics == composed.val_metrics
+        model = _engine(graph).model
+        logits = model(np.asarray(graph.features, dtype=np.float64)).data
+        grads = []
+        values = []
+        for fused in (True, False):
+            leaf = Tensor(logits.copy(), requires_grad=True)
+            loss = batch_loss(model, leaf, graph, fused)
+            loss.backward()
+            values.append(loss.data.tobytes())
+            grads.append(leaf.grad.tobytes())
+        assert values[0] == values[1]
+        assert grads[0] == grads[1]
 
 
 # ----------------------------------------------------------------------
