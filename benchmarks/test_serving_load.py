@@ -36,9 +36,21 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import format_table, perf_smoke_enabled
-from repro.graphs import TRAINING_CONFIGS, load_training_dataset
+from repro.graphs import (
+    TRAINING_CONFIGS,
+    attach_classification_task,
+    load_training_dataset,
+    sbm_graph,
+)
 from repro.models import GNNConfig, MaxKGNN
-from repro.serving import OK, OVERLOADED, InferenceService, ServiceConfig
+from repro.serving import (
+    OK,
+    OVERLOADED,
+    InferenceService,
+    Request,
+    ServiceConfig,
+    build_ego_batch,
+)
 from repro.training import FaultPlan, set_fault_plan
 from repro.training.parallel import reset_fallback_warnings
 
@@ -55,6 +67,9 @@ MULTI_CORE = (len(os.sched_getaffinity(0))
 #: one core that amortises Python/kernel dispatch, so the floor is
 #: hardware-agnostic — merely higher where real parallel arrival exists.
 BATCH_SPEEDUP_FLOOR = 1.05
+#: Size sweep (ROADMAP item 5): the same SBM generator at 1x and 10x nodes,
+#: degree fixed, so a per-request cost that scans the graph shows as ~10x.
+SWEEP_NODES = (3_000, 30_000)
 
 
 @pytest.fixture(autouse=True)
@@ -96,6 +111,28 @@ def _closed_loop(service, nodes):
             tickets.append(service.submit(node, seed=5))
         service.drain()
     return tickets, time.perf_counter() - start
+
+
+def _ego_build_us_per_req(n_nodes):
+    """Median per-request cost of building full windows of 2-hop, fanout-8
+    ego-nets on an ``n_nodes`` SBM graph (edge index built beforehand)."""
+    graph = sbm_graph(n_nodes, 10, 16.0, seed=0).to_undirected()
+    attach_classification_task(graph, n_features=32, seed=0)
+    rng = np.random.default_rng(3)
+    requests = [
+        Request(rid=rid, node=int(node), seed=5, deadline=float("inf"),
+                submitted=0.0)
+        for rid, node in enumerate(rng.integers(0, n_nodes, N_CLOSED))
+    ]
+    windows = [requests[base:base + MAX_BATCH]
+               for base in range(0, N_CLOSED, MAX_BATCH)]
+    build_ego_batch(graph, windows[0], 2, 8)
+    seconds = []
+    for window in windows:
+        start = time.perf_counter()
+        build_ego_batch(graph, window, 2, 8)
+        seconds.append(time.perf_counter() - start)
+    return 1e6 * float(np.median(seconds)) / MAX_BATCH
 
 
 @pytest.mark.slow
@@ -142,6 +179,13 @@ def test_closed_loop_batching_identity_and_speedup(
         "mean_batch": float(stats.get("mean_batch", 1.0)),
         "cache_hits": stats["cache"]["hits"],
     }
+    small, large = (_ego_build_us_per_req(n) for n in SWEEP_NODES)
+    payload.update({
+        "ego_build_us_per_req_1x": small,
+        "ego_build_us_per_req_10x": large,
+        # 1.0 = per-request build cost flat across the 10x size step.
+        "ego_build_size_scaling": small / large,
+    })
     record_json("BENCH_serving", "closed_loop", payload)
     record_result("serving_closed_loop", format_table(
         ["metric", "value"],

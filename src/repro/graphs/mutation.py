@@ -27,7 +27,7 @@ matrix stays bit-identical to a from-scratch rebuild of the mutated graph.
 Cache discipline
 ----------------
 ``apply_delta`` bumps ``graph.generation`` (invalidating the lazily-checked
-adjacency / transpose / neighbour-table caches), releases the old matrices
+adjacency / transpose / edge-index caches), releases the old matrices
 from the active sparse backend's plan caches via ``ops.release`` and
 re-warms the replacements via ``ops.warm``.
 """
@@ -326,7 +326,7 @@ def apply_delta(graph, delta: GraphDelta, warm: bool = True):
     cached normalised adjacencies are re-derived from the merged bases via
     the exact scaling expressions of ``normalized_adjacency``, so every
     rebuilt matrix is bit-identical to a from-scratch build of the mutated
-    edge list.  Transpose and neighbour-table caches are dropped (rebuilt
+    edge list.  Transpose and edge-index caches are dropped (rebuilt
     lazily), ``graph.generation`` is bumped, and the active sparse
     backend's plan caches are released for the old buffers (re-warmed for
     the new ones unless ``warm=False``).
@@ -364,9 +364,7 @@ def apply_delta(graph, delta: GraphDelta, warm: bool = True):
     graph._cache_generation = graph.generation
     graph._adj_cache.clear()
     graph._structure_cache.clear()
-    neighbour_cache = getattr(graph, "_neighbour_cache", None)
-    if neighbour_cache is not None:
-        neighbour_cache.clear()
+    graph._edge_index.clear()
     for key in ("plain", "loops"):
         if merged[key] is not None:
             graph._structure_cache[key] = merged[key]

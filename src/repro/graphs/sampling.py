@@ -12,6 +12,13 @@ subgraphs such trainers consume; MaxK layers run on them unchanged.
 * :func:`khop_neighborhood` — GraphSAGE-style fan-out-limited k-hop
   neighbourhood around seed nodes.
 
+The walk and k-hop samplers read a node's neighbours as a slice of the
+graph's cached edge index (:meth:`Graph.edge_index`: ``out`` for walks,
+``in`` for k-hop; one stable argsort per direction per graph generation),
+in edge-list order — they draw positionally, so the order is part of the
+sampling stream — and every sampler induces through
+:func:`~repro.graphs.partition.induced_subgraph` over the same index.
+
 Importance sampling draws **with replacement** from an explicit probability
 vector and attaches :attr:`~repro.graphs.graph.Graph.loss_weights` to the
 induced subgraph: node ``v`` drawn ``c_v`` times out of ``m`` draws gets
@@ -25,7 +32,7 @@ the fuzz test in ``tests/test_distributed_training.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -198,44 +205,6 @@ def edge_sampler(
     )
 
 
-def _neighbour_table(graph: Graph, direction: str) -> Dict[int, List[int]]:
-    """Adjacency lists (``out``: src→dsts, ``in``: dst→srcs), cached.
-
-    Built vectorised — one stable argsort groups each node's neighbours
-    while preserving edge order, so every list is element-for-element
-    identical to the historical per-edge Python loop (samplers draw from
-    the lists positionally; order changes would change samples). Cached on
-    the graph instance: the walk/khop samplers rebuild per batch otherwise,
-    putting an O(E) Python loop on the sampled flow's critical path.
-    """
-    # Mutation safety: a generation bump (Graph.apply_delta) must not leave
-    # stale neighbour lists behind — _fresh_caches clears this cache too.
-    graph._fresh_caches()
-    cache = getattr(graph, "_neighbour_cache", None)
-    if cache is None:
-        cache = {}
-        graph._neighbour_cache = cache
-    table = cache.get(direction)
-    if table is not None:
-        return table
-    keys, values = (
-        (graph.src, graph.dst) if direction == "out" else (graph.dst, graph.src)
-    )
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_values = values[order]
-    boundaries = np.flatnonzero(
-        np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-    )
-    ends = np.r_[boundaries[1:], len(sorted_keys)]
-    table = {
-        int(sorted_keys[start]): sorted_values[start:end].tolist()
-        for start, end in zip(boundaries, ends)
-    }
-    cache[direction] = table
-    return table
-
-
 def random_walk_sampler(
     graph: Graph, n_roots: int, walk_length: int, seed: SeedLike = 0
 ) -> Graph:
@@ -243,7 +212,7 @@ def random_walk_sampler(
     if n_roots < 1 or walk_length < 1:
         raise ValueError("n_roots and walk_length must be positive")
     rng = as_generator(seed)
-    neighbours = _neighbour_table(graph, "out")
+    _, indptr, out_dst = graph.edge_index("out")
     visited = set()
     roots = rng.choice(graph.n_nodes, size=min(n_roots, graph.n_nodes),
                        replace=False)
@@ -251,10 +220,10 @@ def random_walk_sampler(
         node = int(root)
         visited.add(node)
         for _ in range(walk_length):
-            successors = neighbours.get(node)
-            if not successors:
+            start, end = int(indptr[node]), int(indptr[node + 1])
+            if start == end:
                 break
-            node = successors[rng.integers(0, len(successors))]
+            node = int(out_dst[start + rng.integers(0, end - start)])
             visited.add(node)
     return induced_subgraph(graph, np.array(sorted(visited), dtype=np.int64))
 
@@ -281,17 +250,20 @@ def khop_neighborhood(
     if seeds.size and (seeds.min() < 0 or seeds.max() >= graph.n_nodes):
         raise ValueError("seed ids out of range")
     rng = as_generator(rng_seed)
-    in_neighbours = _neighbour_table(graph, "in")
+    _, indptr, in_src = graph.edge_index("in")
     reached = set(int(s) for s in seeds)
     frontier = list(reached)
     for _ in range(n_hops):
         next_frontier: List[int] = []
-        for node in frontier:
-            parents = in_neighbours.get(node, [])
-            if len(parents) > fanout:
-                chosen = rng.choice(len(parents), size=fanout, replace=False)
-                parents = [parents[i] for i in chosen]
-            for parent in parents:
+        rows = np.array(frontier, dtype=np.int64)
+        bounds = zip(indptr[rows].tolist(), indptr[rows + 1].tolist())
+        for start, end in bounds:
+            parents = in_src[start:end]
+            if end - start > fanout:
+                parents = parents[
+                    rng.choice(end - start, size=fanout, replace=False)
+                ]
+            for parent in parents.tolist():
                 if parent not in reached:
                     reached.add(parent)
                     next_frontier.append(parent)

@@ -65,8 +65,6 @@ class EgoBatch:
     merged: Graph
     #: Row of ``merged`` holding each request's query node, request order.
     query_rows: np.ndarray
-    #: Per-member subgraphs (released with the merged graph).
-    members: List[Graph]
 
 
 def build_ego_batch(graph: Graph, requests: Sequence[Request],
@@ -90,10 +88,9 @@ def build_ego_batch(graph: Graph, requests: Sequence[Request],
         query_rows[index] = offset + row
         offset += ego.n_nodes
         members.append(ego)
-    merged = batch_graphs(members) if len(members) > 1 else members[0]
     return EgoBatch(
-        requests=list(requests), merged=merged,
-        query_rows=query_rows, members=members,
+        requests=list(requests), merged=batch_graphs(members),
+        query_rows=query_rows,
     )
 
 
@@ -170,13 +167,10 @@ class MicroBatcher:
 
         Served windows are one-shot graphs; without this, every window
         would churn the backend's LRU and evict the full graph's (and the
-        cache-worthy survivors') warm entries.
+        cache-worthy survivors') warm entries. Only the merged graph ever
+        owns an adjacency: member ego-nets are never warmed or bound.
         """
-        backend = get_backend()
-        backend.release(batch.merged._adj_cache.values())
-        for member in batch.members:
-            if member is not batch.merged:
-                backend.release(member._adj_cache.values())
+        get_backend().release(batch.merged._adj_cache.values())
 
 
 def forward_rows(model, batch: EgoBatch) -> List[np.ndarray]:

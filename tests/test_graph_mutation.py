@@ -6,7 +6,7 @@ The contract under test, layer by layer:
   to a from-scratch rebuild of the mutated edge list (fuzz-asserted on every
   registered backend, all three normalisations plus transposes);
 * every graph-derived cache — adjacency, transpose, structural bases,
-  sampler neighbour tables, backend SpMM plans — invalidates on the
+  the edge index, backend SpMM plans — invalidates on the
   ``generation`` bump, so nothing downstream ever reads pre-delta structure;
 * the serving layer mutates **live**: in-flight requests are served
   bit-identical to their admission-time graph, repeated queries miss the
@@ -26,6 +26,7 @@ from repro.graphs import (
     GraphDelta,
     apply_delta,
     attach_classification_task,
+    induced_subgraph,
     khop_neighborhood,
     merge_csr_delta,
     owned_segment_count,
@@ -36,6 +37,13 @@ from repro.graphs.shm import SharedGraphStore, StaleHandleError
 from repro.models import GNNConfig, MaxKGNN
 from repro.serving import InferenceService, ServiceConfig
 from repro.sparse import CSRMatrix, coo_to_csr, ops
+from tests.test_partition_sampling import (
+    assert_expansion_matches_oracle,
+    assert_same_graph,
+    messy_graph,
+    node_sets,
+    reference_induced_subgraph,
+)
 
 SEEDS = [0, 1, 2]
 
@@ -297,9 +305,9 @@ class TestGenerationCaches:
         # A^T[src, dst]: the new edge must be visible in row 11.
         assert 0 in transpose.row_slice(11)[0]
 
-    def test_neighbour_table_invalidates_on_mutation(self):
-        # Node 2 starts with no in-edges; warm the sampler's cached
-        # neighbour table, then add 0 -> 2 and re-sample.
+    def test_edge_index_invalidates_on_mutation(self):
+        # Node 2 starts with no in-edges; warm the graph's cached edge
+        # index, then add 0 -> 2 and re-sample.
         graph = Graph(n_nodes=3, src=np.array([0]), dst=np.array([1]))
         before = khop_neighborhood(graph, [2], 1, 4, rng_seed=0,
                                    return_nodes=True)[1]
@@ -308,6 +316,34 @@ class TestGenerationCaches:
         after = khop_neighborhood(graph, [2], 1, 4, rng_seed=0,
                                   return_nodes=True)[1]
         assert list(after) == [0, 2]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_index_paths_equal_oracle_after_deltas(self, seed):
+        # Removals shift COO positions, adds append, add_nodes grows
+        # indptr; the second delta makes the index rebuild twice.
+        graph = messy_graph(seed)
+        rng = np.random.default_rng(300 + seed)
+        for round_ in range(2):
+            for direction in ("in", "out"):  # warm; the delta makes it stale
+                graph.edge_index(direction)
+            picked = rng.integers(0, max(graph.n_edges, 1),
+                                  min(graph.n_edges, 5))
+            new_n = graph.n_nodes + 2
+            apply_delta(graph, GraphDelta(
+                add_src=rng.integers(0, new_n, 9),
+                add_dst=rng.integers(0, new_n, 9),
+                remove_src=graph.src[picked], remove_dst=graph.dst[picked],
+                add_nodes=2, add_features=rng.normal(size=(2, 3)),
+            ))
+            assert graph.generation == round_ + 1
+            for nodes in node_sets(graph, rng):
+                assert_same_graph(induced_subgraph(graph, nodes),
+                                  reference_induced_subgraph(graph, nodes))
+            for rng_seed, (fanout, n_hops) in enumerate(
+                    ((1, 1), (3, 2), (graph.n_edges + 1, 3))):
+                seeds = rng.integers(0, graph.n_nodes, 2)
+                assert_expansion_matches_oracle(graph, seeds, n_hops, fanout,
+                                                rng_seed)
 
     def test_node_payload_extension(self):
         graph = sbm_graph(30, 3, 4.0, seed=2)

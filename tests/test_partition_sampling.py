@@ -259,3 +259,234 @@ class TestPayloadPropagation:
         sub = node_sampler(graph, 50, seed=0)
         assert sub.train_mask.dtype == bool
         assert sub.train_mask.shape == (50,)
+
+
+# ----------------------------------------------------------------------
+# Oracle: full edge-list scan + per-edge neighbour lists
+# ----------------------------------------------------------------------
+# Test-local reference implementations of what the library computes from
+# ``Graph.edge_index``: induction by scanning every edge against a node
+# mask, and expansion over neighbour lists appended edge by edge. The
+# library must equal them array for array, and draw the same random
+# numbers. ``tests/test_graph_mutation.py`` reuses them after deltas.
+PAYLOADS = ("features", "labels", "train_mask", "val_mask", "test_mask",
+            "communities", "loss_weights")
+
+
+def reference_induced_subgraph(graph, nodes):
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    local_id = np.full(graph.n_nodes, -1, dtype=np.int64)
+    local_id[nodes] = np.arange(nodes.size)
+    keep = (local_id[graph.src] >= 0) & (local_id[graph.dst] >= 0)
+    payloads = {
+        name: None if getattr(graph, name) is None
+        else np.asarray(getattr(graph, name))[nodes]
+        for name in PAYLOADS
+    }
+    return Graph(
+        n_nodes=int(nodes.size),
+        src=local_id[graph.src[keep]],
+        dst=local_id[graph.dst[keep]],
+        name=f"{graph.name}-sub",
+        multilabel=graph.multilabel,
+        **payloads,
+    )
+
+
+def reference_neighbour_lists(graph, direction):
+    keys, values = (
+        (graph.src, graph.dst) if direction == "out" else (graph.dst, graph.src)
+    )
+    lists = {}
+    for key, value in zip(keys.tolist(), values.tolist()):
+        lists.setdefault(key, []).append(value)
+    return lists
+
+
+def reference_khop_nodes(graph, seeds, n_hops, fanout, rng):
+    in_neighbours = reference_neighbour_lists(graph, "in")
+    reached = set(int(s) for s in np.unique(np.asarray(seeds, dtype=np.int64)))
+    frontier = list(reached)
+    for _ in range(n_hops):
+        next_frontier = []
+        for node in frontier:
+            parents = in_neighbours.get(node, [])
+            if len(parents) > fanout:
+                chosen = rng.choice(len(parents), size=fanout, replace=False)
+                parents = [parents[i] for i in chosen]
+            for parent in parents:
+                if parent not in reached:
+                    reached.add(parent)
+                    next_frontier.append(parent)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return np.array(sorted(reached), dtype=np.int64)
+
+
+def reference_walk_nodes(graph, n_roots, walk_length, rng):
+    neighbours = reference_neighbour_lists(graph, "out")
+    visited = set()
+    roots = rng.choice(graph.n_nodes, size=min(n_roots, graph.n_nodes),
+                       replace=False)
+    for root in roots:
+        node = int(root)
+        visited.add(node)
+        for _ in range(walk_length):
+            successors = neighbours.get(node)
+            if not successors:
+                break
+            node = successors[rng.integers(0, len(successors))]
+            visited.add(node)
+    return np.array(sorted(visited), dtype=np.int64)
+
+
+def assert_same_graph(actual, expected):
+    assert actual.n_nodes == expected.n_nodes
+    assert actual.name == expected.name
+    assert actual.multilabel == expected.multilabel
+    for name in ("src", "dst") + PAYLOADS:
+        got, want = getattr(actual, name), getattr(expected, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def messy_graph(seed):
+    """A directed multigraph with duplicate edges, self-loops, one-way
+    edges and isolated nodes (the last third has no edge at all)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 70))
+    connected = max(1, 2 * n // 3)
+    n_edges = int(rng.integers(0, 6 * n))
+    src = rng.integers(0, connected, n_edges)
+    dst = rng.integers(0, connected, n_edges)
+    if n_edges >= 8:
+        src[:4], dst[:4] = src[4:8], dst[4:8]  # duplicates
+        dst[-2:] = src[-2:]                    # self-loops
+    multilabel = seed % 2 == 1
+    return Graph(
+        n_nodes=n, src=src, dst=dst,
+        features=rng.normal(size=(n, 3)),
+        labels=(rng.integers(0, 2, (n, 4)) if multilabel
+                else rng.integers(0, 4, n)),
+        train_mask=rng.random(n) < 0.5,
+        val_mask=rng.random(n) < 0.3,
+        test_mask=rng.random(n) < 0.3,
+        name=f"messy{seed}",
+        multilabel=multilabel,
+        communities=rng.integers(0, 3, n),
+        loss_weights=rng.random(n),
+    )
+
+
+def node_sets(graph, rng):
+    n = graph.n_nodes
+    return [
+        np.empty(0, dtype=np.int64),
+        np.array([int(rng.integers(0, n))]),
+        rng.integers(0, n, 2 * n)[::-1],          # unsorted, with repeats
+        rng.permutation(n)[: n // 2],
+        np.arange(n),
+    ]
+
+
+def assert_expansion_matches_oracle(graph, seeds, n_hops, fanout, rng_seed):
+    """k-hop and walk from one generator state equal the oracle's nodes,
+    subgraph and final generator state."""
+    ours, oracle = (np.random.default_rng(rng_seed) for _ in range(2))
+    sub, nodes = khop_neighborhood(graph, seeds, n_hops, fanout,
+                                   rng_seed=ours, return_nodes=True)
+    expected = reference_khop_nodes(graph, seeds, n_hops, fanout, oracle)
+    np.testing.assert_array_equal(nodes, expected)
+    assert_same_graph(sub, reference_induced_subgraph(graph, expected))
+    assert ours.bit_generator.state == oracle.bit_generator.state
+    walk = random_walk_sampler(graph, 1 + fanout % 5, 1 + n_hops, seed=ours)
+    expected = reference_walk_nodes(graph, 1 + fanout % 5, 1 + n_hops, oracle)
+    assert_same_graph(walk, reference_induced_subgraph(graph, expected))
+    assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+class TestEdgeIndexOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_induction_equals_full_scan(self, seed):
+        graph = messy_graph(seed)
+        rng = np.random.default_rng(100 + seed)
+        for nodes in node_sets(graph, rng):
+            assert_same_graph(induced_subgraph(graph, nodes),
+                              reference_induced_subgraph(graph, nodes))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_khop_and_walk_equal_neighbour_lists(self, seed):
+        graph = messy_graph(seed)
+        max_degree = int(max(graph.in_degrees().max(),
+                             graph.out_degrees().max()))
+        rng = np.random.default_rng(200 + seed)
+        triples = [(s, fanout, hops)
+                   for s, fanout in enumerate((1, 2, 5, max_degree + 1))
+                   for hops in (0, 1, 3)]
+        for rng_seed, fanout, n_hops in triples:
+            seeds = rng.integers(0, graph.n_nodes, 1 + rng_seed)
+            assert_expansion_matches_oracle(graph, seeds, n_hops, fanout,
+                                            rng_seed)
+
+    def test_index_groups_edges_in_coo_order(self):
+        graph = messy_graph(3)
+        for direction, keys, other in (("in", graph.dst, graph.src),
+                                       ("out", graph.src, graph.dst)):
+            order, indptr, values = graph.edge_index(direction)
+            lists = reference_neighbour_lists(graph, direction)
+            assert indptr.shape == (graph.n_nodes + 1,)
+            for node in range(graph.n_nodes):
+                span = slice(indptr[node], indptr[node + 1])
+                assert values[span].tolist() == lists.get(node, [])
+                assert (keys[order[span]] == node).all()
+                assert (np.diff(order[span]) > 0).all()
+            np.testing.assert_array_equal(other[order], values)
+        with pytest.raises(ValueError):
+            graph.edge_index("both")
+
+    def test_concurrent_induction_equals_serial(self):
+        """The prefetch builder and its consumer induce from one graph at
+        once: the lazily built index is shared, the id map is not."""
+        import sys
+        import threading
+
+        shared = sbm_graph(400, 4, 10.0, seed=9)
+        rng = np.random.default_rng(9)
+        work = [
+            [rng.integers(0, shared.n_nodes, int(rng.integers(1, 90)))
+             for _ in range(200)]
+            for _ in range(2)
+        ]
+        # The oracle never touches the index, so both threads race to
+        # build it.
+        serial = [[reference_induced_subgraph(shared, nodes) for nodes in sets]
+                  for sets in work]
+        assert not shared._edge_index
+        results = [[], []]
+        start = threading.Barrier(2, timeout=30)
+
+        def run(slot):
+            start.wait()
+            for nodes in work[slot]:
+                results[slot].append(induced_subgraph(shared, nodes))
+
+        threads = [threading.Thread(target=run, args=(slot,), daemon=True)
+                   for slot in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, serial):
+            assert len(got) == len(want) == 200
+            for actual, expected in zip(got, want):
+                assert_same_graph(actual, expected)
