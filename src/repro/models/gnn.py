@@ -34,9 +34,9 @@ class GNNConfig:
     dropout: float = 0.0
     #: Execute the literal CBSR SpGEMM/SSpMM dataflow in MaxK layers.
     use_cbsr_kernels: bool = False
-    #: Plan the dense hot path through a reusable buffer workspace (fused
-    #: linear/activation kernels, ``out=`` aggregation). Values are bit-
-    #: identical either way; disabling reverts to per-op allocations.
+    #: Serve the training step's large arrays from a reusable buffer
+    #: workspace instead of fresh allocations. Selects buffers only — the
+    #: ops executed, and every value, are the same either way.
     use_workspace: bool = True
 
     def __post_init__(self):
@@ -98,18 +98,16 @@ class MaxKGNN(Module):
     def forward(self, x) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(x)
+        # Evaluation takes fresh arrays (see GraphConvLayer._buffers): the
+        # arena never shrinks, so full-graph eval must not size its slots.
+        ws = self.workspace if self.training else None
         for index, conv in enumerate(self.convs):
             x = dropout(
                 x, self.config.dropout, self.training, self._dropout_rng,
-                workspace=self.workspace, slot=f"drop{index}",
+                workspace=ws, slot=f"drop{index}",
             )
             x = conv(x)
-        # Evaluation stays on the composed ops (see
-        # GraphConvLayer._transform_activate_aggregate): the arena never
-        # shrinks, so full-graph eval passes must not size its slots.
-        if self.workspace is not None and self.training:
-            return linear_act(
-                x, self.classifier.weight, self.classifier.bias,
-                activation="none", workspace=self.workspace, slot="classifier",
-            )
-        return self.classifier(x)
+        return linear_act(
+            x, self.classifier.weight, self.classifier.bias,
+            activation="none", workspace=ws, slot="classifier",
+        )

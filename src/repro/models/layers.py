@@ -68,66 +68,45 @@ class GraphConvLayer(Module):
         self.adj = graph.adjacency(self.norm)
         self.adj_t = graph.adjacency_transpose(self.norm)
 
-    def _activate(self, y: Tensor, slot_suffix: str = None) -> Tensor:
-        """The layer nonlinearity; planned when ``slot_suffix`` is given.
+    @property
+    def _buffers(self):
+        """Where this pass's large arrays come from: the arena while
+        training, ``None`` (fresh arrays) otherwise — evaluation passes run
+        rarely and on the full graph, and the arena's capacity never
+        shrinks, so sizing its slots there would pin full-graph-sized
+        buffers for the rest of the process."""
+        return self.workspace if self.training else None
 
-        With a suffix (and a workspace attached) the activation node's
-        mask, output and backward product land in workspace slots —
-        bit-identical values to the unplanned node, needed by layers whose
-        pre-activation feeds more than one consumer (GIN).
-        """
-        workspace = self.workspace if slot_suffix is not None else None
-        slot = self.slot + (slot_suffix or "")
+    def _activate(self, y: Tensor, workspace=None, slot_suffix: str = "") -> Tensor:
+        """The layer nonlinearity as its own autograd node (GIN hangs two
+        off one pre-activation; SAGE / GCN fold it into ``linear_act``)."""
+        slot = self.slot + slot_suffix
         if self.nonlinearity == "relu":
             return relu(y, workspace=workspace, slot=slot)
         if self.nonlinearity == "maxk":
             return maxk(y, self.k, workspace=workspace, slot=slot)
         return y
 
-    def _aggregate(self, h: Tensor) -> Tensor:
-        return spmm_agg(self.adj, h, self.adj_t)
-
-    def _activate_and_aggregate(self, y: Tensor) -> Tensor:
-        """Nonlinearity + aggregation, optionally through the CBSR kernels.
+    def forward(self, x: Tensor) -> Tensor:
+        """``A · f(X W + b)``: linear + nonlinearity + aggregation.
 
         With ``use_cbsr_kernels`` the MaxK sparsification, CBSR compression,
-        forward SpGEMM and backward SSpMM of Fig. 5 execute literally;
-        otherwise the dense-op composition computes the identical values.
+        forward SpGEMM and backward SSpMM of Fig. 5 execute literally on the
+        pre-activation; otherwise the nonlinearity is folded into the linear
+        pass and aggregated by the dense-operand SpMM — identical values.
         """
-        if self.use_cbsr_kernels:
-            return spgemm_agg(self.adj, y, self.k)
-        return self._aggregate(self._activate(y))
-
-    def _transform_activate_aggregate(self, x: Tensor) -> Tensor:
-        """The layer's full hot path: linear + nonlinearity + aggregation.
-
-        With a workspace attached (and the dense path active) this routes
-        through the fused :func:`~repro.tensor.functional.linear_act`
-        kernel — one pass folding matmul, bias and activation into
-        preplanned buffers — and the ``out=`` SpMM; the values are bit-
-        identical to the composed ops, only the allocations disappear.
-        Evaluation passes stay on the composed ops: they run rarely and
-        on the full graph, and the arena's capacity never shrinks, so
-        routing them through the workspace would pin full-graph-sized
-        buffers for the rest of the process.
-        """
-        if self.use_cbsr_kernels:
-            return spgemm_agg(self.adj, self.linear(x), self.k)
-        if self.workspace is not None and self.training:
-            h = linear_act(
-                x,
-                self.linear.weight,
-                self.linear.bias,
-                activation=self.nonlinearity,
-                k=self.k,
-                workspace=self.workspace,
-                slot=self.slot + ".lin",
-            )
-            return spmm_agg(
-                self.adj, h, self.adj_t,
-                workspace=self.workspace, slot=self.slot + ".agg",
-            )
-        return self._aggregate(self._activate(self.linear(x)))
+        ws = self._buffers
+        cbsr = self.use_cbsr_kernels
+        h = linear_act(
+            x, self.linear.weight, self.linear.bias,
+            activation="none" if cbsr else self.nonlinearity, k=self.k,
+            workspace=ws, slot=self.slot + ".lin",
+        )
+        if cbsr:
+            return spgemm_agg(self.adj, h, self.k)
+        return spmm_agg(
+            self.adj, h, self.adj_t, workspace=ws, slot=self.slot + ".agg"
+        )
 
 
 class SAGEConv(GraphConvLayer):
@@ -146,28 +125,19 @@ class SAGEConv(GraphConvLayer):
         self.linear_self = Linear(in_features, out_features, rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        aggregated = self._transform_activate_aggregate(x)
-        if (self.workspace is not None and self.training
-                and not self.use_cbsr_kernels):
-            root = linear_act(
-                x, self.linear_self.weight, self.linear_self.bias,
-                activation="none",
-                workspace=self.workspace, slot=self.slot + ".self",
-            )
-            return add_into(
-                aggregated, root,
-                workspace=self.workspace, slot=self.slot + ".sum",
-            )
-        return aggregated + self.linear_self(x)
+        ws = self._buffers
+        aggregated = super().forward(x)
+        root = linear_act(
+            x, self.linear_self.weight, self.linear_self.bias,
+            activation="none", workspace=ws, slot=self.slot + ".self",
+        )
+        return add_into(aggregated, root, workspace=ws, slot=self.slot + ".sum")
 
 
 class GCNConv(GraphConvLayer):
     """GCN with symmetric normalisation: ``out = Â · f(X W)``."""
 
     norm = "gcn"
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self._transform_activate_aggregate(x)
 
 
 class GINConv(GraphConvLayer):
@@ -187,28 +157,26 @@ class GINConv(GraphConvLayer):
     def forward(self, x: Tensor) -> Tensor:
         # GIN's pre-activation feeds two consumers (aggregation + the
         # epsilon self-term), so the single-output linear_act fusion does
-        # not apply. Instead the fused path keeps the pre-activation in a
-        # planned buffer and hangs *two* planned activation nodes off it —
-        # the same graph topology (and therefore the same gradient
-        # accumulation order into y) as the composed ops, bit for bit.
-        if (self.workspace is not None and self.training
-                and not self.use_cbsr_kernels):
-            y = linear_act(
-                x, self.linear.weight, self.linear.bias, activation="none",
-                workspace=self.workspace, slot=self.slot + ".lin",
-            )
-            h = self._activate(y, slot_suffix=".act")
+        # not apply: two activation nodes hang off one pre-activation, and
+        # add_into's parent order fixes the order their gradients
+        # accumulate into y — and with it every seeded trajectory.
+        ws = self._buffers
+        y = linear_act(
+            x, self.linear.weight, self.linear.bias, activation="none",
+            workspace=ws, slot=self.slot + ".lin",
+        )
+        h = self._activate(y, ws, ".act")
+        if self.use_cbsr_kernels:
+            aggregated = spgemm_agg(self.adj, y, self.k)
+        else:
             aggregated = spmm_agg(
-                self.adj, self._activate(y, slot_suffix=".act2"), self.adj_t,
-                workspace=self.workspace, slot=self.slot + ".agg",
+                self.adj, self._activate(y, ws, ".act2"), self.adj_t,
+                workspace=ws, slot=self.slot + ".agg",
             )
-            return add_into(
-                aggregated, h * (self.eps + 1.0),
-                workspace=self.workspace, slot=self.slot + ".sum",
-            )
-        y = self.linear(x)
-        h = self._activate(y)
-        return self._activate_and_aggregate(y) + h * (self.eps + 1.0)
+        return add_into(
+            aggregated, h * (self.eps + 1.0),
+            workspace=ws, slot=self.slot + ".sum",
+        )
 
 
 _CONV_TYPES = {"sage": SAGEConv, "gcn": GCNConv, "gin": GINConv}

@@ -619,43 +619,35 @@ class VectorizedBackend(SparseOpsBackend):
         return flat.reshape(n_src, k)
 
     @staticmethod
-    def _stable_topk_mask(keys: np.ndarray, k: int) -> np.ndarray:
-        """Exact top-k by value with ties resolved to the lowest column.
+    def _stable_topk_mask_into(keys, k, out, workspace=None, slot="topk"):
+        """Exact top-k by value, ties to the lowest column, written to ``out``.
 
-        ``np.partition`` finds the k-th largest key per row; everything
-        strictly above it survives and the remaining slots fill with the
-        leftmost keys equal to the threshold. This matches the reference
-        backend's stable sort exactly at any magnitude (an epsilon-bias
-        scheme would be absorbed by float rounding for large values).
-        """
-        n_rows, dim = keys.shape
-        if k == dim:
-            return np.ones_like(keys, dtype=bool)
-        threshold = np.partition(keys, dim - k, axis=1)[:, dim - k : dim - k + 1]
-        mask = keys > threshold
-        ties = keys == threshold
-        deficit = k - mask.sum(axis=1, keepdims=True)
-        mask |= ties & (np.cumsum(ties, axis=1) <= deficit)
-        return mask
+        A partition finds the k-th largest key per row; everything strictly
+        above it survives and the remaining slots fill with the leftmost
+        keys equal to the threshold. This matches the reference backend's
+        stable sort exactly at any magnitude (an epsilon-bias scheme would
+        be absorbed by float rounding for large values).
 
-    @staticmethod
-    def _stable_topk_mask_into(keys, k, out, workspace, slot):
-        """The :meth:`_stable_topk_mask` computation written into ``out``.
-
-        Identical values and operation order, but every (n, dim)-sized
-        intermediate — the partition scratch, the tie mask, the running tie
-        count — lives in workspace slots, so steady-state MaxK selection
-        allocates nothing large. ``out`` may be bool or float64; a float
-        mask holds exact 0.0/1.0 and lets callers multiply by it without
-        numpy's mixed-dtype casting buffers (``keys - threshold`` never
-        rounds two distinct doubles to zero, so ``heaviside(diff, 1.0)``
-        is the ``>=`` compare bit for bit).
+        Every (n, dim)-sized intermediate — the partition scratch, the tie
+        mask, the running tie count — comes from ``workspace`` slots when
+        one is given (steady-state MaxK selection then allocates nothing
+        large) and is a fresh array otherwise. ``out`` may be bool or
+        float64; a float mask holds exact 0.0/1.0 and lets callers multiply
+        by it without numpy's mixed-dtype casting buffers (``keys -
+        threshold`` never rounds two distinct doubles to zero, so
+        ``heaviside(diff, 1.0)`` is the ``>=`` compare bit for bit).
         """
         n_rows, dim = keys.shape
         if k == dim:
             out[...] = True
             return out
-        scratch = workspace.buffer(slot + ".part", keys.shape)
+
+        def take(name, dtype=np.float64):
+            if workspace is None:
+                return np.empty(keys.shape, dtype=dtype)
+            return workspace.buffer(slot + name, keys.shape, dtype)
+
+        scratch = take(".part")
         np.copyto(scratch, keys)
         scratch.partition(dim - k, axis=1)
         threshold = scratch[:, dim - k : dim - k + 1]
@@ -666,7 +658,7 @@ class VectorizedBackend(SparseOpsBackend):
         if out.dtype == np.bool_:
             np.greater_equal(keys, threshold, out=out)
         else:
-            diff = workspace.buffer(slot + ".diff", keys.shape)
+            diff = take(".diff")
             np.subtract(keys, threshold, out=diff)
             np.heaviside(diff, 1.0, out=out)
         if (out.sum(axis=1, keepdims=True) == k).all():
@@ -680,24 +672,27 @@ class VectorizedBackend(SparseOpsBackend):
         # Duplicated threshold values: redo with the exact cumulative fill.
         np.greater(keys, threshold, out=out)
         deficit = k - out.sum(axis=1, keepdims=True)
-        ties = workspace.buffer(slot + ".ties", keys.shape, dtype=bool)
+        ties = take(".ties", bool)
         np.equal(keys, threshold, out=ties)
-        running = workspace.buffer(slot + ".csum", keys.shape, dtype=np.int64)
+        running = take(".csum", np.int64)
         np.cumsum(ties, axis=1, out=running)
-        fill = workspace.buffer(slot + ".fill", keys.shape, dtype=bool)
+        fill = take(".fill", bool)
         np.less_equal(running, deficit, out=fill)
         np.logical_and(ties, fill, out=fill)
         np.logical_or(out, fill, out=out)
         return out
 
+    @staticmethod
+    def _stable_topk_mask(keys: np.ndarray, k: int) -> np.ndarray:
+        """:meth:`_stable_topk_mask_into` a fresh bool mask."""
+        return VectorizedBackend._stable_topk_mask_into(
+            keys, k, np.empty(keys.shape, dtype=bool)
+        )
+
     def topk_mask(self, x, k, out=None, workspace=None, slot="topk"):
-        if out is not None and workspace is not None:
-            return self._stable_topk_mask_into(x, k, out, workspace, slot)
-        result = self._stable_topk_mask(x, k)
         if out is None:
-            return result
-        np.copyto(out, result)
-        return out
+            return self._stable_topk_mask(x, k)
+        return self._stable_topk_mask_into(x, k, out, workspace, slot)
 
     def topk_columns(self, x, k):
         n_rows, dim = x.shape

@@ -7,7 +7,6 @@ from .functional import (
     dropout,
     fused_ce,
     linear_act,
-    linear_maxk,
     log_softmax,
     maxk,
     maxout,
@@ -40,7 +39,6 @@ __all__ = [
     "spgemm_agg",
     "dropout",
     "linear_act",
-    "linear_maxk",
     "add_into",
     "Workspace",
     "sigmoid",

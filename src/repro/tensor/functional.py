@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.maxk import maxk_forward
 from ..sparse import CSRMatrix
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor
 
 __all__ = [
     "relu",
@@ -34,7 +34,6 @@ __all__ = [
     "fused_ce",
     "bce_with_logits",
     "linear_act",
-    "linear_maxk",
     "add_into",
 ]
 
@@ -44,12 +43,24 @@ _FUSED_ACTIVATIONS = ("none", "relu", "maxk")
 
 
 def _taker(workspace, slot: str):
-    """Buffer factory: workspace slots when planned, fresh arrays otherwise."""
+    """Buffer factory: workspace slots when planned, fresh arrays otherwise.
+
+    The only place that knows whether an arena exists — every op below has
+    one arithmetic body and asks this for each large array it writes.
+    """
     if workspace is None:
         return lambda name, shape, dtype=np.float64: np.empty(shape, dtype=dtype)
     return lambda name, shape, dtype=np.float64: workspace.buffer(
         slot + name, shape, dtype
     )
+
+
+def _node(data, parents, backward, workspace, slot: str) -> Tensor:
+    """Autograd node whose gradient, when planned, accumulates in the arena."""
+    out = Tensor._make(data, parents, backward)
+    if workspace is not None and out.requires_grad:
+        out._grad_buffer = workspace.buffer(slot + ".grad", data.shape)
+    return out
 
 
 def linear_act(
@@ -69,9 +80,7 @@ def linear_act(
     output, and all three backward products — is written into preplanned
     buffers via ``out=``. With a :class:`~repro.tensor.workspace.Workspace`
     the steady-state step therefore performs zero fresh large allocations;
-    without one, plain arrays are allocated but the arithmetic (and hence
-    the training trajectory, bit for bit) is identical to the historical
-    ``act(x @ W + b)`` composition of separate autograd nodes.
+    without one, plain arrays are allocated and the arithmetic is the same.
     """
     if activation not in _FUSED_ACTIVATIONS:
         raise ValueError(
@@ -112,7 +121,7 @@ def linear_act(
         mask = take(".mask", y.shape)
         ops.topk_mask(y, k, out=mask, workspace=workspace, slot=slot + ".topk")
         # y * mask, then + 0.0 to normalise dropped entries to +0.0 —
-        # bit-identical to the historical ``np.where(mask, y, 0.0)``.
+        # bit-identical to ``np.where(mask, y, 0.0)``.
         np.multiply(y, mask, out=y)
         y += 0.0
         h = y
@@ -147,24 +156,7 @@ def linear_act(
             np.matmul(grad_y, weight.data.T, out=grad_x)
             x._accumulate(grad_x)
 
-    out = Tensor._make(h, parents, backward)
-    if workspace is not None and out.requires_grad:
-        out._grad_buffer = workspace.buffer(slot + ".grad", h.shape)
-    return out
-
-
-def linear_maxk(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    k: int = 1,
-    workspace=None,
-    slot: str = "linear",
-) -> Tensor:
-    """Fused ``maxk(X @ W + b, k)`` — :func:`linear_act` with MaxK folded in."""
-    return linear_act(
-        x, weight, bias, activation="maxk", k=k, workspace=workspace, slot=slot
-    )
+    return _node(h, parents, backward, workspace, slot)
 
 
 def add_into(a: Tensor, b: Tensor, workspace=None, slot: str = "add") -> Tensor:
@@ -186,86 +178,61 @@ def add_into(a: Tensor, b: Tensor, workspace=None, slot: str = "add") -> Tensor:
         if b.requires_grad:
             b._accumulate(grad)
 
-    out = Tensor._make(data, (a, b), backward)
-    if workspace is not None and out.requires_grad:
-        out._grad_buffer = workspace.buffer(slot + ".grad", data.shape)
-    return out
+    return _node(data, (a, b), backward, workspace, slot)
 
 
 def relu(x: Tensor, workspace=None, slot: str = "relu") -> Tensor:
     """Elementwise ReLU (the paper's baseline nonlinearity).
 
-    With a workspace, the survivor mask, the output and the backward
-    product land in planned buffers (``y * mask`` then ``+ 0.0`` is
-    bit-identical to the historical ``np.where(mask, y, 0.0)``).
+    The survivor mask, the output and the backward product are written
+    with ``out=``; ``x * mask`` then ``+ 0.0`` normalises dropped entries
+    to ``+0.0``. A NaN input yields a NaN output (and gradient), as in
+    :func:`linear_act`'s fused ReLU — never a silent zero.
     """
     take = _taker(workspace, slot)
-    if workspace is None:
-        mask = x.data > 0
-        data = np.where(mask, x.data, 0.0)
-    else:
-        # Float 0/1 mask (see linear_act): same selected values, none of
-        # numpy's mixed-dtype casting buffers.
-        mask = take(".mask", x.data.shape)
-        np.heaviside(x.data, 0.0, out=mask)
-        data = take(".out", x.data.shape)
-        np.multiply(x.data, mask, out=data)
-        data += 0.0
+    mask = take(".mask", x.data.shape)  # float 0/1 mask, see linear_act
+    np.heaviside(x.data, 0.0, out=mask)
+    data = take(".out", x.data.shape)
+    np.multiply(x.data, mask, out=data)
+    data += 0.0
 
     def backward(grad):
         if not x.requires_grad:
             return
-        if workspace is None:
-            x._accumulate(grad * mask)
-        else:
-            grad_x = take(".gx", x.data.shape)
-            np.multiply(np.asarray(grad), mask, out=grad_x)
-            x._accumulate(grad_x)
+        grad_x = take(".gx", x.data.shape)
+        np.multiply(np.asarray(grad), mask, out=grad_x)
+        x._accumulate(grad_x)
 
-    out = Tensor._make(data, (x,), backward)
-    if workspace is not None and out.requires_grad:
-        out._grad_buffer = workspace.buffer(slot + ".grad", data.shape)
-    return out
+    return _node(data, (x,), backward, workspace, slot)
 
 
 def maxk(x: Tensor, k: int, workspace=None, slot: str = "maxk") -> Tensor:
     """MaxK nonlinearity: keep the k largest entries of every row.
 
     With ``k == row width`` this is the identity. The backward pass routes
-    gradient only through the surviving positions. With a workspace, the
-    selection scratch, mask, output and backward product live in planned
-    buffers; the masked multiplies (``+ 0.0`` normalises dropped entries
-    to ``+0.0``) are bit-identical to the historical ``np.where`` forms.
+    gradient only through the surviving positions. The selection scratch,
+    mask, output and backward product are written with ``out=``; the
+    masked multiplies (``+ 0.0`` normalises dropped entries to ``+0.0``)
+    select the same values as ``np.where(mask, ·, 0.0)`` bit for bit.
     """
-    if workspace is None:
-        out_data, mask = maxk_forward(x.data, k)
-    else:
-        from ..sparse import ops
+    from ..sparse import ops
 
-        take = _taker(workspace, slot)
-        mask = take(".mask", x.data.shape)  # float 0/1 mask, see linear_act
-        ops.topk_mask(x.data, k, out=mask, workspace=workspace,
-                      slot=slot + ".topk")
-        out_data = take(".out", x.data.shape)
-        np.multiply(x.data, mask, out=out_data)
-        out_data += 0.0
+    take = _taker(workspace, slot)
+    mask = take(".mask", x.data.shape)  # float 0/1 mask, see linear_act
+    ops.topk_mask(x.data, k, out=mask, workspace=workspace, slot=slot + ".topk")
+    data = take(".out", x.data.shape)
+    np.multiply(x.data, mask, out=data)
+    data += 0.0
 
     def backward(grad):
         if not x.requires_grad:
             return
-        if workspace is None:
-            x._accumulate(np.where(mask, grad, 0.0))
-        else:
-            take = _taker(workspace, slot)
-            grad_x = take(".gx", x.data.shape)
-            np.multiply(np.asarray(grad), mask, out=grad_x)
-            grad_x += 0.0
-            x._accumulate(grad_x)
+        grad_x = take(".gx", x.data.shape)
+        np.multiply(np.asarray(grad), mask, out=grad_x)
+        grad_x += 0.0
+        x._accumulate(grad_x)
 
-    out = Tensor._make(out_data, (x,), backward)
-    if workspace is not None and out.requires_grad:
-        out._grad_buffer = workspace.buffer(slot + ".grad", out_data.shape)
-    return out
+    return _node(data, (x,), backward, workspace, slot)
 
 
 def maxout(x: Tensor, group_size: int) -> Tensor:
@@ -356,30 +323,19 @@ def spmm_agg(
         steady state).
     """
     take = _taker(workspace, slot)
-    if workspace is None:
-        data = adj.matmul_dense(x.data)
-    else:
-        data = adj.matmul_dense(
-            x.data, out=take(".out", (adj.n_rows,) + x.data.shape[1:])
-        )
+    data = adj.matmul_dense(
+        x.data, out=take(".out", (adj.n_rows,) + x.data.shape[1:])
+    )
 
     def backward(grad):
         if not x.requires_grad:
             return
         transpose = adj_t if adj_t is not None else adj.transpose()
-        if workspace is None:
-            x._accumulate(transpose.matmul_dense(grad))
-        else:
-            x._accumulate(
-                transpose.matmul_dense(
-                    np.asarray(grad), out=take(".gx", x.shape)
-                )
-            )
+        x._accumulate(
+            transpose.matmul_dense(np.asarray(grad), out=take(".gx", x.shape))
+        )
 
-    out = Tensor._make(data, (x,), backward)
-    if workspace is not None and out.requires_grad:
-        out._grad_buffer = workspace.buffer(slot + ".grad", data.shape)
-    return out
+    return _node(data, (x,), backward, workspace, slot)
 
 
 def dropout(
@@ -392,10 +348,9 @@ def dropout(
 ) -> Tensor:
     """Inverted dropout; identity when not training or p == 0.
 
-    With a workspace, the uniform draw, the keep mask, the output and the
-    backward product all land in planned buffers (``Generator.random``
-    fills ``out=`` from the same stream it would return, so trajectories
-    match the unplanned path bit for bit).
+    The uniform draw, the keep mask, the output and the backward product
+    are written with ``out=`` (``Generator.random`` fills ``out=`` from the
+    same stream ``random(shape)`` would return).
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
@@ -403,43 +358,33 @@ def dropout(
         return x
     scale = 1.0 / (1.0 - p)
     take = _taker(workspace, slot)
-    if workspace is None:
-        keep = rng.random(x.data.shape) >= p
-        data = np.where(keep, x.data * scale, 0.0)
-    else:
-        draw = take(".draw", x.data.shape)
-        rng.random(out=draw)
-        # ``draw >= p`` as a float 0/1 mask: ``draw - p`` is exact in sign
-        # (Sterbenz when the operands are close, sign-correct otherwise,
-        # and never rounds two distinct doubles to 0), so
-        # ``heaviside(draw - p, 1.0)`` equals the bool compare bit for bit
-        # — without the casting buffer a float×bool multiply allocates.
-        np.subtract(draw, p, out=draw)
-        keep = take(".keep", x.data.shape)
-        np.heaviside(draw, 1.0, out=keep)
-        # np.where(keep, x * scale, 0.0) with planned buffers: scale, mask
-        # by multiplication, normalise dropped entries to +0.0 — the same
-        # values, no masked copy.
-        data = take(".out", x.data.shape)
-        np.multiply(x.data, scale, out=data)
-        np.multiply(data, keep, out=data)
-        data += 0.0
+    draw = take(".draw", x.data.shape)
+    rng.random(out=draw)
+    # ``draw >= p`` as a float 0/1 mask: ``draw - p`` is exact in sign
+    # (Sterbenz when the operands are close, sign-correct otherwise, and
+    # never rounds two distinct doubles to 0), so ``heaviside(draw - p,
+    # 1.0)`` equals the bool compare bit for bit — without the casting
+    # buffer a float×bool multiply allocates.
+    np.subtract(draw, p, out=draw)
+    keep = take(".keep", x.data.shape)
+    np.heaviside(draw, 1.0, out=keep)
+    # np.where(keep, x * scale, 0.0) through ``out=``: scale, mask by
+    # multiplication, normalise dropped entries to +0.0 — the same values,
+    # no masked copy.
+    data = take(".out", x.data.shape)
+    np.multiply(x.data, scale, out=data)
+    np.multiply(data, keep, out=data)
+    data += 0.0
 
     def backward(grad):
         if not x.requires_grad:
             return
-        if workspace is None:
-            x._accumulate(grad * keep * scale)
-        else:
-            grad_x = take(".gx", x.data.shape)
-            np.multiply(np.asarray(grad), keep, out=grad_x)
-            grad_x *= scale
-            x._accumulate(grad_x)
+        grad_x = take(".gx", x.data.shape)
+        np.multiply(np.asarray(grad), keep, out=grad_x)
+        grad_x *= scale
+        x._accumulate(grad_x)
 
-    out = Tensor._make(data, (x,), backward)
-    if workspace is not None and out.requires_grad:
-        out._grad_buffer = workspace.buffer(slot + ".grad", data.shape)
-    return out
+    return _node(data, (x,), backward, workspace, slot)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -29,7 +29,6 @@ Contract
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Tuple
 
 import numpy as np
@@ -50,19 +49,10 @@ def _tune_ufunc_buffer() -> None:
     tracemalloc churn under the 64 KB gate.
 
     The setting is process-global, so it is applied only when a planned
-    arena is actually constructed (never at import), and embedders can
-    override or disable it: ``REPRO_UFUNC_BUFSIZE=<elements>`` picks a
-    different size, ``REPRO_UFUNC_BUFSIZE=0`` leaves numpy untouched.
+    arena is actually constructed (never at import).
     """
-    if not hasattr(np, "setbufsize"):
-        return
-    requested = os.environ.get("REPRO_UFUNC_BUFSIZE", "").strip()
-    try:
-        size = int(requested) if requested else 2048
-    except ValueError:  # malformed override: keep the tuned default
-        size = 2048
-    if size > 0:
-        np.setbufsize(size)
+    if hasattr(np, "setbufsize"):
+        np.setbufsize(2048)
 
 
 class Workspace:

@@ -1,11 +1,12 @@
 """Tests for the workspace arena and the fused dense hot-path kernels.
 
 Covers the zero-allocation layer end to end: the :class:`Workspace` buffer
-contract, bit-identity of the fused ``linear_act`` / ``linear_maxk`` /
-``dropout`` / ``add_into`` / ``spmm_agg`` kernels against the composed
-autograd ops on every sparse backend, finite-difference gradchecks of the
-fused kernels, the ``out=`` sparse primitives against the reference oracle,
-the in-place Adam trajectory, and steady-state workspace allocation
+contract, bit-identity of the ``linear_act`` / ``relu`` / ``maxk`` /
+``dropout`` / ``add_into`` / ``spmm_agg`` kernels and of whole convolution
+layers — with and without a workspace, on every sparse backend — against
+plain-numpy oracles of the composed formulas, finite-difference gradchecks
+of the fused kernels, the ``out=`` sparse primitives against the reference
+oracle, the in-place Adam trajectory, and steady-state workspace allocation
 behaviour of a whole training step.
 """
 
@@ -19,7 +20,8 @@ from repro.graphs import (
     chain_of_cliques,
     sbm_graph,
 )
-from repro.models import GNNConfig, MaxKGNN
+from repro.core.maxk import maxk_forward
+from repro.models import GNNConfig, MaxKGNN, make_conv
 from repro.sparse import CSRMatrix, ops
 from repro.tensor import (
     Adam,
@@ -28,7 +30,7 @@ from repro.tensor import (
     add_into,
     dropout,
     linear_act,
-    linear_maxk,
+    relu,
     spmm_agg,
 )
 from repro.training import Engine, FullGraphFlow
@@ -82,15 +84,69 @@ class TestWorkspace:
         assert ws.nbytes() == 0
 
 
+# -- numpy oracles ---------------------------------------------------------
+# The composed formulas the single ``out=`` bodies must reproduce bit for
+# bit: generic ``x @ W + b``, ``np.where`` masking, a bool dropout compare,
+# plain ``adj.matmul_dense``. Each returns ``(value, backward)``.
+
+
+def _linear_oracle(x, w, b):
+    def backward(grad):
+        return grad @ w.T, x.T @ grad, grad.sum(axis=0)
+
+    return x @ w + b, backward
+
+
+def _activation_oracle(y, activation, k=None):
+    if activation == "relu":
+        mask = y > 0
+        return np.where(mask, y, 0.0), lambda grad: grad * mask
+    if activation == "maxk":
+        out, mask = maxk_forward(y, k)
+        return out, lambda grad: np.where(mask, grad, 0.0)
+    return y, lambda grad: grad
+
+
+def _dropout_oracle(x, p, rng):
+    scale = 1.0 / (1.0 - p)
+    keep = rng.random(x.shape) >= p
+    return np.where(keep, x * scale, 0.0), lambda grad: grad * keep * scale
+
+
+def _layer_oracle(layer, model_type, x, upstream):
+    """Forward value of one convolution — ``A·f(XW+b)`` plus SAGE's root
+    path / GIN's eps self-term — and the gradients of ``x``, ``linear``'s
+    weight and bias, then ``linear_self``'s pair (SAGE) or ``eps`` (GIN).
+    The CBSR kernels compute the same values, so they share this oracle."""
+    w, b = layer.linear.weight.data, layer.linear.bias.data
+    y, linear_back = _linear_oracle(x, w, b)
+    h, act_back = _activation_oracle(y, layer.nonlinearity, layer.k)
+    out = layer.adj.matmul_dense(h)
+    grad_y = act_back(layer.adj_t.matmul_dense(upstream))
+    extra = []
+    if model_type == "gin":
+        scale = layer.eps.data + 1.0
+        out = out + h * scale
+        grad_y = grad_y + act_back(upstream * scale)
+        extra = [(upstream * h).sum(axis=0).sum(axis=0, keepdims=True)]
+    grad_x, grad_w, grad_b = linear_back(grad_y)
+    if model_type == "sage":
+        root, root_back = _linear_oracle(
+            x, layer.linear_self.weight.data, layer.linear_self.bias.data
+        )
+        out = out + root
+        grad_root_x, *extra = root_back(upstream)
+        grad_x = grad_x + grad_root_x
+    return out, [grad_x, grad_w, grad_b, *extra]
+
+
 class TestFusedBitIdentity:
-    """Fused kernels reproduce the composed ops bit for bit."""
+    """The single ``out=`` bodies reproduce the composed formulas bit for
+    bit, from arena slots and from fresh arrays alike."""
 
     @pytest.mark.parametrize("activation", ["none", "relu", "maxk"])
     @pytest.mark.parametrize("planned", [False, True])
     def test_linear_act_matches_composed(self, backend, activation, planned):
-        from repro.tensor import maxk as maxk_op
-        from repro.tensor import relu as relu_op
-
         rng = np.random.default_rng(11)
         x_data = rng.normal(size=(13, 7))
         w_data = rng.normal(size=(7, 10))
@@ -98,16 +154,9 @@ class TestFusedBitIdentity:
         upstream = rng.normal(size=(13, 10))
         k = 3
 
-        x0 = Tensor(x_data, requires_grad=True)
-        w0 = Tensor(w_data.copy(), requires_grad=True)
-        b0 = Tensor(b_data.copy(), requires_grad=True)
-        y = (x0 @ w0) + b0
-        composed = {
-            "none": lambda: y,
-            "relu": lambda: relu_op(y),
-            "maxk": lambda: maxk_op(y, k),
-        }[activation]()
-        composed.backward(upstream)
+        y, linear_back = _linear_oracle(x_data, w_data, b_data)
+        expected, act_back = _activation_oracle(y, activation, k)
+        grad_x, grad_w, grad_b = linear_back(act_back(upstream))
 
         ws = Workspace() if planned else None
         x1 = Tensor(x_data, requires_grad=True)
@@ -117,36 +166,36 @@ class TestFusedBitIdentity:
                            workspace=ws, slot="t")
         fused.backward(upstream.copy())
 
-        assert fused.data.tobytes() == composed.data.tobytes()
-        assert x1.grad.tobytes() == x0.grad.tobytes()
-        assert w1.grad.tobytes() == w0.grad.tobytes()
-        assert b1.grad.tobytes() == b0.grad.tobytes()
-
-    def test_linear_maxk_is_linear_act_maxk(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(6, 5))
-        w = rng.normal(size=(5, 8))
-        a = linear_maxk(Tensor(x), Tensor(w), None, k=2)
-        b = linear_act(Tensor(x), Tensor(w), None, activation="maxk", k=2)
-        assert a.data.tobytes() == b.data.tobytes()
+        assert fused.data.tobytes() == expected.tobytes()
+        assert x1.grad.tobytes() == grad_x.tobytes()
+        assert w1.grad.tobytes() == grad_w.tobytes()
+        assert b1.grad.tobytes() == grad_b.tobytes()
 
     @pytest.mark.parametrize("planned", [False, True])
     def test_dropout_matches_unplanned_stream(self, planned):
-        rng_a = np.random.default_rng(21)
-        rng_b = np.random.default_rng(21)
         data = np.random.default_rng(1).normal(size=(9, 6))
         upstream = np.random.default_rng(2).normal(size=(9, 6))
-
-        x0 = Tensor(data, requires_grad=True)
-        plain = dropout(x0, 0.4, True, rng_a)
-        plain.backward(upstream)
+        expected, back = _dropout_oracle(data, 0.4, np.random.default_rng(21))
 
         ws = Workspace() if planned else None
         x1 = Tensor(data, requires_grad=True)
-        fused = dropout(x1, 0.4, True, rng_b, workspace=ws, slot="d")
+        fused = dropout(x1, 0.4, True, np.random.default_rng(21),
+                        workspace=ws, slot="d")
         fused.backward(upstream.copy())
-        assert fused.data.tobytes() == plain.data.tobytes()
-        assert x1.grad.tobytes() == x0.grad.tobytes()
+        assert fused.data.tobytes() == expected.tobytes()
+        assert x1.grad.tobytes() == back(upstream).tobytes()
+
+    def test_relu_propagates_nan_with_and_without_workspace(self, backend):
+        """A NaN pre-activation must poison eval/serving (fresh buffers)
+        exactly as it poisons training (arena) — never a silent zero."""
+        data = np.array([[np.nan, 1.0, -1.0], [2.0, np.nan, 0.0]])
+        fresh = relu(Tensor(data))
+        planned = relu(Tensor(data), workspace=Workspace(), slot="r")
+        assert fresh.data.tobytes() == planned.data.tobytes()
+        np.testing.assert_array_equal(np.isnan(fresh.data), np.isnan(data))
+        np.testing.assert_array_equal(
+            fresh.data[~np.isnan(data)], [1.0, 0.0, 2.0, 0.0]
+        )
 
     def test_add_into_matches_add(self):
         rng = np.random.default_rng(3)
@@ -173,14 +222,14 @@ class TestFusedBitIdentity:
         rng = np.random.default_rng(4)
         x_data = rng.normal(size=(graph.n_nodes, 5))
         upstream = rng.normal(size=(graph.n_nodes, 5))
-        x0 = Tensor(x_data, requires_grad=True)
-        plain = spmm_agg(adj, x0, adj_t)
-        plain.backward(upstream)
-        x1 = Tensor(x_data, requires_grad=True)
-        ws = spmm_agg(adj, x1, adj_t, workspace=Workspace(), slot="a")
-        ws.backward(upstream.copy())
-        assert ws.data.tobytes() == plain.data.tobytes()
-        assert x1.grad.tobytes() == x0.grad.tobytes()
+        expected = adj.matmul_dense(x_data)
+        expected_grad = adj_t.matmul_dense(upstream)
+        for workspace in (None, Workspace()):
+            x1 = Tensor(x_data, requires_grad=True)
+            out = spmm_agg(adj, x1, adj_t, workspace=workspace, slot="a")
+            out.backward(upstream.copy())
+            assert out.data.tobytes() == expected.tobytes()
+            assert x1.grad.tobytes() == expected_grad.tobytes()
 
     def test_linear_act_validation(self):
         x, w = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 4)))
@@ -190,6 +239,54 @@ class TestFusedBitIdentity:
             linear_act(x, w, activation="maxk")
         with pytest.raises(ValueError, match="k must be"):
             linear_act(x, w, activation="maxk", k=9)
+
+
+class TestLayerMatchesOracle:
+    """Each layer type's one ``forward`` against the numpy composition."""
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize(
+        "nonlinearity, use_cbsr",
+        [("relu", False), ("maxk", False), ("maxk", True)],
+        ids=["relu", "maxk", "maxk-cbsr"],
+    )
+    @pytest.mark.parametrize("model_type", ["sage", "gcn", "gin"])
+    def test_forward_and_gradients(
+        self, backend, model_type, nonlinearity, use_cbsr, training
+    ):
+        graph = sbm_graph(40, 3, 6.0, seed=7).to_undirected()
+        rng = np.random.default_rng(8)
+        layer = make_conv(
+            model_type, graph, 6, 10, rng, nonlinearity=nonlinearity,
+            k=3 if nonlinearity == "maxk" else None,
+            use_cbsr_kernels=use_cbsr,
+        )
+        for param in layer.parameters():  # zero-init biases / eps hide terms
+            param.data += rng.normal(size=param.shape)
+        layer.workspace = Workspace()
+        layer.train(training)
+        x_data = rng.normal(size=(graph.n_nodes, 6))
+        upstream = rng.normal(size=(graph.n_nodes, 10))
+        expected, expected_grads = _layer_oracle(
+            layer, model_type, x_data, upstream
+        )
+
+        x = Tensor(x_data, requires_grad=True)
+        out = layer(x)
+        out.backward(upstream.copy())
+
+        assert out.data.tobytes() == expected.tobytes()
+        tensors = [x, layer.linear.weight, layer.linear.bias]
+        if model_type == "sage":
+            tensors += [layer.linear_self.weight, layer.linear_self.bias]
+        if model_type == "gin":
+            tensors.append(layer.eps)
+        assert len(tensors) == 1 + len(list(layer.parameters()))
+        assert len(tensors) == len(expected_grads)
+        for tensor, grad in zip(tensors, expected_grads):
+            assert tensor.grad.tobytes() == grad.tobytes()
+        # Only a training pass may size the arena.
+        assert (layer.workspace.nbytes() > 0) == training
 
 
 class TestFusedGradchecks:
@@ -229,12 +326,13 @@ class TestFusedGradchecks:
         ws = Workspace()
 
         def loss_for(arr):
-            out = linear_maxk(Tensor(arr), Tensor(w), None, k=2,
-                              workspace=ws, slot="g")
+            out = linear_act(Tensor(arr), Tensor(w), None, activation="maxk",
+                             k=2, workspace=ws, slot="g")
             return ((out * out).sum()).item()
 
         tensor = Tensor(x.copy(), requires_grad=True)
-        out = linear_maxk(tensor, Tensor(w), None, k=2, workspace=ws, slot="g")
+        out = linear_act(tensor, Tensor(w), None, activation="maxk", k=2,
+                         workspace=ws, slot="g")
         (out * out).sum().backward()
         numeric = finite_difference(loss_for, x.copy())
         np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-5, atol=1e-7)
@@ -596,9 +694,9 @@ class TestBatchGraphs:
 
 class TestEvalKeepsArenaSmall:
     def test_full_graph_eval_does_not_grow_workspace(self):
-        """Eval passes ride the composed ops: the arena (whose capacity
-        never shrinks) must stay sized to the training batches, not the
-        full graph."""
+        """Eval passes take fresh arrays: the arena (whose capacity never
+        shrinks) must stay sized to the training batches, not the full
+        graph."""
         from repro.training import SampledFlow
 
         graph = sbm_graph(400, 4, 8.0, intra_fraction=0.7, seed=3)
