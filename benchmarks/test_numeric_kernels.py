@@ -2,9 +2,9 @@
 
 Unlike the cost-model benchmarks (which report *modelled* A100 latencies),
 these time the actual numpy execution of this repository's kernels on a
-scaled graph. The paper's traffic argument shows up here too: the CBSR
-SpGEMM/SSpMM touch ``k`` columns per nonzero instead of ``dim_origin``, so
-even the numpy dataflow wins once k ≪ dim.
+scaled graph (timings are recorded, never asserted). The paper's traffic
+argument — the CBSR SpGEMM/SSpMM touch ``k`` columns per nonzero instead of
+``dim_origin`` — is checked as computed bytes and flops.
 """
 
 import numpy as np
@@ -12,9 +12,15 @@ import pytest
 
 from repro.core import CBSRMatrix, maxk_forward
 from repro.gpusim import (
+    A100,
+    SparsePattern,
+    cusparse_spmm_cost,
     maxk_kernel_execute,
+    spgemm_cost,
     spgemm_execute,
+    spgemm_traffic_bytes,
     spmm_execute,
+    spmm_traffic_bytes,
     sspmm_execute,
 )
 from repro.graphs import load_kernel_graph, normalized_adjacency
@@ -61,27 +67,30 @@ def test_numeric_maxk_pivot_kernel(benchmark, workload):
 
 
 def test_numeric_cbsr_beats_dense_fetch(workload):
-    """Sanity on the traffic argument: the sparse path moves ~k/dim the data.
+    """The traffic argument, computed rather than timed.
 
-    Pinned to the ``vectorized`` numpy backend so both kernels execute the
-    same class of implementation (the claim is about the dataflow, not the
-    library): under scipy the dense fetch rides a fused compiled SpMM while
-    the sparse product pays SMMP per-nonzero overhead, which inverts the
-    comparison at this scaled-graph size.
+    Per stored edge the dense SpMM fetches a ``DIM``-wide feature row; the
+    CBSR SpGEMM fetches ``K`` values and ``K`` one-byte columns and does
+    ``K / DIM`` of the multiply-adds for the same product. In the float64
+    arrays executed here that is ``(9/8) * K / DIM`` of the bytes; in the
+    fp32 cost model, §4.3's ``(5/4) * K / DIM``. Which kernel wins on the
+    clock on a given backend is ``python3 -m bench``'s question
+    (``full_cbsr`` against ``full_relu``), not a tier-1 assertion.
     """
-    import timeit
-
-    from repro.sparse import ops
-
     adjacency, x, cbsr, _ = workload
-    with ops.use_backend("vectorized"):
-        dense_time = min(
-            timeit.repeat(lambda: spmm_execute(adjacency, x), number=1, repeat=3)
-        )
-        sparse_time = min(
-            timeit.repeat(
-                lambda: spgemm_execute(adjacency, cbsr), number=1, repeat=3
-            )
-        )
-    # k/dim = 1/16; demand only a loose win (scatter-add overhead differs).
-    assert sparse_time < dense_time
+    nnz = adjacency.nnz
+    dense_bytes = nnz * DIM * x.itemsize
+    sparse_bytes = nnz * K * (cbsr.sp_data.itemsize + cbsr.sp_index.itemsize)
+    assert sparse_bytes / dense_bytes == pytest.approx(9 / 8 * K / DIM)
+    assert spgemm_traffic_bytes(K, nnz) / spmm_traffic_bytes(
+        DIM, nnz
+    ) == pytest.approx(5 / 4 * K / DIM)
+    pattern = SparsePattern.from_csr(adjacency)
+    assert spgemm_cost(pattern, DIM, K, A100).flops / cusparse_spmm_cost(
+        pattern, DIM, A100
+    ).flops == pytest.approx(K / DIM)
+    np.testing.assert_allclose(
+        spgemm_execute(adjacency, cbsr),
+        spmm_execute(adjacency, cbsr.to_dense()),
+        rtol=1e-10, atol=1e-12,
+    )

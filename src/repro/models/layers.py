@@ -17,7 +17,7 @@ import numpy as np
 
 from ..graphs import Graph
 from ..tensor import Tensor, add_into, linear_act, maxk, relu, spmm_agg
-from ..tensor.functional import spgemm_agg
+from ..tensor.functional import maxk_with_mask, spgemm_agg
 from .modules import Linear, Module
 
 __all__ = ["GraphConvLayer", "SAGEConv", "GCNConv", "GINConv", "make_conv"]
@@ -165,10 +165,12 @@ class GINConv(GraphConvLayer):
             x, self.linear.weight, self.linear.bias, activation="none",
             workspace=ws, slot=self.slot + ".lin",
         )
-        h = self._activate(y, ws, ".act")
         if self.use_cbsr_kernels:
-            aggregated = spgemm_agg(self.adj, y, self.k)
+            # One selection feeds both consumers of the pre-activation.
+            h, mask = maxk_with_mask(y, self.k, ws, self.slot + ".act")
+            aggregated = spgemm_agg(self.adj, y, self.k, mask=mask)
         else:
+            h = self._activate(y, ws, ".act")
             aggregated = spmm_agg(
                 self.adj, self._activate(y, ws, ".act2"), self.adj_t,
                 workspace=ws, slot=self.slot + ".agg",

@@ -22,9 +22,10 @@ Backends
     plans. Accumulation visits elements in input order, so results are
     bit-identical to ``reference``.
 ``scipy``
-    The ``vectorized`` backend with the CSR SpMM primitive delegated to
-    scipy's compiled CSR kernels (same sequential per-row accumulation
-    order, so still bit-identical). Registered only when scipy imports.
+    The ``vectorized`` backend with the CSR SpMM and the CBSR SpGEMM /
+    SSpMM pair delegated to scipy's compiled CSR kernels (same sequential
+    accumulation order, so still bit-identical). Registered only when
+    scipy imports.
 
 Selection
 ---------
@@ -701,12 +702,14 @@ class VectorizedBackend(SparseOpsBackend):
 
 
 class ScipyBackend(VectorizedBackend):
-    """Vectorized backend with the CSR SpMM served by scipy's C kernels.
+    """Vectorized backend with the aggregations served by scipy's C kernels.
 
-    scipy's ``csr_matmat``/``csr_matvec`` accumulate each output row
-    sequentially over the row's stored entries — the same order as the
-    reference loop and the bincount scatter, so outputs stay bit-identical
-    while the hot aggregation runs in compiled code.
+    ``csr_matvecs`` (SpMM), ``csr_matmat`` (the CBSR SpGEMM: SMMP's numeric
+    pass alone, into preallocated scratch) and the transposed product under
+    the SSpMM accumulate sequentially over stored entries — the order of
+    the reference loops and the bincount scatter, so outputs stay
+    bit-identical while the hot aggregation runs in compiled code. Where
+    the private module lacks a kernel, the public ``A @ B`` route serves.
     """
 
     name = "scipy"
@@ -801,15 +804,41 @@ class ScipyBackend(VectorizedBackend):
         return out
 
     def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
-        # Row-wise-product SpGEMM as a compiled sparse x sparse product:
-        # the CBSR blocks are exactly a CSR matrix with k entries per row.
+        # The CBSR blocks are a CSR matrix with exactly k entries per row.
         n_src, k = sp_index.shape
-        features = _scipy_sparse.csr_array(
-            (sp_data.ravel(), sp_index.ravel(), np.arange(n_src + 1) * k),
-            shape=(n_src, dim_origin),
-        )
         adjacency = self._matrix(indptr, indices, data, (n_rows, n_src))
-        return (adjacency @ features).toarray()
+        index = adjacency.indices.dtype
+        # The product holds at most this many entries.
+        bound = min(n_rows * dim_origin, len(indices) * k)
+        if not (
+            hasattr(_scipy_sparsetools, "csr_matmat")
+            and hasattr(_scipy_sparsetools, "csr_todense")
+            and max(bound, n_src * k) <= np.iinfo(index).max
+        ):  # the public route also widens an index dtype that would wrap
+            features = _scipy_sparse.csr_array(
+                (sp_data.ravel(), sp_index.ravel(), np.arange(n_src + 1) * k),
+                shape=(n_src, dim_origin),
+            )
+            return (adjacency @ features).toarray()
+        # SMMP's numeric pass alone: scratch of the bound's size replaces
+        # the symbolic pass that would count the entries. Each output row
+        # accumulates its stored edges in order, as the reference loop does.
+        product = (
+            self._take("spgemm.indptr", (n_rows + 1,), index),
+            self._take("spgemm.indices", (bound,), index),
+            self._take("spgemm.data", (bound,)),
+        )
+        _scipy_sparsetools.csr_matmat(
+            n_rows, dim_origin,
+            adjacency.indptr, adjacency.indices, adjacency.data,
+            np.arange(n_src + 1, dtype=index) * k,
+            np.ascontiguousarray(sp_index, dtype=index).ravel(),
+            np.ascontiguousarray(sp_data).ravel(),
+            *product,
+        )
+        out = np.zeros((n_rows, dim_origin), dtype=np.float64)
+        _scipy_sparsetools.csr_todense(n_rows, dim_origin, *product, out.ravel())
+        return out
 
     #: Largest dense (n_src, dim_origin) intermediate the transposed-product
     #: route may materialize; above this the k-sampled vectorized path wins
@@ -829,8 +858,7 @@ class ScipyBackend(VectorizedBackend):
             indptr, indices, data, (len(indptr) - 1, n_src)
         )
         dense_grad = np.asarray(adjacency.T @ grad_out, dtype=np.float64)
-        rows = np.arange(n_src, dtype=np.int64)[:, None]
-        return np.ascontiguousarray(dense_grad[rows, sp_index])
+        return np.take_along_axis(dense_grad, sp_index, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -996,6 +1024,18 @@ def spmm_csr(indptr, indices, data, x, n_rows: int, out=None) -> np.ndarray:
     return _ACTIVE.spmm_csr(indptr, indices, data, x, n_rows, out=out)
 
 
+def _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows):
+    """Bounds the compiled kernels index their accumulators with, unchecked."""
+    if indptr.shape != (n_rows + 1,):
+        raise ValueError("indptr must hold n_rows + 1 offsets")
+    if indices.ndim != 1 or data.shape != indices.shape:
+        raise ValueError("indices and data must be matching 1-D arrays")
+    if indices.size and not 0 <= indices.min() <= indices.max() < len(sp_index):
+        raise ValueError("adjacency column indices out of range")
+    if sp_index.size and not 0 <= sp_index.min() <= sp_index.max() < dim_origin:
+        raise ValueError("sp_index entries must be in [0, dim_origin)")
+
+
 def spgemm_cbsr(
     indptr, indices, data, sp_data, sp_index, dim_origin: int, n_rows: int
 ) -> np.ndarray:
@@ -1012,6 +1052,7 @@ def spgemm_cbsr(
     sp_index = np.asarray(sp_index).astype(np.int64, copy=False)
     if sp_data.shape != sp_index.shape or sp_data.ndim != 2:
         raise ValueError("sp_data and sp_index must be matching 2-D blocks")
+    _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows)
     return _ACTIVE.spgemm_cbsr(
         indptr, indices, data, sp_data, sp_index, dim_origin, n_rows
     )
@@ -1032,6 +1073,10 @@ def sspmm_cbsr(indptr, indices, data, grad_out, sp_index, n_src: int) -> np.ndar
     sp_index = np.asarray(sp_index).astype(np.int64, copy=False)
     if sp_index.ndim != 2 or sp_index.shape[0] != n_src:
         raise ValueError("sp_index must be (n_src, k)")
+    if grad_out.ndim != 2:
+        raise ValueError("grad_out must be (n_rows, dim_origin)")
+    n_rows, dim_origin = grad_out.shape
+    _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows)
     return _ACTIVE.sspmm_cbsr(indptr, indices, data, grad_out, sp_index, n_src)
 
 

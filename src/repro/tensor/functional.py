@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.maxk import maxk_forward
-from ..sparse import CSRMatrix
+from ..sparse import CSRMatrix, ops
 from .tensor import Tensor
 
 __all__ = [
@@ -116,8 +115,6 @@ def linear_act(
         np.maximum(y, 0.0, out=y)
         h = y
     elif activation == "maxk":
-        from ..sparse import ops
-
         mask = take(".mask", y.shape)
         ops.topk_mask(y, k, out=mask, workspace=workspace, slot=slot + ".topk")
         # y * mask, then + 0.0 to normalise dropped entries to +0.0 —
@@ -215,8 +212,12 @@ def maxk(x: Tensor, k: int, workspace=None, slot: str = "maxk") -> Tensor:
     masked multiplies (``+ 0.0`` normalises dropped entries to ``+0.0``)
     select the same values as ``np.where(mask, ·, 0.0)`` bit for bit.
     """
-    from ..sparse import ops
+    return maxk_with_mask(x, k, workspace, slot)[0]
 
+
+def maxk_with_mask(x: Tensor, k: int, workspace=None, slot: str = "maxk"):
+    """:func:`maxk` and its float 0/1 survivor mask, for a sibling
+    :func:`spgemm_agg` over the same ``x`` to reuse the selection."""
     take = _taker(workspace, slot)
     mask = take(".mask", x.data.shape)  # float 0/1 mask, see linear_act
     ops.topk_mask(x.data, k, out=mask, workspace=workspace, slot=slot + ".topk")
@@ -232,7 +233,7 @@ def maxk(x: Tensor, k: int, workspace=None, slot: str = "maxk") -> Tensor:
         grad_x += 0.0
         x._accumulate(grad_x)
 
-    return _node(data, (x,), backward, workspace, slot)
+    return _node(data, (x,), backward, workspace, slot), mask
 
 
 def maxout(x: Tensor, group_size: int) -> Tensor:
@@ -263,34 +264,42 @@ def maxout(x: Tensor, group_size: int) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def spgemm_agg(adj: CSRMatrix, x: Tensor, k: int) -> Tensor:
+def spgemm_agg(
+    adj: CSRMatrix, x: Tensor, k: int, mask: Optional[np.ndarray] = None
+) -> Tensor:
     """MaxK + aggregation through the paper's actual kernel dataflow.
 
-    Forward: MaxK-sparsify ``x``, compress to CBSR, and aggregate with the
-    row-wise-product **SpGEMM** kernel. Backward: compute the gradient at
-    the forward sparsity pattern with the outer-product **SSpMM** kernel,
-    scatter it dense, and route it through the MaxK mask — i.e. the exact
-    Fig.-5 training dataflow. Numerically identical to
-    ``spmm_agg(adj, maxk(x, k))`` (asserted by the integration tests), but
-    exercising the CBSR code path end to end.
+    Forward: one top-k selection over ``x`` whose survivor mask *is* the
+    CBSR pattern, aggregated with the row-wise-product **SpGEMM** kernel.
+    Backward: the gradient at that pattern from the outer-product
+    **SSpMM** kernel, scattered into a zeroed dense block — the Fig.-5
+    training dataflow. Outputs and gradients equal ``spmm_agg(adj,
+    maxk(x, k))`` bit for bit, zero-valued survivors included. ``mask``
+    hands in the selection :func:`maxk_with_mask` already made over ``x``
+    (GIN's self term), so the layer selects once.
     """
     # Imported here to avoid a circular import at package load.
     from ..core.cbsr import CBSRMatrix
     from ..gpusim.kernels.spgemm import spgemm_execute
     from ..gpusim.kernels.sspmm import sspmm_execute
 
-    sparsified, mask = maxk_forward(x.data, k)
-    cbsr = CBSRMatrix.from_dense_rows(sparsified, k)
+    n, dim = x.data.shape
+    if mask is None:
+        mask = ops.topk_mask(x.data, k)
+    # Row-major positions of the survivors: k per row, columns ascending.
+    survivors = np.flatnonzero(mask)
+    cbsr = CBSRMatrix(
+        np.take(x.data, survivors).reshape(n, k), (survivors % dim).reshape(n, k), dim
+    )
     out = spgemm_execute(adj, cbsr)
 
     def backward(grad):
         if not x.requires_grad:
             return
         grad_cbsr = sspmm_execute(adj, np.asarray(grad), cbsr)
-        dense_grad = np.zeros_like(x.data)
-        rows = np.arange(cbsr.n_rows)[:, None]
-        dense_grad[rows, cbsr.sp_index.astype(np.int64)] = grad_cbsr.sp_data
-        x._accumulate(np.where(mask, dense_grad, 0.0))
+        grad_x = np.zeros((n, dim), dtype=np.float64)
+        np.put(grad_x, survivors, grad_cbsr.sp_data)
+        x._accumulate(grad_x)
 
     return Tensor._make(out, (x,), backward)
 

@@ -173,6 +173,32 @@ class TestGradchecksAcrossBackends:
         composed = spmm_agg(adjacency, maxk(Tensor(x), 4)).numpy()
         np.testing.assert_allclose(via_cbsr, composed, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_spgemm_agg_zero_survivors_match_composition(self, backend, k):
+        """Regression: the CBSR pattern is the MaxK mask itself. Re-selecting
+        the sparsified rows by magnitude picked other columns wherever a
+        survivor was exactly 0.0 and dropped that position's gradient."""
+        graph = chain_of_cliques(3, 3)
+        adjacency = graph.adjacency("sage")
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(graph.n_nodes, 6))
+        x[0] = [-5.0, 0.0, 0.0, 0.0, -1.0, -2.0]  # every survivor is a zero
+        x[1] = 0.0
+        x[2] = [1.0, 0.0, 0.0, -1.0, 0.0, -3.0]
+        upstream = rng.normal(size=(graph.n_nodes, 6))
+
+        via_cbsr_x = Tensor(x.copy(), requires_grad=True)
+        via_cbsr = spgemm_agg(adjacency, via_cbsr_x, k=k)
+        via_cbsr.backward(upstream.copy())
+        composed_x = Tensor(x.copy(), requires_grad=True)
+        composed = spmm_agg(adjacency, maxk(composed_x, k))
+        composed.backward(upstream.copy())
+
+        assert via_cbsr.numpy().tobytes() == composed.numpy().tobytes()
+        assert via_cbsr_x.grad.tobytes() == composed_x.grad.tobytes()
+        if k == 3:  # the position the by-magnitude re-selection lost
+            assert via_cbsr_x.grad[0, 3] != 0.0
+
 
 class TestDropout:
     def test_identity_when_not_training(self):

@@ -245,6 +245,173 @@ class TestKernelEquivalence:
         )
 
 
+def cbsr_case(rng, n_rows, n_src, dim, k, empty_rows=False):
+    """(adjacency, sp_data, sp_index, grad_out) with sorted distinct columns."""
+    adj = random_csr(rng, n_rows=n_rows, n_cols=n_src)
+    if empty_rows:  # first and last row empty, plus whatever random_csr left
+        dense = adj.to_dense()
+        dense[[0, -1]] = 0.0
+        adj = CSRMatrix.from_dense(dense)
+    sp_index = np.sort(
+        np.argsort(rng.random((n_src, dim)), axis=1)[:, :k], axis=1
+    )
+    return adj, rng.normal(size=(n_src, k)), sp_index, rng.normal(size=(n_rows, dim))
+
+
+def run_cbsr_pair(name, case):
+    adj, sp_data, sp_index, grad_out = case
+    csr = (adj.indptr, adj.indices, adj.data)
+    with ops.use_backend(name):
+        return (
+            ops.spgemm_cbsr(*csr, sp_data, sp_index, grad_out.shape[1], adj.n_rows),
+            ops.sspmm_cbsr(*csr, grad_out, sp_index, adj.n_cols),
+        )
+
+
+def assert_same_bits(actual, expected):
+    for got, want in zip(actual, expected):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+#: (n_rows, n_src, dim, k, empty_rows)
+CBSR_SHAPES = {
+    "empty-rows": (9, 9, 12, 4, True),
+    "rectangular": (7, 19, 10, 3, False),
+    "k-one": (11, 11, 8, 1, False),
+    "k-full": (6, 8, 5, 5, False),
+    "uint16-index": (5, 6, 300, 7, False),
+}
+
+
+class TestCbsrKernelBitIdentity:
+    """SpGEMM / SSpMM agree with the reference loops to the last bit: every
+    backend accumulates a row's stored edges in order."""
+
+    @pytest.mark.parametrize("shape", CBSR_SHAPES.values(), ids=CBSR_SHAPES.keys())
+    def test_matches_reference(self, backend, shape):
+        case = cbsr_case(np.random.default_rng(1000), *shape)
+        assert_same_bits(run_cbsr_pair(backend, case), run_cbsr_pair("reference", case))
+
+    def test_scratch_reuse_leaks_nothing(self, backend):
+        """Shrinking then growing shapes through one backend's scratch."""
+        rng = np.random.default_rng(1001)
+        for shape in [(20, 30, 12, 5), (3, 4, 5, 2), (25, 35, 16, 3), (3, 4, 5, 2)]:
+            case = cbsr_case(rng, *shape)
+            assert_same_bits(
+                run_cbsr_pair(backend, case), run_cbsr_pair("reference", case)
+            )
+
+    def test_scipy_public_api_fallback_same_bits(self, monkeypatch):
+        """Without the private compiled module the ``A @ B`` route serves."""
+        if "scipy" not in ops.available_backends():
+            pytest.skip("scipy not installed")
+        case = cbsr_case(np.random.default_rng(1002), 9, 14, 11, 4, True)
+        direct = run_cbsr_pair("scipy", case)
+        monkeypatch.setattr(ops, "_scipy_sparsetools", None)
+        assert_same_bits(run_cbsr_pair("scipy", case), direct)
+        assert_same_bits(direct, run_cbsr_pair("reference", case))
+
+    def test_missing_cbsr_kernel_degrades_only_the_cbsr_route(self, monkeypatch):
+        """A private module without ``csr_matmat`` keeps the SpMM fast path."""
+        if ops._scipy_sparsetools is None:
+            pytest.skip("scipy's private kernels not importable")
+        from types import SimpleNamespace
+
+        case = cbsr_case(np.random.default_rng(1004), 9, 14, 11, 4, True)
+        direct = run_cbsr_pair("scipy", case)
+        calls = []
+
+        def csr_matvecs(*args):
+            calls.append("csr_matvecs")
+            real(*args)
+
+        real = ops._scipy_sparsetools.csr_matvecs
+        monkeypatch.setattr(
+            ops, "_scipy_sparsetools", SimpleNamespace(csr_matvecs=csr_matvecs)
+        )
+        assert_same_bits(run_cbsr_pair("scipy", case), direct)
+        adj, x = case[0], np.ones((case[0].n_cols, 3))
+        ops._REGISTRY["scipy"].spmm_csr(
+            adj.indptr, adj.indices, adj.data, x, adj.n_rows,
+            out=np.empty((adj.n_rows, 3)),
+        )
+        assert calls == ["csr_matvecs"]
+
+    def test_threads_do_not_share_scratch(self, backend):
+        """The prefetch warm thread and the trainer may both be inside a
+        kernel; differently shaped calls must not see each other's scratch."""
+        import sys
+        import threading
+
+        rng = np.random.default_rng(1003)
+        cases = [cbsr_case(rng, 12, 15, 9, 3), cbsr_case(rng, 31, 27, 20, 6)]
+        expected = [run_cbsr_pair("reference", case) for case in cases]
+        implementation = ops._REGISTRY[backend]
+        start = threading.Barrier(len(cases), timeout=30)
+        wrong = []
+
+        def work(case, want):
+            adj, sp_data, sp_index, grad_out = case
+            csr = (adj.indptr, adj.indices, adj.data)
+            start.wait()
+            for _ in range(200):
+                got = (
+                    implementation.spgemm_cbsr(
+                        *csr, sp_data, sp_index, grad_out.shape[1], adj.n_rows
+                    ),
+                    implementation.sspmm_cbsr(*csr, grad_out, sp_index, adj.n_cols),
+                )
+                if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
+                    wrong.append(got)
+
+        threads = [
+            threading.Thread(target=work, args=pair) for pair in zip(cases, expected)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+
+    @pytest.mark.parametrize(
+        "field, where, value",
+        [
+            ("sp_index", (0, -1), 5),  # == dim_origin
+            ("sp_index", (0, 0), -1),
+            ("indices", 0, 7),  # == n_src
+            ("indices", 0, -1),
+            ("indptr", None, None),  # one offset short
+        ],
+        ids=["sp_index-high", "sp_index-negative", "column-high",
+             "column-negative", "indptr-short"],
+    )
+    def test_out_of_range_arguments_rejected(self, backend, field, where, value):
+        """Checked in the dispatch, before any compiled accumulator is indexed."""
+        adj, sp_data, sp_index, grad_out = cbsr_case(
+            np.random.default_rng(1004), 6, 7, 5, 2
+        )
+        assert adj.nnz > 0
+        raw = {"indptr": adj.indptr.copy(), "indices": adj.indices.copy(),
+               "sp_index": sp_index.astype(np.int64)}
+        if field == "indptr":
+            raw["indptr"] = raw["indptr"][:-1]
+        else:
+            raw[field][where] = value
+        csr = (raw["indptr"], raw["indices"], adj.data)
+        with ops.use_backend(backend):
+            with pytest.raises(ValueError):
+                ops.spgemm_cbsr(*csr, sp_data, raw["sp_index"], 5, 6)
+            with pytest.raises(ValueError):
+                ops.sspmm_cbsr(*csr, grad_out, raw["sp_index"], 7)
+
+
 class TestRegistry:
     def test_reference_and_vectorized_always_available(self):
         names = ops.available_backends()

@@ -288,6 +288,31 @@ class TestLayerMatchesOracle:
         # Only a training pass may size the arena.
         assert (layer.workspace.nbytes() > 0) == training
 
+    @pytest.mark.parametrize("model_type", ["sage", "gcn", "gin"])
+    def test_cbsr_layer_selects_once(self, monkeypatch, model_type):
+        """One top-k per CBSR layer pass: the mask is the CBSR pattern, and
+        GIN's self term shares it."""
+        calls = []
+
+        def counted(name):
+            original = getattr(ops, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("topk_mask", "topk_columns"):
+            monkeypatch.setattr(ops, name, counted(name))
+        graph = sbm_graph(40, 3, 6.0, seed=7).to_undirected()
+        rng = np.random.default_rng(9)
+        layer = make_conv(model_type, graph, 6, 10, rng, nonlinearity="maxk",
+                          k=3, use_cbsr_kernels=True)
+        out = layer(Tensor(rng.normal(size=(graph.n_nodes, 6)), requires_grad=True))
+        out.backward(np.ones_like(out.data))
+        assert calls == ["topk_mask"]
+
 
 class TestFusedGradchecks:
     """Central-difference gradchecks of the fused kernels per backend."""
