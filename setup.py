@@ -1,8 +1,10 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Setup shim for the legacy editable-install path.
 
-The canonical metadata lives in ``pyproject.toml``; this file only enables
-the legacy editable-install path (``pip install -e . --no-use-pep517``)
-on offline machines where PEP-660 editable installs are unavailable.
+The repository carries no ``pyproject.toml`` or ``setup.cfg``, so this bare
+``setup()`` declares no name, version or packages; it only lets
+``pip install -e . --no-use-pep517`` run on offline machines where PEP-660
+editable installs are unavailable. Tests, the CLI and the benchmarks all
+run from source with ``PYTHONPATH=src`` (ROADMAP.md, *Tier-1 verify*).
 """
 
 from setuptools import setup

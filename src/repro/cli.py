@@ -411,11 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--prefetch", type=int, default=0,
                        help="build batches ahead of the trainer (sampling, "
                             "induction, CSR build, backend registration); "
-                            "N > 0 enables it and bounds the background "
-                            "thread's hand-off queue — worker processes "
-                            "(--prefetch-workers N) run N slots ahead "
-                            "instead; trajectories are bit-identical to "
-                            "--prefetch 0")
+                            "N > 0 enables it: the background thread keeps "
+                            "up to N batches built or building, rolling "
+                            "into the next epoch as the window drains — "
+                            "worker processes (--prefetch-workers N) run N "
+                            "slots ahead instead; a failed build is raised "
+                            "when its own batch is reached; trajectories "
+                            "are bit-identical to --prefetch 0; ignored by "
+                            "--flow full, whose only batch is the graph")
     train.add_argument("--prefetch-workers", default="thread",
                        help="'thread' (default) builds prefetched batches "
                             "on a background thread; an integer N builds "

@@ -41,8 +41,7 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..graphs.shm import sweep_leaked_segments
 from ..training.checkpoint import (
-    CheckpointError,
-    config_fingerprint,
+    check_fingerprint,
     load_state_dict,
     read_checkpoint,
 )
@@ -191,16 +190,7 @@ class InferenceService:
         response served after this call can carry pre-swap logits.
         """
         arrays, meta = read_checkpoint(path)
-        model_config = getattr(self.model, "config", None)
-        expected = meta.get("fingerprint")
-        if expected is not None and model_config is not None:
-            actual = config_fingerprint(model_config)
-            if actual != expected:
-                raise CheckpointError(
-                    f"{path} was written for a different model "
-                    f"configuration (fingerprint {expected}, this model "
-                    f"is {actual}); refusing to serve it"
-                )
+        check_fingerprint(path, meta, self.model, "serve it")
         state = {
             key: value for key, value in arrays.items()
             if not key.startswith("__")

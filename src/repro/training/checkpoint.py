@@ -39,6 +39,7 @@ __all__ = [
     "CheckpointError",
     "named_parameters",
     "config_fingerprint",
+    "check_fingerprint",
     "state_dict",
     "load_state_dict",
     "write_checkpoint",
@@ -124,6 +125,26 @@ def config_fingerprint(config: object) -> str:
     else:
         text = f"{type(config).__name__}:{config!r}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def check_fingerprint(path, meta: dict, model: object, action: str) -> None:
+    """Refuse to ``action`` a checkpoint written for another architecture.
+
+    Raises :class:`CheckpointError` when ``meta`` carries a config
+    fingerprint that differs from ``model.config``'s; files or models
+    without one pass.
+    """
+    config = getattr(model, "config", None)
+    expected = meta.get("fingerprint")
+    if expected is None or config is None:
+        return
+    actual = config_fingerprint(config)
+    if actual != expected:
+        raise CheckpointError(
+            f"{path} was written for a different model configuration "
+            f"(fingerprint {expected}, this model is {actual}); "
+            f"refusing to {action}"
+        )
 
 
 def state_dict(model: Module) -> dict:
@@ -299,14 +320,5 @@ def load_checkpoint(model: Module, path: Union[str, Path]) -> None:
     """
     path = Path(path)
     arrays, meta = read_checkpoint(path)
-    config = getattr(model, "config", None)
-    expected = meta.get("fingerprint")
-    if expected is not None and config is not None:
-        actual = config_fingerprint(config)
-        if actual != expected:
-            raise CheckpointError(
-                f"{path} was written for a different model "
-                f"configuration (fingerprint {expected}, this model is "
-                f"{actual}); refusing to load mismatched weights"
-            )
+    check_fingerprint(path, meta, model, "load mismatched weights")
     load_state_dict(model, arrays)

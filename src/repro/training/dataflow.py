@@ -16,30 +16,32 @@ runs the identical optimisation loop over whichever stream it is handed
 * :class:`PartitionedFlow` — BNS-GCN partitions with freshly sampled
   boundary halos every epoch;
 * :class:`PrefetchFlow` — a wrapper that materialises the next batches of
-  any schedulable flow (sampling, induction, CSR build, backend matrix
-  registration) ahead of the consumer: one consumer loop over a builder
-  that is either a background thread or a pool of worker processes, both
-  warming batches through :func:`~repro.training.parallel.build_adjacencies`;
+  any flow (sampling, induction, CSR build, backend matrix registration)
+  ahead of the consumer: one consumer loop over a builder that is either a
+  window of futures on one background thread or a pool of worker
+  processes, both warming batches through
+  :func:`~repro.training.parallel.build_adjacencies`;
 * :class:`DistributedFlow` — simulated multi-GPU data parallelism: the
   inner flow's epoch schedule is sharded across ``R`` replicas in rounds,
   the engine all-reduces replica gradients in a fixed order (one optimizer
   step per round), and the flow reports measured straggler skew next to
   the gpusim-modelled communication volume and predicted scaling.
 
-Because every flow's batch content is a pure function of ``(seed, slot)``,
-flows can also expose their schedule as a list of :class:`BatchPlan`
-objects (:meth:`DataFlow.plan`): building a plan early moves *when* the
-work happens, never *what* is sampled, which is what makes prefetching
-bit-identical to sequential execution.
+A flow *is* its schedule: :meth:`DataFlow.plan` — the one method a flow
+implements — lists an epoch's batches as :class:`BatchPlan` objects, and
+every consumer (the sequential :meth:`DataFlow.batches` loop, both
+prefetch builders, the replica rounds) enumerates that list. Batch content
+is a pure function of ``(seed, slot)``, so building a plan early or in
+another process moves *when* and *where* the work happens, never *what* is
+sampled — which is what makes prefetching bit-identical to sequential.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import warnings
-from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from collections import OrderedDict, deque
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -83,15 +85,13 @@ def _release_graph(graph: Graph) -> int:
 
     The per-graph eviction hook: only the adjacency (and transpose)
     matrices this graph ever built are released, so the full graph's and
-    surviving pool slots' compiled wrappers stay warm — unlike the
-    wholesale ``clear_cache()`` the pool used before the backend grew
-    :meth:`~repro.sparse.ops.SparseOpsBackend.release`.
+    surviving pool slots' compiled wrappers stay warm.
     """
     return get_backend().release(graph._adj_cache.values())
 
 
 class SubgraphCache:
-    """Bounded LRU of sampled subgraphs keyed by schedule slot.
+    """Bounded LRU of built subgraphs, keyed by schedule slot or by members.
 
     A cached subgraph keeps its CSR adjacency (and transpose) warm across
     epochs, so re-visiting a pool slot skips both the sampler and the
@@ -105,7 +105,7 @@ class SubgraphCache:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, Graph]" = OrderedDict()
+        self._entries: "OrderedDict[object, Graph]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -114,7 +114,7 @@ class SubgraphCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: int) -> Optional[Graph]:
+    def get(self, key) -> Optional[Graph]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -123,7 +123,7 @@ class SubgraphCache:
         self._entries.move_to_end(key)
         return entry
 
-    def put(self, key: int, subgraph: Graph) -> None:
+    def put(self, key, subgraph: Graph) -> None:
         self._entries[key] = subgraph
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
@@ -160,9 +160,9 @@ class BatchPlan:
 
     ``build()`` materialises the batch — deterministically, since batch
     content derives from ``(seed, slot)`` alone — and may run on a
-    background thread ahead of consumption. ``retire(batch)`` runs on the
-    consumer side once the training step finished with the batch (one-shot
-    flows release the batch's backend wrappers there).
+    background thread or in a worker process ahead of consumption.
+    ``retire(batch)`` runs on the consumer side once the training step
+    finished with it (one-shot flows release its backend wrappers there).
     """
 
     __slots__ = ()
@@ -175,24 +175,24 @@ class BatchPlan:
 
 
 class DataFlow:
-    """One data-flow strategy: a per-epoch stream of training subgraphs."""
+    """One data-flow strategy: a per-epoch schedule of training subgraphs."""
 
     name = "abstract"
 
-    def batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
-        """Yield the training subgraphs of one epoch (possibly ``graph``)."""
+    def plan(self, graph: Graph, epoch: int) -> List[BatchPlan]:
+        """The epoch's schedule: one :class:`BatchPlan` per batch, each a
+        pure function of the flow's deterministic ``(seed, slot)``. The
+        one method a flow implements; :meth:`batches`, the prefetch
+        builders and :meth:`DistributedFlow.rounds` all enumerate it."""
         raise NotImplementedError
 
-    def plan(self, graph: Graph, epoch: int) -> Optional[List[BatchPlan]]:
-        """The epoch's schedule as buildable plans, or ``None``.
-
-        Flows whose batches are pure functions of their deterministic
-        ``(seed, slot)`` schedule return one :class:`BatchPlan` per batch;
-        :class:`PrefetchFlow` builds those ahead on its builder.
-        Returning ``None`` (the default) marks the flow unschedulable and
-        prefetch falls back to inline iteration.
-        """
-        return None
+    def batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
+        """Yield one epoch's training subgraphs (possibly ``graph``): each
+        plan is built when reached, retired after the consumer's step."""
+        for plan in self.plan(graph, epoch):
+            batch = plan.build()
+            yield batch
+            plan.retire(batch)
 
     def describe(self) -> str:
         return self.name
@@ -203,8 +203,20 @@ class FullGraphFlow(DataFlow):
 
     name = "full"
 
-    def batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
-        yield graph
+    def plan(self, graph: Graph, epoch: int) -> List[BatchPlan]:
+        return [_FullGraphPlan(graph)]
+
+
+class _FullGraphPlan(BatchPlan):
+    """The whole graph as the epoch's only batch."""
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+
+    def build(self) -> Graph:
+        return self.graph
 
 
 #: Named samplers a :class:`SampledFlow` can schedule.
@@ -237,7 +249,6 @@ class SampledFlow(DataFlow):
         fanout: int = 8,
         seed: int = 0,
         pool_size: Optional[int] = None,
-        cache_size: Optional[int] = None,
         importance: bool = False,
         importance_alpha: float = 1.0,
     ):
@@ -259,8 +270,6 @@ class SampledFlow(DataFlow):
             raise ValueError("sample_size must be positive")
         if pool_size is not None and pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        if cache_size is not None and cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         self.sampler = sampler
         self.batches_per_epoch = batches_per_epoch
         self.sample_size = sample_size
@@ -273,13 +282,10 @@ class SampledFlow(DataFlow):
         self.importance = importance
         self.importance_alpha = importance_alpha
         self.pool_size = pool_size
-        # Default the cache to span the whole pool: a pool cycling through
-        # more slots than the LRU holds never hits and evicts (clearing the
-        # backend's CSR cache) on every batch. An explicit cache_size is
-        # honoured — a caller bounding memory accepts the resampling cost.
-        if cache_size is None:
-            cache_size = pool_size if pool_size is not None else 8
-        self.cache = SubgraphCache(cache_size)
+        # The cache spans the whole pool: one cycling through more slots
+        # than the LRU holds never hits and evicts on every batch (PERF.md:
+        # 36.4 vs 28.1 ms / epoch). Unpooled flows never touch it.
+        self.cache = SubgraphCache(pool_size if pool_size is not None else 8)
         # Held strongly, like PartitionedFlow's partition: slots are only
         # meaningful for the graph they were sampled from.
         self._cache_graph: Optional[Graph] = None
@@ -392,12 +398,6 @@ class SampledFlow(DataFlow):
             for index in range(self.batches_per_epoch)
         ]
 
-    def batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
-        for plan in self.plan(graph, epoch):
-            subgraph = plan.build()
-            yield subgraph
-            plan.retire(subgraph)
-
 
 class _SampledBatchPlan(BatchPlan):
     """One ``(seed, slot)`` schedule entry of a :class:`SampledFlow`.
@@ -451,33 +451,27 @@ class MicroBatchedFlow(DataFlow):
     edges). One optimizer step covers the group, trading step count for
     arithmetic intensity exactly like gradient-accumulation micro-batching.
 
-    Merged graphs are cached (LRU over member identity) so a pooled inner
-    flow keeps merged CSR adjacencies warm across epochs; evictions release
-    only the evicted union's backend wrappers.
+    Merged graphs are cached (a :class:`SubgraphCache` keyed by member
+    identity) so a pooled inner flow keeps merged CSR adjacencies warm
+    across epochs; evictions release only the evicted union's backend
+    wrappers.
     """
 
     name = "micro"
 
-    def __init__(self, inner: DataFlow, size: int, cache_size: int = 8):
+    def __init__(self, inner: DataFlow, size: int):
         if size < 1:
             raise ValueError("micro-batch size must be >= 1")
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         self.inner = inner
         self.size = size
-        self.cache_size = cache_size
-        self._merged: "OrderedDict[Tuple[int, ...], Tuple[list, Graph]]" = (
-            OrderedDict()
-        )
+        self._merged = SubgraphCache(8)  # merged unions kept warm
         self._merge_graph: Optional[Graph] = None
-        self.merge_hits = 0
-        self.merge_misses = 0
 
     def __getstate__(self):
         # Spawn-safe: merged unions are keyed by member identity, which
         # does not survive pickling — workers rebuild their own.
         state = self.__dict__.copy()
-        state["_merged"] = OrderedDict()
+        state["_merged"] = SubgraphCache(self._merged.capacity)
         state["_merge_graph"] = None
         return state
 
@@ -487,16 +481,10 @@ class MicroBatchedFlow(DataFlow):
     def _merge(self, group: list) -> Graph:
         if len(group) == 1:
             return group[0]
-        key = tuple(id(member) for member in group)
-        entry = self._merged.get(key)
-        # The stored member list pins every keyed graph alive, so an id
-        # key can only hit while its members are the original objects —
-        # a plain dictionary hit is already identity-verified.
-        if entry is not None:
-            self.merge_hits += 1
-            self._merged.move_to_end(key)
-            return entry[1]
-        self.merge_misses += 1
+        key = _Members(group)
+        merged = self._merged.get(key)
+        if merged is not None:
+            return merged
         merged = batch_graphs(group)
         if merged.loss_weights is not None:
             # Each member's weighted-sum loss estimates the full-graph mean
@@ -506,50 +494,32 @@ class MicroBatchedFlow(DataFlow):
             # gradients by K. (batch_graphs concatenates into a fresh
             # array, so scaling here cannot alias member weights.)
             merged.loss_weights = merged.loss_weights / len(group)
-        self._merged[key] = (list(group), merged)
-        self._merged.move_to_end(key)
-        while len(self._merged) > self.cache_size:
-            _, (_, evicted) = self._merged.popitem(last=False)
-            _release_graph(evicted)
+        self._merged.put(key, merged)
         return merged
 
-    def _bind_graph(self, graph: Graph) -> None:
+    def plan(self, graph: Graph, epoch: int) -> List[BatchPlan]:
+        inner_plans = self.inner.plan(graph, epoch)
         if self._merge_graph is not graph:
             # New parent graph: the pooled members are gone, so drop (and
             # release) every merged union built from them.
-            while self._merged:
-                _, (_, evicted) = self._merged.popitem(last=False)
-                _release_graph(evicted)
+            self._merged.release_all()
             self._merge_graph = graph
-
-    def plan(self, graph: Graph, epoch: int) -> Optional[List[BatchPlan]]:
-        inner_plans = self.inner.plan(graph, epoch)
-        if inner_plans is None:
-            return None
-        self._bind_graph(graph)
+        # A trailing partial group still trains.
         return [
             _MicroBatchPlan(self, inner_plans[start:start + self.size])
             for start in range(0, len(inner_plans), self.size)
         ]
 
-    def batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
-        plans = self.plan(graph, epoch)
-        if plans is not None:
-            for plan in plans:
-                merged = plan.build()
-                yield merged
-                plan.retire(merged)
-            return
-        # Inner flow without a deterministic schedule: group its stream.
-        self._bind_graph(graph)
-        group: list = []
-        for subgraph in self.inner.batches(graph, epoch):
-            group.append(subgraph)
-            if len(group) == self.size:
-                yield self._merge(group)
-                group = []
-        if group:  # trailing partial group still trains
-            yield self._merge(group)
+
+class _Members(tuple):
+    """Member graphs as a cache key, by identity. Being the key, they live
+    as long as the entry, so no ``id`` is recycled under it."""
+
+    def __hash__(self):
+        return hash(tuple(map(id, self)))
+
+    def __eq__(self, other):
+        return tuple(map(id, self)) == tuple(map(id, other))
 
 
 class _MicroBatchPlan(BatchPlan):
@@ -627,10 +597,6 @@ class PartitionedFlow(DataFlow):
             for part in range(partition.n_parts)
         ]
 
-    def batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
-        for plan in self.plan(graph, epoch):
-            yield plan.build()
-
 
 class _PartitionBatchPlan(BatchPlan):
     """One ``(epoch, part)`` BNS-GCN halo sample — deterministic by seed."""
@@ -656,29 +622,28 @@ class _PartitionBatchPlan(BatchPlan):
 class PrefetchFlow(DataFlow):
     """Materialise an inner flow's next batches ahead of the consumer.
 
-    Every schedulable flow's batch content is a pure function of its
-    ``(seed, slot)`` schedule, so building a batch early moves only *when*
-    the sampling / induction / CSR-build / backend-registration work
-    happens — trajectories are bit-identical with prefetch on or off. A
-    *builder* processes :meth:`DataFlow.plan` entries in schedule order
-    (so the subgraph pool's LRU sees the exact same get/put sequence) and
+    Every flow's batch content is a pure function of its ``(seed, slot)``
+    schedule, so building a batch early moves only *when* the sampling /
+    induction / CSR-build / backend-registration work happens —
+    trajectories are bit-identical with prefetch on or off. A *builder*
+    processes :meth:`DataFlow.plan` entries in schedule order (so the
+    subgraph pool's LRU sees the exact same get/put sequence) and
     :meth:`batches` consumes them through ``submit_epoch`` / ``result``,
     whichever builder answers: the background thread
-    (:class:`_ThreadBuilder`, a hand-off queue bounded by ``depth``) or,
+    (:class:`_ThreadBuilder`, a window of at most ``depth`` futures) or,
     with an integer ``workers``, that many spawn processes
     (:class:`~repro.training.parallel.ProcessPrefetchPool`, which runs
-    ``workers`` slots ahead whatever ``depth`` says). While the trainer
-    consumes epoch ``e`` the builder is already on epoch ``e + 1``. An
-    engine names its model's adjacencies via :meth:`set_warm_norms`, and
-    every builder pre-builds those too.
+    ``workers`` slots ahead whatever ``depth`` says). The schedule of epoch
+    ``e + 1`` is submitted when epoch ``e`` starts, so the look-ahead rolls
+    into the next epoch as the current one drains. An engine names its
+    model's adjacencies via :meth:`set_warm_norms`, and every builder
+    pre-builds those too.
 
     Notes
     -----
     * Pooled flows integrate with the LRU pool unchanged: warm slots are
-      never rebuilt, and evictions release only the evicted subgraph's
-      wrappers. (With a cache smaller than the pool, an eviction may drop
-      wrappers of the batch currently training; the next step re-registers
-      them — a perf quirk, never a correctness issue.)
+      never rebuilt, and the cache spans the pool, so a built slot is
+      never evicted under the trainer.
     * One-shot batches are released by the *consumer* after their step
       (:meth:`BatchPlan.retire`), exactly as in sequential execution.
     * Epochs are assumed to be consumed in the order they are requested
@@ -686,18 +651,19 @@ class PrefetchFlow(DataFlow):
       epoch shuts the builder down (retiring what it built ahead) and the
       next request starts a fresh one.
     * Only two builder failures reach the consumer: a *deterministic*
-      build error (:class:`PrefetchWorkerError` — retrying cannot help)
-      and the process pool's supervised-recovery exhaustion, on which the
-      flow warns once, builds the epoch's remaining slots inline, and
-      pins the thread builder for the rest of its life.
+      build error (:class:`PrefetchWorkerError` — retrying cannot help),
+      raised when the failed slot itself is requested, every earlier slot
+      having been delivered; and the process pool's supervised-recovery
+      exhaustion, on which the flow warns once, builds the epoch's
+      remaining slots inline, and pins the thread builder for good.
     """
 
     name = "prefetch"
 
     def __init__(self, inner: DataFlow, depth: int = 2,
                  workers: Union[None, str, int] = None):
-        if depth < 0:
-            raise ValueError("prefetch depth must be >= 0")
+        if depth < 1:
+            raise ValueError("prefetch depth must be >= 1")
         if isinstance(workers, int) and workers < 1:
             raise ValueError("prefetch workers must be >= 1")
         if isinstance(workers, str) and workers != "thread":
@@ -706,8 +672,8 @@ class PrefetchFlow(DataFlow):
                 "positive process count"
             )
         self.inner = inner
-        #: Capacity of the thread builder's hand-off queue (0 disables
-        #: prefetching altogether).
+        #: How many batches the thread builder keeps built or building
+        #: ahead of the consumer.
         self.depth = depth
         #: ``None``/``"thread"`` = the background thread; an ``int`` asks
         #: for that many spawn worker processes building against a
@@ -727,12 +693,8 @@ class PrefetchFlow(DataFlow):
         self.built = 0  # batches delivered by a builder (stats/tests)
 
     def describe(self) -> str:
-        if isinstance(self.workers, int):
-            return (
-                f"{self.inner.describe()}+prefetch{self.depth}"
-                f"/procs{self.workers}"
-            )
-        return f"{self.inner.describe()}+prefetch{self.depth}"
+        procs = f"/procs{self.workers}" if isinstance(self.workers, int) else ""
+        return f"{self.inner.describe()}+prefetch{self.depth}{procs}"
 
     def set_warm_norms(self, norms: Tuple[str, ...]) -> None:
         """Adjacency norms the builders pre-build on every batch."""
@@ -774,7 +736,7 @@ class PrefetchFlow(DataFlow):
         Call when a flow is retired for good (the CLI does after
         training). Not required between ``fit()`` calls — the next
         ``batches()`` request reuses or discards the lookahead — and a
-        never-closed thread-mode flow costs only its parked daemon worker
+        never-closed thread-mode flow costs only its idle worker thread
         plus up to ``depth`` built batches of the one epoch past the last
         consumed. A process-mode flow should always be closed: its
         workers and shared segments outlive garbage collection.
@@ -785,20 +747,24 @@ class PrefetchFlow(DataFlow):
         if builder is not None:
             builder.close()
 
+    def _build(self, plan: BatchPlan) -> Graph:
+        """Build and warm one batch (builder thread, or inline remainder)."""
+        batch = plan.build()
+        warm_batch(batch, self.warm_norms)
+        return batch
+
     # -- scheduling ----------------------------------------------------
-    def _submit(self, graph: Graph, epoch: int) -> Optional[List[BatchPlan]]:
-        """Hand ``epoch``'s plans to the builder (once); ``None`` when the
-        inner flow exposes no schedule."""
+    def _submit(self, graph: Graph, epoch: int) -> List[BatchPlan]:
+        """Hand ``epoch``'s plans to the builder (once)."""
         plans = self._ahead.get(epoch)
         if plans is None:
             plans = self.inner.plan(graph, epoch)
-            if plans is not None:
-                self._ensure_builder(graph).submit_epoch(epoch, plans)
-                self._ahead[epoch] = plans
+            self._ensure_builder(graph).submit_epoch(epoch, plans)
+            self._ahead[epoch] = plans
         return plans
 
     # -- consumption ---------------------------------------------------
-    def plan(self, graph: Graph, epoch: int) -> Optional[List[BatchPlan]]:
+    def plan(self, graph: Graph, epoch: int) -> List[BatchPlan]:
         # Nesting prefetch inside another prefetch adds no overlap; expose
         # the inner schedule so an outer wrapper drives it directly.
         return self.inner.plan(graph, epoch)
@@ -806,10 +772,7 @@ class PrefetchFlow(DataFlow):
     def batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
         if self._builder_graph is not graph or epoch not in self._ahead:
             self.close()  # new graph / out-of-order request
-        plans = self._submit(graph, epoch) if self.depth else None
-        if plans is None:  # prefetch disabled or unschedulable inner flow
-            yield from self.inner.batches(graph, epoch)
-            return
+        plans = self._submit(graph, epoch)
         del self._ahead[epoch]
         # Lookahead: start the next epoch while this one is consumed.
         self._submit(graph, epoch + 1)
@@ -831,8 +794,7 @@ class PrefetchFlow(DataFlow):
                         self.close()
                         builder = None
                 if builder is None:
-                    batch = plan.build()
-                    warm_batch(batch, self.warm_norms)
+                    batch = self._build(plan)
                 self.built += 1
                 yield batch
                 plan.retire(batch)
@@ -845,7 +807,7 @@ class PrefetchFlow(DataFlow):
 
 
 class DistributedFlow(DataFlow):
-    """Simulated multi-GPU data-parallel execution of a schedulable flow.
+    """Simulated multi-GPU data-parallel execution of an inner flow.
 
     The inner flow's deterministic epoch schedule is sharded into *rounds*
     of up to ``replicas`` consecutive :class:`BatchPlan` entries: round
@@ -900,22 +862,14 @@ class DistributedFlow(DataFlow):
         return f"distributed[{tag}]/{self.inner.describe()}"
 
     # -- schedule ------------------------------------------------------
-    def plan(self, graph: Graph, epoch: int) -> Optional[List[BatchPlan]]:
+    def plan(self, graph: Graph, epoch: int) -> List[BatchPlan]:
+        # Consumers without round support walk the inner schedule: same
+        # batch *content*, only the step grouping differs.
         return self.inner.plan(graph, epoch)
-
-    def batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
-        # Sequential fallback for consumers without round support — the
-        # batch *content* is identical, only the step grouping differs.
-        yield from self.inner.batches(graph, epoch)
 
     def rounds(self, graph: Graph, epoch: int) -> List[List[BatchPlan]]:
         """One epoch's schedule as replica-sharded data-parallel rounds."""
         plans = self.inner.plan(graph, epoch)
-        if plans is None:
-            raise ValueError(
-                f"{self.inner.describe()} exposes no deterministic "
-                "schedule; DistributedFlow needs a plannable inner flow"
-            )
         self.rounds_scheduled += -(-len(plans) // self.replicas)
         return [
             plans[start:start + self.replicas]
@@ -1035,7 +989,7 @@ class DistributedFlow(DataFlow):
             # payload needs the store's per-tensor spans to be exact).
             wire_bytes = dense_bytes
         plans = self.inner.plan(graph, 0)
-        n_rounds = -(-len(plans) // replicas) if plans else 0
+        n_rounds = -(-len(plans) // replicas)
 
         def epoch_mb(nbytes: float) -> float:
             per_round = (
@@ -1116,135 +1070,67 @@ class DistributedFlow(DataFlow):
         return report
 
 
-class _PrefetchJob:
-    """One epoch's plans plus the bounded hand-off queue to the consumer."""
-
-    __slots__ = ("plans", "results", "stop", "error")
-
-    def __init__(self, plans: List[BatchPlan], depth: int):
-        self.plans = plans
-        self.results: "queue.Queue[Tuple[str, object, object]]" = queue.Queue(
-            maxsize=max(depth, 1)
-        )
-        self.stop = threading.Event()
-        #: ``(slot, exception)`` set by the worker *before* queueing the
-        #: error item, so the consumer sees failures promptly.
-        self.error: Optional[Tuple[int, BaseException]] = None
-
-
 class _ThreadBuilder:
     """:class:`~repro.training.parallel.ProcessPrefetchPool`'s
     ``submit_epoch`` / ``result`` / ``close`` on one background thread of
     this process.
 
-    Builds each submitted epoch's plans in order, warms every batch and
-    hands it over through the epoch's bounded queue — the happens-before
-    edge: the trainer only ever reads a built ``_adj_cache``, the two
-    threads never race to construct one.
+    A bounded buffer between producer and consumer: submitted plans wait
+    in schedule order and at most ``flow.depth`` of them are in the
+    *window* — futures of a single-worker executor, so they build (and
+    warm) strictly in schedule order on one thread. Taking a slot's result
+    admits the next pending plan, which is how the look-ahead rolls from
+    epoch ``e`` into ``e + 1``. The future is the happens-before edge: the
+    trainer only ever reads a built ``_adj_cache``, the two threads never
+    race to construct one.
     """
-
-    #: Seconds between stop-flag checks while the worker waits on a full
-    #: hand-off queue; bounds how long a discarded job can occupy it.
-    _POLL_SECONDS = 0.05
 
     def __init__(self, flow: PrefetchFlow):
         self.flow = flow
-        self._queue: "queue.Queue[Optional[_PrefetchJob]]" = queue.Queue()
-        self._jobs: Dict[int, _PrefetchJob] = {}
-        self._thread: Optional[threading.Thread] = None
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-prefetch"
+        )
+        self._pending: Deque[tuple] = deque()  # ((epoch, index), plan)
+        self._window: Deque[tuple] = deque()  # (key, plan, future), in order
+
+    def _fill(self) -> None:
+        while self._pending and len(self._window) < self.flow.depth:
+            key, plan = self._pending.popleft()
+            self._window.append(
+                (key, plan, self._executor.submit(self.flow._build, plan))
+            )
 
     def submit_epoch(self, epoch: int, plans: List[BatchPlan]) -> None:
-        job = self._jobs[epoch] = _PrefetchJob(plans, self.flow.depth)
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._work, name="repro-prefetch", daemon=True
-            )
-            self._thread.start()
-        self._queue.put(job)
+        self._pending.extend(
+            ((epoch, index), plan) for index, plan in enumerate(plans)
+        )
+        self._fill()
 
     def result(self, epoch: int, index: int) -> Graph:
-        """The next built batch of ``epoch`` (slots arrive in order)."""
-        job = self._jobs[epoch]
-        # Prompt propagation: surface a recorded failure at the next
-        # hand-off even when built batches are still queued ahead of it
-        # (close() retires them).
-        error = job.error
-        if error is None:
-            kind, payload, extra = job.results.get()
-            if kind == "batch":
-                if index + 1 == len(job.plans):
-                    del self._jobs[epoch]
-                return payload
-            error = (extra, payload)
-        slot, original = error
-        raise PrefetchWorkerError(slot, epoch, original) from original
+        """The next submitted slot's batch, or — raised here, for the slot
+        that failed — its build error."""
+        if not self._window or self._window[0][0] != (epoch, index):
+            raise RuntimeError(
+                f"plan slot {index} of epoch {epoch} is not the next "
+                "submitted slot"
+            )
+        _, _, future = self._window.popleft()
+        self._fill()
+        original = future.exception()  # waits for the build
+        if original is not None:
+            raise PrefetchWorkerError(index, epoch, original) from original
+        return future.result()
 
     def close(self) -> None:
-        """Stop every unfinished job and join the thread."""
-        while self._jobs:
-            _, job = self._jobs.popitem()
-            job.stop.set()
-            while not job.results.empty():
-                kind, payload, plan = job.results.get_nowait()
-                if kind == "batch":
-                    # Never-consumed batches still get their consumer-side
-                    # cleanup, or one-shot subgraphs' warmed backend
-                    # wrappers would stay pinned in the backend's LRU.
-                    plan.retire(payload)
-        if self._thread is not None and self._thread.is_alive():
-            self._queue.put(None)
-            self._thread.join(timeout=5.0)
-        self._thread = None
-
-    def _offer(self, job: _PrefetchJob, item) -> bool:
-        """Put with periodic stop checks so discarded jobs cannot wedge
-        the worker behind a full queue nobody will drain. The timeout
-        backs off exponentially (capped at 1 s): a lookahead job whose
-        consumer never arrives — e.g. the epoch after ``fit()``'s last —
-        parks the worker at a negligible poll rate instead of 20 Hz."""
-        delay = self._POLL_SECONDS
-        while True:
-            if job.stop.is_set():
-                return False
-            try:
-                job.results.put(item, timeout=delay)
-                return True
-            except queue.Full:
-                delay = min(2.0 * delay, 1.0)
-
-    def _work(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            for index, plan in enumerate(job.plans):
-                if job.stop.is_set():
-                    break
-                try:
-                    batch = plan.build()
-                    warm_batch(batch, self.flow.warm_norms)
-                except BaseException as exc:  # delivered to the consumer
-                    # Record first (the consumer polls job.error before
-                    # each hand-off, so the failure surfaces promptly even
-                    # with built batches still queued ahead of it), then
-                    # queue it as well for a consumer already blocked in
-                    # ``get()``.
-                    job.error = (index, exc)
-                    self._offer(job, ("error", exc, index))
-                    break
-                if not self._offer(job, ("batch", batch, plan)):
-                    # Discarded job: nobody will consume this batch, so
-                    # run its consumer-side cleanup here (one-shot flows
-                    # release the backend wrappers the warm-up registered).
-                    plan.retire(batch)
-                    break
-                if job.stop.is_set():
-                    # Cancellation raced the hand-off: the canceller may
-                    # have drained before this item landed. Retire is
-                    # idempotent (backend release pops at most once), so
-                    # covering it from both sides cannot double-free.
-                    plan.retire(batch)
-                    break
+        """Cancel what has not started, join the thread, and retire what
+        was built but never consumed — or one-shot subgraphs' warmed
+        backend wrappers would stay pinned in the backend's LRU."""
+        self._pending.clear()
+        self._executor.shutdown(wait=True, cancel_futures=True)
+        while self._window:
+            _, plan, future = self._window.popleft()
+            if not future.cancelled() and future.exception() is None:
+                plan.retire(future.result())
 
 
 def make_flow(
@@ -1257,11 +1143,12 @@ def make_flow(
     ``micro_batch > 1`` wraps the flow in a :class:`MicroBatchedFlow` that
     merges that many consecutive batches into one fused dense pass;
     ``prefetch > 0`` wraps the result in a :class:`PrefetchFlow` that
-    builds batches ahead — on a background thread by default, whose
-    hand-off queue holds up to that many, or on ``prefetch_workers`` spawn
+    builds batches ahead — on a background thread by default, which keeps
+    up to that many built or building, or on ``prefetch_workers`` spawn
     processes against a shared-memory graph store when an integer count
     is given (they run ``prefetch_workers`` slots ahead, whatever the
-    depth; ``"thread"`` names the default explicitly).
+    depth; ``"thread"`` names the default explicitly). ``full`` is never
+    wrapped: its only batch is the graph itself.
 
     ``distributed`` consumes ``replicas`` (simulated data-parallel width),
     ``grad_topk`` (optional top-k gradient-exchange compression),
@@ -1308,6 +1195,6 @@ def make_flow(
         )
     if micro_batch > 1:
         built = MicroBatchedFlow(built, micro_batch)
-    if prefetch > 0:
+    if prefetch > 0 and flow != "full":
         built = PrefetchFlow(built, prefetch, workers=prefetch_workers)
     return built

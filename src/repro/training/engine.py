@@ -37,6 +37,7 @@ from ..tensor import (
 )
 from .checkpoint import (
     CheckpointError,
+    check_fingerprint,
     config_fingerprint,
     read_checkpoint,
     state_dict,
@@ -143,13 +144,14 @@ class ReplicaGradients:
     rule), contributes exactly those to the fixed-order reduction, and
     stores the dropped mass back into its residual row — classic
     error-feedback top-k SGD, so no gradient mass is ever lost, merely
-    delayed. Selection runs through :func:`repro.sparse.ops.topk_mask`
+    delayed. The selection happens once, in :meth:`capture` (wherever the
+    replica runs — the engine's process or its own worker); :meth:`reduce`
+    only ever sums rows. It runs through :func:`repro.sparse.ops.topk_mask`
     with a private :class:`~repro.tensor.workspace.Workspace`, so the
-    steady-state sparse reduce performs no fresh large allocations. The
+    steady-state sparse exchange performs no fresh large allocations. The
     modelled wire format is CBSR (:attr:`payload_nbytes` prices fp32
     values plus the narrowest index dtype per tensor;
-    :meth:`payload_cbsr` materialises the actual payload for tests);
-    the dense path (``topk=None``) is byte-for-byte the historical code.
+    :meth:`payload_cbsr` materialises the actual payload for tests).
     """
 
     def __init__(self, parameters: Sequence[Tensor], replicas: int,
@@ -204,34 +206,59 @@ class ReplicaGradients:
         gradient buffers are shared across replicas (they execute serially
         on one simulated device), so the next replica's backward overwrites
         them.
-        """
-        self.deposit(replica, [p.grad for p in self.parameters])
 
-    def reduce(self, participants: Sequence[int],
-               preselected: bool = False) -> None:
-        """Average the participants' gradients into ``p.grad`` per param.
+        With ``topk`` set this is also where the replica *selects*: per
+        parameter, add the residual row to the fresh gradient in place
+        (the *corrected* gradient), keep the ``k`` largest-magnitude
+        entries with the backend's :func:`~repro.sparse.ops.topk_mask`
+        (float mask — exact 0.0/1.0, so the multiply needs no casting
+        buffer) as the arena row, and subtract them back out of the
+        residual: selected entries zero exactly, dropped entries keep
+        their full corrected mass for the next round. All scratch lives in
+        the store's private workspace, so the steady state allocates
+        nothing per round.
+        """
+        if self.topk is None:
+            self.deposit(replica, [p.grad for p in self.parameters])
+            return
+        workspace = self._workspace
+        for index, (p, (lo, hi)) in enumerate(
+            zip(self.parameters, self._spans)
+        ):
+            self._present[replica, index] = p.grad is not None
+            if p.grad is None:
+                continue
+            dim = hi - lo
+            k = self._topk_per_param[index]
+            selected = self._arena[replica, lo:hi]
+            corrected = self._residual[replica, lo:hi]
+            corrected += np.ravel(p.grad)
+            if k == dim:
+                np.copyto(selected, corrected)
+            else:
+                row = corrected.reshape(1, dim)
+                magnitude = workspace.buffer("grad-abs", (1, dim))
+                np.abs(row, out=magnitude)
+                mask = workspace.buffer("grad-mask", (1, dim))
+                topk_mask(magnitude, k, out=mask,
+                          workspace=workspace, slot="grad-topk")
+                np.multiply(row, mask, out=selected.reshape(1, dim))
+            corrected -= selected
+
+    def reduce(self, participants: Sequence[int]) -> None:
+        """Average the participants' arena rows into ``p.grad`` per param.
 
         The divisor is the number of replicas that trained a batch this
         round (the round objective is the mean of their losses); a
         parameter no participant touched keeps ``grad = None`` so the
-        optimizer skips it, exactly as in sequential execution. With
-        ``topk`` set, each participant contributes its top-k-selected,
-        residual-corrected entries instead of its full row (see the class
-        docstring); the fixed ascending order is unchanged.
-
-        ``preselected`` runs the dense accumulation even on a top-k store:
-        the process-per-replica executor's workers already applied the
-        selection and residual update in their own single-row stores
-        (:meth:`deposit` scattered the shipped entries into the arena), so
-        the parent must only sum and scale — selecting again would select
-        a selection.
+        optimizer skips it, exactly as in sequential execution. Rows are
+        summed as they are, in fixed ascending replica order — on a top-k
+        store they already hold each replica's selection, made by
+        :meth:`capture` here or in the replica's own worker process.
         """
         if not participants:
             raise ValueError("reduce needs at least one participant")
         scale = 1.0 / float(len(participants))
-        if self.topk is not None and not preselected:
-            self._reduce_sparse(participants, scale)
-            return
         for index, (p, (lo, hi)) in enumerate(
             zip(self.parameters, self._spans)
         ):
@@ -245,103 +272,41 @@ class ReplicaGradients:
             for replica in sources[1:]:
                 reduced += self._arena[replica, lo:hi]
             reduced *= scale
-            self._adopt(p, reduced)
-
-    def _adopt(self, p: Tensor, reduced: np.ndarray) -> None:
-        """Hand the reduced row to ``p.grad`` via its persistent buffer."""
-        shaped = reduced.reshape(p.data.shape)
-        buffer = p._grad_buffer
-        if buffer is not None and buffer.shape == p.data.shape:
-            np.copyto(buffer, shaped)
-            p.grad = buffer
-        else:
-            p.grad = shaped.copy()
-
-    def _reduce_sparse(self, participants: Sequence[int],
-                       scale: float) -> None:
-        """Top-k + error-feedback all-reduce in fixed ascending order.
-
-        Per parameter and participant (ascending): add the residual row to
-        the captured gradient in place (the *corrected* gradient), select
-        the ``k`` largest-magnitude entries with the backend's
-        :func:`~repro.sparse.ops.topk_mask` (float mask — exact 0.0/1.0,
-        so the multiply needs no casting buffer), accumulate only the
-        selection, and subtract it back out of the residual row: selected
-        entries zero exactly, dropped entries keep their full corrected
-        mass for the next round. All scratch lives in the store's private
-        workspace, so the steady state allocates nothing per round.
-        """
-        workspace = self._workspace
-        for index, (p, (lo, hi)) in enumerate(
-            zip(self.parameters, self._spans)
-        ):
-            sources = [r for r in participants
-                       if self._present[r, index]]
-            if not sources:
-                p.grad = None
-                continue
-            dim = hi - lo
-            k = self._topk_per_param[index]
-            reduced = self._reduced[lo:hi]
-            for position, replica in enumerate(sources):
-                corrected = self._residual[replica, lo:hi]
-                corrected += self._arena[replica, lo:hi]
-                if k == dim:
-                    selected = corrected
-                else:
-                    row = corrected.reshape(1, dim)
-                    magnitude = workspace.buffer("grad-abs", (1, dim))
-                    np.abs(row, out=magnitude)
-                    mask = workspace.buffer("grad-mask", (1, dim))
-                    topk_mask(magnitude, k, out=mask,
-                              workspace=workspace, slot="grad-topk")
-                    picked = workspace.buffer("grad-selected", (1, dim))
-                    np.multiply(row, mask, out=picked)
-                    selected = picked.reshape(dim)
-                if position == 0:
-                    np.copyto(reduced, selected)
-                else:
-                    reduced += selected
-                corrected -= selected
-            reduced *= scale
-            self._adopt(p, reduced)
+            shaped = reduced.reshape(p.data.shape)
+            buffer = p._grad_buffer
+            if buffer is not None and buffer.shape == p.data.shape:
+                np.copyto(buffer, shaped)
+                p.grad = buffer
+            else:
+                p.grad = shaped.copy()
 
     def export_payload(self, replica: int = 0) -> List[object]:
-        """The per-parameter payload to ship after :meth:`reduce`.
+        """``replica``'s arena row as the per-parameter payload to ship.
 
-        Reads the post-reduce ``p.grad`` buffers (a worker's single-row
-        store leaves exactly its contribution there — dense, or the
-        residual-corrected top-k selection). Entries are ``None`` for
-        untouched parameters, ``(indices, float64 values)`` for sparse
-        spans (``k < dim``; float64 keeps the exchange bitwise exact) and
-        a dense float64 row otherwise — top-k with ``k == dim`` stays
-        dense so exact-zero selected entries survive the wire.
+        Entries are ``None`` for untouched parameters, ``(indices, float64
+        values)`` for sparse spans (``k < dim``; float64 keeps the exchange
+        bitwise exact) and a dense float64 row otherwise — top-k with
+        ``k == dim`` stays dense so exact-zero selected entries survive
+        the wire. :meth:`deposit` is the inverse.
         """
         payload: List[object] = []
-        for index, (p, (lo, hi)) in enumerate(
-            zip(self.parameters, self._spans)
-        ):
-            if p.grad is None:
+        for index, (lo, hi) in enumerate(self._spans):
+            if not self._present[replica, index]:
                 payload.append(None)
                 continue
-            row = np.ascontiguousarray(p.grad, dtype=np.float64).ravel()
-            dim = hi - lo
-            if self.topk is not None and self._topk_per_param[index] < dim:
+            row = self._arena[replica, lo:hi]
+            if self.topk is not None and self._topk_per_param[index] < hi - lo:
                 indices = np.flatnonzero(row)
-                payload.append(
-                    (indices.astype(np.int64, copy=False), row[indices])
-                )
+                payload.append((indices, row[indices]))
             else:
                 payload.append(row.copy())
         return payload
 
     def deposit(self, replica: int, payload: Sequence[object]) -> None:
-        """Adopt per-parameter gradients as ``replica``'s arena row.
-
-        Fed a worker-shipped payload it is the inverse of
-        :meth:`export_payload` on the parent side of the
-        process-per-replica exchange; follow that with
-        ``reduce(participants, preselected=True)``.
+        """Adopt per-parameter gradients as ``replica``'s arena row, as
+        they are (no selection): raw gradients on a dense store, or a
+        worker-shipped :meth:`export_payload` on the parent side of the
+        process-per-replica exchange.
         """
         if len(payload) != len(self.parameters):
             raise ValueError(
@@ -385,25 +350,24 @@ class ReplicaGradients:
             self._residual[replica, :] = row
 
     def payload_cbsr(self, replica: int) -> List[CBSRMatrix]:
-        """The CBSR payloads ``replica`` would ship in the *next* reduce.
+        """``replica``'s captured selection as the CBSR payloads it ships.
 
         One ``(1, dim)`` :class:`~repro.core.cbsr.CBSRMatrix` per
-        parameter, compressing residual + captured gradient with the same
-        magnitude top-k (ties → lower column) the in-place reduce applies;
-        their summed :meth:`~repro.core.cbsr.CBSRMatrix.storage_bytes`
-        equals :attr:`payload_nbytes`. Diagnostic/test path — the hot
-        reduce never materialises these objects.
+        parameter over the arena row :meth:`capture` left (an untouched
+        parameter ships zeros); their summed
+        :meth:`~repro.core.cbsr.CBSRMatrix.storage_bytes` equals
+        :attr:`payload_nbytes`. Diagnostic/test path — the hot exchange
+        never materialises these objects.
         """
         if self.topk is None:
             raise ValueError("payload_cbsr needs a top-k store")
         payloads = []
         for index, (lo, hi) in enumerate(self._spans):
-            dim = hi - lo
-            corrected = self._residual[replica, lo:hi].copy()
+            row = np.zeros((1, hi - lo))
             if self._present[replica, index]:
-                corrected += self._arena[replica, lo:hi]
+                row[0] = self._arena[replica, lo:hi]
             payloads.append(CBSRMatrix.from_dense_rows(
-                corrected.reshape(1, dim), self._topk_per_param[index]
+                row, self._topk_per_param[index]
             ))
         return payloads
 
@@ -418,9 +382,6 @@ class _InProcessReplicas:
     next replica's backward overwrites them. What the round loop uses
     without a pool, and swaps in when one exhausts supervised recovery.
     """
-
-    #: Rows hold raw gradients; the parent reduce does the top-k selection.
-    preselected = False
 
     def __init__(self, engine: "Engine", plans: Dict[int, BatchPlan]):
         self.engine = engine
@@ -652,9 +613,7 @@ class Engine:
                             if note is not None:
                                 note(replica, seconds, infos[replica][2],
                                      slot=first_slot + replica)
-                        store.reduce(
-                            participants, preselected=executor.preselected
-                        )
+                        store.reduce(participants)
                         if note_exchange is not None:
                             note_exchange(
                                 store.dense_nbytes, store.payload_nbytes
@@ -766,8 +725,8 @@ class Engine:
                            store: ReplicaGradients) -> None:
         """Adopt the dead pool's worker state and pin the in-process path.
 
-        The workers held the live error-feedback residuals (the parent
-        reduce was ``preselected``) and their own dropout streams; both
+        The workers held the live error-feedback residuals (each selects
+        in its own one-row store) and their own dropout streams; both
         move into the parent so the continuation is bit-identical where
         that is defined (always for the residuals; for the dropout stream
         with one replica, whose worker stream *is* the parent stream's
@@ -893,16 +852,7 @@ class Engine:
         replica store / process pool the engine provisions.
         """
         arrays, meta = read_checkpoint(path)
-        config = getattr(self.model, "config", None)
-        expected = meta.get("fingerprint")
-        if expected is not None and config is not None:
-            actual = config_fingerprint(config)
-            if actual != expected:
-                raise CheckpointError(
-                    f"{path} was written for a different model "
-                    f"configuration (fingerprint {expected}, this model "
-                    f"is {actual}); refusing to resume"
-                )
+        check_fingerprint(path, meta, self.model, "resume")
         residual_rows = int(meta.get("residual_rows", 0))
         residuals: List[Optional[np.ndarray]] = []
         for replica in range(residual_rows):

@@ -488,8 +488,8 @@ def _replica_worker(conn, spec: dict) -> None:
     * ``("step", flat_params, actions)`` → ``("grad", payload, loss,
       seconds, state)`` — overwrite the mirror's parameters, run
       :func:`~repro.training.engine.forward_backward` on the current
-      batch, pass the gradients through
-      the worker's own single-row :class:`ReplicaGradients` (identity for
+      batch, capture the gradients in
+      the worker's own single-row :class:`ReplicaGradients` (a copy for
       dense; top-k selection + error-feedback residual update for
       ``grad_topk``), and ship the per-parameter payload. ``state`` is
       the worker's *post-step* snapshot (dropout PCG64 state + residual
@@ -580,12 +580,11 @@ def _replica_worker(conn, spec: dict) -> None:
                 start = time.perf_counter()
                 unpack_parameters(parameters, flat_params)
                 loss = forward_backward(model, features, batch)
+                # Dense is a plain copy; top-k applies the residual-
+                # corrected selection and updates this replica's residual
+                # — byte-for-byte the in-process store's per-replica
+                # arithmetic.
                 grads.capture(0)
-                # Single-participant reduce: dense is copy × 1.0 (exact);
-                # top-k applies the residual-corrected selection and
-                # updates this replica's residual — byte-for-byte the
-                # in-process store's per-replica arithmetic.
-                grads.reduce([0])
                 payload = grads.export_payload()
                 if corrupt:
                     payload = "corrupted-payload"
@@ -631,10 +630,6 @@ class ReplicaProcessPool:
 
     #: The reply kind each supervised op is answered with.
     _REPLY_KIND = {"build": "built", "step": "grad"}
-
-    #: Workers already ran top-k selection and the residual update in
-    #: their own single-row stores; the parent reduce must only sum.
-    preselected = True
 
     def __init__(self, graph: Graph, inner_flow, config, rng_state,
                  replicas: int, grad_topk: Optional[int],

@@ -31,7 +31,6 @@ from repro.training import (
     BatchPlan,
     DistributedFlow,
     Engine,
-    FullGraphFlow,
     PartitionedFlow,
     ReplicaGradients,
     SampledFlow,
@@ -68,11 +67,6 @@ class TestRoundSharding:
         flow = DistributedFlow(PartitionedFlow(n_parts=3, seed=0), 1)
         rounds = flow.rounds(graph, epoch=0)
         assert [len(r) for r in rounds] == [1, 1, 1]
-
-    def test_unschedulable_inner_rejected(self, graph):
-        flow = DistributedFlow(FullGraphFlow(), 2)
-        with pytest.raises(ValueError, match="no deterministic"):
-            flow.rounds(graph, epoch=0)
 
     def test_describe_names_replicas_and_inner(self):
         flow = DistributedFlow(PartitionedFlow(n_parts=4, seed=0), 3)

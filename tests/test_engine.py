@@ -44,6 +44,21 @@ class TestEngineFullFlow:
         assert len(result.train_losses) == 3
         assert result.batch_sizes == [graph.n_nodes] * 3
 
+    def test_full_graph_is_a_one_entry_schedule(self, graph):
+        """The graph itself is the only plan, so wrappers that enumerate
+        the schedule replay the plain full-batch run bit for bit."""
+        from repro.training import DistributedFlow, MicroBatchedFlow
+
+        assert FullGraphFlow().plan(graph, 0)[0].build() is graph
+
+        def losses(flow):
+            return make_engine(graph, flow).fit(4, eval_every=2).train_losses
+
+        plain = losses(FullGraphFlow())
+        assert losses(MicroBatchedFlow(FullGraphFlow(), 2)) == plain
+        assert losses(DistributedFlow(FullGraphFlow(), 1)) == plain
+        assert type(make_flow("full", prefetch=2)) is FullGraphFlow
+
     def test_learns_above_chance(self, graph):
         result = make_engine(graph).fit(40, eval_every=10)
         assert result.test_at_best_val > 1.0 / 4
@@ -88,7 +103,7 @@ class TestEngineSampledFlow:
 
     def test_pool_recycles_subgraphs(self, graph):
         flow = SampledFlow(sampler="node", sample_size=50, seed=0,
-                           pool_size=2, cache_size=4)
+                           pool_size=2)
         first = [list(flow.batches(graph, e))[0] for e in range(2)]
         second = [list(flow.batches(graph, e))[0] for e in range(2, 4)]
         assert first[0] is second[0] and first[1] is second[1]
@@ -106,13 +121,15 @@ class TestEngineSampledFlow:
         import repro.training.dataflow as dataflow
 
         monkeypatch.setattr(dataflow, "get_backend", lambda: _Spy())
-        # An explicit cache bound below the pool is honoured and evicts.
-        flow = SampledFlow(sampler="node", sample_size=40, seed=0,
-                           pool_size=5, cache_size=2)
+        cache = SubgraphCache(2)
         seen = []
-        for epoch in range(5):
-            seen.extend(flow.batches(graph, epoch))
-        assert flow.cache.evictions == 3
+        flow = SampledFlow(sampler="node", sample_size=40, seed=0)
+        for slot in range(5):
+            subgraph = flow._sample(graph, slot)
+            subgraph.adjacency("sage")
+            cache.put(slot, subgraph)
+            seen.append(subgraph)
+        assert cache.evictions == 3
         assert len(released) == 3
         # Each release passes the evicted subgraph's cached CSRs, nothing
         # else (surviving slots and the full graph stay warm).
@@ -129,16 +146,20 @@ class TestEngineSampledFlow:
         with ops.use_backend("scipy"):
             backend = ops.get_backend()
             backend.clear_cache()
-            flow = SampledFlow(sampler="node", sample_size=40, seed=0,
-                               pool_size=3, cache_size=2)
+            flow = SampledFlow(sampler="node", sample_size=40, seed=0)
+            cache = SubgraphCache(2)
             engine = make_engine(graph, flow)
-            engine.fit(3, eval_every=3)
+            engine.evaluate()  # registers the full graph's wrappers
+            for slot in range(3):
+                subgraph = flow._sample(graph, slot)
+                engine.train_batch(subgraph)
+                cache.put(slot, subgraph)
             # The full graph's wrappers must have survived the evictions.
             full_keys = [
                 (id(m.indptr), id(m.indices), id(m.data))
                 for m in graph._adj_cache.values()
             ]
-            assert flow.cache.evictions > 0
+            assert cache.evictions > 0 and cache.released > 0
             assert any(key in backend._csr_cache for key in full_keys)
 
     def test_cache_resets_on_new_graph(self, graph):
@@ -164,7 +185,6 @@ class TestEngineSampledFlow:
 
     def test_cache_defaults_to_pool_size(self):
         assert SampledFlow(pool_size=16).cache.capacity == 16
-        assert SampledFlow(pool_size=16, cache_size=8).cache.capacity == 8
         assert SampledFlow().cache.capacity == 8
 
     def test_khop_flow_trains(self, graph):
@@ -196,8 +216,6 @@ class TestEngineSampledFlow:
             SampledFlow(sample_size=0)
         with pytest.raises(ValueError):
             SampledFlow(pool_size=0)
-        with pytest.raises(ValueError):
-            SampledFlow(cache_size=0)
         with pytest.raises(ValueError):
             SubgraphCache(0)
 
@@ -346,7 +364,7 @@ class TestMicroBatchedFlow:
         first = list(flow.batches(graph, 0))[0]
         second = list(flow.batches(graph, 1))[0]  # same pooled slots
         assert second is first
-        assert flow.merge_hits == 1 and flow.merge_misses == 1
+        assert flow._merged.hits == 1 and flow._merged.misses == 1
 
     def test_trailing_partial_group_still_trains(self, graph):
         from repro.training import MicroBatchedFlow
@@ -372,8 +390,6 @@ class TestMicroBatchedFlow:
 
         with pytest.raises(ValueError):
             MicroBatchedFlow(SampledFlow(), 0)
-        with pytest.raises(ValueError):
-            MicroBatchedFlow(SampledFlow(), 2, cache_size=0)
 
     def test_bitwise_equal_to_manual_batching(self, graph):
         """One merged step equals training on the explicit disjoint union."""

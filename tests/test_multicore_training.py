@@ -200,8 +200,8 @@ class TestReplicaProcesses:
 
     def test_round_loop_drives_any_executor_in_order(self):
         """The one round loop against a recording fake (no processes):
-        build → step × steps → retire per round, gradients landed by the
-        executor, and ``preselected`` handed through to the reduce."""
+        build → step × steps → retire per round, and gradients landed
+        by the executor summed as they are."""
         graph = _task_graph()
         flow = make_flow(
             "distributed", inner="partitioned", replicas=2, grad_topk=1,
@@ -212,8 +212,6 @@ class TestReplicaProcesses:
         calls = []
 
         class FakeExecutor:
-            preselected = True
-
             def build(self, assignments, epoch):
                 calls.append(("build", list(assignments), epoch))
                 # Replica 1 of the second round reports an unlabelled batch.
@@ -254,8 +252,8 @@ class TestReplicaProcesses:
         assert flow.replica_steps.tolist() == [4, 2]
         assert flow.replica_edges.tolist() == [2 * 100 + 2 * 102, 2 * 101]
         assert flow.grad_exchanges == 4
-        # preselected=True: the top-1 store summed the deposited rows
-        # as they were instead of selecting one entry per tensor again.
+        # The top-1 store summed the deposited rows as they were: reduce
+        # never selects, whoever filled the arena.
         for p in engine.optimizer.parameters:
             assert np.array_equal(p.grad, np.ones_like(p.data))
 

@@ -4,9 +4,9 @@ Covers the three tentpole layers and their seams:
 
 * :class:`~repro.training.dataflow.PrefetchFlow` — bit-identical
   trajectories with prefetch on/off across every backend and flow shape
-  (pooled / unpooled / micro-batched), worker error propagation, fallback
-  for unschedulable flows, abandonment against both builders, and the
-  warm-up every builder shares with the inline path;
+  (pooled / unpooled / micro-batched), in-slot-order worker error
+  propagation and abandonment against both builders, and the warm-up
+  every builder shares with the inline path;
 * ``fused_ce`` — bitwise equality against the composed
   ``cross_entropy`` and a finite-difference gradcheck, per backend;
 * the vectorized backend's blocked gather–scatter SpMM — bitwise
@@ -32,7 +32,6 @@ from repro.models import GNNConfig, MaxKGNN
 from repro.sparse import CSRMatrix, ops
 from repro.tensor import Tensor, Workspace, cross_entropy, fused_ce
 from repro.training import (
-    DataFlow,
     Engine,
     MicroBatchedFlow,
     PartitionedFlow,
@@ -41,7 +40,7 @@ from repro.training import (
     batch_loss,
     make_flow,
 )
-from repro.training.parallel import warm_batch
+from repro.training.parallel import PrefetchWorkerError, warm_batch
 from tests.test_tensor import finite_difference
 
 #: Prefetch builders: the background thread, and (where the host has
@@ -138,27 +137,41 @@ class _RecordingFlow(SampledFlow):
         return subgraph
 
 
+class _FailsOnSlotTwo(_RecordingFlow):
+    def _sample(self, graph, slot):
+        if slot == 2:
+            raise RuntimeError("slot two exploded")
+        return super()._sample(graph, slot)
+
+
 class TestPrefetchMechanics:
-    def test_depth_zero_is_passthrough(self):
+    @pytest.mark.parametrize("workers", BUILDERS)
+    def test_failure_surfaces_at_its_own_slot(self, workers, force_procs):
+        """Both builders fail in slot order: everything scheduled before
+        the failed slot is delivered, the failure is raised when *its*
+        slot is requested, and closing leaves nothing behind."""
         graph = _task_graph(60)
-        inner = SampledFlow(sampler="node", sample_size=20, pool_size=2, seed=1)
-        flow = PrefetchFlow(inner, 0)
-        batches = list(flow.batches(graph, 0))
-        assert len(batches) == 1 and batches[0].n_nodes == 20
+        inner = _FailsOnSlotTwo(sampler="node", batches_per_epoch=4,
+                                sample_size=20, seed=0)
+        flow = PrefetchFlow(inner, 2, workers=workers)
+        flow.set_warm_norms(("sage",))
+        stream = flow.batches(graph, 0)
+        delivered = [next(stream), next(stream)]
+        assert [b.n_nodes for b in delivered] == [20, 20]
+        with pytest.raises(PrefetchWorkerError) as failure:
+            next(stream)
+        assert failure.value.slot == 2 and failure.value.epoch == 0
+        assert "slot two exploded" in str(failure.value)
         flow.close()
-
-    def test_unschedulable_inner_falls_back_inline(self):
-        class StreamOnly(DataFlow):
-            name = "stream"
-
-            def batches(self, graph, epoch):
-                yield graph
-
-        graph = _task_graph(60)
-        flow = PrefetchFlow(StreamOnly(), 2)
-        assert list(flow.batches(graph, 0)) == [graph]
-        assert flow.built == 0  # nothing went through the worker
-        flow.close()
+        built = [
+            matrix for subgraph in [*inner.sampled, *delivered]
+            for matrix in subgraph._adj_cache.values()
+        ]
+        # Delivered slots were retired by the consumer, the slot built
+        # ahead of the failure by close(): nothing is still registered.
+        assert ops.release(built) == 0
+        assert owned_segment_count() == 0
+        assert not multiprocessing.active_children()
 
     def test_worker_errors_propagate(self):
         def broken_sampler(graph, size, seed=0):
