@@ -15,7 +15,7 @@ scaled Flickr stand-in:
   silently dropped), keep the p99 latency of the requests it *does*
   serve under the configured deadline (``deadline_met``), and stay
   bit-identical on spot-checked served responses.
-* **mid-run executor kill** — with a ``kill_executor`` fault injected
+* **mid-run executor kill** — with a ``kill_worker`` fault injected
   into the supervised pool, every served response still matches the
   single-request reference (zero wrong responses, ``identical``) and the
   pool records the respawn.
@@ -289,7 +289,7 @@ def test_executor_kill_mid_run_serves_zero_wrong_responses(
         pytest.skip("host cannot create POSIX shared memory")
     # Kill executor 0 on its 3rd infer op — mid-run, after it has proven
     # healthy — and keep serving through the respawn.
-    set_fault_plan(FaultPlan.parse("kill_executor:serving:0:3"))
+    set_fault_plan(FaultPlan.parse("kill_worker:serving:0:3"))
     service = _build_service(executors=1)
     try:
         assert service.pool is not None, "executor pool failed to start"

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import NODE_FIELDS, Graph
 
 __all__ = ["batch_graphs"]
 
@@ -76,12 +76,12 @@ def batch_graphs(graphs: Sequence[Graph]) -> Graph:
     """Disjoint union of ``graphs``: node ids offset, payloads concatenated.
 
     Every member keeps its internal edges (shifted by its node offset);
-    features, labels, masks and communities are stacked row-wise in member
-    order. Multi-label members stack their label matrices; single-label
-    members concatenate label vectors — mixing the two is rejected, as is
-    an empty sequence. ``loss_weights`` may be mixed: unweighted members
-    are filled with their implicit uniform weights (see
-    :func:`_stack_loss_weights`) so a weighted member merges losslessly.
+    every node column is stacked row-wise in member order. Multi-label
+    members stack their label matrices; single-label members concatenate
+    label vectors — mixing the two is rejected, as is an empty sequence.
+    ``loss_weights`` may be mixed: unweighted members are filled with
+    their implicit uniform weights (see :func:`_stack_loss_weights`) so a
+    weighted member merges losslessly.
     """
     graphs = list(graphs)
     if not graphs:
@@ -99,17 +99,16 @@ def batch_graphs(graphs: Sequence[Graph]) -> Graph:
     dst = np.concatenate(
         [g.dst + offset for g, offset in zip(graphs, offsets)]
     )
+    payload = {
+        name: _stack_loss_weights(graphs) if name == "loss_weights"
+        else _stack_payload([getattr(g, name) for g in graphs])
+        for name in NODE_FIELDS
+    }
     return Graph(
         n_nodes=int(offsets[-1]),
         src=src,
         dst=dst,
-        features=_stack_payload([g.features for g in graphs]),
-        labels=_stack_payload([g.labels for g in graphs]),
-        train_mask=_stack_payload([g.train_mask for g in graphs]),
-        val_mask=_stack_payload([g.val_mask for g in graphs]),
-        test_mask=_stack_payload([g.test_mask for g in graphs]),
         name=f"batch[{len(graphs)}x{graphs[0].name}]",
         multilabel=multilabel,
-        communities=_stack_payload([g.communities for g in graphs]),
-        loss_weights=_stack_loss_weights(graphs),
+        **payload,
     )

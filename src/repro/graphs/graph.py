@@ -10,13 +10,30 @@ The paper's dataflow figure annotates the adjacency edge weights per model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..sparse import CSRMatrix, coo_to_csr
 
-__all__ = ["Graph", "normalized_adjacency"]
+__all__ = ["Graph", "NODE_FIELDS", "normalized_adjacency"]
+
+#: The per-node payload columns of a :class:`Graph` -> the value a node slot
+#: appended by a delta takes (``None``: the rows must be supplied). Slicing,
+#: stacking, permuting, extending and shipping a graph all iterate this, so a
+#: new column is declared here and on the dataclass and nowhere else.
+NODE_FIELDS = {
+    "features": None,
+    "labels": 0,
+    "train_mask": False,
+    "val_mask": False,
+    "test_mask": False,
+    "communities": -1,
+    "loss_weights": 0.0,
+}
+
+_CSR_PARTS = ("indptr", "indices", "data")
 
 
 @dataclass
@@ -63,6 +80,10 @@ class Graph:
         default_factory=dict, repr=False
     )
     _cache_generation: int = field(default=0, repr=False)
+    #: The attached :class:`~repro.graphs.shm.SharedGraphStore` whose pages
+    #: the arrays borrow: were it collected while the graph lives, its
+    #: finalizer would unmap them under the views (use-after-free).
+    _shm_store: Optional[object] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.src = np.asarray(self.src, dtype=np.int64)
@@ -112,6 +133,14 @@ class Graph:
             return 0.0
         cumulative = np.cumsum(deg)
         return float((n + 1 - 2 * (cumulative / cumulative[-1]).sum()) / n)
+
+    def node_arrays(self) -> Dict[str, np.ndarray]:
+        """The :data:`NODE_FIELDS` columns this graph carries, by name."""
+        columns = ((name, getattr(self, name)) for name in NODE_FIELDS)
+        return {
+            name: np.asarray(column)
+            for name, column in columns if column is not None
+        }
 
     # ------------------------------------------------------------------
     def _fresh_caches(self) -> None:
@@ -202,6 +231,56 @@ class Graph:
             self._adj_cache[key] = self.adjacency(norm).transpose()
         return self._adj_cache[key]
 
+    def built_adjacencies(self) -> Mapping[str, CSRMatrix]:
+        """Every adjacency / transpose built so far, by cache key (read-only).
+
+        What a consumer hands to the sparse backend's ``release`` when the
+        graph retires, and what :meth:`flatten` ships pre-built.
+        """
+        self._fresh_caches()
+        return MappingProxyType(self._adj_cache)
+
+    def flatten(self) -> Tuple[dict, Dict[str, np.ndarray]]:
+        """``(meta, arrays)``: the graph as picklable scalars + named arrays.
+
+        The one codec for both process boundaries (shared-memory export
+        and the prefetch workers' pickled batches): ``arrays`` holds the
+        COO endpoints, the node columns present and every built adjacency
+        as ``adj[key].indptr|indices|data``, with their shapes in ``meta``.
+        """
+        arrays = {"src": self.src, "dst": self.dst, **self.node_arrays()}
+        shapes = {}
+        for key, csr in self.built_adjacencies().items():
+            shapes[key] = tuple(csr.shape)
+            for part in _CSR_PARTS:
+                arrays[f"adj[{key}].{part}"] = getattr(csr, part)
+        meta = {
+            "n_nodes": self.n_nodes,
+            "name": self.name,
+            "multilabel": self.multilabel,
+            "adjacency": shapes,
+        }
+        return meta, arrays
+
+    @classmethod
+    def unflatten(cls, meta: dict, arrays: Mapping[str, np.ndarray]) -> "Graph":
+        """Rebuild :meth:`flatten`'s graph around ``arrays`` (validated, not
+        copied: shared-memory views stay views)."""
+        graph = cls(
+            n_nodes=meta["n_nodes"],
+            src=arrays["src"],
+            dst=arrays["dst"],
+            name=meta["name"],
+            multilabel=meta["multilabel"],
+            **{name: arrays[name] for name in NODE_FIELDS if name in arrays},
+        )
+        for key, shape in meta["adjacency"].items():
+            graph._adj_cache[key] = CSRMatrix(
+                *(arrays[f"adj[{key}].{part}"] for part in _CSR_PARTS),
+                shape=tuple(shape),
+            )
+        return graph
+
     def apply_delta(self, delta, warm: bool = True) -> "Graph":
         """Apply a :class:`~repro.graphs.mutation.GraphDelta` in place.
 
@@ -219,15 +298,9 @@ class Graph:
             n_nodes=self.n_nodes,
             src=np.concatenate([self.src, self.dst]),
             dst=np.concatenate([self.dst, self.src]),
-            features=self.features,
-            labels=self.labels,
-            train_mask=self.train_mask,
-            val_mask=self.val_mask,
-            test_mask=self.test_mask,
             name=self.name,
             multilabel=self.multilabel,
-            communities=self.communities,
-            loss_weights=self.loss_weights,
+            **self.node_arrays(),
         )
 
     def summary(self) -> Dict[str, float]:

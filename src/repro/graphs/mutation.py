@@ -41,6 +41,7 @@ import numpy as np
 
 from ..sparse import CSRMatrix
 from ..sparse import ops as sparse_ops
+from .graph import NODE_FIELDS, normalized_adjacency
 
 __all__ = ["GraphDelta", "apply_delta", "merge_csr_delta"]
 
@@ -66,8 +67,10 @@ class GraphDelta:
     ``add_nodes``
         Number of fresh node slots appended after the current id range.
         New edges may reference them.  ``add_features`` (required when the
-        graph has features) and ``add_labels`` (zero-filled when omitted)
-        extend the node payload; split masks extend with ``False``.
+        graph has features) and ``add_labels`` extend those columns; every
+        other node column (and omitted labels) takes its
+        :data:`~repro.graphs.graph.NODE_FIELDS` fill value, which keeps the
+        new slots out of every split.
     ``detach_nodes``
         Nodes whose *incident edges* are all removed.  The slots remain
         (ids are stable tombstones), so downstream consumers never see
@@ -245,37 +248,23 @@ def _removed_edge_mask(graph, delta: GraphDelta, new_n: int) -> np.ndarray:
     return mask
 
 
-def _extend_nodes(graph, delta: GraphDelta, new_n: int) -> None:
-    """Grow per-node payload arrays for appended node slots."""
-    if not delta.add_nodes:
-        return
-    n_new = delta.add_nodes
-    if graph.features is not None:
-        feats = np.asarray(delta.add_features, dtype=np.float64)
-        graph.features = np.concatenate([graph.features, feats])
-    if graph.labels is not None:
-        if delta.add_labels is not None:
-            rows = np.asarray(delta.add_labels, dtype=graph.labels.dtype)
-            expected = (n_new,) + graph.labels.shape[1:]
-            if rows.shape != expected:
-                raise ValueError(f"add_labels must have shape {expected}")
+def _extend_nodes(graph, delta: GraphDelta) -> None:
+    """Grow every node column the graph carries for appended node slots:
+    the delta's rows where it supplies them, the column's
+    :data:`~repro.graphs.graph.NODE_FIELDS` fill value otherwise."""
+    supplied = {"features": delta.add_features, "labels": delta.add_labels}
+    for name, column in graph.node_arrays().items():
+        tail = (delta.add_nodes,) + column.shape[1:]
+        rows = supplied.get(name)
+        if name == "features":  # shape-checked by _validate_delta
+            rows = np.asarray(rows, dtype=np.float64)
+        elif rows is None:
+            rows = np.full(tail, NODE_FIELDS[name], dtype=column.dtype)
         else:
-            # Unlabeled additions: zero labels, masked out of every split.
-            rows = np.zeros((n_new,) + graph.labels.shape[1:], graph.labels.dtype)
-        graph.labels = np.concatenate([graph.labels, rows])
-    for attr in ("train_mask", "val_mask", "test_mask"):
-        mask = getattr(graph, attr)
-        if mask is not None:
-            setattr(
-                graph, attr, np.concatenate([mask, np.zeros(n_new, dtype=bool)])
-            )
-    if graph.communities is not None:
-        filler = np.full(n_new, -1, dtype=graph.communities.dtype)
-        graph.communities = np.concatenate([graph.communities, filler])
-    if graph.loss_weights is not None:
-        graph.loss_weights = np.concatenate(
-            [graph.loss_weights, np.zeros(n_new, dtype=np.float64)]
-        )
+            rows = np.asarray(rows, dtype=column.dtype)
+            if rows.shape != tail:
+                raise ValueError(f"add_{name} must have shape {tail}")
+        setattr(graph, name, np.concatenate([column, rows]))
 
 
 def _merge_structural(
@@ -331,8 +320,6 @@ def apply_delta(graph, delta: GraphDelta, warm: bool = True):
     backend's plan caches are released for the old buffers (re-warmed for
     the new ones unless ``warm=False``).
     """
-    from .graph import normalized_adjacency
-
     new_n = _validate_delta(graph, delta)
     graph._fresh_caches()
 
@@ -357,7 +344,8 @@ def apply_delta(graph, delta: GraphDelta, warm: bool = True):
     keep = ~removed_mask
     graph.src = np.concatenate([graph.src[keep], delta.add_src])
     graph.dst = np.concatenate([graph.dst[keep], delta.add_dst])
-    _extend_nodes(graph, delta, new_n)
+    if delta.add_nodes:
+        _extend_nodes(graph, delta)
     graph.n_nodes = new_n
 
     graph.generation += 1

@@ -162,22 +162,13 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray) -> Graph:
     # Sorting the surviving COO positions restores the edge-list order.
     kept = np.sort(order[rows[local_id[in_src[rows]] >= 0]])
 
-    def slice_rows(array):
-        return None if array is None else np.asarray(array)[nodes]
-
     return Graph(
         n_nodes=int(nodes.size),
         src=local_id[graph.src[kept]],
         dst=local_id[graph.dst[kept]],
-        features=slice_rows(graph.features),
-        labels=slice_rows(graph.labels),
-        train_mask=slice_rows(graph.train_mask),
-        val_mask=slice_rows(graph.val_mask),
-        test_mask=slice_rows(graph.test_mask),
         name=f"{graph.name}-sub",
         multilabel=graph.multilabel,
-        communities=slice_rows(graph.communities),
-        loss_weights=slice_rows(graph.loss_weights),
+        **{name: rows[nodes] for name, rows in graph.node_arrays().items()},
     )
 
 

@@ -35,7 +35,7 @@ __all__ = [
 def apply_permutation(graph: Graph, new_ids: np.ndarray) -> Graph:
     """Renumber nodes: ``new_ids[v]`` is node v's new index.
 
-    Features, labels, masks and communities are permuted consistently.
+    Every node column the graph carries is permuted consistently.
     """
     new_ids = np.asarray(new_ids, dtype=np.int64)
     if new_ids.shape != (graph.n_nodes,):
@@ -46,21 +46,13 @@ def apply_permutation(graph: Graph, new_ids: np.ndarray) -> Graph:
     inverse = np.empty_like(new_ids)
     inverse[new_ids] = np.arange(graph.n_nodes)
 
-    def permute_rows(array):
-        return None if array is None else np.asarray(array)[inverse]
-
     return Graph(
         n_nodes=graph.n_nodes,
         src=new_ids[graph.src],
         dst=new_ids[graph.dst],
-        features=permute_rows(graph.features),
-        labels=permute_rows(graph.labels),
-        train_mask=permute_rows(graph.train_mask),
-        val_mask=permute_rows(graph.val_mask),
-        test_mask=permute_rows(graph.test_mask),
         name=f"{graph.name}-reordered",
         multilabel=graph.multilabel,
-        communities=permute_rows(graph.communities),
+        **{name: rows[inverse] for name, rows in graph.node_arrays().items()},
     )
 
 

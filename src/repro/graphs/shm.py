@@ -1,12 +1,12 @@
 """Shared-memory graph store for true multi-core execution.
 
-A :class:`SharedGraphStore` exports every array a :class:`Graph` carries —
-edge endpoints, features, labels, split masks, loss weights, communities,
-plus any CSR adjacencies already built in ``_adj_cache`` — into
+A :class:`SharedGraphStore` exports every array of a graph's
+:meth:`~repro.graphs.graph.Graph.flatten` form into
 :mod:`multiprocessing.shared_memory` segments. Worker processes receive a
 small picklable :class:`SharedGraphHandle` and map the same physical pages
-back as zero-copy ``np.ndarray`` views: a spawn-started batch builder or
-replica executor reads the full graph without ever serialising it.
+back as zero-copy ``np.ndarray`` views for ``Graph.unflatten``: a
+spawn-started batch builder or replica executor reads the full graph
+without ever serialising it.
 
 Lifecycle is explicit: the exporting process owns the segments and must
 ``unlink()`` them (``close()`` only drops this process's mappings); worker
@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..sparse import CSRMatrix
 from .graph import Graph
 
 __all__ = [
@@ -54,12 +53,6 @@ class StaleHandleError(RuntimeError):
     unlinked the segments — e.g. a handle from a previous store generation
     that survived a crash/restart cycle in a worker spec.
     """
-
-#: Graph array fields exported to shared memory (``None`` fields skipped).
-_ARRAY_FIELDS = (
-    "src", "dst", "features", "labels", "train_mask", "val_mask",
-    "test_mask", "communities", "loss_weights",
-)
 
 #: Segment names this process created and has not yet unlinked.
 _OWNED: set = set()
@@ -204,16 +197,13 @@ class _ArraySpec:
 class SharedGraphHandle:
     """Picklable recipe for re-mapping a :class:`SharedGraphStore`.
 
-    Small enough to ship through a spawn bootstrap: per-array segment
-    names + dtypes + shapes, never the data itself.
+    Small enough to ship through a spawn bootstrap: ``Graph.flatten``'s
+    ``meta`` plus per-array segment names + dtypes + shapes, never the
+    data itself.
     """
 
-    n_nodes: int
-    name: str
-    multilabel: bool
+    meta: dict
     arrays: Tuple[_ArraySpec, ...]
-    #: ``(cache_key, shape, (indptr, indices, data) specs)`` per cached CSR.
-    adjacency: Tuple[Tuple[str, Tuple[int, int], Tuple[_ArraySpec, ...]], ...]
     #: Which export generation of the owning process minted this handle.
     #: A respawned worker handed a handle from an already-unlinked store
     #: fails fast in :meth:`SharedGraphStore.attach` instead of mapping
@@ -246,31 +236,13 @@ class SharedGraphStore:
             sweep_leaked_segments()
             _write_pidfile()
         try:
-            specs = []
-            for field in _ARRAY_FIELDS:
-                value = getattr(graph, field)
-                if value is None:
-                    continue
-                specs.append(store._export_array(field, np.asarray(value)))
-            adjacency = []
-            for key, csr in graph._adj_cache.items():
-                parts = tuple(
-                    store._export_array(
-                        f"adj[{key}].{part}", np.asarray(arr)
-                    )
-                    for part, arr in (
-                        ("indptr", csr.indptr),
-                        ("indices", csr.indices),
-                        ("data", csr.data),
-                    )
-                )
-                adjacency.append((key, tuple(csr.shape), parts))
+            meta, arrays = graph.flatten()
             store._handle = SharedGraphHandle(
-                n_nodes=graph.n_nodes,
-                name=graph.name,
-                multilabel=graph.multilabel,
-                arrays=tuple(specs),
-                adjacency=tuple(adjacency),
+                meta=meta,
+                arrays=tuple(
+                    store._export_array(name, np.asarray(array))
+                    for name, array in arrays.items()
+                ),
                 generation=_GENERATION,
             )
             store._graph = graph
@@ -334,7 +306,7 @@ class SharedGraphStore:
                 except FileNotFoundError:
                     raise StaleHandleError(
                         f"shared segment {spec.segment!r} (graph "
-                        f"{handle.name!r}, store generation "
+                        f"{handle.meta['name']!r}, store generation "
                         f"{handle.generation}) no longer exists; the owner "
                         "unlinked it. Re-export the graph and hand workers "
                         "the fresh handle."
@@ -348,32 +320,11 @@ class SharedGraphStore:
             return array
 
         try:
-            fields = {spec.field: mapped(spec) for spec in handle.arrays}
-            graph = Graph(
-                n_nodes=handle.n_nodes,
-                src=fields["src"],
-                dst=fields["dst"],
-                features=fields.get("features"),
-                labels=fields.get("labels"),
-                train_mask=fields.get("train_mask"),
-                val_mask=fields.get("val_mask"),
-                test_mask=fields.get("test_mask"),
-                name=handle.name,
-                multilabel=handle.multilabel,
-                communities=fields.get("communities"),
-                loss_weights=fields.get("loss_weights"),
+            graph = Graph.unflatten(
+                handle.meta,
+                {spec.field: mapped(spec) for spec in handle.arrays},
             )
-            for key, shape, parts in handle.adjacency:
-                indptr, indices, data = (mapped(spec) for spec in parts)
-                graph._adj_cache[key] = CSRMatrix(
-                    indptr=indptr, indices=indices, data=data,
-                    shape=tuple(shape),
-                )
-            # The views borrow the segments' pages; if the store were
-            # garbage-collected while the graph lives, SharedMemory's
-            # finalizer would release those pages under the arrays
-            # (use-after-free). The graph therefore owns its store.
-            graph._shm_store = store
+            graph._shm_store = store  # the views borrow the store's pages
             store._graph = graph
         except BaseException:
             store.close()

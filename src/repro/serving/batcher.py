@@ -170,7 +170,7 @@ class MicroBatcher:
         cache-worthy survivors') warm entries. Only the merged graph ever
         owns an adjacency: member ego-nets are never warmed or bound.
         """
-        get_backend().release(batch.merged._adj_cache.values())
+        get_backend().release(batch.merged.built_adjacencies().values())
 
 
 def forward_rows(model, batch: EgoBatch) -> List[np.ndarray]:

@@ -19,8 +19,8 @@ frame validators and the replay recipe. Exhausted recovery raises
 service degrades to in-process serving with one cached warning.
 
 Fault injection (``serving`` scope, coordinates ``(executor, 1-based
-infer-op count)``): ``kill_executor`` / ``hang_executor`` die or stall
-mid-batch, ``corrupt_result`` ships a garbage frame, and the
+infer-op count)``): ``kill_worker`` / ``hang_worker`` die or stall
+mid-batch, ``corrupt_payload`` ships a garbage frame, and the
 parameterised ``slow_request=MS`` sleeps before serving so deadline
 paths are drivable deterministically.
 """

@@ -264,39 +264,44 @@ class InferenceService:
         except (TypeError, ValueError) as exc:
             ticket = Ticket(rid, -1)
             self.queue.stats.failed += 1
-            ticket.resolve(ServeResult(
-                rid=rid, node=-1, status=FAILED, submitted=now,
-                completed=now, deadline=now,
-            ))
-            ticket.error = repr(exc)
+            self._resolve(ticket, Request(rid, -1, 0, now, now), FAILED, now,
+                          error=repr(exc))
             return ticket
         if deadline is None:
             deadline = now + self.config.default_deadline
         ticket = Ticket(rid, node)
+        request = Request(rid=rid, node=node, seed=seed,
+                          deadline=deadline, submitted=now,
+                          generation=self.generation)
         if deadline <= now:
             self.queue.stats.shed_deadline += 1
-            ticket.resolve(ServeResult(
-                rid=rid, node=node, status=DEADLINE_EXCEEDED,
-                submitted=now, completed=now, deadline=deadline,
-            ))
+            self._resolve(ticket, request, DEADLINE_EXCEEDED, now)
             return ticket
         key = self.cache.key(self.generation, node, self.version, seed)
         cached = self.cache.get(key)
         if cached is not None:
-            ticket.resolve(ServeResult(
-                rid=rid, node=node, status=OK, logits=cached.copy(),
-                submitted=now, completed=now, deadline=deadline,
-                batch_size=1, cached=True, generation=self.generation,
-            ))
-            self.queue.note_served(
-                Request(rid, node, seed, deadline, now), now, cached=True
-            )
-            return ticket
-        request = Request(rid=rid, node=node, seed=seed,
-                          deadline=deadline, submitted=now,
+            self._resolve(ticket, request, OK, now, logits=cached.copy(),
+                          batch_size=1, cached=True,
                           generation=self.generation)
+            self.queue.note_served(request, now, cached=True)
+            return ticket
         self.queue.offer(request, ticket)
         return ticket
+
+    @staticmethod
+    def _resolve(ticket: Ticket, request: Request, status: str,
+                 completed: float, logits=None, error: Optional[str] = None,
+                 batch_size: int = 0, cached: bool = False,
+                 generation: int = 0) -> None:
+        """Give ``ticket`` its terminal result (and error text, if any)."""
+        ticket.resolve(ServeResult(
+            rid=request.rid, node=request.node, status=status,
+            logits=logits, submitted=request.submitted,
+            completed=completed, deadline=request.deadline,
+            batch_size=batch_size, cached=cached, generation=generation,
+        ))
+        if error is not None:
+            ticket.error = error
 
     def pump(self, force: bool = False) -> int:
         """Serve one window if the batcher says it should fire.
@@ -332,16 +337,14 @@ class InferenceService:
             ]
             for request, ticket in stale:
                 self.queue.stats.failed += 1
-                ticket.resolve(ServeResult(
-                    rid=request.rid, node=request.node, status=FAILED,
-                    submitted=request.submitted, completed=now,
-                    deadline=request.deadline,
+                self._resolve(
+                    ticket, request, FAILED, now,
                     generation=request.generation,
-                ))
-                ticket.error = (
-                    f"request admitted under graph generation "
-                    f"{request.generation} but the service is now at "
-                    f"{self.generation}; refusing to serve it stale"
+                    error=(
+                        f"request admitted under graph generation "
+                        f"{request.generation} but the service is now at "
+                        f"{self.generation}; refusing to serve it stale"
+                    ),
                 )
                 resolved += 1
             if not window:
@@ -353,12 +356,8 @@ class InferenceService:
         except Exception as exc:
             for request, ticket in window:
                 self.queue.stats.failed += 1
-                ticket.resolve(ServeResult(
-                    rid=request.rid, node=request.node, status=FAILED,
-                    submitted=request.submitted, completed=self.clock(),
-                    deadline=request.deadline, batch_size=len(window),
-                ))
-                ticket.error = repr(exc)
+                self._resolve(ticket, request, FAILED, self.clock(),
+                              batch_size=len(window), error=repr(exc))
             return resolved + len(window)
         completed = self.clock()
         self.batcher.note_service_time(completed - start)
@@ -367,23 +366,16 @@ class InferenceService:
                 # Computed, but too late: reclassify as shed — a deadline
                 # is a promise about when, not just whether.
                 self.queue.stats.shed_late += 1
-                ticket.resolve(ServeResult(
-                    rid=request.rid, node=request.node,
-                    status=DEADLINE_EXCEEDED, submitted=request.submitted,
-                    completed=completed, deadline=request.deadline,
-                    batch_size=len(window),
-                ))
+                self._resolve(ticket, request, DEADLINE_EXCEEDED, completed,
+                              batch_size=len(window))
             else:
                 key = self.cache.key(
                     self.generation, request.node, self.version, request.seed
                 )
                 self.cache.put(key, logits)
-                ticket.resolve(ServeResult(
-                    rid=request.rid, node=request.node, status=OK,
-                    logits=logits, submitted=request.submitted,
-                    completed=completed, deadline=request.deadline,
-                    batch_size=len(window), generation=request.generation,
-                ))
+                self._resolve(ticket, request, OK, completed, logits=logits,
+                              batch_size=len(window),
+                              generation=request.generation)
                 self.queue.note_served(request, completed)
             resolved += 1
         return resolved

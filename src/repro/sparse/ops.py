@@ -196,15 +196,9 @@ class SparseOpsBackend:
         Unlike :meth:`clear_cache`, wrappers for every *other* graph stay
         warm — this is what the training engine's subgraph-pool LRU calls
         on eviction so the full graph and surviving slots keep their
-        compiled wrappers. Returns the number of entries dropped.
-
-        The base implementation falls back to :meth:`clear_cache` (and
-        returns 0, since it cannot count what was pinned): a caching
-        backend written against the PR-2 hook alone thus keeps its
-        bounded-pinned-memory guarantee under pool eviction, merely
-        losing the keep-survivors-warm refinement until it overrides this.
+        compiled wrappers. Returns the number of entries dropped (0 for
+        stateless backends).
         """
-        self.clear_cache()
         return 0
 
     def warm(self, matrices) -> None:
@@ -313,6 +307,52 @@ class ReferenceBackend(SparseOpsBackend):
         return columns
 
 
+class _IdKeyedLRU(dict):
+    """Bounded LRU keyed by the identity of a CSR ``(indptr, indices, data)``
+    buffer triple — the one shape of every per-graph backend cache.
+
+    Values must hold *strong* references to the keyed buffers: an id key is
+    only valid while the keyed object is alive, and weakrefs cannot replace
+    them because what is cached (SpMM plans, scipy wrappers) shares or
+    indexes those very buffers. Every step is a single atomic dict
+    operation, so a prefetch thread warming entries while the trainer
+    touches or releases them needs no lock.
+    """
+
+    #: Max entries per cache; inserting beyond it evicts oldest-first.
+    LIMIT = 64
+
+    @staticmethod
+    def key(indptr, indices, data) -> Tuple[int, int, int]:
+        return (id(indptr), id(indices), id(data))
+
+    def touch(self, key):
+        """The entry under ``key`` (moved to the young end), or ``None``.
+
+        Pop-then-reinsert: eviction hits stale graphs (dead one-shot
+        batches), never matrices in active rotation — and a thread racing
+        another on the same key simply loses the pop and rebuilds
+        (benign), instead of KeyError-ing out of a get-then-pop sequence.
+        """
+        hit = self.pop(key, None)
+        if hit is not None:
+            self[key] = hit
+        return hit
+
+    def insert(self, key, value) -> None:
+        while len(self) >= self.LIMIT:
+            try:
+                oldest = next(iter(self), None)
+            except RuntimeError:  # concurrent resize mid-iteration: retry
+                continue
+            if oldest is None:
+                break
+            # pop-with-default: a concurrent release() may have removed
+            # the oldest key between the len check and this pop.
+            self.pop(oldest, None)
+        self[key] = value
+
+
 class VectorizedBackend(SparseOpsBackend):
     """Numpy bincount / reduceat / argpartition implementation.
 
@@ -329,9 +369,9 @@ class VectorizedBackend(SparseOpsBackend):
     strictly in stored-edge order — still bit-identical to the reference
     loop and to scipy's compiled kernel, but several times faster and
     allocation-free in steady state. The per-matrix degree-bucket plans are
-    cached by buffer identity (strong refs keep the id-keys valid), bounded
-    by :attr:`cache_limit`, and integrate with the :meth:`release` /
-    :meth:`warm` hooks exactly like the scipy backend's wrapper cache.
+    cached by buffer identity in an :class:`_IdKeyedLRU` and integrate with
+    the :meth:`release` / :meth:`warm` hooks exactly like the scipy
+    backend's wrapper cache.
     """
 
     name = "vectorized"
@@ -342,62 +382,29 @@ class VectorizedBackend(SparseOpsBackend):
     _BLOCK_ELEMENTS = 1 << 16
 
     def __init__(self):
-        # Degree-bucket SpMM plans keyed by the identity of the CSR buffer
-        # triple. Values hold strong references to those buffers: an id key
-        # is only valid while the keyed object is alive, and the plan's
-        # index arrays alias nothing else, so weakrefs cannot replace this.
-        self._plan_cache: Dict[Tuple[int, int, int], tuple] = {}
-        self._cache_limit = 64
+        # Degree-bucket SpMM plans per CSR buffer triple.
+        self._plan_cache = _IdKeyedLRU()
+        #: Every per-graph cache of this backend (subclasses append).
+        self._caches = [self._plan_cache]
         # Gather/reduce scratch is per-thread so a prefetching data flow
         # can warm plans on its background thread while the trainer runs.
         self._scratch = threading.local()
 
     # -- bounded per-graph caches --------------------------------------
-    @property
-    def cache_limit(self) -> int:
-        """Max entries per graph-keyed cache (default 64).
-
-        Sweeps over many large graphs can lower this to bound pinned
-        memory without dropping every warm entry via :meth:`clear_cache`;
-        lowering it evicts oldest-first down to the new bound.
-        """
-        return self._cache_limit
-
-    @cache_limit.setter
-    def cache_limit(self, value: int) -> None:
-        value = int(value)
-        if value < 1:
-            raise ValueError("cache_limit must be >= 1")
-        self._cache_limit = value
-        self._shrink_caches()
-
-    @staticmethod
-    def _evict_overflow(cache: Dict, limit: int) -> None:
-        while len(cache) > limit:
-            try:
-                oldest = next(iter(cache), None)
-            except RuntimeError:  # concurrent resize mid-iteration: retry
-                continue
-            if oldest is None:
-                return
-            # pop-with-default: a concurrent release() may have removed
-            # the oldest key between the len check and this pop.
-            cache.pop(oldest, None)
-
-    def _shrink_caches(self) -> None:
-        self._evict_overflow(self._plan_cache, self._cache_limit)
-
     def clear_cache(self) -> None:
-        """Release every cached SpMM plan (and the pinned CSR buffers)."""
-        self._plan_cache.clear()
+        """Release every cached plan / wrapper (and the pinned buffers)."""
+        for cache in self._caches:
+            cache.clear()
 
     def release(self, matrices) -> int:
-        dropped = 0
-        for matrix in matrices:
-            key = (id(matrix.indptr), id(matrix.indices), id(matrix.data))
-            if self._plan_cache.pop(key, None) is not None:
-                dropped += 1
-        return dropped
+        keys = [
+            _IdKeyedLRU.key(matrix.indptr, matrix.indices, matrix.data)
+            for matrix in matrices
+        ]
+        return sum(
+            cache.pop(key, None) is not None
+            for cache in self._caches for key in keys
+        )
 
     def warm(self, matrices) -> None:
         for matrix in matrices:
@@ -406,7 +413,7 @@ class VectorizedBackend(SparseOpsBackend):
     def cache_info(self) -> Dict[str, int]:
         return {
             "spmm_plans": len(self._plan_cache),
-            "cache_limit": self._cache_limit,
+            "cache_limit": _IdKeyedLRU.LIMIT,
         }
 
     def _take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -496,15 +503,9 @@ class VectorizedBackend(SparseOpsBackend):
         and the reference loop. Building costs one stable argsort over the
         degrees and is what :meth:`warm` moves onto the prefetch thread.
         """
-        key = (id(indptr), id(indices), id(data))
-        # LRU touch via atomic pop-then-reinsert: eviction hits stale
-        # graphs (dead one-shot batches), never matrices in active
-        # rotation — and a prefetch worker racing the trainer on the same
-        # key simply loses the pop and rebuilds (benign), instead of
-        # KeyError-ing out of a get-then-pop sequence.
-        hit = self._plan_cache.pop(key, None)
+        key = _IdKeyedLRU.key(indptr, indices, data)
+        hit = self._plan_cache.touch(key)
         if hit is not None:
-            self._plan_cache[key] = hit
             return hit[0]
         n_rows = len(indptr) - 1
         degrees = np.diff(indptr)
@@ -527,10 +528,7 @@ class VectorizedBackend(SparseOpsBackend):
             buckets.append((pos, edge_pos))
             pos = end
         plan = (n_rows, n_empty, inverse, buckets)
-        self._evict_overflow(self._plan_cache, self._cache_limit - 1)
-        # The value tuple keeps the keyed buffers alive so their ids stay
-        # valid for the lifetime of the entry.
-        self._plan_cache[key] = (plan, (indptr, indices, data))
+        self._plan_cache.insert(key, (plan, (indptr, indices, data)))
         return plan
 
     def _spmm_blocked(self, plan, indices, data, x, n_rows, out=None):
@@ -716,42 +714,9 @@ class ScipyBackend(VectorizedBackend):
 
     def __init__(self):
         super().__init__()
-        # Keyed by the identity of the three CSR buffers. The value tuple
-        # deliberately holds *strong* references to those arrays: an id key
-        # is only meaningful while the keyed object is alive, and a weakref
-        # scheme cannot work because the cached scipy matrix shares the
-        # very same buffers — dropping the originals would not free memory,
-        # only invalidate the keys. Bounded LRU (touch-on-hit, so matrices
-        # in active rotation survive sweeps over stale graphs) at
-        # :attr:`cache_limit` (default 64, settable for sweeps over many
-        # large graphs), and droppable wholesale via :meth:`clear_cache`
-        # or per graph via :meth:`release`.
-        self._csr_cache: Dict[Tuple[int, int, int], tuple] = {}
-
-    def _shrink_caches(self) -> None:
-        super()._shrink_caches()
-        self._evict_overflow(self._csr_cache, self._cache_limit)
-
-    def clear_cache(self) -> None:
-        """Release every cached scipy matrix / SpMM plan (and the pinned
-        CSR buffers)."""
-        super().clear_cache()
-        self._csr_cache.clear()
-
-    def release(self, matrices) -> int:
-        """Drop only the cached wrappers of the given CSR matrices.
-
-        Keys by the same buffer identities as :meth:`_matrix`, so wrappers
-        for other graphs — the full graph, surviving subgraph-pool slots —
-        stay warm. The subgraph pool's LRU eviction calls this instead of
-        :meth:`clear_cache`.
-        """
-        dropped = super().release(matrices)
-        for matrix in matrices:
-            key = (id(matrix.indptr), id(matrix.indices), id(matrix.data))
-            if self._csr_cache.pop(key, None) is not None:
-                dropped += 1
-        return dropped
+        # ``csr_array`` wrappers sharing each CSR buffer triple.
+        self._csr_cache = _IdKeyedLRU()
+        self._caches.append(self._csr_cache)
 
     def warm(self, matrices) -> None:
         for matrix in matrices:
@@ -764,17 +729,12 @@ class ScipyBackend(VectorizedBackend):
         return info
 
     def _matrix(self, indptr, indices, data, shape):
-        key = (id(indptr), id(indices), id(data))
-        # LRU touch via atomic pop-then-reinsert (see _spmm_plan): active
-        # matrices stay out of the eviction line, and concurrent touches
-        # from the prefetch worker cannot KeyError.
-        hit = self._csr_cache.pop(key, None)
-        if hit is not None and hit[3] == shape:
-            self._csr_cache[key] = hit
+        key = _IdKeyedLRU.key(indptr, indices, data)
+        hit = self._csr_cache.touch(key)
+        if hit is not None and hit[2] == shape:
             return hit[0]
         matrix = _scipy_sparse.csr_array((data, indices, indptr), shape=shape)
-        self._evict_overflow(self._csr_cache, self._cache_limit - 1)
-        self._csr_cache[key] = (matrix, (indptr, indices, data), key, shape)
+        self._csr_cache.insert(key, (matrix, (indptr, indices, data), shape))
         return matrix
 
     def spmm_csr(self, indptr, indices, data, x, n_rows, out=None):
@@ -840,18 +800,7 @@ class ScipyBackend(VectorizedBackend):
         _scipy_sparsetools.csr_todense(n_rows, dim_origin, *product, out.ravel())
         return out
 
-    #: Largest dense (n_src, dim_origin) intermediate the transposed-product
-    #: route may materialize; above this the k-sampled vectorized path wins
-    #: on both memory and flops (the dense route does dim_origin/k times the
-    #: necessary work).
-    _SSPMM_DENSE_LIMIT = 1 << 22  # 4M float64 elements = 32 MB
-
     def sspmm_cbsr(self, indptr, indices, data, grad_out, sp_index, n_src):
-        dim_origin = grad_out.shape[1]
-        if n_src * dim_origin > self._SSPMM_DENSE_LIMIT:
-            return super().sspmm_cbsr(
-                indptr, indices, data, grad_out, sp_index, n_src
-            )
         # A^T @ dX_l through the shared CSR buffers (the CSC view of A^T),
         # then sample the dense source gradients at the forward pattern.
         adjacency = self._matrix(

@@ -87,7 +87,7 @@ def _release_graph(graph: Graph) -> int:
     matrices this graph ever built are released, so the full graph's and
     surviving pool slots' compiled wrappers stay warm.
     """
-    return get_backend().release(graph._adj_cache.values())
+    return get_backend().release(graph.built_adjacencies().values())
 
 
 class SubgraphCache:
@@ -1081,7 +1081,7 @@ class _ThreadBuilder:
     warm) strictly in schedule order on one thread. Taking a slot's result
     admits the next pending plan, which is how the look-ahead rolls from
     epoch ``e`` into ``e + 1``. The future is the happens-before edge: the
-    trainer only ever reads a built ``_adj_cache``, the two threads never
+    trainer only ever reads built adjacencies, the two threads never
     race to construct one.
     """
 

@@ -24,10 +24,8 @@ Scopes and coordinates:
 * ``serving`` — a :class:`~repro.serving.executor.ExecutorPool` request
   executor; coordinates are ``(executor index, 1-based infer-op count)``
   with the same first-incarnation consumption rule as ``replica``. The
-  serving actions are ``kill_executor`` / ``hang_executor`` (die or stall
-  mid-batch), ``corrupt_result`` (ship a garbage reply frame), and the
   parameterised ``slow_request=MS`` (sleep ``MS`` milliseconds before
-  serving — drives the deadline/shed paths without a flaky host).
+  serving) drives the deadline/shed paths without a flaky host.
 
 Either coordinate may be the wildcard ``*`` (stored as ``-1``): a wildcard
 event matches every value and is never consumed, which is how tests drive
@@ -62,12 +60,12 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: Injectable failure modes, in increasing order of subtlety: a worker
 #: that dies outright, one that stops responding, one that ships garbage,
-#: and one that tears its pipe down without an error frame — plus the
-#: serving-scoped variants (an executor that dies / stalls mid-batch,
-#: ships a corrupt result, or serves late by a parameterised delay).
+#: and one that tears its pipe down without an error frame — plus one
+#: that answers late by a parameterised delay. The scope says which pool
+#: is hit; the names are the same in all three.
 FAULT_ACTIONS = (
     "kill_worker", "hang_worker", "corrupt_payload", "drop_pipe",
-    "kill_executor", "hang_executor", "corrupt_result", "slow_request",
+    "slow_request",
 )
 
 #: Actions that take (indeed require) a ``=value`` parameter.

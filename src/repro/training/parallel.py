@@ -7,9 +7,10 @@ zero-copy instead of unpickling it:
 * :class:`ProcessPrefetchPool` — ``PrefetchFlow``'s multi-core builder:
   dedicated pipe-connected worker processes rebuild the flow's
   deterministic ``BatchPlan`` schedule against the shared graph and ship
-  compact subgraph payloads back (batch content is a pure function of
-  ``(seed, slot)``, so worker-built batches are byte-identical to
-  thread-built or inline ones — and any worker can rebuild any slot),
+  the built batches back in ``Graph.flatten`` form (batch content is a
+  pure function of ``(seed, slot)``, so worker-built batches are
+  byte-identical to thread-built or inline ones — and any worker can
+  rebuild any slot),
   behind the ``submit_epoch`` / ``result`` calls ``PrefetchFlow``'s
   thread builder answers too;
 * :class:`ReplicaProcessPool` — ``DistributedFlow``'s process-per-replica
@@ -72,8 +73,6 @@ __all__ = [
     "conv_norms",
     "build_adjacencies",
     "warm_batch",
-    "graph_payload",
-    "graph_from_payload",
     "pack_parameters",
     "unpack_parameters",
     "SupervisorConfig",
@@ -195,48 +194,6 @@ def warm_batch(graph: Graph, norms: Sequence[str]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Subgraph payload codec: what a builder worker ships back to the parent.
-# Built subgraphs are process-local copies (induced/sampled arrays), so
-# pickling them back is safe; adjacency CSRs the engine will need are
-# pre-built worker-side so that cost also leaves the training process.
-# ----------------------------------------------------------------------
-
-def graph_payload(graph: Graph, warm_norms: Sequence[str] = ()) -> dict:
-    """Serialise a built batch, pre-building the engine's adjacencies."""
-    build_adjacencies(graph, warm_norms)
-    return {
-        "n_nodes": graph.n_nodes,
-        "name": graph.name,
-        "multilabel": graph.multilabel,
-        "arrays": {
-            field: getattr(graph, field)
-            for field in (
-                "src", "dst", "features", "labels", "train_mask",
-                "val_mask", "test_mask", "communities", "loss_weights",
-            )
-        },
-        "adjacency": {
-            key: (csr.indptr, csr.indices, csr.data, tuple(csr.shape))
-            for key, csr in graph._adj_cache.items()
-        },
-    }
-
-
-def graph_from_payload(payload: dict) -> Graph:
-    graph = Graph(
-        n_nodes=payload["n_nodes"],
-        name=payload["name"],
-        multilabel=payload["multilabel"],
-        **payload["arrays"],
-    )
-    for key, (indptr, indices, data, shape) in payload["adjacency"].items():
-        graph._adj_cache[key] = CSRMatrix(
-            indptr=indptr, indices=indices, data=data, shape=tuple(shape)
-        )
-    return graph
-
-
-# ----------------------------------------------------------------------
 # Flat-parameter codec for the replica protocol.
 # ----------------------------------------------------------------------
 
@@ -306,7 +263,11 @@ def _prefetch_worker(conn, spec: dict) -> None:
             try:
                 plans = flow.plan(graph, epoch)
                 batch = plans[index].build()
-                payload = graph_payload(batch, warm_norms)
+                # Built batches are process-local copies, so pickling them
+                # back is safe; the adjacencies the engine will need ship
+                # pre-built so that cost also leaves the training process.
+                build_adjacencies(batch, warm_norms)
+                payload = batch.flatten()
                 # Worker-side cleanup mirrors the consumer contract:
                 # one-shot batches release their backend wrappers here.
                 plans[index].retire(batch)
@@ -316,7 +277,7 @@ def _prefetch_worker(conn, spec: dict) -> None:
                 ))
                 continue
             if corrupt:
-                payload = {"n_nodes": payload["n_nodes"]}
+                payload = (payload[0], {})
             conn.send(("built", epoch, index, payload))
     except (EOFError, KeyboardInterrupt, BrokenPipeError, OSError):
         pass
@@ -443,7 +404,7 @@ class ProcessPrefetchPool:
             )
             return None
         try:
-            self._results[task] = graph_from_payload(payload)
+            self._results[task] = Graph.unflatten(*payload)
         except Exception as exc:
             return f"corrupt batch payload ({exc!r})"
         return None

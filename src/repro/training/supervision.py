@@ -155,9 +155,9 @@ def _apply_faults(conn, actions: FaultActions) -> bool:
     """Worker-side injection point. Returns whether to corrupt the reply."""
     corrupt = False
     for action, param in actions:
-        if action in ("kill_worker", "kill_executor"):
+        if action == "kill_worker":
             os._exit(3)
-        elif action in ("hang_worker", "hang_executor"):
+        elif action == "hang_worker":
             time.sleep(_HANG_SECONDS)
             os._exit(3)
         elif action == "drop_pipe":
@@ -167,7 +167,7 @@ def _apply_faults(conn, actions: FaultActions) -> bool:
                 os._exit(0)
         elif action == "slow_request":
             time.sleep((param or 0.0) / 1000.0)
-        elif action in ("corrupt_payload", "corrupt_result"):
+        elif action == "corrupt_payload":
             corrupt = True
     return corrupt
 

@@ -1,6 +1,6 @@
 """Each of these things lives in exactly one place.
 
-The "one body per path" refactors (CHANGES.md PRs 12, 13, 15, 17) are only
+The "one body per path" refactors (CHANGES.md PRs 12, 13, 15, 17, 18) are only
 worth their diff while nobody grows the second copy back. These are the
 grep checks those PRs quoted in prose, as assertions over ``src/repro``.
 """
@@ -54,3 +54,22 @@ def test_a_flow_is_enumerated_in_one_place():
 def test_replica_gradients_are_selected_in_one_place():
     assert _occurrences("preselected") == {}
     assert _occurrences("topk_mask(", "training") == {"training/engine.py": 1}
+
+
+def test_only_the_graph_module_knows_what_a_graph_holds():
+    # The node columns (val_mask stands for the list: features.py assigns
+    # the splits, the engine scores on them) and the adjacency cache
+    # (mutation.py rebuilds it in place).
+    assert set(_occurrences("val_mask")) == {
+        "graphs/graph.py", "graphs/features.py", "training/engine.py"
+    }
+    assert set(_occurrences("_adj_cache")) == {
+        "graphs/graph.py", "graphs/mutation.py"
+    }
+    assert _occurrences("_ARRAY_FIELDS") == {}
+
+
+def test_deleted_knobs_and_aliases_stay_deleted():
+    for gone in ("_SSPMM_DENSE_LIMIT", "cache_limit.setter", "kill_executor",
+                 "hang_executor", "corrupt_result"):
+        assert _occurrences(gone) == {}

@@ -12,7 +12,7 @@ Covers the three tentpole layers and their seams:
 * the vectorized backend's blocked gather–scatter SpMM — bitwise
   equality against the reference oracle (empty rows, single rows, odd
   dims) and plan-cache bookkeeping through ``release`` / ``warm``;
-* the per-backend graph-cache knob (``cache_limit`` / ``cache_info``);
+* the per-backend graph-cache bound (``cache_info``'s ``cache_limit``);
 * the fused GIN path — bit-identical to the composed ops.
 """
 
@@ -460,22 +460,19 @@ class TestBlockedSpMM:
         assert vec.cache_info()["spmm_plans"] == 0
 
     def test_cache_limit_knob(self):
+        """The plan cache never outgrows the reported (constant) limit."""
         rng = np.random.default_rng(29)
         vec = ops._REGISTRY["vectorized"]
         vec.clear_cache()
-        matrices = [self._random_csr(rng, 8, 8, 0.4) for _ in range(5)]
-        old_limit = vec.cache_limit
+        limit = vec.cache_info()["cache_limit"]
+        matrices = [self._random_csr(rng, 8, 8, 0.4) for _ in range(limit + 5)]
         try:
-            vec.cache_limit = 3
             vec.warm(matrices)
-            assert vec.cache_info()["spmm_plans"] == 3
-            assert vec.cache_info()["cache_limit"] == 3
-            vec.cache_limit = 1
-            assert vec.cache_info()["spmm_plans"] == 1
-            with pytest.raises(ValueError, match="cache_limit"):
-                vec.cache_limit = 0
+            assert vec.cache_info()["spmm_plans"] == limit
+            # Oldest-first: the survivors are the most recently warmed.
+            assert vec.release(matrices[:5]) == 0
+            assert vec.release(matrices[5:]) == limit
         finally:
-            vec.cache_limit = old_limit
             vec.clear_cache()
 
     def test_scipy_cache_limit_and_warm(self):
@@ -484,16 +481,12 @@ class TestBlockedSpMM:
         rng = np.random.default_rng(31)
         backend = ops._REGISTRY["scipy"]
         backend.clear_cache()
-        matrices = [self._random_csr(rng, 8, 8, 0.4) for _ in range(4)]
-        old_limit = backend.cache_limit
+        limit = backend.cache_info()["cache_limit"]
+        matrices = [self._random_csr(rng, 8, 8, 0.4) for _ in range(limit + 4)]
         try:
-            backend.cache_limit = 2
             backend.warm(matrices)
-            info = backend.cache_info()
-            assert info["csr_entries"] == 2
-            assert info["cache_limit"] == 2
+            assert backend.cache_info()["csr_entries"] == limit
         finally:
-            backend.cache_limit = old_limit
             backend.clear_cache()
 
     def test_float_topk_mask_matches_bool(self, backend):

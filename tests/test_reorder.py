@@ -42,6 +42,7 @@ class TestApplyPermutation:
     def test_payloads_follow_nodes(self, graph):
         rng = np.random.default_rng(1)
         perm = rng.permutation(graph.n_nodes)
+        graph.loss_weights = rng.random(graph.n_nodes)
         permuted = apply_permutation(graph, perm)
         for node in range(0, graph.n_nodes, 37):
             np.testing.assert_array_equal(
@@ -49,6 +50,7 @@ class TestApplyPermutation:
             )
             assert permuted.labels[perm[node]] == graph.labels[node]
             assert permuted.train_mask[perm[node]] == graph.train_mask[node]
+            assert permuted.loss_weights[perm[node]] == graph.loss_weights[node]
 
     def test_degree_distribution_invariant(self, graph):
         permuted = degree_sort_reorder(graph)

@@ -100,11 +100,11 @@ class FakeClock:
 
 class TestServingFaultGrammar:
     def test_serving_actions_parse_and_round_trip(self):
-        spec = ("kill_executor:serving:0:2;hang_executor:serving:*:1;"
-                "corrupt_result:serving:1:*;slow_request=250:serving:0:1")
+        spec = ("kill_worker:serving:0:2;hang_worker:serving:*:1;"
+                "corrupt_payload:serving:1:*;slow_request=250:serving:0:1")
         plan = FaultPlan.parse(spec)
         assert [e.action for e in plan.events] == [
-            "kill_executor", "hang_executor", "corrupt_result",
+            "kill_worker", "hang_worker", "corrupt_payload",
             "slow_request",
         ]
         assert plan.events[3].param == 250.0
@@ -116,9 +116,9 @@ class TestServingFaultGrammar:
 
     def test_param_rejected_on_plain_actions(self):
         with pytest.raises(ValueError, match="takes no parameter"):
-            FaultPlan.parse("kill_executor=3:serving:0:1")
+            FaultPlan.parse("kill_worker=3:serving:0:1")
         with pytest.raises(ValueError, match="takes no parameter"):
-            FaultEvent("kill_executor", "serving", 0, 1, param=3.0)
+            FaultEvent("kill_worker", "serving", 0, 1, param=3.0)
 
     def test_malformed_or_negative_params_rejected(self):
         with pytest.raises(ValueError, match="malformed fault parameter"):
@@ -579,7 +579,7 @@ class TestExecutorPoolServing:
     ):
         """An executor SIGKILLed mid-window must be invisible to clients:
         the respawned executor replays the window bit-for-bit."""
-        set_fault_plan(FaultPlan.parse("kill_executor:serving:0:2"))
+        set_fault_plan(FaultPlan.parse("kill_worker:serving:0:2"))
         service = _service(executors=1, max_batch=2, queue_capacity=16)
         try:
             assert service.pool is not None
@@ -601,7 +601,7 @@ class TestExecutorPoolServing:
         _no_leaks()
 
     def test_corrupt_result_is_refused_and_replayed(self, force_procs):
-        set_fault_plan(FaultPlan.parse("corrupt_result:serving:0:1"))
+        set_fault_plan(FaultPlan.parse("corrupt_payload:serving:0:1"))
         service = _service(executors=1, max_batch=2, queue_capacity=16)
         try:
             reference = service.infer_single(7, seed=5)
@@ -619,7 +619,7 @@ class TestExecutorPoolServing:
         """A wildcard kill keeps firing through every respawn; the
         service must give up on the pool, warn once, and keep serving —
         zero wrong responses, zero lost requests."""
-        set_fault_plan(FaultPlan.parse("kill_executor:serving:*:*"))
+        set_fault_plan(FaultPlan.parse("kill_worker:serving:*:*"))
         service = _service(executors=1, max_batch=2, queue_capacity=16)
         try:
             assert service.pool is not None

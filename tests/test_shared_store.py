@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
+    Graph,
     SharedGraphStore,
     attach_classification_task,
     attach_multilabel_task,
@@ -21,12 +22,12 @@ from repro.graphs import (
     sbm_graph,
     shared_memory_available,
 )
+from repro.graphs.graph import NODE_FIELDS
 from repro.graphs.shm import owned_segment_names
 from repro.training import resolve_process_workers
 from repro.training.parallel import (
     available_cores,
-    graph_from_payload,
-    graph_payload,
+    build_adjacencies,
     pack_parameters,
     processes_forced,
     reset_fallback_warnings,
@@ -131,19 +132,20 @@ class TestLifecycle:
             store.graph()
         store.unlink()
 
-    def test_export_failure_leaks_nothing(self):
-        class Hostile:
-            n_nodes = 3
-            src = np.array([0, 1])
-            dst = np.array([1, 2])
+    def test_export_failure_leaks_nothing(self, monkeypatch):
+        export_array = SharedGraphStore._export_array
+        exported = []
 
-            @property
-            def features(self):
+        def failing(store, field, array):
+            if len(exported) == 2:
                 raise RuntimeError("broken graph")
+            exported.append(field)
+            return export_array(store, field, array)
 
+        monkeypatch.setattr(SharedGraphStore, "_export_array", failing)
         before = owned_segment_count()
         with pytest.raises(RuntimeError, match="broken graph"):
-            SharedGraphStore.export(Hostile())
+            SharedGraphStore.export(_task_graph(60))
         # src/dst were already exported when features blew up; the
         # failure path must have unlinked them.
         assert owned_segment_count() == before
@@ -226,11 +228,50 @@ class TestFlatParameters:
 class TestBatchPayload:
     def test_payload_roundtrips_a_subgraph(self):
         graph = _task_graph(80)
-        payload = graph_payload(graph, ("sage",))
-        twin = graph_from_payload(payload)
+        build_adjacencies(graph, ("sage",))
+        twin = Graph.unflatten(*pickle.loads(pickle.dumps(graph.flatten())))
         assert np.array_equal(graph.features, twin.features)
         assert np.array_equal(graph.train_mask, twin.train_mask)
         # The warmed norm arrives pre-built in the twin's cache.
         assert "sage" in twin._adj_cache
         a, b = graph.adjacency("sage"), twin.adjacency("sage")
         assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_flatten_roundtrips_every_field_over_both_boundaries(
+        self, multilabel
+    ):
+        """``Graph.unflatten(*g.flatten())`` is field-for-field lossless
+        through the pickle path and through shared memory."""
+        graph = sbm_graph(60, 3, 6.0, seed=2).to_undirected()
+        if multilabel:
+            attach_multilabel_task(graph, n_features=6, n_labels=4, seed=2)
+        else:
+            attach_classification_task(graph, n_features=6, seed=2)
+        graph.loss_weights = np.linspace(0.0, 1.0, graph.n_nodes)
+        assert set(graph.node_arrays()) == set(NODE_FIELDS)
+        graph.adjacency("sage")
+        graph.adjacency_transpose("gcn")  # builds "gcn" and "gcn^T"
+
+        def check(twin):
+            assert (twin.n_nodes, twin.name, twin.multilabel) == (
+                graph.n_nodes, graph.name, multilabel
+            )
+            for field in ("src", "dst", *NODE_FIELDS):
+                original, mirror = getattr(graph, field), getattr(twin, field)
+                assert original.dtype == mirror.dtype, field
+                assert np.array_equal(original, mirror), field
+            built, shipped = graph.built_adjacencies(), twin.built_adjacencies()
+            assert set(shipped) == set(built) == {"sage", "gcn", "gcn^T"}
+            for key, matrix in built.items():
+                assert shipped[key].shape == matrix.shape
+                for part in ("indptr", "indices", "data"):
+                    assert np.array_equal(
+                        getattr(shipped[key], part), getattr(matrix, part)
+                    ), (key, part)
+
+        check(Graph.unflatten(*pickle.loads(pickle.dumps(graph.flatten()))))
+        with SharedGraphStore.export(graph) as store:
+            attached = SharedGraphStore.attach(store.handle())
+            check(attached.graph())
+            attached.close()

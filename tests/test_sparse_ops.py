@@ -487,9 +487,9 @@ class TestTensorGatherBackward:
             (picked.sum() + 1.0).backward()
         np.testing.assert_array_equal(tensor.grad, np.zeros((0, 3)))
 
-    def test_scipy_sspmm_large_guard(self):
-        """The dense-intermediate route must defer to the k-sampled path
-        above the memory limit, with identical results."""
+    def test_scipy_sspmm_matches_vectorized(self):
+        """The transposed-product route agrees with the k-sampled
+        vectorized scatter it overrides."""
         if "scipy" not in ops.available_backends():
             pytest.skip("scipy not installed")
         backend = ops._REGISTRY["scipy"]
@@ -501,12 +501,7 @@ class TestTensorGatherBackward:
         ).astype(np.int64)
         args = (matrix.indptr, matrix.indices, matrix.data, grad_out, sp_index, 8)
         dense_route = backend.sspmm_cbsr(*args)
-        original = backend._SSPMM_DENSE_LIMIT
-        try:
-            backend._SSPMM_DENSE_LIMIT = 0  # force the fallback
-            sampled_route = backend.sspmm_cbsr(*args)
-        finally:
-            backend._SSPMM_DENSE_LIMIT = original
+        sampled_route = ops.VectorizedBackend.sspmm_cbsr(backend, *args)
         np.testing.assert_allclose(sampled_route, dense_route, rtol=1e-10, atol=1e-12)
 
 

@@ -185,7 +185,7 @@ def test_every_reply_failure_is_recovered_with_one_replay_each(toy):
     client = toy(
         max_retries=1,
         plan="kill_worker:serving:1:0;corrupt_payload:serving:2:0;"
-             "corrupt_result:serving:3:0;drop_pipe:serving:4:0",
+             "corrupt_payload:serving:3:0;drop_pipe:serving:4:0",
     )
     pool = client.pool
     pids = set()
@@ -205,8 +205,8 @@ def test_every_reply_failure_is_recovered_with_one_replay_each(toy):
 
 def test_hangs_on_an_op_and_on_a_rebind_are_recovered(toy):
     client = toy(
-        plan="kill_worker:serving:1:0;hang_executor:serving:1:1;"
-             "kill_executor:serving:2:0;hang_worker:serving:2:1",
+        plan="kill_worker:serving:1:0;hang_worker:serving:1:1;"
+             "kill_worker:serving:2:0;hang_worker:serving:2:1",
     )
     segments = owned_segment_count()
     # Each op is killed on its first try, stalls on the retry until the
