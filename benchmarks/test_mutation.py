@@ -4,9 +4,12 @@ Two gated claims about :mod:`repro.graphs.mutation` (PR 10):
 
 * **incremental vs full rebuild** — on the scaled Reddit stand-in
   (2048 nodes, ~196k edges) a small delta (~0.4% of edges) applied via
-  :func:`apply_delta`'s sorted-merge must beat rebuilding every cached
-  normalisation from scratch (``incremental_speedup``, gated), while
-  staying **bit-identical** to the from-scratch oracle (``identical``).
+  :func:`apply_delta`'s patch of the cached bases and both edge-index
+  directions must stay **bit-identical** to the from-scratch oracle
+  (``identical``, gated). Its time against rebuilding every cached
+  normalisation and both index directions from scratch is recorded
+  (``incremental_ms`` / ``rebuild_ms`` / ``incremental_speedup``) and
+  never asserted: timing claims go through ``python3 -m bench``.
 * **update-heavy vs read-heavy serving mixes** — an
   :class:`~repro.serving.InferenceService` alternating deltas and
   queries (1 delta per 8 queries vs 1 per 64) must serve **zero stale
@@ -45,11 +48,6 @@ N_TRIALS = 3 if SMOKE else 6
 DELTA_ADDS = 512
 DELTA_REMOVES = 256
 N_QUERIES = 64 if SMOKE else 192
-#: A ~768-entry merge against a ~196k-nnz CSR touches every row pointer
-#: once but re-sorts nothing, so even a pure-python-orchestrated merge
-#: clears the from-scratch rebuild comfortably; the floor stays modest
-#: because the rebuild arm is itself vectorised numpy.
-INCREMENTAL_SPEEDUP_FLOOR = 1.3
 
 
 @pytest.fixture(autouse=True)
@@ -74,6 +72,8 @@ def _warm_all(graph):
     for norm in NORMS:
         graph.adjacency(norm)
         graph.adjacency_transpose(norm)
+    for direction in ("in", "out"):  # warm: the delta patches, not rebuilds
+        graph.edge_index(direction)
 
 
 @pytest.mark.slow
@@ -101,8 +101,14 @@ def test_incremental_delta_beats_full_rebuild(record_result, record_json):
         rebuild_s.append(time.perf_counter() - start)
 
     # Bit-identity after the whole chain of deltas: every cached
-    # normalisation (and transpose) matches the from-scratch oracle.
+    # normalisation (and transpose) and both index directions match the
+    # from-scratch oracle.
     identical = all(
+        got.tobytes() == want.tobytes()
+        for direction in ("in", "out")
+        for got, want in zip(graph.edge_index(direction),
+                             oracle.edge_index(direction))
+    ) and all(
         graph.adjacency(norm).shape == oracle.adjacency(norm).shape
         and np.array_equal(
             graph.adjacency(norm).indptr, oracle.adjacency(norm).indptr
@@ -138,10 +144,6 @@ def test_incremental_delta_beats_full_rebuild(record_result, record_json):
         [[key, f"{value}"] for key, value in payload.items()],
     ))
     assert identical, "incremental merge diverged from full rebuild"
-    assert speedup >= INCREMENTAL_SPEEDUP_FLOOR, (
-        f"incremental apply_delta gained only {speedup:.2f}x over a full "
-        f"rebuild (floor {INCREMENTAL_SPEEDUP_FLOOR}x)"
-    )
 
 
 def _mix_service():

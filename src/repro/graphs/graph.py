@@ -64,10 +64,12 @@ class Graph:
     #: for the full-graph mean (GraphSAINT normalisation).
     loss_weights: Optional[np.ndarray] = None
     _adj_cache: Dict[str, CSRMatrix] = field(default_factory=dict, repr=False)
-    #: Mutation stamp: bumped by :meth:`apply_delta`. Every graph-derived
-    #: cache (adjacency, transpose, structural bases, edge index) records
-    #: the generation it was built under and is dropped lazily when the
-    #: stamps diverge.
+    #: Mutation stamp: bumped by :meth:`apply_delta`, which installs the
+    #: merged structural bases and the patched edge index under the new
+    #: stamp. A bump made by hand (out-of-band edits to ``src`` / ``dst``)
+    #: leaves the stamps diverged, and every graph-derived cache
+    #: (adjacency, transpose, structural bases, edge index) is then dropped
+    #: lazily by its next reader.
     generation: int = 0
     #: Unnormalised structural bases ("plain" edge multiset, "loops" =
     #: edges + I) the normalised adjacencies derive from; kept separate so
@@ -162,8 +164,11 @@ class Graph:
         original relative order, and ``values`` (``src[order]`` for ``in``,
         ``dst[order]`` for ``out``) the other endpoint of each. Numpy-only
         and read-only once built: one O(E log E) sort per direction per
-        generation buys O(degree) neighbour lookups for subgraph induction
-        and the walk / k-hop samplers, from any thread.
+        graph; deltas patch it (:mod:`repro.graphs.mutation` installs new
+        arrays equal to a rebuild, so a tuple fetched earlier stays valid
+        for the edge list it was fetched from). It buys O(degree)
+        neighbour lookups for subgraph induction, the walk / k-hop
+        samplers and the delta's own edge removal, from any thread.
         """
         if direction not in ("in", "out"):
             raise ValueError(f"unknown direction {direction!r}; use in/out")
@@ -284,9 +289,10 @@ class Graph:
     def apply_delta(self, delta, warm: bool = True) -> "Graph":
         """Apply a :class:`~repro.graphs.mutation.GraphDelta` in place.
 
-        Merges the delta into the cached CSR buffers incrementally, bumps
-        :attr:`generation`, and swaps the old matrices out of the active
-        sparse backend's plan caches. See :mod:`repro.graphs.mutation`.
+        Patches the delta into the cached CSR buffers and the edge index,
+        bumps :attr:`generation`, and swaps the old matrices out of the
+        active sparse backend's plan caches. See
+        :mod:`repro.graphs.mutation`.
         """
         from .mutation import apply_delta as _apply
 

@@ -104,6 +104,48 @@ def _random_delta(graph: Graph, rng) -> GraphDelta:
     )
 
 
+def _index_deltas(graph: Graph, rng):
+    """Chained deltas over ``graph``'s state at the time each is taken:
+    multi-edges removed by one listed pair, self-loops, listed pairs that
+    do not exist, new node ids that receive edges, detached nodes (one of
+    them an add endpoint), an empty delta, a delta removing every edge,
+    and adds onto the emptied graph. Features are 3 wide (``messy_graph``).
+    """
+    def picks(count):
+        chosen = rng.integers(0, max(graph.n_edges, 1),
+                              min(graph.n_edges, count))
+        if graph.n_edges >= 8:  # messy_graph: [0] is a multi-edge, [-1] a loop
+            chosen = np.concatenate([chosen, [0, graph.n_edges - 1]])
+        return chosen
+
+    n, picked = graph.n_nodes, picks(5)
+    yield GraphDelta(
+        add_src=np.concatenate([rng.integers(0, n + 2, 9), [n + 1, 2, n]]),
+        add_dst=np.concatenate([rng.integers(0, n + 2, 9), [n, 2, n]]),
+        remove_src=np.concatenate([graph.src[picked], rng.integers(0, n, 3)]),
+        remove_dst=np.concatenate([graph.dst[picked], rng.integers(0, n, 3)]),
+        add_nodes=2, add_features=rng.normal(size=(2, 3)),
+    )
+    n = graph.n_nodes
+    detached = rng.choice(n, size=2, replace=False)
+    yield GraphDelta(
+        add_src=[detached[0], 0, detached[0]], add_dst=[1, detached[0], 0],
+        detach_nodes=detached,
+    )
+    yield GraphDelta()
+    picked = picks(4)
+    yield GraphDelta(
+        add_src=rng.integers(0, n, 6), add_dst=rng.integers(0, n, 6),
+        remove_src=graph.src[picked], remove_dst=graph.dst[picked],
+        detach_nodes=[int(rng.integers(0, n))],
+    )
+    yield GraphDelta(remove_src=graph.src, remove_dst=graph.dst)
+    yield GraphDelta(
+        add_src=rng.integers(0, n + 1, 7), add_dst=rng.integers(0, n + 1, 7),
+        add_nodes=1, add_features=rng.normal(size=(1, 3)),
+    )
+
+
 # ----------------------------------------------------------------------
 # Low-level merge
 # ----------------------------------------------------------------------
@@ -190,6 +232,43 @@ class TestGraphDeltaValidation:
                 graph,
                 GraphDelta(add_nodes=2, add_features=np.zeros((2, 3))),
             )
+
+    def test_rejected_delta_leaves_graph_untouched(self):
+        graph = sbm_graph(30, 3, 4.0, seed=0)
+        attach_classification_task(graph, n_features=4, seed=0)
+        graph.adjacency("sage")
+        indexes = {d: graph.edge_index(d) for d in ("in", "out")}
+        arrays = {"src": graph.src, "dst": graph.dst, **graph.node_arrays()}
+        saved = {name: array.copy() for name, array in arrays.items()}
+        adjacencies = dict(graph.built_adjacencies())
+        bad_deltas = [
+            GraphDelta(add_src=[30], add_dst=[0], add_nodes=2,
+                       add_features=np.zeros((2, 4)), add_labels=np.zeros(3)),
+            GraphDelta(add_src=[30], add_dst=[0], add_nodes=2,
+                       remove_src=graph.src[:3], remove_dst=graph.dst[:3],
+                       add_features=np.zeros((2, 4)),
+                       add_labels=["not", "labels"]),
+            GraphDelta(add_src=[32], add_dst=[0], add_nodes=2,
+                       add_features=np.zeros((2, 4))),
+        ]
+        for delta in bad_deltas:
+            with pytest.raises(ValueError):
+                apply_delta(graph, delta)
+            assert graph.n_nodes == 30 and graph.generation == 0
+            for name, array in arrays.items():
+                assert getattr(graph, name) is array, name
+                assert array.tobytes() == saved[name].tobytes(), name
+            assert dict(graph.built_adjacencies()) == adjacencies
+            for key, csr in adjacencies.items():
+                assert graph.built_adjacencies()[key] is csr
+            for direction, index in indexes.items():
+                assert graph.edge_index(direction) is index
+
+    def test_labels_for_a_graph_without_labels_rejected(self):
+        graph = erdos_renyi_graph(5, avg_degree=2.0, seed=0)
+        with pytest.raises(ValueError, match="add_labels"):
+            apply_delta(graph, GraphDelta(add_nodes=1, add_labels=[0]))
+        assert graph.n_nodes == 5 and graph.generation == 0
 
     def test_empty_delta_still_bumps_generation(self):
         graph = erdos_renyi_graph(5, avg_degree=2.0, seed=0)
@@ -320,22 +399,23 @@ class TestGenerationCaches:
     @pytest.mark.parametrize("seed", range(6))
     def test_index_paths_equal_oracle_after_deltas(self, seed):
         # Removals shift COO positions, adds append, add_nodes grows
-        # indptr; the second delta makes the index rebuild twice.
+        # indptr; each delta patches the index, which must stay the one a
+        # rebuild from the post-delta COO gives.
         graph = messy_graph(seed)
         rng = np.random.default_rng(300 + seed)
-        for round_ in range(2):
-            for direction in ("in", "out"):  # warm; the delta makes it stale
+        if seed % 2:  # even seeds: the first delta meets an un-indexed graph
+            for direction in ("in", "out"):
                 graph.edge_index(direction)
-            picked = rng.integers(0, max(graph.n_edges, 1),
-                                  min(graph.n_edges, 5))
-            new_n = graph.n_nodes + 2
-            apply_delta(graph, GraphDelta(
-                add_src=rng.integers(0, new_n, 9),
-                add_dst=rng.integers(0, new_n, 9),
-                remove_src=graph.src[picked], remove_dst=graph.dst[picked],
-                add_nodes=2, add_features=rng.normal(size=(2, 3)),
-            ))
+        for round_, delta in enumerate(_index_deltas(graph, rng)):
+            apply_delta(graph, delta)
             assert graph.generation == round_ + 1
+            oracle = Graph(graph.n_nodes, graph.src.copy(), graph.dst.copy())
+            for direction in ("in", "out"):
+                for got, want in zip(graph.edge_index(direction),
+                                     oracle.edge_index(direction)):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+                    assert got.flags.writeable is False
             for nodes in node_sets(graph, rng):
                 assert_same_graph(induced_subgraph(graph, nodes),
                                   reference_induced_subgraph(graph, nodes))
@@ -344,6 +424,55 @@ class TestGenerationCaches:
                 seeds = rng.integers(0, graph.n_nodes, 2)
                 assert_expansion_matches_oracle(graph, seeds, n_hops, fanout,
                                                 rng_seed)
+
+    def test_delta_patches_index_without_resorting(self, monkeypatch):
+        graph = sbm_graph(300, 3, 8.0, seed=4)
+        assert graph.n_edges >= 2000
+        graph.adjacency("sage")
+        before = {d: graph.edge_index(d) for d in ("in", "out")}
+        saved = {d: [a.copy() for a in index] for d, index in before.items()}
+        rng = np.random.default_rng(4)
+        picked = rng.choice(graph.n_edges, 24, replace=False)
+        delta = GraphDelta(
+            add_src=rng.integers(0, 300, 40), add_dst=rng.integers(0, 300, 40),
+            remove_src=graph.src[picked], remove_dst=graph.dst[picked],
+            detach_nodes=[7],
+        )
+        # The parent's COO formula: survivors in order, then the adds.
+        doomed = np.isin(graph.dst * 300 + graph.src,
+                         delta.remove_dst * 300 + delta.remove_src)
+        doomed |= (graph.src == 7) | (graph.dst == 7)
+        expected_src = np.concatenate([graph.src[~doomed], delta.add_src])
+        expected_dst = np.concatenate([graph.dst[~doomed], delta.add_dst])
+
+        sorted_lengths, searched_lengths = [], []
+        argsort, searchsorted = np.argsort, np.searchsorted
+
+        def spy_argsort(a, *args, **kwargs):
+            sorted_lengths.append(len(a))
+            return argsort(a, *args, **kwargs)
+
+        def spy_searchsorted(a, v, *args, **kwargs):
+            searched_lengths.append(np.size(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy_argsort)
+        monkeypatch.setattr(np, "searchsorted", spy_searchsorted)
+        apply_delta(graph, delta)
+        installed = dict(graph._edge_index)
+        khop_neighborhood(graph, [3, 11], 2, 4, rng_seed=0)
+        monkeypatch.undo()
+
+        assert sorted_lengths  # the spy sees this module's spelling
+        assert max(sorted_lengths + searched_lengths) < graph.n_edges // 2
+        assert graph.src.tobytes() == expected_src.tobytes()
+        assert graph.dst.tobytes() == expected_dst.tobytes()
+        for direction in ("in", "out"):
+            assert graph.edge_index(direction) is installed[direction]
+            # Copy-on-write: the pre-delta tuple is still the pre-delta index.
+            for held, copy in zip(before[direction], saved[direction]):
+                assert held.tobytes() == copy.tobytes()
+                assert held.flags.writeable is False
 
     def test_node_payload_extension(self):
         graph = sbm_graph(30, 3, 4.0, seed=2)

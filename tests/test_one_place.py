@@ -1,6 +1,6 @@
 """Each of these things lives in exactly one place.
 
-The "one body per path" refactors (CHANGES.md PRs 12, 13, 15, 17, 18) are only
+The "one body per path" refactors (CHANGES.md PRs 12, 13, 15, 17, 18, 19) are only
 worth their diff while nobody grows the second copy back. These are the
 grep checks those PRs quoted in prose, as assertions over ``src/repro``.
 """
@@ -67,9 +67,16 @@ def test_only_the_graph_module_knows_what_a_graph_holds():
         "graphs/graph.py", "graphs/mutation.py"
     }
     assert _occurrences("_ARRAY_FIELDS") == {}
+    # The edge index: graph.py builds it, mutation.py patches it (new
+    # arrays under the new generation, never a drop-and-rebuild).
+    assert set(_occurrences("_edge_index")) == {
+        "graphs/graph.py", "graphs/mutation.py"
+    }
+    assert _occurrences("_edge_index.clear()", "graphs/mutation.py") == {}
 
 
 def test_deleted_knobs_and_aliases_stay_deleted():
     for gone in ("_SSPMM_DENSE_LIMIT", "cache_limit.setter", "kill_executor",
-                 "hang_executor", "corrupt_result"):
+                 "hang_executor", "corrupt_result", "_removed_edge_mask",
+                 "_sorted_member_mask"):
         assert _occurrences(gone) == {}
