@@ -62,11 +62,11 @@ def _epochs(cfg):
     return scale * cfg.epochs
 
 
-def _config(graph, cfg, use_workspace):
+def _config(graph, cfg, use_workspace, nonlinearity="maxk"):
     return GNNConfig(
         model_type="sage", in_features=cfg.n_features, hidden=cfg.hidden,
         out_features=graph.label_dim(), n_layers=cfg.layers,
-        nonlinearity="maxk", k=scaled_k(32, cfg), dropout=cfg.dropout,
+        nonlinearity=nonlinearity, k=scaled_k(32, cfg), dropout=cfg.dropout,
         use_workspace=use_workspace,
     )
 
@@ -221,24 +221,10 @@ def test_fused_hotpath_speedup_and_bit_identity(benchmark, record_result,
 ALLOC_CEILING_BYTES = 64 * 1024
 
 
-@pytest.mark.slow
-def test_steady_state_step_allocates_nothing_large(record_result):
-    """Allocation-regression probe for the workspace-planned step.
-
-    After warm-up, one sampled-flow training step through the fused hot
-    path — dense kernels, aggregation *and the loss stage* — must keep
-    tracemalloc peak growth under :data:`ALLOC_CEILING_BYTES` (the same
-    step on fresh arrays churns through megabytes), and the workspace must
-    report zero fresh backing allocations. Since PR 4 this holds scipy-less as
-    well: the blocked gather–scatter SpMM aggregates through backend-owned
-    scratch instead of bincount's per-call accumulators.
-    """
-    if get_backend().name == "reference":
-        pytest.skip("the per-row Python oracle is not an allocation target")
-    cfg = TRAINING_CONFIGS[DATASET]
-    graph = load_training_dataset(DATASET, seed=0)
+def _steady_state_peak(graph, cfg, nonlinearity):
+    """tracemalloc peak growth (bytes) of one warmed-up planned step."""
     engine = Engine(
-        MaxKGNN(graph, _config(graph, cfg, True), seed=0),
+        MaxKGNN(graph, _config(graph, cfg, True, nonlinearity), seed=0),
         graph, _node_flow(graph, 0), lr=cfg.lr,
     )
     engine.fit(12, eval_every=100)  # warm pool, caches and arenas
@@ -256,8 +242,32 @@ def test_steady_state_step_allocates_nothing_large(record_result):
         _, peak = tracemalloc.get_traced_memory()
         deltas.append(peak - before)
     tracemalloc.stop()
-    peak = min(deltas)
-    assert workspace.allocations == settled, "workspace grew"
+    assert workspace.allocations == settled, f"{nonlinearity}: workspace grew"
+    return min(deltas)
+
+
+@pytest.mark.slow
+def test_steady_state_step_allocates_nothing_large(record_result):
+    """Allocation-regression probe for the workspace-planned step.
+
+    After warm-up, one sampled-flow training step through the fused hot
+    path — dense kernels, aggregation *and the loss stage* — must keep
+    tracemalloc peak growth under :data:`ALLOC_CEILING_BYTES` (the same
+    step on fresh arrays churns through megabytes), and the workspace must
+    report zero fresh backing allocations. Since PR 4 this holds scipy-less as
+    well: the blocked gather–scatter SpMM aggregates through backend-owned
+    scratch instead of bincount's per-call accumulators. Both float-mask
+    paths sit under the one ceiling: the MaxK selection and the ReLU
+    compare (one test over both configurations, so its id is stable).
+    """
+    if get_backend().name == "reference":
+        pytest.skip("the per-row Python oracle is not an allocation target")
+    cfg = TRAINING_CONFIGS[DATASET]
+    graph = load_training_dataset(DATASET, seed=0)
+    peaks = {
+        nonlinearity: _steady_state_peak(graph, cfg, nonlinearity)
+        for nonlinearity in ("maxk", "relu")
+    }
 
     rows = graph.n_nodes // SAMPLE_FRACTION
     layer_bytes = rows * cfg.hidden * 8
@@ -265,11 +275,13 @@ def test_steady_state_step_allocates_nothing_large(record_result):
         "dense_hotpath_alloc",
         format_table(
             ["path", "steady-state peak growth (KB)"],
-            [("fused (incl. fused_ce loss)", round(peak / 1024, 1)),
-             ("gate", round(ALLOC_CEILING_BYTES / 1024, 1)),
-             ("one layer buffer", round(layer_bytes / 1024, 1))],
+            [(f"fused {name} (incl. fused_ce loss)", round(peak / 1024, 1))
+             for name, peak in peaks.items()]
+            + [("gate", round(ALLOC_CEILING_BYTES / 1024, 1)),
+               ("one layer buffer", round(layer_bytes / 1024, 1))],
         )
         + f"\nbackend: {get_backend().name}",
     )
     # The whole step (loss included) stays under the ceiling.
-    assert peak <= ALLOC_CEILING_BYTES, peak
+    for name, peak in peaks.items():
+        assert peak <= ALLOC_CEILING_BYTES, (name, peak)

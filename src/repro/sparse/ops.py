@@ -77,6 +77,7 @@ __all__ = [
     "sspmm_cbsr",
     "topk_mask",
     "topk_columns",
+    "mask_into",
     "release",
     "warm",
 ]
@@ -86,6 +87,19 @@ EXP_CLIP = 60.0
 #: Denominator epsilon of the segment softmax (kept for numerical parity
 #: with the historical GAT implementation).
 SOFTMAX_EPS = 1e-16
+
+
+def mask_into(compare, a, b, flags: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``compare(a, b)`` as exact float 0.0/1.0 in ``out``.
+
+    The compare vectorises into the transient bool scratch ``flags`` (dead
+    once this returns) and one cast fills the float mask — multiplying by
+    it needs no mixed-dtype casting buffer. A NaN operand compares False,
+    so its mask entry is 0.0.
+    """
+    compare(a, b, out=flags)
+    np.copyto(out, flags)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -627,14 +641,13 @@ class VectorizedBackend(SparseOpsBackend):
         stable sort exactly at any magnitude (an epsilon-bias scheme would
         be absorbed by float rounding for large values).
 
-        Every (n, dim)-sized intermediate — the partition scratch, the tie
-        mask, the running tie count — comes from ``workspace`` slots when
-        one is given (steady-state MaxK selection then allocates nothing
-        large) and is a fresh array otherwise. ``out`` may be bool or
-        float64; a float mask holds exact 0.0/1.0 and lets callers multiply
-        by it without numpy's mixed-dtype casting buffers (``keys -
-        threshold`` never rounds two distinct doubles to zero, so
-        ``heaviside(diff, 1.0)`` is the ``>=`` compare bit for bit).
+        Every (n, dim)-sized intermediate — the partition scratch, the
+        compare flags, the tie mask, the running tie count — comes from
+        ``workspace`` slots when one is given (steady-state MaxK selection
+        then allocates nothing large) and is a fresh array otherwise.
+        ``out`` may be bool or float64; a float mask holds exact 0.0/1.0
+        (:func:`mask_into`) and lets callers multiply by it without numpy's
+        mixed-dtype casting buffers.
         """
         n_rows, dim = keys.shape
         if k == dim:
@@ -655,12 +668,14 @@ class VectorizedBackend(SparseOpsBackend):
         # is unique (the overwhelmingly common case for continuous feature
         # maps) — and then equals the stable lowest-column tie fill.
         if out.dtype == np.bool_:
-            np.greater_equal(keys, threshold, out=out)
+            flags = np.greater_equal(keys, threshold, out=out)
         else:
-            diff = take(".diff")
-            np.subtract(keys, threshold, out=diff)
-            np.heaviside(diff, 1.0, out=out)
-        if (out.sum(axis=1, keepdims=True) == k).all():
+            flags = take(".flags", bool)
+            mask_into(np.greater_equal, keys, threshold, flags, out)
+        # ``>=`` keeps at least k keys in every row (keys arrive NaN-free,
+        # see ``_check_topk_args``), so the total is n_rows * k only when
+        # each row kept exactly k.
+        if np.count_nonzero(flags) == n_rows * k:
             return out
         if out.dtype != np.bool_:
             # Duplicated threshold values are vanishingly rare on
@@ -1035,7 +1050,9 @@ def _check_topk_args(x, k: int, op_name: str) -> np.ndarray:
         raise ValueError(f"{op_name} expects a 2-D matrix")
     if not 1 <= k <= x.shape[1]:
         raise ValueError(f"k must be in [1, {x.shape[1]}], got {k}")
-    if np.isnan(x).any():
+    # ``min`` propagates NaN, so one reduction answers without the (n, dim)
+    # bool temporary ``np.isnan(x).any()`` allocates on every selection.
+    if x.size and np.isnan(x.min()):
         # NaNs sort as the largest value (numpy's sort convention), so
         # selection stays exactly-k and backend-independent even on a
         # diverged feature map instead of crashing obscurely downstream.
@@ -1049,6 +1066,9 @@ def topk_mask(x, k: int, out=None, workspace=None, slot: str = "topk") -> np.nda
     ``out`` (a bool — or float64, filled with exact 0.0/1.0 — array of
     ``x``'s shape) receives the mask when given; float masks let callers
     multiply by the mask without numpy's mixed-dtype casting buffers.
+    A NaN entry is selected as ``+inf`` would be (rows stay exactly ``k``)
+    and its mask entry is an ordinary 0.0/1.0, never NaN: the caller's
+    ``x * mask`` still poisons the output, the gradient there is masked.
     ``workspace`` — any object with a ``buffer(name, shape, dtype)`` method,
     normally :class:`repro.tensor.workspace.Workspace` — additionally
     routes the selection's internal scratch through reusable slots keyed by

@@ -80,6 +80,10 @@ def linear_act(
     buffers via ``out=``. With a :class:`~repro.tensor.workspace.Workspace`
     the steady-state step therefore performs zero fresh large allocations;
     without one, plain arrays are allocated and the arithmetic is the same.
+
+    A NaN pre-activation is a NaN output (``np.maximum`` and ``NaN * 0.0``
+    propagate it); its mask entry is 0.0 — a compare reads NaN as False —
+    so the gradient at that position is 0.0, not NaN.
     """
     if activation not in _FUSED_ACTIVATIONS:
         raise ValueError(
@@ -105,13 +109,12 @@ def linear_act(
     # Masks are 0.0/1.0 *float* arrays, not bools: multiplying by an exact
     # 0/1 float selects the same values bit for bit, while a float×bool
     # ufunc would allocate numpy's ~64 KB casting buffer on every call —
-    # the last allocation source the planned hot path had left.
+    # the last allocation source the planned hot path had left. They are
+    # written by ``ops.mask_into``: a compare into a transient bool
+    # scratch, one cast.
     if activation == "relu":
-        # heaviside(y, 0.0) is (y > 0) as floats (y == 0 → 0); a NaN input
-        # yields a NaN mask where the bool compare gives False, but a NaN
-        # pre-activation has already NaN-ed the output and the loss.
         mask = take(".mask", y.shape)
-        np.heaviside(y, 0.0, out=mask)
+        ops.mask_into(np.greater, y, 0.0, take(".flags", y.shape, bool), mask)
         np.maximum(y, 0.0, out=y)
         h = y
     elif activation == "maxk":
@@ -183,12 +186,13 @@ def relu(x: Tensor, workspace=None, slot: str = "relu") -> Tensor:
 
     The survivor mask, the output and the backward product are written
     with ``out=``; ``x * mask`` then ``+ 0.0`` normalises dropped entries
-    to ``+0.0``. A NaN input yields a NaN output (and gradient), as in
-    :func:`linear_act`'s fused ReLU — never a silent zero.
+    to ``+0.0``. A NaN input yields a NaN output (``NaN * 0.0``), as in
+    :func:`linear_act`'s fused ReLU — never a silent zero; its mask entry,
+    hence the gradient there, is 0.0.
     """
     take = _taker(workspace, slot)
     mask = take(".mask", x.data.shape)  # float 0/1 mask, see linear_act
-    np.heaviside(x.data, 0.0, out=mask)
+    ops.mask_into(np.greater, x.data, 0.0, take(".flags", x.data.shape, bool), mask)
     data = take(".out", x.data.shape)
     np.multiply(x.data, mask, out=data)
     data += 0.0
@@ -359,7 +363,9 @@ def dropout(
 
     The uniform draw, the keep mask, the output and the backward product
     are written with ``out=`` (``Generator.random`` fills ``out=`` from the
-    same stream ``random(shape)`` would return).
+    same stream ``random(shape)`` would return). A NaN input stays NaN in
+    the output (``NaN * 0.0``) whether kept or dropped; the keep mask only
+    ever holds 0.0 / 1.0.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
@@ -369,14 +375,8 @@ def dropout(
     take = _taker(workspace, slot)
     draw = take(".draw", x.data.shape)
     rng.random(out=draw)
-    # ``draw >= p`` as a float 0/1 mask: ``draw - p`` is exact in sign
-    # (Sterbenz when the operands are close, sign-correct otherwise, and
-    # never rounds two distinct doubles to 0), so ``heaviside(draw - p,
-    # 1.0)`` equals the bool compare bit for bit — without the casting
-    # buffer a float×bool multiply allocates.
-    np.subtract(draw, p, out=draw)
-    keep = take(".keep", x.data.shape)
-    np.heaviside(draw, 1.0, out=keep)
+    keep = take(".keep", x.data.shape)  # float 0/1 mask, see linear_act
+    ops.mask_into(np.greater_equal, draw, p, take(".flags", x.data.shape, bool), keep)
     # np.where(keep, x * scale, 0.0) through ``out=``: scale, mask by
     # multiplication, normalise dropped entries to +0.0 — the same values,
     # no masked copy.

@@ -7,9 +7,11 @@ from repro.graphs import chain_of_cliques
 from repro.sparse import ops
 from repro.tensor import (
     Tensor,
+    Workspace,
     bce_with_logits,
     cross_entropy,
     dropout,
+    linear_act,
     log_softmax,
     maxk,
     relu,
@@ -17,7 +19,14 @@ from repro.tensor import (
     sigmoid,
     spmm_agg,
 )
-from repro.tensor.functional import spgemm_agg
+from repro.tensor.functional import maxk_with_mask, spgemm_agg
+from tests.test_sparse_ops import (
+    ADVERSARIAL_VALUES,
+    COLUMN_WEIGHTS,
+    adversarial_rows,
+    bytes_equal,
+    heaviside_topk_mask,
+)
 from tests.test_tensor import check_gradient, finite_difference
 
 
@@ -232,6 +241,134 @@ class TestDropout:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             dropout(Tensor(np.ones(2)), 1.0, True, np.random.default_rng(0))
+
+
+class TestFloatMasksMatchHeaviside:
+    """Every float 0/1 mask is a compare cast once; these are the
+    ``np.heaviside`` formulas that pass replaced, written out as the
+    oracle. Masks, outputs and gradients must equal them byte for byte on
+    non-NaN input however hostile, on every backend, from fresh arrays
+    and from a :class:`Workspace` (where the mask slots can be read back).
+    """
+
+    @pytest.fixture(params=ops.available_backends())
+    def backend(self, request):
+        with ops.use_backend(request.param):
+            yield request.param
+
+    @pytest.fixture(params=[False, True], ids=["fresh", "workspace"])
+    def ws(self, request):
+        return Workspace() if request.param else None
+
+    @staticmethod
+    def _upstream(shape):
+        return np.random.default_rng(11).normal(size=shape)
+
+    def test_relu(self, backend, ws):
+        data = adversarial_rows()
+        upstream = self._upstream(data.shape)
+        mask = np.heaviside(data, 0.0)
+        x = Tensor(data.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore"):  # inf * 0.0
+            expected = data * mask + 0.0
+            out = relu(x, ws, "r")
+        assert bytes_equal(out.data, expected)
+        out.backward(upstream)
+        assert bytes_equal(x.grad, upstream * mask)
+        if ws is not None:
+            assert bytes_equal(ws.buffer("r.mask", data.shape), mask)
+
+    @pytest.mark.parametrize("activation, k", [("relu", None), ("maxk", 3),
+                                               ("maxk", 8)])
+    def test_linear_act(self, backend, ws, activation, k):
+        # An outer product reproduces adversarial_rows() as the
+        # pre-activation (inf never meets a zero weight); the bias adds
+        # signed zeros and shifts two columns.
+        column = ADVERSARIAL_VALUES[:, None]
+        weight = COLUMN_WEIGHTS[None, :]
+        bias = np.array([0.0, -0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0])
+        y = np.matmul(column, weight) + bias
+        upstream = self._upstream(y.shape)
+        if activation == "relu":
+            mask = np.heaviside(y, 0.0)
+            expected = np.maximum(y, 0.0)
+            grad_y = upstream * mask
+        else:
+            mask = heaviside_topk_mask(y, k)
+            with np.errstate(invalid="ignore"):
+                expected = y * mask + 0.0
+            grad_y = upstream * mask + 0.0
+        x = Tensor(column.copy(), requires_grad=True)
+        b = Tensor(bias.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            out = linear_act(x, Tensor(weight.copy()), b, activation, k, ws, "l")
+        assert bytes_equal(out.data, expected)
+        out.backward(upstream)
+        assert bytes_equal(b.grad, grad_y.sum(axis=0))
+        assert bytes_equal(x.grad, grad_y @ weight.T)
+        if ws is not None:
+            assert bytes_equal(ws.buffer("l.mask", y.shape), mask)
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 8])
+    def test_maxk_with_mask(self, backend, ws, k):
+        data = adversarial_rows()
+        # Rows of 0/±1 multiples hold their k-th value twice or more: the
+        # compare over-selects and the exact tie fill must take over.
+        kth = np.sort(data, axis=1)[:, -k]
+        assert k == 8 or ((data >= kth[:, None]).sum(axis=1) > k).any()
+        upstream = self._upstream(data.shape)
+        mask = heaviside_topk_mask(data, k)
+        x = Tensor(data.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            expected = data * mask + 0.0
+            out, selected = maxk_with_mask(x, k, ws, "m")
+        assert bytes_equal(selected, mask)
+        assert bytes_equal(out.data, expected)
+        out.backward(upstream)
+        assert bytes_equal(x.grad, upstream * mask + 0.0)
+
+    def test_dropout_keeps_a_draw_equal_to_p(self, backend, ws):
+        data = adversarial_rows()
+        draw = np.random.default_rng(5).random(data.shape)
+        p = float(draw[3, 2])  # ``draw >= p``: equality keeps
+        assert 0.0 < p < 1.0
+        scale = 1.0 / (1.0 - p)
+        keep = np.heaviside(draw - p, 1.0)
+        assert keep[3, 2] == 1.0 and 0.0 < keep.mean() < 1.0
+        upstream = self._upstream(data.shape)
+        x = Tensor(data.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            expected = data * scale * keep + 0.0
+            out = dropout(x, p, True, np.random.default_rng(5), ws, "d")
+        assert bytes_equal(out.data, expected)
+        out.backward(upstream)
+        assert bytes_equal(x.grad, upstream * keep * scale)
+        if ws is not None:
+            assert bytes_equal(ws.buffer("d.keep", data.shape), keep)
+
+    def test_stale_flags_never_leak_through_one_workspace(self, backend):
+        """Shrinking then growing batches through the same slots: every
+        mask is its own input's, whatever the bool scratch held before."""
+        ws = Workspace()
+        rng = np.random.default_rng(21)
+        full = adversarial_rows()
+        for n_rows, dim in [(14, 8), (5, 8), (3, 4), (14, 8), (9, 6), (14, 8)]:
+            data = full[rng.permutation(14)[:n_rows], :dim] * rng.choice([1.0, -1.0])
+            with np.errstate(invalid="ignore"):
+                relu(Tensor(data), ws, "r")
+                maxk_with_mask(Tensor(data), 2, ws, "m")
+                linear_act(Tensor(data[:, :1]), Tensor(np.ones((1, dim))),
+                           None, "relu", None, ws, "l")
+                dropout(Tensor(data), 0.5, True, np.random.default_rng(n_rows),
+                        ws, "d")
+            draw = np.random.default_rng(n_rows).random(data.shape)
+            for slot, mask in [
+                ("r.mask", np.heaviside(data, 0.0)),
+                ("m.mask", heaviside_topk_mask(data, 2)),
+                ("l.mask", np.heaviside(data[:, :1] * np.ones((1, dim)), 0.0)),
+                ("d.keep", np.heaviside(draw - 0.5, 1.0)),
+            ]:
+                assert bytes_equal(ws.buffer(slot, data.shape), mask), slot
 
 
 class TestLosses:

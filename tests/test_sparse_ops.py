@@ -18,6 +18,7 @@ from repro.core.maxk import maxk_forward
 from repro.gpusim.kernels.spgemm import spgemm_execute
 from repro.gpusim.kernels.sspmm import sspmm_execute
 from repro.sparse import CSRMatrix, coo_to_csr, ops
+from repro.tensor import Workspace
 
 OTHER_BACKENDS = [n for n in ops.available_backends() if n != "reference"]
 SEEDS = [0, 1, 2, 3, 4]
@@ -199,6 +200,123 @@ class TestSegmentPrimitiveEquivalence:
             with ops.use_backend(backend):
                 actual = ops.topk_columns(x, k)
             np.testing.assert_array_equal(actual, expected)
+
+
+#: Non-NaN values a 0/1 mask formula can get wrong: signed zeros,
+#: denormals, infinities, huge and ordinary magnitudes.
+ADVERSARIAL_VALUES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    np.inf, -np.inf, 1.0, -1.0, 1e300, -1e300, 1.5, 3.0,
+])
+#: Column scales; the repeated 1.0 duplicates values within every row.
+COLUMN_WEIGHTS = np.array([1.0, 1.0, -1.0, 0.5, 2.0, -2.0, 1.0, 4.0])
+
+
+def adversarial_rows(dim=8):
+    """``(14, dim)`` rows the float-mask formulas must agree on byte for
+    byte — for most ``k`` with a duplicated k-th value."""
+    return ADVERSARIAL_VALUES[:, None] * COLUMN_WEIGHTS[None, :dim]
+
+
+def bytes_equal(actual, expected):
+    """Same dtype, shape and bytes: signed zeros and all."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    return actual.tobytes() == expected.tobytes()
+
+
+def heaviside_topk_mask(x, k):
+    """The float survivor mask as it was written before the compare → cast
+    helper: ``heaviside(x - kth, 1.0)`` when that keeps exactly ``k`` per
+    row, the stable lowest-column fill otherwise (``inf - inf`` is NaN and
+    lands there too). The oracle for ``topk_mask(out=float64)``."""
+    dim = x.shape[1]
+    if k == dim:
+        return np.ones(x.shape)
+    kth = np.partition(x, dim - k, axis=1)[:, dim - k : dim - k + 1]
+    with np.errstate(invalid="ignore"):
+        mask = np.heaviside(x - kth, 1.0)
+    if (mask.sum(axis=1) == k).all():
+        return mask
+    mask = np.zeros(x.shape)
+    for i, row in enumerate(x):
+        mask[i, np.argsort(-row, kind="stable")[:k]] = 1.0
+    return mask
+
+
+class TestFloatTopkMaskMatchesHeaviside:
+    """``topk_mask(out=float64)`` writes the bytes ``np.heaviside`` wrote."""
+
+    @pytest.fixture(params=ops.available_backends())
+    def any_backend(self, request):
+        with ops.use_backend(request.param):
+            yield request.param
+
+    @pytest.fixture(params=[False, True], ids=["fresh", "arena"])
+    def arena(self, request):
+        # A smaller request is a prefix view of a larger earlier one, so
+        # it sees that one's stale bytes.
+        return Workspace() if request.param else None
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8])
+    def test_adversarial_rows(self, any_backend, arena, k):
+        x = adversarial_rows()
+        out = np.full(x.shape, np.nan)
+        result = ops.topk_mask(x, k, out=out, workspace=arena)
+        assert result is out
+        assert bytes_equal(out, heaviside_topk_mask(x, k))
+        bools = ops.topk_mask(x, k)
+        assert bools.dtype == np.bool_
+        assert bytes_equal(out, bools.astype(np.float64))
+
+    def test_duplicated_kth_value_takes_the_tie_path(
+        self, backend, arena, monkeypatch
+    ):
+        """``>=`` over-selects on a duplicated k-th value: the float branch
+        must notice on its flags and redo the row-exact stable fill."""
+        calls = []
+        exact = ops.VectorizedBackend._stable_topk_mask
+
+        def spy(keys, k):
+            calls.append(k)
+            return exact(keys, k)
+
+        monkeypatch.setattr(
+            ops.VectorizedBackend, "_stable_topk_mask", staticmethod(spy)
+        )
+        x = np.array([[3.0, 1.0, 2.0, 0.0], [5.0, 7.0, 5.0, 5.0]])
+        with ops.use_backend(backend):
+            unique = ops.topk_mask(x[:1], 2, out=np.empty((1, 4)), workspace=arena)
+            assert calls == []  # the fast path: no second selection
+            tied = ops.topk_mask(x, 2, out=np.empty(x.shape), workspace=arena)
+        assert calls == [2]
+        np.testing.assert_array_equal(unique, [[1.0, 0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(
+            tied, [[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
+        )
+        assert bytes_equal(tied, heaviside_topk_mask(x, 2))
+
+    def test_stale_flags_never_leak_through_a_reused_arena(self, any_backend):
+        """Shrinking then growing shapes through one arena: each mask is
+        its own input's, whatever the scratch held before."""
+        arena = Workspace()
+        rng = np.random.default_rng(77)
+        full = adversarial_rows()
+        for n_rows, dim, k in [(14, 8, 3), (5, 8, 7), (3, 4, 1), (14, 8, 8),
+                               (9, 6, 2), (14, 8, 3)]:
+            x = full[rng.permutation(14)[:n_rows], :dim] * rng.choice([1.0, -1.0])
+            out = np.full(x.shape, np.nan)
+            ops.topk_mask(x, k, out=out, workspace=arena)
+            assert bytes_equal(out, heaviside_topk_mask(x, k))
+
+    def test_empty_and_nan_inputs_pass_the_nan_probe(self, any_backend):
+        """The probe is one reduction (``min`` propagates NaN): an empty
+        matrix has no minimum and no NaN; a NaN anywhere is found."""
+        assert ops.topk_mask(np.empty((0, 4)), 2).shape == (0, 4)
+        x = np.ones((3, 4))
+        x[2, 3] = np.nan
+        mask = ops.topk_mask(x, 1, out=np.empty(x.shape))
+        np.testing.assert_array_equal(mask[2], [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(mask[:2], [[1.0, 0, 0, 0]] * 2)
 
 
 class TestKernelEquivalence:
