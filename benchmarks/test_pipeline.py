@@ -14,8 +14,8 @@ remedies on the scaled Reddit stand-in (the fused loss, measured here at
   recorded, not gated (thread overlap needs a second, idle core, which
   tier-1 cannot assume; ``python -m bench`` is the timing authority).
 * **blocked SpMM** — the vectorized backend's degree-bucketed
-  gather–accumulate against its historical flat-index bincount path,
-  bit-identical and ≥ the speedup floor on the scaled Reddit adjacency.
+  gather–accumulate, asserted bit-identical to the ``reference`` loop on
+  the scaled Reddit adjacency; its time is recorded, not gated.
 
 ``REPRO_PERF_SMOKE=1`` shrinks the protocol for CI gating. Full runs write
 ``results/pipeline.txt`` plus the machine-readable
@@ -46,9 +46,6 @@ TIMING_ROUNDS = 30 if SMOKE else 60
 #: Overlap needs a second core; recorded next to the ratio it explains.
 MULTI_CORE = (len(os.sched_getaffinity(0))
               if hasattr(os, "sched_getaffinity") else os.cpu_count()) > 1
-#: Blocked gather–scatter SpMM vs the flat-index bincount baseline
-#: (typically ~3-4x measured; floored so CI noise cannot flake it).
-BLOCKED_SPMM_FLOOR = 1.5
 
 
 def _config(graph, cfg):
@@ -141,7 +138,7 @@ def test_prefetch_pipeline_bit_identity_and_overlap(record_result, record_json):
 
 
 @pytest.mark.slow
-def test_blocked_spmm_beats_bincount_gather(record_result, record_json):
+def test_blocked_spmm_matches_reference(record_result, record_json):
     """The vectorized backend's SpMM gate, pinned to that backend so both
     CI jobs exercise it identically."""
     graph = load_training_dataset(DATASET, seed=0)
@@ -152,45 +149,35 @@ def test_blocked_spmm_beats_bincount_gather(record_result, record_json):
     out = np.empty((graph.n_nodes, cfg.hidden))
     rounds = TIMING_ROUNDS
 
+    args = (adjacency.indptr, adjacency.indices, adjacency.data, x,
+            graph.n_nodes)
+    with ops.use_backend("reference"):
+        reference_result = get_backend().spmm_csr(*args)
     with ops.use_backend("vectorized"):
         backend = get_backend()
-        args = (adjacency.indptr, adjacency.indices, adjacency.data, x,
-                graph.n_nodes)
-        blocked_result = backend.spmm_csr(*args)
-        legacy_result = backend._spmm_bincount(*args)
-        identical = blocked_result.tobytes() == legacy_result.tobytes()
-
-        times_legacy, times_blocked = [], []
+        identical = (
+            backend.spmm_csr(*args).tobytes() == reference_result.tobytes()
+        )
+        times_blocked = []
         for _ in range(rounds):
-            t0 = time.perf_counter()
-            backend._spmm_bincount(*args, out=out)
-            times_legacy.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             backend.spmm_csr(*args, out=out)
             times_blocked.append(time.perf_counter() - t0)
-    times_legacy = 1e3 * np.array(times_legacy)
-    times_blocked = 1e3 * np.array(times_blocked)
-    legacy_ms = float(np.median(times_legacy))
-    blocked_ms = float(np.median(times_blocked))
-    ratio = float(np.median(times_legacy / times_blocked))
+    blocked_ms = float(np.median(1e3 * np.array(times_blocked)))
 
     payload = {
         "graph": f"scaled {DATASET} ({graph.n_nodes} nodes, "
                  f"{adjacency.nnz} nnz, dim {cfg.hidden})",
-        "bincount_ms": round(legacy_ms, 2),
-        "blocked_ms": round(blocked_ms, 2),
-        "speedup": round(ratio, 2), "identical": identical,
+        "blocked_ms": round(blocked_ms, 2), "identical": identical,
     }
     record_json("BENCH_pipeline", "blocked_spmm[vectorized]", payload)
     record_result(
         "pipeline_blocked_spmm",
         format_table(
             ["implementation", "ms"],
-            [("bincount gather (seed of this PR)", round(legacy_ms, 2)),
-             ("blocked gather-scatter", round(blocked_ms, 2))],
+            [("blocked gather-scatter", round(blocked_ms, 2))],
         )
-        + f"\nspeedup {ratio:.2f}x, bitwise identical: {identical}",
+        + f"\nbitwise identical to the reference loop: {identical}",
     )
 
     assert identical
-    assert ratio >= BLOCKED_SPMM_FLOOR, ratio

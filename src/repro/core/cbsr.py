@@ -46,7 +46,7 @@ class CBSRMatrix:
     Attributes
     ----------
     sp_data:
-        ``float64[n_rows, k]`` values.
+        ``float[n_rows, k]`` values (``ops.FLOAT_DTYPE``).
     sp_index:
         ``uint{8,16,32}[n_rows, k]`` column of each value, strictly
         increasing within every row.
@@ -59,7 +59,7 @@ class CBSRMatrix:
     dim_origin: int
 
     def __post_init__(self):
-        sp_data = np.asarray(self.sp_data, dtype=np.float64)
+        sp_data = np.asarray(self.sp_data, dtype=ops.FLOAT_DTYPE)
         dtype = index_dtype_for(self.dim_origin)
         sp_index = np.asarray(self.sp_index).astype(dtype, copy=False)
         if sp_data.ndim != 2 or sp_index.ndim != 2:
@@ -108,13 +108,9 @@ class CBSRMatrix:
         ``k`` nonzeros pad with explicit zeros at the smallest free columns,
         keeping the balanced width.
         """
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2:
-            raise ValueError("dense input must be 2-D")
+        dense = np.asarray(dense)
+        top_cols = ops.topk_columns(dense, k)  # validates the shape and k
         n_rows, dim_origin = dense.shape
-        if not 1 <= k <= dim_origin:
-            raise ValueError("k must be in [1, dim_origin]")
-        top_cols = ops.topk_columns(dense, k)
         rows = np.arange(n_rows)[:, None]
         return cls(
             sp_data=dense[rows, top_cols],
@@ -124,7 +120,7 @@ class CBSRMatrix:
 
     def to_dense(self) -> np.ndarray:
         """Decompress to the dense ``(n_rows, dim_origin)`` matrix."""
-        out = np.zeros((self.n_rows, self.dim_origin), dtype=np.float64)
+        out = np.zeros((self.n_rows, self.dim_origin), dtype=self.sp_data.dtype)
         rows = np.arange(self.n_rows)[:, None]
         out[rows, self.sp_index.astype(np.int64)] = self.sp_data
         return out
@@ -135,7 +131,7 @@ class CBSRMatrix:
         The backward SSpMM produces gradients with *exactly* the forward
         pattern, so it only ever writes a fresh ``sp_data`` block.
         """
-        sp_data = np.asarray(sp_data, dtype=np.float64)
+        sp_data = np.asarray(sp_data)
         if sp_data.shape != self.sp_data.shape:
             raise ValueError("replacement sp_data must match shape")
         return CBSRMatrix(sp_data, self.sp_index, self.dim_origin)

@@ -43,14 +43,9 @@ def maxk_mask(x: np.ndarray, k: int) -> np.ndarray:
 
     Selection is by *value* (not magnitude), matching max-k of the paper: the
     "maximum k significant values" of the feature map. With k equal to the
-    row width this is the identity mask.
+    row width this is the identity mask. Shape and ``k`` are validated (and
+    ``x`` cast) by the dispatch seam.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("MaxK operates on 2-D (n_nodes, dim) feature maps")
-    n_rows, dim = x.shape
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in [1, {dim}], got {k}")
     return ops.topk_mask(x, k)
 
 
@@ -66,7 +61,7 @@ def maxk_forward(x: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def maxk_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Route gradient through the forward-surviving positions only."""
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = np.asarray(grad_out)
     if grad_out.shape != mask.shape:
         raise ValueError("gradient and mask shapes must match")
     return np.where(mask, grad_out, 0.0)
@@ -95,7 +90,7 @@ def pivot_select_row(
     rank selection among the elements tied at the bracket, so the result is
     always exactly k elements.
     """
-    row = np.asarray(row, dtype=np.float64)
+    row = np.asarray(row)
     if row.ndim != 1:
         raise ValueError("pivot_select_row expects a single row")
     dim = len(row)
@@ -139,7 +134,7 @@ def pivot_select(
     Returns ``(sparsified, mask, iterations)`` where ``iterations[i]`` is the
     bisection count for row ``i`` — consumed by the Table-4 cost model.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError("pivot_select expects a 2-D feature map")
     masks = np.zeros_like(x, dtype=bool)

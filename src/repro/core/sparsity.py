@@ -44,14 +44,14 @@ def dropout_sparsify(x: np.ndarray, p: float, seed: int = 0) -> np.ndarray:
 
 def relu_sparsify(x: np.ndarray) -> np.ndarray:
     """Plain ReLU sparsity: ~50% on zero-centred activations, irregular."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def fatrelu_sparsify(x: np.ndarray, threshold: float) -> np.ndarray:
     """FATReLU: ReLU with a raised threshold for more (irregular) sparsity."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     return np.where(x > threshold, x, 0.0)
 
 
@@ -103,7 +103,7 @@ def regularity_report(
     method lands near density ``k / dim``, isolating the *regularity*
     difference the paper's argument rests on.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError("expected a 2-D feature map")
     dim = x.shape[1]

@@ -30,7 +30,7 @@ def _stack_payload(parts, converter=np.concatenate) -> Optional[np.ndarray]:
     return converter([np.asarray(p) for p in parts])
 
 
-def _implicit_loss_weights(graph: Graph) -> np.ndarray:
+def _implicit_loss_weights(graph: Graph, dtype) -> np.ndarray:
     """The per-node weights an *unweighted* member implicitly trains with.
 
     The engine's unweighted losses are masked means, i.e. every labelled
@@ -44,9 +44,9 @@ def _implicit_loss_weights(graph: Graph) -> np.ndarray:
     if mask is None:
         n_rows = graph.n_nodes
         fill = 1.0 / n_rows if n_rows else 0.0
-        return np.full(graph.n_nodes, fill, dtype=np.float64)
+        return np.full(graph.n_nodes, fill, dtype=dtype)
     mask = np.asarray(mask, dtype=bool)
-    weights = np.zeros(mask.shape[0], dtype=np.float64)
+    weights = np.zeros(mask.shape[0], dtype=dtype)
     labelled = int(mask.sum())
     if labelled:
         weights[mask] = 1.0 / labelled
@@ -63,11 +63,12 @@ def _stack_loss_weights(graphs) -> Optional[np.ndarray]:
     instead of rejecting or silently misaligning the payload.
     """
     weights = [g.loss_weights for g in graphs]
-    if all(w is None for w in weights):
+    present = [np.asarray(w) for w in weights if w is not None]
+    if not present:
         return None
+    dtype = np.result_type(*present)
     return np.concatenate([
-        np.asarray(w, dtype=np.float64) if w is not None
-        else _implicit_loss_weights(g)
+        np.asarray(w) if w is not None else _implicit_loss_weights(g, dtype)
         for g, w in zip(graphs, weights)
     ])
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..sparse import ops
 from .graph import Graph
 
 __all__ = ["attach_classification_task", "attach_multilabel_task", "random_splits"]
@@ -61,7 +62,8 @@ def attach_classification_task(
         n_classes = int(communities.max()) + 1
     centers = rng.normal(size=(int(communities.max()) + 1, n_features))
     noise = rng.normal(size=(graph.n_nodes, n_features))
-    graph.features = signal * centers[communities] + noise
+    features = signal * centers[communities] + noise
+    graph.features = np.asarray(features, dtype=ops.FLOAT_DTYPE)
     graph.labels = communities % n_classes
     graph.multilabel = False
     graph.train_mask, graph.val_mask, graph.test_mask = random_splits(
@@ -92,8 +94,8 @@ def attach_multilabel_task(
     )
     hyperplanes = rng.normal(size=(n_features, n_labels))
     logits = latent @ hyperplanes / np.sqrt(n_features)
-    graph.features = latent
-    graph.labels = (logits > 0).astype(np.float64)
+    graph.features = np.asarray(latent, dtype=ops.FLOAT_DTYPE)
+    graph.labels = (logits > 0).astype(ops.FLOAT_DTYPE)
     graph.multilabel = True
     graph.train_mask, graph.val_mask, graph.test_mask = random_splits(
         graph.n_nodes, seed=seed

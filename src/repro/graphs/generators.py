@@ -93,7 +93,7 @@ def sbm_graph(
     sorted_comm = communities[order]
     boundaries = np.searchsorted(sorted_comm, np.arange(n_communities + 1))
 
-    comm_sizes = np.diff(boundaries).astype(np.float64)
+    comm_sizes = np.diff(boundaries)
     comm_probs = comm_sizes / comm_sizes.sum()
     chosen = rng.choice(n_communities, size=n_intra, p=comm_probs)
     lo = boundaries[chosen]

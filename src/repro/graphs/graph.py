@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..sparse import CSRMatrix, coo_to_csr
+from ..sparse import CSRMatrix
 
 __all__ = ["Graph", "NODE_FIELDS", "normalized_adjacency"]
 
@@ -129,7 +129,7 @@ class Graph:
         High skew is what produces "evil rows" and warp imbalance in
         row-centric SpMM designs.
         """
-        deg = np.sort(self.in_degrees().astype(np.float64))
+        deg = np.sort(self.in_degrees())
         n = len(deg)
         if n == 0 or deg.sum() == 0:
             return 0.0
@@ -199,15 +199,11 @@ class Graph:
         key = "loops" if loops else "plain"
         base = self._structure_cache.get(key)
         if base is None:
-            shape = (self.n_nodes, self.n_nodes)
+            src, dst = self.src, self.dst
             if loops:
                 loop = np.arange(self.n_nodes, dtype=np.int64)
-                rows = np.concatenate([self.dst, loop])
-                cols = np.concatenate([self.src, loop])
-                data = np.ones(len(rows), dtype=np.float64)
-                base = coo_to_csr(rows, cols, data, shape)
-            else:
-                base = CSRMatrix.from_edges(self.src, self.dst, shape)
+                src, dst = np.concatenate([src, loop]), np.concatenate([dst, loop])
+            base = CSRMatrix.from_edges(src, dst, (self.n_nodes, self.n_nodes))
             self._structure_cache[key] = base
         return base
 
@@ -335,12 +331,12 @@ def normalized_adjacency(graph: Graph, norm: str = "none") -> CSRMatrix:
         return graph.structural_adjacency(loops=False)
     if norm == "sage":
         adj = graph.structural_adjacency(loops=False)
-        degrees = adj.row_degrees().astype(np.float64)
+        degrees = adj.row_degrees().astype(adj.data.dtype)
         inv = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
         return adj.scale_rows(inv)
     if norm == "gcn":
         adj = graph.structural_adjacency(loops=True)
-        degrees = adj.row_degrees().astype(np.float64)
+        degrees = adj.row_degrees().astype(adj.data.dtype)
         inv_sqrt = np.divide(
             1.0, np.sqrt(degrees), out=np.zeros_like(degrees), where=degrees > 0
         )

@@ -38,7 +38,7 @@ list.  Two properties make this exact rather than approximate:
 * entry *positions* are fully determined by the sorted unique ``(row, col)``
   key set, which the merge reproduces by construction;
 * entry *values* are duplicate-edge counts — small integers, exactly
-  representable in float64 — so summing an old count with a delta count
+  representable in any float width — so summing an old count with a delta count
   gives the same float as one fused accumulation would.
 
 The normalised adjacencies (``sage``/``gcn``) are then rebuilt from the
@@ -236,7 +236,7 @@ def merge_csr_delta(
 
     add_rows = np.asarray(add_rows, dtype=np.int64)
     add_cols = np.asarray(add_cols, dtype=np.int64)
-    add_data = np.asarray(add_data, dtype=np.float64)
+    add_data = np.asarray(add_data, dtype=csr.data.dtype)
     if len(add_rows):
         add_keys = add_rows * n_cols + add_cols
         order = np.argsort(add_keys, kind="stable")
@@ -409,7 +409,7 @@ def _merge_structural(
         (new_n, new_n),
         rows,
         cols,
-        np.ones(len(rows), dtype=np.float64),
+        np.ones(len(rows), dtype=base.data.dtype),
         removed_keys,
     )
 

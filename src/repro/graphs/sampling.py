@@ -106,7 +106,7 @@ def degree_node_probabilities(graph: Graph, alpha: float = 1.0) -> np.ndarray:
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    weights = (graph.in_degrees().astype(np.float64) + 1.0) ** alpha
+    weights = (graph.in_degrees() + 1.0) ** alpha
     return weights / weights.sum()
 
 
@@ -134,7 +134,7 @@ def node_sampler(
         return induced_subgraph(graph, nodes)
     probs = degree_node_probabilities(graph, alpha)
     draws = rng.choice(graph.n_nodes, size=n_nodes, replace=True, p=probs)
-    counts = np.bincount(draws, minlength=graph.n_nodes).astype(np.float64)
+    counts = np.bincount(draws, minlength=graph.n_nodes)
     nodes = np.flatnonzero(counts)
     subgraph = induced_subgraph(graph, nodes)
     return _attach_importance_weights(
@@ -153,7 +153,7 @@ def degree_edge_probabilities(graph: Graph, alpha: float = 1.0) -> np.ndarray:
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    deg = graph.in_degrees().astype(np.float64) + 1.0
+    deg = graph.in_degrees() + 1.0
     weights = (1.0 / deg[graph.src] + 1.0 / deg[graph.dst]) ** alpha
     return weights / weights.sum()
 
@@ -192,7 +192,7 @@ def edge_sampler(
     endpoint_counts = (
         np.bincount(graph.src[draws], minlength=graph.n_nodes)
         + np.bincount(graph.dst[draws], minlength=graph.n_nodes)
-    ).astype(np.float64)
+    )
     # Expected incidences of node v per draw: the mass of its edges.
     incident_rate = (
         np.bincount(graph.src, weights=probs, minlength=graph.n_nodes)

@@ -72,7 +72,7 @@ def train_mlp_classifier(
     lr: float = 0.01,
 ) -> float:
     """Train with Adam on cross-entropy; returns final training accuracy."""
-    x = Tensor(np.asarray(inputs, dtype=np.float64))
+    x = Tensor(inputs)
     labels = np.asarray(labels, dtype=np.int64)
     optimizer = Adam(model.parameters(), lr=lr)
     for _ in range(epochs):

@@ -7,7 +7,7 @@ MaxK with a chosen ``k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -18,6 +18,11 @@ from .layers import make_conv
 from .modules import Linear, Module
 
 __all__ = ["GNNConfig", "MaxKGNN"]
+
+#: Marks a field that selects how the model executes, never a value it
+#: computes: ``config_fingerprint`` hashes it at its default, so a
+#: checkpoint written on one route loads on the other.
+_ROUTE = {"execution_route": True}
 
 
 @dataclass(frozen=True)
@@ -33,11 +38,11 @@ class GNNConfig:
     k: Optional[int] = None
     dropout: float = 0.0
     #: Execute the literal CBSR SpGEMM/SSpMM dataflow in MaxK layers.
-    use_cbsr_kernels: bool = False
+    use_cbsr_kernels: bool = field(default=False, metadata=_ROUTE)
     #: Serve the training step's large arrays from a reusable buffer
     #: workspace instead of fresh allocations. Selects buffers only — the
     #: ops executed, and every value, are the same either way.
-    use_workspace: bool = True
+    use_workspace: bool = field(default=True, metadata=_ROUTE)
 
     def __post_init__(self):
         if self.n_layers < 1:

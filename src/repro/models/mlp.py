@@ -77,13 +77,13 @@ def fit_function(
 ) -> float:
     """Train with Adam on MSE until ``epochs``; returns the final loss."""
     x = Tensor(inputs)
-    y = np.asarray(targets, dtype=np.float64)
+    y = Tensor(targets)
     optimizer = Adam(model.parameters(), lr=lr)
     final = float("inf")
     for _ in range(epochs):
         optimizer.zero_grad()
         prediction = model(x)
-        residual = prediction - Tensor(y)
+        residual = prediction - y
         loss = (residual * residual).mean()
         loss.backward()
         optimizer.step()

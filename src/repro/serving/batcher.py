@@ -186,9 +186,8 @@ def forward_rows(model, batch: EgoBatch) -> List[np.ndarray]:
     model.eval()
     try:
         model.bind_graph(batch.merged)
-        features = np.asarray(batch.merged.features, dtype=np.float64)
         with no_grad():
-            logits = model(features).numpy()
+            logits = model(batch.merged.features).numpy()
     finally:
         if was_training:
             model.train()

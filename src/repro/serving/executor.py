@@ -197,7 +197,7 @@ class ExecutorPool:
         lazily with its next op, so a swap costs one vector send per
         executor, not a synchronous broadcast.
         """
-        self._flat = np.asarray(flat, dtype=np.float64).copy()
+        self._flat = np.array(flat)
         self._version = int(version)
 
     # -- supervised infer ------------------------------------------------
@@ -218,7 +218,7 @@ class ExecutorPool:
         self._pending[executor] = ("infer", items, self._ops[executor])
         self._issue(executor)
         frame = self._pool.recv(executor)
-        return [np.asarray(row, dtype=np.float64) for row in frame[2]]
+        return [np.asarray(row, dtype=self._flat.dtype) for row in frame[2]]
 
     def _issue(self, executor: int) -> None:
         """Send ``executor`` its pending op (fresh or replayed)."""
@@ -270,7 +270,7 @@ class ExecutorPool:
             return "corrupt result payload (wrong arity)"
         for row in rows:
             try:
-                arr = np.asarray(row, dtype=np.float64)
+                arr = np.asarray(row, dtype=self._flat.dtype)
             except Exception:
                 return "corrupt result payload (not an array)"
             if arr.ndim != 1 or arr.size == 0:

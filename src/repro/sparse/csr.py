@@ -54,7 +54,7 @@ class CSRMatrix:
     indices:
         ``int64[nnz]`` column index of every stored entry, sorted within rows.
     data:
-        ``float64[nnz]`` value of every stored entry.
+        ``float[nnz]`` value of every stored entry (``ops.FLOAT_DTYPE``).
     shape:
         ``(n_rows, n_cols)``.
     """
@@ -67,7 +67,8 @@ class CSRMatrix:
     def __post_init__(self):
         object.__setattr__(self, "indptr", np.asarray(self.indptr, dtype=np.int64))
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
+        data = np.asarray(self.data, dtype=ops.FLOAT_DTYPE)
+        object.__setattr__(self, "data", data)
         _validate_csr_buffers(self.indptr, self.indices, self.data, self.shape)
 
     # ------------------------------------------------------------------
@@ -76,7 +77,7 @@ class CSRMatrix:
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
         """Build a CSR matrix from a dense 2-D array, dropping exact zeros."""
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = np.asarray(dense)
         if dense.ndim != 2:
             raise ValueError("dense input must be 2-D")
         rows, cols = np.nonzero(dense)
@@ -99,7 +100,7 @@ class CSRMatrix:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if data is None:
-            data = np.ones(len(src), dtype=np.float64)
+            data = np.ones(len(src), dtype=ops.FLOAT_DTYPE)
         return coo_to_csr(dst, src, data, shape)
 
     # ------------------------------------------------------------------
@@ -135,7 +136,7 @@ class CSRMatrix:
     # Conversions and algebra
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
+        out = np.zeros(self.shape, dtype=self.data.dtype)
         row_ids = np.repeat(np.arange(self.n_rows), self.row_degrees())
         out[row_ids, self.indices] = self.data
         return out
@@ -161,14 +162,14 @@ class CSRMatrix:
 
     def with_data(self, data: np.ndarray) -> "CSRMatrix":
         """Same sparsity pattern with replaced values."""
-        data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
         if data.shape != self.data.shape:
             raise ValueError("replacement data must match nnz")
         return CSRMatrix(self.indptr, self.indices, data, self.shape)
 
     def scale_rows(self, row_scale: np.ndarray) -> "CSRMatrix":
         """Multiply every row ``i`` by ``row_scale[i]`` (e.g. 1/degree)."""
-        row_scale = np.asarray(row_scale, dtype=np.float64)
+        row_scale = np.asarray(row_scale)
         if row_scale.shape != (self.n_rows,):
             raise ValueError("row_scale must have one entry per row")
         expanded = np.repeat(row_scale, self.row_degrees())
@@ -176,7 +177,7 @@ class CSRMatrix:
 
     def scale_cols(self, col_scale: np.ndarray) -> "CSRMatrix":
         """Multiply every column ``j`` by ``col_scale[j]``."""
-        col_scale = np.asarray(col_scale, dtype=np.float64)
+        col_scale = np.asarray(col_scale)
         if col_scale.shape != (self.n_cols,):
             raise ValueError("col_scale must have one entry per column")
         return self.with_data(self.data * col_scale[self.indices])
@@ -191,7 +192,7 @@ class CSRMatrix:
         (and is returned), so workspace-planned training steps aggregate
         into reused buffers.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.shape[0] != self.n_cols:
             raise ValueError(
                 f"dimension mismatch: A is {self.shape}, X has {x.shape[0]} rows"
@@ -248,7 +249,7 @@ class CSCMatrix:
         return self.indices[lo:hi], self.data[lo:hi]
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
+        out = np.zeros(self.shape, dtype=self.data.dtype)
         col_ids = np.repeat(np.arange(self.n_cols), self.col_degrees())
         out[self.indices, col_ids] = self.data
         return out
@@ -265,7 +266,7 @@ def coo_to_csr(rows, cols, data, shape) -> CSRMatrix:
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data, dtype=ops.FLOAT_DTYPE)
     n_rows, n_cols = shape
     if len(rows) != len(cols) or len(rows) != len(data):
         raise ValueError("rows, cols and data must have equal length")

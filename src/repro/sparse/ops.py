@@ -82,6 +82,10 @@ __all__ = [
     "warm",
 ]
 
+#: The float type of every tensor, adjacency weight and feature column. Read
+#: as ``ops.FLOAT_DTYPE`` at call time, and only where a float is born or
+#: crosses in from outside; everything downstream follows its operands.
+FLOAT_DTYPE = np.float64
 #: Clip bound shared by every softmax-style exponential in the codebase.
 EXP_CLIP = 60.0
 #: Denominator epsilon of the segment softmax (kept for numerical parity
@@ -238,7 +242,7 @@ class ReferenceBackend(SparseOpsBackend):
 
     def segment_sum(self, values, segment_ids, n_segments, out=None):
         if out is None:
-            out = np.zeros((n_segments,) + values.shape[1:], dtype=np.float64)
+            out = np.zeros((n_segments,) + values.shape[1:], dtype=values.dtype)
         else:
             out[...] = 0.0
         for i, segment in enumerate(segment_ids):
@@ -246,7 +250,7 @@ class ReferenceBackend(SparseOpsBackend):
         return out
 
     def segment_max(self, values, segment_ids, n_segments, empty_value):
-        out = np.full((n_segments,) + values.shape[1:], -np.inf, dtype=np.float64)
+        out = np.full((n_segments,) + values.shape[1:], -np.inf, dtype=values.dtype)
         seen = np.zeros(n_segments, dtype=bool)
         for i, segment in enumerate(segment_ids):
             out[segment] = np.maximum(out[segment], values[i])
@@ -255,7 +259,7 @@ class ReferenceBackend(SparseOpsBackend):
         return out
 
     def segment_softmax(self, values, segment_ids, n_segments):
-        out = np.empty_like(values, dtype=np.float64)
+        out = np.empty_like(values)
         for segment in range(n_segments):
             members = np.where(segment_ids == segment)[0]
             if len(members) == 0:
@@ -269,9 +273,9 @@ class ReferenceBackend(SparseOpsBackend):
         return out
 
     def gather_scale(self, table, indices, scale):
-        rows = [np.array(table[i], dtype=np.float64, copy=True) for i in indices]
+        rows = [np.array(table[i], copy=True) for i in indices]
         out = np.stack(rows) if rows else np.zeros(
-            (0,) + table.shape[1:], dtype=np.float64
+            (0,) + table.shape[1:], dtype=table.dtype
         )
         if scale is not None:
             for i in range(len(out)):
@@ -280,7 +284,7 @@ class ReferenceBackend(SparseOpsBackend):
 
     def spmm_csr(self, indptr, indices, data, x, n_rows, out=None):
         if out is None:
-            out = np.zeros((n_rows,) + x.shape[1:], dtype=np.float64)
+            out = np.zeros((n_rows,) + x.shape[1:], dtype=x.dtype)
         else:
             out[...] = 0.0
         for row in range(n_rows):
@@ -289,7 +293,7 @@ class ReferenceBackend(SparseOpsBackend):
         return out
 
     def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
-        out = np.zeros((n_rows, dim_origin), dtype=np.float64)
+        out = np.zeros((n_rows, dim_origin), dtype=sp_data.dtype)
         for row in range(n_rows):
             for edge in range(int(indptr[row]), int(indptr[row + 1])):
                 source = indices[edge]
@@ -297,7 +301,7 @@ class ReferenceBackend(SparseOpsBackend):
         return out
 
     def sspmm_cbsr(self, indptr, indices, data, grad_out, sp_index, n_src):
-        sp_grad = np.zeros((n_src, sp_index.shape[1]), dtype=np.float64)
+        sp_grad = np.zeros((n_src, sp_index.shape[1]), dtype=grad_out.dtype)
         for row in range(len(indptr) - 1):
             for edge in range(int(indptr[row]), int(indptr[row + 1])):
                 source = indices[edge]
@@ -379,9 +383,9 @@ class VectorizedBackend(SparseOpsBackend):
     The CSR SpMM does **not** ride the generic bincount scatter: it uses a
     cache-blocked fused gather–accumulate over degree-bucketed row groups
     (see :meth:`_spmm_blocked`), which skips the flattened-index arithmetic
-    entirely, reuses backend-owned scratch, and accumulates each output row
-    strictly in stored-edge order — still bit-identical to the reference
-    loop and to scipy's compiled kernel, but several times faster and
+    entirely, reuses backend-owned scratch of the operand's dtype, and
+    accumulates each output row strictly in stored-edge order —
+    bit-identical to the reference loop and to scipy's compiled kernel, and
     allocation-free in steady state. The per-matrix degree-bucket plans are
     cached by buffer identity in an :class:`_IdKeyedLRU` and integrate with
     the :meth:`release` / :meth:`warm` hooks exactly like the scipy
@@ -390,9 +394,9 @@ class VectorizedBackend(SparseOpsBackend):
 
     name = "vectorized"
 
-    #: Scratch ceiling of one gather block (float64 elements). 1 << 16
-    #: elements = 512 KB keeps the gathered block resident in L2 while
-    #: amortising the per-chunk numpy dispatch over thousands of edges.
+    #: Scratch ceiling of one gather block (elements of the operand's dtype).
+    #: 1 << 16 elements, 512 KB at eight bytes each, keeps the block resident
+    #: in L2 while amortising the per-chunk numpy dispatch over many edges.
     _BLOCK_ELEMENTS = 1 << 16
 
     def __init__(self):
@@ -430,7 +434,7 @@ class VectorizedBackend(SparseOpsBackend):
             "cache_limit": _IdKeyedLRU.LIMIT,
         }
 
-    def _take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+    def _take(self, name: str, shape, dtype) -> np.ndarray:
         """Thread-local scratch with monotone capacity (contents undefined)."""
         store = getattr(self._scratch, "buffers", None)
         if store is None:
@@ -438,7 +442,9 @@ class VectorizedBackend(SparseOpsBackend):
         size = 1
         for s in shape:
             size *= int(s)
-        key = (name, dtype)
+        # A scalar type and its ``np.dtype`` instance hash apart; one slot
+        # asked for both ways must stay one buffer.
+        key = (name, np.dtype(dtype))
         flat = store.get(key)
         if flat is None or flat.size < size:
             flat = np.empty(max(size, 1), dtype=dtype)
@@ -449,7 +455,7 @@ class VectorizedBackend(SparseOpsBackend):
         if values.ndim == 1:
             result = np.bincount(
                 segment_ids, weights=values, minlength=n_segments
-            ).astype(np.float64)
+            )
         else:
             trailing = int(np.prod(values.shape[1:]))
             flat_values = values.reshape(len(values), trailing)
@@ -464,7 +470,8 @@ class VectorizedBackend(SparseOpsBackend):
             )
             result = flat.reshape((n_segments,) + values.shape[1:])
         if out is None:
-            return result
+            # bincount accumulates in double whatever it is handed.
+            return result.astype(values.dtype, copy=False)
         # bincount owns its accumulator, so this path is not allocation-free
         # — out= here buys callers a stable destination, not zero churn
         # (the compiled scipy SpMM is the allocation-free route).
@@ -473,7 +480,7 @@ class VectorizedBackend(SparseOpsBackend):
 
     def segment_max(self, values, segment_ids, n_segments, empty_value):
         out = np.full(
-            (n_segments,) + values.shape[1:], empty_value, dtype=np.float64
+            (n_segments,) + values.shape[1:], empty_value, dtype=values.dtype
         )
         if len(values) == 0:
             return out
@@ -495,7 +502,7 @@ class VectorizedBackend(SparseOpsBackend):
         return z / denominator[segment_ids]
 
     def gather_scale(self, table, indices, scale):
-        out = np.take(table, indices, axis=0).astype(np.float64, copy=False)
+        out = np.take(table, indices, axis=0)
         if scale is not None:
             if out.ndim > 1:
                 out = out * scale.reshape((-1,) + (1,) * (out.ndim - 1))
@@ -558,14 +565,14 @@ class VectorizedBackend(SparseOpsBackend):
         unlike the pairwise ``np.add.reduceat`` — folds each row's ``d``
         contributions straight into the bucket's stripe of the
         degree-sorted product. One final gather un-permutes into ``out``.
-        Bit-identical to the bincount scatter and the reference loop; no
-        fresh large allocations.
+        Bit-identical to the reference loop; scratch and result carry
+        ``x``'s dtype, and there are no fresh large allocations.
         """
         dim = x.shape[1]
         if out is None:
-            out = np.empty((n_rows, dim), dtype=np.float64)
+            out = np.empty((n_rows, dim), dtype=x.dtype)
         n_plan_rows, n_empty, inverse, buckets = plan
-        sorted_out = self._take("spmm.sorted", (n_plan_rows, dim))
+        sorted_out = self._take("spmm.sorted", (n_plan_rows, dim), x.dtype)
         sorted_out[:n_empty] = 0.0
         for pos, edge_pos in buckets:
             m_total, d = edge_pos.shape
@@ -576,9 +583,9 @@ class VectorizedBackend(SparseOpsBackend):
                 flat_pos = pos_chunk.ravel()
                 cols = self._take("spmm.cols", (m * d,), np.int64)
                 np.take(indices, flat_pos, out=cols, mode="clip")
-                vals = self._take("spmm.vals", (m * d,))
+                vals = self._take("spmm.vals", (m * d,), data.dtype)
                 np.take(data, flat_pos, out=vals, mode="clip")
-                gathered = self._take("spmm.gather", (m * d, dim))
+                gathered = self._take("spmm.gather", (m * d, dim), x.dtype)
                 np.take(x, cols, axis=0, out=gathered, mode="clip")
                 grouped = gathered.reshape(m, d, dim)
                 grouped *= vals.reshape(m, d, 1)
@@ -587,26 +594,18 @@ class VectorizedBackend(SparseOpsBackend):
         np.take(sorted_out, inverse, axis=0, out=out, mode="clip")
         return out
 
-    def _spmm_bincount(self, indptr, indices, data, x, n_rows, out=None):
-        """The historical flat-index bincount SpMM (fallback + baseline).
-
-        Kept for >2-D feature maps and as the comparison arm of the
-        blocked-SpMM benchmark; accumulation order matches the blocked path
-        exactly, so the two agree bit for bit.
-        """
-        row_ids = np.repeat(
-            np.arange(n_rows, dtype=np.int64), np.diff(indptr)
-        )
-        gathered = self.gather_scale(x, indices, data)
-        return self.segment_sum(gathered, row_ids, n_rows, out=out)
-
     def spmm_csr(self, indptr, indices, data, x, n_rows, out=None):
-        # The dispatch layer delivers 2-D float64; anything else (direct
-        # backend callers) rides the generic bincount path, which casts.
-        if x.ndim != 2 or x.dtype != np.float64:
-            return self._spmm_bincount(indptr, indices, data, x, n_rows, out=out)
         plan = self._spmm_plan(indptr, indices, data)
-        return self._spmm_blocked(plan, indices, data, x, n_rows, out=out)
+        if x.ndim == 2:
+            return self._spmm_blocked(plan, indices, data, x, n_rows, out=out)
+        # Wider feature maps ride the same kernel through an (n, -1) view.
+        flat = x.reshape(len(x), int(np.prod(x.shape[1:])))
+        result = self._spmm_blocked(plan, indices, data, flat, n_rows)
+        result = result.reshape((n_rows,) + x.shape[1:])
+        if out is None:
+            return result
+        np.copyto(out, result)
+        return out
 
     def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
         row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
@@ -645,21 +644,21 @@ class VectorizedBackend(SparseOpsBackend):
         compare flags, the tie mask, the running tie count — comes from
         ``workspace`` slots when one is given (steady-state MaxK selection
         then allocates nothing large) and is a fresh array otherwise.
-        ``out`` may be bool or float64; a float mask holds exact 0.0/1.0
-        (:func:`mask_into`) and lets callers multiply by it without numpy's
-        mixed-dtype casting buffers.
+        ``out`` may be bool or of ``keys``' dtype; a float mask holds exact
+        0.0/1.0 (:func:`mask_into`) and lets callers multiply by it without
+        numpy's mixed-dtype casting buffers.
         """
         n_rows, dim = keys.shape
         if k == dim:
             out[...] = True
             return out
 
-        def take(name, dtype=np.float64):
+        def take(name, dtype):
             if workspace is None:
                 return np.empty(keys.shape, dtype=dtype)
             return workspace.buffer(slot + name, keys.shape, dtype)
 
-        scratch = take(".part")
+        scratch = take(".part", keys.dtype)
         np.copyto(scratch, keys)
         scratch.partition(dim - k, axis=1)
         threshold = scratch[:, dim - k : dim - k + 1]
@@ -759,7 +758,7 @@ class ScipyBackend(VectorizedBackend):
             )
         matrix = self._matrix(indptr, indices, data, (n_rows, x.shape[0]))
         if out is None:
-            return np.asarray(matrix @ x, dtype=np.float64)
+            return matrix @ x
         if (
             _scipy_sparsetools is not None
             and x.flags.c_contiguous
@@ -801,7 +800,7 @@ class ScipyBackend(VectorizedBackend):
         product = (
             self._take("spgemm.indptr", (n_rows + 1,), index),
             self._take("spgemm.indices", (bound,), index),
-            self._take("spgemm.data", (bound,)),
+            self._take("spgemm.data", (bound,), sp_data.dtype),
         )
         _scipy_sparsetools.csr_matmat(
             n_rows, dim_origin,
@@ -811,7 +810,7 @@ class ScipyBackend(VectorizedBackend):
             np.ascontiguousarray(sp_data).ravel(),
             *product,
         )
-        out = np.zeros((n_rows, dim_origin), dtype=np.float64)
+        out = np.zeros((n_rows, dim_origin), dtype=sp_data.dtype)
         _scipy_sparsetools.csr_todense(n_rows, dim_origin, *product, out.ravel())
         return out
 
@@ -821,7 +820,7 @@ class ScipyBackend(VectorizedBackend):
         adjacency = self._matrix(
             indptr, indices, data, (len(indptr) - 1, n_src)
         )
-        dense_grad = np.asarray(adjacency.T @ grad_out, dtype=np.float64)
+        dense_grad = adjacency.T @ grad_out
         return np.take_along_axis(dense_grad, sp_index, axis=1)
 
 
@@ -896,7 +895,7 @@ def use_backend(name: str) -> Iterator[SparseOpsBackend]:
 # Dispatch functions (shared validation, then the active backend computes)
 # ----------------------------------------------------------------------
 def _check_segment_args(values, segment_ids, n_segments):
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=FLOAT_DTYPE)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if segment_ids.ndim != 1 or len(segment_ids) != values.shape[0]:
         raise ValueError("segment_ids must map every leading row of values")
@@ -909,11 +908,11 @@ def _check_segment_args(values, segment_ids, n_segments):
     return values, segment_ids
 
 
-def _check_out(out, shape) -> Optional[np.ndarray]:
+def _check_out(out, shape, dtype) -> Optional[np.ndarray]:
     if out is None:
         return None
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
-        raise ValueError("out must be a float64 ndarray")
+    if not isinstance(out, np.ndarray) or out.dtype != dtype:
+        raise ValueError(f"out must be a {dtype} ndarray (the operand's dtype)")
     if out.shape != tuple(shape):
         raise ValueError(f"out has shape {out.shape}, expected {tuple(shape)}")
     return out
@@ -927,7 +926,7 @@ def segment_sum(values, segment_ids, n_segments: int, out=None) -> np.ndarray:
     the buffer-reusing training hot path.
     """
     values, segment_ids = _check_segment_args(values, segment_ids, n_segments)
-    out = _check_out(out, (n_segments,) + values.shape[1:])
+    out = _check_out(out, (n_segments,) + values.shape[1:], values.dtype)
     return _ACTIVE.segment_sum(values, segment_ids, n_segments, out=out)
 
 
@@ -949,7 +948,7 @@ def segment_softmax(values, segment_ids, n_segments: int) -> np.ndarray:
 
 def gather_scale(table, indices, scale=None) -> np.ndarray:
     """``table[indices]``, optionally scaled per gathered row by ``scale``."""
-    table = np.asarray(table, dtype=np.float64)
+    table = np.asarray(table, dtype=FLOAT_DTYPE)
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 1:
         raise ValueError("indices must be 1-D")
@@ -958,7 +957,7 @@ def gather_scale(table, indices, scale=None) -> np.ndarray:
     ):
         raise ValueError("gather indices out of range")
     if scale is not None:
-        scale = np.asarray(scale, dtype=np.float64)
+        scale = np.asarray(scale, dtype=FLOAT_DTYPE)
         if scale.shape != (len(indices),):
             raise ValueError("scale must hold one factor per gathered row")
     return _ACTIVE.gather_scale(table, indices, scale)
@@ -969,22 +968,22 @@ def spmm_csr(indptr, indices, data, x, n_rows: int, out=None) -> np.ndarray:
     over the entries ``e`` of row ``i`` — the SpMM segment-reduction
     dataflow every aggregation kernel in the system rides.
 
-    ``out``, when given, must be a float64 array of the result shape; the
-    product is written there and returned, letting the training hot path
-    aggregate into workspace-planned buffers instead of fresh arrays.
+    ``out``, when given, must be an array of the result shape and the
+    operands' dtype; the product is written there and returned, letting the
+    training hot path aggregate into workspace-planned buffers.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=FLOAT_DTYPE)
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data, dtype=FLOAT_DTYPE)
     if x.ndim == 1:
-        out = _check_out(out, (n_rows,))
+        out = _check_out(out, (n_rows,), x.dtype)
         column = None if out is None else out[:, None]
         result = _ACTIVE.spmm_csr(
             indptr, indices, data, x[:, None], n_rows, out=column
         )[:, 0]
         return result if out is None else out
-    out = _check_out(out, (n_rows,) + x.shape[1:])
+    out = _check_out(out, (n_rows,) + x.shape[1:], x.dtype)
     return _ACTIVE.spmm_csr(indptr, indices, data, x, n_rows, out=out)
 
 
@@ -1011,8 +1010,8 @@ def spgemm_cbsr(
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
-    data = np.asarray(data, dtype=np.float64)
-    sp_data = np.asarray(sp_data, dtype=np.float64)
+    data = np.asarray(data, dtype=FLOAT_DTYPE)
+    sp_data = np.asarray(sp_data, dtype=FLOAT_DTYPE)
     sp_index = np.asarray(sp_index).astype(np.int64, copy=False)
     if sp_data.shape != sp_index.shape or sp_data.ndim != 2:
         raise ValueError("sp_data and sp_index must be matching 2-D blocks")
@@ -1032,8 +1031,8 @@ def sspmm_cbsr(indptr, indices, data, grad_out, sp_index, n_src: int) -> np.ndar
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
-    data = np.asarray(data, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    data = np.asarray(data, dtype=FLOAT_DTYPE)
+    grad_out = np.asarray(grad_out, dtype=FLOAT_DTYPE)
     sp_index = np.asarray(sp_index).astype(np.int64, copy=False)
     if sp_index.ndim != 2 or sp_index.shape[0] != n_src:
         raise ValueError("sp_index must be (n_src, k)")
@@ -1045,7 +1044,7 @@ def sspmm_cbsr(indptr, indices, data, grad_out, sp_index, n_src: int) -> np.ndar
 
 
 def _check_topk_args(x, k: int, op_name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=FLOAT_DTYPE)
     if x.ndim != 2:
         raise ValueError(f"{op_name} expects a 2-D matrix")
     if not 1 <= k <= x.shape[1]:
@@ -1063,9 +1062,9 @@ def _check_topk_args(x, k: int, op_name: str) -> np.ndarray:
 def topk_mask(x, k: int, out=None, workspace=None, slot: str = "topk") -> np.ndarray:
     """Boolean mask of the ``k`` largest values per row (ties → lower column).
 
-    ``out`` (a bool — or float64, filled with exact 0.0/1.0 — array of
-    ``x``'s shape) receives the mask when given; float masks let callers
-    multiply by the mask without numpy's mixed-dtype casting buffers.
+    ``out`` (a bool array — or one of ``x``'s dtype, filled with exact
+    0.0/1.0 — of ``x``'s shape) receives the mask when given; float masks let
+    callers multiply by the mask without numpy's mixed-dtype casting buffers.
     A NaN entry is selected as ``+inf`` would be (rows stay exactly ``k``)
     and its mask entry is an ordinary 0.0/1.0, never NaN: the caller's
     ``x * mask`` still poisons the output, the gradient there is masked.
@@ -1078,10 +1077,10 @@ def topk_mask(x, k: int, out=None, workspace=None, slot: str = "topk") -> np.nda
     x = _check_topk_args(x, k, "topk_mask")
     if out is not None and (
         not isinstance(out, np.ndarray)
-        or out.dtype not in (np.bool_, np.float64)
+        or out.dtype not in (np.bool_, x.dtype)
         or out.shape != x.shape
     ):
-        raise ValueError("out must be a bool or float64 ndarray of x's shape")
+        raise ValueError(f"out must be a bool or {x.dtype} ndarray of x's shape")
     return _ACTIVE.topk_mask(x, k, out=out, workspace=workspace, slot=slot)
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.cbsr import CBSRMatrix
 from ..sparse import CSRMatrix, ops
 from .tensor import Tensor
 
@@ -41,15 +42,16 @@ __all__ = [
 _FUSED_ACTIVATIONS = ("none", "relu", "maxk")
 
 
-def _taker(workspace, slot: str):
+def _taker(workspace, slot: str, dtype):
     """Buffer factory: workspace slots when planned, fresh arrays otherwise.
 
     The only place that knows whether an arena exists — every op below has
     one arithmetic body and asks this for each large array it writes.
+    ``dtype`` is the op's operand's: what a request that names none gets.
     """
     if workspace is None:
-        return lambda name, shape, dtype=np.float64: np.empty(shape, dtype=dtype)
-    return lambda name, shape, dtype=np.float64: workspace.buffer(
+        return lambda name, shape, dtype=dtype: np.empty(shape, dtype=dtype)
+    return lambda name, shape, dtype=dtype: workspace.buffer(
         slot + name, shape, dtype
     )
 
@@ -58,7 +60,7 @@ def _node(data, parents, backward, workspace, slot: str) -> Tensor:
     """Autograd node whose gradient, when planned, accumulates in the arena."""
     out = Tensor._make(data, parents, backward)
     if workspace is not None and out.requires_grad:
-        out._grad_buffer = workspace.buffer(slot + ".grad", data.shape)
+        out._grad_buffer = workspace.buffer(slot + ".grad", data.shape, data.dtype)
     return out
 
 
@@ -94,7 +96,7 @@ def linear_act(
             raise ValueError("the maxk activation needs an explicit k")
         if not 1 <= k <= weight.shape[1]:
             raise ValueError(f"k must be in [1, {weight.shape[1]}]")
-    take = _taker(workspace, slot)
+    take = _taker(workspace, slot, x.data.dtype)
     n = x.shape[0]
     d_out = weight.shape[1]
 
@@ -132,7 +134,6 @@ def linear_act(
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad):
-        grad = np.asarray(grad, dtype=np.float64)
         if mask is None:
             grad_y = grad
         elif activation == "relu":
@@ -168,7 +169,7 @@ def add_into(a: Tensor, b: Tensor, workspace=None, slot: str = "add") -> Tensor:
     """
     if a.shape != b.shape:
         raise ValueError("add_into requires equal shapes (no broadcasting)")
-    take = _taker(workspace, slot)
+    take = _taker(workspace, slot, a.data.dtype)
     data = take(".out", a.shape)
     np.add(a.data, b.data, out=data)
 
@@ -190,7 +191,7 @@ def relu(x: Tensor, workspace=None, slot: str = "relu") -> Tensor:
     :func:`linear_act`'s fused ReLU — never a silent zero; its mask entry,
     hence the gradient there, is 0.0.
     """
-    take = _taker(workspace, slot)
+    take = _taker(workspace, slot, x.data.dtype)
     mask = take(".mask", x.data.shape)  # float 0/1 mask, see linear_act
     ops.mask_into(np.greater, x.data, 0.0, take(".flags", x.data.shape, bool), mask)
     data = take(".out", x.data.shape)
@@ -222,7 +223,7 @@ def maxk(x: Tensor, k: int, workspace=None, slot: str = "maxk") -> Tensor:
 def maxk_with_mask(x: Tensor, k: int, workspace=None, slot: str = "maxk"):
     """:func:`maxk` and its float 0/1 survivor mask, for a sibling
     :func:`spgemm_agg` over the same ``x`` to reuse the selection."""
-    take = _taker(workspace, slot)
+    take = _taker(workspace, slot, x.data.dtype)
     mask = take(".mask", x.data.shape)  # float 0/1 mask, see linear_act
     ops.topk_mask(x.data, k, out=mask, workspace=workspace, slot=slot + ".topk")
     data = take(".out", x.data.shape)
@@ -282,11 +283,6 @@ def spgemm_agg(
     hands in the selection :func:`maxk_with_mask` already made over ``x``
     (GIN's self term), so the layer selects once.
     """
-    # Imported here to avoid a circular import at package load.
-    from ..core.cbsr import CBSRMatrix
-    from ..gpusim.kernels.spgemm import spgemm_execute
-    from ..gpusim.kernels.sspmm import sspmm_execute
-
     n, dim = x.data.shape
     if mask is None:
         mask = ops.topk_mask(x.data, k)
@@ -295,14 +291,18 @@ def spgemm_agg(
     cbsr = CBSRMatrix(
         np.take(x.data, survivors).reshape(n, k), (survivors % dim).reshape(n, k), dim
     )
-    out = spgemm_execute(adj, cbsr)
+    out = ops.spgemm_cbsr(
+        adj.indptr, adj.indices, adj.data, cbsr.sp_data, cbsr.sp_index, dim, adj.n_rows
+    )
 
     def backward(grad):
         if not x.requires_grad:
             return
-        grad_cbsr = sspmm_execute(adj, np.asarray(grad), cbsr)
-        grad_x = np.zeros((n, dim), dtype=np.float64)
-        np.put(grad_x, survivors, grad_cbsr.sp_data)
+        sp_grad = ops.sspmm_cbsr(
+            adj.indptr, adj.indices, adj.data, grad, cbsr.sp_index, n
+        )
+        grad_x = np.zeros((n, dim), dtype=sp_grad.dtype)
+        np.put(grad_x, survivors, sp_grad)
         x._accumulate(grad_x)
 
     return Tensor._make(out, (x,), backward)
@@ -335,7 +335,7 @@ def spmm_agg(
         into planned ``out=`` buffers (zero fresh large allocations in
         steady state).
     """
-    take = _taker(workspace, slot)
+    take = _taker(workspace, slot, x.data.dtype)
     data = adj.matmul_dense(
         x.data, out=take(".out", (adj.n_rows,) + x.data.shape[1:])
     )
@@ -363,7 +363,7 @@ def dropout(
 
     The uniform draw, the keep mask, the output and the backward product
     are written with ``out=`` (``Generator.random`` fills ``out=`` from the
-    same stream ``random(shape)`` would return). A NaN input stays NaN in
+    stream ``random(shape, dtype)`` would return). A NaN input stays NaN in
     the output (``NaN * 0.0``) whether kept or dropped; the keep mask only
     ever holds 0.0 / 1.0.
     """
@@ -372,9 +372,9 @@ def dropout(
     if not training or p == 0.0:
         return x
     scale = 1.0 / (1.0 - p)
-    take = _taker(workspace, slot)
+    take = _taker(workspace, slot, x.data.dtype)
     draw = take(".draw", x.data.shape)
-    rng.random(out=draw)
+    rng.random(out=draw, dtype=draw.dtype)
     keep = take(".keep", x.data.shape)  # float 0/1 mask, see linear_act
     ops.mask_into(np.greater_equal, draw, p, take(".flags", x.data.shape, bool), keep)
     # np.where(keep, x * scale, 0.0) through ``out=``: scale, mask by
@@ -446,7 +446,7 @@ def weighted_cross_entropy(
     the unbiased estimator of the full-graph mean training loss.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights)
     log_probs = log_softmax(logits)
     n = logits.shape[0]
     if mask is None:
@@ -477,8 +477,8 @@ def fused_ce(
     only the allocations differ from the composed path.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    take = _taker(workspace, slot)
     z = logits.data
+    take = _taker(workspace, slot, z.dtype)
     n, dim = z.shape
 
     shift = take(".max", (n, 1))
@@ -510,7 +510,7 @@ def fused_ce(
         # Composed chain: negate the head grad, scale by 1/count, scatter
         # to the picked positions, then the log-softmax backward
         # ``g - softmax * g.sum(axis=1)`` — same ops, planned buffers.
-        scalar = (-np.asarray(grad, dtype=np.float64)) * (1.0 / count)
+        scalar = (-grad) * (1.0 / count)
         grad_lp = take(".gl", (n, dim))
         grad_lp[...] = 0.0
         grad_lp[idx, picked_labels] = scalar
@@ -538,9 +538,9 @@ def bce_with_logits(
     :func:`weighted_cross_entropy`), each row's class-mean loss is scaled
     by its weight and summed — the weights carry the normalisation.
     """
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=logits.data.dtype)
     if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.asarray(weights)
     if mask is not None:
         idx = np.where(mask)[0]
         logits = logits[idx]

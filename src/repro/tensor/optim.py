@@ -89,8 +89,9 @@ class Adam(Optimizer):
         for p in self.parameters:
             self._spans.append((offset, offset + p.data.size))
             offset += p.data.size
-        self._flat_m = np.zeros(offset, dtype=np.float64)
-        self._flat_v = np.zeros(offset, dtype=np.float64)
+        dtype = self.parameters[0].data.dtype
+        self._flat_m = np.zeros(offset, dtype=dtype)
+        self._flat_v = np.zeros(offset, dtype=dtype)
         self._m = [
             self._flat_m[lo:hi].reshape(p.data.shape)
             for p, (lo, hi) in zip(self.parameters, self._spans)
@@ -99,8 +100,8 @@ class Adam(Optimizer):
             self._flat_v[lo:hi].reshape(p.data.shape)
             for p, (lo, hi) in zip(self.parameters, self._spans)
         ]
-        self._flat_grad = np.empty(offset, dtype=np.float64)
-        self._flat_scratch = np.empty(offset, dtype=np.float64)
+        self._flat_grad = np.empty(offset, dtype=dtype)
+        self._flat_scratch = np.empty(offset, dtype=dtype)
         self._t = 0
         for p in self.parameters:
             if p._grad_buffer is None:

@@ -16,6 +16,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ..sparse import ops
+
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 _GRAD_ENABLED = True
@@ -65,7 +67,7 @@ class Tensor:
         _backward: Optional[Callable[[np.ndarray], None]] = None,
         name: str = "",
     ):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=ops.FLOAT_DTYPE)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad and _GRAD_ENABLED
         self._parents = _parents if self.requires_grad else ()
@@ -116,7 +118,7 @@ class Tensor:
                       _backward=backward if requires else None)
 
     def _accumulate(self, grad: np.ndarray):
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+        grad = _unbroadcast(np.asarray(grad), self.data.shape)
         if self.grad is None:
             buffer = self._grad_buffer
             if buffer is not None and buffer.shape == self.data.shape:
@@ -250,8 +252,6 @@ class Tensor:
                 # an order of magnitude faster than np.add.at. The forward
                 # gather already bounds-checked, so negative indices just
                 # need the usual wrap-around before becoming segment ids.
-                from ..sparse import ops
-
                 n = self.data.shape[0]
                 ids = np.where(key < 0, key + n, key)
                 full = ops.segment_sum(np.asarray(grad), ids, n)
@@ -293,7 +293,7 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        self._accumulate(np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

@@ -42,11 +42,11 @@ def _tune_ufunc_buffer() -> None:
     Numpy's buffered ufunc iteration (every broadcasting binary op: bias
     rows, column thresholds, (n,1) softmax denominators) mallocs a buffer
     of ``bufsize`` elements per call — 8192 by default, i.e. a 64 KB
-    float64 allocation inside ops the workspace has otherwise made
-    allocation-free. Elementwise results are chunk-size independent, so
-    shrinking it changes no values, and timing is flat (interleaved ratio
-    0.999); 2048 elements (16 KB) keeps the steady-state step's
-    tracemalloc churn under the 64 KB gate.
+    allocation at eight bytes an element inside ops the workspace has
+    otherwise made allocation-free. Elementwise results are chunk-size
+    independent, so shrinking it changes no values, and timing is flat
+    (interleaved ratio 0.999); 2048 elements (16 KB) keeps the
+    steady-state step's tracemalloc churn under the 64 KB gate.
 
     The setting is process-global, so it is applied only when a planned
     arena is actually constructed (never at import).
@@ -74,20 +74,21 @@ class Workspace:
             f"allocations={self.allocations}, requests={self.requests})"
         )
 
-    def buffer(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """A ``shape``-shaped view of slot ``name``'s storage.
+    def buffer(self, name: str, shape, dtype) -> np.ndarray:
+        """A ``shape``-shaped view of slot ``name``'s ``dtype`` storage.
 
         The first request for a slot (or a request larger than its current
         capacity) allocates backing storage; later requests of any
         not-larger size reuse it, returning a prefix view. Contents are
-        undefined — callers must overwrite.
+        undefined — callers must overwrite. ``dtype`` follows the caller's
+        operand; any spelling of one dtype names the same slot.
         """
         size = 1
         for s in shape:
             if s < 0:
                 raise ValueError(f"negative dimension in {tuple(shape)}")
             size *= s
-        key = (name, dtype)
+        key = (name, np.dtype(dtype))
         flat = self._store.get(key)
         if flat is None or flat.size < size:
             flat = np.empty(max(int(size), 1), dtype=dtype)

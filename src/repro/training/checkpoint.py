@@ -26,7 +26,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from io import BytesIO
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -117,10 +117,16 @@ def config_fingerprint(config: object) -> str:
     Dataclass configs (``GNNConfig``) hash their sorted field dict; other
     objects hash their ``repr`` — good enough to reject a checkpoint
     written for a different architecture with a clear message instead of
-    a silent mis-load.
+    a silent mis-load. Fields marked ``execution_route`` (``GNNConfig``'s
+    ``use_cbsr_kernels`` / ``use_workspace``: the same function computed
+    another way) hash at their defaults, so either route loads the other's.
     """
     if is_dataclass(config) and not isinstance(config, type):
-        payload = {"class": type(config).__name__, "fields": asdict(config)}
+        values = asdict(config)
+        for spec in fields(config):
+            if spec.metadata.get("execution_route"):
+                values[spec.name] = spec.default
+        payload = {"class": type(config).__name__, "fields": values}
         text = json.dumps(payload, sort_keys=True, default=repr)
     else:
         text = f"{type(config).__name__}:{config!r}"

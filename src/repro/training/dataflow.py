@@ -56,6 +56,7 @@ from ..graphs import (
     node_sampler,
     random_walk_sampler,
 )
+from ..sparse import ops
 from ..sparse.ops import get_backend
 from .parallel import (
     PrefetchWorkerError,
@@ -328,7 +329,7 @@ class SampledFlow(DataFlow):
         if mask is not None and graph.labels is not None and np.any(mask):
             mask = np.asarray(mask, dtype=bool)
             if graph.multilabel:
-                labels = np.asarray(graph.labels, dtype=np.float64)
+                labels = np.asarray(graph.labels)
                 rates = (labels * mask[:, None]).mean(axis=0)
                 rates = rates[rates > 0]
                 rate = rates.min() if rates.size else mask.mean()
@@ -840,7 +841,7 @@ class DistributedFlow(DataFlow):
         #: :meth:`report` (defaults to the A100 the paper models).
         self.device = device
         #: Per-tensor entry budget of the compressed gradient exchange
-        #: (``None`` = dense float64 all-reduce, the bit-identical
+        #: (``None`` = dense full-width all-reduce, the bit-identical
         #: default). The engine forwards this to
         #: :class:`~repro.training.engine.ReplicaGradients`.
         self.grad_topk = grad_topk
@@ -888,7 +889,7 @@ class DistributedFlow(DataFlow):
         #: :func:`repro.gpusim.multigpu.pack_stats` consumes.
         self.slot_seconds: Dict[int, float] = {}
         #: Per-replica bytes of the last executed gradient exchange (the
-        #: engine reports them after every reduce): the dense float64
+        #: engine reports them after every reduce): the dense full-width
         #: figure and what actually went on the modelled wire.
         self.grad_dense_per_round = 0
         self.grad_payload_per_round = 0
@@ -958,7 +959,7 @@ class DistributedFlow(DataFlow):
         """Measured wall-clock telemetry next to the gpusim cost model.
 
         Always includes the ring all-reduce volume/latency of the round's
-        gradient exchange. The dense exchange ships ``n_params`` float64
+        gradient exchange. The dense exchange ships ``n_params`` full-width
         entries per replica; with :attr:`grad_topk` set (and at least one
         executed round, which records the store's exact CBSR byte
         accounting) the priced payload shrinks to the k-proportional
@@ -979,7 +980,7 @@ class DistributedFlow(DataFlow):
 
         device = self.device if self.device is not None else A100
         replicas = self.replicas
-        dense_bytes = 8.0 * n_params
+        dense_bytes = float(np.dtype(ops.FLOAT_DTYPE).itemsize * n_params)
         if self.grad_exchanges > 0:
             # Exact per-replica figures recorded from the executed store.
             dense_bytes = float(self.grad_dense_per_round)
@@ -1042,8 +1043,7 @@ class DistributedFlow(DataFlow):
             # signal note_replica_step accumulates), else by edge counts.
             measured = self.measured_slot_loads(stats.n_parts)
             loads = np.asarray(
-                measured if measured is not None
-                else stats.edges_per_part, dtype=np.float64,
+                measured if measured is not None else stats.edges_per_part
             )
             packed = pack_assignment(loads, sharded)
             robin = np.arange(stats.n_parts) % sharded

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.cbsr import CBSRMatrix, index_dtype_for
 from ..graphs import Graph
 from ..models import MaxKGNN
-from ..sparse.ops import get_backend, topk_mask
+from ..sparse import ops
 from ..tensor import (
     Adam,
     Tensor,
@@ -168,11 +168,12 @@ class ReplicaGradients:
         for p in self.parameters:
             self._spans.append((offset, offset + p.data.size))
             offset += p.data.size
-        self._arena = np.empty((replicas, offset), dtype=np.float64)
+        dtype = self.parameters[0].data.dtype
+        self._arena = np.empty((replicas, offset), dtype=dtype)
         self._present = np.zeros((replicas, len(self.parameters)), dtype=bool)
-        self._reduced = np.empty(offset, dtype=np.float64)
-        #: Bytes one replica ships per round on the dense float64 exchange.
-        self.dense_nbytes = 8 * offset
+        self._reduced = np.empty(offset, dtype=dtype)
+        #: Bytes one replica ships per round on the dense exchange.
+        self.dense_nbytes = dtype.itemsize * offset
         if topk is None:
             self.payload_nbytes = self.dense_nbytes
             return
@@ -182,7 +183,7 @@ class ReplicaGradients:
         # Error-feedback residuals: one persistent row per replica, zero
         # at the start of training (the first round's corrected gradient
         # is just the gradient).
-        self._residual = np.zeros((replicas, offset), dtype=np.float64)
+        self._residual = np.zeros((replicas, offset), dtype=dtype)
         self._workspace = Workspace()
         #: Bytes one replica ships per round in CBSR form: fp32 value +
         #: the narrowest index dtype that spans each tensor's flat size.
@@ -237,11 +238,11 @@ class ReplicaGradients:
                 np.copyto(selected, corrected)
             else:
                 row = corrected.reshape(1, dim)
-                magnitude = workspace.buffer("grad-abs", (1, dim))
+                magnitude = workspace.buffer("grad-abs", (1, dim), row.dtype)
                 np.abs(row, out=magnitude)
-                mask = workspace.buffer("grad-mask", (1, dim))
-                topk_mask(magnitude, k, out=mask,
-                          workspace=workspace, slot="grad-topk")
+                mask = workspace.buffer("grad-mask", (1, dim), row.dtype)
+                ops.topk_mask(magnitude, k, out=mask,
+                              workspace=workspace, slot="grad-topk")
                 np.multiply(row, mask, out=selected.reshape(1, dim))
             corrected -= selected
 
@@ -283,11 +284,11 @@ class ReplicaGradients:
     def export_payload(self, replica: int = 0) -> List[object]:
         """``replica``'s arena row as the per-parameter payload to ship.
 
-        Entries are ``None`` for untouched parameters, ``(indices, float64
-        values)`` for sparse spans (``k < dim``; float64 keeps the exchange
-        bitwise exact) and a dense float64 row otherwise — top-k with
-        ``k == dim`` stays dense so exact-zero selected entries survive
-        the wire. :meth:`deposit` is the inverse.
+        Entries are ``None`` for untouched parameters, ``(indices,
+        values)`` for sparse spans (``k < dim``; values at the arena's own
+        width keep the exchange bitwise exact) and a dense row otherwise —
+        top-k with ``k == dim`` stays dense so exact-zero selected entries
+        survive the wire. :meth:`deposit` is the inverse.
         """
         payload: List[object] = []
         for index, (lo, hi) in enumerate(self._spans):
@@ -341,7 +342,7 @@ class ReplicaGradients:
         for replica, row in enumerate(rows):
             if row is None or replica >= self.replicas:
                 continue
-            row = np.asarray(row, dtype=np.float64).ravel()
+            row = np.asarray(row).ravel()
             if row.size != self._residual.shape[1]:
                 raise ValueError(
                     f"residual row {replica} has {row.size} entries, "
@@ -363,7 +364,7 @@ class ReplicaGradients:
             raise ValueError("payload_cbsr needs a top-k store")
         payloads = []
         for index, (lo, hi) in enumerate(self._spans):
-            row = np.zeros((1, hi - lo))
+            row = np.zeros((1, hi - lo), dtype=self._arena.dtype)
             if self._present[replica, index]:
                 row[0] = self._arena[replica, lo:hi]
             payloads.append(CBSRMatrix.from_dense_rows(
@@ -460,7 +461,7 @@ class Engine:
             raise ValueError("accuracy metric needs single-label targets")
         self.metric = metric
         self.early_stopping = early_stopping
-        self._features = np.asarray(graph.features, dtype=np.float64)
+        self._features = np.asarray(graph.features, dtype=ops.FLOAT_DTYPE)
         self._bound = model.graph
         self._replica_grads: Optional[ReplicaGradients] = None
         self._replica_pool = None  # ReplicaProcessPool, created lazily
@@ -493,7 +494,7 @@ class Engine:
     def _features_of(self, subgraph: Graph) -> np.ndarray:
         if subgraph is self.graph:
             return self._features
-        return np.asarray(subgraph.features, dtype=np.float64)
+        return subgraph.features
 
     def _score(self, logits: np.ndarray, mask: np.ndarray) -> float:
         if self.metric == "accuracy":
@@ -653,7 +654,7 @@ class Engine:
             flow.replicas,
             getattr(flow, "grad_topk", None),
             id(self.graph),
-            get_backend().name,
+            ops.get_backend().name,
         )
         if self._replica_pool_key == key:
             return self._replica_pool

@@ -51,8 +51,6 @@ def _binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         return float("nan")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.arange(1, len(scores) + 1)
     # Average ranks across ties so AUC is exact with duplicate scores.
     sorted_scores = scores[order]
     unique, inverse, counts = np.unique(
@@ -60,15 +58,14 @@ def _binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     )
     cumulative = np.cumsum(counts)
     average_rank = cumulative - (counts - 1) / 2.0
-    ranks[order] = average_rank[inverse]
-    rank_sum = ranks[positives].sum()
+    rank_sum = average_rank[inverse][positives[order]].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def roc_auc(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray = None) -> float:
     """Mean per-label ROC-AUC (ogbn-proteins protocol), ignoring degenerate labels."""
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    logits = np.asarray(logits)
+    targets = np.asarray(targets)
     if mask is not None:
         logits, targets = logits[mask], targets[mask]
     if logits.ndim == 1:

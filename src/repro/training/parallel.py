@@ -199,10 +199,10 @@ def warm_batch(graph: Graph, norms: Sequence[str]) -> None:
 
 def pack_parameters(parameters, out: Optional[np.ndarray] = None
                     ) -> np.ndarray:
-    """Concatenate every parameter's data into one float64 vector."""
+    """Concatenate every parameter's data into one vector of their dtype."""
     total = sum(p.data.size for p in parameters)
     if out is None or out.size != total:
-        out = np.empty(total, dtype=np.float64)
+        out = np.empty(total, dtype=parameters[0].data.dtype)
     offset = 0
     for p in parameters:
         size = p.data.size
@@ -510,7 +510,6 @@ def _replica_worker(conn, spec: dict) -> None:
 
         plan = None
         batch = None
-        features = None
         while True:
             message = conn.recv()
             kind = message[0]
@@ -530,9 +529,7 @@ def _replica_worker(conn, spec: dict) -> None:
                     plan.retire(batch)
                     plan = None
                     batch = None
-                    features = None
                 else:
-                    features = np.asarray(batch.features, dtype=np.float64)
                     model.bind_graph(batch)
                 conn.send(reply)
             elif kind == "step":
@@ -540,7 +537,7 @@ def _replica_worker(conn, spec: dict) -> None:
                 corrupt = _apply_faults(conn, actions)
                 start = time.perf_counter()
                 unpack_parameters(parameters, flat_params)
-                loss = forward_backward(model, features, batch)
+                loss = forward_backward(model, batch.features, batch)
                 # Dense is a plain copy; top-k applies the residual-
                 # corrected selection and updates this replica's residual
                 # — byte-for-byte the in-process store's per-replica

@@ -14,6 +14,7 @@ files before touching any array.
 
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -492,6 +493,51 @@ class TestFullStateCheckpoint:
             engine.close()
         other = Engine(MaxKGNN(graph, _config(k=2), seed=0), graph,
                        make_flow("full"), lr=0.01)
+        try:
+            with pytest.raises(CheckpointError,
+                               match="different model configuration"):
+                other.load_checkpoint(path)
+        finally:
+            other.close()
+
+    def test_cbsr_checkpoint_resumes_on_its_dense_twin(self, tmp_path,
+                                                        backend):
+        """The execution-route flags are not architecture: a run trained
+        through the CBSR kernels resumes, bit for bit, on the
+        dense-after-MaxK model (and on one without a workspace)."""
+        graph = _task_graph()
+        cbsr = replace(_config(), use_cbsr_kernels=True)
+        twin = replace(_config(), use_workspace=False)
+
+        def fit(config, **fit_kwargs):
+            engine = Engine(MaxKGNN(graph, config, seed=0), graph,
+                            make_flow("full"), lr=0.01)
+            try:
+                return engine.fit(3, eval_every=3, **fit_kwargs).train_losses
+            finally:
+                engine.close()
+
+        straight = fit(cbsr, checkpoint_every=1, checkpoint_dir=tmp_path)
+        resumed = fit(twin, resume_from=tmp_path / "checkpoint-00001.ckpt")
+        assert resumed == straight[1:]
+
+    @pytest.mark.parametrize("change", [
+        {"hidden": 32}, {"k": 2}, {"nonlinearity": "relu"},
+    ])
+    def test_cbsr_checkpoint_still_refused_by_another_architecture(
+        self, tmp_path, change
+    ):
+        graph = _task_graph()
+        cbsr = replace(_config(), use_cbsr_kernels=True)
+        engine = Engine(MaxKGNN(graph, cbsr, seed=0), graph,
+                        make_flow("full"), lr=0.01)
+        path = tmp_path / "ck.ckpt"
+        try:
+            engine.save_checkpoint(path, next_epoch=1)
+        finally:
+            engine.close()
+        other = Engine(MaxKGNN(graph, replace(_config(), **change), seed=0),
+                       graph, make_flow("full"), lr=0.01)
         try:
             with pytest.raises(CheckpointError,
                                match="different model configuration"):

@@ -1,0 +1,264 @@
+"""The float width is one decision: ``ops.FLOAT_DTYPE``.
+
+Floats get their width where they are born (``Tensor``, ``CSRMatrix``, the
+feature generators, the ``ops`` dispatch casts, ``CBSRMatrix``, the
+engine's one feature cast); every buffer, kernel, arena and codec after
+that follows the arrays it is handed. So re-pointing the constant must
+carry through the whole executed program with no other edit — which is
+what this file checks, at the default width and with the constant
+monkeypatched to ``np.float32``. It is the only check that catches a bare
+``np.empty(shape)`` on the executed path. It asserts dtypes, finiteness and
+the CBSR / dense twin — no accuracy, and float32 is not an advertised
+feature.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.graphs import (
+    GraphDelta,
+    SharedGraphStore,
+    attach_classification_task,
+    sbm_graph,
+    shared_memory_available,
+)
+from repro.graphs.graph import Graph
+from repro.models import GNNConfig, MaxKGNN
+from repro.serving import InferenceService
+from repro.sparse import ops
+from repro.training import Engine, FullGraphFlow, SampledFlow, make_flow
+from repro.training.checkpoint import read_checkpoint
+
+FLOWS = {
+    "full": FullGraphFlow,
+    "khop": lambda: SampledFlow(sampler="khop", batches_per_epoch=2, seed=3),
+    "distributed": lambda: make_flow(
+        "distributed", replicas=2, n_parts=4, seed=7
+    ),
+    "distributed-topk": lambda: make_flow(
+        "distributed", replicas=2, n_parts=4, seed=7, grad_topk=4
+    ),
+}
+
+
+@pytest.fixture(params=ops.available_backends())
+def backend(request):
+    with ops.use_backend(request.param):
+        yield request.param
+
+
+@pytest.fixture(params=[np.float64, np.float32], ids=["default", "float32"])
+def width(request, monkeypatch):
+    """The width in force: the repository's own, or float32 patched in."""
+    if request.param is np.float32:
+        monkeypatch.setattr(ops, "FLOAT_DTYPE", np.float32)
+    assert np.dtype(ops.FLOAT_DTYPE) == request.param
+    return np.dtype(request.param)
+
+
+def _task_graph():
+    graph = sbm_graph(160, 4, 8.0, intra_fraction=0.7, seed=11).to_undirected()
+    attach_classification_task(graph, n_features=8, signal=0.5, seed=11)
+    return graph
+
+
+def _config(**overrides):
+    return GNNConfig(
+        model_type="sage", in_features=8, hidden=16, out_features=4,
+        n_layers=2, nonlinearity="maxk", k=4, dropout=0.1, **overrides,
+    )
+
+
+def _assert_floats_are(width, arrays, what):
+    """Every floating array in ``arrays`` (name -> array) has ``width``;
+    bool masks and integer indices are none of this file's business."""
+    floats = {
+        name: array.dtype for name, array in arrays.items()
+        if array is not None and array.dtype.kind == "f"
+    }
+    assert floats, f"{what}: no float arrays to check"
+    wrong = {name: dtype for name, dtype in floats.items() if dtype != width}
+    assert not wrong, f"{what}: {wrong} (expected {width})"
+
+
+def _slots(workspace):
+    return {f"{name}:{dtype}": flat
+            for (name, dtype), flat in workspace._store.items()}
+
+
+def _training_state(engine):
+    """Every float the training step keeps, by name."""
+    model, optimizer = engine.model, engine.optimizer
+    state = {}
+    for index, p in enumerate(optimizer.parameters):
+        state[f"param{index}"] = p.data
+        state[f"grad{index}"] = p.grad
+        state[f"grad_buffer{index}"] = p._grad_buffer
+    for name in ("_flat_m", "_flat_v", "_flat_grad", "_flat_scratch"):
+        state[f"adam{name}"] = getattr(optimizer, name)
+    state.update(_slots(model.workspace))
+    store = engine._replica_grads
+    if store is not None:
+        state["replica_arena"] = store._arena
+        state["replica_reduced"] = store._reduced
+        if store.topk is not None:
+            state["replica_residual"] = store._residual
+            state.update(_slots(store._workspace))
+    for key, csr in engine.graph.built_adjacencies().items():
+        state[f"adj[{key}]"] = csr.data
+    return state
+
+
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+def test_training_follows_the_width(backend, width, flow):
+    losses = {}
+    for cbsr in (False, True):
+        graph = _task_graph()
+        assert graph.features.dtype == width
+        model = MaxKGNN(graph, _config(use_cbsr_kernels=cbsr), seed=0)
+        engine = Engine(model, graph, FLOWS[flow](), lr=0.01)
+        try:
+            result = engine.fit(2, eval_every=1)
+            _assert_floats_are(width, _training_state(engine), flow)
+            store = engine._replica_grads
+            if store is not None:
+                assert store.dense_nbytes == width.itemsize * sum(
+                    p.data.size for p in model.parameters()
+                )
+        finally:
+            engine.close()
+        losses[cbsr] = result.train_losses
+        assert np.all(np.isfinite(result.train_losses))
+        assert np.all(np.isfinite(result.test_metrics))
+    if backend == "vectorized" and width != np.float64:
+        # np.bincount sums in double whatever it is handed: this backend's
+        # CBSR scatter rounds once per output where its blocked SpMM
+        # rounds once per add, so below double the twins agree to
+        # rounding, not to the bit.
+        np.testing.assert_allclose(losses[True], losses[False], rtol=1e-5)
+    else:
+        assert losses[True] == losses[False]
+
+
+def test_serving_mutation_and_codecs_follow_the_width(backend, width, tmp_path):
+    graph = _task_graph()
+    model = MaxKGNN(graph, _config(), seed=0)
+    engine = Engine(model, graph, lr=0.01)
+    path = tmp_path / "model.ckpt"
+    try:
+        engine.fit(1)
+        engine.save_checkpoint(path, next_epoch=1)
+    finally:
+        engine.close()
+
+    # The model through a checkpoint: stored, and restored, at the width.
+    arrays, _ = read_checkpoint(path)
+    _assert_floats_are(width, arrays, "checkpoint arrays")
+    restored = MaxKGNN(graph, _config(), seed=5)
+    resumed = Engine(restored, graph, lr=0.01)
+    try:
+        resumed.load_checkpoint(path)
+        for ours, theirs in zip(restored.parameters(), model.parameters()):
+            assert ours.data.dtype == width
+            assert ours.data.tobytes() == theirs.data.tobytes()
+        _assert_floats_are(width, {
+            "adam_m": resumed.optimizer._flat_m,
+            "adam_v": resumed.optimizer._flat_v,
+        }, "restored optimizer")
+    finally:
+        resumed.close()
+
+    # Serve a window, mutate the graph under the service, serve again.
+    def window(service, nodes):
+        tickets = [service.submit(node, seed=5) for node in nodes]
+        service.drain()
+        served = {f"logits[{t.result.node}]": t.result.logits
+                  for t in tickets}
+        _assert_floats_are(width, served, "served logits")
+        for ticket in tickets:
+            expected = service.infer_single(ticket.result.node, seed=5)
+            assert ticket.result.logits.tobytes() == expected.tobytes()
+
+    service = InferenceService(graph, model)
+    try:
+        window(service, (3, 7, 30))
+        n = graph.n_nodes
+        service.apply_delta(GraphDelta(
+            add_src=[n, 3], add_dst=[3, n],
+            remove_src=graph.src[:2], remove_dst=graph.dst[:2],
+            add_nodes=1, add_features=np.ones((1, 8)),
+        ))
+        assert graph.features.dtype == width
+        window(service, (3, 7, n))
+    finally:
+        service.close()
+    _assert_floats_are(width, {
+        key: csr.data for key, csr in graph.built_adjacencies().items()
+    }, "patched adjacencies")
+
+    # The graph through its cross-process codec and shared memory.
+    meta, flat = graph.flatten()
+    _assert_floats_are(width, flat, "flattened graph")
+    rebuilt = Graph.unflatten(meta, flat)
+    assert rebuilt.features.dtype == width
+    for key, csr in rebuilt.built_adjacencies().items():
+        assert csr.data is flat[f"adj[{key}].data"]  # adopted, not re-cast
+    if shared_memory_available():
+        store = SharedGraphStore.export(graph)
+        try:
+            attached = SharedGraphStore.attach(store.handle())
+            try:
+                _, shared = attached.graph().flatten()
+                _assert_floats_are(width, shared, "shared-memory graph")
+                assert shared["features"].tobytes() == flat["features"].tobytes()
+            finally:
+                attached.close()
+        finally:
+            store.close()
+            store.unlink()
+
+
+def test_a_kernel_handed_another_width_answers_in_it(backend):
+    """Below the dispatch casts nothing names a width: a backend called
+    directly computes, allocates and answers in its operands' dtype."""
+    kernel = ops.get_backend()
+    rng = np.random.default_rng(0)
+    for dtype in (np.float64, np.float32):
+        indptr = np.array([0, 2, 3, 3], dtype=np.int64)
+        indices = np.array([0, 2, 1], dtype=np.int64)
+        data = rng.normal(size=3).astype(dtype)
+        x = rng.normal(size=(3, 4)).astype(dtype)
+        sp_index = np.array([[0, 2], [1, 3], [0, 1]], dtype=np.int64)
+        sp_data = rng.normal(size=(3, 2)).astype(dtype)
+        ids = np.array([0, 0, 2], dtype=np.int64)
+        results = {
+            "spmm_csr": kernel.spmm_csr(indptr, indices, data, x, 3),
+            "spgemm_cbsr": kernel.spgemm_cbsr(
+                indptr, indices, data, sp_data, sp_index, 4, 3
+            ),
+            "sspmm_cbsr": kernel.sspmm_cbsr(
+                indptr, indices, data, x, sp_index, 3
+            ),
+            "segment_sum": kernel.segment_sum(x, ids, 3),
+            "segment_sum_1d": kernel.segment_sum(data, ids, 3),
+            "segment_max": kernel.segment_max(x, ids, 3, 0.0),
+            "segment_softmax": kernel.segment_softmax(data, ids, 3),
+            "gather_scale": kernel.gather_scale(x, ids, data),
+        }
+        _assert_floats_are(np.dtype(dtype), results, backend)
+
+
+def test_fresh_arrays_follow_the_width_without_a_workspace(width):
+    graph = _task_graph()
+    model = MaxKGNN(graph, replace(_config(), use_workspace=False), seed=0)
+    engine = Engine(model, graph, lr=0.01)
+    try:
+        engine.fit(1)
+        _assert_floats_are(width, {
+            f"grad{index}": p.grad
+            for index, p in enumerate(model.parameters())
+        }, "gradients")
+    finally:
+        engine.close()

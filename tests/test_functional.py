@@ -276,7 +276,7 @@ class TestFloatMasksMatchHeaviside:
         out.backward(upstream)
         assert bytes_equal(x.grad, upstream * mask)
         if ws is not None:
-            assert bytes_equal(ws.buffer("r.mask", data.shape), mask)
+            assert bytes_equal(ws.buffer("r.mask", data.shape, data.dtype), mask)
 
     @pytest.mark.parametrize("activation, k", [("relu", None), ("maxk", 3),
                                                ("maxk", 8)])
@@ -307,7 +307,7 @@ class TestFloatMasksMatchHeaviside:
         assert bytes_equal(b.grad, grad_y.sum(axis=0))
         assert bytes_equal(x.grad, grad_y @ weight.T)
         if ws is not None:
-            assert bytes_equal(ws.buffer("l.mask", y.shape), mask)
+            assert bytes_equal(ws.buffer("l.mask", y.shape, y.dtype), mask)
 
     @pytest.mark.parametrize("k", [1, 3, 4, 8])
     def test_maxk_with_mask(self, backend, ws, k):
@@ -344,7 +344,7 @@ class TestFloatMasksMatchHeaviside:
         out.backward(upstream)
         assert bytes_equal(x.grad, upstream * keep * scale)
         if ws is not None:
-            assert bytes_equal(ws.buffer("d.keep", data.shape), keep)
+            assert bytes_equal(ws.buffer("d.keep", data.shape, data.dtype), keep)
 
     def test_stale_flags_never_leak_through_one_workspace(self, backend):
         """Shrinking then growing batches through the same slots: every
@@ -368,7 +368,7 @@ class TestFloatMasksMatchHeaviside:
                 ("l.mask", np.heaviside(data[:, :1] * np.ones((1, dim)), 0.0)),
                 ("d.keep", np.heaviside(draw - 0.5, 1.0)),
             ]:
-                assert bytes_equal(ws.buffer(slot, data.shape), mask), slot
+                assert bytes_equal(ws.buffer(slot, data.shape, data.dtype), mask), slot
 
 
 class TestLosses:

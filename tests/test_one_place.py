@@ -1,6 +1,6 @@
 """Each of these things lives in exactly one place.
 
-The "one body per path" refactors (CHANGES.md PRs 12, 13, 15, 17, 18, 19, 20) are only
+The "one body per path" refactors (CHANGES.md PRs 12, 13, 15, 17-21) are only
 worth their diff while nobody grows the second copy back. These are the
 grep checks those PRs quoted in prose, as assertions over ``src/repro``.
 """
@@ -88,8 +88,37 @@ def test_a_float_mask_is_written_in_one_place():
     assert _occurrences('".diff"') == {}
 
 
+def test_the_float_width_is_named_in_one_place():
+    # gpusim prices fp32 by formula and experiments/ reports; neither runs
+    # under the executed program's width.
+    def executed(needle):
+        return {
+            path: count for path, count in _occurrences(needle).items()
+            if not path.startswith(("gpusim/", "experiments/"))
+        }
+
+    for spelling in ("np.float64", "np.float32", '"float64"'):
+        found = executed(spelling)
+        assert set(found) <= {"sparse/ops.py"}, (spelling, found)
+    assert executed("np.float64") == {"sparse/ops.py": 1}
+    # Read where a float is born or crosses in from outside ...
+    readers = executed("FLOAT_DTYPE")
+    assert len(readers) <= 12, readers
+    assert readers["training/engine.py"] == 1  # the one feature cast
+    # ... and nowhere downstream: these follow the arrays they are handed.
+    for follower in ("tensor/functional.py", "tensor/optim.py",
+                     "tensor/workspace.py", "models", "serving",
+                     "training/parallel.py", "graphs/mutation.py",
+                     "graphs/batching.py"):
+        assert _occurrences("FLOAT_DTYPE", follower) == {}, follower
+
+
+def test_the_executed_program_does_not_import_the_simulator():
+    assert _occurrences("gpusim", "tensor") == {}
+
+
 def test_deleted_knobs_and_aliases_stay_deleted():
     for gone in ("_SSPMM_DENSE_LIMIT", "cache_limit.setter", "kill_executor",
                  "hang_executor", "corrupt_result", "_removed_edge_mask",
-                 "_sorted_member_mask"):
+                 "_sorted_member_mask", "_spmm_bincount"):
         assert _occurrences(gone) == {}

@@ -400,16 +400,24 @@ class TestBlockedSpMM:
             assert again is out
             assert out.tobytes() == expected.tobytes(), trial
 
-    def test_matches_bincount_baseline_bitwise(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_wide_feature_maps_match_reference_bitwise(self, dtype):
+        """>= 3-D inputs ride the blocked kernel through an (n, -1) view."""
         rng = np.random.default_rng(19)
         vec = ops._REGISTRY["vectorized"]
+        ref = ops._REGISTRY["reference"]
         matrix = self._random_csr(rng, 50, 40, 0.2)
-        x = rng.normal(size=(40, 8))
-        blocked = vec.spmm_csr(matrix.indptr, matrix.indices, matrix.data,
-                               x, 50)
-        legacy = vec._spmm_bincount(matrix.indptr, matrix.indices,
-                                    matrix.data, x, 50)
-        assert blocked.tobytes() == legacy.tobytes()
+        data = matrix.data.astype(dtype)
+        x = rng.normal(size=(40, 4, 2)).astype(dtype)
+        args = (matrix.indptr, matrix.indices, data, x, 50)
+        expected = ref.spmm_csr(*args)
+        blocked = vec.spmm_csr(*args)
+        assert blocked.dtype == expected.dtype == dtype
+        assert blocked.shape == (50, 4, 2)
+        assert blocked.tobytes() == expected.tobytes()
+        out = np.empty((50, 4, 2), dtype=dtype)
+        assert vec.spmm_csr(*args, out=out) is out
+        assert out.tobytes() == expected.tobytes()
 
     def test_plan_reads_live_data_after_inplace_mutation(self):
         """Only the structural grouping is cached: in-place edits of the
@@ -428,18 +436,20 @@ class TestBlockedSpMM:
         np.multiply(matrix.data, 10.0, out=matrix.data)
         np.testing.assert_array_equal(vec.spmm_csr(*args), [[30.0], [30.0]])
 
-    def test_direct_backend_call_with_float32_falls_back(self):
-        """The dispatch layer always delivers float64, but direct backend
-        callers with other dtypes ride the casting bincount path."""
+    def test_direct_backend_call_with_float32_stays_float32(self):
+        """The blocked path serves the dtype it is handed: scratch, result
+        and accumulation follow the operands, byte-equal to the reference
+        loop over the same float32 operands."""
         vec = ops._REGISTRY["vectorized"]
+        ref = ops._REGISTRY["reference"]
         rng = np.random.default_rng(41)
         matrix = self._random_csr(rng, 6, 5, 0.5)
+        data32 = matrix.data.astype(np.float32)
         x32 = rng.normal(size=(5, 3)).astype(np.float32)
-        got = vec.spmm_csr(matrix.indptr, matrix.indices, matrix.data, x32, 6)
-        expected = vec._spmm_bincount(
-            matrix.indptr, matrix.indices, matrix.data, x32, 6
-        )
-        np.testing.assert_array_equal(got, expected)
+        args = (matrix.indptr, matrix.indices, data32, x32, 6)
+        got = vec.spmm_csr(*args)
+        assert got.dtype == np.float32
+        assert got.tobytes() == ref.spmm_csr(*args).tobytes()
 
     def test_plan_cache_release_and_warm(self):
         rng = np.random.default_rng(23)

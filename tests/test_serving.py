@@ -12,6 +12,7 @@ process tests ride ``REPRO_FORCE_PROCS=1`` like the PR 8 suite.
 
 import multiprocessing
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -386,6 +387,34 @@ class TestInProcessService:
                 service.load_checkpoint(path)
             assert service.version == 0  # refused swaps change nothing
         finally:
+            service.close()
+
+    def test_cbsr_trained_checkpoint_is_served_by_its_dense_twin(
+        self, tmp_path, backend
+    ):
+        """``use_cbsr_kernels`` picks a route, not a function: a model
+        trained through the paper's kernels hands over to the
+        dense-after-MaxK service, which then serves its exact logits."""
+        graph = _task_graph()
+        cbsr_config = replace(_config(), use_cbsr_kernels=True)
+        trained = MaxKGNN(graph, cbsr_config, seed=7)
+        engine = Engine(trained, graph, lr=0.01)
+        path = tmp_path / "cbsr.ckpt"
+        try:
+            engine.fit(1)
+            engine.save_checkpoint(path, next_epoch=1)
+        finally:
+            engine.close()
+        oracle = InferenceService(graph, trained)
+        service = _service(graph=graph)  # dense twin, other weights
+        try:
+            expected = [oracle.infer_single(node, seed=5) for node in (7, 30)]
+            service.load_checkpoint(path)
+            served = [service.infer_single(node, seed=5) for node in (7, 30)]
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(served, expected))
+        finally:
+            oracle.close()
             service.close()
 
     def test_malformed_input_fails_explicitly_not_loudly(self):

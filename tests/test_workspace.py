@@ -46,39 +46,50 @@ def backend(request):
 class TestWorkspace:
     def test_steady_state_reuses_storage(self):
         ws = Workspace()
-        first = ws.buffer("a", (8, 4))
-        again = ws.buffer("a", (8, 4))
+        first = ws.buffer("a", (8, 4), float)
+        again = ws.buffer("a", (8, 4), float)
         assert first.base is again.base
         assert ws.allocations == 1
         assert ws.requests == 2
 
     def test_capacity_grows_monotonically(self):
         ws = Workspace()
-        ws.buffer("a", (4, 4))
-        big = ws.buffer("a", (16, 4))
+        ws.buffer("a", (4, 4), float)
+        big = ws.buffer("a", (16, 4), float)
         assert big.shape == (16, 4)
         assert ws.allocations == 2
         # Smaller request after growth: prefix view, no new storage.
-        small = ws.buffer("a", (2, 3))
+        small = ws.buffer("a", (2, 3), float)
         assert small.shape == (2, 3)
         assert ws.allocations == 2
 
     def test_dtypes_get_separate_slots(self):
         ws = Workspace()
-        floats = ws.buffer("a", (4,))
-        bools = ws.buffer("a", (4,), dtype=bool)
+        floats = ws.buffer("a", (4,), np.float64)
+        bools = ws.buffer("a", (4,), bool)
         assert floats.dtype == np.float64 and bools.dtype == np.bool_
         assert ws.n_slots() == 2
 
+    def test_one_slot_however_its_dtype_is_spelled(self):
+        # hash(np.dtype("float64")) != hash(np.float64): a raw (name, dtype)
+        # key would back one slot with two buffers.
+        ws = Workspace()
+        x = np.zeros(3)
+        by_type = ws.buffer("x", (4, 4), np.float64)
+        by_instance = ws.buffer("x", (4, 4), x.dtype)
+        by_name = ws.buffer("x", (4, 4), "float64")
+        assert by_type.base is by_instance.base is by_name.base
+        assert ws.allocations == 1 and ws.n_slots() == 1
+
     def test_zero_sized_and_invalid_shapes(self):
         ws = Workspace()
-        assert ws.buffer("z", (0, 4)).shape == (0, 4)
+        assert ws.buffer("z", (0, 4), float).shape == (0, 4)
         with pytest.raises(ValueError):
-            ws.buffer("n", (-1, 4))
+            ws.buffer("n", (-1, 4), float)
 
     def test_clear_drops_storage(self):
         ws = Workspace()
-        ws.buffer("a", (4, 4))
+        ws.buffer("a", (4, 4), float)
         assert ws.nbytes() > 0
         ws.clear()
         assert ws.nbytes() == 0
