@@ -116,14 +116,10 @@ def test_incremental_delta_beats_full_rebuild(record_result, record_json):
         and np.array_equal(
             graph.adjacency(norm).indices, oracle.adjacency(norm).indices
         )
-        and np.array_equal(
-            graph.adjacency(norm).data.view(np.uint64),
-            oracle.adjacency(norm).data.view(np.uint64),
-        )
-        and np.array_equal(
-            graph.adjacency_transpose(norm).data.view(np.uint64),
-            oracle.adjacency_transpose(norm).data.view(np.uint64),
-        )
+        and graph.adjacency(norm).data.tobytes()
+        == oracle.adjacency(norm).data.tobytes()
+        and graph.adjacency_transpose(norm).data.tobytes()
+        == oracle.adjacency_transpose(norm).data.tobytes()
         for norm in NORMS
     )
     speedup = float(np.median(rebuild_s) / np.median(incremental_s))

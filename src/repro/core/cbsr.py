@@ -94,8 +94,8 @@ class CBSRMatrix:
         return self.k / self.dim_origin
 
     def storage_bytes(self) -> int:
-        """Bytes occupied in (simulated) global memory: fp32 data + index."""
-        return self.sp_data.size * 4 + self.sp_index.size * self.sp_index.itemsize
+        """Bytes occupied in global memory: the value and index blocks."""
+        return self.sp_data.nbytes + self.sp_index.nbytes
 
     # ------------------------------------------------------------------
     @classmethod

@@ -101,6 +101,10 @@ class MaxKGNN(Module):
             conv.bind_graph(graph)
 
     def forward(self, x) -> Tensor:
+        return self.classify(self.embed(x))
+
+    def embed(self, x) -> Tensor:
+        """The convolution stack: every node's hidden row."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         # Evaluation takes fresh arrays (see GraphConvLayer._buffers): the
@@ -112,7 +116,13 @@ class MaxKGNN(Module):
                 workspace=ws, slot=f"drop{index}",
             )
             x = conv(x)
+        return x
+
+    def classify(self, hidden: Tensor) -> Tensor:
+        """The dense head over hidden rows (row-wise: serving hands it
+        only the rows that were asked for)."""
         return linear_act(
-            x, self.classifier.weight, self.classifier.bias,
-            activation="none", workspace=ws, slot="classifier",
+            hidden, self.classifier.weight, self.classifier.bias,
+            activation="none", slot="classifier",
+            workspace=self.workspace if self.training else None,
         )

@@ -10,7 +10,8 @@ alone), the merged adjacencies are registered with the active sparse
 backend via ``warm()``, and a single eval-mode forward serves every
 query row. Row-wise dense kernels plus strictly per-block aggregation
 make each request's logits **bit-identical** to running it alone — the
-property the benchmark gates.
+property the benchmark gates (the classifier head is the one product BLAS
+does not compute row-wise; see :func:`forward_rows`).
 
 The batch *window* is bounded twice: by ``max_batch`` (size) and by the
 earliest deadline in the queue (time) — :meth:`MicroBatcher.wait_budget`
@@ -179,6 +180,12 @@ def forward_rows(model, batch: EgoBatch) -> List[np.ndarray]:
     Eval mode keeps dropout out of the forward (serving consumes no RNG
     beyond the ego-net seeds), so the pass is deterministic and the
     extracted rows are bit-identical to single-request inference.
+
+    The head classifies each query row as its own ``(1, hidden)`` product:
+    a GEMM whose column count is not a multiple of the BLAS tile rounds a
+    row by where it sits among the others (float32, 7 classes: one answer
+    in eleven moved in the last bit between a window and the request
+    alone), and only the query rows' logits are wanted anyway.
     """
     from ..tensor import no_grad
 
@@ -187,11 +194,12 @@ def forward_rows(model, batch: EgoBatch) -> List[np.ndarray]:
     try:
         model.bind_graph(batch.merged)
         with no_grad():
-            logits = model(batch.merged.features).numpy()
+            hidden = model.embed(batch.merged.features)
+            return [model.classify(hidden[row:row + 1]).numpy()[0]
+                    for row in batch.query_rows.tolist()]
     finally:
         if was_training:
             model.train()
-    return [logits[row].copy() for row in batch.query_rows]
 
 
 def serve_window(graph: Graph, model, requests: Sequence[Request],

@@ -187,7 +187,9 @@ class InferenceService:
         Validates the architecture fingerprint, swaps the parameters in
         place, bumps the serving version, **invalidates the result
         cache**, and re-ships the vector to the executors lazily — no
-        response served after this call can carry pre-swap logits.
+        response served after this call can carry pre-swap logits. Weights
+        written at another float width are cast to the model's
+        (:func:`~repro.training.checkpoint.load_state_dict`).
         """
         arrays, meta = read_checkpoint(path)
         check_fingerprint(path, meta, self.model, "serve it")

@@ -14,7 +14,7 @@ Backends
     Naive per-row / per-segment Python loops with strictly sequential
     accumulation. Slow, obviously correct — the testing oracle.
 ``vectorized``
-    Pure-numpy implementation built on ``np.bincount`` (weighted, on
+    Pure-numpy implementation built on ``np.add.at`` (unbuffered, on
     flattened segment indices), ``np.maximum.reduceat`` over CSR-sorted
     segments, ``np.partition``-threshold top-k selection with a
     deterministic lowest-column tie fill, and a cache-blocked
@@ -85,7 +85,7 @@ __all__ = [
 #: The float type of every tensor, adjacency weight and feature column. Read
 #: as ``ops.FLOAT_DTYPE`` at call time, and only where a float is born or
 #: crosses in from outside; everything downstream follows its operands.
-FLOAT_DTYPE = np.float64
+FLOAT_DTYPE = np.float32
 #: Clip bound shared by every softmax-style exponential in the codebase.
 EXP_CLIP = 60.0
 #: Denominator epsilon of the segment softmax (kept for numerical parity
@@ -267,7 +267,7 @@ class ReferenceBackend(SparseOpsBackend):
             shift = values[members].max()
             z = np.exp(np.clip(values[members] - shift, -EXP_CLIP, EXP_CLIP))
             total = 0.0
-            for value in z:  # strictly sequential, matching bincount order
+            for value in z:  # strictly sequential, matching the scatter
                 total += value
             out[members] = z / (total + SOFTMAX_EPS)
         return out
@@ -372,15 +372,18 @@ class _IdKeyedLRU(dict):
 
 
 class VectorizedBackend(SparseOpsBackend):
-    """Numpy bincount / reduceat / argpartition implementation.
+    """Numpy add.at / reduceat / argpartition implementation.
 
-    Scatter-adds go through weighted ``np.bincount`` on flattened segment
-    indices, which accumulates in input order (bit-identical to the
-    reference loop) and runs an order of magnitude faster than unordered
-    ``np.add.at``. Segment maxima exploit CSR row-sortedness via
-    ``np.maximum.reduceat`` after an (optional) stable counting sort.
+    Scatter-adds go through ``np.add.at`` on flattened segment indices into
+    a zeroed array of the operand's dtype: one add per value in input
+    order, each rounded at that width — bit-identical to the reference
+    loop at any width (``np.bincount`` sums in double whatever it is
+    handed). Its indexed fast path needs numpy >= 1.25; older releases
+    compute the same bytes slowly. Segment maxima exploit CSR
+    row-sortedness via ``np.maximum.reduceat`` after an (optional) stable
+    counting sort.
 
-    The CSR SpMM does **not** ride the generic bincount scatter: it uses a
+    The CSR SpMM does **not** ride the generic scatter: it uses a
     cache-blocked fused gather–accumulate over degree-bucketed row groups
     (see :meth:`_spmm_blocked`), which skips the flattened-index arithmetic
     entirely, reuses backend-owned scratch of the operand's dtype, and
@@ -395,7 +398,7 @@ class VectorizedBackend(SparseOpsBackend):
     name = "vectorized"
 
     #: Scratch ceiling of one gather block (elements of the operand's dtype).
-    #: 1 << 16 elements, 512 KB at eight bytes each, keeps the block resident
+    #: 1 << 16 elements, 256 KB at four bytes each, keeps the block resident
     #: in L2 while amortising the per-chunk numpy dispatch over many edges.
     _BLOCK_ELEMENTS = 1 << 16
 
@@ -452,30 +455,18 @@ class VectorizedBackend(SparseOpsBackend):
         return flat[:size].reshape(shape)
 
     def segment_sum(self, values, segment_ids, n_segments, out=None):
-        if values.ndim == 1:
-            result = np.bincount(
-                segment_ids, weights=values, minlength=n_segments
-            )
-        else:
-            trailing = int(np.prod(values.shape[1:]))
-            flat_values = values.reshape(len(values), trailing)
-            flat_ids = (
-                segment_ids[:, None] * trailing
-                + np.arange(trailing, dtype=np.int64)[None, :]
-            )
-            flat = np.bincount(
-                flat_ids.ravel(),
-                weights=flat_values.ravel(),
-                minlength=n_segments * trailing,
-            )
-            result = flat.reshape((n_segments,) + values.shape[1:])
         if out is None:
-            # bincount accumulates in double whatever it is handed.
-            return result.astype(values.dtype, copy=False)
-        # bincount owns its accumulator, so this path is not allocation-free
-        # — out= here buys callers a stable destination, not zero churn
-        # (the compiled scipy SpMM is the allocation-free route).
-        np.copyto(out, result)
+            out = np.zeros((n_segments,) + values.shape[1:], dtype=values.dtype)
+        else:
+            out[...] = 0.0
+        # Unbuffered: repeated ids accumulate one add at a time in input
+        # order, each rounded at the operand's width — the reference loop.
+        if values.ndim == 1 or not out.flags.c_contiguous:
+            np.add.at(out, segment_ids, values)
+        else:  # ufunc.at's fast path is 1-D: scatter through flattened ids
+            trailing = int(np.prod(values.shape[1:]))
+            flat_ids = segment_ids[:, None] * trailing + np.arange(trailing)
+            np.add.at(out.reshape(-1), flat_ids.ravel(), values.ravel())
         return out
 
     def segment_max(self, values, segment_ids, n_segments, empty_value):
@@ -719,7 +710,7 @@ class ScipyBackend(VectorizedBackend):
     ``csr_matvecs`` (SpMM), ``csr_matmat`` (the CBSR SpGEMM: SMMP's numeric
     pass alone, into preallocated scratch) and the transposed product under
     the SSpMM accumulate sequentially over stored entries — the order of
-    the reference loops and the bincount scatter, so outputs stay
+    the reference loops and the ``add.at`` scatter, so outputs stay
     bit-identical while the hot aggregation runs in compiled code. Where
     the private module lacks a kernel, the public ``A @ B`` route serves.
     """

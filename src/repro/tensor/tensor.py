@@ -248,10 +248,10 @@ class Tensor:
                 and np.issubdtype(key.dtype, np.integer)
                 and self.data.shape[0] > 0
             ):
-                # Row gather: scatter-add through the sparse-ops backend,
-                # an order of magnitude faster than np.add.at. The forward
-                # gather already bounds-checked, so negative indices just
-                # need the usual wrap-around before becoming segment ids.
+                # Row gather: scatter-add through the sparse-ops backend
+                # (same bytes on every backend). The forward gather
+                # already bounds-checked, so negative indices just need
+                # the usual wrap-around before becoming segment ids.
                 n = self.data.shape[0]
                 ids = np.where(key < 0, key + n, key)
                 full = ops.segment_sum(np.asarray(grad), ids, n)

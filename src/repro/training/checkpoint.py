@@ -34,12 +34,14 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..models import Module
+from ..sparse import ops
 
 __all__ = [
     "CheckpointError",
     "named_parameters",
     "config_fingerprint",
     "check_fingerprint",
+    "check_width",
     "state_dict",
     "load_state_dict",
     "write_checkpoint",
@@ -153,6 +155,23 @@ def check_fingerprint(path, meta: dict, model: object, action: str) -> None:
         )
 
 
+def check_width(path, meta: dict, action: str) -> None:
+    """Refuse to ``action`` a checkpoint written at another float width.
+
+    :func:`write_checkpoint` records the width under ``"float"``; files
+    from before it did are float64. Serving never calls this — weights
+    cross in through :func:`load_state_dict`'s cast — but a resume promises
+    bit-equal continuation, which no cast of the Adam moments can keep.
+    """
+    written = meta.get("float", "float64")
+    current = np.dtype(ops.FLOAT_DTYPE).name
+    if written != current:
+        raise CheckpointError(
+            f"{path} was written at {written}, this program computes in "
+            f"{current}; refusing to {action}"
+        )
+
+
 def state_dict(model: Module) -> dict:
     """Parameter arrays keyed by ``module.path:shape``.
 
@@ -170,7 +189,8 @@ def load_state_dict(model: Module, state: dict) -> None:
     """Load arrays produced by :func:`state_dict` into ``model`` in place.
 
     Mismatched architectures and shapes are rejected with messages naming
-    the offending parameter.
+    the offending parameter. A float crossing in from outside: arrays
+    written at another width are cast to the model's, once, here.
     """
     named = named_parameters(model)
     expected = {
@@ -221,7 +241,8 @@ def write_checkpoint(path: Union[str, Path], arrays: Dict[str, np.ndarray],
         raise ValueError(f"{_META_KEY!r} is reserved for checkpoint metadata")
     body_io = BytesIO()
     payload = dict(arrays)
-    payload[_META_KEY] = np.array(json.dumps(meta or {}))
+    meta = {"float": np.dtype(ops.FLOAT_DTYPE).name, **(meta or {})}
+    payload[_META_KEY] = np.array(json.dumps(meta))
     np.savez(body_io, **payload)
     body = body_io.getvalue()
     footer = _FOOTER.pack(_MAGIC, len(body), zlib.crc32(body))

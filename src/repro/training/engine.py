@@ -38,6 +38,7 @@ from ..tensor import (
 from .checkpoint import (
     CheckpointError,
     check_fingerprint,
+    check_width,
     config_fingerprint,
     read_checkpoint,
     state_dict,
@@ -149,8 +150,8 @@ class ReplicaGradients:
     only ever sums rows. It runs through :func:`repro.sparse.ops.topk_mask`
     with a private :class:`~repro.tensor.workspace.Workspace`, so the
     steady-state sparse exchange performs no fresh large allocations. The
-    modelled wire format is CBSR (:attr:`payload_nbytes` prices fp32
-    values plus the narrowest index dtype per tensor;
+    modelled wire format is CBSR (:attr:`payload_nbytes` prices the
+    arena's float plus the narrowest index dtype per tensor;
     :meth:`payload_cbsr` materialises the actual payload for tests).
     """
 
@@ -185,10 +186,10 @@ class ReplicaGradients:
         # is just the gradient).
         self._residual = np.zeros((replicas, offset), dtype=dtype)
         self._workspace = Workspace()
-        #: Bytes one replica ships per round in CBSR form: fp32 value +
+        #: Bytes one replica ships per round in CBSR form: one value +
         #: the narrowest index dtype that spans each tensor's flat size.
         self.payload_nbytes = sum(
-            k * (4 + index_dtype_for(hi - lo).itemsize)
+            k * (dtype.itemsize + index_dtype_for(hi - lo).itemsize)
             for k, (lo, hi) in zip(self._topk_per_param, self._spans)
             if hi > lo
         )
@@ -848,12 +849,14 @@ class Engine:
         """Restore :meth:`save_checkpoint` state; returns the next epoch.
 
         Refuses (with a clear :class:`CheckpointError`) a file written
-        for a different model configuration. Worker dropout streams and
-        error-feedback residuals are stashed and adopted by the next
-        replica store / process pool the engine provisions.
+        for a different model configuration or at another float width.
+        Worker dropout streams and error-feedback residuals are stashed
+        and adopted by the next replica store / process pool the engine
+        provisions.
         """
         arrays, meta = read_checkpoint(path)
         check_fingerprint(path, meta, self.model, "resume")
+        check_width(path, meta, "resume")
         residual_rows = int(meta.get("residual_rows", 0))
         residuals: List[Optional[np.ndarray]] = []
         for replica in range(residual_rows):

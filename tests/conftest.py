@@ -1,7 +1,10 @@
-"""Fixtures shared by the process-pool suites."""
+"""Fixtures shared by the process-pool suites, and the one place the
+suite's float tolerances come from: ``ops.FLOAT_DTYPE``'s round-off."""
 
+import numpy as np
 import pytest
 
+from repro.sparse import ops
 from repro.training import set_fault_plan
 from repro.training.parallel import reset_fallback_warnings
 
@@ -25,3 +28,38 @@ def force_procs(monkeypatch):
 @pytest.fixture
 def quick_retries(monkeypatch):
     monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
+
+
+def floats(array) -> np.ndarray:
+    """``array`` at the program's width: test inputs are born like any
+    other float, so oracles written in plain numpy compute at that width."""
+    return np.asarray(array, dtype=ops.FLOAT_DTYPE)
+
+
+def tolerance() -> dict:
+    """``assert_allclose`` keywords for two computations of one quantity
+    that round in a different order (a sparse kernel against its dense
+    product, a fused op against its composition): 1024 units of round-off
+    at the width in force. Where the contract is identity, tests compare
+    bytes instead."""
+    bound = 1024 * float(np.finfo(ops.FLOAT_DTYPE).eps)
+    return {"rtol": bound, "atol": bound}
+
+
+def fd_tolerance() -> dict:
+    """``assert_allclose`` keywords for an analytic gradient against a
+    central difference: truncation plus cancellation leave about a third
+    of the mantissa, so it means something only under
+    :func:`double_precision` (9.1e-6 / 8.9e-8 there — just inside the
+    ``1e-5`` / ``1e-7`` literals it replaced; a check that held a tighter
+    literal keeps it)."""
+    eps = float(np.finfo(ops.FLOAT_DTYPE).eps)
+    return {"rtol": 1.5 * eps ** (1 / 3), "atol": 6 * eps ** 0.5}
+
+
+@pytest.fixture
+def double_precision(monkeypatch):
+    """Run the test with the program's one float width set to double —
+    what a finite-difference check needs (its step sits far below float32
+    round-off), and all it takes because nothing else names a width."""
+    monkeypatch.setattr(ops, "FLOAT_DTYPE", np.float64)

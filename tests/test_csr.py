@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sparse import CSCMatrix, CSRMatrix, coo_to_csr
+from tests.conftest import tolerance
 
 
 @pytest.fixture
@@ -116,7 +117,7 @@ class TestTranspose:
 class TestAlgebra:
     def test_matmul_dense_matches_numpy(self, dense, csr):
         x = np.random.default_rng(1).normal(size=(dense.shape[1], 5))
-        np.testing.assert_allclose(csr.matmul_dense(x), dense @ x)
+        np.testing.assert_allclose(csr.matmul_dense(x), dense @ x, **tolerance())
 
     def test_matmul_dimension_check(self, csr):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -125,13 +126,15 @@ class TestAlgebra:
     def test_scale_rows(self, dense, csr):
         scale = np.arange(1, csr.n_rows + 1, dtype=float)
         np.testing.assert_allclose(
-            csr.scale_rows(scale).to_dense(), dense * scale[:, None]
+            csr.scale_rows(scale).to_dense(), dense * scale[:, None],
+            **tolerance(),
         )
 
     def test_scale_cols(self, dense, csr):
         scale = np.arange(1, csr.n_cols + 1, dtype=float)
         np.testing.assert_allclose(
-            csr.scale_cols(scale).to_dense(), dense * scale[None, :]
+            csr.scale_cols(scale).to_dense(), dense * scale[None, :],
+            **tolerance(),
         )
 
     def test_scale_rows_shape_check(self, csr):

@@ -36,6 +36,7 @@ from repro.training import (
     SampledFlow,
     make_flow,
 )
+from tests.conftest import floats
 
 
 @pytest.fixture
@@ -183,7 +184,7 @@ class TestReplicaGradients:
         params = self._params()
         store = ReplicaGradients(params, 2)
         rng = np.random.default_rng(0)
-        ga, gb = rng.normal(size=(2, 2)), rng.normal(size=3)
+        ga, gb = floats(rng.normal(size=(2, 2))), floats(rng.normal(size=3))
         params[0].grad, params[1].grad = ga.copy(), gb.copy()
         store.capture(1)
         store.reduce([1])
@@ -287,7 +288,7 @@ class TestSparseGradientExchange:
         replicas, topk = 3, 4
         store = ReplicaGradients(params, replicas, topk=topk)
         residual = {
-            r: [np.zeros(int(np.prod(s))) for s in shapes]
+            r: [floats(np.zeros(int(np.prod(s)))) for s in shapes]
             for r in range(replicas)
         }
         for _ in range(6):
@@ -297,7 +298,7 @@ class TestSparseGradientExchange:
             ).tolist())
             for r in participants:
                 grads[r] = [
-                    rng.normal(size=s) if rng.random() > 0.2 else None
+                    floats(rng.normal(size=s)) if rng.random() > 0.2 else None
                     for s in shapes
                 ]
                 for p, g in zip(params, grads[r]):
@@ -311,7 +312,7 @@ class TestSparseGradientExchange:
                 if not sources:
                     assert p.grad is None
                     continue
-                accumulated = np.zeros(int(np.prod(shape)))
+                accumulated = floats(np.zeros(int(np.prod(shape))))
                 for r in sources:
                     corrected = residual[r][index] + grads[r][index].ravel()
                     k = min(topk, corrected.size)
@@ -357,13 +358,14 @@ class TestSparseGradientExchange:
         assert store.payload_nbytes == sum(
             c.storage_bytes() for c in payloads
         )
-        assert store.dense_nbytes == 8 * (4 * 8 + 5)
+        width = params[0].data.itemsize
+        assert store.dense_nbytes == width * (4 * 8 + 5)
         assert store.compression_ratio == pytest.approx(
             store.dense_nbytes / store.payload_nbytes
         )
         # k is clamped per tensor: 3 entries from the matrix, 3 from the
-        # 5-vector, each costing 4 data bytes + a uint8 column index.
-        assert store.payload_nbytes == (3 + 3) * (4 + 1)
+        # 5-vector, each costing one value + a uint8 column index.
+        assert store.payload_nbytes == (3 + 3) * (width + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

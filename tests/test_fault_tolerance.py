@@ -570,7 +570,7 @@ class TestCheckpointIntegrity:
         np.testing.assert_array_equal(
             arrays["w"], np.arange(6.0).reshape(2, 3)
         )
-        assert meta == {"epoch": 3}
+        assert meta == {"epoch": 3, "float": np.dtype(ops.FLOAT_DTYPE).name}
 
     def test_bit_flip_detected(self, tmp_path):
         path = tmp_path / "ck.ckpt"

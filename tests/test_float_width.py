@@ -5,11 +5,12 @@ feature generators, the ``ops`` dispatch casts, ``CBSRMatrix``, the
 engine's one feature cast); every buffer, kernel, arena and codec after
 that follows the arrays it is handed. So re-pointing the constant must
 carry through the whole executed program with no other edit — which is
-what this file checks, at the default width and with the constant
-monkeypatched to ``np.float32``. It is the only check that catches a bare
-``np.empty(shape)`` on the executed path. It asserts dtypes, finiteness and
-the CBSR / dense twin — no accuracy, and float32 is not an advertised
-feature.
+what this file checks, at the shipped width (float32, the paper's) and
+with the constant monkeypatched to the other one, so the decision stays
+reversible. It is the only check that catches a bare ``np.empty(shape)``
+on the executed path. It asserts dtypes, finiteness, identity across
+backends and kernel routes, and what happens to a checkpoint that crosses
+widths — no accuracy.
 """
 
 from dataclasses import replace
@@ -29,7 +30,7 @@ from repro.models import GNNConfig, MaxKGNN
 from repro.serving import InferenceService
 from repro.sparse import ops
 from repro.training import Engine, FullGraphFlow, SampledFlow, make_flow
-from repro.training.checkpoint import read_checkpoint
+from repro.training.checkpoint import CheckpointError, read_checkpoint
 
 FLOWS = {
     "full": FullGraphFlow,
@@ -49,12 +50,16 @@ def backend(request):
         yield request.param
 
 
+SHIPPED = np.dtype(ops.FLOAT_DTYPE)
+OTHER = np.dtype(np.float64 if SHIPPED == np.float32 else np.float32)
+
+
+# ``default`` is numpy's default float, double: the id dates from when it
+# was also this repository's, and stays so test names compare across the flip.
 @pytest.fixture(params=[np.float64, np.float32], ids=["default", "float32"])
 def width(request, monkeypatch):
-    """The width in force: the repository's own, or float32 patched in."""
-    if request.param is np.float32:
-        monkeypatch.setattr(ops, "FLOAT_DTYPE", np.float32)
-    assert np.dtype(ops.FLOAT_DTYPE) == request.param
+    """The width in force: the repository's own, or the other patched in."""
+    monkeypatch.setattr(ops, "FLOAT_DTYPE", request.param)
     return np.dtype(request.param)
 
 
@@ -132,14 +137,96 @@ def test_training_follows_the_width(backend, width, flow):
         losses[cbsr] = result.train_losses
         assert np.all(np.isfinite(result.train_losses))
         assert np.all(np.isfinite(result.test_metrics))
-    if backend == "vectorized" and width != np.float64:
-        # np.bincount sums in double whatever it is handed: this backend's
-        # CBSR scatter rounds once per output where its blocked SpMM
-        # rounds once per add, so below double the twins agree to
-        # rounding, not to the bit.
-        np.testing.assert_allclose(losses[True], losses[False], rtol=1e-5)
+    assert losses[True] == losses[False]
+
+
+def test_fig10_trajectories_are_equal_across_backends(width):
+    """Every backend accumulates in the reference loop's order, so the
+    paper's convergence run is one trajectory — at either width."""
+    from repro.experiments import fig10_convergence
+
+    runs = {}
+    for name in ops.available_backends():
+        with ops.use_backend(name):
+            result = fig10_convergence.run(
+                epochs=3, eval_every=3, paper_k_values=[8]
+            )
+        runs[name] = {
+            variant: (curve.train_losses, curve.test_metrics)
+            for variant, curve in result.curves.items()
+        }
+    assert all(run == runs["reference"] for run in runs.values()), runs
+
+
+def _fit_with_checkpoints(directory, resume_from=None):
+    graph = _task_graph()
+    model = MaxKGNN(graph, _config(), seed=0)
+    engine = Engine(model, graph, lr=0.01)
+    try:
+        result = engine.fit(4, eval_every=2, checkpoint_every=2,
+                            checkpoint_dir=directory, resume_from=resume_from)
+    finally:
+        engine.close()
+    return model, result
+
+
+def test_a_checkpoint_crosses_widths_on_purpose_or_not_at_all(
+    monkeypatch, tmp_path
+):
+    """Serving casts a file written at the other width (weights cross in
+    from outside); resuming refuses it, because the loss list it promises
+    to continue bit for bit was computed at that width."""
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    ours.mkdir(), theirs.mkdir()
+    with monkeypatch.context() as patched:
+        patched.setattr(ops, "FLOAT_DTYPE", OTHER.type)
+        wide_model, _ = _fit_with_checkpoints(theirs)
+        wide_graph = _task_graph()
+        wide_service = InferenceService(wide_graph, wide_model)
+        try:
+            wide_logits = wide_service.infer_single(7, seed=5)
+        finally:
+            wide_service.close()
+    _, uninterrupted = _fit_with_checkpoints(ours)
+    foreign = theirs / "checkpoint-00002.ckpt"
+    native = ours / "checkpoint-00002.ckpt"
+
+    # The width is recorded, and is what the arrays cost on disk.
+    assert read_checkpoint(foreign)[1]["float"] == OTHER.name
+    assert read_checkpoint(native)[1]["float"] == SHIPPED.name
+    ratio = foreign.stat().st_size / native.stat().st_size
+    assert ratio == pytest.approx(OTHER.itemsize / SHIPPED.itemsize, rel=0.2)
+
+    # Serve: one documented cast at the load seam.
+    graph = _task_graph()
+    service = InferenceService(graph, MaxKGNN(graph, _config(), seed=9))
+    try:
+        service.load_checkpoint(theirs / "checkpoint-00004.ckpt")
+        for param in service.model.parameters():
+            assert param.data.dtype == SHIPPED
+        logits = service.infer_single(7, seed=5)
+    finally:
+        service.close()
+    assert logits.dtype == SHIPPED and wide_logits.dtype == OTHER
+    np.testing.assert_allclose(logits, wide_logits, rtol=1e-4, atol=1e-5)
+
+    # Resume: refused across widths, bit-equal within one.
+    with pytest.raises(CheckpointError, match=OTHER.name):
+        _fit_with_checkpoints(tmp_path, resume_from=foreign)
+    _, resumed = _fit_with_checkpoints(tmp_path, resume_from=native)
+    assert resumed.train_losses == uninterrupted.train_losses[2:]
+    assert resumed.test_metrics == uninterrupted.test_metrics[1:]
+
+
+def test_a_checkpoint_without_a_recorded_width_is_float64():
+    """Files from before the key existed were all written in double."""
+    from repro.training.checkpoint import check_width
+
+    if SHIPPED == np.float64:
+        check_width("legacy.ckpt", {}, "resume")
     else:
-        assert losses[True] == losses[False]
+        with pytest.raises(CheckpointError, match="float64"):
+            check_width("legacy.ckpt", {}, "resume")
 
 
 def test_serving_mutation_and_codecs_follow_the_width(backend, width, tmp_path):

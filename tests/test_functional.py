@@ -20,11 +20,12 @@ from repro.tensor import (
     spmm_agg,
 )
 from repro.tensor.functional import maxk_with_mask, spgemm_agg
+from tests.conftest import fd_tolerance, tolerance
 from tests.test_sparse_ops import (
-    ADVERSARIAL_VALUES,
-    COLUMN_WEIGHTS,
     adversarial_rows,
+    adversarial_values,
     bytes_equal,
+    column_weights,
     heaviside_topk_mask,
 )
 from tests.test_tensor import check_gradient, finite_difference
@@ -35,6 +36,7 @@ class TestActivations:
         x = Tensor(np.array([[-1.0, 2.0, 0.0]]))
         np.testing.assert_allclose(relu(x).numpy(), [[0.0, 2.0, 0.0]])
 
+    @pytest.mark.usefixtures("double_precision")
     def test_relu_gradient(self):
         check_gradient(lambda x: (relu(x) * 3.0).sum(), (4, 5), seed=1)
 
@@ -55,9 +57,11 @@ class TestActivations:
         _, mask = maxk_forward(x, 3)
         np.testing.assert_allclose(tensor.grad, np.where(mask, weights, 0.0))
 
+    @pytest.mark.usefixtures("double_precision")
     def test_maxk_full_k_equals_identity_grad(self):
         check_gradient(lambda x: (maxk(x, 6) ** 2).sum(), (3, 6), seed=3)
 
+    @pytest.mark.usefixtures("double_precision")
     def test_sigmoid_values_and_gradient(self):
         np.testing.assert_allclose(
             sigmoid(Tensor(np.zeros((1, 1)))).numpy(), [[0.5]]
@@ -71,7 +75,7 @@ class TestSpmmAgg:
         adjacency = graph.adjacency("sage")
         x = np.random.default_rng(5).normal(size=(graph.n_nodes, 6))
         out = spmm_agg(adjacency, Tensor(x)).numpy()
-        np.testing.assert_allclose(out, adjacency.to_dense() @ x)
+        np.testing.assert_allclose(out, adjacency.to_dense() @ x, **tolerance())
 
     def test_backward_is_transpose_spmm(self):
         graph = chain_of_cliques(2, 5)
@@ -81,8 +85,9 @@ class TestSpmmAgg:
         weights = rng.normal(size=(graph.n_nodes, 4))
         (spmm_agg(adjacency, x) * Tensor(weights)).sum().backward()
         expected = adjacency.to_dense().T @ weights
-        np.testing.assert_allclose(x.grad, expected)
+        np.testing.assert_allclose(x.grad, expected, **tolerance())
 
+    @pytest.mark.usefixtures("double_precision")
     def test_gradient_finite_difference(self):
         graph = chain_of_cliques(2, 3)
         adjacency = graph.adjacency("sage")
@@ -114,6 +119,7 @@ class TestGradchecksAcrossBackends:
         with ops.use_backend(request.param):
             yield request.param
 
+    @pytest.mark.usefixtures("double_precision")
     def test_spmm_agg_gradcheck(self, backend):
         graph = chain_of_cliques(2, 4)
         adjacency = graph.adjacency("gcn")
@@ -123,6 +129,7 @@ class TestGradchecksAcrossBackends:
             seed=31,
         )
 
+    @pytest.mark.usefixtures("double_precision")
     def test_spgemm_agg_gradcheck(self, backend):
         """The literal CBSR SpGEMM forward / SSpMM backward dataflow.
 
@@ -134,9 +141,7 @@ class TestGradchecksAcrossBackends:
         adjacency = graph.adjacency("sage")
         rng = np.random.default_rng(32)
         base = rng.permuted(
-            np.arange(graph.n_nodes * 6, dtype=np.float64).reshape(
-                graph.n_nodes, 6
-            ),
+            np.arange(graph.n_nodes * 6.0).reshape(graph.n_nodes, 6),
             axis=1,
         )
         tensor = Tensor(base.copy(), requires_grad=True)
@@ -148,20 +153,20 @@ class TestGradchecksAcrossBackends:
             .item(),
             base.copy(),
         )
-        np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(tensor.grad, numeric, **fd_tolerance())
 
+    @pytest.mark.usefixtures("double_precision")
     def test_maxk_gradcheck(self, backend):
         rng = np.random.default_rng(33)
-        base = rng.permuted(
-            np.arange(24, dtype=np.float64).reshape(4, 6), axis=1
-        )
+        base = rng.permuted(np.arange(24.0).reshape(4, 6), axis=1)
         tensor = Tensor(base.copy(), requires_grad=True)
         (maxk(tensor, 2) ** 2).sum().backward()
         numeric = finite_difference(
             lambda arr: (maxk(Tensor(arr), 2) ** 2).sum().item(), base.copy()
         )
-        np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(tensor.grad, numeric, **fd_tolerance())
 
+    @pytest.mark.usefixtures("double_precision")
     def test_segment_softmax_gradcheck(self, backend):
         ids = np.array([0, 0, 1, 2, 2, 2, 4, 4])
         weights = np.random.default_rng(34).normal(size=len(ids))
@@ -180,7 +185,7 @@ class TestGradchecksAcrossBackends:
         x = rng.normal(size=(graph.n_nodes, 8))
         via_cbsr = spgemm_agg(adjacency, Tensor(x), k=4).numpy()
         composed = spmm_agg(adjacency, maxk(Tensor(x), 4)).numpy()
-        np.testing.assert_allclose(via_cbsr, composed, rtol=1e-10, atol=1e-12)
+        assert bytes_equal(via_cbsr, composed)
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_spgemm_agg_zero_survivors_match_composition(self, backend, k):
@@ -262,7 +267,9 @@ class TestFloatMasksMatchHeaviside:
 
     @staticmethod
     def _upstream(shape):
-        return np.random.default_rng(11).normal(size=shape)
+        return np.random.default_rng(11).normal(size=shape).astype(
+            ops.FLOAT_DTYPE
+        )
 
     def test_relu(self, backend, ws):
         data = adversarial_rows()
@@ -284,9 +291,11 @@ class TestFloatMasksMatchHeaviside:
         # An outer product reproduces adversarial_rows() as the
         # pre-activation (inf never meets a zero weight); the bias adds
         # signed zeros and shifts two columns.
-        column = ADVERSARIAL_VALUES[:, None]
-        weight = COLUMN_WEIGHTS[None, :]
-        bias = np.array([0.0, -0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0])
+        column = adversarial_values()[:, None]
+        weight = column_weights()[None, :]
+        bias = np.array(
+            [0.0, -0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0], dtype=weight.dtype
+        )
         y = np.matmul(column, weight) + bias
         upstream = self._upstream(y.shape)
         if activation == "relu":
@@ -329,7 +338,7 @@ class TestFloatMasksMatchHeaviside:
 
     def test_dropout_keeps_a_draw_equal_to_p(self, backend, ws):
         data = adversarial_rows()
-        draw = np.random.default_rng(5).random(data.shape)
+        draw = np.random.default_rng(5).random(data.shape, dtype=data.dtype)
         p = float(draw[3, 2])  # ``draw >= p``: equality keeps
         assert 0.0 < p < 1.0
         scale = 1.0 / (1.0 - p)
@@ -353,7 +362,9 @@ class TestFloatMasksMatchHeaviside:
         rng = np.random.default_rng(21)
         full = adversarial_rows()
         for n_rows, dim in [(14, 8), (5, 8), (3, 4), (14, 8), (9, 6), (14, 8)]:
-            data = full[rng.permutation(14)[:n_rows], :dim] * rng.choice([1.0, -1.0])
+            data = full[rng.permutation(14)[:n_rows], :dim] * float(
+                rng.choice([1.0, -1.0])
+            )
             with np.errstate(invalid="ignore"):
                 relu(Tensor(data), ws, "r")
                 maxk_with_mask(Tensor(data), 2, ws, "m")
@@ -361,11 +372,15 @@ class TestFloatMasksMatchHeaviside:
                            None, "relu", None, ws, "l")
                 dropout(Tensor(data), 0.5, True, np.random.default_rng(n_rows),
                         ws, "d")
-            draw = np.random.default_rng(n_rows).random(data.shape)
+            draw = np.random.default_rng(n_rows).random(
+                data.shape, dtype=data.dtype
+            )
             for slot, mask in [
                 ("r.mask", np.heaviside(data, 0.0)),
                 ("m.mask", heaviside_topk_mask(data, 2)),
-                ("l.mask", np.heaviside(data[:, :1] * np.ones((1, dim)), 0.0)),
+                ("l.mask", np.heaviside(
+                    data[:, :1] * np.ones((1, dim), dtype=data.dtype), 0.0
+                )),
                 ("d.keep", np.heaviside(draw - 0.5, 1.0)),
             ]:
                 assert bytes_equal(ws.buffer(slot, data.shape, data.dtype), mask), slot
@@ -375,13 +390,14 @@ class TestLosses:
     def test_log_softmax_rows_normalise(self):
         x = Tensor(np.random.default_rng(3).normal(size=(6, 5)))
         probs = np.exp(log_softmax(x).numpy())
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, **tolerance())
 
     def test_log_softmax_stable_for_large_logits(self):
         x = Tensor(np.array([[1000.0, 0.0, -1000.0]]))
         out = log_softmax(x).numpy()
         assert np.isfinite(out).all()
 
+    @pytest.mark.usefixtures("double_precision")
     def test_log_softmax_gradient(self):
         check_gradient(lambda x: (log_softmax(x) ** 2).sum(), (4, 3), seed=8)
 
@@ -406,6 +422,7 @@ class TestLosses:
         ).item()
         assert masked == pytest.approx(full_on_subset)
 
+    @pytest.mark.usefixtures("double_precision")
     def test_cross_entropy_gradient(self):
         labels = np.array([0, 2, 1, 1])
         check_gradient(
@@ -428,6 +445,7 @@ class TestLosses:
         targets = np.array([[1.0, 0.0]])
         assert bce_with_logits(logits, targets).item() == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.usefixtures("double_precision")
     def test_bce_gradient(self):
         targets = (np.random.default_rng(13).random((4, 3)) > 0.5).astype(float)
         check_gradient(

@@ -59,9 +59,8 @@ def _bitwise_equal(a: CSRMatrix, b: CSRMatrix) -> bool:
         a.shape == b.shape
         and np.array_equal(a.indptr, b.indptr)
         and np.array_equal(a.indices, b.indices)
-        and np.array_equal(
-            a.data.view(np.uint64), b.data.view(np.uint64)
-        )
+        and a.data.dtype == b.data.dtype
+        and a.data.tobytes() == b.data.tobytes()
     )
 
 

@@ -19,6 +19,7 @@ from repro.gpusim import (
 )
 from repro.graphs import rmat_graph
 from repro.sparse import CSRMatrix, partition_edge_groups
+from tests.conftest import tolerance
 
 
 @pytest.fixture
@@ -37,14 +38,17 @@ class TestSpMM:
     def test_matches_dense(self, setup):
         adjacency, dense_adj, _, _, rng = setup
         x = rng.normal(size=(60, 8))
-        np.testing.assert_allclose(spmm_execute(adjacency, x), dense_adj @ x)
+        np.testing.assert_allclose(
+            spmm_execute(adjacency, x), dense_adj @ x, **tolerance()
+        )
 
 
 class TestForwardSpGEMM:
     def test_matches_dense_reference(self, setup):
         adjacency, dense_adj, sparsified, cbsr, _ = setup
         np.testing.assert_allclose(
-            spgemm_execute(adjacency, cbsr), dense_adj @ sparsified
+            spgemm_execute(adjacency, cbsr), dense_adj @ sparsified,
+            **tolerance(),
         )
 
     def test_edge_group_version_matches_vectorised(self, setup):
@@ -52,6 +56,7 @@ class TestForwardSpGEMM:
         np.testing.assert_allclose(
             spgemm_execute_edge_groups(adjacency, cbsr),
             spgemm_execute(adjacency, cbsr),
+            **tolerance(),
         )
 
     def test_edge_group_version_with_custom_partition(self, setup):
@@ -60,6 +65,7 @@ class TestForwardSpGEMM:
         np.testing.assert_allclose(
             spgemm_execute_edge_groups(adjacency, cbsr, partition),
             dense_adj @ sparsified,
+            **tolerance(),
         )
 
     def test_dimension_mismatch_rejected(self, setup):
@@ -79,7 +85,8 @@ class TestForwardSpGEMM:
         x = rng.normal(size=(60, 6))
         full = CBSRMatrix.from_dense_rows(x, 6)
         np.testing.assert_allclose(
-            spgemm_execute(adjacency, full), dense_adj @ x
+            spgemm_execute(adjacency, full), dense_adj @ x,
+            **tolerance(),
         )
 
 
@@ -92,7 +99,7 @@ class TestBackwardSSpMM:
         expected = full[
             np.arange(60)[:, None], cbsr.sp_index.astype(np.int64)
         ]
-        np.testing.assert_allclose(result.sp_data, expected)
+        np.testing.assert_allclose(result.sp_data, expected, **tolerance())
 
     def test_prefetch_version_matches_vectorised(self, setup):
         adjacency, _, _, cbsr, rng = setup
@@ -100,6 +107,7 @@ class TestBackwardSSpMM:
         np.testing.assert_allclose(
             sspmm_execute_prefetch(adjacency, grad_out, cbsr).sp_data,
             sspmm_execute(adjacency, grad_out, cbsr).sp_data,
+            **tolerance(),
         )
 
     def test_output_inherits_forward_pattern(self, setup):
@@ -138,7 +146,8 @@ class TestMaxKKernel:
         exact, _ = maxk_forward(x, 4)
         # Same selected values per row (positions may differ only on ties).
         np.testing.assert_allclose(
-            np.sort(cbsr.sp_data, axis=1), np.sort(np.partition(x, 12)[:, 12:], axis=1)
+            np.sort(cbsr.sp_data, axis=1), np.sort(np.partition(x, 12)[:, 12:], axis=1),
+            **tolerance(),
         )
         np.testing.assert_allclose(cbsr.to_dense(), exact)
 
@@ -150,10 +159,11 @@ class TestEndToEndLayerDataflow:
         grad_out = rng.normal(size=(60, 16))
         # Forward: X_l = A X_s, Backward: dX_s = A^T dX_l at forward pattern.
         forward = spgemm_execute(adjacency, cbsr)
-        np.testing.assert_allclose(forward, dense_adj @ sparsified)
+        np.testing.assert_allclose(forward, dense_adj @ sparsified, **tolerance())
         backward = sspmm_execute(adjacency, grad_out, cbsr)
         dense_grad = dense_adj.T @ grad_out
         rows = np.arange(60)[:, None]
         np.testing.assert_allclose(
-            backward.sp_data, dense_grad[rows, cbsr.sp_index.astype(np.int64)]
+            backward.sp_data, dense_grad[rows, cbsr.sp_index.astype(np.int64)],
+            **tolerance(),
         )

@@ -97,10 +97,14 @@ def test_the_float_width_is_named_in_one_place():
             if not path.startswith(("gpusim/", "experiments/"))
         }
 
-    for spelling in ("np.float64", "np.float32", '"float64"'):
+    for spelling in ("np.float64", "np.float32"):
         found = executed(spelling)
         assert set(found) <= {"sparse/ops.py"}, (spelling, found)
-    assert executed("np.float64") == {"sparse/ops.py": 1}
+    assert executed("np.float32") == {"sparse/ops.py": 1}
+    assert executed("np.float64") == {}
+    # The other width is named once more, as what it is: the width of
+    # checkpoint files written before the width was recorded.
+    assert executed('"float64"') == {"training/checkpoint.py": 1}
     # Read where a float is born or crosses in from outside ...
     readers = executed("FLOAT_DTYPE")
     assert len(readers) <= 12, readers
@@ -111,6 +115,15 @@ def test_the_float_width_is_named_in_one_place():
                      "training/parallel.py", "graphs/mutation.py",
                      "graphs/batching.py"):
         assert _occurrences("FLOAT_DTYPE", follower) == {}, follower
+
+
+def test_the_modelled_and_the_executed_program_agree_in_width():
+    import numpy as np
+
+    from repro.gpusim.memory import FLOAT_BYTES
+    from repro.sparse import ops
+
+    assert np.dtype(ops.FLOAT_DTYPE).itemsize == FLOAT_BYTES
 
 
 def test_the_executed_program_does_not_import_the_simulator():

@@ -324,6 +324,7 @@ class TestFusedCE:
             assert fused.data.tobytes() == composed.data.tobytes()
             assert b.grad.tobytes() == a.grad.tobytes()
 
+    @pytest.mark.usefixtures("double_precision")
     def test_gradcheck(self, backend):
         rng = np.random.default_rng(11)
         logits = rng.normal(size=(6, 5))
@@ -507,10 +508,10 @@ class TestBlockedSpMM:
             x[trial % 9] = np.repeat(rng.normal(), 8)  # heavy ties
             for k in (1, 3, 8):
                 expected = ops.topk_mask(x, k)
-                out = np.empty((9, 8))
+                out = np.empty((9, 8), dtype=ops.FLOAT_DTYPE)
                 got = ops.topk_mask(x, k, out=out, workspace=ws, slot="f")
                 assert got is out
-                np.testing.assert_array_equal(out, expected.astype(np.float64))
+                np.testing.assert_array_equal(out, expected.astype(out.dtype))
                 assert set(np.unique(out)) <= {0.0, 1.0}
 
 

@@ -33,6 +33,7 @@ from repro.gpusim import (
     sspmm_execute,
 )
 from repro.sparse import CSRMatrix, coo_to_csr, partition_edge_groups
+from tests.conftest import tolerance
 
 # Keep matrices small: correctness is dimension-independent.
 SMALL = st.integers(min_value=1, max_value=12)
@@ -81,7 +82,7 @@ class TestCSRProperties:
         for r, c, v in zip(rows, cols, data):
             dense[r, c] += v
         # Entries that sum exactly to zero stay stored; compare as dense.
-        np.testing.assert_allclose(matrix.to_dense(), dense, atol=1e-12)
+        np.testing.assert_allclose(matrix.to_dense(), dense, **tolerance())
 
     @given(coo_triplets(), st.integers(1, 6))
     @settings(max_examples=40)
@@ -90,7 +91,8 @@ class TestCSRProperties:
         matrix = coo_to_csr(rows, cols, data, shape)
         x = np.random.default_rng(0).normal(size=(shape[1], width))
         np.testing.assert_allclose(
-            matrix.matmul_dense(x), matrix.to_dense() @ x, atol=1e-9
+            matrix.matmul_dense(x), matrix.to_dense() @ x,
+            **tolerance(),
         )
 
     @given(coo_triplets())
@@ -99,7 +101,8 @@ class TestCSRProperties:
         rows, cols, data, shape = triplet
         matrix = coo_to_csr(rows, cols, data, shape)
         np.testing.assert_allclose(
-            matrix.transpose().transpose().to_dense(), matrix.to_dense()
+            matrix.transpose().transpose().to_dense(), matrix.to_dense(),
+            **tolerance(),
         )
 
     @given(coo_triplets(), st.integers(1, 32), st.integers(1, 8))
@@ -168,7 +171,7 @@ class TestKernelProperties:
         np.testing.assert_allclose(
             spgemm_execute(adjacency, cbsr),
             adjacency.to_dense() @ sparsified,
-            atol=1e-9,
+            **tolerance(),
         )
 
     @given(coo_triplets(), st.data())
@@ -188,7 +191,7 @@ class TestKernelProperties:
         expected = dense_grad[
             np.arange(shape[1])[:, None], cbsr.sp_index.astype(np.int64)
         ]
-        np.testing.assert_allclose(result.sp_data, expected, atol=1e-9)
+        np.testing.assert_allclose(result.sp_data, expected, **tolerance())
 
 
 class TestAnalyticProperties:
@@ -231,7 +234,8 @@ class TestSegmentAndMaxoutProperties:
         )
         out = segment_sum(Tensor(x), np.array(ids), n_segments)
         np.testing.assert_allclose(
-            out.numpy().sum(axis=0), x.sum(axis=0), atol=1e-9
+            out.numpy().sum(axis=0), x.sum(axis=0),
+            **tolerance(),
         )
 
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 4))

@@ -36,6 +36,7 @@ class TestSegmentSum:
         (out * Tensor(weights)).sum().backward()
         np.testing.assert_allclose(x.grad, weights[ids])
 
+    @pytest.mark.usefixtures("double_precision")
     def test_gradient_finite_difference(self):
         ids = np.array([0, 2, 1, 2, 0])
         check_gradient(
@@ -70,6 +71,7 @@ class TestSegmentMax:
 
 
 class TestPointwise:
+    @pytest.mark.usefixtures("double_precision")
     def test_exp_gradient(self):
         check_gradient(lambda x: exp(x).sum(), (4, 3), seed=22)
 
@@ -83,6 +85,7 @@ class TestPointwise:
             leaky_relu(x, 0.1).numpy(), [-0.2, 3.0]
         )
 
+    @pytest.mark.usefixtures("double_precision")
     def test_leaky_relu_gradient(self):
         check_gradient(
             lambda x: (leaky_relu(x, 0.2) * 2.0).sum(), (5,), seed=23

@@ -316,6 +316,32 @@ class TestInProcessService:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("n_classes", [3, 7, 10])
+    def test_identity_holds_at_class_counts_off_the_blas_tile(self, n_classes):
+        """A GEMM rounds a row of a 3- or 7-column product (float32; 10
+        columns at float64) by where it sits among the others, so the head
+        classifies each query row on its own."""
+        graph = sbm_graph(300, n_classes, 8.0, intra_fraction=0.7,
+                          seed=11).to_undirected()
+        attach_classification_task(graph, n_features=8, signal=0.5, seed=11)
+        config = GNNConfig(
+            model_type="sage", in_features=8, hidden=64,
+            out_features=n_classes, n_layers=2, nonlinearity="maxk", k=8,
+        )
+        service = _service(graph=graph, model=MaxKGNN(graph, config, seed=7),
+                           max_batch=8, queue_capacity=200)
+        try:
+            nodes = np.random.default_rng(3).integers(0, 300, 160).tolist()
+            reference = [service.infer_single(node, seed=5) for node in nodes]
+            tickets = [service.submit(node, seed=5) for node in nodes]
+            service.drain()
+            assert all(
+                np.array_equal(ticket.result.logits, expected)
+                for ticket, expected in zip(tickets, reference)
+            )
+        finally:
+            service.close()
+
     def test_ego_net_row_mapping_is_correct(self):
         graph = _task_graph()
         subgraph, nodes = khop_neighborhood(

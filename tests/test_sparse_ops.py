@@ -6,8 +6,9 @@ the shapes the training hot path produces: varying sizes, densities,
 empty rows/segments, unsorted segment ids, and the full k range.
 
 Tolerance: the backends are designed to accumulate in identical order, so
-most checks are exact; where an operation reassociates (softmax division),
-1e-10 is enforced per the backend contract.
+most checks are exact; where an operation reassociates (softmax division)
+or the oracle is a dense product, ``tests/conftest.py::tolerance`` — a
+multiple of the round-off of the width in force — is enforced.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.gpusim.kernels.spgemm import spgemm_execute
 from repro.gpusim.kernels.sspmm import sspmm_execute
 from repro.sparse import CSRMatrix, coo_to_csr, ops
 from repro.tensor import Workspace
+from tests.conftest import tolerance
 
 OTHER_BACKENDS = [n for n in ops.available_backends() if n != "reference"]
 SEEDS = [0, 1, 2, 3, 4]
@@ -62,7 +64,28 @@ class TestSegmentPrimitiveEquivalence:
             expected = ops.segment_sum(values, ids, n_segments)
         with ops.use_backend(backend):
             actual = ops.segment_sum(values, ids, n_segments)
-        np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-12)
+        assert bytes_equal(actual, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trailing", [(), (5,), (2, 3)])
+    def test_segment_sum_is_the_reference_loop_at_any_width(
+        self, backend, dtype, trailing
+    ):
+        """Repeated ids round once per add, in input order, at the
+        operand's width — not once per output in double, which is what a
+        ``bincount`` scatter did below double."""
+        rng = np.random.default_rng(40)
+        ids = rng.integers(0, 6, 400)  # ~67 adds per segment
+        values = (rng.normal(size=(400,) + trailing) * 1e3).astype(dtype)
+        reference, kernel = ops._REGISTRY["reference"], ops._REGISTRY[backend]
+        expected = reference.segment_sum(values, ids, 7)
+        assert bytes_equal(kernel.segment_sum(values, ids, 7), expected)
+        out = np.full((7,) + trailing, np.nan, dtype=dtype)
+        assert kernel.segment_sum(values, ids, 7, out=out) is out
+        assert bytes_equal(out, expected)
+        strided = np.full((7,) + trailing + (2,), np.nan, dtype=dtype)[..., 0]
+        kernel.segment_sum(values, ids, 7, out=strided)
+        assert bytes_equal(np.ascontiguousarray(strided), expected)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("sorted_ids", [False, True])
@@ -89,13 +112,13 @@ class TestSegmentPrimitiveEquivalence:
             expected = ops.segment_softmax(scores, ids, n_segments)
         with ops.use_backend(backend):
             actual = ops.segment_softmax(scores, ids, n_segments)
-        np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(actual, expected, **tolerance())
         # Probabilities: nonnegative, each nonempty segment sums to ~1.
         assert (actual >= 0).all()
         if n:
             sums = ops.segment_sum(actual, ids, n_segments)
             occupied = np.bincount(ids, minlength=n_segments) > 0
-            np.testing.assert_allclose(sums[occupied], 1.0, rtol=1e-9)
+            np.testing.assert_allclose(sums[occupied], 1.0, **tolerance())
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_gather_scale(self, backend, seed):
@@ -110,11 +133,8 @@ class TestSegmentPrimitiveEquivalence:
             np.testing.assert_array_equal(
                 ops.gather_scale(table, indices), expected_plain
             )
-            np.testing.assert_allclose(
-                ops.gather_scale(table, indices, scale),
-                expected_scaled,
-                rtol=1e-10,
-                atol=0,
+            np.testing.assert_array_equal(
+                ops.gather_scale(table, indices, scale), expected_scaled
             )
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -126,10 +146,8 @@ class TestSegmentPrimitiveEquivalence:
             expected = matrix.matmul_dense(x)
         with ops.use_backend(backend):
             actual = matrix.matmul_dense(x)
-        np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(
-            actual, matrix.to_dense() @ x, rtol=1e-9, atol=1e-11
-        )
+        assert bytes_equal(actual, expected)
+        np.testing.assert_allclose(actual, matrix.to_dense() @ x, **tolerance())
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_spmm_csr_vector(self, backend, seed):
@@ -141,7 +159,7 @@ class TestSegmentPrimitiveEquivalence:
         with ops.use_backend(backend):
             actual = matrix.matmul_dense(x)
         assert actual.shape == (matrix.n_rows,)
-        np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-12)
+        assert bytes_equal(actual, expected)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_topk_mask(self, backend, seed):
@@ -176,8 +194,8 @@ class TestSegmentPrimitiveEquivalence:
     def test_topk_ties_at_large_magnitude(self, backend):
         """Exact ties among huge values must still resolve to lower columns.
 
-        Regression: an epsilon-bias tie-break is absorbed by float64
-        rounding above ~1e6, silently de-synchronising the backends.
+        Regression: an epsilon-bias tie-break is absorbed by float
+        rounding at large magnitudes, silently de-synchronising the backends.
         """
         x = np.full((2, 8), 1e8)
         x[1] *= -1
@@ -202,20 +220,29 @@ class TestSegmentPrimitiveEquivalence:
             np.testing.assert_array_equal(actual, expected)
 
 
-#: Non-NaN values a 0/1 mask formula can get wrong: signed zeros,
-#: denormals, infinities, huge and ordinary magnitudes.
-ADVERSARIAL_VALUES = np.array([
-    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
-    np.inf, -np.inf, 1.0, -1.0, 1e300, -1e300, 1.5, 3.0,
-])
-#: Column scales; the repeated 1.0 duplicates values within every row.
-COLUMN_WEIGHTS = np.array([1.0, 1.0, -1.0, 0.5, 2.0, -2.0, 1.0, 4.0])
+def adversarial_values():
+    """Non-NaN values a 0/1 mask formula can get wrong, at the width in
+    force: signed zeros, denormals, infinities, huge and ordinary
+    magnitudes."""
+    info = np.finfo(ops.FLOAT_DTYPE)
+    denormal, normal, huge = info.smallest_subnormal, info.tiny, info.max / 8
+    return np.array([
+        0.0, -0.0, denormal, -denormal, normal, -normal / 64,
+        np.inf, -np.inf, 1.0, -1.0, huge, -huge, 1.5, 3.0,
+    ], dtype=ops.FLOAT_DTYPE)
+
+
+def column_weights():
+    """Column scales; the repeated 1.0 duplicates values within every row."""
+    return np.array(
+        [1.0, 1.0, -1.0, 0.5, 2.0, -2.0, 1.0, 4.0], dtype=ops.FLOAT_DTYPE
+    )
 
 
 def adversarial_rows(dim=8):
     """``(14, dim)`` rows the float-mask formulas must agree on byte for
     byte — for most ``k`` with a duplicated k-th value."""
-    return ADVERSARIAL_VALUES[:, None] * COLUMN_WEIGHTS[None, :dim]
+    return adversarial_values()[:, None] * column_weights()[None, :dim]
 
 
 def bytes_equal(actual, expected):
@@ -228,23 +255,23 @@ def heaviside_topk_mask(x, k):
     """The float survivor mask as it was written before the compare → cast
     helper: ``heaviside(x - kth, 1.0)`` when that keeps exactly ``k`` per
     row, the stable lowest-column fill otherwise (``inf - inf`` is NaN and
-    lands there too). The oracle for ``topk_mask(out=float64)``."""
+    lands there too). The oracle for ``topk_mask(out=<float>)``."""
     dim = x.shape[1]
     if k == dim:
-        return np.ones(x.shape)
+        return np.ones(x.shape, dtype=x.dtype)
     kth = np.partition(x, dim - k, axis=1)[:, dim - k : dim - k + 1]
     with np.errstate(invalid="ignore"):
         mask = np.heaviside(x - kth, 1.0)
     if (mask.sum(axis=1) == k).all():
         return mask
-    mask = np.zeros(x.shape)
+    mask = np.zeros(x.shape, dtype=x.dtype)
     for i, row in enumerate(x):
         mask[i, np.argsort(-row, kind="stable")[:k]] = 1.0
     return mask
 
 
 class TestFloatTopkMaskMatchesHeaviside:
-    """``topk_mask(out=float64)`` writes the bytes ``np.heaviside`` wrote."""
+    """``topk_mask(out=<float>)`` writes the bytes ``np.heaviside`` wrote."""
 
     @pytest.fixture(params=ops.available_backends())
     def any_backend(self, request):
@@ -260,13 +287,13 @@ class TestFloatTopkMaskMatchesHeaviside:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8])
     def test_adversarial_rows(self, any_backend, arena, k):
         x = adversarial_rows()
-        out = np.full(x.shape, np.nan)
+        out = np.full_like(x, np.nan)
         result = ops.topk_mask(x, k, out=out, workspace=arena)
         assert result is out
         assert bytes_equal(out, heaviside_topk_mask(x, k))
         bools = ops.topk_mask(x, k)
         assert bools.dtype == np.bool_
-        assert bytes_equal(out, bools.astype(np.float64))
+        assert bytes_equal(out, bools.astype(x.dtype))
 
     def test_duplicated_kth_value_takes_the_tie_path(
         self, backend, arena, monkeypatch
@@ -283,11 +310,15 @@ class TestFloatTopkMaskMatchesHeaviside:
         monkeypatch.setattr(
             ops.VectorizedBackend, "_stable_topk_mask", staticmethod(spy)
         )
-        x = np.array([[3.0, 1.0, 2.0, 0.0], [5.0, 7.0, 5.0, 5.0]])
+        x = np.array(
+            [[3.0, 1.0, 2.0, 0.0], [5.0, 7.0, 5.0, 5.0]], dtype=ops.FLOAT_DTYPE
+        )
         with ops.use_backend(backend):
-            unique = ops.topk_mask(x[:1], 2, out=np.empty((1, 4)), workspace=arena)
+            unique = ops.topk_mask(
+                x[:1], 2, out=np.empty_like(x[:1]), workspace=arena
+            )
             assert calls == []  # the fast path: no second selection
-            tied = ops.topk_mask(x, 2, out=np.empty(x.shape), workspace=arena)
+            tied = ops.topk_mask(x, 2, out=np.empty_like(x), workspace=arena)
         assert calls == [2]
         np.testing.assert_array_equal(unique, [[1.0, 0.0, 1.0, 0.0]])
         np.testing.assert_array_equal(
@@ -303,8 +334,10 @@ class TestFloatTopkMaskMatchesHeaviside:
         full = adversarial_rows()
         for n_rows, dim, k in [(14, 8, 3), (5, 8, 7), (3, 4, 1), (14, 8, 8),
                                (9, 6, 2), (14, 8, 3)]:
-            x = full[rng.permutation(14)[:n_rows], :dim] * rng.choice([1.0, -1.0])
-            out = np.full(x.shape, np.nan)
+            x = full[rng.permutation(14)[:n_rows], :dim] * float(
+                rng.choice([1.0, -1.0])
+            )
+            out = np.full_like(x, np.nan)
             ops.topk_mask(x, k, out=out, workspace=arena)
             assert bytes_equal(out, heaviside_topk_mask(x, k))
 
@@ -312,9 +345,9 @@ class TestFloatTopkMaskMatchesHeaviside:
         """The probe is one reduction (``min`` propagates NaN): an empty
         matrix has no minimum and no NaN; a NaN anywhere is found."""
         assert ops.topk_mask(np.empty((0, 4)), 2).shape == (0, 4)
-        x = np.ones((3, 4))
+        x = np.ones((3, 4), dtype=ops.FLOAT_DTYPE)
         x[2, 3] = np.nan
-        mask = ops.topk_mask(x, 1, out=np.empty(x.shape))
+        mask = ops.topk_mask(x, 1, out=np.empty_like(x))
         np.testing.assert_array_equal(mask[2], [0.0, 0.0, 0.0, 1.0])
         np.testing.assert_array_equal(mask[:2], [[1.0, 0, 0, 0]] * 2)
 
@@ -357,10 +390,8 @@ class TestKernelEquivalence:
         with ops.use_backend(backend):
             actual_fwd = spgemm_execute(adj, features)
             actual_bwd = sspmm_execute(adj, grad_out, features)
-        np.testing.assert_allclose(actual_fwd, expected_fwd, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(
-            actual_bwd.sp_data, expected_bwd.sp_data, rtol=1e-10, atol=1e-12
-        )
+        assert bytes_equal(actual_fwd, expected_fwd)
+        assert bytes_equal(actual_bwd.sp_data, expected_bwd.sp_data)
 
 
 def cbsr_case(rng, n_rows, n_src, dim, k, empty_rows=False):
@@ -373,7 +404,9 @@ def cbsr_case(rng, n_rows, n_src, dim, k, empty_rows=False):
     sp_index = np.sort(
         np.argsort(rng.random((n_src, dim)), axis=1)[:, :k], axis=1
     )
-    return adj, rng.normal(size=(n_src, k)), sp_index, rng.normal(size=(n_rows, dim))
+    width = adj.data.dtype
+    return (adj, rng.normal(size=(n_src, k)).astype(width), sp_index,
+            rng.normal(size=(n_rows, dim)).astype(width))
 
 
 def run_cbsr_pair(name, case):
@@ -449,10 +482,10 @@ class TestCbsrKernelBitIdentity:
             ops, "_scipy_sparsetools", SimpleNamespace(csr_matvecs=csr_matvecs)
         )
         assert_same_bits(run_cbsr_pair("scipy", case), direct)
-        adj, x = case[0], np.ones((case[0].n_cols, 3))
+        adj, x = case[0], np.ones((case[0].n_cols, 3), dtype=case[0].data.dtype)
         ops._REGISTRY["scipy"].spmm_csr(
             adj.indptr, adj.indices, adj.data, x, adj.n_rows,
-            out=np.empty((adj.n_rows, 3)),
+            out=np.empty((adj.n_rows, 3), dtype=x.dtype),
         )
         assert calls == ["csr_matvecs"]
 
@@ -620,7 +653,7 @@ class TestTensorGatherBackward:
         args = (matrix.indptr, matrix.indices, matrix.data, grad_out, sp_index, 8)
         dense_route = backend.sspmm_cbsr(*args)
         sampled_route = ops.VectorizedBackend.sspmm_cbsr(backend, *args)
-        np.testing.assert_allclose(sampled_route, dense_route, rtol=1e-10, atol=1e-12)
+        assert bytes_equal(sampled_route, dense_route)
 
 
 class TestAutogradSegmentOpsAcrossBackends:
@@ -644,12 +677,8 @@ class TestAutogradSegmentOpsAcrossBackends:
                 out = segment_sum(tensor, ids, n_segments)
                 (out * Tensor(weights)).sum().backward()
                 results[name] = (out.numpy(), tensor.grad)
-        np.testing.assert_allclose(
-            results[backend][0], results["reference"][0], rtol=1e-10, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            results[backend][1], results["reference"][1], rtol=1e-10, atol=1e-12
-        )
+        assert bytes_equal(results[backend][0], results["reference"][0])
+        assert bytes_equal(results[backend][1], results["reference"][1])
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_segment_softmax_forward_backward(self, backend, seed):
@@ -670,8 +699,8 @@ class TestAutogradSegmentOpsAcrossBackends:
                 (alpha * Tensor(weights)).sum().backward()
                 results[name] = (alpha.numpy(), tensor.grad)
         np.testing.assert_allclose(
-            results[backend][0], results["reference"][0], rtol=1e-10, atol=1e-12
+            results[backend][0], results["reference"][0], **tolerance()
         )
         np.testing.assert_allclose(
-            results[backend][1], results["reference"][1], rtol=1e-10, atol=1e-12
+            results[backend][1], results["reference"][1], **tolerance()
         )

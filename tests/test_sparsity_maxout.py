@@ -98,6 +98,7 @@ class TestMaxout:
         maxout(x, 2).sum().backward()
         np.testing.assert_allclose(x.grad, [[0.0, 1.0, 0.0, 1.0]])
 
+    @pytest.mark.usefixtures("double_precision")
     def test_gradient_finite_difference(self):
         check_gradient(lambda x: (maxout(x, 3) ** 2).sum(), (4, 6), seed=19)
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.tensor import Tensor, no_grad
 from repro.tensor.tensor import _unbroadcast
+from tests.conftest import fd_tolerance
 
 
 def finite_difference(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -23,16 +24,21 @@ def finite_difference(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def check_gradient(build_loss, shape, seed=0, rtol=1e-5, atol=1e-7):
+def check_gradient(build_loss, shape, seed=0, **overrides):
+    """Analytic against central-difference gradient; callers run under the
+    ``double_precision`` fixture."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=shape)
     tensor = Tensor(x.copy(), requires_grad=True)
     loss = build_loss(tensor)
     loss.backward()
     numeric = finite_difference(lambda arr: build_loss(Tensor(arr)).item(), x.copy())
-    np.testing.assert_allclose(tensor.grad, numeric, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(
+        tensor.grad, numeric, **{**fd_tolerance(), **overrides}
+    )
 
 
+@pytest.mark.usefixtures("double_precision")
 class TestBasicOps:
     def test_add_gradient(self):
         check_gradient(lambda x: (x + 3.0).sum(), (4, 3))

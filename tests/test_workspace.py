@@ -34,6 +34,7 @@ from repro.tensor import (
     spmm_agg,
 )
 from repro.training import Engine, FullGraphFlow
+from tests.conftest import fd_tolerance, floats
 from tests.test_tensor import finite_difference
 
 
@@ -120,7 +121,7 @@ def _activation_oracle(y, activation, k=None):
 
 def _dropout_oracle(x, p, rng):
     scale = 1.0 / (1.0 - p)
-    keep = rng.random(x.shape) >= p
+    keep = rng.random(x.shape, dtype=x.dtype) >= p
     return np.where(keep, x * scale, 0.0), lambda grad: grad * keep * scale
 
 
@@ -159,10 +160,10 @@ class TestFusedBitIdentity:
     @pytest.mark.parametrize("planned", [False, True])
     def test_linear_act_matches_composed(self, backend, activation, planned):
         rng = np.random.default_rng(11)
-        x_data = rng.normal(size=(13, 7))
-        w_data = rng.normal(size=(7, 10))
-        b_data = rng.normal(size=10)
-        upstream = rng.normal(size=(13, 10))
+        x_data = floats(rng.normal(size=(13, 7)))
+        w_data = floats(rng.normal(size=(7, 10)))
+        b_data = floats(rng.normal(size=10))
+        upstream = floats(rng.normal(size=(13, 10)))
         k = 3
 
         y, linear_back = _linear_oracle(x_data, w_data, b_data)
@@ -184,8 +185,8 @@ class TestFusedBitIdentity:
 
     @pytest.mark.parametrize("planned", [False, True])
     def test_dropout_matches_unplanned_stream(self, planned):
-        data = np.random.default_rng(1).normal(size=(9, 6))
-        upstream = np.random.default_rng(2).normal(size=(9, 6))
+        data = floats(np.random.default_rng(1).normal(size=(9, 6)))
+        upstream = floats(np.random.default_rng(2).normal(size=(9, 6)))
         expected, back = _dropout_oracle(data, 0.4, np.random.default_rng(21))
 
         ws = Workspace() if planned else None
@@ -199,7 +200,7 @@ class TestFusedBitIdentity:
     def test_relu_propagates_nan_with_and_without_workspace(self, backend):
         """A NaN pre-activation must poison eval/serving (fresh buffers)
         exactly as it poisons training (arena) — never a silent zero."""
-        data = np.array([[np.nan, 1.0, -1.0], [2.0, np.nan, 0.0]])
+        data = floats([[np.nan, 1.0, -1.0], [2.0, np.nan, 0.0]])
         fresh = relu(Tensor(data))
         planned = relu(Tensor(data), workspace=Workspace(), slot="r")
         assert fresh.data.tobytes() == planned.data.tobytes()
@@ -210,8 +211,9 @@ class TestFusedBitIdentity:
 
     def test_add_into_matches_add(self):
         rng = np.random.default_rng(3)
-        a_data, b_data = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
-        upstream = rng.normal(size=(5, 4))
+        a_data = floats(rng.normal(size=(5, 4)))
+        b_data = floats(rng.normal(size=(5, 4)))
+        upstream = floats(rng.normal(size=(5, 4)))
         a0 = Tensor(a_data, requires_grad=True)
         b0 = Tensor(b_data, requires_grad=True)
         (a0 + b0).backward(upstream)
@@ -231,8 +233,8 @@ class TestFusedBitIdentity:
         adj = graph.adjacency("sage")
         adj_t = graph.adjacency_transpose("sage")
         rng = np.random.default_rng(4)
-        x_data = rng.normal(size=(graph.n_nodes, 5))
-        upstream = rng.normal(size=(graph.n_nodes, 5))
+        x_data = floats(rng.normal(size=(graph.n_nodes, 5)))
+        upstream = floats(rng.normal(size=(graph.n_nodes, 5)))
         expected = adj.matmul_dense(x_data)
         expected_grad = adj_t.matmul_dense(upstream)
         for workspace in (None, Workspace()):
@@ -273,11 +275,11 @@ class TestLayerMatchesOracle:
             use_cbsr_kernels=use_cbsr,
         )
         for param in layer.parameters():  # zero-init biases / eps hide terms
-            param.data += rng.normal(size=param.shape)
+            param.data += floats(rng.normal(size=param.shape))
         layer.workspace = Workspace()
         layer.train(training)
-        x_data = rng.normal(size=(graph.n_nodes, 6))
-        upstream = rng.normal(size=(graph.n_nodes, 10))
+        x_data = floats(rng.normal(size=(graph.n_nodes, 6)))
+        upstream = floats(rng.normal(size=(graph.n_nodes, 10)))
         expected, expected_grads = _layer_oracle(
             layer, model_type, x_data, upstream
         )
@@ -325,6 +327,7 @@ class TestLayerMatchesOracle:
         assert calls == ["topk_mask"]
 
 
+@pytest.mark.usefixtures("double_precision")
 class TestFusedGradchecks:
     """Central-difference gradchecks of the fused kernels per backend."""
 
@@ -349,15 +352,13 @@ class TestFusedGradchecks:
         # finite-difference probes, then replay the backward.
         (out * out).sum().backward()
         numeric = finite_difference(loss_for, x.copy())
-        np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(tensor.grad, numeric, **fd_tolerance())
 
     def test_linear_maxk_gradcheck(self, backend):
         # Spread-out integers keep the k-th/(k+1)-th gap away from the
         # finite-difference step (MaxK is piecewise differentiable).
         rng = np.random.default_rng(42)
-        x = rng.permuted(
-            np.arange(24, dtype=np.float64).reshape(4, 6), axis=1
-        )
+        x = rng.permuted(np.arange(24.0).reshape(4, 6), axis=1)
         w = np.eye(6)
         ws = Workspace()
 
@@ -371,7 +372,7 @@ class TestFusedGradchecks:
                          workspace=ws, slot="g")
         (out * out).sum().backward()
         numeric = finite_difference(loss_for, x.copy())
-        np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(tensor.grad, numeric, **fd_tolerance())
 
     def test_weight_and_bias_gradcheck(self, backend):
         rng = np.random.default_rng(43)
@@ -400,8 +401,8 @@ class TestFusedGradchecks:
             ).sum().item(),
             b.copy(),
         )
-        np.testing.assert_allclose(weight.grad, numeric_w, rtol=1e-5, atol=1e-7)
-        np.testing.assert_allclose(bias.grad, numeric_b, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(weight.grad, numeric_w, **fd_tolerance())
+        np.testing.assert_allclose(bias.grad, numeric_b, **fd_tolerance())
 
 
 class TestOutParamPrimitives:
@@ -416,40 +417,40 @@ class TestOutParamPrimitives:
     def test_spmm_out_matches_oracle(self, backend):
         rng = np.random.default_rng(51)
         matrix = self._random_csr(rng)
-        x = rng.normal(size=(10, 6))
+        x = floats(rng.normal(size=(10, 6)))
         with ops.use_backend("reference"):
             oracle = matrix.matmul_dense(x)
-        out = np.empty((12, 6))
+        out = np.empty((12, 6), dtype=x.dtype)
         result = matrix.matmul_dense(x, out=out)
         assert result is out
-        np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-14)
+        assert out.tobytes() == oracle.tobytes()
 
     def test_spmm_out_vector(self, backend):
         rng = np.random.default_rng(52)
         matrix = self._random_csr(rng)
-        v = rng.normal(size=10)
-        out = np.empty(12)
+        v = floats(rng.normal(size=10))
+        out = np.empty(12, dtype=v.dtype)
         assert matrix.matmul_dense(v, out=out) is out
         np.testing.assert_allclose(out, matrix.matmul_dense(v))
 
     def test_spmm_out_validation(self):
         rng = np.random.default_rng(53)
         matrix = self._random_csr(rng)
-        x = rng.normal(size=(10, 6))
+        x = floats(rng.normal(size=(10, 6)))
         with pytest.raises(ValueError, match="shape"):
-            matrix.matmul_dense(x, out=np.empty((5, 6)))
-        with pytest.raises(ValueError, match="float64"):
-            matrix.matmul_dense(x, out=np.empty((12, 6), dtype=np.float32))
+            matrix.matmul_dense(x, out=np.empty((5, 6), dtype=x.dtype))
+        with pytest.raises(ValueError, match=x.dtype.name):
+            matrix.matmul_dense(x, out=np.empty((12, 6), dtype=np.float16))
 
     def test_segment_sum_out(self, backend):
         rng = np.random.default_rng(54)
-        values = rng.normal(size=(30, 4))
+        values = floats(rng.normal(size=(30, 4)))
         ids = rng.integers(0, 7, 30)
         with ops.use_backend("reference"):
             oracle = ops.segment_sum(values, ids, 7)
-        out = np.empty((7, 4))
+        out = np.empty((7, 4), dtype=values.dtype)
         assert ops.segment_sum(values, ids, 7, out=out) is out
-        np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-14)
+        assert out.tobytes() == oracle.tobytes()
 
     def test_topk_out_and_workspace(self, backend):
         rng = np.random.default_rng(55)
@@ -494,14 +495,14 @@ class TestInPlaceAdam:
     def test_matches_textbook_trajectory_bitwise(self):
         rng = np.random.default_rng(61)
         shapes = [(7, 5), (3,), (4, 6)]
-        datas = [rng.normal(size=s) for s in shapes]
+        datas = [floats(rng.normal(size=s)) for s in shapes]
         params = [Tensor(d.copy(), requires_grad=True) for d in datas]
         optimizer = Adam(params, lr=0.01, weight_decay=0.3)
         refs = [d.copy() for d in datas]
         m = [np.zeros_like(d) for d in datas]
         v = [np.zeros_like(d) for d in datas]
         for t in range(1, 25):
-            grads = [rng.normal(size=s) for s in shapes]
+            grads = [floats(rng.normal(size=s)) for s in shapes]
             for p, g in zip(params, grads):
                 p.grad = None
                 p._accumulate(g)
