@@ -13,7 +13,9 @@ memory", §3.2) and the per-row width is constant, which is what makes the
 format *balanced*: a warp always knows how many elements a row contributes.
 
 The paper stores ``sp_index`` as ``uint8`` when ``dim_origin <= 256`` so the
-index traffic is 1 byte per element (the ``5 * dim_k * nnz`` term of §4.3).
+index traffic is 1 byte per element (the ``5 * dim_k * nnz`` term of §4.3);
+``sparse.ops.index_dtype_for`` decides the width, and the CBSR kernels read
+the block at it.
 """
 
 from __future__ import annotations
@@ -24,19 +26,9 @@ from typing import Tuple
 import numpy as np
 
 from ..sparse import ops
+from ..sparse.ops import index_dtype_for
 
 __all__ = ["CBSRMatrix", "index_dtype_for"]
-
-
-def index_dtype_for(dim_origin: int) -> np.dtype:
-    """Smallest unsigned integer dtype able to index ``dim_origin`` columns."""
-    if dim_origin <= 0:
-        raise ValueError("dim_origin must be positive")
-    if dim_origin <= 256:
-        return np.dtype(np.uint8)
-    if dim_origin <= 65536:
-        return np.dtype(np.uint16)
-    return np.dtype(np.uint32)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,11 @@ Backends
     plans. Accumulation visits elements in input order, so results are
     bit-identical to ``reference``.
 ``scipy``
-    The ``vectorized`` backend with the CSR SpMM and the CBSR SpGEMM /
-    SSpMM pair delegated to scipy's compiled CSR kernels (same sequential
-    accumulation order, so still bit-identical). Registered only when
-    scipy imports.
+    The ``vectorized`` backend with the CSR SpMM delegated to scipy's
+    compiled CSR kernel and the CBSR SpGEMM / SSpMM pair to the two C loops
+    of :mod:`repro.sparse.native` (scipy's public ``A @ B`` route where no
+    compiler builds them) — same sequential accumulation order, so still
+    bit-identical. Registered only when scipy imports.
 
 Selection
 ---------
@@ -43,6 +44,8 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from . import native
 
 try:  # gated optional dependency; never required
     import scipy.sparse as _scipy_sparse
@@ -78,6 +81,7 @@ __all__ = [
     "topk_mask",
     "topk_columns",
     "mask_into",
+    "index_dtype_for",
     "release",
     "warm",
 ]
@@ -91,6 +95,19 @@ EXP_CLIP = 60.0
 #: Denominator epsilon of the segment softmax (kept for numerical parity
 #: with the historical GAT implementation).
 SOFTMAX_EPS = 1e-16
+
+
+def index_dtype_for(dim_origin: int) -> np.dtype:
+    """Smallest unsigned integer dtype able to index ``dim_origin`` columns:
+    the width of a CBSR ``sp_index`` block, ``uint8`` up to 256 columns (the
+    paper's ``(4 + 1) * dim_k * nnz`` bytes), and what the CBSR kernels read."""
+    if dim_origin <= 0:
+        raise ValueError("dim_origin must be positive")
+    if dim_origin <= 256:
+        return np.dtype(np.uint8)
+    if dim_origin <= 65536:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32)
 
 
 def mask_into(compare, a, b, flags: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -705,14 +722,17 @@ class VectorizedBackend(SparseOpsBackend):
 
 
 class ScipyBackend(VectorizedBackend):
-    """Vectorized backend with the aggregations served by scipy's C kernels.
+    """Vectorized backend with the aggregations served by compiled kernels.
 
-    ``csr_matvecs`` (SpMM), ``csr_matmat`` (the CBSR SpGEMM: SMMP's numeric
-    pass alone, into preallocated scratch) and the transposed product under
-    the SSpMM accumulate sequentially over stored entries — the order of
-    the reference loops and the ``add.at`` scatter, so outputs stay
-    bit-identical while the hot aggregation runs in compiled code. Where
-    the private module lacks a kernel, the public ``A @ B`` route serves.
+    The SpMM is scipy's ``csr_matvecs``; the CBSR SpGEMM / SSpMM are the
+    k-proportional C loops of :mod:`repro.sparse.native`, reading the
+    ``sp_index`` block at its CBSR width. Both accumulate sequentially over
+    stored entries — the order of the reference loops and the ``add.at``
+    scatter — so outputs stay bit-identical while the hot aggregation runs
+    in compiled code. Where the private module lacks ``csr_matvecs`` or no
+    compiler builds the loops, scipy's public ``A @ B`` route serves (the
+    same row-sequential accumulation); ``cache_info()["native"]`` says
+    whether the loops are live.
     """
 
     name = "scipy"
@@ -731,6 +751,7 @@ class ScipyBackend(VectorizedBackend):
     def cache_info(self) -> Dict[str, int]:
         info = super().cache_info()
         info["csr_entries"] = len(self._csr_cache)
+        info["native"] = int(native.load() is not None)
         return info
 
     def _matrix(self, indptr, indices, data, shape):
@@ -769,43 +790,27 @@ class ScipyBackend(VectorizedBackend):
         return out
 
     def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
+        library = native.load()
+        if library is not None:
+            index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
+            return native.run(library, "spgemm", (indptr, indices, data),
+                              sp_data, index, dim_origin, (n_rows, dim_origin))
         # The CBSR blocks are a CSR matrix with exactly k entries per row.
         n_src, k = sp_index.shape
         adjacency = self._matrix(indptr, indices, data, (n_rows, n_src))
-        index = adjacency.indices.dtype
-        # The product holds at most this many entries.
-        bound = min(n_rows * dim_origin, len(indices) * k)
-        if not (
-            hasattr(_scipy_sparsetools, "csr_matmat")
-            and hasattr(_scipy_sparsetools, "csr_todense")
-            and max(bound, n_src * k) <= np.iinfo(index).max
-        ):  # the public route also widens an index dtype that would wrap
-            features = _scipy_sparse.csr_array(
-                (sp_data.ravel(), sp_index.ravel(), np.arange(n_src + 1) * k),
-                shape=(n_src, dim_origin),
-            )
-            return (adjacency @ features).toarray()
-        # SMMP's numeric pass alone: scratch of the bound's size replaces
-        # the symbolic pass that would count the entries. Each output row
-        # accumulates its stored edges in order, as the reference loop does.
-        product = (
-            self._take("spgemm.indptr", (n_rows + 1,), index),
-            self._take("spgemm.indices", (bound,), index),
-            self._take("spgemm.data", (bound,), sp_data.dtype),
+        features = _scipy_sparse.csr_array(
+            (sp_data.ravel(), sp_index.ravel(), np.arange(n_src + 1) * k),
+            shape=(n_src, dim_origin),
         )
-        _scipy_sparsetools.csr_matmat(
-            n_rows, dim_origin,
-            adjacency.indptr, adjacency.indices, adjacency.data,
-            np.arange(n_src + 1, dtype=index) * k,
-            np.ascontiguousarray(sp_index, dtype=index).ravel(),
-            np.ascontiguousarray(sp_data).ravel(),
-            *product,
-        )
-        out = np.zeros((n_rows, dim_origin), dtype=sp_data.dtype)
-        _scipy_sparsetools.csr_todense(n_rows, dim_origin, *product, out.ravel())
-        return out
+        return (adjacency @ features).toarray()
 
     def sspmm_cbsr(self, indptr, indices, data, grad_out, sp_index, n_src):
+        library = native.load()
+        if library is not None:
+            dim_origin = grad_out.shape[1]
+            index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
+            return native.run(library, "sspmm", (indptr, indices, data),
+                              grad_out, index, dim_origin, sp_index.shape)
         # A^T @ dX_l through the shared CSR buffers (the CSC view of A^T),
         # then sample the dense source gradients at the forward pattern.
         adjacency = self._matrix(
@@ -979,15 +984,22 @@ def spmm_csr(indptr, indices, data, x, n_rows: int, out=None) -> np.ndarray:
 
 
 def _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows):
-    """Bounds the compiled kernels index their accumulators with, unchecked."""
-    if indptr.shape != (n_rows + 1,):
-        raise ValueError("indptr must hold n_rows + 1 offsets")
+    """Every bound the compiled kernels index with, unchecked; answers
+    ``sp_index`` at :func:`index_dtype_for`'s width (narrowed only after its
+    range is known, never copied when it already is that width)."""
     if indices.ndim != 1 or data.shape != indices.shape:
         raise ValueError("indices and data must be matching 1-D arrays")
+    if indptr.shape != (n_rows + 1,):
+        raise ValueError("indptr must hold n_rows + 1 offsets")
+    if indptr[0] != 0 or indptr[-1] != len(indices) or (
+        indptr[1:] < indptr[:-1]
+    ).any():
+        raise ValueError("indptr must rise monotonically from 0 to len(indices)")
     if indices.size and not 0 <= indices.min() <= indices.max() < len(sp_index):
         raise ValueError("adjacency column indices out of range")
     if sp_index.size and not 0 <= sp_index.min() <= sp_index.max() < dim_origin:
         raise ValueError("sp_index entries must be in [0, dim_origin)")
+    return sp_index.astype(index_dtype_for(dim_origin), copy=False)
 
 
 def spgemm_cbsr(
@@ -1003,10 +1015,10 @@ def spgemm_cbsr(
     indices = np.asarray(indices, dtype=np.int64)
     data = np.asarray(data, dtype=FLOAT_DTYPE)
     sp_data = np.asarray(sp_data, dtype=FLOAT_DTYPE)
-    sp_index = np.asarray(sp_index).astype(np.int64, copy=False)
+    sp_index = np.asarray(sp_index)
     if sp_data.shape != sp_index.shape or sp_data.ndim != 2:
         raise ValueError("sp_data and sp_index must be matching 2-D blocks")
-    _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows)
+    sp_index = _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows)
     return _ACTIVE.spgemm_cbsr(
         indptr, indices, data, sp_data, sp_index, dim_origin, n_rows
     )
@@ -1024,13 +1036,13 @@ def sspmm_cbsr(indptr, indices, data, grad_out, sp_index, n_src: int) -> np.ndar
     indices = np.asarray(indices, dtype=np.int64)
     data = np.asarray(data, dtype=FLOAT_DTYPE)
     grad_out = np.asarray(grad_out, dtype=FLOAT_DTYPE)
-    sp_index = np.asarray(sp_index).astype(np.int64, copy=False)
+    sp_index = np.asarray(sp_index)
     if sp_index.ndim != 2 or sp_index.shape[0] != n_src:
         raise ValueError("sp_index must be (n_src, k)")
     if grad_out.ndim != 2:
         raise ValueError("grad_out must be (n_rows, dim_origin)")
     n_rows, dim_origin = grad_out.shape
-    _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows)
+    sp_index = _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows)
     return _ACTIVE.sspmm_cbsr(indptr, indices, data, grad_out, sp_index, n_src)
 
 

@@ -126,6 +126,22 @@ def test_the_modelled_and_the_executed_program_agree_in_width():
     assert np.dtype(ops.FLOAT_DTYPE).itemsize == FLOAT_BYTES
 
 
+def test_the_compiled_tier_lives_in_one_module():
+    from repro.sparse import native
+
+    assert _occurrences("import ctypes") == {"sparse/native.py": 1}
+    assert _occurrences("from ctypes") == {}
+    # Bit-identity with the reference loops, and an object that runs on
+    # any CPU sharing the cache directory.
+    assert "-ffp-contract=off" in native.FLAGS
+    assert not {"-ffast-math", "-march=native"} & set(native.FLAGS)
+    # One place decides the CBSR index width; the scratch csr_matmat route
+    # the loops replaced stays gone.
+    assert _occurrences("def index_dtype_for") == {"sparse/ops.py": 1}
+    for gone in ("csr_matmat", "csr_todense", '"spgemm.'):
+        assert _occurrences(gone) == {}
+
+
 def test_the_executed_program_does_not_import_the_simulator():
     assert _occurrences("gpusim", "tensor") == {}
 

@@ -11,6 +11,8 @@ or the oracle is a dense product, ``tests/conftest.py::tolerance`` — a
 multiple of the round-off of the width in force — is enforced.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro.core.cbsr import CBSRMatrix
 from repro.core.maxk import maxk_forward
 from repro.gpusim.kernels.spgemm import spgemm_execute
 from repro.gpusim.kernels.sspmm import sspmm_execute
-from repro.sparse import CSRMatrix, coo_to_csr, ops
+from repro.sparse import CSRMatrix, coo_to_csr, native, ops
 from repro.tensor import Workspace
 from tests.conftest import tolerance
 
@@ -539,9 +541,13 @@ class TestCbsrKernelBitIdentity:
             ("indices", 0, 7),  # == n_src
             ("indices", 0, -1),
             ("indptr", None, None),  # one offset short
+            ("indptr", -1, "overrun"),  # walks past indices / data
+            ("indptr", 0, 1),  # does not start at 0
+            ("indptr", 2, "descend"),  # a row ends before it starts
         ],
         ids=["sp_index-high", "sp_index-negative", "column-high",
-             "column-negative", "indptr-short"],
+             "column-negative", "indptr-short", "indptr-overrun",
+             "indptr-offset", "indptr-descending"],
     )
     def test_out_of_range_arguments_rejected(self, backend, field, where, value):
         """Checked in the dispatch, before any compiled accumulator is indexed."""
@@ -551,8 +557,12 @@ class TestCbsrKernelBitIdentity:
         assert adj.nnz > 0
         raw = {"indptr": adj.indptr.copy(), "indices": adj.indices.copy(),
                "sp_index": sp_index.astype(np.int64)}
-        if field == "indptr":
+        if where is None:
             raw["indptr"] = raw["indptr"][:-1]
+        elif value == "overrun":
+            raw["indptr"][-1] += 4
+        elif value == "descend":
+            raw["indptr"][where] = raw["indptr"][where + 1] + 1
         else:
             raw[field][where] = value
         csr = (raw["indptr"], raw["indices"], adj.data)
@@ -561,6 +571,157 @@ class TestCbsrKernelBitIdentity:
                 ops.spgemm_cbsr(*csr, sp_data, raw["sp_index"], 5, 6)
             with pytest.raises(ValueError):
                 ops.sspmm_cbsr(*csr, grad_out, raw["sp_index"], 7)
+
+
+#: CBSR_SHAPES plus a matrix without stored entries and a uint8 index
+#: holding every column (k == dim == 256).
+LOOP_SHAPES = {
+    **CBSR_SHAPES,
+    "no-edges": (2, 6, 9, 3, True),
+    "uint8-k-256": (4, 5, 256, 256, False),
+}
+
+
+class TestNativeCbsrLoops:
+    """The compiled SpGEMM / SSpMM (``sparse/native.py``) against the
+    ``reference`` loops, byte for byte, at both float widths and both
+    narrow index widths."""
+
+    @pytest.fixture
+    def library(self):
+        library = native.load()
+        if library is None:
+            pytest.skip("no C compiler: the compiled loops are not built")
+        return library
+
+    @staticmethod
+    def both_ways(library, csr, sp_data, index, grad_out, n_src):
+        n_rows, dim = grad_out.shape
+        reference = ops._REGISTRY["reference"]
+        expected = (
+            reference.spgemm_cbsr(*csr, sp_data, index, dim, n_rows),
+            reference.sspmm_cbsr(*csr, grad_out, index, n_src),
+        )
+        got = (
+            native.run(library, "spgemm", csr, sp_data, index, dim, (n_rows, dim)),
+            native.run(library, "sspmm", csr, grad_out, index, dim, index.shape),
+        )
+        return got, expected
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", LOOP_SHAPES.values(), ids=LOOP_SHAPES.keys())
+    def test_loops_are_the_reference_loops(self, library, dtype, shape):
+        adj, sp_data, sp_index, grad_out = cbsr_case(
+            np.random.default_rng(1005), *shape
+        )
+        index = sp_index.astype(ops.index_dtype_for(shape[2]))
+        csr = (adj.indptr, adj.indices, adj.data.astype(dtype))
+        got, expected = self.both_ways(
+            library, csr, sp_data.astype(dtype), index, grad_out.astype(dtype),
+            adj.n_cols,
+        )
+        assert expected[0].dtype == dtype
+        assert_same_bits(got, expected)
+
+    def test_strided_operands_are_made_contiguous(self, library):
+        adj, sp_data, sp_index, grad_out = cbsr_case(
+            np.random.default_rng(1006), 8, 10, 16, 4
+        )
+
+        def strided(array):  # same values, every other element of a copy
+            return np.repeat(array, 2, axis=-1)[..., ::2]
+
+        csr = (strided(adj.indptr), strided(adj.indices), strided(adj.data))
+        got, expected = self.both_ways(
+            library, csr, strided(sp_data), strided(sp_index.astype(np.uint8)),
+            np.asfortranarray(grad_out), adj.n_cols,
+        )
+        assert not csr[2].flags.c_contiguous
+        assert_same_bits(got, expected)
+
+    def test_without_a_compiler_the_public_route_serves(self, monkeypatch):
+        if "scipy" not in ops.available_backends():
+            pytest.skip("scipy not installed")
+        case = cbsr_case(np.random.default_rng(1007), 9, 14, 11, 4, True)
+        expected = run_cbsr_pair("reference", case)
+        assert_same_bits(run_cbsr_pair("scipy", case), expected)
+        monkeypatch.setattr(native, "load", lambda: None)
+        assert ops._REGISTRY["scipy"].cache_info()["native"] == 0
+        assert_same_bits(run_cbsr_pair("scipy", case), expected)
+
+    def test_the_cache_is_private_atomic_and_built_once(self, tmp_path, monkeypatch):
+        """Built once into a ``0700`` per-user directory; a fresh process
+        loads the cached object without compiling; a leftover temporary
+        file is never what gets loaded; a directory others can read or
+        write is refused."""
+        import json
+        import shutil
+        import subprocess
+        import sys
+
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert native._build() is not None
+        directory = native.cache_dir()
+        assert directory.parent == tmp_path
+        assert directory.stat().st_mode & 0o777 == 0o700
+        (built,) = directory.glob("*.so")
+        leftover = directory / "interrupted.tmp"
+        leftover.write_bytes(b"not an object file")
+
+        probe = (
+            "import json, subprocess\n"
+            "calls, real = [], subprocess.run\n"
+            "def spy(args, **kwargs):\n"
+            "    calls.append([str(arg) for arg in args])\n"
+            "    return real(args, **kwargs)\n"
+            "subprocess.run = spy\n"
+            "from repro.sparse import native\n"
+            "library = native.load()\n"
+            "print(json.dumps([library and library._name, calls]))\n"
+        )
+        src = str(native.SOURCE.parents[2])
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=300, check=True,
+            env=dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src),
+        )
+        loaded, calls = json.loads(result.stdout)
+        assert loaded == str(built)
+        assert calls and not any(str(native.SOURCE) in call for call in calls)
+
+        built.unlink()  # a lost object is rebuilt; the leftover is not it
+        assert native._build()._name == str(built) and built.exists()
+        assert leftover.read_bytes() == b"not an object file"
+
+        directory.chmod(0o755)
+        assert native._build() is None
+
+
+@pytest.mark.parametrize("name", ops.available_backends())
+def test_the_kernels_read_the_cbsr_index_block_itself(name, monkeypatch):
+    """The ``uint8`` block a ``CBSRMatrix`` stores reaches the backend as
+    that very array; a wider index handed in arrives narrowed to it."""
+    adj, sp_data, sp_index, grad_out = cbsr_case(
+        np.random.default_rng(1008), 6, 7, 10, 3
+    )
+    cbsr = CBSRMatrix(sp_data, sp_index, 10)
+    implementation, seen = ops._REGISTRY[name], []
+    for kernel in ("spgemm_cbsr", "sspmm_cbsr"):
+        def spy(*args, real=getattr(implementation, kernel)):
+            seen.append(args[4])  # sp_index, in both signatures
+            return real(*args)
+
+        monkeypatch.setattr(implementation, kernel, spy)
+    csr = (adj.indptr, adj.indices, adj.data)
+    with ops.use_backend(name):
+        for index in (cbsr.sp_index, sp_index.astype(np.int64)):
+            ops.spgemm_cbsr(*csr, cbsr.sp_data, index, 10, adj.n_rows)
+            ops.sspmm_cbsr(*csr, grad_out, index, adj.n_cols)
+    assert seen[0] is cbsr.sp_index and seen[1] is cbsr.sp_index
+    assert [s.dtype for s in seen] == [np.dtype(np.uint8)] * 4
+    assert bytes_equal(seen[2], cbsr.sp_index)
 
 
 class TestRegistry:
@@ -639,8 +800,9 @@ class TestTensorGatherBackward:
         np.testing.assert_array_equal(tensor.grad, np.zeros((0, 3)))
 
     def test_scipy_sspmm_matches_vectorized(self):
-        """The transposed-product route agrees with the k-sampled
-        vectorized scatter it overrides."""
+        """The compiled row-order walk (the transposed-product route where
+        no compiler builds it) agrees with the k-sampled vectorized scatter
+        it overrides."""
         if "scipy" not in ops.available_backends():
             pytest.skip("scipy not installed")
         backend = ops._REGISTRY["scipy"]
