@@ -31,15 +31,9 @@ def _validate_csr_buffers(indptr, indices, data, shape):
         raise ValueError(
             f"indptr has length {len(indptr)}, expected n_rows + 1 = {n_rows + 1}"
         )
-    if indptr[0] != 0:
-        raise ValueError("indptr must start at 0")
     if len(indices) != len(data):
         raise ValueError("indices and data must have equal length")
-    if indptr[-1] != len(indices):
-        raise ValueError("indptr[-1] must equal nnz")
-    if np.any(np.diff(indptr) < 0):
-        raise ValueError("indptr must be non-decreasing")
-    if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
+    if ops._check_adjacency(indptr, indices) > n_cols:
         raise ValueError("column indices out of range")
 
 
@@ -50,9 +44,10 @@ class CSRMatrix:
     Attributes
     ----------
     indptr:
-        ``int64[n_rows + 1]`` row pointer array.
+        ``int64[n_rows + 1]`` row pointer array (read-only).
     indices:
-        ``int64[nnz]`` column index of every stored entry, sorted within rows.
+        ``int64[nnz]`` column index of every stored entry, sorted within rows
+        (read-only).
     data:
         ``float[nnz]`` value of every stored entry (``ops.FLOAT_DTYPE``).
     shape:
@@ -65,8 +60,12 @@ class CSRMatrix:
     shape: Tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "indptr", np.asarray(self.indptr, dtype=np.int64))
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
+        for name in ("indptr", "indices"):
+            # Read-only: bounds validated once stay valid (the scipy backend
+            # keeps them per buffer triple instead of re-reading nnz a call).
+            index = np.asarray(getattr(self, name), dtype=np.int64)
+            index.flags.writeable = False
+            object.__setattr__(self, name, index)
         data = np.asarray(self.data, dtype=ops.FLOAT_DTYPE)
         object.__setattr__(self, "data", data)
         _validate_csr_buffers(self.indptr, self.indices, self.data, self.shape)

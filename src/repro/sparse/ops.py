@@ -22,11 +22,11 @@ Backends
     plans. Accumulation visits elements in input order, so results are
     bit-identical to ``reference``.
 ``scipy``
-    The ``vectorized`` backend with the CSR SpMM delegated to scipy's
-    compiled CSR kernel and the CBSR SpGEMM / SSpMM pair to the two C loops
-    of :mod:`repro.sparse.native` (scipy's public ``A @ B`` route where no
-    compiler builds them) — same sequential accumulation order, so still
-    bit-identical. Registered only when scipy imports.
+    The ``vectorized`` backend with the CSR SpMM and the CBSR SpGEMM /
+    SSpMM pair delegated to the C loops of :mod:`repro.sparse.native`, on
+    every free core (scipy's public ``A @ B`` route where no compiler
+    builds them) — same sequential accumulation order per output element,
+    so still bit-identical. Registered only when scipy imports.
 
 Selection
 ---------
@@ -51,15 +51,6 @@ try:  # gated optional dependency; never required
     import scipy.sparse as _scipy_sparse
 except ImportError:  # pragma: no cover - exercised only on scipy-less images
     _scipy_sparse = None
-
-try:  # compiled accumulate-into-out SpMM (the kernel csr @ dense rides)
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-except ImportError:  # pragma: no cover - scipy-less or renamed private module
-    _scipy_sparsetools = None
-if _scipy_sparsetools is not None and not hasattr(
-    _scipy_sparsetools, "csr_matvecs"
-):  # pragma: no cover - future scipy renames degrade to the copy path
-    _scipy_sparsetools = None
 
 __all__ = [
     "SparseOpsBackend",
@@ -241,7 +232,7 @@ class SparseOpsBackend:
 
         The inverse of :meth:`release`: a caching backend builds whatever
         wrappers / execution plans its hot kernels would lazily construct
-        on first touch (the scipy backend's ``csr_array`` wrappers, the
+        on first touch (the scipy backend's validated adjacency pins, the
         vectorized backend's degree-bucketed SpMM plans), so a prefetching
         data flow can move that work off the training critical path onto
         its background thread. No-op for stateless backends.
@@ -348,10 +339,10 @@ class _IdKeyedLRU(dict):
 
     Values must hold *strong* references to the keyed buffers: an id key is
     only valid while the keyed object is alive, and weakrefs cannot replace
-    them because what is cached (SpMM plans, scipy wrappers) shares or
-    indexes those very buffers. Every step is a single atomic dict
-    operation, so a prefetch thread warming entries while the trainer
-    touches or releases them needs no lock.
+    them because what is cached (SpMM plans, the compiled loops' pins)
+    indexes or points into those very buffers. Every step is a single
+    atomic dict operation, so a prefetch thread warming entries while the
+    trainer touches or releases them needs no lock.
     """
 
     #: Max entries per cache; inserting beyond it evicts oldest-first.
@@ -528,8 +519,8 @@ class VectorizedBackend(SparseOpsBackend):
         Only this structural grouping is cached — the edge columns and
         weights are gathered from the live ``indices`` / ``data`` arrays
         on every call, so in-place mutation of the stored values stays
-        visible exactly as it is through scipy's buffer-sharing wrapper
-        and the reference loop. Building costs one stable argsort over the
+        visible exactly as it is through the compiled loops' pinned
+        pointers and the reference loop. Building costs one stable argsort over the
         degrees and is what :meth:`warm` moves onto the prefetch thread.
         """
         key = _IdKeyedLRU.key(indptr, indices, data)
@@ -722,82 +713,81 @@ class VectorizedBackend(SparseOpsBackend):
 
 
 class ScipyBackend(VectorizedBackend):
-    """Vectorized backend with the aggregations served by compiled kernels.
+    """Vectorized backend with the aggregations served by compiled loops.
 
-    The SpMM is scipy's ``csr_matvecs``; the CBSR SpGEMM / SSpMM are the
-    k-proportional C loops of :mod:`repro.sparse.native`, reading the
-    ``sp_index`` block at its CBSR width. Both accumulate sequentially over
-    stored entries — the order of the reference loops and the ``add.at``
-    scatter — so outputs stay bit-identical while the hot aggregation runs
-    in compiled code. Where the private module lacks ``csr_matvecs`` or no
-    compiler builds the loops, scipy's public ``A @ B`` route serves (the
-    same row-sequential accumulation); ``cache_info()["native"]`` says
-    whether the loops are live.
+    The SpMM and the CBSR SpGEMM / SSpMM are the C loops of
+    :mod:`repro.sparse.native` (the CBSR pair reads ``sp_index`` at its
+    CBSR width): each output element accumulates in stored-edge order at
+    any thread count, so outputs stay bit-identical. Without a compiler
+    scipy's public ``A @ B`` serves the same row-sequential accumulation;
+    ``cache_info()["native"]`` is the loops' thread count (0: not built).
+    A *read-only* CSR buffer triple's O(nnz) bounds and pin are kept in
+    the LRU (:meth:`csr_bound`); a writable one is checked on every call.
     """
 
     name = "scipy"
 
     def __init__(self):
         super().__init__()
-        # ``csr_array`` wrappers sharing each CSR buffer triple.
+        # (column bound, native pin, the keyed triple) per read-only triple.
         self._csr_cache = _IdKeyedLRU()
         self._caches.append(self._csr_cache)
 
     def warm(self, matrices) -> None:
+        from .csr import CSRMatrix  # validated as it was built
+
         for matrix in matrices:
-            self._matrix(matrix.indptr, matrix.indices, matrix.data,
-                         matrix.shape)
+            self.csr_bound(matrix.indptr, matrix.indices, matrix.data,
+                           matrix.shape[1] if isinstance(matrix, CSRMatrix) else None)
 
     def cache_info(self) -> Dict[str, int]:
         info = super().cache_info()
         info["csr_entries"] = len(self._csr_cache)
-        info["native"] = int(native.load() is not None)
+        library = native.load()
+        info["native"] = 0 if library is None else library.threads()
         return info
 
-    def _matrix(self, indptr, indices, data, shape):
+    def csr_bound(self, indptr, indices, data, checked=None) -> int:
+        """:func:`_check_adjacency`, kept (with the pin) per read-only triple;
+        ``checked`` is a bound these read-only buffers were checked against."""
+        if not (_frozen(indptr) and _frozen(indices) and data.flags.c_contiguous):
+            return _check_adjacency(indptr, indices)  # a pin would go stale
         key = _IdKeyedLRU.key(indptr, indices, data)
-        hit = self._csr_cache.touch(key)
-        if hit is not None and hit[2] == shape:
-            return hit[0]
-        matrix = _scipy_sparse.csr_array((data, indices, indptr), shape=shape)
-        self._csr_cache.insert(key, (matrix, (indptr, indices, data), shape))
-        return matrix
+        entry = self._csr_cache.touch(key)
+        if entry is None:
+            bound = _check_adjacency(indptr, indices) if checked is None else checked
+            entry = (bound, native.pin(indptr, indices, data), (indptr, indices, data))
+            self._csr_cache.insert(key, entry)
+        return entry[0]
+
+    def _pinned(self, indptr, indices, data) -> tuple:
+        """The pin the dispatch's :meth:`csr_bound` kept, or a fresh one (a
+        writable triple it checked, or a direct call with valid inputs)."""
+        entry = self._csr_cache.get(_IdKeyedLRU.key(indptr, indices, data))
+        return native.pin(indptr, indices, data) if entry is None else entry[1]
 
     def spmm_csr(self, indptr, indices, data, x, n_rows, out=None):
-        if x.ndim > 2:
-            return super(ScipyBackend, self).spmm_csr(
-                indptr, indices, data, x, n_rows, out=out
-            )
-        matrix = self._matrix(indptr, indices, data, (n_rows, x.shape[0]))
+        library = native.load()
+        if library is not None:
+            return native.spmm(library, self._pinned(indptr, indices, data), x, out)
+        # scipy's public ``A @ X``, over the (n, -1) view of wider maps.
+        flat = x.reshape(len(x), int(np.prod(x.shape[1:])))
+        matrix = _scipy_sparse.csr_array((data, indices, indptr), (n_rows, len(x)))
+        result = (matrix @ flat).reshape((n_rows,) + x.shape[1:])
         if out is None:
-            return matrix @ x
-        if (
-            _scipy_sparsetools is not None
-            and x.flags.c_contiguous
-            and out.flags.c_contiguous
-        ):
-            # csr_matvecs accumulates ``out += A @ X`` row-sequentially —
-            # the exact kernel ``matrix @ x`` dispatches to, minus the
-            # fresh result allocation — so values stay bit-identical.
-            out[...] = 0.0
-            _scipy_sparsetools.csr_matvecs(
-                n_rows, x.shape[0], x.shape[1],
-                matrix.indptr, matrix.indices, matrix.data,
-                x.ravel(), out.ravel(),
-            )
-            return out
-        np.copyto(out, matrix @ x)  # pragma: no cover - contiguity fallback
+            return result
+        np.copyto(out, result)
         return out
 
     def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
         library = native.load()
         if library is not None:
             index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
-            return native.run(library, "spgemm", (indptr, indices, data),
+            return native.run(library, "spgemm", self._pinned(indptr, indices, data),
                               sp_data, index, dim_origin, (n_rows, dim_origin))
         # The CBSR blocks are a CSR matrix with exactly k entries per row.
         n_src, k = sp_index.shape
-        adjacency = self._matrix(indptr, indices, data, (n_rows, n_src))
+        adjacency = _scipy_sparse.csr_array((data, indices, indptr), (n_rows, n_src))
         features = _scipy_sparse.csr_array(
             (sp_data.ravel(), sp_index.ravel(), np.arange(n_src + 1) * k),
             shape=(n_src, dim_origin),
@@ -809,12 +799,12 @@ class ScipyBackend(VectorizedBackend):
         if library is not None:
             dim_origin = grad_out.shape[1]
             index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
-            return native.run(library, "sspmm", (indptr, indices, data),
+            return native.run(library, "sspmm", self._pinned(indptr, indices, data),
                               grad_out, index, dim_origin, sp_index.shape)
         # A^T @ dX_l through the shared CSR buffers (the CSC view of A^T),
         # then sample the dense source gradients at the forward pattern.
-        adjacency = self._matrix(
-            indptr, indices, data, (len(indptr) - 1, n_src)
+        adjacency = _scipy_sparse.csr_array(
+            (data, indices, indptr), (len(indptr) - 1, n_src)
         )
         dense_grad = adjacency.T @ grad_out
         return np.take_along_axis(dense_grad, sp_index, axis=1)
@@ -965,38 +955,65 @@ def spmm_csr(indptr, indices, data, x, n_rows: int, out=None) -> np.ndarray:
     dataflow every aggregation kernel in the system rides.
 
     ``out``, when given, must be an array of the result shape and the
-    operands' dtype; the product is written there and returned, letting the
-    training hot path aggregate into workspace-planned buffers.
+    operands' dtype, disjoint from ``x``; the product is written there and
+    returned, letting the training hot path aggregate into
+    workspace-planned buffers.
     """
     x = np.asarray(x, dtype=FLOAT_DTYPE)
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     data = np.asarray(data, dtype=FLOAT_DTYPE)
+    _check_csr(indptr, indices, data, n_rows, len(x))
+    out = _check_out(out, (n_rows,) + x.shape[1:], x.dtype)
+    if out is not None and np.may_share_memory(out, x):
+        raise ValueError("out must not overlap x")
     if x.ndim == 1:
-        out = _check_out(out, (n_rows,), x.dtype)
         column = None if out is None else out[:, None]
         result = _ACTIVE.spmm_csr(
             indptr, indices, data, x[:, None], n_rows, out=column
         )[:, 0]
         return result if out is None else out
-    out = _check_out(out, (n_rows,) + x.shape[1:], x.dtype)
     return _ACTIVE.spmm_csr(indptr, indices, data, x, n_rows, out=out)
+
+
+def _frozen(array) -> bool:
+    """Whether ``array`` and every array it views are read-only."""
+    while isinstance(array, np.ndarray) and not array.flags.writeable:
+        array = array.base
+    return not isinstance(array, np.ndarray)
+
+
+def _check_adjacency(indptr, indices, data=None) -> int:
+    """The O(nnz) bounds of a CSR adjacency: ``indptr`` rises from 0 to
+    ``len(indices)``; answers the columns it spans (the largest + 1, beyond
+    any bound if one is negative). ``data`` is not read: the signature is
+    ``csr_bound``'s."""
+    if indptr[0] != 0 or indptr[-1] != len(indices) or (
+        indptr[1:] < indptr[:-1]
+    ).any():
+        raise ValueError("indptr must rise monotonically from 0 to len(indices)")
+    # Viewed unsigned, a negative column exceeds every bound: one pass.
+    return int(indices.view(np.uint64).max()) + 1 if indices.size else 0
+
+
+def _check_csr(indptr, indices, data, n_rows, n_cols) -> None:
+    """Every adjacency bound the kernels index with: O(1) shape facts, and
+    :func:`_check_adjacency`, unless the backend keeps it (``csr_bound``)."""
+    if indices.ndim != 1 or data.shape != indices.shape:
+        raise ValueError("indices and data must be matching 1-D arrays")
+    if indptr.shape != (n_rows + 1,):
+        raise ValueError("indptr must hold n_rows + 1 offsets")
+    # ``getattr``: a delegating wrapper backend reaches its inner one's hook.
+    check = getattr(_ACTIVE, "csr_bound", _check_adjacency)
+    if check(indptr, indices, data) > n_cols:
+        raise ValueError("adjacency column indices out of range")
 
 
 def _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows):
     """Every bound the compiled kernels index with, unchecked; answers
     ``sp_index`` at :func:`index_dtype_for`'s width (narrowed only after its
     range is known, never copied when it already is that width)."""
-    if indices.ndim != 1 or data.shape != indices.shape:
-        raise ValueError("indices and data must be matching 1-D arrays")
-    if indptr.shape != (n_rows + 1,):
-        raise ValueError("indptr must hold n_rows + 1 offsets")
-    if indptr[0] != 0 or indptr[-1] != len(indices) or (
-        indptr[1:] < indptr[:-1]
-    ).any():
-        raise ValueError("indptr must rise monotonically from 0 to len(indices)")
-    if indices.size and not 0 <= indices.min() <= indices.max() < len(sp_index):
-        raise ValueError("adjacency column indices out of range")
+    _check_csr(indptr, indices, data, n_rows, len(sp_index))
     if sp_index.size and not 0 <= sp_index.min() <= sp_index.max() < dim_origin:
         raise ValueError("sp_index entries must be in [0, dim_origin)")
     return sp_index.astype(index_dtype_for(dim_origin), copy=False)

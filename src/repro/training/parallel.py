@@ -57,6 +57,7 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..graphs.shm import SharedGraphStore, shared_memory_available
 from ..sparse import CSRMatrix
+from ..sparse.native import available_cores
 from ..sparse.ops import get_backend, set_backend
 from .supervision import (
     SupervisedPool,
@@ -86,16 +87,6 @@ __all__ = [
 #: Set to ``1`` to run process pools even when the host reports fewer CPU
 #: cores than requested workers (tests / single-core CI coverage).
 FORCE_ENV = "REPRO_FORCE_PROCS"
-
-
-def available_cores() -> int:
-    """Usable CPU cores (affinity-aware where the platform reports it)."""
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            return len(os.sched_getaffinity(0)) or 1
-        except OSError:
-            pass
-    return os.cpu_count() or 1
 
 
 def processes_forced() -> bool:

@@ -136,10 +136,14 @@ def test_the_compiled_tier_lives_in_one_module():
     assert "-ffp-contract=off" in native.FLAGS
     assert not {"-ffast-math", "-march=native"} & set(native.FLAGS)
     # One place decides the CBSR index width; the scratch csr_matmat route
-    # the loops replaced stays gone.
+    # and scipy's private csr_matvecs SpMM the loops replaced stay gone.
     assert _occurrences("def index_dtype_for") == {"sparse/ops.py": 1}
-    for gone in ("csr_matmat", "csr_todense", '"spgemm.'):
+    for gone in ("csr_matmat", "csr_todense", '"spgemm.', "_sparsetools",
+                 "csr_matvecs"):
         assert _occurrences(gone) == {}
+    # One core count: the loops' threads and the process pools' guard.
+    assert _occurrences("sched_getaffinity") == {"sparse/native.py": 1}
+    assert _occurrences("def available_cores") == {"sparse/native.py": 1}
 
 
 def test_the_executed_program_does_not_import_the_simulator():

@@ -11,6 +11,7 @@ or the oracle is a dense product, ``tests/conftest.py::tolerance`` — a
 multiple of the round-off of the width in force — is enforced.
 """
 
+import ctypes
 import os
 
 import numpy as np
@@ -28,11 +29,11 @@ OTHER_BACKENDS = [n for n in ops.available_backends() if n != "reference"]
 SEEDS = [0, 1, 2, 3, 4]
 
 
-def random_csr(rng, n_rows=None, n_cols=None):
+def random_csr(rng, n_rows=None, n_cols=None, nnz=None):
     """Random CSR matrix with duplicate edges and (often) empty rows."""
     n_rows = n_rows or int(rng.integers(1, 40))
     n_cols = n_cols or int(rng.integers(1, 40))
-    nnz = int(rng.integers(0, 4 * n_rows + 1))
+    nnz = int(rng.integers(0, 4 * n_rows + 1)) if nnz is None else nnz
     rows = rng.integers(0, n_rows, nnz)
     cols = rng.integers(0, n_cols, nnz)
     data = rng.normal(size=nnz)
@@ -396,9 +397,9 @@ class TestKernelEquivalence:
         assert bytes_equal(actual_bwd.sp_data, expected_bwd.sp_data)
 
 
-def cbsr_case(rng, n_rows, n_src, dim, k, empty_rows=False):
+def cbsr_case(rng, n_rows, n_src, dim, k, empty_rows=False, nnz=None):
     """(adjacency, sp_data, sp_index, grad_out) with sorted distinct columns."""
-    adj = random_csr(rng, n_rows=n_rows, n_cols=n_src)
+    adj = random_csr(rng, n_rows=n_rows, n_cols=n_src, nnz=nnz)
     if empty_rows:  # first and last row empty, plus whatever random_csr left
         dense = adj.to_dense()
         dense[[0, -1]] = 0.0
@@ -456,40 +457,46 @@ class TestCbsrKernelBitIdentity:
             )
 
     def test_scipy_public_api_fallback_same_bits(self, monkeypatch):
-        """Without the private compiled module the ``A @ B`` route serves."""
+        """Without a compiler scipy's public ``A @ X`` serves the SpMM —
+        2-D, through the ``(n, -1)`` view and into a strided ``out`` — with
+        the compiled loop's bytes."""
         if "scipy" not in ops.available_backends():
             pytest.skip("scipy not installed")
-        case = cbsr_case(np.random.default_rng(1002), 9, 14, 11, 4, True)
-        direct = run_cbsr_pair("scipy", case)
-        monkeypatch.setattr(ops, "_scipy_sparsetools", None)
-        assert_same_bits(run_cbsr_pair("scipy", case), direct)
-        assert_same_bits(direct, run_cbsr_pair("reference", case))
+        adj = cbsr_case(np.random.default_rng(1002), 9, 14, 11, 4, True)[0]
+        rng = np.random.default_rng(1003)
+        inputs = [rng.normal(size=(adj.n_cols,) + trailing).astype(adj.data.dtype)
+                  for trailing in [(3,), (2, 5), ()]]
 
-    def test_missing_cbsr_kernel_degrades_only_the_cbsr_route(self, monkeypatch):
-        """A private module without ``csr_matmat`` keeps the SpMM fast path."""
-        if ops._scipy_sparsetools is None:
-            pytest.skip("scipy's private kernels not importable")
-        from types import SimpleNamespace
+        def products():
+            with ops.use_backend("scipy"):
+                for x in inputs:
+                    yield adj.matmul_dense(x)
+                    out = np.full((adj.n_rows, 2) + x.shape[1:], np.nan,
+                                  dtype=x.dtype)[:, 0]
+                    yield adj.matmul_dense(x, out=out).copy()
 
-        case = cbsr_case(np.random.default_rng(1004), 9, 14, 11, 4, True)
-        direct = run_cbsr_pair("scipy", case)
-        calls = []
+        direct = list(products())
+        monkeypatch.setattr(native, "load", lambda: None)
+        assert_same_bits(list(products()), direct)
+        with ops.use_backend("reference"):
+            expected = [adj.matmul_dense(x) for x in inputs for _ in "ab"]
+        assert_same_bits(direct, expected)
 
-        def csr_matvecs(*args):
-            calls.append("csr_matvecs")
-            real(*args)
-
-        real = ops._scipy_sparsetools.csr_matvecs
+    def test_the_scipy_spmm_is_the_compiled_loop(self, monkeypatch):
+        """The scipy backend's SpMM calls the native loop whenever it is
+        built — for wider feature maps too (no vectorized fallback)."""
+        if "scipy" not in ops.available_backends() or native.load() is None:
+            pytest.skip("the compiled loops are not built")
+        adj = cbsr_case(np.random.default_rng(1004), 9, 14, 11, 4, True)[0]
+        calls, real = [], native.spmm
         monkeypatch.setattr(
-            ops, "_scipy_sparsetools", SimpleNamespace(csr_matvecs=csr_matvecs)
+            native, "spmm", lambda *args: calls.append(args[2].shape) or real(*args)
         )
-        assert_same_bits(run_cbsr_pair("scipy", case), direct)
-        adj, x = case[0], np.ones((case[0].n_cols, 3), dtype=case[0].data.dtype)
-        ops._REGISTRY["scipy"].spmm_csr(
-            adj.indptr, adj.indices, adj.data, x, adj.n_rows,
-            out=np.empty((adj.n_rows, 3), dtype=x.dtype),
-        )
-        assert calls == ["csr_matvecs"]
+        monkeypatch.setattr(ops.VectorizedBackend, "spmm_csr", None)
+        with ops.use_backend("scipy"):
+            for shape in [(adj.n_cols, 3), (adj.n_cols, 2, 4), (adj.n_cols,)]:
+                adj.matmul_dense(np.ones(shape, dtype=adj.data.dtype))
+        assert calls == [(adj.n_cols, 3), (adj.n_cols, 2, 4), (adj.n_cols, 1)]
 
     def test_threads_do_not_share_scratch(self, backend):
         """The prefetch warm thread and the trainer may both be inside a
@@ -582,10 +589,18 @@ LOOP_SHAPES = {
 }
 
 
+def wide_case(rng, work):
+    """A CBSR case whose SpMM / SpGEMM / SSpMM all do at least ``work``
+    multiply-adds (``nnz * k``), so the loops take their threaded branch
+    (twice the edges: duplicates merge)."""
+    return cbsr_case(rng, 500, 500, 128, 64, nnz=2 * work // 64)
+
+
 class TestNativeCbsrLoops:
-    """The compiled SpGEMM / SSpMM (``sparse/native.py``) against the
-    ``reference`` loops, byte for byte, at both float widths and both
-    narrow index widths."""
+    """The compiled SpMM / SpGEMM / SSpMM (``sparse/native.py``) against
+    the ``reference`` loops, byte for byte: both float widths, both narrow
+    index widths, one thread and several, below and above
+    ``MIN_PARALLEL_WORK``."""
 
     @pytest.fixture
     def library(self):
@@ -595,32 +610,64 @@ class TestNativeCbsrLoops:
         return library
 
     @staticmethod
-    def both_ways(library, csr, sp_data, index, grad_out, n_src):
+    def threshold(library):
+        return ctypes.c_int64.in_dll(library, "min_parallel_work").value
+
+    @staticmethod
+    def all_three(library, csr, x, sp_data, index, grad_out, n_src):
         n_rows, dim = grad_out.shape
         reference = ops._REGISTRY["reference"]
         expected = (
+            reference.spmm_csr(*csr, x, n_rows),
             reference.spgemm_cbsr(*csr, sp_data, index, dim, n_rows),
             reference.sspmm_cbsr(*csr, grad_out, index, n_src),
         )
+        pinned = native.pin(*csr)
         got = (
-            native.run(library, "spgemm", csr, sp_data, index, dim, (n_rows, dim)),
-            native.run(library, "sspmm", csr, grad_out, index, dim, index.shape),
+            native.spmm(library, pinned, x),
+            native.run(library, "spgemm", pinned, sp_data, index, dim, (n_rows, dim)),
+            native.run(library, "sspmm", pinned, grad_out, index, dim, index.shape),
         )
         return got, expected
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", LOOP_SHAPES.values(), ids=LOOP_SHAPES.keys())
-    def test_loops_are_the_reference_loops(self, library, dtype, shape):
-        adj, sp_data, sp_index, grad_out = cbsr_case(
-            np.random.default_rng(1005), *shape
-        )
+    def test_loops_are_the_reference_loops(
+        self, library, dtype, shape, threads, monkeypatch
+    ):
+        monkeypatch.setattr(library, "threads", lambda: threads)
+        rng = np.random.default_rng(1005)
+        adj, sp_data, sp_index, grad_out = cbsr_case(rng, *shape)
         index = sp_index.astype(ops.index_dtype_for(shape[2]))
         csr = (adj.indptr, adj.indices, adj.data.astype(dtype))
-        got, expected = self.both_ways(
-            library, csr, sp_data.astype(dtype), index, grad_out.astype(dtype),
+        x = rng.normal(size=(adj.n_cols, 3, 2)).astype(dtype)  # the (n, -1) view
+        got, expected = self.all_three(
+            library, csr, x, sp_data.astype(dtype), index, grad_out.astype(dtype),
             adj.n_cols,
         )
-        assert expected[0].dtype == dtype
+        assert expected[0].dtype == expected[1].dtype == dtype
+        assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])  # 3 does not divide n_src
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_threaded_loops_are_the_reference_loops(
+        self, library, dtype, threads, monkeypatch
+    ):
+        """Above ``MIN_PARALLEL_WORK`` the rows split over the threads: the
+        SpMM and SpGEMM by output row, the SSpMM by the owner's block of
+        source rows, each element still summed in stored-edge order."""
+        monkeypatch.setattr(library, "threads", lambda: threads)
+        rng = np.random.default_rng(1009)
+        adj, sp_data, sp_index, grad_out = wide_case(rng, self.threshold(library))
+        assert adj.nnz * sp_index.shape[1] >= self.threshold(library)
+        assert adj.n_cols % 3
+        csr = (adj.indptr, adj.indices, adj.data.astype(dtype))
+        x = rng.normal(size=(adj.n_cols, 4, 16)).astype(dtype)
+        got, expected = self.all_three(
+            library, csr, x, sp_data.astype(dtype), sp_index.astype(np.uint8),
+            grad_out.astype(dtype), adj.n_cols,
+        )
         assert_same_bits(got, expected)
 
     def test_strided_operands_are_made_contiguous(self, library):
@@ -632,8 +679,9 @@ class TestNativeCbsrLoops:
             return np.repeat(array, 2, axis=-1)[..., ::2]
 
         csr = (strided(adj.indptr), strided(adj.indices), strided(adj.data))
-        got, expected = self.both_ways(
-            library, csr, strided(sp_data), strided(sp_index.astype(np.uint8)),
+        got, expected = self.all_three(
+            library, csr, np.asfortranarray(np.tile(sp_data, 2)),
+            strided(sp_data), strided(sp_index.astype(np.uint8)),
             np.asfortranarray(grad_out), adj.n_cols,
         )
         assert not csr[2].flags.c_contiguous
@@ -698,6 +746,78 @@ class TestNativeCbsrLoops:
         directory.chmod(0o755)
         assert native._build() is None
 
+    def test_a_compiler_without_openmp_builds_the_same_loops(
+        self, library, tmp_path, monkeypatch
+    ):
+        """The same file builds without ``-fopenmp`` (and a failing first
+        flag set falls through to it): one-thread loops, the same bytes,
+        while the core count the program answers is unchanged."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        plain = native._build(
+            variants=(native.FLAGS + ("-fno-such-flag",), native.FLAGS)
+        )
+        assert plain is not None and plain.threads() == 1
+        assert native.available_cores() == len(os.sched_getaffinity(0))
+        rng = np.random.default_rng(1010)
+        adj, sp_data, sp_index, grad_out = wide_case(rng, self.threshold(library))
+        x = rng.normal(size=(adj.n_cols, 8)).astype(adj.data.dtype)
+        csr = (adj.indptr, adj.indices, adj.data)
+        index = sp_index.astype(np.uint8)
+        got, expected = self.all_three(
+            plain, csr, x, sp_data, index, grad_out, adj.n_cols
+        )
+        assert_same_bits(got, expected)
+
+    def test_the_thread_count_is_the_main_process_affinity(self, library):
+        """The one core count: the affinity mask in the main thread of the
+        main process, 1 in a spawned pool worker and in any other thread,
+        and what ``cache_info()["native"]`` reports for the loops."""
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        cores = len(os.sched_getaffinity(0))
+        assert native.available_cores() == cores
+        if "scipy" in ops.available_backends():
+            native_threads = ops._REGISTRY["scipy"].cache_info()["native"]
+            assert native_threads == library.threads() in (1, cores)
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(native.available_cores()))
+        thread.start()
+        thread.join(timeout=60)
+        assert seen == [1]
+        with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+            assert pool.submit(native.available_cores).result(timeout=120) == 1
+
+    def test_a_forked_child_runs_the_loops_on_one_thread(self, library, monkeypatch):
+        """libgomp's pool does not survive ``fork``: after the parent ran a
+        threaded region, a forked child must still finish its loops."""
+        from multiprocessing import get_context
+
+        rng = np.random.default_rng(1011)
+        adj = wide_case(rng, self.threshold(library))[0]
+        x = rng.normal(size=(adj.n_cols, 64)).astype(adj.data.dtype)
+        with ops.use_backend("reference"):
+            expected = adj.matmul_dense(x)
+        with monkeypatch.context() as patch:
+            patch.setattr(library, "threads", lambda: max(2, native.available_cores()))
+            assert native.spmm(library, native.pin(adj.indptr, adj.indices, adj.data),
+                               x).tobytes() == expected.tobytes()
+
+        def child():
+            got = native.spmm(library, native.pin(adj.indptr, adj.indices, adj.data), x)
+            os._exit(0 if native.available_cores() == 1
+                     and got.tobytes() == expected.tobytes() else 1)
+
+        process = get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=60)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("the forked child hung inside the loops")
+        assert process.exitcode == 0
+
 
 @pytest.mark.parametrize("name", ops.available_backends())
 def test_the_kernels_read_the_cbsr_index_block_itself(name, monkeypatch):
@@ -722,6 +842,70 @@ def test_the_kernels_read_the_cbsr_index_block_itself(name, monkeypatch):
     assert seen[0] is cbsr.sp_index and seen[1] is cbsr.sp_index
     assert [s.dtype for s in seen] == [np.dtype(np.uint8)] * 4
     assert bytes_equal(seen[2], cbsr.sp_index)
+
+
+@pytest.mark.parametrize("name", ops.available_backends())
+def test_an_out_that_overlaps_x_is_refused(name):
+    """``spmm_csr(..., x, out=x)`` would read rows it already overwrote (the
+    compiled loop's ``restrict`` makes it undefined): every backend refuses
+    an ``out`` sharing memory with ``x``, whole or in part."""
+    adj = cbsr_case(np.random.default_rng(1012), 7, 7, 4, 2)[0]
+    buffer = np.ones((adj.n_cols + 1, 3), dtype=adj.data.dtype)
+    x, column = buffer[:-1], buffer[:-1, 0]
+    with ops.use_backend(name):
+        for operand, out in [(x, x), (x, buffer[1:]), (x, x[::-1]),
+                             (column, column)]:
+            with pytest.raises(ValueError, match="overlap"):
+                ops.spmm_csr(adj.indptr, adj.indices, adj.data, operand,
+                             adj.n_rows, out=out)
+        out = np.empty_like(x)  # a disjoint out still works
+        assert ops.spmm_csr(adj.indptr, adj.indices, adj.data, x, adj.n_rows,
+                            out=out) is out
+
+
+def test_bounds_are_validated_once_per_read_only_adjacency(monkeypatch):
+    """The scipy backend keeps an adjacency's O(nnz) bounds per read-only
+    buffer triple (a warmed ``CSRMatrix`` brings the check it was built
+    with); a writable one — or a read-only view of writable bytes — is
+    re-validated on every call, so an in-place edit is caught."""
+    if "scipy" not in ops.available_backends():
+        pytest.skip("scipy not installed")
+    adj = cbsr_case(np.random.default_rng(1013), 12, 12, 4, 2)[0]
+    checks, real = [], ops._check_adjacency
+    monkeypatch.setattr(
+        ops, "_check_adjacency", lambda *args: checks.append(1) or real(*args)
+    )
+    x = np.ones((adj.n_cols, 3), dtype=adj.data.dtype)
+    assert not adj.indptr.flags.writeable and not adj.indices.flags.writeable
+    backend = ops._REGISTRY["scipy"]
+    backend.release([adj])
+    with ops.use_backend("scipy"):
+        for _ in range(3):
+            first = adj.matmul_dense(x)
+        assert len(checks) == 1
+        np.multiply(adj.data, 2, out=adj.data)  # the weights stay live
+        assert bytes_equal(adj.matmul_dense(x), first * 2)
+        backend.release([adj])
+        adj.matmul_dense(x)
+        assert len(checks) == 2
+        backend.release([adj])
+        ops.warm([adj])  # a CSRMatrix was checked as it was built
+        adj.matmul_dense(x)
+        assert len(checks) == 2
+
+        indptr, indices = adj.indptr.copy(), adj.indices.copy()
+        view = indices.view()
+        view.flags.writeable = False
+        for columns in (indices, view):
+            del checks[:]
+            for _ in range(3):
+                ops.spmm_csr(indptr, columns, adj.data, x, adj.n_rows)
+            assert len(checks) == 3
+        indices[0] = adj.n_cols  # edited in place, past the last column
+        with pytest.raises(ValueError, match="out of range"):
+            ops.spmm_csr(indptr, indices, adj.data, x, adj.n_rows)
+        with pytest.raises(ValueError, match="out of range"):
+            ops.spmm_csr(indptr, view, adj.data, x, adj.n_rows)
 
 
 class TestRegistry:
