@@ -16,6 +16,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from ..sparse import CSRMatrix
+from ..sparse.csr import stable_order
 
 __all__ = ["Graph", "NODE_FIELDS", "normalized_adjacency"]
 
@@ -159,12 +160,12 @@ class Graph:
         """Edges grouped by endpoint: ``(order, indptr, values)``, cached.
 
         ``in`` groups by destination, ``out`` by source. ``order`` is the
-        stable argsort of the grouping endpoint, so node ``v``'s edges are
+        stable order of the grouping endpoint, so node ``v``'s edges are
         the COO positions ``order[indptr[v]:indptr[v + 1]]`` in their
         original relative order, and ``values`` (``src[order]`` for ``in``,
         ``dst[order]`` for ``out``) the other endpoint of each. Numpy-only
-        and read-only once built: one O(E log E) sort per direction per
-        graph; deltas patch it (:mod:`repro.graphs.mutation` installs new
+        and read-only once built: one O(E + n) :func:`stable_order` per
+        direction per graph; deltas patch it (:mod:`repro.graphs.mutation` installs new
         arrays equal to a rebuild, so a tuple fetched earlier stays valid
         for the edge list it was fetched from). It buys O(degree)
         neighbour lookups for subgraph induction, the walk / k-hop
@@ -179,7 +180,7 @@ class Graph:
                 (self.dst, self.src) if direction == "in"
                 else (self.src, self.dst)
             )
-            order = np.argsort(keys, kind="stable")
+            order = stable_order(((keys, self.n_nodes),))
             indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
             np.cumsum(np.bincount(keys, minlength=self.n_nodes), out=indptr[1:])
             index = (order, indptr, other[order])

@@ -15,7 +15,7 @@ batches. This module provides that substrate:
 :func:`induced_subgraph` is the one induction routine behind every sampler,
 the BNS partitions and the serving batcher. It walks the selected rows of
 the graph's cached in-edge index (:meth:`Graph.edge_index`: one stable
-argsort of ``dst`` per graph generation, O(E log E), rebuilt lazily after
+radix order of ``dst`` per graph generation, O(E + n), patched by
 ``apply_delta``), so one call costs the selected nodes' in-degrees plus an
 ``n_nodes`` id-map fill — not a scan of the edge list — and emits the same
 arrays, in the same COO order, as the full scan would.

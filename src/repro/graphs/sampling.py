@@ -14,7 +14,7 @@ subgraphs such trainers consume; MaxK layers run on them unchanged.
 
 The walk and k-hop samplers read a node's neighbours as a slice of the
 graph's cached edge index (:meth:`Graph.edge_index`: ``out`` for walks,
-``in`` for k-hop; one stable argsort per direction per graph generation),
+``in`` for k-hop; one O(E + n) stable order per direction per graph),
 in edge-list order — they draw positionally, so the order is part of the
 sampling stream — and every sampler induces through
 :func:`~repro.graphs.partition.induced_subgraph` over the same index.

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ops
 
-__all__ = ["CSRMatrix", "CSCMatrix", "coo_to_csr"]
+__all__ = ["CSRMatrix", "CSCMatrix", "coo_to_csr", "stable_order"]
 
 
 def _validate_csr_buffers(indptr, indices, data, shape):
@@ -155,7 +155,8 @@ class CSRMatrix:
         )
 
     def transpose(self) -> "CSRMatrix":
-        """Materialise ``A^T`` in CSR form (copies; used only by baselines)."""
+        """Materialise ``A^T`` in CSR form (copies): every sampled batch and
+        served window builds one (``Graph.adjacency_transpose``)."""
         row_ids = np.repeat(np.arange(self.n_rows), self.row_degrees())
         return coo_to_csr(self.indices, row_ids, self.data, (self.n_cols, self.n_rows))
 
@@ -257,6 +258,26 @@ class CSCMatrix:
         return f"CSCMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
+def stable_order(keys) -> np.ndarray:
+    """The stable lexicographic order (``int64`` positions) of ``keys``,
+    ``((key, bound), …)`` least significant first, each in ``[0, bound)``.
+
+    An LSD radix: ``ceil(bit_length(bound - 1) / 16)`` 16-bit digits per
+    key, each one stable argsort of a ``uint16`` array composed into the
+    order so far. Any stable sort gives the same permutation; only the
+    O(E + n) cost relies on numpy's radix sort for 16-bit keys.
+    """
+    order = None
+    for key, bound in keys:
+        for shift in range(0, max(int(bound) - 1, 0).bit_length(), 16):
+            digit = (key >> shift).astype(np.uint16)
+            step = np.argsort(
+                digit if order is None else digit[order], kind="stable"
+            )
+            order = step if order is None else order[step]
+    return np.arange(len(keys[0][0])) if order is None else order
+
+
 def coo_to_csr(rows, cols, data, shape) -> CSRMatrix:
     """Convert COO triplets to CSR, summing duplicate entries.
 
@@ -269,13 +290,14 @@ def coo_to_csr(rows, cols, data, shape) -> CSRMatrix:
     n_rows, n_cols = shape
     if len(rows) != len(cols) or len(rows) != len(data):
         raise ValueError("rows, cols and data must have equal length")
-    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
+    # Viewed unsigned, a negative index exceeds every bound: one pass each.
+    if len(rows) and rows.view(np.uint64).max() >= n_rows:
         raise ValueError("row indices out of range")
-    if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
+    if len(cols) and cols.view(np.uint64).max() >= n_cols:
         raise ValueError("column indices out of range")
 
     # Sort lexicographically by (row, col), then merge duplicates.
-    order = np.lexsort((cols, rows))
+    order = stable_order(((cols, n_cols), (rows, n_rows)))
     rows, cols, data = rows[order], cols[order], data[order]
     if len(rows):
         is_new = np.empty(len(rows), dtype=bool)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.sparse import CSCMatrix, CSRMatrix, coo_to_csr
+from repro.graphs import Graph
+from repro.sparse import CSCMatrix, CSRMatrix, coo_to_csr, ops
+from repro.sparse.csr import stable_order
 from tests.conftest import tolerance
 
 
@@ -56,6 +58,12 @@ class TestConstruction:
     def test_rejects_out_of_range_cols(self):
         with pytest.raises(ValueError, match="column indices"):
             coo_to_csr([0], [9], [1.0], (3, 3))
+
+    def test_rejects_negative_indices(self):
+        with pytest.raises(ValueError, match="row indices"):
+            coo_to_csr([0, -1], [0, 0], [1.0, 1.0], (3, 3))
+        with pytest.raises(ValueError, match="column indices"):
+            coo_to_csr([0, 1], [1, -3], [1.0, 1.0], (3, 3))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -153,3 +161,141 @@ class TestAlgebra:
         clone = CSRMatrix(csr.indptr, csr.indices, csr.data, csr.shape)
         assert csr == clone
         assert csr != csr.with_data(csr.data * 2)
+
+
+# Both sides of every 16-bit digit boundary, and past two digits.
+BOUNDS = (1, 2, 255, 256, 65_535, 65_536, 65_537, 2**20, 3 * 10**6)
+
+
+def _key_sets(rng, bound, n=600):
+    """Uniform, all-equal (at the top of the range) and heavily
+    duplicated keys in ``[0, bound)``."""
+    return (
+        rng.integers(0, bound, n),
+        np.full(n, bound - 1, dtype=np.int64),
+        rng.choice(rng.integers(0, bound, 3), n),
+    )
+
+
+def _lexsort_csr(rows, cols, data, shape):
+    """``(indptr, indices, data)`` of ``coo_to_csr`` built the other way:
+    ``np.lexsort``, then duplicates merged through ``np.unique``."""
+    n_rows, n_cols = shape
+    rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+    order = np.lexsort((cols, rows))
+    keys = rows[order] * n_cols + cols[order]
+    unique, group = np.unique(keys, return_inverse=True)
+    data = np.asarray(data, dtype=ops.FLOAT_DTYPE)
+    merged = np.bincount(group, weights=data[order], minlength=len(unique))
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(unique // n_cols, minlength=n_rows), out=indptr[1:])
+    return indptr, unique % n_cols, merged.astype(data.dtype)
+
+
+def _assert_csr_bytes(csr, reference):
+    for got, want in zip((csr.indptr, csr.indices, csr.data), reference):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestStableOrder:
+    """``stable_order`` is an oracle match: the permutation numpy's stable
+    sorts give, whatever sort numpy picks underneath."""
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_one_key_is_the_stable_argsort(self, bound):
+        for keys in _key_sets(np.random.default_rng(bound), bound):
+            order = stable_order(((keys, bound),))
+            assert order.dtype == np.int64
+            np.testing.assert_array_equal(
+                order, np.argsort(keys, kind="stable")
+            )
+
+    @pytest.mark.parametrize("major", BOUNDS)
+    @pytest.mark.parametrize("minor", BOUNDS)
+    def test_two_keys_are_the_lexsort(self, minor, major):
+        rng = np.random.default_rng([minor, major])
+        for minors in _key_sets(rng, minor):
+            for majors in _key_sets(rng, major):
+                np.testing.assert_array_equal(
+                    stable_order(((minors, minor), (majors, major))),
+                    np.lexsort((minors, majors)),
+                )
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_empty_input(self, bound):
+        empty = np.empty(0, dtype=np.int64)
+        for keys in (((empty, bound),), ((empty, bound), (empty, 7))):
+            order = stable_order(keys)
+            assert order.dtype == np.int64 and order.shape == (0,)
+
+
+class TestSortedConstruction:
+    """``coo_to_csr``, ``CSRMatrix.transpose`` and ``Graph.edge_index``
+    equal the arrays a comparison sort builds, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "shape", [(12, 5), (300, 65_537), (65_537, 300), (2**20, 3)]
+    )
+    def test_coo_to_csr_is_the_lexsort_build(self, shape):
+        rng = np.random.default_rng(shape[0])
+        n = 4_000
+        # Few distinct rows and columns: summed duplicates, empty rows.
+        rows = rng.choice(rng.integers(0, shape[0], 6), n)
+        cols = rng.choice(rng.integers(0, shape[1], 40), n)
+        data = rng.normal(size=n)
+        csr = coo_to_csr(rows, cols, data, shape)
+        assert csr.nnz < n and (csr.row_degrees() == 0).any()
+        _assert_csr_bytes(csr, _lexsort_csr(rows, cols, data, shape))
+
+    def test_empty_coo_is_the_lexsort_build(self):
+        _assert_csr_bytes(
+            coo_to_csr([], [], [], (4, 6)), _lexsort_csr([], [], [], (4, 6))
+        )
+
+    def _transpose_reference(self, csr):
+        row_ids = np.repeat(np.arange(csr.n_rows), csr.row_degrees())
+        return _lexsort_csr(
+            csr.indices, row_ids, csr.data, (csr.n_cols, csr.n_rows)
+        )
+
+    @pytest.mark.parametrize("shape", [(9, 13), (300, 65_537)])
+    def test_transpose_is_the_lexsort_transpose(self, shape):
+        rng = np.random.default_rng(shape[1])
+        csr = coo_to_csr(
+            rng.integers(0, shape[0], 3_000),
+            rng.integers(0, shape[1], 3_000),
+            rng.normal(size=3_000),
+            shape,
+        )
+        _assert_csr_bytes(csr.transpose(), self._transpose_reference(csr))
+
+    def test_hand_built_transpose_merges_duplicates(self):
+        # Unsorted, repeated columns within a row: the transpose sums them.
+        csr = CSRMatrix(
+            indptr=[0, 3, 3, 5], indices=[2, 0, 2, 2, 1],
+            data=[1.0, 2.0, 3.0, 4.0, 5.0], shape=(3, 4),
+        )
+        transpose = csr.transpose()
+        _assert_csr_bytes(transpose, self._transpose_reference(csr))
+        assert transpose.to_dense()[2, 0] == 4.0
+
+    @pytest.mark.parametrize("n_nodes", [1, 50, 65_537])
+    def test_edge_index_is_the_stable_argsort(self, n_nodes):
+        rng = np.random.default_rng(n_nodes)
+        src = rng.choice(rng.integers(0, n_nodes, 30), 5_000)
+        dst = rng.integers(0, n_nodes, 5_000)
+        graph = Graph(n_nodes=n_nodes, src=src, dst=dst)
+        for direction, keys, other in (("in", dst, src), ("out", src, dst)):
+            order = np.argsort(keys, kind="stable")
+            indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(keys, minlength=n_nodes), out=indptr[1:])
+            index = graph.edge_index(direction)
+            for got, want in zip(index, (order, indptr, other[order])):
+                assert got.dtype == np.int64 and not got.flags.writeable
+                np.testing.assert_array_equal(got, want)
+
+    def test_empty_graph_edge_index(self):
+        order, indptr, values = Graph(n_nodes=3, src=[], dst=[]).edge_index()
+        assert order.dtype == np.int64 and order.size == values.size == 0
+        np.testing.assert_array_equal(indptr, np.zeros(4, dtype=np.int64))

@@ -150,6 +150,34 @@ def test_the_executed_program_does_not_import_the_simulator():
     assert _occurrences("gpusim", "tensor") == {}
 
 
+def test_one_stable_order_behind_every_csr_and_edge_index():
+    import ast
+
+    assert _occurrences("lexsort") == {}
+    assert _occurrences("def stable_order(") == {"sparse/csr.py": 1}
+
+    def argsorts(node):
+        return [
+            call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and getattr(call.func, "attr", None) == "argsort"
+        ]
+
+    inside = {}
+    for module in ("sparse/csr.py", "graphs/graph.py"):
+        tree = ast.parse((SRC / module).read_text())
+        inside[module] = [
+            call for function in ast.walk(tree)
+            if getattr(function, "name", None) == "stable_order"
+            for call in argsorts(function)
+        ]
+        assert len(argsorts(tree)) == len(inside[module]), module
+    assert inside["sparse/csr.py"] and not inside["graphs/graph.py"]
+    # Its two callers: coo_to_csr and Graph.edge_index.
+    assert _occurrences("stable_order(((") == {
+        "sparse/csr.py": 1, "graphs/graph.py": 1
+    }
+
+
 def test_deleted_knobs_and_aliases_stay_deleted():
     for gone in ("_SSPMM_DENSE_LIMIT", "cache_limit.setter", "kill_executor",
                  "hang_executor", "corrupt_result", "_removed_edge_mask",
