@@ -93,12 +93,10 @@ class Graph:
         self.dst = np.asarray(self.dst, dtype=np.int64)
         if self.src.shape != self.dst.shape:
             raise ValueError("src and dst must have equal length")
-        if len(self.src) and (
-            self.src.min() < 0
-            or self.dst.min() < 0
-            or self.src.max() >= self.n_nodes
-            or self.dst.max() >= self.n_nodes
-        ):
+        # Viewed unsigned, a negative endpoint exceeds every bound.
+        if len(self.src) and max(
+            self.src.view(np.uint64).max(), self.dst.view(np.uint64).max()
+        ) >= self.n_nodes:
             raise ValueError("edge endpoints out of range")
 
     # ------------------------------------------------------------------

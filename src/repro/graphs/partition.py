@@ -8,11 +8,12 @@ batches. This module provides that substrate:
 * :func:`bfs_partition` — a light BFS-grown P-way partitioner (the METIS
   role at laptop scale);
 * :func:`boundary_nodes` — per-partition halo sets;
-* :func:`induced_subgraph` — node-induced training subgraphs;
+* :func:`induced_subgraph` — node-induced training subgraphs, and
+  :func:`induced_union` — many at once, block-diagonally;
 * :func:`bns_sample` — BNS-GCN-style random boundary sampling: keep a
   fraction of each partition's boundary, drop the rest of the halo.
 
-:func:`induced_subgraph` is the one induction routine behind every sampler,
+:func:`induced_union` is the one induction routine behind every sampler,
 the BNS partitions and the serving batcher. It walks the selected rows of
 the graph's cached in-edge index (:meth:`Graph.edge_index`: one stable
 radix order of ``dst`` per graph generation, O(E + n), patched by
@@ -36,6 +37,7 @@ __all__ = [
     "bfs_partition",
     "boundary_nodes",
     "induced_subgraph",
+    "induced_union",
     "bns_sample",
 ]
 
@@ -138,37 +140,54 @@ def boundary_nodes(graph: Graph, partition: Partition, part: int) -> np.ndarray:
 
 
 def induced_subgraph(graph: Graph, nodes: np.ndarray) -> Graph:
-    """Node-induced subgraph with re-indexed, consistently sliced payloads.
-
-    Reads only the selected nodes' in-edge ranges of
-    :meth:`Graph.edge_index`, keeps the edges whose source is selected too
-    and emits them in their original COO order, so the cost is
-    O(n_nodes memset + sum of the selected in-degrees + kept log kept)
-    rather than a scan of the edge list.
-    """
+    """Node-induced subgraph with re-indexed, consistently sliced payloads:
+    :func:`induced_union` of one member."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= graph.n_nodes):
+    if nodes.size and (nodes[0] < 0 or nodes[-1] >= graph.n_nodes):
         raise ValueError("node ids out of range")
+    return induced_union(graph, nodes)
+
+
+def induced_union(graph: Graph, keys: np.ndarray, n_members: int = 1) -> Graph:
+    """Disjoint union of the subgraphs each member's nodes induce.
+
+    ``keys`` are sorted unique ``member * n_nodes + node`` ids; row ``i``
+    is ``keys[i]``'s node and each member keeps its edges in COO order —
+    the bytes :func:`~repro.graphs.batching.batch_graphs` gives for the
+    members induced one by one. Reads the in-edge ranges of the members'
+    node union once: O(n_nodes memset + the union's in-degrees + kept log
+    kept + members x kept), not a scan of the edge list.
+    """
     order, indptr, in_src = graph.edge_index("in")
     # Per call, not cached: concurrent builders induce from one graph.
     local_id = np.full(graph.n_nodes, -1, dtype=np.int64)
-    local_id[nodes] = np.arange(nodes.size)
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
+    nodes = union = keys
+    if n_members > 1:
+        member, nodes = np.divmod(keys, graph.n_nodes)
+        local_id[nodes] = 0  # a scan of the map beats numpy 2's np.unique
+        union = np.flatnonzero(local_id == 0)
+    local_id[union] = np.arange(union.size)
+    starts = indptr[union]
+    counts = indptr[union + 1] - starts
     # Index positions of every selected row: each row's start, repeated,
     # plus the offset within the row.
     rows = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     rows += np.arange(rows.size)
     # Sorting the surviving COO positions restores the edge-list order.
-    kept = np.sort(order[rows[local_id[in_src[rows]] >= 0]])
-
+    kept = np.sort(order[np.compress(local_id[in_src[rows]] >= 0, rows)])
+    src, dst = local_id[graph.src[kept]], local_id[graph.dst[kept]]
+    name = f"{graph.name}-sub"
+    if n_members > 1:
+        # Row of each (member, union node); -1 where the member lacks it.
+        row = np.full((n_members, union.size), -1, dtype=np.int64)
+        row[member, local_id[nodes]] = np.arange(nodes.size)
+        member, edge = np.nonzero((row[:, src] >= 0) & (row[:, dst] >= 0))
+        src, dst = row[member, src[edge]], row[member, dst[edge]]
+        name = f"batch[{n_members}x{name}]"
     return Graph(
-        n_nodes=int(nodes.size),
-        src=local_id[graph.src[kept]],
-        dst=local_id[graph.dst[kept]],
-        name=f"{graph.name}-sub",
+        n_nodes=int(nodes.size), src=src, dst=dst, name=name,
         multilabel=graph.multilabel,
-        **{name: rows[nodes] for name, rows in graph.node_arrays().items()},
+        **{key: rows[nodes] for key, rows in graph.node_arrays().items()},
     )
 
 

@@ -15,9 +15,11 @@ subgraphs such trainers consume; MaxK layers run on them unchanged.
 The walk and k-hop samplers read a node's neighbours as a slice of the
 graph's cached edge index (:meth:`Graph.edge_index`: ``out`` for walks,
 ``in`` for k-hop; one O(E + n) stable order per direction per graph),
-in edge-list order — they draw positionally, so the order is part of the
-sampling stream — and every sampler induces through
-:func:`~repro.graphs.partition.induced_subgraph` over the same index.
+and every sampler induces through
+:func:`~repro.graphs.partition.induced_union` over the same index. The
+walk draws positionally, so the edge-list order is part of its stream;
+the k-hop draw is counter-keyed (:func:`khop_keys`), so a node's pick
+depends only on the call's salt, the node and its own in-edge list.
 
 Importance sampling draws **with replacement** from an explicit probability
 vector and attaches :attr:`~repro.graphs.graph.Graph.loss_weights` to the
@@ -32,12 +34,12 @@ the fuzz test in ``tests/test_distributed_training.py``.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .graph import Graph
-from .partition import induced_subgraph
+from .partition import induced_subgraph, induced_union
 
 __all__ = [
     "as_generator",
@@ -47,6 +49,7 @@ __all__ = [
     "edge_sampler",
     "random_walk_sampler",
     "khop_neighborhood",
+    "khop_keys",
 ]
 
 #: Seed-or-generator type accepted by every sampler below.
@@ -228,6 +231,68 @@ def random_walk_sampler(
     return induced_subgraph(graph, np.array(sorted(visited), dtype=np.int64))
 
 
+#: The k-hop draw's golden-ratio node increment and per-rank step, and
+#: splitmix64's finaliser rounds ``z ^= z >> shift; z *= factor``.
+_PHI = np.uint64(0x9E3779B97F4A7C15)
+_STEP = np.uint64(0xD1B54A32D192ED03)
+_FINALISER = ((30, np.uint64(0xBF58476D1CE4E5B9)),
+              (27, np.uint64(0x94D049BB133111EB)))
+
+
+def khop_keys(graph: Graph, keys: np.ndarray, rng_seeds: Sequence[SeedLike],
+              n_hops: int, fanout: int) -> np.ndarray:
+    """Every ``member * n_nodes + node`` reached from ``keys``, sorted.
+
+    Member ``m`` takes one 64-bit salt from ``as_generator(rng_seeds[m])``
+    and draws under it: in-edge ``r`` of node ``v`` (its rank in ``v``'s
+    ``Graph.edge_index("in")`` list) gets the key ``mix64(salt, v, r)``,
+    splitmix64's finaliser over ``(salt ^ v * PHI) + r * STEP`` in
+    wrapping ``uint64``, top 32 bits. Each hop gathers the frontier's
+    in-edges at once; a row with more than ``fanout`` keeps the ``fanout``
+    smallest keys, ties by rank (one stable sort of ``(frontier row,
+    key)``, skipped when no row is over), a smaller row keeps all and draws
+    nothing, and the ``(member, node)`` pairs first reached are the next
+    frontier.
+    """
+    if n_hops < 0 or fanout < 1:
+        raise ValueError("n_hops must be >= 0 and fanout >= 1")
+    salts = np.array([as_generator(seed).integers(2**64, dtype=np.uint64)
+                      for seed in rng_seeds])
+    n = graph.n_nodes
+    _, indptr, in_src = graph.edge_index("in")
+    seen = np.zeros(len(salts) * n, dtype=bool)
+    seen[keys] = True
+    frontier, levels = keys, [keys]
+    for _ in range(n_hops):
+        if not frontier.size:
+            break
+        member, nodes = np.divmod(frontier, n) if len(salts) > 1 else (0, frontier)
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        first = np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(frontier.size), counts)
+        rank = np.arange(first[-1] + counts[-1]) - first[owner]
+        reached = in_src[starts[owner] + rank]
+        if counts.max() > fanout:
+            z = (salts[member] ^ nodes.view(np.uint64) * _PHI)[owner]
+            z += rank.view(np.uint64) * _STEP
+            for shift, factor in _FINALISER:
+                z ^= z >> shift
+                z *= factor
+            draw = (z ^ z >> 31) >> 32
+            order = np.argsort(owner.view(np.uint64) << 32 | draw, kind="stable")
+            order = order[rank < fanout]
+            owner, reached = owner[order], reached[order]
+        if len(salts) > 1:
+            reached += (frontier - nodes)[owner]
+        reached = np.sort(reached[~seen[reached]])
+        fresh = np.concatenate(([True], reached[1:] != reached[:-1]))
+        frontier = reached[fresh[:reached.size]]
+        seen[frontier] = True
+        levels.append(frontier)
+    return np.sort(np.concatenate(levels))
+
+
 def khop_neighborhood(
     graph: Graph,
     seeds: np.ndarray,
@@ -238,40 +303,21 @@ def khop_neighborhood(
 ):
     """Fan-out-limited k-hop neighbourhood (GraphSAGE mini-batching).
 
-    Expands ``n_hops`` times, keeping at most ``fanout`` random in-edges
-    per frontier node, then induces the subgraph over everything reached.
-    With ``return_nodes`` the sorted original node ids are returned
-    alongside the subgraph (row ``i`` of the subgraph is ``nodes[i]``) —
-    the serving ego-net path needs the mapping to find its query row.
+    Expands ``n_hops`` times from ``seeds`` (:func:`khop_keys`, one member)
+    and induces the subgraph over everything reached. The call takes one
+    64-bit draw from ``rng_seed``, so a passed generator still streams
+    across calls. A node's pick depends only on ``(salt, node, its in-edge
+    list)``: a delta re-samples only the nodes whose in-edge lists it
+    changed, and a served window member (:func:`~repro.serving.batcher.
+    build_ego_batch`) equals the same request expanded alone, by
+    construction. With ``return_nodes`` the sorted node ids come back too
+    (row ``i`` of the subgraph is ``nodes[i]``).
     """
-    if n_hops < 0 or fanout < 1:
-        raise ValueError("n_hops must be >= 0 and fanout >= 1")
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-    if seeds.size and (seeds.min() < 0 or seeds.max() >= graph.n_nodes):
+    if seeds.size and (seeds[0] < 0 or seeds[-1] >= graph.n_nodes):
         raise ValueError("seed ids out of range")
-    rng = as_generator(rng_seed)
-    _, indptr, in_src = graph.edge_index("in")
-    reached = set(int(s) for s in seeds)
-    frontier = list(reached)
-    for _ in range(n_hops):
-        next_frontier: List[int] = []
-        rows = np.array(frontier, dtype=np.int64)
-        bounds = zip(indptr[rows].tolist(), indptr[rows + 1].tolist())
-        for start, end in bounds:
-            parents = in_src[start:end]
-            if end - start > fanout:
-                parents = parents[
-                    rng.choice(end - start, size=fanout, replace=False)
-                ]
-            for parent in parents.tolist():
-                if parent not in reached:
-                    reached.add(parent)
-                    next_frontier.append(parent)
-        frontier = next_frontier
-        if not frontier:
-            break
-    nodes = np.array(sorted(reached), dtype=np.int64)
-    subgraph = induced_subgraph(graph, nodes)
+    nodes = khop_keys(graph, seeds, [rng_seed], n_hops, fanout)
+    subgraph = induced_union(graph, nodes)
     if return_nodes:
         return subgraph, nodes
     return subgraph

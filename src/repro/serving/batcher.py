@@ -1,17 +1,17 @@
 """Deadline-aware dynamic micro-batcher over the training hot path.
 
-Concurrent per-node queries coalesce into one fused forward pass: each
-request's fan-out-limited ego-net (:func:`~repro.graphs.sampling.
-khop_neighborhood`, seeded per request) is induced against the served
-graph, the window's ego-nets merge through
-:func:`~repro.graphs.batching.batch_graphs` (block-diagonal, so no
-cross-request edges exist and every member aggregates exactly as it would
-alone), the merged adjacencies are registered with the active sparse
-backend via ``warm()``, and a single eval-mode forward serves every
-query row. Row-wise dense kernels plus strictly per-block aggregation
-make each request's logits **bit-identical** to running it alone — the
-property the benchmark gates (the classifier head is the one product BLAS
-does not compute row-wise; see :func:`forward_rows`).
+Concurrent per-node queries coalesce into one fused forward pass: the
+window's fan-out-limited ego-nets (one salt per request) expand together
+in one :func:`~repro.graphs.sampling.khop_keys` pass and are induced once
+against the served graph by :func:`~repro.graphs.partition.
+induced_union` (block-diagonal, so no cross-request edges exist and every
+member aggregates exactly as it would alone), the merged adjacencies are
+registered with the active sparse backend via ``warm()``, and a single
+eval-mode forward serves every query row. Row-wise dense kernels plus
+strictly per-block aggregation make each request's logits
+**bit-identical** to running it alone — the property the benchmark gates
+(the classifier head is the one product BLAS does not compute row-wise;
+see :func:`forward_rows`).
 
 The batch *window* is bounded twice: by ``max_batch`` (size) and by the
 earliest deadline in the queue (time) — :meth:`MicroBatcher.wait_budget`
@@ -27,8 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphs import Graph, batch_graphs
-from ..graphs.sampling import khop_neighborhood
+from ..graphs import Graph
+from ..graphs.partition import induced_union
+from ..graphs.sampling import khop_keys
 from ..sparse.ops import get_backend
 from ..training.parallel import conv_norms, warm_batch
 from .queue import AdmissionQueue, Request
@@ -72,26 +73,22 @@ def build_ego_batch(graph: Graph, requests: Sequence[Request],
                     n_hops: int, fanout: int) -> EgoBatch:
     """Materialise one window: per-request ego-nets fused block-diagonally.
 
-    Deterministic: every member ego-net is a pure function of
-    ``(graph, node, seed)``, and the disjoint union offsets each member by
-    the nodes before it — so a retried batch (and a single-request batch
-    of the same ``(node, seed)``) reproduces the same rows bit for bit.
+    One :func:`khop_keys` expansion with a member per request, salted by
+    its seed, and one :func:`induced_union` of the keys reached: the bytes
+    ``batch_graphs`` gives for the requests' ``khop_neighborhood`` ego-nets.
+    Every member is a pure function of ``(graph, node, seed)``, so a
+    retried batch (and a single-request batch of the same ``(node,
+    seed)``) reproduces the same rows bit for bit.
     """
-    members: List[Graph] = []
-    query_rows = np.empty(len(requests), dtype=np.int64)
-    offset = 0
-    for index, request in enumerate(requests):
-        ego, nodes = khop_neighborhood(
-            graph, np.array([request.node], dtype=np.int64),
-            n_hops, fanout, rng_seed=request.seed, return_nodes=True,
-        )
-        row = int(np.searchsorted(nodes, request.node))
-        query_rows[index] = offset + row
-        offset += ego.n_nodes
-        members.append(ego)
+    nodes = np.array([request.node for request in requests], dtype=np.int64)
+    if nodes.view(np.uint64).max() >= graph.n_nodes:  # negatives wrap high
+        raise ValueError("request node ids out of range")
+    seeds = np.arange(nodes.size) * graph.n_nodes + nodes
+    keys = khop_keys(graph, seeds, [r.seed for r in requests], n_hops, fanout)
     return EgoBatch(
-        requests=list(requests), merged=batch_graphs(members),
-        query_rows=query_rows,
+        requests=list(requests),
+        merged=induced_union(graph, keys, len(requests)),
+        query_rows=np.searchsorted(keys, seeds),
     )
 
 

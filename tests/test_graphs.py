@@ -32,6 +32,12 @@ class TestGraphContainer:
         with pytest.raises(ValueError):
             Graph(n_nodes=2, src=np.array([0]), dst=np.array([5]))
 
+    @pytest.mark.parametrize("src, dst", [([-1], [0]), ([0], [-1]),
+                                          ([1, 0], [0, -2**63])])
+    def test_rejects_negative_endpoints(self, src, dst):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(n_nodes=2, src=np.array(src), dst=np.array(dst))
+
     def test_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError):
             Graph(n_nodes=2, src=np.array([0, 1]), dst=np.array([0]))

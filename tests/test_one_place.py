@@ -178,6 +178,34 @@ def test_one_stable_order_behind_every_csr_and_edge_index():
     }
 
 
+def _functions(module):
+    """``{name: source}`` of every function defined in ``module``."""
+    import ast
+
+    text = (SRC / module).read_text()
+    return {
+        node.name: ast.get_source_segment(text, node)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_one_khop_expansion_and_one_induction():
+    # The k-hop draw is counter-keyed in one vectorised expansion; a served
+    # window expands and induces once, never per request.
+    sampling = _functions("graphs/sampling.py")
+    for name in ("khop_neighborhood", "khop_keys"):
+        assert ".choice(" not in sampling[name], name
+    ego = _functions("serving/batcher.py")["build_ego_batch"]
+    assert ego.count("khop_keys(") == ego.count("induced_union(") == 1
+    for gone in ("batch_graphs(", "khop_neighborhood("):
+        assert _occurrences(gone, "serving") == {}, gone
+    # partition.py walks the in-edge index in exactly one function.
+    walkers = [name for name, body in _functions("graphs/partition.py").items()
+               if 'edge_index("in")' in body]
+    assert walkers == ["induced_union"]
+
+
 def test_deleted_knobs_and_aliases_stay_deleted():
     for gone in ("_SSPMM_DENSE_LIMIT", "cache_limit.setter", "kill_executor",
                  "hang_executor", "corrupt_result", "_removed_edge_mask",

@@ -266,9 +266,10 @@ class TestPayloadPropagation:
 # ----------------------------------------------------------------------
 # Test-local reference implementations of what the library computes from
 # ``Graph.edge_index``: induction by scanning every edge against a node
-# mask, and expansion over neighbour lists appended edge by edge. The
-# library must equal them array for array, and draw the same random
-# numbers. ``tests/test_graph_mutation.py`` reuses them after deltas.
+# mask, and expansion over neighbour lists appended edge by edge, one node
+# at a time in Python ints. The library must equal them array for array,
+# and draw the same random numbers. ``tests/test_graph_mutation.py``
+# reuses them after deltas.
 PAYLOADS = ("features", "labels", "train_mask", "val_mask", "test_mask",
             "communities", "loss_weights")
 
@@ -303,7 +304,22 @@ def reference_neighbour_lists(graph, direction):
     return lists
 
 
+MASK64 = 2**64 - 1
+
+
+def reference_mix64(salt, node, rank):
+    """The k-hop draw key of in-edge ``rank`` of ``node``, in Python ints:
+    splitmix64's finaliser over ``(salt ^ node * PHI) + rank * STEP``,
+    top 32 bits."""
+    z = ((salt ^ (node * 0x9E3779B97F4A7C15 & MASK64))
+         + rank * 0xD1B54A32D192ED03) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return (z ^ (z >> 31)) >> 32
+
+
 def reference_khop_nodes(graph, seeds, n_hops, fanout, rng):
+    salt = int(rng.integers(2**64, dtype=np.uint64))
     in_neighbours = reference_neighbour_lists(graph, "in")
     reached = set(int(s) for s in np.unique(np.asarray(seeds, dtype=np.int64)))
     frontier = list(reached)
@@ -312,8 +328,9 @@ def reference_khop_nodes(graph, seeds, n_hops, fanout, rng):
         for node in frontier:
             parents = in_neighbours.get(node, [])
             if len(parents) > fanout:
-                chosen = rng.choice(len(parents), size=fanout, replace=False)
-                parents = [parents[i] for i in chosen]
+                ranks = sorted(range(len(parents)),
+                               key=lambda r: (reference_mix64(salt, node, r), r))
+                parents = [parents[r] for r in ranks[:fanout]]
             for parent in parents:
                 if parent not in reached:
                     reached.add(parent)
@@ -395,7 +412,7 @@ def node_sets(graph, rng):
 
 def assert_expansion_matches_oracle(graph, seeds, n_hops, fanout, rng_seed):
     """k-hop and walk from one generator state equal the oracle's nodes,
-    subgraph and final generator state."""
+    subgraph and final generator state (the k-hop takes one 64-bit draw)."""
     ours, oracle = (np.random.default_rng(rng_seed) for _ in range(2))
     sub, nodes = khop_neighborhood(graph, seeds, n_hops, fanout,
                                    rng_seed=ours, return_nodes=True)
@@ -490,3 +507,129 @@ class TestEdgeIndexOracle:
             assert len(got) == len(want) == 200
             for actual, expected in zip(got, want):
                 assert_same_graph(actual, expected)
+
+
+def reference_bfs_nodes(graph, seeds, n_hops):
+    in_neighbours = reference_neighbour_lists(graph, "in")
+    reached = set(int(s) for s in np.unique(np.asarray(seeds, dtype=np.int64)))
+    frontier = set(reached)
+    for _ in range(n_hops):
+        frontier = {p for node in frontier
+                    for p in in_neighbours.get(node, [])} - reached
+        reached |= frontier
+    return np.array(sorted(reached), dtype=np.int64)
+
+
+def ego_window(graph, pairs, n_hops, fanout):
+    from repro.serving.batcher import build_ego_batch
+    from repro.serving.queue import Request
+
+    requests = [Request(rid=i, node=node, seed=seed, deadline=float("inf"),
+                        submitted=0.0)
+                for i, (node, seed) in enumerate(pairs)]
+    return build_ego_batch(graph, requests, n_hops, fanout)
+
+
+class TestCounterKeyedDraw:
+    """The k-hop draw: fair, BFS past the fanout, local to a node's
+    in-edges, and a served window is exactly its requests."""
+
+    def test_pick_is_uniform_and_pairwise_fair(self):
+        # Node 0 has 12 in-edges; fanout 4 keeps each with p = 4/12 and
+        # each pair with p = C(10, 2) / C(12, 4) = 1/11.
+        degree, fanout, trials = 12, 4, 3000
+        star = Graph(n_nodes=degree + 1, src=np.arange(1, degree + 1),
+                     dst=np.zeros(degree, dtype=np.int64))
+        picked = np.zeros((trials, degree + 1), dtype=bool)
+        for salt in range(trials):
+            _, nodes = khop_neighborhood(star, [0], 1, fanout, rng_seed=salt,
+                                         return_nodes=True)
+            assert nodes.size == fanout + 1
+            picked[salt, nodes] = True
+        picked = picked[:, 1:].astype(float)
+
+        def within_five_sigma(observed, p):
+            sigma = np.sqrt(p * (1 - p) / trials)
+            assert np.abs(observed - p).max() < 5 * sigma, observed
+
+        within_five_sigma(picked.mean(axis=0), fanout / degree)
+        pairs = (picked.T @ picked) / trials
+        within_five_sigma(pairs[np.triu_indices(degree, 1)], 1 / 11)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fanout_past_every_degree_is_bfs(self, seed):
+        graph = messy_graph(seed) if seed % 2 else sbm_graph(
+            200, 4, 6.0, seed=seed)
+        fanout = int(graph.in_degrees().max()) + seed % 3
+        seeds = np.random.default_rng(seed).integers(0, graph.n_nodes, 3)
+        for n_hops in (0, 1, 2, 4):
+            _, nodes = khop_neighborhood(graph, seeds, n_hops, fanout,
+                                         rng_seed=seed, return_nodes=True)
+            np.testing.assert_array_equal(
+                nodes, reference_bfs_nodes(graph, seeds, n_hops))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_window_is_its_requests(self, seed):
+        from repro.graphs import batch_graphs
+
+        graph = messy_graph(seed) if seed % 2 else sbm_graph(
+            300, 5, 7.0, seed=seed)
+        if graph.features is None:
+            attach_classification_task(graph, n_features=4, seed=seed)
+        rng = np.random.default_rng(400 + seed)
+        isolated = graph.n_nodes - 1 if seed % 2 else None  # messy: no edges
+        for size in range(1, 9):
+            pairs = [(int(rng.integers(0, graph.n_nodes)), int(rng.integers(0, 3)))
+                     for _ in range(size)]
+            if size > 2:
+                pairs[-1] = pairs[0]                     # repeated request
+                pairs[-2] = (pairs[0][0], pairs[0][1] + 1)  # node, other seed
+            if isolated is not None and size > 3:
+                pairs[1] = (isolated, 5)
+            for n_hops, fanout in ((0, 2), (1, 1), (2, 3), (3, 50)):
+                batch = ego_window(graph, pairs, n_hops, fanout)
+                members, rows, offset = [], [], 0
+                for node, salt in pairs:
+                    ego, nodes = khop_neighborhood(
+                        graph, [node], n_hops, fanout, rng_seed=salt,
+                        return_nodes=True)
+                    rows.append(offset + int(np.searchsorted(nodes, node)))
+                    offset += ego.n_nodes
+                    members.append(ego)
+                assert_same_graph(batch.merged, batch_graphs(members))
+                assert batch.query_rows.tolist() == rows
+                np.testing.assert_array_equal(
+                    batch.merged.features[batch.query_rows],
+                    graph.features[[node for node, _ in pairs]])
+
+    def test_window_rejects_out_of_range_nodes(self, graph):
+        for bad in (-1, graph.n_nodes, -graph.n_nodes):
+            with pytest.raises(ValueError, match="out of range"):
+                ego_window(graph, [(0, 0), (bad, 0)], 2, 4)
+        with pytest.raises(ValueError):
+            ego_window(graph, [], 2, 4)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_delta_redraws_only_the_nodes_it_touches(self, seed):
+        from repro.graphs.mutation import GraphDelta, apply_delta
+
+        graph = sbm_graph(150, 3, 10.0, seed=seed).to_undirected()
+        rng = np.random.default_rng(seed)
+        u = int(rng.integers(0, graph.n_nodes))
+        into_u = np.flatnonzero(graph.dst == u)[:3]
+        delta = GraphDelta(
+            add_src=rng.integers(0, graph.n_nodes, 4), add_dst=[u] * 4,
+            remove_src=graph.src[into_u], remove_dst=graph.dst[into_u],
+        )
+
+        def draws():
+            return [khop_neighborhood(graph, [v], 1, 3, rng_seed=seed,
+                                      return_nodes=True)[1].tolist()
+                    for v in range(graph.n_nodes)]
+
+        before = draws()
+        apply_delta(graph, delta)
+        after = draws()
+        assert graph.generation == 1
+        changed = [v for v in range(graph.n_nodes) if before[v] != after[v]]
+        assert changed == [u]
