@@ -39,7 +39,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .graph import Graph
-from .partition import induced_subgraph, induced_union
+from .partition import induced_subgraph, induced_union, sorted_unique
 
 __all__ = [
     "as_generator",
@@ -244,7 +244,8 @@ def khop_keys(graph: Graph, keys: np.ndarray, rng_seeds: Sequence[SeedLike],
     """Every ``member * n_nodes + node`` reached from ``keys``, sorted.
 
     Member ``m`` takes one 64-bit salt from ``as_generator(rng_seeds[m])``
-    and draws under it: in-edge ``r`` of node ``v`` (its rank in ``v``'s
+    (one draw per distinct int seed, a generator's per member) and draws
+    under it: in-edge ``r`` of node ``v`` (its rank in ``v``'s
     ``Graph.edge_index("in")`` list) gets the key ``mix64(salt, v, r)``,
     splitmix64's finaliser over ``(salt ^ v * PHI) + r * STEP`` in
     wrapping ``uint64``, top 32 bits. Each hop gathers the frontier's
@@ -256,7 +257,11 @@ def khop_keys(graph: Graph, keys: np.ndarray, rng_seeds: Sequence[SeedLike],
     """
     if n_hops < 0 or fanout < 1:
         raise ValueError("n_hops must be >= 0 and fanout >= 1")
-    salts = np.array([as_generator(seed).integers(2**64, dtype=np.uint64)
+    drawn = {seed: as_generator(seed).integers(2**64, dtype=np.uint64)
+             for seed in dict.fromkeys(rng_seeds)
+             if not isinstance(seed, np.random.Generator)}
+    salts = np.array([drawn[seed] if seed in drawn else
+                      seed.integers(2**64, dtype=np.uint64)
                       for seed in rng_seeds])
     n = graph.n_nodes
     _, indptr, in_src = graph.edge_index("in")
@@ -285,9 +290,7 @@ def khop_keys(graph: Graph, keys: np.ndarray, rng_seeds: Sequence[SeedLike],
             owner, reached = owner[order], reached[order]
         if len(salts) > 1:
             reached += (frontier - nodes)[owner]
-        reached = np.sort(reached[~seen[reached]])
-        fresh = np.concatenate(([True], reached[1:] != reached[:-1]))
-        frontier = reached[fresh[:reached.size]]
+        frontier = sorted_unique(reached[~seen[reached]])
         seen[frontier] = True
         levels.append(frontier)
     return np.sort(np.concatenate(levels))
@@ -313,7 +316,7 @@ def khop_neighborhood(
     construction. With ``return_nodes`` the sorted node ids come back too
     (row ``i`` of the subgraph is ``nodes[i]``).
     """
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    seeds = sorted_unique(np.asarray(seeds, dtype=np.int64))
     if seeds.size and (seeds[0] < 0 or seeds[-1] >= graph.n_nodes):
         raise ValueError("seed ids out of range")
     nodes = khop_keys(graph, seeds, [rng_seed], n_hops, fanout)

@@ -8,13 +8,13 @@ MaxK with a chosen ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..graphs import Graph
 from ..tensor import Tensor, Workspace, dropout, linear_act
-from .layers import make_conv
+from .layers import Block, make_conv
 from .modules import Linear, Module
 
 __all__ = ["GNNConfig", "MaxKGNN"]
@@ -103,8 +103,9 @@ class MaxKGNN(Module):
     def forward(self, x) -> Tensor:
         return self.classify(self.embed(x))
 
-    def embed(self, x) -> Tensor:
-        """The convolution stack: every node's hidden row."""
+    def embed(self, x, blocks: Optional[Sequence[Block]] = None) -> Tensor:
+        """The convolution stack: every node's hidden row, or with one
+        :class:`~repro.models.layers.Block` per conv the last one's rows."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         # Evaluation takes fresh arrays (see GraphConvLayer._buffers): the
@@ -115,7 +116,7 @@ class MaxKGNN(Module):
                 x, self.config.dropout, self.training, self._dropout_rng,
                 workspace=ws, slot=f"drop{index}",
             )
-            x = conv(x)
+            x = conv(x, None if blocks is None else blocks[index])
         return x
 
     def classify(self, hidden: Tensor) -> Tensor:

@@ -13,14 +13,27 @@ GCN ``1/sqrt(d_i d_j)``, GIN unit weights with a learnable-epsilon self loop.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 
 from ..graphs import Graph
+from ..sparse import CSRMatrix
 from ..tensor import Tensor, add_into, linear_act, maxk, relu, spmm_agg
 from ..tensor.functional import maxk_with_mask, spgemm_agg
 from .modules import Linear, Module
 
-__all__ = ["GraphConvLayer", "SAGEConv", "GCNConv", "GINConv", "make_conv"]
+__all__ = ["Block", "GraphConvLayer", "SAGEConv", "GCNConv", "GINConv", "make_conv"]
+
+
+class Block(NamedTuple):
+    """A layer's share of a pass that reads only some rows (DGL's block):
+    ``adj``'s rows are the destination rows, its columns the layer's input
+    rows; ``dst`` places the destinations among the inputs (``None``: all
+    inputs are destinations and ``adj`` is the graph's own)."""
+
+    adj: CSRMatrix
+    dst: Optional[np.ndarray]
 
 
 class GraphConvLayer(Module):
@@ -64,9 +77,30 @@ class GraphConvLayer(Module):
 
         Parameters are untouched, so the training engine can move one model
         (and its optimizer state) across subgraph batches by rebinding.
+        ``A`` is built here; a pass reads it, and ``A^T`` (training only,
+        built on first read), from the graph's caches, so eval never builds
+        ``A^T`` and a delta applied to the graph strands no matrix here.
         """
-        self.adj = graph.adjacency(self.norm)
-        self.adj_t = graph.adjacency_transpose(self.norm)
+        self.graph = graph
+        graph.adjacency(self.norm)
+
+    @property
+    def adj(self) -> CSRMatrix:
+        return self.graph.adjacency(self.norm)
+
+    @property
+    def adj_t(self) -> CSRMatrix:
+        return self.graph.adjacency_transpose(self.norm)
+
+    def _aggregation(self, block: Optional[Block]):
+        """``(A, A^T for a training backward or None)`` of this pass."""
+        if block is not None:
+            return block.adj, None
+        return self.adj, self.adj_t if self.training else None
+
+    @staticmethod
+    def _at_destinations(x: Tensor, block: Optional[Block]) -> Tensor:
+        return x if block is None or block.dst is None else x[block.dst]
 
     @property
     def _buffers(self):
@@ -87,26 +121,27 @@ class GraphConvLayer(Module):
             return maxk(y, self.k, workspace=workspace, slot=slot)
         return y
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, block: Optional[Block] = None) -> Tensor:
         """``A · f(X W + b)``: linear + nonlinearity + aggregation.
 
         With ``use_cbsr_kernels`` the MaxK sparsification, CBSR compression,
         forward SpGEMM and backward SSpMM of Fig. 5 execute literally on the
         pre-activation; otherwise the nonlinearity is folded into the linear
         pass and aggregated by the dense-operand SpMM — identical values.
+        With a ``block`` the layer writes only its destination rows; each
+        sums the same edges in the same order as in the full pass.
         """
         ws = self._buffers
         cbsr = self.use_cbsr_kernels
+        adj, adj_t = self._aggregation(block)
         h = linear_act(
             x, self.linear.weight, self.linear.bias,
             activation="none" if cbsr else self.nonlinearity, k=self.k,
             workspace=ws, slot=self.slot + ".lin",
         )
         if cbsr:
-            return spgemm_agg(self.adj, h, self.k)
-        return spmm_agg(
-            self.adj, h, self.adj_t, workspace=ws, slot=self.slot + ".agg"
-        )
+            return spgemm_agg(adj, h, self.k)
+        return spmm_agg(adj, h, adj_t, workspace=ws, slot=self.slot + ".agg")
 
 
 class SAGEConv(GraphConvLayer):
@@ -124,12 +159,13 @@ class SAGEConv(GraphConvLayer):
                          k, use_cbsr_kernels)
         self.linear_self = Linear(in_features, out_features, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, block: Optional[Block] = None) -> Tensor:
         ws = self._buffers
-        aggregated = super().forward(x)
+        aggregated = super().forward(x, block)
         root = linear_act(
-            x, self.linear_self.weight, self.linear_self.bias,
-            activation="none", workspace=ws, slot=self.slot + ".self",
+            self._at_destinations(x, block), self.linear_self.weight,
+            self.linear_self.bias, activation="none", workspace=ws,
+            slot=self.slot + ".self",
         )
         return add_into(aggregated, root, workspace=ws, slot=self.slot + ".sum")
 
@@ -154,13 +190,14 @@ class GINConv(GraphConvLayer):
                          k, use_cbsr_kernels)
         self.eps = Tensor(np.zeros(1), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, block: Optional[Block] = None) -> Tensor:
         # GIN's pre-activation feeds two consumers (aggregation + the
         # epsilon self-term), so the single-output linear_act fusion does
         # not apply: two activation nodes hang off one pre-activation, and
         # add_into's parent order fixes the order their gradients
         # accumulate into y — and with it every seeded trajectory.
         ws = self._buffers
+        adj, adj_t = self._aggregation(block)
         y = linear_act(
             x, self.linear.weight, self.linear.bias, activation="none",
             workspace=ws, slot=self.slot + ".lin",
@@ -168,15 +205,15 @@ class GINConv(GraphConvLayer):
         if self.use_cbsr_kernels:
             # One selection feeds both consumers of the pre-activation.
             h, mask = maxk_with_mask(y, self.k, ws, self.slot + ".act")
-            aggregated = spgemm_agg(self.adj, y, self.k, mask=mask)
+            aggregated = spgemm_agg(adj, y, self.k, mask=mask)
         else:
             h = self._activate(y, ws, ".act")
             aggregated = spmm_agg(
-                self.adj, self._activate(y, ws, ".act2"), self.adj_t,
+                adj, self._activate(y, ws, ".act2"), adj_t,
                 workspace=ws, slot=self.slot + ".agg",
             )
         return add_into(
-            aggregated, h * (self.eps + 1.0),
+            aggregated, self._at_destinations(h, block) * (self.eps + 1.0),
             workspace=ws, slot=self.slot + ".sum",
         )
 

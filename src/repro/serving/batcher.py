@@ -1,17 +1,17 @@
 """Deadline-aware dynamic micro-batcher over the training hot path.
 
 Concurrent per-node queries coalesce into one fused forward pass: the
-window's fan-out-limited ego-nets (one salt per request) expand together
-in one :func:`~repro.graphs.sampling.khop_keys` pass and are induced once
-against the served graph by :func:`~repro.graphs.partition.
+window's fan-out-limited ego-nets (one salt per request seed) expand
+together in one :func:`~repro.graphs.sampling.khop_keys` pass and are
+induced once against the served graph by :func:`~repro.graphs.partition.
 induced_union` (block-diagonal, so no cross-request edges exist and every
 member aggregates exactly as it would alone), the merged adjacencies are
-registered with the active sparse backend via ``warm()``, and a single
-eval-mode forward serves every query row. Row-wise dense kernels plus
-strictly per-block aggregation make each request's logits
-**bit-identical** to running it alone — the property the benchmark gates
-(the classifier head is the one product BLAS does not compute row-wise;
-see :func:`forward_rows`).
+registered with the active sparse backend via ``warm()`` (never ``A^T``),
+and one eval-mode forward computes each layer at the rows its answers read
+(:func:`layer_blocks`). Row-wise dense kernels plus strictly per-row
+aggregation make each request's logits **bit-identical** to running it
+alone — the property the benchmark gates (see :func:`forward_rows` for the
+products BLAS does not compute row-wise).
 
 The batch *window* is bounded twice: by ``max_batch`` (size) and by the
 earliest deadline in the queue (time) — :meth:`MicroBatcher.wait_budget`
@@ -30,12 +30,14 @@ import numpy as np
 from ..graphs import Graph
 from ..graphs.partition import induced_union
 from ..graphs.sampling import khop_keys
+from ..models.layers import Block
+from ..sparse import CSRMatrix
 from ..sparse.ops import get_backend
-from ..training.parallel import conv_norms, warm_batch
+from ..training.parallel import conv_norms
 from .queue import AdmissionQueue, Request
 
 __all__ = ["BatcherConfig", "EgoBatch", "MicroBatcher", "build_ego_batch",
-           "serve_window"]
+           "layer_blocks", "serve_window"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,8 @@ class EgoBatch:
 
     requests: List[Request]
     merged: Graph
-    #: Row of ``merged`` holding each request's query node, request order.
+    #: Row of ``merged`` holding each request's query node, request order
+    #: (so ascending: member ``m``'s rows follow member ``m - 1``'s).
     query_rows: np.ndarray
 
 
@@ -156,8 +159,8 @@ class MicroBatcher:
     # -- execution helpers (the stages of :func:`serve_window`) ----------
     @staticmethod
     def warm(model, merged: Graph) -> None:
-        """Register the merged adjacencies with the active backend."""
-        warm_batch(merged, conv_norms(model))
+        """Register the merged adjacencies (not ``A^T``) with the backend."""
+        get_backend().warm([merged.adjacency(n) for n in conv_norms(model)])
 
     @staticmethod
     def release(batch: EgoBatch) -> None:
@@ -171,6 +174,57 @@ class MicroBatcher:
         get_backend().release(batch.merged.built_adjacencies().values())
 
 
+#: Windows of fewer rows run every layer whole. A layer's fixed cost is
+#: ≈ 0.1 ms at any row count there, so blocks cost more than they save:
+#: the forward's crossover measured ≈ 4 requests (≈ 280 rows) at fanout
+#: 8, 2 hops, hidden 64, on a 2-vCPU x86 host.
+MIN_SLICED_ROWS = 256
+
+
+def _one_row_twice(rows: np.ndarray) -> np.ndarray:
+    # numpy's one-row float32 matmul is a gemv, which rounds unlike the same
+    # row inside a GEMM: a lone row never meets a product alone.
+    return rows.repeat(2) if rows.size == 1 else rows
+
+
+def layer_blocks(model, merged: Graph, rows: np.ndarray
+                 ) -> Tuple[List[Block], np.ndarray]:
+    """Each conv's :class:`~repro.models.layers.Block` for a pass reading
+    ``rows`` of the last layer, and the first layer's input features.
+
+    Layer ``L`` writes ``D_L`` = the sorted unique ``rows`` (every row in a
+    window under :data:`MIN_SLICED_ROWS`) and layer ``l`` reads ``D_{l-1} =
+    D_l`` ∪ the columns of ``A[D_l]``: the merged adjacency itself where
+    ``D_l`` is every row, else its CSR row slice (same edges, same order)
+    with columns renumbered into ``D_{l-1}``.
+    """
+    n, features = merged.n_nodes, merged.features
+    mark, local = np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64)
+    mark[rows if n >= MIN_SLICED_ROWS else slice(None)] = True
+    dst, blocks = np.flatnonzero(mark), []
+    for conv in reversed(model.convs):
+        adj = merged.adjacency(conv.norm)
+        if dst.size == n > 1:
+            blocks.insert(0, Block(adj, None))
+            continue
+        out = _one_row_twice(dst)
+        starts = adj.indptr[out]
+        counts = adj.indptr[out + 1] - starts
+        indptr = np.zeros(out.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        edges = np.arange(indptr[-1])
+        edges += np.repeat(starts - indptr[:-1], counts)
+        cols = adj.indices[edges]
+        mark[cols] = True
+        dst = np.flatnonzero(mark)
+        inputs = _one_row_twice(dst)
+        local[inputs] = np.arange(inputs.size)
+        blocks.insert(0, Block(CSRMatrix(
+            indptr, local[cols], adj.data[edges], shape=(out.size, inputs.size)
+        ), local[out]))
+    return blocks, features if dst.size == n > 1 else features[inputs]
+
+
 def forward_rows(model, batch: EgoBatch) -> List[np.ndarray]:
     """One eval-mode fused pass; returns each request's logits row.
 
@@ -178,23 +232,29 @@ def forward_rows(model, batch: EgoBatch) -> List[np.ndarray]:
     beyond the ego-net seeds), so the pass is deterministic and the
     extracted rows are bit-identical to single-request inference.
 
-    The head classifies each query row as its own ``(1, hidden)`` product:
-    a GEMM whose column count is not a multiple of the BLAS tile rounds a
+    Each layer runs on its :func:`layer_blocks` rows (a lone row twice);
+    the model is not rebound, so an engine sharing it keeps its graph. The
+    head classifies each query row as its own ``(1, hidden)`` product: a
+    GEMM whose column count is not a multiple of the BLAS tile rounds a
     row by where it sits among the others (float32, 7 classes: one answer
     in eleven moved in the last bit between a window and the request
     alone), and only the query rows' logits are wanted anyway.
     """
     from ..tensor import no_grad
 
+    blocks, features = layer_blocks(model, batch.merged, batch.query_rows)
     was_training = model.training
     model.eval()
     try:
-        model.bind_graph(batch.merged)
         with no_grad():
-            hidden = model.embed(batch.merged.features)
+            hidden = model.embed(features, blocks)
+            # A sliced last layer writes the (ascending) query rows alone.
+            rows = batch.query_rows if blocks[-1].dst is None else range(
+                batch.query_rows.size)
             return [model.classify(hidden[row:row + 1]).numpy()[0]
-                    for row in batch.query_rows.tolist()]
+                    for row in rows]
     finally:
+        get_backend().release(b.adj for b in blocks if b.dst is not None)
         if was_training:
             model.train()
 

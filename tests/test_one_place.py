@@ -211,3 +211,25 @@ def test_deleted_knobs_and_aliases_stay_deleted():
                  "hang_executor", "corrupt_result", "_removed_edge_mask",
                  "_sorted_member_mask", "_spmm_bincount"):
         assert _occurrences(gone) == {}
+
+
+def test_a_window_computes_destination_rows_in_one_place():
+    # layer_blocks walks the merged adjacency back from the query rows;
+    # nothing else builds a Block or a destination set.
+    batcher = _functions("serving/batcher.py")
+    assert [name for name, body in batcher.items()
+            if "Block(" in body] == ["layer_blocks"]
+    assert _occurrences("Block(") == {
+        "models/layers.py": 1, "serving/batcher.py": 2
+    }
+    assert _occurrences("layer_blocks(") == {"serving/batcher.py": 2}
+    # The merged adjacency reaches the layers through the blocks: serving
+    # never rebinds a model, so an engine sharing it keeps its graph.
+    assert "bind_graph" not in batcher["forward_rows"]
+    assert _occurrences("bind_graph(", "serving") == {}
+    # Eval never builds A^T: the layer resolves it lazily for a backward,
+    # and a window registers only the adjacencies it aggregates over.
+    assert "adjacency_transpose" not in _functions(
+        "models/layers.py")["bind_graph"]
+    for builder in ("warm_batch", "build_adjacencies"):
+        assert builder not in batcher["warm"], builder

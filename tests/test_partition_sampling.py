@@ -18,6 +18,7 @@ from repro.graphs import (
     random_walk_sampler,
     sbm_graph,
 )
+from repro.graphs.sampling import khop_keys
 
 
 @pytest.fixture
@@ -601,6 +602,32 @@ class TestCounterKeyedDraw:
                 np.testing.assert_array_equal(
                     batch.merged.features[batch.query_rows],
                     graph.features[[node for node, _ in pairs]])
+
+    def test_a_window_salts_once_per_seed_and_per_generator_use(self, graph):
+        """Equal int seeds share one salt; a generator seeding two members
+        still draws twice, the second member under the second draw."""
+        keys = np.array([3, graph.n_nodes + 3])
+        twice = khop_keys(graph, keys, [7, 7], 2, 2) % graph.n_nodes
+        once = khop_keys(graph, keys[:1], [7], 2, 2)
+        np.testing.assert_array_equal(twice, np.concatenate([once, once]))
+        ours, oracle = np.random.default_rng(1), np.random.default_rng(1)
+        pair = khop_keys(graph, keys, [ours, ours], 2, 2)
+        oracle.integers(2**64, dtype=np.uint64)
+        second = khop_keys(graph, keys[:1], [oracle], 2, 2)
+        np.testing.assert_array_equal(
+            pair[pair >= graph.n_nodes] - graph.n_nodes, second)
+        assert ours.bit_generator.state == oracle.bit_generator.state
+
+    def test_seeds_are_deduped_like_np_unique(self, graph):
+        seeds = np.array([9, 2, 9, 40, 2, 2, 0])
+        for n_hops in (0, 1, 2):
+            _, nodes = khop_neighborhood(graph, seeds, n_hops, 3,
+                                         rng_seed=4, return_nodes=True)
+            _, expected = khop_neighborhood(graph, np.unique(seeds), n_hops,
+                                            3, rng_seed=4, return_nodes=True)
+            np.testing.assert_array_equal(nodes, expected)
+        assert_same_graph(induced_subgraph(graph, seeds),
+                          reference_induced_subgraph(graph, seeds))
 
     def test_window_rejects_out_of_range_nodes(self, graph):
         for bad in (-1, graph.n_nodes, -graph.n_nodes):

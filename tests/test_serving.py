@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
+    Graph,
     attach_classification_task,
     owned_segment_count,
     sbm_graph,
@@ -715,3 +716,124 @@ class TestExecutorPoolServing:
         finally:
             service.close()
         _no_leaks()
+
+
+# ----------------------------------------------------------------------
+# A window computes each layer only at the rows its answers read.
+# ----------------------------------------------------------------------
+
+ROUTES = {"relu": ("relu", None, False), "maxk": ("maxk", 8, False),
+          "cbsr": ("maxk", 8, True)}
+
+
+def _graph_with_an_isolated_node(isolated=0):
+    """An SBM graph with node ``isolated``'s edges dropped: its ego-net is
+    that node alone, so every set a window runs it on has one row."""
+    base = sbm_graph(600, 4, 6.0, intra_fraction=0.7, seed=11).to_undirected()
+    keep = (base.src != isolated) & (base.dst != isolated)
+    graph = Graph(n_nodes=base.n_nodes, src=base.src[keep],
+                  dst=base.dst[keep], communities=base.communities)
+    attach_classification_task(graph, n_features=32, signal=0.5, seed=11)
+    return graph
+
+
+def _routed_model(graph, model_type, route):
+    nonlinearity, k, cbsr = ROUTES[route]
+    return MaxKGNN(graph, GNNConfig(
+        model_type=model_type, in_features=32, hidden=64, out_features=7,
+        n_layers=3, nonlinearity=nonlinearity, k=k, use_cbsr_kernels=cbsr,
+    ), seed=3)
+
+
+class TestPerLayerRows:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("model_type", ["sage", "gcn", "gin"])
+    def test_sliced_forward_is_the_full_forward(self, model_type, route):
+        """Every served row equals the whole merged graph's embed plus the
+        per-row head, and the request served alone; no window builds
+        ``A^T``. Three hops make windows past ``MIN_SLICED_ROWS`` (sliced,
+        a lone query's last layer included), one hop windows under it
+        (whole). Node 0 is isolated: alone, its window is one row, which
+        the full pass would run as a gemv — hence no full-pass check for a
+        one-row window (the one-row rule exists for that row)."""
+        from repro.serving.batcher import (
+            MIN_SLICED_ROWS,
+            build_ego_batch,
+            forward_rows,
+        )
+        from repro.tensor import no_grad
+
+        graph = _graph_with_an_isolated_node()
+        model = _routed_model(graph, model_type, route)
+        services = {hops: InferenceService(graph, model,
+                                           ServiceConfig(n_hops=hops))
+                    for hops in (1, 3)}
+        windows = [([0], 3), ([5], 3), ([5], 1), ([3, 0, 3, 3], 1),
+                   ([0, 5, 5, 17, 40, 0, 99, 63], 3)]
+        sizes = []
+        try:
+            for nodes, hops in windows:
+                requests = [Request(rid=i, node=node, seed=i % 2,
+                                    deadline=float("inf"), submitted=0.0)
+                            for i, node in enumerate(nodes)]
+                batch = build_ego_batch(graph, requests, hops, 8)
+                sizes.append(batch.merged.n_nodes)
+                try:
+                    MicroBatcher.warm(model, batch.merged)
+                    served = forward_rows(model, batch)
+                finally:
+                    MicroBatcher.release(batch)
+                assert not [key for key in batch.merged.built_adjacencies()
+                            if key.endswith("^T")]
+                for request, row in zip(requests, served):
+                    alone = services[hops].infer_single(request.node,
+                                                        request.seed)
+                    assert row.tobytes() == alone.tobytes()
+                if batch.merged.n_nodes == 1:
+                    continue
+                model.bind_graph(batch.merged)
+                model.eval()
+                with no_grad():
+                    hidden = model.embed(batch.merged.features)
+                    full = [model.classify(hidden[r:r + 1]).numpy()[0]
+                            for r in batch.query_rows.tolist()]
+                model.train()
+                assert [r.tobytes() for r in served] == [
+                    r.tobytes() for r in full]
+        finally:
+            for service in services.values():
+                service.close()
+        assert sizes[0] == 1
+        assert min(sizes[1], sizes[4]) >= MIN_SLICED_ROWS > max(sizes[2:4])
+
+    def test_training_still_builds_the_transpose(self):
+        graph = _task_graph()
+        engine = Engine(MaxKGNN(graph, _config(), seed=0), graph)
+        try:
+            assert "sage^T" not in graph.built_adjacencies()
+            engine.train_epoch(0)
+            assert "sage^T" in graph.built_adjacencies()
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("model_type", ["sage", "gcn", "gin"])
+    def test_serving_does_not_strand_a_shared_model(self, model_type):
+        """A service serving through an engine's model leaves the engine's
+        next epoch and evaluation exactly as they would have been."""
+        def run(serve):
+            graph = _task_graph()
+            model = MaxKGNN(graph, replace(_config(), model_type=model_type),
+                            seed=7)
+            engine = Engine(model, graph, lr=0.01)
+            service = InferenceService(graph, model)
+            try:
+                losses = [engine.train_epoch(0)]
+                if serve:
+                    service.infer_single(5)
+                losses.append(engine.train_epoch(1))
+                return losses, engine.evaluate()
+            finally:
+                service.close()
+                engine.close()
+
+        assert run(serve=True) == run(serve=False)
