@@ -40,6 +40,7 @@ import numpy as np
 
 from ..graphs.graph import Graph
 from ..graphs.shm import sweep_leaked_segments
+from ..sparse.native import keep_heap_mapped
 from ..training.checkpoint import (
     check_fingerprint,
     load_state_dict,
@@ -99,15 +100,17 @@ class ServiceConfig:
 class InferenceService:
     """Batched, supervised, cached online inference over one model.
 
-    The service *owns* its model's graph binding: every served window
-    rebinds the model to that window's merged ego-net graph, so do not
-    share the model object with a live training engine.
+    Serving never rebinds the model (each window passes its own per-layer
+    blocks), so a training engine may share the model object. A service
+    pins the process's malloc thresholds (:func:`keep_heap_mapped`) so
+    that :meth:`apply_delta` costs the same from one delta to the next.
     """
 
     def __init__(self, graph: Graph, model,
                  config: Optional[ServiceConfig] = None,
                  clock: Callable[[], float] = time.monotonic):
         self._closed = True  # true until init completes (close() is safe)
+        keep_heap_mapped()
         self.graph = graph
         self.model = model
         self.config = config or ServiceConfig()

@@ -22,6 +22,8 @@ scipy's public route. Nothing selects the tier but whether it builds.
 * **Calls.** ``ctypes.CDLL`` releases the GIL for the call. The loops
   index unchecked: the dispatcher bounds each adjacency, which arrives
   :func:`pin`-ned (the scipy backend keeps a read-only triple's pin).
+* **Heap.** :func:`keep_heap_mapped` is the one other call into C: glibc's
+  ``mallopt``, which an inference service makes once.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["FLAGS", "OPENMP", "SOURCE", "available_cores", "cache_dir",
-           "load", "pin", "run", "spmm"]
+           "keep_heap_mapped", "load", "pin", "run", "spmm"]
 
 SOURCE = Path(__file__).with_name("_cbsr.c")
 FLAGS = ("-O2", "-ftree-vectorize", "-fPIC", "-shared", "-ffp-contract=off")
@@ -78,6 +80,27 @@ def cache_dir() -> Path:
     """Where the shared object is cached: per user, never a shared ``/tmp``."""
     base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
     return Path(base) / "repro-native"
+
+
+#: glibc ``malloc.h``'s ``mallopt`` parameters.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_heap_mapped() -> bool:
+    """Fix glibc's malloc thresholds: arrays under 32 MiB (its 64-bit
+    ceiling) come from the heap, and the heap is not trimmed below
+    128 MiB. Under the dynamic defaults a graph delta's multi-MB copies
+    faulted fresh pages on some applies and not others (``apply_delta``
+    10 or 16–26 ms on a 473 k-edge graph, 2-vCPU x86). Process-wide and
+    idempotent; False off glibc."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    )
 
 
 def _build(variants=(FLAGS + (OPENMP,), FLAGS)) -> Optional[ctypes.CDLL]:

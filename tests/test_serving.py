@@ -11,6 +11,7 @@ process tests ride ``REPRO_FORCE_PROCS=1`` like the PR 8 suite.
 """
 
 import multiprocessing
+import resource
 import warnings
 from dataclasses import replace
 
@@ -40,7 +41,9 @@ from repro.serving import (
     ServiceConfig,
     Ticket,
 )
+from repro.serving import service as service_module
 from repro.sparse import ops
+from repro.sparse.native import keep_heap_mapped
 from repro.training import Engine, FaultPlan, set_fault_plan
 from repro.training.checkpoint import (
     config_fingerprint,
@@ -599,6 +602,27 @@ class TestLifecycle:
             service.close()
         service.close()
         _no_leaks()
+
+    def test_service_pins_the_heap(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(service_module, "keep_heap_mapped",
+                            lambda: calls.append(True) or True)
+        _service().close()
+        assert calls == [True]
+
+    def test_pinned_heap_refills_freed_pages_without_faults(self):
+        """An array freed and allocated again at the same size reuses the
+        mapped pages: no heap trim, no fresh mmap. With glibc's dynamic
+        thresholds, a fresh process faults hundreds of times on the second
+        20 MB array."""
+        if not keep_heap_mapped():
+            pytest.skip("no glibc mallopt")
+        nbytes = 20 << 20
+        np.empty(nbytes, dtype=np.uint8).fill(1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        np.empty(nbytes, dtype=np.uint8).fill(1)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < nbytes // 4096 // 64
 
 
 # ----------------------------------------------------------------------
