@@ -72,6 +72,7 @@ import numpy as np
 from ..sparse import CSRMatrix
 from ..sparse import ops as sparse_ops
 from .graph import NODE_FIELDS, normalized_adjacency
+from .partition import sorted_unique
 
 __all__ = ["GraphDelta", "apply_delta", "merge_csr_delta"]
 
@@ -335,7 +336,7 @@ def _doomed_positions(graph, delta: GraphDelta) -> np.ndarray:
             found.append(order[_group_slots(indptr, delta.detach_nodes)[0]])
     if not found:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(found))
+    return sorted_unique(np.concatenate(found))
 
 
 def _patch_index(
@@ -434,7 +435,7 @@ def apply_delta(graph, delta: GraphDelta, warm: bool = True):
 
     doomed = _doomed_positions(graph, delta)
     doomed_src, doomed_dst = graph.src[doomed], graph.dst[doomed]
-    removed_keys = np.unique(doomed_dst * new_n + doomed_src)
+    removed_keys = sorted_unique(doomed_dst * new_n + doomed_src)
     merged = {
         key: _merge_structural(
             base, delta, graph.n_nodes, new_n, removed_keys, key == "loops"

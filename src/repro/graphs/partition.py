@@ -136,7 +136,7 @@ def boundary_nodes(graph: Graph, partition: Partition, part: int) -> np.ndarray:
         [graph.src[crossing], graph.dst[crossing]]
     )
     candidates = candidates[assignment[candidates] == part]
-    return np.unique(candidates)
+    return sorted_unique(candidates)
 
 
 def sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -219,7 +219,7 @@ def bns_sample(
 
     src_in = assignment[graph.src] == part
     dst_in = assignment[graph.dst] == part
-    halo = np.unique(
+    halo = sorted_unique(
         np.concatenate(
             [graph.dst[src_in & ~dst_in], graph.src[dst_in & ~src_in]]
         )

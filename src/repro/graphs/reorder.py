@@ -21,6 +21,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from .graph import Graph
+from .partition import sorted_unique
 
 __all__ = [
     "apply_permutation",
@@ -40,7 +41,7 @@ def apply_permutation(graph: Graph, new_ids: np.ndarray) -> Graph:
     new_ids = np.asarray(new_ids, dtype=np.int64)
     if new_ids.shape != (graph.n_nodes,):
         raise ValueError("permutation must assign every node a new id")
-    if len(np.unique(new_ids)) != graph.n_nodes:
+    if len(sorted_unique(new_ids)) != graph.n_nodes:
         raise ValueError("permutation must be a bijection")
 
     inverse = np.empty_like(new_ids)

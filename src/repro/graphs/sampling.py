@@ -186,10 +186,9 @@ def edge_sampler(
     if not importance:
         picked = rng.choice(graph.n_edges, size=min(n_edges, graph.n_edges),
                             replace=False)
-        nodes = np.unique(
-            np.concatenate([graph.src[picked], graph.dst[picked]])
+        return induced_subgraph(
+            graph, np.concatenate([graph.src[picked], graph.dst[picked]])
         )
-        return induced_subgraph(graph, nodes)
     probs = degree_edge_probabilities(graph, alpha)
     draws = rng.choice(graph.n_edges, size=n_edges, replace=True, p=probs)
     endpoint_counts = (

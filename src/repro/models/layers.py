@@ -77,9 +77,10 @@ class GraphConvLayer(Module):
 
         Parameters are untouched, so the training engine can move one model
         (and its optimizer state) across subgraph batches by rebinding.
-        ``A`` is built here; a pass reads it, and ``A^T`` (training only,
-        built on first read), from the graph's caches, so eval never builds
-        ``A^T`` and a delta applied to the graph strands no matrix here.
+        ``A`` is built here; a pass reads it, and ``A^T`` (an SpMM route's
+        training backward only, built on first read), from the graph's
+        caches, so eval and the CBSR route never build ``A^T`` and a delta
+        applied to the graph strands no matrix here.
         """
         self.graph = graph
         graph.adjacency(self.norm)
@@ -93,10 +94,12 @@ class GraphConvLayer(Module):
         return self.graph.adjacency_transpose(self.norm)
 
     def _aggregation(self, block: Optional[Block]):
-        """``(A, A^T for a training backward or None)`` of this pass."""
+        """``(A, A^T for an SpMM training backward or None)`` of this pass
+        (the CBSR route's backward SSpMM reads ``A`` itself)."""
         if block is not None:
             return block.adj, None
-        return self.adj, self.adj_t if self.training else None
+        spmm_backward = self.training and not self.use_cbsr_kernels
+        return self.adj, self.adj_t if spmm_backward else None
 
     @staticmethod
     def _at_destinations(x: Tensor, block: Optional[Block]) -> Tensor:

@@ -3,17 +3,24 @@
  * in CSR row order and accumulates every output element one product at a
  * time, in stored-edge order, from zero — the reference backend's order,
  * so the bytes match it without FMA contraction or reassociation
- * (-ffp-contract=off, no -ffast-math). Threads split the output rows so
+ * (-ffp-contract=off, no -ffast-math). Only where two different NaNs meet
+ * may the sign differ: which one an add returns is the compiler's operand
+ * order, which IEEE 754 leaves open. Threads split the output rows so
  * each element is written by one thread: the same order at any thread
- * count. Nothing is bounds-checked here; the Python dispatcher validates
- * every index these loops read. */
+ * count. The SpMM has a second body, built for AVX2 alone and chosen as
+ * the object loads on a CPU that has it; other CPUs and architectures
+ * run the portable loop. Nothing is bounds-checked here; the Python
+ * dispatcher validates every index these loops read. */
 #include <stdint.h>
 
 /* Below this many multiply-adds (nnz * dim, or nnz * k) a call stays on
- * the calling thread. 2-core Xeon, gcc 12, float32, dim 64 / k 8, idle
- * threads asleep between calls, median of 41: a second thread first pays
- * for its wake-up at 2^20 for the SpMM (0.19 vs 0.19 ms; 2^19: 0.11 vs
- * 0.14-0.16 ms), 2^19 for the owner-split SSpMM and 2^17 for the SpGEMM. */
+ * the calling thread. 2-vCPU Xeon, gcc 12, float32, idle threads asleep
+ * between calls: a second thread first pays for its wake-up at 2^19 for
+ * the owner-split SSpMM and 2^17 for the SpGEMM (k 8, median of 41). The
+ * SpMM's AVX2 strips at dim 64, 12 rounds of 41 calls alternated within
+ * minutes, medians: at 2^20 two threads 0.21 ms against one's 0.25
+ * (faster in 8 of 12 rounds), at the 465 k-edge bench point 4.8 against
+ * 6.8 ms (9 of 12); one thread under taskset -c 0, 0.20 and 6.3 ms. */
 #define MIN_PARALLEL_WORK (INT64_C(1) << 20)
 const int64_t min_parallel_work = MIN_PARALLEL_WORK;
 
@@ -27,25 +34,26 @@ const int64_t min_parallel_work = MIN_PARALLEL_WORK;
     T *restrict out
 #define PASS n_rows, n_src, k, dim, threads, indptr, indices, data, in, col, out
 
-/* NAME runs NAME_rows over blocks [lo, hi) of its N output rows: all of
- * them on the calling thread below MIN_PARALLEL_WORK, else one contiguous
- * block per thread. */
-#define SPLIT(NAME, T, I, N, WORK)                                           \
+/* NAME runs ROWS over blocks [lo, hi) of its N output rows: all of them
+ * on the calling thread below MIN_PARALLEL_WORK, else one contiguous block
+ * per thread. ROWS is evaluated once per call. */
+#define SPLIT(NAME, ROWS, T, I, N, WORK)                                     \
     void NAME(ARGS(T, I))                                                    \
     {                                                                        \
+        void (*const rows)(int64_t, int64_t, ARGS(T, I)) = ROWS;             \
         const int64_t blocks = (WORK) >= MIN_PARALLEL_WORK ? threads : 1;   \
         if (blocks == 1) {                                                   \
-            NAME##_rows(0, N, PASS);                                         \
+            rows(0, N, PASS);                                                \
             return;                                                          \
         }                                                                    \
         _Pragma("omp parallel for schedule(static) num_threads(threads)")   \
         for (int64_t p = 0; p < blocks; p++)                                 \
-            NAME##_rows(N * p / blocks, N * (p + 1) / blocks, PASS);         \
+            rows(N * p / blocks, N * (p + 1) / blocks, PASS);                \
     }
 
 /* out (n_rows, dim) = A @ x, each row zeroed and accumulated in turn. */
-#define SPMM(NAME, T)                                                        \
-    static void NAME##_rows(int64_t lo, int64_t hi, ARGS(T, uint8_t))        \
+#define SPMM_ROWS(NAME, T)                                                   \
+    static void NAME(int64_t lo, int64_t hi, ARGS(T, uint8_t))               \
     {                                                                        \
         for (int64_t i = lo; i < hi; i++) {                                  \
             T *restrict row = out + i * dim;                                 \
@@ -57,8 +65,70 @@ const int64_t min_parallel_work = MIN_PARALLEL_WORK;
                     row[t] += a * v[t];                                      \
             }                                                                \
         }                                                                    \
-    }                                                                        \
-    SPLIT(NAME, T, uint8_t, n_rows, indptr[n_rows] * dim)
+    }
+
+/* 1 when every SpMM call takes the AVX2 strips below: set as the object
+ * loads, on an x86 CPU that has AVX2. Tests write 0 to force the loop
+ * above. */
+int wide_spmm = 0;
+
+#if defined(__x86_64__) || defined(__i386__)
+/* The same sums, a row at a time in strips of STRIP columns: a strip's
+ * partial sums stay in registers across all of the row's edges and are
+ * stored once; the last dim % STRIP columns run the loop above. The
+ * unrolls keep a strip in vector registers at both float widths (without
+ * them gcc 12 kept double's on the stack and stored float's through it).
+ * Only the AVX2 build was measured on a CPU that runs it, so the CPUs
+ * that take the loop above keep it. (Built for SSE and run on the AVX2
+ * host, the strips read 5.8-10.1 against the loop's 6.9-11.6 ms at the
+ * bench point, one thread, three runs of 9 alternated rounds.) */
+#define STRIP 16
+#define SPMM_STRIP_ROWS(NAME, T)                                             \
+    __attribute__((target("avx2")))                                          \
+    static void NAME(int64_t lo, int64_t hi, ARGS(T, uint8_t))               \
+    {                                                                        \
+        const int64_t wide = dim - dim % STRIP;                              \
+        for (int64_t i = lo; i < hi; i++) {                                  \
+            T *restrict row = out + i * dim;                                 \
+            for (int64_t s = 0; s < wide; s += STRIP) {                      \
+                T sum[STRIP] = {0};                                          \
+                for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {       \
+                    const T a = data[e];                                     \
+                    const T *restrict v = in + indices[e] * dim + s;         \
+                    _Pragma("GCC unroll 16")                                 \
+                    for (int t = 0; t < STRIP; t++)                          \
+                        sum[t] += a * v[t];                                  \
+                }                                                            \
+                _Pragma("GCC unroll 16")                                     \
+                for (int t = 0; t < STRIP; t++)                              \
+                    row[s + t] = sum[t];                                     \
+            }                                                                \
+            for (int64_t t = wide; t < dim; t++)                             \
+                row[t] = 0;                                                  \
+            for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {           \
+                const T a = data[e], *restrict v = in + indices[e] * dim;   \
+                for (int64_t t = wide; t < dim; t++)                         \
+                    row[t] += a * v[t];                                      \
+            }                                                                \
+        }                                                                    \
+    }
+
+__attribute__((constructor)) static void choose_spmm(void)
+{
+    __builtin_cpu_init();
+    wide_spmm = __builtin_cpu_supports("avx2") != 0;
+}
+
+#define SPMM(NAME, T)                                                        \
+    SPMM_ROWS(NAME##_rows, T)                                                \
+    SPMM_STRIP_ROWS(NAME##_strip_rows, T)                                    \
+    SPLIT(NAME, wide_spmm ? NAME##_strip_rows : NAME##_rows, T, uint8_t,    \
+          n_rows, indptr[n_rows] * dim)
+#else
+#define SPMM(NAME, T)                                                        \
+    SPMM_ROWS(NAME##_rows, T)                                                \
+    SPLIT(NAME, NAME##_rows, T, uint8_t, n_rows, indptr[n_rows] * dim)
+#endif
 
 /* out (n_rows, dim), zeroed by the caller: the row-wise-product SpGEMM,
  * out[i, col[j, t]] += a_ij * in[j, t] into the dense dim-wide row i. */
@@ -75,7 +145,7 @@ const int64_t min_parallel_work = MIN_PARALLEL_WORK;
             }                                                                \
         }                                                                    \
     }                                                                        \
-    SPLIT(NAME, T, I, n_rows, indptr[n_rows] * k)
+    SPLIT(NAME, NAME##_rows, T, I, n_rows, indptr[n_rows] * k)
 
 /* out (n_src, k), zeroed by the caller: the outer-product SSpMM, out[j, t]
  * += a_ij * in[i, col[j, t]], with no transpose of A. Its output rows are
@@ -98,7 +168,7 @@ const int64_t min_parallel_work = MIN_PARALLEL_WORK;
             }                                                                \
         }                                                                    \
     }                                                                        \
-    SPLIT(NAME, T, I, n_src, indptr[n_rows] * k)
+    SPLIT(NAME, NAME##_rows, T, I, n_src, indptr[n_rows] * k)
 
 /* One instance per value type (numpy type char f / d) and index width. */
 #define CBSR_PAIR(SUFFIX, T, I)                                              \

@@ -10,8 +10,11 @@ scipy's public route. Nothing selects the tier but whether it builds.
   ``-fopenmp`` where the compiler has it (else the loops run one thread).
   No FMA contraction and no ``-ffast-math``: every product and add rounds
   as the ``reference`` loops' do. No ``-march=native``: a cached object
-  never traps on another CPU. Not ``-O3``: gcc 12's unroll-and-jam pairs
-  the SpMM's edges into one scalar loop there, 2.4x slower.
+  never traps on another CPU. Instead the SpMM carries one AVX2 clone
+  (``target("avx2")``, x86 only), chosen at run time from the CPU's
+  flags as the object loads; every other CPU runs the portable loop, with
+  the same bytes. Not ``-O3``: gcc 12's unroll-and-jam pairs the SpMM's
+  edges into one scalar loop there, 2.4x slower.
 * **Threads.** :func:`available_cores` threads per call (one below
   ``_cbsr.c``'s ``MIN_PARALLEL_WORK``); ``load().threads()`` answers the
   count. The affinity mask decides it, never ``OMP_NUM_THREADS``.

@@ -233,3 +233,28 @@ def test_a_window_computes_destination_rows_in_one_place():
         "models/layers.py")["bind_graph"]
     for builder in ("warm_batch", "build_adjacencies"):
         assert builder not in batcher["warm"], builder
+
+
+def test_ids_are_deduped_one_way():
+    # partition.sorted_unique is np.unique's bytes for an id array without
+    # numpy 2's hash table; np.unique stays where its extra outputs are
+    # read. gpusim prices the modelled kernels and runs none of the program.
+    import ast
+
+    calls = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        if module.startswith("gpusim/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(
+                node.func, "attr", None
+            ) == "unique":
+                calls.setdefault(module, []).append(
+                    sorted(keyword.arg for keyword in node.keywords)
+                )
+    assert calls == {
+        "graphs/generators.py": [["return_index"]],
+        "training/metrics.py": [["return_counts", "return_inverse"]],
+    }
+    assert _occurrences("def sorted_unique(") == {"graphs/partition.py": 1}

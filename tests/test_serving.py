@@ -830,15 +830,22 @@ class TestPerLayerRows:
         assert sizes[0] == 1
         assert min(sizes[1], sizes[4]) >= MIN_SLICED_ROWS > max(sizes[2:4])
 
-    def test_training_still_builds_the_transpose(self):
-        graph = _task_graph()
-        engine = Engine(MaxKGNN(graph, _config(), seed=0), graph)
-        try:
-            assert "sage^T" not in graph.built_adjacencies()
-            engine.train_epoch(0)
-            assert "sage^T" in graph.built_adjacencies()
-        finally:
-            engine.close()
+    def test_only_spmm_training_builds_the_transpose(self):
+        """The SpMM route's backward reads ``A^T``; the CBSR route's SSpMM
+        reads ``A`` itself, so its training builds none and still takes
+        its dense twin's losses."""
+        losses = {}
+        for cbsr in (False, True):
+            graph = _task_graph()
+            config = replace(_config(), use_cbsr_kernels=cbsr)
+            engine = Engine(MaxKGNN(graph, config, seed=0), graph)
+            try:
+                assert "sage^T" not in graph.built_adjacencies()
+                losses[cbsr] = [engine.train_epoch(epoch) for epoch in range(3)]
+                assert ("sage^T" in graph.built_adjacencies()) is not cbsr
+            finally:
+                engine.close()
+        assert losses[True] == losses[False]
 
     @pytest.mark.parametrize("model_type", ["sage", "gcn", "gin"])
     def test_serving_does_not_strand_a_shared_model(self, model_type):

@@ -12,6 +12,7 @@ multiple of the round-off of the width in force — is enforced.
 """
 
 import ctypes
+import itertools
 import os
 
 import numpy as np
@@ -669,6 +670,85 @@ class TestNativeCbsrLoops:
             grad_out.astype(dtype), adj.n_cols,
         )
         assert_same_bits(got, expected)
+
+    @pytest.fixture(scope="class", params=[np.float32, np.float64],
+                    ids=["float32", "float64"])
+    def spmm_case(self, request):
+        """``(csr, x, reference A @ x)`` at width 100, its edges enough for
+        two threads to split every width from 6 up. Each output column is
+        its own sums, so the first ``w`` columns of ``A @ x`` are ``A`` at
+        ``x[:, :w]``. ``x`` holds ±0, ±inf and the NaN this CPU makes of
+        ``inf - inf``, so every NaN in a sum has one bit pattern."""
+        library = native.load()
+        if library is None:
+            pytest.skip("no C compiler: the compiled loops are not built")
+        dtype, rng = request.param, np.random.default_rng(1012)
+        degrees = rng.integers(0, 2 * self.threshold(library) // (5 * 64), 64)
+        degrees[[0, 9]] = 0
+        nnz = int(degrees.sum())
+        csr = (np.concatenate(([0], np.cumsum(degrees))),
+               rng.integers(0, 80, nnz), rng.normal(size=nnz).astype(dtype))
+        x = rng.normal(size=(80, 100)).astype(dtype)
+        special = rng.random(x.shape) < 0.05
+        with np.errstate(invalid="ignore"):  # inf - inf
+            nan = dtype(np.inf) - dtype(np.inf)
+            x[special] = rng.choice(
+                np.array([0.0, -0.0, np.inf, -np.inf, nan], dtype), special.sum()
+            )
+            expected = ops._REGISTRY["reference"].spmm_csr(*csr, x, 64)
+        return csr, x, expected
+
+    @pytest.mark.parametrize("dim", [1, 6, 15, 16, 17, 40, 64, 100])
+    def test_the_spmm_at_every_width_and_path_is_the_reference_loop(
+        self, library, spmm_case, dim, monkeypatch
+    ):
+        """Widths around the 16-column strip: whole strips, a tail alone,
+        both. Each on the path this CPU takes (the AVX2 strips where it
+        has them) and forced onto the narrow loop, on one thread and on
+        two."""
+        csr, x, expected = spmm_case
+        x, expected = np.ascontiguousarray(x[:, :dim]), expected[:, :dim]
+        pinned = native.pin(*csr)
+        switch = ctypes.c_int.in_dll(library, "wide_spmm")
+        chosen = switch.value
+        try:
+            for threads, wide in itertools.product((1, 2), {chosen, 0}):
+                monkeypatch.setattr(library, "threads", lambda: threads)
+                switch.value = wide
+                got = native.spmm(library, pinned, x)
+                assert bytes_equal(got, expected), (threads, wide)
+        finally:
+            switch.value = chosen
+        assert dim < 6 or len(csr[1]) * dim >= self.threshold(library)
+
+    def test_two_nans_meeting_may_differ_only_in_sign(self, library):
+        """IEEE 754 leaves open which NaN an add of two NaNs returns, and
+        the loops order an add's operands as the compiler chose: with x's
+        NaN positive and ``inf - inf``'s negative (x86), either path agrees
+        with the reference in every other byte and in where the NaNs are."""
+        rng = np.random.default_rng(1013)
+        adj = random_csr(rng, n_rows=40, n_cols=30, nnz=400)
+        x = rng.normal(size=(30, 40)).astype(ops.FLOAT_DTYPE)
+        special = rng.random(x.shape) < 0.1
+        x[special] = rng.choice(
+            np.array([np.nan, np.inf, -np.inf], x.dtype), special.sum()
+        )
+        with np.errstate(invalid="ignore"):
+            expected = ops._REGISTRY["reference"].spmm_csr(
+                adj.indptr, adj.indices, adj.data.astype(x.dtype), x, adj.n_rows
+            )
+        pinned = native.pin(adj.indptr, adj.indices, adj.data.astype(x.dtype))
+        switch = ctypes.c_int.in_dll(library, "wide_spmm")
+        chosen = switch.value
+        try:
+            for wide in {chosen, 0}:
+                switch.value = wide
+                got = native.spmm(library, pinned, x)
+                nan = np.isnan(expected)
+                assert nan.any() and np.array_equal(np.isnan(got), nan)
+                assert bytes_equal(np.where(nan, 0, got), np.where(nan, 0, expected))
+        finally:
+            switch.value = chosen
 
     def test_strided_operands_are_made_contiguous(self, library):
         adj, sp_data, sp_index, grad_out = cbsr_case(
