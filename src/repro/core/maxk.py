@@ -7,12 +7,16 @@ only the surviving positions receive gradient.
 Two selection algorithms are provided:
 
 * :func:`maxk_mask` / :func:`maxk_forward` — exact top-k selection through
-  the sparse-ops backend (``np.partition`` threshold with lowest-column
-  tie fill on the vectorized backends, a stable per-row sort on the
-  reference backend). Training runs the same ``ops.topk_mask`` once per
-  layer (:mod:`repro.tensor.functional`): the mask gates the dense
-  activation, and on the CBSR path its set positions are the pattern —
-  nothing re-selects the sparsified rows by magnitude.
+  the sparse-ops backend (a stable per-row sort on the reference backend;
+  ``np.partition`` threshold with lowest-column tie fill on the
+  vectorized ones; on the scipy backend, for float32 and ``k <= 8`` on an
+  AVX2 CPU, the compiled select of ``sparse/_cbsr.c``, which keeps each
+  row's running top 8 in one vector register and fills ties the same
+  way). Training runs the same ``ops.topk_mask`` once per layer
+  (:mod:`repro.tensor.functional`): the mask gates the dense activation,
+  and on the CBSR path its set positions are the pattern, packed by
+  ``ops.cbsr_pack`` — nothing re-selects the sparsified rows by
+  magnitude.
 * :func:`pivot_select_row` / :func:`pivot_select` — the paper's GPU kernel
   algorithm (§5.3): bisect a pivot between the row min and max until exactly
   ``k`` elements exceed it, falling back to rank selection among ties. The

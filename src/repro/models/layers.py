@@ -143,7 +143,7 @@ class GraphConvLayer(Module):
             workspace=ws, slot=self.slot + ".lin",
         )
         if cbsr:
-            return spgemm_agg(adj, h, self.k)
+            return spgemm_agg(adj, h, self.k, workspace=ws, slot=self.slot + ".cbsr")
         return spmm_agg(adj, h, adj_t, workspace=ws, slot=self.slot + ".agg")
 
 
@@ -208,7 +208,8 @@ class GINConv(GraphConvLayer):
         if self.use_cbsr_kernels:
             # One selection feeds both consumers of the pre-activation.
             h, mask = maxk_with_mask(y, self.k, ws, self.slot + ".act")
-            aggregated = spgemm_agg(adj, y, self.k, mask=mask)
+            aggregated = spgemm_agg(adj, y, self.k, mask=mask, workspace=ws,
+                                    slot=self.slot + ".cbsr")
         else:
             h = self._activate(y, ws, ".act")
             aggregated = spmm_agg(

@@ -1,4 +1,5 @@
-"""The compiled tier: ``_cbsr.c``'s aggregation loops, built on first use.
+"""The compiled tier: ``_cbsr.c``'s aggregation loops, with the MaxK select
+and the CBSR pack / unpack around them, built on first use.
 
 :func:`load` compiles the C file next to this module with the host's
 ``cc`` the first time a kernel asks for it (never at import), caches the
@@ -10,14 +11,18 @@ scipy's public route. Nothing selects the tier but whether it builds.
   ``-fopenmp`` where the compiler has it (else the loops run one thread).
   No FMA contraction and no ``-ffast-math``: every product and add rounds
   as the ``reference`` loops' do. No ``-march=native``: a cached object
-  never traps on another CPU. Instead the SpMM carries one AVX2 clone
-  (``target("avx2")``, x86 only), chosen at run time from the CPU's
-  flags as the object loads; every other CPU runs the portable loop, with
-  the same bytes. Not ``-O3``: gcc 12's unroll-and-jam pairs the SpMM's
-  edges into one scalar loop there, 2.4x slower.
-* **Threads.** :func:`available_cores` threads per call (one below
-  ``_cbsr.c``'s ``MIN_PARALLEL_WORK``); ``load().threads()`` answers the
-  count. The affinity mask decides it, never ``OMP_NUM_THREADS``.
+  never traps on another CPU. Instead the SpMM, the float CBSR pair and
+  the float select (``k`` up to 8) carry AVX2 bodies (``target("avx2")``,
+  x86 only), chosen at run time from the CPU's flags as the object loads
+  (the exported ``int wide``); every other CPU runs the portable loops and
+  numpy's select, with the same bytes. Not ``-O3``: gcc 12's
+  unroll-and-jam pairs the SpMM's edges into one scalar loop there, 2.4x
+  slower.
+* **Threads.** :func:`available_cores` threads per aggregation call (one
+  below ``_cbsr.c``'s ``MIN_PARALLEL_WORK``); ``load().threads()``
+  answers the count. The affinity mask decides it, never
+  ``OMP_NUM_THREADS``. The select, pack and unpack run on the calling
+  thread.
 * **Cache.** ``$XDG_CACHE_HOME/repro-native`` (default ``~/.cache``),
   ``0700`` and refused unless the user's own and private. The file name
   hashes source, flags, compiler version and machine; the object is
@@ -48,7 +53,8 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["FLAGS", "OPENMP", "SOURCE", "available_cores", "cache_dir",
-           "keep_heap_mapped", "load", "pin", "run", "spmm"]
+           "keep_heap_mapped", "load", "pack", "pin", "run", "spmm", "topk",
+           "unpack"]
 
 SOURCE = Path(__file__).with_name("_cbsr.c")
 FLAGS = ("-O2", "-ftree-vectorize", "-fPIC", "-shared", "-ffp-contract=off")
@@ -161,13 +167,22 @@ def _open(target: Path) -> ctypes.CDLL:
 
 def _declare(library: ctypes.CDLL, parallel: bool) -> ctypes.CDLL:
     library.threads = available_cores if parallel else lambda: 1
-    for name in ("spmm_f", "spmm_d", *(
-        f"{op}_{value}_u{bits}" for op, value, bits
-        in itertools.product(("spgemm", "sspmm"), "fd", (8, 16, 32))
-    )):
-        function = getattr(library, name)
-        function.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 6
-        function.restype = None
+    cbsr = [f"{value}_u{bits}" for value, bits in itertools.product("fd", (8, 16, 32))]
+    signatures = {  # name: (int64 arguments, pointers, result)
+        **{name: (5, 6, None) for name in ("spmm_f", "spmm_d", *(
+            f"{op}_{suffix}" for op in ("spgemm", "sspmm") for suffix in cbsr
+        ))},
+        **{f"cbsr_pack_{suffix}": (3, 4, ctypes.c_int64) for suffix in cbsr},
+        **{f"cbsr_unpack_{suffix}": (3, 3, None) for suffix in cbsr},
+        # The select is built on x86 alone.
+        **{f"topk_f_{kind}": (3, 2, ctypes.c_int64) for kind in "bf"},
+    }
+    for name, (integers, pointers, result) in signatures.items():
+        function = getattr(library, name, None)
+        if function is not None:
+            function.argtypes = ([ctypes.c_int64] * integers
+                                 + [ctypes.c_void_p] * pointers)
+            function.restype = result
     return library
 
 
@@ -226,6 +241,42 @@ def spmm(library, adjacency, x: np.ndarray, out=None) -> np.ndarray:
         return target
     np.copyto(out, target)
     return out
+
+
+def topk(library, x: np.ndarray, k: int, out: np.ndarray) -> bool:
+    """The compiled select's 0/1 mask of each row's ``k`` largest (ties to
+    the lowest column) of the NaN-free ``x`` in the C-contiguous ``out``,
+    bool or of ``x``'s dtype; False, with ``out`` unwritten, where it does
+    not serve (a width or CPU it is not built for, ``k`` above 8)."""
+    select = getattr(library, f"topk_{x.dtype.char}_{out.dtype.kind}", None)
+    if select is None or not out.flags.c_contiguous:
+        return False
+    x = np.ascontiguousarray(x)
+    return bool(select(x.shape[0], x.shape[1], k, _address(x), _address(out)))
+
+
+def pack(library, x: np.ndarray, mask: np.ndarray, k: int,
+         data: np.ndarray, index: np.ndarray) -> None:
+    """The CBSR block of ``x`` at the byte ``mask`` into the C-contiguous
+    ``data`` / unsigned ``index``; refuses a row without ``k`` survivors."""
+    x, mask = np.ascontiguousarray(x), np.ascontiguousarray(mask)
+    n_rows, dim = x.shape
+    row = getattr(library, f"cbsr_pack_{x.dtype.char}_u{index.itemsize * 8}")(
+        n_rows, dim, k, _address(x), _address(mask), _address(data),
+        _address(index),
+    )
+    if row != n_rows:
+        raise ValueError(f"mask row {row} does not hold exactly {k} survivors")
+
+
+def unpack(library, block: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """``out`` (C-contiguous) zero but at each row's ``index`` columns,
+    which receive ``block``'s values; ``index`` is bounded by the caller."""
+    block, index = np.ascontiguousarray(block), np.ascontiguousarray(index)
+    getattr(library, f"cbsr_unpack_{block.dtype.char}_u{index.itemsize * 8}")(
+        out.shape[0], out.shape[1], index.shape[1], _address(block),
+        _address(index), _address(out),
+    )
 
 
 def run(library, op, adjacency, values, index, dim, shape) -> np.ndarray:

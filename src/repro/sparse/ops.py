@@ -26,7 +26,9 @@ Backends
     SSpMM pair delegated to the C loops of :mod:`repro.sparse.native`, on
     every free core (scipy's public ``A @ B`` route where no compiler
     builds them) — same sequential accumulation order per output element,
-    so still bit-identical. Registered only when scipy imports.
+    so still bit-identical. The MaxK select (where the compiled one
+    serves) and the CBSR pack / unpack run there too: compares and byte
+    copies, the same masks and blocks. Registered only when scipy imports.
 
 Selection
 ---------
@@ -71,6 +73,8 @@ __all__ = [
     "sspmm_cbsr",
     "topk_mask",
     "topk_columns",
+    "cbsr_pack",
+    "cbsr_unpack",
     "mask_into",
     "index_dtype_for",
     "release",
@@ -204,6 +208,19 @@ class SparseOpsBackend:
 
     def topk_columns(self, x: np.ndarray, k: int) -> np.ndarray:
         raise NotImplementedError
+
+    # The CBSR pack / unpack as numpy lines, every backend's unless it
+    # compiles them.
+    def cbsr_pack(self, x, mask, k, data, index) -> None:
+        survivors = np.flatnonzero(mask)
+        if (np.count_nonzero(mask, axis=1) != k).any():
+            raise ValueError(f"every mask row must hold exactly {k} survivors")
+        np.take(x, survivors, out=data.reshape(-1))
+        index[...] = (survivors % x.shape[1]).reshape(index.shape)
+
+    def cbsr_unpack(self, block, index, out) -> None:
+        out[...] = 0
+        np.put_along_axis(out, index.astype(np.intp), block, axis=1)
 
     # -- cache hooks ---------------------------------------------------
     # Backends may pin per-graph buffers (the scipy backend keys CSR
@@ -718,8 +735,10 @@ class ScipyBackend(VectorizedBackend):
     The SpMM and the CBSR SpGEMM / SSpMM are the C loops of
     :mod:`repro.sparse.native` (the CBSR pair reads ``sp_index`` at its
     CBSR width): each output element accumulates in stored-edge order at
-    any thread count, so outputs stay bit-identical. Without a compiler
-    scipy's public ``A @ B`` serves the same row-sequential accumulation;
+    any thread count, so outputs stay bit-identical; so are the float
+    select for ``k <= 8`` on an AVX2 CPU (:func:`native.topk`) and the
+    CBSR pack / unpack. Without a compiler scipy's public ``A @ B`` serves
+    the same row-sequential accumulation and numpy the rest;
     ``cache_info()["native"]`` is the loops' thread count (0: not built).
     A *read-only* CSR buffer triple's O(nnz) bounds and pin are kept in
     the LRU (:meth:`csr_bound`); a writable one is checked on every call.
@@ -778,6 +797,25 @@ class ScipyBackend(VectorizedBackend):
             return result
         np.copyto(out, result)
         return out
+
+    def topk_mask(self, x, k, out=None, workspace=None, slot="topk"):
+        library = native.load()
+        mask = np.empty(x.shape, dtype=bool) if out is None else out
+        if library is not None and native.topk(library, x, k, mask):
+            return mask
+        return super().topk_mask(x, k, mask, workspace, slot)
+
+    def cbsr_pack(self, x, mask, k, data, index):
+        library = native.load()
+        if library is None:
+            return super().cbsr_pack(x, mask, k, data, index)
+        native.pack(library, x, mask, k, data, index)
+
+    def cbsr_unpack(self, block, index, out):
+        library = native.load()
+        if library is None:
+            return super().cbsr_unpack(block, index, out)
+        native.unpack(library, block, index, out)
 
     def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
         library = native.load()
@@ -1102,6 +1140,53 @@ def topk_mask(x, k: int, out=None, workspace=None, slot: str = "topk") -> np.nda
     ):
         raise ValueError(f"out must be a bool or {x.dtype} ndarray of x's shape")
     return _ACTIVE.topk_mask(x, k, out=out, workspace=workspace, slot=slot)
+
+
+def _check_block_out(out, shape, dtype) -> np.ndarray:
+    """:func:`_check_out`, C-contiguous (the compiled loops write it), or a
+    fresh array for ``None``."""
+    if _check_out(out, shape, dtype) is None:
+        return np.empty(shape, dtype=dtype)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    return out
+
+
+def cbsr_pack(x, mask, k: int, data=None, index=None) -> Tuple[np.ndarray, np.ndarray]:
+    """The CBSR block ``(sp_data, sp_index)`` of the dense ``x`` at a top-k
+    ``mask`` (bool, or ``x``'s dtype holding 0/1): each row's ``k``
+    survivors, columns ascending, ``sp_index`` at :func:`index_dtype_for`'s
+    width. The values are copied, never computed. ``data`` / ``index``
+    receive the block when given. A mask row without exactly ``k``
+    survivors is refused."""
+    x, mask = np.asarray(x), np.asarray(mask)
+    if x.ndim != 2 or mask.shape != x.shape:
+        raise ValueError("x and mask must be matching 2-D arrays")
+    n_rows, dim = x.shape
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must be in [1, {dim}], got {k}")
+    if mask.dtype != np.bool_:
+        mask = mask != 0
+    data = _check_block_out(data, (n_rows, k), x.dtype)
+    index = _check_block_out(index, (n_rows, k), index_dtype_for(dim))
+    _ACTIVE.cbsr_pack(x, mask, k, data, index)
+    return data, index
+
+
+def cbsr_unpack(block, sp_index, dim_origin: int, out=None) -> np.ndarray:
+    """The dense ``(n, dim_origin)`` map of a CBSR block: zero but at each
+    row's ``sp_index`` columns, which hold ``block``'s values (copied) —
+    the SSpMM's gradient back at the forward pattern."""
+    block = np.asarray(block)
+    sp_index = np.asarray(sp_index)
+    if block.ndim != 2 or sp_index.shape != block.shape:
+        raise ValueError("block and sp_index must be matching 2-D blocks")
+    if sp_index.size and not 0 <= sp_index.min() <= sp_index.max() < dim_origin:
+        raise ValueError("sp_index entries must be in [0, dim_origin)")
+    sp_index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
+    out = _check_block_out(out, (len(block), dim_origin), block.dtype)
+    _ACTIVE.cbsr_unpack(block, sp_index, out)
+    return out
 
 
 def release(matrices) -> int:

@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.cbsr import CBSRMatrix
 from ..sparse import CSRMatrix, ops
 from .tensor import Tensor
 
@@ -270,40 +269,44 @@ def maxout(x: Tensor, group_size: int) -> Tensor:
 
 
 def spgemm_agg(
-    adj: CSRMatrix, x: Tensor, k: int, mask: Optional[np.ndarray] = None
+    adj: CSRMatrix,
+    x: Tensor,
+    k: int,
+    mask: Optional[np.ndarray] = None,
+    workspace=None,
+    slot: str = "cbsr",
 ) -> Tensor:
     """MaxK + aggregation through the paper's actual kernel dataflow.
 
     Forward: one top-k selection over ``x`` whose survivor mask *is* the
-    CBSR pattern, aggregated with the row-wise-product **SpGEMM** kernel.
-    Backward: the gradient at that pattern from the outer-product
-    **SSpMM** kernel, scattered into a zeroed dense block — the Fig.-5
-    training dataflow. Outputs and gradients equal ``spmm_agg(adj,
-    maxk(x, k))`` bit for bit, zero-valued survivors included. ``mask``
-    hands in the selection :func:`maxk_with_mask` already made over ``x``
-    (GIN's self term), so the layer selects once.
+    CBSR pattern, packed into the ``(n, k)`` block and aggregated with the
+    row-wise-product **SpGEMM** kernel. Backward: the gradient at that
+    pattern from the outer-product **SSpMM** kernel, unpacked into a dense
+    block zero elsewhere — the Fig.-5 training dataflow. Outputs and
+    gradients equal ``spmm_agg(adj, maxk(x, k))`` bit for bit, zero-valued
+    survivors included. ``mask`` hands in the selection
+    :func:`maxk_with_mask` already made over ``x`` (GIN's self term), so
+    the layer selects once. ``workspace`` / ``slot`` route the mask, the
+    block and the dense gradient into planned buffers.
     """
     n, dim = x.data.shape
+    take = _taker(workspace, slot, x.data.dtype)
     if mask is None:
-        mask = ops.topk_mask(x.data, k)
-    # Row-major positions of the survivors: k per row, columns ascending.
-    survivors = np.flatnonzero(mask)
-    cbsr = CBSRMatrix(
-        np.take(x.data, survivors).reshape(n, k), (survivors % dim).reshape(n, k), dim
+        mask = ops.topk_mask(x.data, k, out=take(".mask", (n, dim), bool),
+                             workspace=workspace, slot=slot + ".topk")
+    sp_data, sp_index = ops.cbsr_pack(
+        x.data, mask, k, take(".data", (n, k)),
+        take(".index", (n, k), ops.index_dtype_for(dim)),
     )
     out = ops.spgemm_cbsr(
-        adj.indptr, adj.indices, adj.data, cbsr.sp_data, cbsr.sp_index, dim, adj.n_rows
+        adj.indptr, adj.indices, adj.data, sp_data, sp_index, dim, adj.n_rows
     )
 
     def backward(grad):
         if not x.requires_grad:
             return
-        sp_grad = ops.sspmm_cbsr(
-            adj.indptr, adj.indices, adj.data, grad, cbsr.sp_index, n
-        )
-        grad_x = np.zeros((n, dim), dtype=sp_grad.dtype)
-        np.put(grad_x, survivors, sp_grad)
-        x._accumulate(grad_x)
+        sp_grad = ops.sspmm_cbsr(adj.indptr, adj.indices, adj.data, grad, sp_index, n)
+        x._accumulate(ops.cbsr_unpack(sp_grad, sp_index, dim, take(".gx", (n, dim))))
 
     return Tensor._make(out, (x,), backward)
 

@@ -682,8 +682,8 @@ class PrefetchFlow(DataFlow):
         #: that cannot support it — see
         #: :func:`repro.training.parallel.resolve_process_workers`).
         self.workers = workers
-        #: Adjacency normalisations every builder pre-builds per batch
-        #: (the engine installs its convolutions' norms here).
+        #: Adjacencies every builder pre-builds per batch, as graph cache
+        #: keys (the engine installs its model's ``training_adjacencies``).
         self.warm_norms: Tuple[str, ...] = ()
         self._builder: Union[None, _ThreadBuilder, ProcessPrefetchPool] = None
         self._builder_graph: Optional[Graph] = None
@@ -698,7 +698,8 @@ class PrefetchFlow(DataFlow):
         return f"{self.inner.describe()}+prefetch{self.depth}{procs}"
 
     def set_warm_norms(self, norms: Tuple[str, ...]) -> None:
-        """Adjacency norms the builders pre-build on every batch."""
+        """Adjacencies (graph cache keys) the builders pre-build on every
+        batch."""
         self.warm_norms = tuple(norms)
 
     # -- builder -------------------------------------------------------

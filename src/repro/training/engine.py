@@ -50,8 +50,8 @@ from .metrics import accuracy, micro_f1, roc_auc
 from .parallel import (
     ReplicaProcessPool,
     WorkerSupervisionError,
-    conv_norms,
     resolve_process_workers,
+    training_adjacencies,
 )
 from .schedulers import EarlyStopping
 
@@ -481,7 +481,7 @@ class Engine:
         # over so it builds (and registers) those ahead as well.
         set_warm_norms = getattr(self.flow, "set_warm_norms", None)
         if set_warm_norms is not None:
-            set_warm_norms(conv_norms(model))
+            set_warm_norms(training_adjacencies(model))
         # A killed/forgotten run must not leak worker processes or shared
         # segments; interpreter exit closes every live engine.
         atexit.register(self.close)

@@ -72,6 +72,7 @@ __all__ = [
     "resolve_process_workers",
     "reset_fallback_warnings",
     "conv_norms",
+    "training_adjacencies",
     "build_adjacencies",
     "warm_batch",
     "pack_parameters",
@@ -169,19 +170,32 @@ def conv_norms(model) -> Tuple[str, ...]:
     ))
 
 
-def build_adjacencies(graph: Graph, norms: Sequence[str]) -> List[CSRMatrix]:
-    """Build ``adjacency(norm)`` and its transpose (into the graph's cache)."""
-    matrices = []
-    for norm in norms:
-        matrices.append(graph.adjacency(norm))
-        matrices.append(graph.adjacency_transpose(norm))
-    return matrices
+def training_adjacencies(model) -> Tuple[str, ...]:
+    """What a training step of ``model`` reads, as graph cache keys: each
+    conv's norm, and ``norm^T`` where the conv's backward is the SpMM's
+    (the CBSR route's SSpMM reads ``A`` itself)."""
+    keys = []
+    for conv in getattr(model, "convs", ()):
+        keys.append(conv.norm)
+        if not conv.use_cbsr_kernels:
+            keys.append(conv.norm + "^T")
+    return tuple(dict.fromkeys(keys))
 
 
-def warm_batch(graph: Graph, norms: Sequence[str]) -> None:
+def build_adjacencies(graph: Graph, keys: Sequence[str]) -> List[CSRMatrix]:
+    """Build each adjacency ``keys`` names into the graph's cache: a norm,
+    or ``norm^T`` for its transpose (:func:`training_adjacencies`)."""
+    return [
+        graph.adjacency_transpose(key[:-2]) if key.endswith("^T")
+        else graph.adjacency(key)
+        for key in keys
+    ]
+
+
+def warm_batch(graph: Graph, keys: Sequence[str]) -> None:
     """:func:`build_adjacencies`, registered with the active sparse backend
     (scipy wrappers / vectorized SpMM plans)."""
-    get_backend().warm(build_adjacencies(graph, norms))
+    get_backend().warm(build_adjacencies(graph, keys))
 
 
 # ----------------------------------------------------------------------

@@ -146,6 +146,13 @@ def test_the_compiled_tier_lives_in_one_module():
     assert _occurrences("def available_cores") == {"sparse/native.py": 1}
 
 
+def test_the_tensor_layer_packs_cbsr_blocks_without_a_cbsr_matrix():
+    # spgemm_agg packs the selected block into planned buffers through
+    # ops.cbsr_pack; the dispatch bounds sp_index where the kernels read it.
+    assert _occurrences("CBSRMatrix", "tensor") == {}
+    assert _occurrences("cbsr_pack(", "tensor") == {"tensor/functional.py": 1}
+
+
 def test_the_executed_program_does_not_import_the_simulator():
     assert _occurrences("gpusim", "tensor") == {}
 

@@ -61,11 +61,12 @@ def _task_graph(n=150, seed=3):
     return graph
 
 
-def _engine(graph, flow=None, seed=0, model_type="sage", use_workspace=True):
+def _engine(graph, flow=None, seed=0, model_type="sage", use_workspace=True,
+            use_cbsr_kernels=False):
     config = GNNConfig(
         model_type=model_type, in_features=8, hidden=16, out_features=4,
         n_layers=2, nonlinearity="maxk", k=4, dropout=0.2,
-        use_workspace=use_workspace,
+        use_workspace=use_workspace, use_cbsr_kernels=use_cbsr_kernels,
     )
     return Engine(MaxKGNN(graph, config, seed=seed), graph, flow, lr=0.01)
 
@@ -249,7 +250,7 @@ class TestPrefetchMechanics:
         inner = _RecordingFlow(sampler="node", batches_per_epoch=3,
                                sample_size=20, seed=0)
         flow = PrefetchFlow(inner, 2, workers=workers)
-        flow.set_warm_norms(("sage",))
+        flow.set_warm_norms(("sage", "sage^T"))
         stream = flow.batches(graph, 0)
         held = next(stream)
         stream.close()  # abandon: queued + in-flight batches are dropped
@@ -270,11 +271,14 @@ class TestPrefetchMechanics:
         assert owned_segment_count() == 0
         assert not multiprocessing.active_children()
 
-    def test_engine_installs_warmer(self, backend, force_procs):
+    @pytest.mark.parametrize("cbsr", [False, True], ids=["spmm", "cbsr"])
+    def test_engine_installs_warmer(self, backend, force_procs, cbsr):
         """The engine names its model's adjacencies once, and a prefetched
         batch arrives with exactly the matrices an inline-warmed one
-        holds, whichever builder made it."""
+        holds, whichever builder made it. ``A^T`` is among them only for
+        the SpMM route's backward: the CBSR route's SSpMM reads ``A``."""
         graph = _task_graph(80)
+        keys = ("sage",) if cbsr else ("sage", "sage^T")
 
         def inner():
             return SampledFlow(sampler="node", sample_size=30, seed=0)
@@ -282,14 +286,14 @@ class TestPrefetchMechanics:
         inline = next(inner().batches(graph, 0))
         for workers in BUILDERS:
             flow = PrefetchFlow(inner(), 2, workers=workers)
-            engine = _engine(graph, flow)
-            assert flow.warm_norms == ("sage",)
+            engine = _engine(graph, flow, use_cbsr_kernels=cbsr)
+            assert flow.warm_norms == keys
             warm_batch(inline, flow.warm_norms)
             try:
                 prefetched = next(flow.batches(graph, 0))
             finally:
                 engine.close()
-            assert set(inline._adj_cache) == {"sage", "sage^T"}
+            assert set(inline._adj_cache) == set(keys)
             assert set(prefetched._adj_cache) == set(inline._adj_cache)
             for key, matrix in inline._adj_cache.items():
                 twin = prefetched._adj_cache[key]

@@ -303,7 +303,9 @@ class TestFloatTopkMaskMatchesHeaviside:
         self, backend, arena, monkeypatch
     ):
         """``>=`` over-selects on a duplicated k-th value: the float branch
-        must notice on its flags and redo the row-exact stable fill."""
+        must notice on its flags and redo the row-exact stable fill. (The
+        numpy select's branch: the compiled select is switched off.)"""
+        monkeypatch.setattr(native, "topk", lambda *args: False)
         calls = []
         exact = ops.VectorizedBackend._stable_topk_mask
 
@@ -610,6 +612,23 @@ class TestNativeCbsrLoops:
             pytest.skip("no C compiler: the compiled loops are not built")
         return library
 
+    @pytest.fixture
+    def paths(self, library):
+        """``paths()`` sets the loops' ``wide`` switch to the chosen body
+        (AVX2 on a CPU that has it), then to 0 (the portable loops and
+        numpy's select), yielding each; the chosen one is restored after
+        the test."""
+        switch = ctypes.c_int.in_dll(library, "wide")
+        chosen = switch.value
+
+        def each():
+            for wide in dict.fromkeys((chosen, 0)):
+                switch.value = wide
+                yield wide
+
+        yield each
+        switch.value = chosen
+
     @staticmethod
     def threshold(library):
         return ctypes.c_int64.in_dll(library, "min_parallel_work").value
@@ -700,7 +719,7 @@ class TestNativeCbsrLoops:
 
     @pytest.mark.parametrize("dim", [1, 6, 15, 16, 17, 40, 64, 100])
     def test_the_spmm_at_every_width_and_path_is_the_reference_loop(
-        self, library, spmm_case, dim, monkeypatch
+        self, library, paths, spmm_case, dim, monkeypatch
     ):
         """Widths around the 16-column strip: whole strips, a tail alone,
         both. Each on the path this CPU takes (the AVX2 strips where it
@@ -709,19 +728,136 @@ class TestNativeCbsrLoops:
         csr, x, expected = spmm_case
         x, expected = np.ascontiguousarray(x[:, :dim]), expected[:, :dim]
         pinned = native.pin(*csr)
-        switch = ctypes.c_int.in_dll(library, "wide_spmm")
-        chosen = switch.value
-        try:
-            for threads, wide in itertools.product((1, 2), {chosen, 0}):
+        for wide in paths():
+            for threads in (1, 2):
                 monkeypatch.setattr(library, "threads", lambda: threads)
-                switch.value = wide
                 got = native.spmm(library, pinned, x)
                 assert bytes_equal(got, expected), (threads, wide)
-        finally:
-            switch.value = chosen
         assert dim < 6 or len(csr[1]) * dim >= self.threshold(library)
 
-    def test_two_nans_meeting_may_differ_only_in_sign(self, library):
+    @staticmethod
+    def select_rows(dim):
+        """``adversarial_rows``' values over ``dim`` columns (±0,
+        denormals, ±inf, duplicated k-th values), normal rows, and two of
+        them with NaNs (selected as ``+inf``)."""
+        weights = np.resize(column_weights(), dim)
+        normal = np.random.default_rng(dim).normal(size=(6, dim)).astype(
+            ops.FLOAT_DTYPE
+        )
+        nan = normal[:2].copy()
+        nan[0, ::3] = nan[1, -1] = np.nan
+        return np.concatenate(
+            [adversarial_values()[:, None] * weights[None, :], normal, nan]
+        )
+
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100])
+    def test_the_select_at_every_width_and_path_is_the_reference_select(
+        self, library, paths, dim
+    ):
+        """Widths around the eight-lane chunk, ``k`` up to the register's
+        8 and past it (numpy's select), into fresh, bool, float and
+        reused masks, with and without an arena: on the path this CPU
+        takes and forced onto numpy's, the reference's bytes."""
+        if "scipy" not in ops.available_backends():
+            pytest.skip("scipy not installed")
+        x = self.select_rows(dim)
+        ks = [k for k in (1, 2, 7, 8, 9) if k <= dim]
+        with ops.use_backend("reference"):
+            expected = {k: ops.topk_mask(x, k) for k in ks}
+        arena = Workspace()
+        outs = (None, np.empty(x.shape, bool), np.full_like(x, np.nan))
+        with ops.use_backend("scipy"):
+            for wide in paths():
+                for k, out, workspace in itertools.product(ks, outs, (None, arena)):
+                    got = ops.topk_mask(x, k, out=out, workspace=workspace)
+                    want = expected[k].astype(got.dtype)
+                    assert bytes_equal(got, want), (wide, k, got.dtype)
+                    served = native.topk(library, np.nan_to_num(x, nan=np.inf), k,
+                                         np.empty(x.shape, bool))
+                    assert served == bool(wide and k <= 8), (wide, k)
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17])
+    def test_the_pair_at_every_survivor_count_and_path_is_the_reference_pair(
+        self, library, paths, k, monkeypatch
+    ):
+        """Survivor counts around the eight-lane vector bodies — a tail
+        alone, whole vectors, both — at every index width, on one thread
+        and two, on the path this CPU takes and forced onto the portable
+        loops. From k = 16 the case passes ``MIN_PARALLEL_WORK``, so two
+        threads split it."""
+        rng = np.random.default_rng(1014)
+        nnz = 2 * self.threshold(library) // 16 if k >= 16 else 900
+        adj, sp_data, sp_index, grad_out = cbsr_case(rng, 300, 300, 40, k, nnz=nnz)
+        assert k < 16 or adj.nnz * k >= self.threshold(library)
+        csr = (adj.indptr, adj.indices, adj.data)
+        reference = ops._REGISTRY["reference"]
+        expected = (
+            reference.spgemm_cbsr(*csr, sp_data, sp_index, 40, adj.n_rows),
+            reference.sspmm_cbsr(*csr, grad_out, sp_index, adj.n_cols),
+        )
+        pinned = native.pin(*csr)
+        for wide in paths():
+            for threads, width in itertools.product(
+                (1, 2), (np.uint8, np.uint16, np.uint32)
+            ):
+                monkeypatch.setattr(library, "threads", lambda: threads)
+                index = sp_index.astype(width)
+                got = (
+                    native.run(library, "spgemm", pinned, sp_data, index, 40,
+                               (adj.n_rows, 40)),
+                    native.run(library, "sspmm", pinned, grad_out, index, 40,
+                               index.shape),
+                )
+                assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pack_and_unpack_are_the_numpy_lines(self, library, dtype):
+        """The compiled pack copies each row's survivors and their columns,
+        the unpack scatters a block back over zeros: the bytes of
+        ``flatnonzero`` / ``take`` / ``%`` and of ``zeros`` / ``put``,
+        ±0, infinities and NaN payloads included, at both float widths
+        and every index width."""
+        rng = np.random.default_rng(1015)
+        for dim, k in [(9, 3), (64, 8), (300, 7), (70000, 2)]:
+            x = rng.normal(size=(5, dim)).astype(dtype)
+            x.flat[rng.choice(x.size, 20)] = np.array(
+                [0.0, -0.0, np.inf, -np.inf, np.nan], dtype
+            ).repeat(4)
+            mask = np.zeros(x.shape, bool)
+            for row in mask:
+                row[rng.choice(dim, k, replace=False)] = True
+            survivors = np.flatnonzero(mask)
+            width = ops.index_dtype_for(dim)
+            data, index = np.empty((5, k), dtype), np.empty((5, k), width)
+            native.pack(library, x, mask, k, data, index)
+            assert bytes_equal(data, np.take(x, survivors).reshape(5, k))
+            assert bytes_equal(index, (survivors % dim).astype(width).reshape(5, k))
+            out = np.full(x.shape, np.nan, dtype)
+            native.unpack(library, data, index, out)
+            expected = np.zeros(x.shape, dtype)
+            np.put(expected, survivors, data)
+            assert bytes_equal(out, expected)
+
+    def test_the_pack_refuses_a_row_without_k_survivors(self, library):
+        """On either body, a mask row holding one survivor too many or
+        too few is refused, the compiled one before it writes past the
+        row: the memory after the block keeps its bytes."""
+        x = np.arange(12, dtype=ops.FLOAT_DTYPE).reshape(3, 4)
+        for row, survivors in [(1, 3), (2, 1), (2, 3)]:
+            mask = np.zeros(x.shape, bool)
+            mask[:, :2] = True
+            mask[row] = np.arange(4) < survivors
+            for name in ("scipy", "vectorized"):
+                if name in ops.available_backends():
+                    with ops.use_backend(name):
+                        with pytest.raises(ValueError, match="survivors"):
+                            ops.cbsr_pack(x, mask, 2)
+            data, index = np.full((4, 2), -1.0, x.dtype), np.zeros((4, 2), np.uint8)
+            with pytest.raises(ValueError, match=f"row {row}"):
+                native.pack(library, x, mask, 2, data[:3], index[:3])
+            assert (data[3] == -1.0).all() and (index[3] == 0).all()
+
+    def test_two_nans_meeting_may_differ_only_in_sign(self, library, paths):
         """IEEE 754 leaves open which NaN an add of two NaNs returns, and
         the loops order an add's operands as the compiler chose: with x's
         NaN positive and ``inf - inf``'s negative (x86), either path agrees
@@ -738,17 +874,11 @@ class TestNativeCbsrLoops:
                 adj.indptr, adj.indices, adj.data.astype(x.dtype), x, adj.n_rows
             )
         pinned = native.pin(adj.indptr, adj.indices, adj.data.astype(x.dtype))
-        switch = ctypes.c_int.in_dll(library, "wide_spmm")
-        chosen = switch.value
-        try:
-            for wide in {chosen, 0}:
-                switch.value = wide
-                got = native.spmm(library, pinned, x)
-                nan = np.isnan(expected)
-                assert nan.any() and np.array_equal(np.isnan(got), nan)
-                assert bytes_equal(np.where(nan, 0, got), np.where(nan, 0, expected))
-        finally:
-            switch.value = chosen
+        for _ in paths():
+            got = native.spmm(library, pinned, x)
+            nan = np.isnan(expected)
+            assert nan.any() and np.array_equal(np.isnan(got), nan)
+            assert bytes_equal(np.where(nan, 0, got), np.where(nan, 0, expected))
 
     def test_strided_operands_are_made_contiguous(self, library):
         adj, sp_data, sp_index, grad_out = cbsr_case(
