@@ -16,7 +16,10 @@
  * loop's products and adds, each rounded alone, per element in the same
  * order; the select decides by compares alone, and the pack and unpack
  * copy bytes. Nothing is bounds-checked here; the Python dispatcher
- * validates every index these loops read. */
+ * validates every index these loops read. Last, outside the aggregation:
+ * dropout's forward (dropout_f), numpy's PCG64 float32 draws and its
+ * compare and multiplies, portable and on the calling thread, built
+ * wherever the compiler has a 128-bit integer. */
 #include <stdint.h>
 #include <string.h>
 
@@ -81,9 +84,9 @@ const int64_t min_parallel_work = MIN_PARALLEL_WORK;
         }                                                                    \
     }
 
-/* out (n_rows, dim), zeroed by the caller: the row-wise-product SpGEMM,
- * out[i, col[j, t]] += a_ij * in[j, t] into the dense dim-wide row i,
- * survivors FROM..k of each edge (a vector body does the first ones). */
+/* out (n_rows, dim): the row-wise-product SpGEMM, out[i, col[j, t]] +=
+ * a_ij * in[j, t] into the dense dim-wide row i, zeroed first, survivors
+ * FROM..k of each edge (a vector body does the first ones). */
 #define SPGEMM_EDGE(FROM)                                                    \
     for (int64_t t = FROM; t < k; t++)                                       \
         row[c[t]] += a * v[t];
@@ -92,6 +95,7 @@ const int64_t min_parallel_work = MIN_PARALLEL_WORK;
     {                                                                        \
         for (int64_t i = lo; i < hi; i++) {                                  \
             T *restrict row = out + i * dim;                                 \
+            memset(row, 0, dim * sizeof(T));                                 \
             for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {           \
                 const T a = data[e], *restrict v = in + indices[e] * k;     \
                 const I *restrict c = col + indices[e] * k;                  \
@@ -100,16 +104,17 @@ const int64_t min_parallel_work = MIN_PARALLEL_WORK;
         }                                                                    \
     }
 
-/* out (n_src, k), zeroed by the caller: the outer-product SSpMM, out[j, t]
- * += a_ij * in[i, col[j, t]], with no transpose of A. Its output rows are
- * the adjacency's columns, so a block walks all of A and takes only the
- * edges whose column j it owns (the owner split). */
+/* out (n_src, k): the outer-product SSpMM, out[j, t] += a_ij * in[i,
+ * col[j, t]], with no transpose of A. Its output rows are the adjacency's
+ * columns, so a block zeroes the rows [lo, hi) it owns, then walks all of
+ * A and takes only the edges whose column j it owns (the owner split). */
 #define SSPMM_EDGE(FROM)                                                     \
     for (int64_t t = FROM; t < k; t++)                                       \
         o[t] += a * g[c[t]];
 #define CBSR_SSPMM_ROWS(NAME, T, I, EDGE)                                    \
     static void NAME(int64_t lo, int64_t hi, ARGS(T, I))                     \
     {                                                                        \
+        memset(out + lo * k, 0, (hi - lo) * k * sizeof(T));                  \
         for (int64_t i = 0; i < n_rows; i++) {                               \
             const T *restrict g = in + i * dim;                              \
             for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {           \
@@ -281,6 +286,7 @@ __attribute__((constructor)) static void choose_width(void)
         const int64_t whole = k - k % 8;                                     \
         for (int64_t i = lo; i < hi; i++) {                                  \
             float *restrict row = out + i * dim;                             \
+            memset(row, 0, dim * sizeof(float));                             \
             for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {           \
                 const float a = data[e], *restrict v = in + indices[e] * k; \
                 const I *restrict c = col + indices[e] * k;                  \
@@ -443,3 +449,95 @@ SPMM(spmm_d, double)
 CBSR_PORTABLE(d_u8, double, uint8_t)
 CBSR_PORTABLE(d_u16, double, uint16_t)
 CBSR_PORTABLE(d_u32, double, uint32_t)
+
+/* Inverted dropout's forward at float32: numpy's PCG64 stream as
+ * Generator.random(dtype=float32) reads it, then the keep mask and the
+ * scaled output. PCG64 (numpy's pcg64.h) steps a 128-bit LCG, s = s * M +
+ * inc, and answers the XSL-RR output of the new state; each 64-bit word
+ * gives two floats, its low half first, each word's top 24 bits times
+ * 2^-24. The generator's state travels in `state`: {s high, s low, inc
+ * high, inc low, has_uint32, uinteger}, its public state dict's fields.
+ * A buffered half (has_uint32) is read first; an odd count leaves the
+ * last word's high half buffered. numpy writes each word's high half to
+ * uinteger as it draws the word, buffered or not, so the last word's is
+ * what the dict holds after. Four lanes draw the words, lane j the words
+ * 4t + j, each lane stepping four states at once (s * M^4 + inc * (M^3 +
+ * M^2 + M + 1)): the same states as one chain, four multiplies in flight.
+ * Then one pass, which vectorises: keep = draw >= (float)p and out =
+ * x * (float)scale * keep + 0 (a dropped entry +0, a NaN kept NaN),
+ * numpy's float32 compare and multiplies one for one. Built where the
+ * compiler has a 128-bit integer (64-bit targets); elsewhere numpy
+ * draws. */
+#if defined(__SIZEOF_INT128__)
+typedef unsigned __int128 pcg128;
+
+static inline uint64_t pcg_output(pcg128 s)
+{
+    const uint64_t folded = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    const unsigned rotation = (unsigned)(s >> 122);
+    return folded >> rotation | folded << (-rotation & 63);
+}
+
+static inline float uniform(uint32_t half)
+{
+    return (float)(half >> 8) * (1.0f / 16777216.0f);
+}
+
+/* Word w's two floats, at fresh + 2w. */
+#define DRAW_WORD(w, s)                                                      \
+    do {                                                                     \
+        const uint64_t word = pcg_output(s);                                 \
+        fresh[2 * (w)] = uniform((uint32_t)word);                            \
+        fresh[2 * (w) + 1] = uniform((uint32_t)(word >> 32));                \
+    } while (0)
+
+void dropout_f(int64_t n, double p, double scale, uint64_t *restrict state,
+               const float *restrict x, float *restrict draw,
+               float *restrict keep, float *restrict out)
+{
+    const pcg128 m = (pcg128)UINT64_C(0x2360ED051FC65DA4) << 64
+                     | UINT64_C(0x4385DF649FCCF645);
+    const pcg128 inc = (pcg128)state[2] << 64 | state[3];
+    pcg128 s = (pcg128)state[0] << 64 | state[1];
+    float *fresh = draw;
+    if (n > 0 && state[4]) {
+        *fresh++ = uniform((uint32_t)state[5]);
+        state[4] = 0;
+    }
+    const int64_t floats = n - (fresh - draw), words = floats / 2;
+    int64_t w = 0;
+    if (words >= 4) {
+        const pcg128 m2 = m * m, m4 = m2 * m2;
+        const pcg128 inc4 = inc * (m2 * m + m2 + m + 1);
+        pcg128 lane[4];
+        for (int j = 0; j < 4; j++)
+            lane[j] = s = s * m + inc;
+        for (; w + 4 <= words; w += 4) {
+            for (int j = 0; j < 4; j++)
+                DRAW_WORD(w + j, lane[j]);
+            s = lane[3];
+            for (int j = 0; j < 4; j++)
+                lane[j] = lane[j] * m4 + inc4;
+        }
+    }
+    for (; w < words; w++) {
+        s = s * m + inc;
+        DRAW_WORD(w, s);
+    }
+    if (floats % 2) {
+        s = s * m + inc;
+        fresh[floats - 1] = uniform((uint32_t)pcg_output(s));
+        state[4] = 1;
+    }
+    if (floats > 0)
+        state[5] = pcg_output(s) >> 32;
+    state[0] = (uint64_t)(s >> 64);
+    state[1] = (uint64_t)s;
+    const float threshold = (float)p, factor = (float)scale;
+    for (int64_t e = 0; e < n; e++) {
+        const float kept = draw[e] >= threshold ? 1.0f : 0.0f;
+        keep[e] = kept;
+        out[e] = x[e] * factor * kept + 0.0f;
+    }
+}
+#endif

@@ -1,5 +1,6 @@
 """The compiled tier: ``_cbsr.c``'s aggregation loops, with the MaxK select
-and the CBSR pack / unpack around them, built on first use.
+and the CBSR pack / unpack around them and dropout's draw, built on first
+use.
 
 :func:`load` compiles the C file next to this module with the host's
 ``cc`` the first time a kernel asks for it (never at import), caches the
@@ -15,14 +16,17 @@ scipy's public route. Nothing selects the tier but whether it builds.
   the float select (``k`` up to 8) carry AVX2 bodies (``target("avx2")``,
   x86 only), chosen at run time from the CPU's flags as the object loads
   (the exported ``int wide``); every other CPU runs the portable loops and
-  numpy's select, with the same bytes. Not ``-O3``: gcc 12's
-  unroll-and-jam pairs the SpMM's edges into one scalar loop there, 2.4x
-  slower.
+  numpy's select, with the same bytes. The dropout draw (``dropout_f``)
+  is portable C built where the compiler has a 128-bit integer
+  (``__SIZEOF_INT128__``: 64-bit targets) and serves PCG64 generators
+  only; every other generator, width and target keeps numpy's
+  ``Generator.random``. Not ``-O3``: gcc 12's unroll-and-jam pairs the
+  SpMM's edges into one scalar loop there, 2.4x slower.
 * **Threads.** :func:`available_cores` threads per aggregation call (one
   below ``_cbsr.c``'s ``MIN_PARALLEL_WORK``); ``load().threads()``
   answers the count. The affinity mask decides it, never
-  ``OMP_NUM_THREADS``. The select, pack and unpack run on the calling
-  thread.
+  ``OMP_NUM_THREADS``. The select, pack, unpack and dropout draw run on
+  the calling thread (the draw is one chain of generator states).
 * **Cache.** ``$XDG_CACHE_HOME/repro-native`` (default ``~/.cache``),
   ``0700`` and refused unless the user's own and private. The file name
   hashes source, flags, compiler version and machine; the object is
@@ -53,8 +57,8 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["FLAGS", "OPENMP", "SOURCE", "available_cores", "cache_dir",
-           "keep_heap_mapped", "load", "pack", "pin", "run", "spmm", "topk",
-           "unpack"]
+           "dropout", "keep_heap_mapped", "load", "pack", "pin", "run", "spmm",
+           "topk", "unpack"]
 
 SOURCE = Path(__file__).with_name("_cbsr.c")
 FLAGS = ("-O2", "-ftree-vectorize", "-fPIC", "-shared", "-ffp-contract=off")
@@ -183,6 +187,12 @@ def _declare(library: ctypes.CDLL, parallel: bool) -> ctypes.CDLL:
             function.argtypes = ([ctypes.c_int64] * integers
                                  + [ctypes.c_void_p] * pointers)
             function.restype = result
+    # The draw is built where the compiler has a 128-bit integer.
+    draw = getattr(library, "dropout_f", None)
+    if draw is not None:
+        draw.argtypes = [ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+                         *[ctypes.c_void_p] * 5]
+        draw.restype = None
     return library
 
 
@@ -279,11 +289,49 @@ def unpack(library, block: np.ndarray, index: np.ndarray, out: np.ndarray) -> No
     )
 
 
+_WORD = (1 << 64) - 1
+
+
+def dropout(library, rng, x: np.ndarray, p: float, draw: np.ndarray,
+            keep: np.ndarray, out: np.ndarray) -> bool:
+    """Inverted dropout's forward by the compiled draw: ``draw`` receives
+    ``rng.random(dtype=x.dtype)``'s next ``x.size`` values, ``keep`` the 0/1
+    mask ``draw >= p``, ``out`` ``x * scale * keep + 0.0``, and ``rng``
+    steps on as ``random`` would have stepped it — the same bytes and the
+    same state dict. False, with nothing written and ``rng`` untouched,
+    where it does not serve: a bit generator other than PCG64, a width
+    or target it is not built for, a strided ``x``. ``draw`` / ``keep`` /
+    ``out`` arrive C-contiguous at ``x``'s shape and dtype."""
+    kernel = getattr(library, f"dropout_{x.dtype.char}", None)
+    generator = rng.bit_generator
+    if (kernel is None or type(generator) is not np.random.PCG64
+            or not x.flags.c_contiguous):
+        return False
+    with generator.lock:
+        state = generator.state
+        pcg = state["state"]
+        words = np.array([
+            pcg["state"] >> 64, pcg["state"] & _WORD, pcg["inc"] >> 64,
+            pcg["inc"] & _WORD, state["has_uint32"], state["uinteger"],
+        ], dtype=np.uint64)
+        kernel(x.size, p, 1.0 / (1.0 - p), _address(words), _address(x),
+               _address(draw), _address(keep), _address(out))
+        generator.state = {
+            **state,
+            "state": {"state": int(words[0]) << 64 | int(words[1]),
+                      "inc": pcg["inc"]},
+            "has_uint32": int(words[4]),
+            "uinteger": int(words[5]),
+        }
+    return True
+
+
 def run(library, op, adjacency, values, index, dim, shape) -> np.ndarray:
     """The CBSR loop ``op`` (``"spgemm"`` / ``"sspmm"``) over the values or
     gradient ``values`` and the unsigned column block ``index``, into a
-    fresh zeroed ``shape`` array of the operands' float dtype."""
-    out = np.zeros(shape, dtype=np.result_type(adjacency[0][2], values))
+    fresh ``shape`` array of the operands' float dtype (each thread zeroes
+    the output rows it owns)."""
+    out = np.empty(shape, dtype=np.result_type(adjacency[0][2], values))
     values = np.ascontiguousarray(values, dtype=out.dtype)
     index = np.ascontiguousarray(index)
     if index.dtype.kind != "u":

@@ -28,7 +28,9 @@ Backends
     builds them) — same sequential accumulation order per output element,
     so still bit-identical. The MaxK select (where the compiled one
     serves) and the CBSR pack / unpack run there too: compares and byte
-    copies, the same masks and blocks. Registered only when scipy imports.
+    copies, the same masks and blocks. So does dropout's forward for a
+    PCG64 generator: numpy's stream generated in C, the same draws and
+    generator state. Registered only when scipy imports.
 
 Selection
 ---------
@@ -75,6 +77,7 @@ __all__ = [
     "topk_columns",
     "cbsr_pack",
     "cbsr_unpack",
+    "dropout_into",
     "mask_into",
     "index_dtype_for",
     "release",
@@ -209,19 +212,6 @@ class SparseOpsBackend:
     def topk_columns(self, x: np.ndarray, k: int) -> np.ndarray:
         raise NotImplementedError
 
-    # The CBSR pack / unpack as numpy lines, every backend's unless it
-    # compiles them.
-    def cbsr_pack(self, x, mask, k, data, index) -> None:
-        survivors = np.flatnonzero(mask)
-        if (np.count_nonzero(mask, axis=1) != k).any():
-            raise ValueError(f"every mask row must hold exactly {k} survivors")
-        np.take(x, survivors, out=data.reshape(-1))
-        index[...] = (survivors % x.shape[1]).reshape(index.shape)
-
-    def cbsr_unpack(self, block, index, out) -> None:
-        out[...] = 0
-        np.put_along_axis(out, index.astype(np.intp), block, axis=1)
-
     # -- cache hooks ---------------------------------------------------
     # Backends may pin per-graph buffers (the scipy backend keys CSR
     # wrappers by buffer identity). Sweeps over many graphs — notably the
@@ -260,7 +250,39 @@ class SparseOpsBackend:
         return {}
 
 
-class ReferenceBackend(SparseOpsBackend):
+class _NumpyLines:
+    """The CBSR pack / unpack and dropout's forward as numpy lines: the
+    bodies of the backends that do not compile them, and the scipy
+    backend's where its compiled ones do not serve. Kept off
+    :class:`SparseOpsBackend`, so a wrapper subclassing it that forwards
+    what it does not define through ``__getattr__`` (``bench/trace.py``'s)
+    reaches its inner backend's bodies, compiled ones included."""
+
+    def cbsr_pack(self, x, mask, k, data, index) -> None:
+        survivors = np.flatnonzero(mask)
+        if (np.count_nonzero(mask, axis=1) != k).any():
+            raise ValueError(f"every mask row must hold exactly {k} survivors")
+        np.take(x, survivors, out=data.reshape(-1))
+        index[...] = (survivors % x.shape[1]).reshape(index.shape)
+
+    def cbsr_unpack(self, block, index, out) -> None:
+        out[...] = 0
+        np.put_along_axis(out, index.astype(np.intp), block, axis=1)
+
+    def dropout_into(self, rng, x, p, draw, keep, out) -> None:
+        rng.random(out=draw, dtype=draw.dtype)
+        # The compare's bool scratch borrows ``out``'s first bytes: dead
+        # before the product below writes ``out``.
+        flags = out.reshape(-1).view(np.bool_)[: out.size].reshape(out.shape)
+        mask_into(np.greater_equal, draw, p, flags, keep)
+        # np.where(keep, x * scale, 0.0) through ``out=``: scale, mask by
+        # multiplication, normalise dropped entries to +0.0.
+        np.multiply(x, 1.0 / (1.0 - p), out=out)
+        np.multiply(out, keep, out=out)
+        out += 0.0
+
+
+class ReferenceBackend(_NumpyLines, SparseOpsBackend):
     """Per-row Python loops with sequential accumulation: the oracle."""
 
     name = "reference"
@@ -396,7 +418,7 @@ class _IdKeyedLRU(dict):
         self[key] = value
 
 
-class VectorizedBackend(SparseOpsBackend):
+class VectorizedBackend(_NumpyLines, SparseOpsBackend):
     """Numpy add.at / reduceat / argpartition implementation.
 
     Scatter-adds go through ``np.add.at`` on flattened segment indices into
@@ -736,9 +758,10 @@ class ScipyBackend(VectorizedBackend):
     :mod:`repro.sparse.native` (the CBSR pair reads ``sp_index`` at its
     CBSR width): each output element accumulates in stored-edge order at
     any thread count, so outputs stay bit-identical; so are the float
-    select for ``k <= 8`` on an AVX2 CPU (:func:`native.topk`) and the
-    CBSR pack / unpack. Without a compiler scipy's public ``A @ B`` serves
-    the same row-sequential accumulation and numpy the rest;
+    select for ``k <= 8`` on an AVX2 CPU (:func:`native.topk`), the CBSR
+    pack / unpack and dropout's forward for a PCG64 generator at float32
+    (:func:`native.dropout`). Without a compiler scipy's public ``A @ B``
+    serves the same row-sequential accumulation and numpy the rest;
     ``cache_info()["native"]`` is the loops' thread count (0: not built).
     A *read-only* CSR buffer triple's O(nnz) bounds and pin are kept in
     the LRU (:meth:`csr_bound`); a writable one is checked on every call.
@@ -816,6 +839,11 @@ class ScipyBackend(VectorizedBackend):
         if library is None:
             return super().cbsr_unpack(block, index, out)
         native.unpack(library, block, index, out)
+
+    def dropout_into(self, rng, x, p, draw, keep, out):
+        library = native.load()
+        if library is None or not native.dropout(library, rng, x, p, draw, keep, out):
+            super().dropout_into(rng, x, p, draw, keep, out)
 
     def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
         library = native.load()
@@ -1186,6 +1214,25 @@ def cbsr_unpack(block, sp_index, dim_origin: int, out=None) -> np.ndarray:
     sp_index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
     out = _check_block_out(out, (len(block), dim_origin), block.dtype)
     _ACTIVE.cbsr_unpack(block, sp_index, out)
+    return out
+
+
+def dropout_into(rng, x, p: float, draw, keep, out) -> np.ndarray:
+    """Inverted dropout's forward, into the C-contiguous ``draw`` / ``keep``
+    / ``out`` of ``x``'s shape and dtype: ``draw`` receives
+    ``rng.random(dtype=x.dtype)``'s next ``x.size`` values, ``keep`` the
+    float 0/1 mask ``draw >= p`` (a draw equal to ``p`` keeps), ``out``
+    ``x * scale * keep + 0.0`` with ``scale = 1 / (1 - p)``: a dropped
+    entry is +0.0, a NaN stays NaN. Every backend writes the same bytes
+    and leaves ``rng`` in the same state; returns ``out``."""
+    x = np.asarray(x)
+    if not 0.0 <= p < 1.0:
+        raise ValueError("dropout probability must be in [0, 1)")
+    for buffer in (draw, keep, out):
+        if buffer is None:
+            raise ValueError("draw, keep and out must be arrays")
+        _check_block_out(buffer, x.shape, x.dtype)
+    _ACTIVE.dropout_into(rng, x, p, draw, keep, out)
     return out
 
 

@@ -364,11 +364,14 @@ def dropout(
 ) -> Tensor:
     """Inverted dropout; identity when not training or p == 0.
 
-    The uniform draw, the keep mask, the output and the backward product
-    are written with ``out=`` (``Generator.random`` fills ``out=`` from the
-    stream ``random(shape, dtype)`` would return). A NaN input stays NaN in
-    the output (``NaN * 0.0``) whether kept or dropped; the keep mask only
-    ever holds 0.0 / 1.0.
+    The forward is :func:`ops.dropout_into`: the uniform draw (the stream
+    ``rng.random(shape, dtype)`` would return), the float keep mask and
+    the output, written with ``out=``. Where the scipy backend's compiled
+    draw serves (a PCG64 generator, float32, a C-contiguous ``x``) it
+    generates numpy's stream itself: the same bytes, the same generator
+    state. A NaN input stays NaN in the output (``NaN * 0.0``) whether
+    kept or dropped; the keep mask only ever holds 0.0 / 1.0. The
+    backward's product is written with ``out=`` too.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
@@ -376,17 +379,9 @@ def dropout(
         return x
     scale = 1.0 / (1.0 - p)
     take = _taker(workspace, slot, x.data.dtype)
-    draw = take(".draw", x.data.shape)
-    rng.random(out=draw, dtype=draw.dtype)
     keep = take(".keep", x.data.shape)  # float 0/1 mask, see linear_act
-    ops.mask_into(np.greater_equal, draw, p, take(".flags", x.data.shape, bool), keep)
-    # np.where(keep, x * scale, 0.0) through ``out=``: scale, mask by
-    # multiplication, normalise dropped entries to +0.0 — the same values,
-    # no masked copy.
-    data = take(".out", x.data.shape)
-    np.multiply(x.data, scale, out=data)
-    np.multiply(data, keep, out=data)
-    data += 0.0
+    data = ops.dropout_into(rng, x.data, p, take(".draw", x.data.shape), keep,
+                            take(".out", x.data.shape))
 
     def backward(grad):
         if not x.requires_grad:

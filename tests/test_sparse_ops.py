@@ -612,6 +612,22 @@ class TestNativeCbsrLoops:
             pytest.skip("no C compiler: the compiled loops are not built")
         return library
 
+    @pytest.fixture(autouse=True)
+    def unzeroed_outputs(self, monkeypatch):
+        """Every fresh array the compiled tier allocates holds NaN: the
+        loops zero the output rows they own, so a row left unwritten fails
+        the byte checks."""
+
+        class StaleNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, dtype=float):
+                return np.full(shape, np.nan, dtype)
+
+        monkeypatch.setattr(native, "np", StaleNumpy())
+
     @pytest.fixture
     def paths(self, library):
         """``paths()`` sets the loops' ``wide`` switch to the chosen body
@@ -1027,6 +1043,158 @@ class TestNativeCbsrLoops:
             process.join()
             pytest.fail("the forked child hung inside the loops")
         assert process.exitcode == 0
+
+
+def numpy_dropout(x, p, rng):
+    """Dropout's forward as numpy computes it: ``(draw, keep, out)``."""
+    draw = rng.random(x.shape, dtype=x.dtype)
+    keep = (draw >= p).astype(x.dtype)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        out = x * (1.0 / (1.0 - p)) * keep + 0.0
+    return draw, keep, out
+
+
+def dropout_rows():
+    """``adversarial_rows`` (±0, denormals, ±inf, huge) and two NaN rows."""
+    nan = np.ones((2, 8), ops.FLOAT_DTYPE)
+    nan[0, ::3] = nan[1, -1] = np.nan
+    return np.concatenate([adversarial_rows(), nan])
+
+
+class TestCompiledDropout:
+    """The compiled draw (``native.dropout``) against numpy's
+    ``Generator.random`` and dropout lines: the same draws, masks and
+    outputs byte for byte, and the same generator state dict after every
+    call, at sizes around the four lanes and both halves of a word."""
+
+    SIZES = [0, 1, 2, 3, 7, 8, 9, 10, 11, 17, 138_880, 320_000, 320_001]
+
+    @pytest.fixture
+    def library(self):
+        library = native.load()
+        if library is None or not hasattr(library, "dropout_f"):
+            pytest.skip("the compiled draw is not built here")
+        return library
+
+    @staticmethod
+    def compiled(library, x, p, rng):
+        buffers = tuple(np.full_like(x, np.nan) for _ in range(3))
+        assert native.dropout(library, rng, x, p, *buffers)
+        return buffers
+
+    def test_the_draw_is_numpys_stream_and_state(self, library):
+        """Chained calls on one stream, each size at each ``p``: odd sizes
+        leave a half buffered, so the next call starts from it."""
+        ours, numpys = np.random.default_rng(1016), np.random.default_rng(1016)
+        buffered = 0
+        for n, p in itertools.product(self.SIZES, (0.1, 0.3, 0.5, 0.9)):
+            x = np.random.default_rng(n).normal(size=n).astype(ops.FLOAT_DTYPE)
+            buffered += ours.bit_generator.state["has_uint32"]
+            got = self.compiled(library, x, p, ours)
+            expected = numpy_dropout(x, p, numpys)
+            assert all(map(bytes_equal, got, expected)), (n, p)
+            assert ours.bit_generator.state == numpys.bit_generator.state, (n, p)
+        assert buffered >= 8
+
+    def test_a_draw_equal_to_p_keeps_and_special_values_pass(self, library):
+        """``draw >= p`` at a ``p`` drawn exactly; ±0, denormals, ±inf and
+        NaN inputs through the multiplies (a dropped entry +0.0)."""
+        x = dropout_rows()
+        p = float(np.random.default_rng(5).random(x.shape, dtype=x.dtype)[3, 2])
+        got = self.compiled(library, x, p, np.random.default_rng(5))
+        expected = numpy_dropout(x, p, np.random.default_rng(5))
+        assert got[1][3, 2] == 1.0 and 0.0 < got[1].mean() < 1.0
+        assert all(map(bytes_equal, got, expected))
+        assert np.isnan(got[2][-2:]).sum() == np.isnan(x[-2:]).sum()
+
+    @pytest.mark.parametrize("name", ops.available_backends())
+    @pytest.mark.parametrize("generator", ["PCG64", "MT19937", "Philox",
+                                           "PCG64DXSM"])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_every_backend_and_generator_is_numpys(self, name, generator, wide):
+        """``ops.dropout_into`` on every backend, every bit generator and
+        both widths (a strided ``x`` too): numpy's bytes and state. Only
+        PCG64 at float32 reaches the compiled draw; the rest keep numpy's
+        lines."""
+        x = dropout_rows().astype(np.float64 if wide else ops.FLOAT_DTYPE)
+        bit_generator = getattr(np.random, generator)
+
+        def stream():
+            return np.random.Generator(bit_generator(1017))
+
+        ours, numpys = stream(), stream()
+        with ops.use_backend(name), np.errstate(invalid="ignore"):
+            for rows in (x, x[:, ::2]):
+                got = tuple(np.empty_like(rows, order="C") for _ in range(3))
+                assert ops.dropout_into(ours, rows, 0.3, *got) is got[2]
+                assert all(map(bytes_equal, got, numpy_dropout(rows, 0.3, numpys)))
+                # MT19937's state holds an array: compared field by field.
+                np.testing.assert_equal(ours.bit_generator.state,
+                                        numpys.bit_generator.state)
+
+    def test_where_it_does_not_serve_nothing_moves(self, library):
+        """False, with the buffers unwritten and the generator's state
+        unchanged: another bit generator, float64, a strided ``x``."""
+        x = dropout_rows()
+        cases = [
+            (x, np.random.Generator(np.random.MT19937(0))),
+            (x, np.random.Generator(np.random.PCG64DXSM(0))),
+            (x.astype(np.float64), np.random.default_rng(0)),
+            (x[:, ::2], np.random.default_rng(0)),
+        ]
+        for rows, rng in cases:
+            before = rng.bit_generator.state
+            buffers = tuple(np.full(rows.shape, 7.0, rows.dtype) for _ in range(3))
+            assert not native.dropout(library, rng, rows, 0.5, *buffers)
+            np.testing.assert_equal(rng.bit_generator.state, before)
+            assert all((buffer == 7.0).all() for buffer in buffers)
+
+    def test_the_arguments_are_checked(self):
+        x, rng = dropout_rows(), np.random.default_rng(0)
+        fine = [np.empty_like(x) for _ in range(3)]
+        for p in (-0.1, 1.0):
+            with pytest.raises(ValueError, match="probability"):
+                ops.dropout_into(rng, x, p, *fine)
+        for bad in (None, np.empty(x.shape[::-1], x.dtype),
+                    np.empty(x.shape, np.float64), np.empty_like(x, order="F")):
+            with pytest.raises(ValueError):
+                ops.dropout_into(rng, x, 0.5, fine[0], bad, fine[2])
+
+
+def test_a_wrapping_backend_reaches_the_compiled_bodies(monkeypatch):
+    """A backend that subclasses ``SparseOpsBackend`` and forwards what it
+    does not define through ``__getattr__`` (as a tracing wrapper does)
+    reaches the scipy backend's compiled pack, unpack and dropout, not a
+    numpy body inherited from the base class."""
+    if "scipy" not in ops.available_backends() or native.load() is None:
+        pytest.skip("the compiled tier is not built here")
+
+    class Forwarding(ops.SparseOpsBackend):
+        name = "forwarding"
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __getattr__(self, attribute):
+            return getattr(self.inner, attribute)
+
+    reached = []
+    for name in ("pack", "unpack", "dropout"):
+        def spy(*args, _body=getattr(native, name), _name=name):
+            reached.append(_name)
+            return _body(*args)
+
+        monkeypatch.setattr(native, name, spy)
+    monkeypatch.setitem(ops._REGISTRY, "forwarding",
+                        Forwarding(ops._REGISTRY["scipy"]))
+    x = dropout_rows()[:4]
+    mask = ops.topk_mask(x, 2)
+    with ops.use_backend("forwarding"), np.errstate(invalid="ignore"):
+        data, index = ops.cbsr_pack(x, mask, 2)
+        ops.cbsr_unpack(data, index, x.shape[1])
+        ops.dropout_into(np.random.default_rng(0), x, 0.5,
+                         *(np.empty_like(x) for _ in range(3)))
+    assert reached == ["pack", "unpack", "dropout"]
 
 
 @pytest.mark.parametrize("name", ops.available_backends())
