@@ -14,7 +14,9 @@ remedies on the scaled Reddit stand-in (the fused loss, measured here at
   recorded, not gated (thread overlap needs a second, idle core, which
   tier-1 cannot assume; ``python -m bench`` is the timing authority).
 * **blocked SpMM** — the vectorized backend's degree-bucketed
-  gather–accumulate, asserted bit-identical to the ``reference`` loop on
+  gather–accumulate (its SpMM where the compiled loops do not build, run
+  here with ``native.load`` patched to answer ``None``), asserted
+  bit-identical to the ``reference`` loop on
   the scaled Reddit adjacency; its time is recorded, not gated.
 
 ``REPRO_PERF_SMOKE=1`` shrinks the protocol for CI gating. Full runs write
@@ -34,6 +36,7 @@ from repro.models import GNNConfig, MaxKGNN
 from repro.sparse import ops
 from repro.sparse.ops import get_backend
 from repro.training import Engine, PrefetchFlow, SampledFlow
+from tests.conftest import without_compiled_loops
 
 DATASET = "Reddit"
 SMOKE = perf_smoke_enabled()
@@ -138,9 +141,10 @@ def test_prefetch_pipeline_bit_identity_and_overlap(record_result, record_json):
 
 
 @pytest.mark.slow
-def test_blocked_spmm_matches_reference(record_result, record_json):
-    """The vectorized backend's SpMM gate, pinned to that backend so both
-    CI jobs exercise it identically."""
+def test_blocked_spmm_matches_reference(record_result, record_json, monkeypatch):
+    """The vectorized backend's numpy SpMM gate: the compiled loops are
+    switched off, so every host exercises the same body."""
+    without_compiled_loops(monkeypatch)
     graph = load_training_dataset(DATASET, seed=0)
     adjacency = graph.adjacency("sage")
     rng = np.random.default_rng(0)

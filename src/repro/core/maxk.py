@@ -9,10 +9,9 @@ Two selection algorithms are provided:
 * :func:`maxk_mask` / :func:`maxk_forward` — exact top-k selection through
   the sparse-ops backend (a stable per-row sort on the reference backend;
   ``np.partition`` threshold with lowest-column tie fill on the
-  vectorized ones; on the scipy backend, for float32 and ``k <= 8`` on an
-  AVX2 CPU, the compiled select of ``sparse/_cbsr.c``, which keeps each
-  row's running top 8 in one vector register and fills ties the same
-  way). Training runs the same ``ops.topk_mask`` once per layer
+  vectorized one; there, for float32 and ``k <= 8`` on an AVX2 CPU, the
+  compiled select of ``sparse/_cbsr.c``, which keeps each row's running
+  top 8 in one vector register and fills ties the same way). Training runs the same ``ops.topk_mask`` once per layer
   (:mod:`repro.tensor.functional`): the mask gates the dense activation,
   and on the CBSR path its set positions are the pattern, packed by
   ``ops.cbsr_pack`` — nothing re-selects the sparsified rows by

@@ -61,8 +61,9 @@ class CSRMatrix:
 
     def __post_init__(self):
         for name in ("indptr", "indices"):
-            # Read-only: bounds validated once stay valid (the scipy backend
-            # keeps them per buffer triple instead of re-reading nnz a call).
+            # Read-only: bounds validated once stay valid (the vectorized
+            # backend keeps them per buffer triple instead of re-reading nnz
+            # a call).
             index = np.asarray(getattr(self, name), dtype=np.int64)
             index.flags.writeable = False
             object.__setattr__(self, name, index)
@@ -187,7 +188,7 @@ class CSRMatrix:
 
         Segment-sum over the edge list; numerically this is the exact
         computation the forward SpGEMM kernel performs. The implementation
-        (naive loop, bincount/reduceat, scipy CSR kernel) is selected by
+        (naive loop, compiled loop, blocked numpy SpMM) is selected by
         :mod:`repro.sparse.ops`. ``out``, when given, receives the product
         (and is returned), so workspace-planned training steps aggregate
         into reused buffers.

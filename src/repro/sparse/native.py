@@ -5,8 +5,8 @@ use.
 :func:`load` compiles the C file next to this module with the host's
 ``cc`` the first time a kernel asks for it (never at import), caches the
 shared object per user and answers the loaded library — or ``None`` when
-there is no compiler or the build fails, and the scipy backend serves
-scipy's public route. Nothing selects the tier but whether it builds.
+there is no compiler or the build fails, and the vectorized backend runs
+its numpy bodies. Nothing selects the tier but whether it builds.
 
 * **Flags.** ``-O2 -ftree-vectorize -fPIC -shared -ffp-contract=off``, plus
   ``-fopenmp`` where the compiler has it (else the loops run one thread).
@@ -33,7 +33,7 @@ scipy's public route. Nothing selects the tier but whether it builds.
   written to a temporary name and ``os.replace``-d into place.
 * **Calls.** ``ctypes.CDLL`` releases the GIL for the call. The loops
   index unchecked: the dispatcher bounds each adjacency, which arrives
-  :func:`pin`-ned (the scipy backend keeps a read-only triple's pin).
+  :func:`pin`-ned (the vectorized backend keeps a read-only triple's pin).
 * **Heap.** :func:`keep_heap_mapped` is the one other call into C: glibc's
   ``mallopt``, which an inference service makes once.
 """

@@ -14,30 +14,25 @@ Backends
     Naive per-row / per-segment Python loops with strictly sequential
     accumulation. Slow, obviously correct — the testing oracle.
 ``vectorized``
-    Pure-numpy implementation built on ``np.add.at`` (unbuffered, on
-    flattened segment indices), ``np.maximum.reduceat`` over CSR-sorted
-    segments, ``np.partition``-threshold top-k selection with a
-    deterministic lowest-column tie fill, and a cache-blocked
-    degree-bucketed gather–accumulate CSR SpMM over per-matrix cached
-    plans. Accumulation visits elements in input order, so results are
-    bit-identical to ``reference``.
-``scipy``
-    The ``vectorized`` backend with the CSR SpMM and the CBSR SpGEMM /
-    SSpMM pair delegated to the C loops of :mod:`repro.sparse.native`, on
-    every free core (scipy's public ``A @ B`` route where no compiler
-    builds them) — same sequential accumulation order per output element,
-    so still bit-identical. The MaxK select (where the compiled one
-    serves) and the CBSR pack / unpack run there too: compares and byte
-    copies, the same masks and blocks. So does dropout's forward for a
-    PCG64 generator: numpy's stream generated in C, the same draws and
-    generator state. Registered only when scipy imports.
+    The fast backend, the default. Where :mod:`repro.sparse.native`
+    builds (a C compiler on the host), the CSR SpMM, the CBSR SpGEMM /
+    SSpMM pair, the MaxK select (float, ``k <= 8``, AVX2), the CBSR pack /
+    unpack and dropout's forward for a PCG64 generator at float32 run as
+    its C loops, the aggregations on every free core. Everything else, and
+    every op where the loops do not build, runs numpy: ``np.add.at`` on
+    flattened segment indices, ``np.maximum.reduceat`` over CSR-sorted
+    segments, an ``np.partition``-threshold top-k with a deterministic
+    lowest-column tie fill and a cache-blocked degree-bucketed
+    gather–accumulate SpMM over cached plans. Both routes accumulate each
+    output element in stored-edge order, so they are bit-identical to
+    ``reference`` and to each other.
 
 Selection
 ---------
 The active backend is chosen, in order of precedence, by the
 ``REPRO_SPARSE_BACKEND`` environment variable at import time, then by
-:func:`set_backend` calls; the default is ``scipy`` when available and
-``vectorized`` otherwise. :func:`use_backend` scopes a switch to a block.
+:func:`set_backend` calls; the default is ``vectorized``.
+:func:`use_backend` scopes a switch to a block.
 """
 
 from __future__ import annotations
@@ -51,16 +46,10 @@ import numpy as np
 
 from . import native
 
-try:  # gated optional dependency; never required
-    import scipy.sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised only on scipy-less images
-    _scipy_sparse = None
-
 __all__ = [
     "SparseOpsBackend",
     "ReferenceBackend",
     "VectorizedBackend",
-    "ScipyBackend",
     "available_backends",
     "get_backend",
     "set_backend",
@@ -213,10 +202,10 @@ class SparseOpsBackend:
         raise NotImplementedError
 
     # -- cache hooks ---------------------------------------------------
-    # Backends may pin per-graph buffers (the scipy backend keys CSR
-    # wrappers by buffer identity). Sweeps over many graphs — notably the
-    # training engine's subgraph flows — call these on eviction so pinned
-    # memory tracks the working set instead of growing without bound.
+    # Backends may pin per-graph buffers (the vectorized backend keys its
+    # plans and pins by buffer identity). Sweeps over many graphs — notably
+    # the training engine's subgraph flows — call these on eviction so
+    # pinned memory tracks the working set instead of growing without bound.
 
     def clear_cache(self) -> None:
         """Release any per-graph caches; no-op for stateless backends."""
@@ -239,10 +228,10 @@ class SparseOpsBackend:
 
         The inverse of :meth:`release`: a caching backend builds whatever
         wrappers / execution plans its hot kernels would lazily construct
-        on first touch (the scipy backend's validated adjacency pins, the
-        vectorized backend's degree-bucketed SpMM plans), so a prefetching
-        data flow can move that work off the training critical path onto
-        its background thread. No-op for stateless backends.
+        on first touch (the vectorized backend's validated adjacency pins,
+        or its degree-bucketed SpMM plans without the loops), so a
+        prefetching data flow can move that work off the training critical
+        path onto its background thread. No-op for stateless backends.
         """
 
     def cache_info(self) -> Dict[str, int]:
@@ -252,11 +241,11 @@ class SparseOpsBackend:
 
 class _NumpyLines:
     """The CBSR pack / unpack and dropout's forward as numpy lines: the
-    bodies of the backends that do not compile them, and the scipy
-    backend's where its compiled ones do not serve. Kept off
-    :class:`SparseOpsBackend`, so a wrapper subclassing it that forwards
-    what it does not define through ``__getattr__`` (``bench/trace.py``'s)
-    reaches its inner backend's bodies, compiled ones included."""
+    reference backend's bodies, and the vectorized backend's where its
+    compiled ones do not serve. Kept off :class:`SparseOpsBackend`, so a
+    wrapper subclassing it that forwards what it does not define through
+    ``__getattr__`` (``bench/trace.py``'s) reaches its inner backend's
+    bodies, compiled ones included."""
 
     def cbsr_pack(self, x, mask, k, data, index) -> None:
         survivors = np.flatnonzero(mask)
@@ -419,27 +408,35 @@ class _IdKeyedLRU(dict):
 
 
 class VectorizedBackend(_NumpyLines, SparseOpsBackend):
-    """Numpy add.at / reduceat / argpartition implementation.
+    """The compiled loops where they build, numpy everywhere else.
 
-    Scatter-adds go through ``np.add.at`` on flattened segment indices into
-    a zeroed array of the operand's dtype: one add per value in input
+    Each op with a compiled body asks :func:`native.load` on every call
+    and runs numpy where it answers ``None`` (no compiler): the SpMM and
+    the CBSR SpGEMM / SSpMM (the pair reads ``sp_index`` at its CBSR
+    width), the float select for ``k <= 8`` on an AVX2 CPU
+    (:func:`native.topk`), the CBSR pack / unpack and dropout's forward
+    for a PCG64 generator at float32 (:func:`native.dropout`). Each output
+    element accumulates in stored-edge order at any thread count, so the
+    two routes write the same bytes. ``cache_info()["native"]`` is the
+    loops' thread count (0: not built). A *read-only* CSR buffer triple's
+    O(nnz) bounds and pin are kept in an LRU (:meth:`csr_bound`); a
+    writable one is checked on every call.
+
+    The numpy route takes 8–16× the loops' time on the aggregations (the
+    bench graph, a 2-vCPU x86 host). Scatter-adds go through ``np.add.at`` on flattened segment indices
+    into a zeroed array of the operand's dtype: one add per value in input
     order, each rounded at that width — bit-identical to the reference
     loop at any width (``np.bincount`` sums in double whatever it is
     handed). Its indexed fast path needs numpy >= 1.25; older releases
     compute the same bytes slowly. Segment maxima exploit CSR
     row-sortedness via ``np.maximum.reduceat`` after an (optional) stable
-    counting sort.
-
-    The CSR SpMM does **not** ride the generic scatter: it uses a
-    cache-blocked fused gather–accumulate over degree-bucketed row groups
-    (see :meth:`_spmm_blocked`), which skips the flattened-index arithmetic
-    entirely, reuses backend-owned scratch of the operand's dtype, and
-    accumulates each output row strictly in stored-edge order —
-    bit-identical to the reference loop and to scipy's compiled kernel, and
-    allocation-free in steady state. The per-matrix degree-bucket plans are
-    cached by buffer identity in an :class:`_IdKeyedLRU` and integrate with
-    the :meth:`release` / :meth:`warm` hooks exactly like the scipy
-    backend's wrapper cache.
+    counting sort. Its CSR SpMM does **not** ride the generic scatter: it
+    uses a cache-blocked fused gather–accumulate over degree-bucketed row
+    groups (see :meth:`_spmm_blocked`) that reuses backend-owned scratch
+    of the operand's dtype and is allocation-free in steady state. The
+    per-matrix degree-bucket plans are cached by buffer identity in an
+    :class:`_IdKeyedLRU` and follow the :meth:`release` / :meth:`warm`
+    hooks like the pins do.
     """
 
     name = "vectorized"
@@ -450,19 +447,19 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
     _BLOCK_ELEMENTS = 1 << 16
 
     def __init__(self):
-        # Degree-bucket SpMM plans per CSR buffer triple.
+        # Degree-bucket SpMM plans per CSR buffer triple (numpy route).
         self._plan_cache = _IdKeyedLRU()
-        #: Every per-graph cache of this backend (subclasses append).
-        self._caches = [self._plan_cache]
+        # (column bound, native pin, the keyed triple) per read-only triple.
+        self._csr_cache = _IdKeyedLRU()
         # Gather/reduce scratch is per-thread so a prefetching data flow
         # can warm plans on its background thread while the trainer runs.
         self._scratch = threading.local()
 
     # -- bounded per-graph caches --------------------------------------
     def clear_cache(self) -> None:
-        """Release every cached plan / wrapper (and the pinned buffers)."""
-        for cache in self._caches:
-            cache.clear()
+        """Release every cached plan / pin (and the pinned buffers)."""
+        self._plan_cache.clear()
+        self._csr_cache.clear()
 
     def release(self, matrices) -> int:
         keys = [
@@ -471,18 +468,52 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
         ]
         return sum(
             cache.pop(key, None) is not None
-            for cache in self._caches for key in keys
+            for cache in (self._plan_cache, self._csr_cache) for key in keys
         )
 
     def warm(self, matrices) -> None:
+        from .csr import CSRMatrix  # validated as it was built
+
+        compiled = native.load() is not None
         for matrix in matrices:
-            self._spmm_plan(matrix.indptr, matrix.indices, matrix.data)
+            if compiled:
+                self.csr_bound(
+                    matrix.indptr, matrix.indices, matrix.data,
+                    matrix.shape[1] if isinstance(matrix, CSRMatrix) else None,
+                )
+            else:
+                self._spmm_plan(matrix.indptr, matrix.indices, matrix.data)
 
     def cache_info(self) -> Dict[str, int]:
+        library = native.load()
         return {
             "spmm_plans": len(self._plan_cache),
             "cache_limit": _IdKeyedLRU.LIMIT,
+            "csr_entries": len(self._csr_cache),
+            "native": 0 if library is None else library.threads(),
         }
+
+    def csr_bound(self, indptr, indices, data, checked=None) -> int:
+        """:func:`_check_adjacency`, kept (with the pin) per read-only triple
+        where the loops build; ``checked`` is a bound these read-only
+        buffers were checked against."""
+        if native.load() is None or not (
+            _frozen(indptr) and _frozen(indices) and data.flags.c_contiguous
+        ):
+            return _check_adjacency(indptr, indices)  # no pin, or a stale one
+        key = _IdKeyedLRU.key(indptr, indices, data)
+        entry = self._csr_cache.touch(key)
+        if entry is None:
+            bound = _check_adjacency(indptr, indices) if checked is None else checked
+            entry = (bound, native.pin(indptr, indices, data), (indptr, indices, data))
+            self._csr_cache.insert(key, entry)
+        return entry[0]
+
+    def _pinned(self, indptr, indices, data) -> tuple:
+        """The pin the dispatch's :meth:`csr_bound` kept, or a fresh one (a
+        writable triple it checked, or a direct call with valid inputs)."""
+        entry = self._csr_cache.get(_IdKeyedLRU.key(indptr, indices, data))
+        return native.pin(indptr, indices, data) if entry is None else entry[1]
 
     def _take(self, name: str, shape, dtype) -> np.ndarray:
         """Thread-local scratch with monotone capacity (contents undefined)."""
@@ -633,6 +664,9 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
         return out
 
     def spmm_csr(self, indptr, indices, data, x, n_rows, out=None):
+        library = native.load()
+        if library is not None:
+            return native.spmm(library, self._pinned(indptr, indices, data), x, out)
         plan = self._spmm_plan(indptr, indices, data)
         if x.ndim == 2:
             return self._spmm_blocked(plan, indices, data, x, n_rows, out=out)
@@ -646,6 +680,11 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
         return out
 
     def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
+        library = native.load()
+        if library is not None:
+            index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
+            return native.run(library, "spgemm", self._pinned(indptr, indices, data),
+                              sp_data, index, dim_origin, (n_rows, dim_origin))
         row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
         contributions = data[:, None] * sp_data[indices]
         flat_targets = row_ids[:, None] * dim_origin + sp_index[indices]
@@ -655,6 +694,12 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
         return flat.reshape(n_rows, dim_origin)
 
     def sspmm_cbsr(self, indptr, indices, data, grad_out, sp_index, n_src):
+        library = native.load()
+        if library is not None:
+            dim_origin = grad_out.shape[1]
+            index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
+            return native.run(library, "sspmm", self._pinned(indptr, indices, data),
+                              grad_out, index, dim_origin, sp_index.shape)
         k = sp_index.shape[1]
         n_rows = len(indptr) - 1
         row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
@@ -741,92 +786,16 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
         )
 
     def topk_mask(self, x, k, out=None, workspace=None, slot="topk"):
-        if out is None:
-            return self._stable_topk_mask(x, k)
-        return self._stable_topk_mask_into(x, k, out, workspace, slot)
+        library = native.load()
+        mask = np.empty(x.shape, dtype=bool) if out is None else out
+        if library is not None and native.topk(library, x, k, mask):
+            return mask
+        return self._stable_topk_mask_into(x, k, mask, workspace, slot)
 
     def topk_columns(self, x, k):
         n_rows, dim = x.shape
         mask = self._stable_topk_mask(np.abs(x), k)
         return np.nonzero(mask)[1].reshape(n_rows, k).astype(np.int64)
-
-
-class ScipyBackend(VectorizedBackend):
-    """Vectorized backend with the aggregations served by compiled loops.
-
-    The SpMM and the CBSR SpGEMM / SSpMM are the C loops of
-    :mod:`repro.sparse.native` (the CBSR pair reads ``sp_index`` at its
-    CBSR width): each output element accumulates in stored-edge order at
-    any thread count, so outputs stay bit-identical; so are the float
-    select for ``k <= 8`` on an AVX2 CPU (:func:`native.topk`), the CBSR
-    pack / unpack and dropout's forward for a PCG64 generator at float32
-    (:func:`native.dropout`). Without a compiler scipy's public ``A @ B``
-    serves the same row-sequential accumulation and numpy the rest;
-    ``cache_info()["native"]`` is the loops' thread count (0: not built).
-    A *read-only* CSR buffer triple's O(nnz) bounds and pin are kept in
-    the LRU (:meth:`csr_bound`); a writable one is checked on every call.
-    """
-
-    name = "scipy"
-
-    def __init__(self):
-        super().__init__()
-        # (column bound, native pin, the keyed triple) per read-only triple.
-        self._csr_cache = _IdKeyedLRU()
-        self._caches.append(self._csr_cache)
-
-    def warm(self, matrices) -> None:
-        from .csr import CSRMatrix  # validated as it was built
-
-        for matrix in matrices:
-            self.csr_bound(matrix.indptr, matrix.indices, matrix.data,
-                           matrix.shape[1] if isinstance(matrix, CSRMatrix) else None)
-
-    def cache_info(self) -> Dict[str, int]:
-        info = super().cache_info()
-        info["csr_entries"] = len(self._csr_cache)
-        library = native.load()
-        info["native"] = 0 if library is None else library.threads()
-        return info
-
-    def csr_bound(self, indptr, indices, data, checked=None) -> int:
-        """:func:`_check_adjacency`, kept (with the pin) per read-only triple;
-        ``checked`` is a bound these read-only buffers were checked against."""
-        if not (_frozen(indptr) and _frozen(indices) and data.flags.c_contiguous):
-            return _check_adjacency(indptr, indices)  # a pin would go stale
-        key = _IdKeyedLRU.key(indptr, indices, data)
-        entry = self._csr_cache.touch(key)
-        if entry is None:
-            bound = _check_adjacency(indptr, indices) if checked is None else checked
-            entry = (bound, native.pin(indptr, indices, data), (indptr, indices, data))
-            self._csr_cache.insert(key, entry)
-        return entry[0]
-
-    def _pinned(self, indptr, indices, data) -> tuple:
-        """The pin the dispatch's :meth:`csr_bound` kept, or a fresh one (a
-        writable triple it checked, or a direct call with valid inputs)."""
-        entry = self._csr_cache.get(_IdKeyedLRU.key(indptr, indices, data))
-        return native.pin(indptr, indices, data) if entry is None else entry[1]
-
-    def spmm_csr(self, indptr, indices, data, x, n_rows, out=None):
-        library = native.load()
-        if library is not None:
-            return native.spmm(library, self._pinned(indptr, indices, data), x, out)
-        # scipy's public ``A @ X``, over the (n, -1) view of wider maps.
-        flat = x.reshape(len(x), int(np.prod(x.shape[1:])))
-        matrix = _scipy_sparse.csr_array((data, indices, indptr), (n_rows, len(x)))
-        result = (matrix @ flat).reshape((n_rows,) + x.shape[1:])
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
-
-    def topk_mask(self, x, k, out=None, workspace=None, slot="topk"):
-        library = native.load()
-        mask = np.empty(x.shape, dtype=bool) if out is None else out
-        if library is not None and native.topk(library, x, k, mask):
-            return mask
-        return super().topk_mask(x, k, mask, workspace, slot)
 
     def cbsr_pack(self, x, mask, k, data, index):
         library = native.load()
@@ -845,36 +814,6 @@ class ScipyBackend(VectorizedBackend):
         if library is None or not native.dropout(library, rng, x, p, draw, keep, out):
             super().dropout_into(rng, x, p, draw, keep, out)
 
-    def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
-        library = native.load()
-        if library is not None:
-            index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
-            return native.run(library, "spgemm", self._pinned(indptr, indices, data),
-                              sp_data, index, dim_origin, (n_rows, dim_origin))
-        # The CBSR blocks are a CSR matrix with exactly k entries per row.
-        n_src, k = sp_index.shape
-        adjacency = _scipy_sparse.csr_array((data, indices, indptr), (n_rows, n_src))
-        features = _scipy_sparse.csr_array(
-            (sp_data.ravel(), sp_index.ravel(), np.arange(n_src + 1) * k),
-            shape=(n_src, dim_origin),
-        )
-        return (adjacency @ features).toarray()
-
-    def sspmm_cbsr(self, indptr, indices, data, grad_out, sp_index, n_src):
-        library = native.load()
-        if library is not None:
-            dim_origin = grad_out.shape[1]
-            index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
-            return native.run(library, "sspmm", self._pinned(indptr, indices, data),
-                              grad_out, index, dim_origin, sp_index.shape)
-        # A^T @ dX_l through the shared CSR buffers (the CSC view of A^T),
-        # then sample the dense source gradients at the forward pattern.
-        adjacency = _scipy_sparse.csr_array(
-            (data, indices, indptr), (len(indptr) - 1, n_src)
-        )
-        dense_grad = adjacency.T @ grad_out
-        return np.take_along_axis(dense_grad, sp_index, axis=1)
-
 
 # ----------------------------------------------------------------------
 # Registry
@@ -892,8 +831,6 @@ def register_backend(backend: SparseOpsBackend) -> SparseOpsBackend:
 
 register_backend(ReferenceBackend())
 register_backend(VectorizedBackend())
-if _scipy_sparse is not None:
-    register_backend(ScipyBackend())
 
 
 def _default_backend_name() -> str:
@@ -905,7 +842,7 @@ def _default_backend_name() -> str:
                 f"options: {sorted(_REGISTRY)}"
             )
         return requested
-    return "scipy" if "scipy" in _REGISTRY else "vectorized"
+    return "vectorized"
 
 
 _ACTIVE: SparseOpsBackend = _REGISTRY[_default_backend_name()]

@@ -366,10 +366,10 @@ def dropout(
 
     The forward is :func:`ops.dropout_into`: the uniform draw (the stream
     ``rng.random(shape, dtype)`` would return), the float keep mask and
-    the output, written with ``out=``. Where the scipy backend's compiled
-    draw serves (a PCG64 generator, float32, a C-contiguous ``x``) it
-    generates numpy's stream itself: the same bytes, the same generator
-    state. A NaN input stays NaN in the output (``NaN * 0.0``) whether
+    the output, written with ``out=``. Where the vectorized backend's
+    compiled draw serves (a PCG64 generator, float32, a C-contiguous
+    ``x``) it generates numpy's stream itself: the same bytes, the same
+    generator state. A NaN input stays NaN in the output (``NaN * 0.0``) whether
     kept or dropped; the keep mask only ever holds 0.0 / 1.0. The
     backward's product is written with ``out=`` too.
     """

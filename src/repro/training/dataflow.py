@@ -97,7 +97,7 @@ class SubgraphCache:
     A cached subgraph keeps its CSR adjacency (and transpose) warm across
     epochs, so re-visiting a pool slot skips both the sampler and the
     adjacency build. Every eviction releases *only the evicted subgraph's*
-    CSR wrappers from the active backend (the scipy backend pins CSR
+    CSR wrappers from the active backend (the vectorized backend pins CSR
     buffers per graph), so pinned memory stays proportional to the pool
     while the full graph and every surviving slot remain warm.
     """

@@ -194,7 +194,7 @@ def build_adjacencies(graph: Graph, keys: Sequence[str]) -> List[CSRMatrix]:
 
 def warm_batch(graph: Graph, keys: Sequence[str]) -> None:
     """:func:`build_adjacencies`, registered with the active sparse backend
-    (scipy wrappers / vectorized SpMM plans)."""
+    (the compiled loops' pins, or the numpy SpMM plans without them)."""
     get_backend().warm(build_adjacencies(graph, keys))
 
 

@@ -1,10 +1,12 @@
-"""Fixtures shared by the process-pool suites, and the one place the
-suite's float tolerances come from: ``ops.FLOAT_DTYPE``'s round-off."""
+"""Fixtures shared by the process-pool suites, the one switch onto the
+vectorized backend's numpy bodies, the backends every suite case runs
+on, and the one place the suite's float tolerances come from:
+``ops.FLOAT_DTYPE``'s round-off."""
 
 import numpy as np
 import pytest
 
-from repro.sparse import ops
+from repro.sparse import native, ops
 from repro.training import set_fault_plan
 from repro.training.parallel import reset_fallback_warnings
 
@@ -28,6 +30,49 @@ def force_procs(monkeypatch):
 @pytest.fixture
 def quick_retries(monkeypatch):
     monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
+
+
+def without_compiled_loops(patch) -> None:
+    """Through ``patch`` (a ``MonkeyPatch``), make ``native.load`` answer
+    ``None``, as on a host without a C compiler: every op of the
+    vectorized backend runs its numpy body."""
+    patch.setattr(native, "load", lambda: None)
+
+
+@pytest.fixture
+def numpy_fallback(monkeypatch):
+    """Run the test on the vectorized backend's numpy bodies."""
+    without_compiled_loops(monkeypatch)
+
+
+#: The vectorized backend's two arms, as fixture parameters: its compiled
+#: loops (where they build) and its numpy bodies.
+ARMS = ("compiled", "numpy_fallback")
+
+
+def arm_backend(request) -> str:
+    """The backend a parameter of ``["reference", *ARMS]`` names, with the
+    numpy arm switched on for the requesting test."""
+    if request.param == "numpy_fallback":
+        request.getfixturevalue("numpy_fallback")
+    return "reference" if request.param == "reference" else "vectorized"
+
+
+#: Every backend a suite case runs on: the oracle, then the vectorized
+#: backend's two arms.
+BACKENDS = ("reference", *ARMS)
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    """Run the test with each of ``BACKENDS`` active; the value is the
+    backend's name. Workers a test spawns import ``native`` afresh and so
+    run the compiled loops on the ``numpy_fallback`` arm too: there the
+    case checks that the numpy bodies in this process and the loops in
+    the workers agree bit for bit."""
+    name = arm_backend(request)
+    with ops.use_backend(name):
+        yield name
 
 
 def floats(array) -> np.ndarray:

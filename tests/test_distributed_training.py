@@ -25,7 +25,6 @@ from repro.graphs import (
     sbm_graph,
 )
 from repro.models import GNNConfig, MaxKGNN
-from repro.sparse import ops
 from repro.tensor import Tensor, weighted_cross_entropy
 from repro.training import (
     BatchPlan,
@@ -238,12 +237,6 @@ class TestReplicaGradients:
         store = ReplicaGradients(self._params(), 1)
         with pytest.raises(ValueError):
             store.reduce([])
-
-
-@pytest.fixture(params=ops.available_backends())
-def backend(request):
-    with ops.use_backend(request.param):
-        yield request.param
 
 
 class TestSparseGradientExchange:

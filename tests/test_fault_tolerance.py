@@ -53,12 +53,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(params=ops.available_backends())
-def backend(request):
-    with ops.use_backend(request.param):
-        yield request.param
-
-
 def _task_graph(n=100, seed=11):
     graph = sbm_graph(n, 4, 8.0, intra_fraction=0.7, seed=seed).to_undirected()
     attach_classification_task(graph, n_features=8, signal=0.5, seed=seed)

@@ -31,6 +31,7 @@ from repro.serving import InferenceService
 from repro.sparse import ops
 from repro.training import Engine, FullGraphFlow, SampledFlow, make_flow
 from repro.training.checkpoint import CheckpointError, read_checkpoint
+from tests.conftest import ARMS, arm_backend, without_compiled_loops
 
 FLOWS = {
     "full": FullGraphFlow,
@@ -44,10 +45,10 @@ FLOWS = {
 }
 
 
-@pytest.fixture(params=ops.available_backends())
+@pytest.fixture(params=["reference", *ARMS])
 def backend(request):
-    with ops.use_backend(request.param):
-        yield request.param
+    with ops.use_backend(arm_backend(request)) as active:
+        yield active.name
 
 
 SHIPPED = np.dtype(ops.FLOAT_DTYPE)
@@ -140,14 +141,19 @@ def test_training_follows_the_width(backend, width, flow):
     assert losses[True] == losses[False]
 
 
-def test_fig10_trajectories_are_equal_across_backends(width):
-    """Every backend accumulates in the reference loop's order, so the
-    paper's convergence run is one trajectory — at either width."""
+def test_fig10_trajectories_are_equal_across_backends(width, monkeypatch):
+    """Every backend, on either of the vectorized backend's arms,
+    accumulates in the reference loop's order, so the paper's convergence
+    run is one trajectory — at either width."""
     from repro.experiments import fig10_convergence
 
     runs = {}
-    for name in ops.available_backends():
-        with ops.use_backend(name):
+    for name in ("reference", *ARMS):
+        with monkeypatch.context() as patch, ops.use_backend(
+            "reference" if name == "reference" else "vectorized"
+        ):
+            if name == "numpy_fallback":
+                without_compiled_loops(patch)
             result = fig10_convergence.run(
                 epochs=3, eval_every=3, paper_k_values=[8]
             )

@@ -114,11 +114,6 @@ class TestGradchecksAcrossBackends:
     central-difference gradient under each registered backend.
     """
 
-    @pytest.fixture(params=ops.available_backends())
-    def backend(self, request):
-        with ops.use_backend(request.param):
-            yield request.param
-
     @pytest.mark.usefixtures("double_precision")
     def test_spmm_agg_gradcheck(self, backend):
         graph = chain_of_cliques(2, 4)
@@ -255,11 +250,6 @@ class TestFloatMasksMatchHeaviside:
     non-NaN input however hostile, on every backend, from fresh arrays
     and from a :class:`Workspace` (where the mask slots can be read back).
     """
-
-    @pytest.fixture(params=ops.available_backends())
-    def backend(self, request):
-        with ops.use_backend(request.param):
-            yield request.param
 
     @pytest.fixture(params=[False, True], ids=["fresh", "workspace"])
     def ws(self, request):

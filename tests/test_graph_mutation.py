@@ -48,12 +48,6 @@ from tests.test_partition_sampling import (
 SEEDS = [0, 1, 2]
 
 
-@pytest.fixture(params=ops.available_backends())
-def backend(request):
-    with ops.use_backend(request.param):
-        yield request.param
-
-
 def _bitwise_equal(a: CSRMatrix, b: CSRMatrix) -> bool:
     return (
         a.shape == b.shape

@@ -30,7 +30,6 @@ from repro.graphs import (
     shared_memory_available,
 )
 from repro.models import GNNConfig, MaxKGNN
-from repro.sparse import ops
 from repro.training import (
     Engine,
     PrefetchWorkerError,
@@ -43,12 +42,6 @@ pytestmark = pytest.mark.skipif(
     not shared_memory_available(),
     reason="host cannot create POSIX shared memory",
 )
-
-
-@pytest.fixture(params=ops.available_backends())
-def backend(request):
-    with ops.use_backend(request.param):
-        yield request.param
 
 
 def _task_graph(n=150, seed=9):

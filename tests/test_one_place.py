@@ -146,6 +146,10 @@ def test_the_compiled_tier_lives_in_one_module():
     # One core count: the loops' threads and the process pools' guard.
     assert _occurrences("sched_getaffinity") == {"sparse/native.py": 1}
     assert _occurrences("def available_cores") == {"sparse/native.py": 1}
+    # One fast backend: the loops, or numpy where they do not build. No
+    # library route behind them and no backend named after one.
+    for gone in ("import scipy", "from scipy", "ScipyBackend"):
+        assert _occurrences(gone) == {}, gone
 
 
 def test_the_tensor_layer_packs_cbsr_blocks_without_a_cbsr_matrix():

@@ -9,9 +9,10 @@ Covers the three tentpole layers and their seams:
   every builder shares with the inline path;
 * ``fused_ce`` — bitwise equality against the composed
   ``cross_entropy`` and a finite-difference gradcheck, per backend;
-* the vectorized backend's blocked gather–scatter SpMM — bitwise
-  equality against the reference oracle (empty rows, single rows, odd
-  dims) and plan-cache bookkeeping through ``release`` / ``warm``;
+* the vectorized backend's blocked gather–scatter SpMM (its numpy route,
+  ``numpy_fallback``) — bitwise equality against the reference oracle
+  (empty rows, single rows, odd dims) and plan-cache bookkeeping through
+  ``release`` / ``warm``;
 * the per-backend graph-cache bound (``cache_info``'s ``cache_limit``);
 * the fused GIN path — bit-identical to the composed ops.
 """
@@ -29,7 +30,7 @@ from repro.graphs import (
     shared_memory_available,
 )
 from repro.models import GNNConfig, MaxKGNN
-from repro.sparse import CSRMatrix, ops
+from repro.sparse import CSRMatrix, native, ops
 from repro.tensor import Tensor, Workspace, cross_entropy, fused_ce
 from repro.training import (
     Engine,
@@ -47,12 +48,6 @@ from tests.test_tensor import finite_difference
 #: shared memory) two worker processes. Looped over inside the cases
 #: below rather than parametrised, so their test ids stay stable.
 BUILDERS = ["thread"] + ([2] if shared_memory_available() else [])
-
-
-@pytest.fixture(params=ops.available_backends())
-def backend(request):
-    with ops.use_backend(request.param):
-        yield request.param
 
 
 def _task_graph(n=150, seed=3):
@@ -383,6 +378,7 @@ class TestBlockedSpMM:
         )
         return CSRMatrix.from_dense(dense)
 
+    @pytest.mark.usefixtures("numpy_fallback")
     def test_matches_reference_bitwise(self):
         rng = np.random.default_rng(17)
         vec = ops._REGISTRY["vectorized"]
@@ -405,6 +401,7 @@ class TestBlockedSpMM:
             assert again is out
             assert out.tobytes() == expected.tobytes(), trial
 
+    @pytest.mark.usefixtures("numpy_fallback")
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_wide_feature_maps_match_reference_bitwise(self, dtype):
         """>= 3-D inputs ride the blocked kernel through an (n, -1) view."""
@@ -424,10 +421,11 @@ class TestBlockedSpMM:
         assert vec.spmm_csr(*args, out=out) is out
         assert out.tobytes() == expected.tobytes()
 
+    @pytest.mark.usefixtures("numpy_fallback")
     def test_plan_reads_live_data_after_inplace_mutation(self):
         """Only the structural grouping is cached: in-place edits of the
-        stored weights must stay visible, exactly as they are through
-        scipy's buffer-sharing wrapper and the reference loop."""
+        stored weights must stay visible, exactly as they are through the
+        compiled loops' pinned pointers and the reference loop."""
         vec = ops._REGISTRY["vectorized"]
         matrix = CSRMatrix(
             indptr=np.array([0, 2, 3]), indices=np.array([0, 1, 1]),
@@ -441,6 +439,7 @@ class TestBlockedSpMM:
         np.multiply(matrix.data, 10.0, out=matrix.data)
         np.testing.assert_array_equal(vec.spmm_csr(*args), [[30.0], [30.0]])
 
+    @pytest.mark.usefixtures("numpy_fallback")
     def test_direct_backend_call_with_float32_stays_float32(self):
         """The blocked path serves the dtype it is handed: scratch, result
         and accumulation follow the operands, byte-equal to the reference
@@ -456,6 +455,7 @@ class TestBlockedSpMM:
         assert got.dtype == np.float32
         assert got.tobytes() == ref.spmm_csr(*args).tobytes()
 
+    @pytest.mark.usefixtures("numpy_fallback")
     def test_plan_cache_release_and_warm(self):
         rng = np.random.default_rng(23)
         vec = ops._REGISTRY["vectorized"]
@@ -474,6 +474,7 @@ class TestBlockedSpMM:
         vec.clear_cache()
         assert vec.cache_info()["spmm_plans"] == 0
 
+    @pytest.mark.usefixtures("numpy_fallback")
     def test_cache_limit_knob(self):
         """The plan cache never outgrows the reported (constant) limit."""
         rng = np.random.default_rng(29)
@@ -490,11 +491,11 @@ class TestBlockedSpMM:
         finally:
             vec.clear_cache()
 
-    def test_scipy_cache_limit_and_warm(self):
-        if "scipy" not in ops.available_backends():
-            pytest.skip("scipy backend unavailable")
+    def test_pin_cache_limit_and_warm(self):
+        if native.load() is None:
+            pytest.skip("the compiled loops are not built")
         rng = np.random.default_rng(31)
-        backend = ops._REGISTRY["scipy"]
+        backend = ops._REGISTRY["vectorized"]
         backend.clear_cache()
         limit = backend.cache_info()["cache_limit"]
         matrices = [self._random_csr(rng, 8, 8, 0.4) for _ in range(limit + 4)]

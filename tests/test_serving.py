@@ -42,7 +42,6 @@ from repro.serving import (
     Ticket,
 )
 from repro.serving import service as service_module
-from repro.sparse import ops
 from repro.sparse.native import keep_heap_mapped
 from repro.training import Engine, FaultPlan, set_fault_plan
 from repro.training.checkpoint import (
@@ -51,12 +50,6 @@ from repro.training.checkpoint import (
     write_checkpoint,
 )
 from repro.training.faults import FaultEvent
-
-
-@pytest.fixture(params=ops.available_backends())
-def backend(request):
-    with ops.use_backend(request.param):
-        yield request.param
 
 
 def _task_graph(n=120, seed=11):

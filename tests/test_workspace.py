@@ -22,7 +22,7 @@ from repro.graphs import (
 )
 from repro.core.maxk import maxk_forward
 from repro.models import GNNConfig, MaxKGNN, make_conv
-from repro.sparse import CSRMatrix, ops
+from repro.sparse import CSRMatrix, native, ops
 from repro.tensor import (
     Adam,
     Tensor,
@@ -36,12 +36,6 @@ from repro.tensor import (
 from repro.training import Engine, FullGraphFlow
 from tests.conftest import fd_tolerance, floats
 from tests.test_tensor import finite_difference
-
-
-@pytest.fixture(params=ops.available_backends())
-def backend(request):
-    with ops.use_backend(request.param):
-        yield request.param
 
 
 class TestWorkspace:
@@ -472,14 +466,14 @@ class TestOutParamPrimitives:
     def test_release_hook_default_is_a_noop(self):
         assert ops.ReferenceBackend().release([object()]) == 0
 
-    def test_scipy_release_drops_only_given(self):
-        if "scipy" not in ops.available_backends():
-            pytest.skip("scipy backend unavailable")
+    def test_pin_release_drops_only_given(self):
+        if native.load() is None:
+            pytest.skip("the compiled loops are not built")
         rng = np.random.default_rng(56)
         a = self._random_csr(rng)
         b = self._random_csr(rng)
         x = rng.normal(size=(10, 3))
-        with ops.use_backend("scipy"):
+        with ops.use_backend("vectorized"):
             backend = ops.get_backend()
             backend.clear_cache()
             a.matmul_dense(x)
