@@ -56,7 +56,8 @@ def _taker(workspace, slot: str, dtype):
 
 
 def _node(data, parents, backward, workspace, slot: str) -> Tensor:
-    """Autograd node whose gradient, when planned, accumulates in the arena."""
+    """Autograd node whose gradient, when planned, owns an arena slot: where
+    a second arriving gradient is summed (the first is handed over)."""
     out = Tensor._make(data, parents, backward)
     if workspace is not None and out.requires_grad:
         out._grad_buffer = workspace.buffer(slot + ".grad", data.shape, data.dtype)
@@ -162,9 +163,10 @@ def linear_act(
 def add_into(a: Tensor, b: Tensor, workspace=None, slot: str = "add") -> Tensor:
     """Elementwise ``a + b`` for equal shapes, written into a planned buffer.
 
-    The backward pass forwards the incoming gradient to both parents
-    without materialising temporaries (each parent copies it into its own
-    grad buffer), unlike the generic broadcasting ``Tensor.__add__``.
+    The backward pass hands the incoming gradient array to both parents
+    without materialising temporaries, unlike the generic broadcasting
+    ``Tensor.__add__``: each adopts it, and a parent that receives a second
+    gradient sums into its own buffer instead of writing the shared array.
     """
     if a.shape != b.shape:
         raise ValueError("add_into requires equal shapes (no broadcasting)")

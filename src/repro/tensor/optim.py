@@ -65,9 +65,10 @@ class Adam(Optimizer):
     ``zeros_like`` or temporary chains. The arithmetic replays the textbook
     update term by term in the same order, so trajectories are bit-identical
     to the historical out-of-place implementation. Parameters also receive a
-    persistent gradient buffer (:attr:`Tensor._grad_buffer`) which the first
-    backward accumulation of each step adopts, removing the per-step
-    gradient allocation as well.
+    persistent gradient buffer (:attr:`Tensor._grad_buffer`): a step's first
+    gradient is handed over without a copy, and this buffer is where a
+    second one is summed (copy-on-write), so a parameter used twice does
+    not allocate per step either.
     """
 
     def __init__(self, parameters, lr: float = 0.001, betas=(0.9, 0.999),

@@ -72,10 +72,12 @@ class Tensor:
         self.requires_grad = requires_grad and _GRAD_ENABLED
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
-        #: Optional preallocated storage adopted by the first gradient
-        #: accumulation (set by optimizers for parameters and by the
-        #: workspace-planned fused ops for intermediates) so steady-state
-        #: backward passes copy into reused memory instead of allocating.
+        #: Optional preallocated storage this tensor owns (set by optimizers
+        #: for parameters and by the workspace-planned fused ops for
+        #: intermediates). A first gradient is handed over, not copied; this
+        #: is where a second one is summed (copy-on-write), so a steady-state
+        #: backward accumulates into reused memory instead of allocating.
+        #: ``grad is _grad_buffer`` is what "owned" means (see _accumulate).
         self._grad_buffer: Optional[np.ndarray] = None
         self.name = name
 
@@ -93,7 +95,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def numpy(self) -> np.ndarray:
         return self.data
@@ -118,16 +120,44 @@ class Tensor:
                       _backward=backward if requires else None)
 
     def _accumulate(self, grad: np.ndarray):
+        """Add ``grad`` to ``.grad`` without copying what can be handed over.
+
+        The first gradient is adopted as it is when it has this tensor's
+        shape and dtype and is C-contiguous; anything else (a broadcast
+        view, another width) is copied as :meth:`_own` does. An adopted
+        array may be shared (``__add__`` / ``add_into`` hand one array to
+        both parents, ``backward(seed)`` the caller's) and is never written:
+        the second gradient is summed into this tensor's own buffer, or a
+        fresh array (copy-on-write), and later ones ``+=`` there. The sum
+        takes its operands in ``+=``'s order, so its bytes are the same.
+        """
         grad = _unbroadcast(np.asarray(grad), self.data.shape)
         if self.grad is None:
-            buffer = self._grad_buffer
-            if buffer is not None and buffer.shape == self.data.shape:
-                np.copyto(buffer, grad)
-                self.grad = buffer
+            if (grad.shape == self.data.shape and grad.dtype == self.data.dtype
+                    and grad.flags.c_contiguous):
+                self.grad = grad
             else:
-                self.grad = grad.copy()
-        else:
+                self._own(grad)
+        elif self.grad is self._grad_buffer:
             self.grad += grad
+        else:
+            self.grad = np.add(self.grad, grad, out=self._fitting_buffer())
+
+    def _fitting_buffer(self) -> Optional[np.ndarray]:
+        buffer = self._grad_buffer
+        if buffer is not None and buffer.shape == self.data.shape:
+            return buffer
+        return None
+
+    def _own(self, grad: np.ndarray):
+        """Make ``.grad`` a private copy of ``grad``: in this tensor's own
+        buffer when it fits, a fresh array otherwise."""
+        buffer = self._fitting_buffer()
+        if buffer is None:
+            self.grad = grad.copy()
+        else:
+            np.copyto(buffer, grad)
+            self.grad = buffer
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -293,6 +323,12 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        # A gradient left by an earlier sweep may be an array handed over
+        # from a workspace slot, which this sweep's producer rewrites: own
+        # it before any producer runs.
+        for node in topo:
+            if node.grad is not None and node.grad is not node._grad_buffer:
+                node._own(node.grad)
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:

@@ -25,6 +25,11 @@ Contract
   :mod:`repro.tensor.functional` derive them from the layer slot).
 * Tensors whose ``.data`` lives in a workspace are valid until the next
   step overwrites the arena — copy (``.numpy().copy()``) to keep results.
+* A ``.grad`` may be an array handed over from a producer's slot (the
+  first gradient a tensor receives is adopted, not copied): it is valid
+  until that producer's next backward. :meth:`Tensor.backward` copies such
+  gradients into owned storage before its sweep runs any producer, and the
+  optimizer reads them before the next step's backward.
 """
 
 from __future__ import annotations

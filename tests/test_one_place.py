@@ -35,6 +35,17 @@ def test_one_place_knows_whether_a_workspace_exists():
     }
 
 
+def test_the_tape_alone_hands_gradients_over():
+    # The adopt / copy-on-write rule lives in Tensor; ops never touch a
+    # gradient buffer. optim.py plans the parameters' and functional.py's
+    # _node the planned intermediates'.
+    occurrences = _occurrences("_grad_buffer", "tensor")
+    assert set(occurrences) == {
+        "tensor/tensor.py", "tensor/optim.py", "tensor/functional.py"
+    }
+    assert occurrences["tensor/functional.py"] == 1
+
+
 def test_one_training_step():
     assert _occurrences("loss.backward()", "training") == {
         "training/engine.py": 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, Workspace, add_into, no_grad
 from repro.tensor.tensor import _unbroadcast
 from tests.conftest import fd_tolerance
 
@@ -148,6 +148,56 @@ class TestGraphMechanics:
         y = x * 3.0
         y.backward(np.full((2, 2), 2.0))
         np.testing.assert_allclose(x.grad, np.full((2, 2), 6.0))
+
+    @pytest.mark.parametrize("add", [
+        lambda a, b: a + b,
+        lambda a, b: add_into(a, b),
+        lambda a, b: add_into(a, b, workspace=Workspace(), slot="s"),
+    ], ids=["__add__", "add_into", "add_into-planned"])
+    def test_shared_gradient_is_copied_on_write(self, add):
+        # ``add`` hands the seed itself to both parents; x then receives a
+        # second gradient through c, which must not be summed in place.
+        x = Tensor(np.ones(3), requires_grad=True)
+        c = x * 5.0
+        seed = np.ones(3, dtype=x.data.dtype)
+        add(x, c).backward(seed)
+        assert c.grad is seed  # handed over, not copied
+        np.testing.assert_array_equal(seed, np.ones(3))
+        np.testing.assert_array_equal(c.grad, np.ones(3))
+        np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+
+    def test_first_gradient_is_adopted_only_when_it_fits(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        fits = np.ones((2, 3), dtype=x.data.dtype)
+        x._accumulate(fits)
+        assert x.grad is fits
+        other_width = np.float64 if x.data.dtype == np.float32 else np.float32
+        for misfit in (np.ones((2, 3), dtype=other_width),
+                       np.ones((3, 2), dtype=x.data.dtype).T):
+            x.zero_grad()
+            x._accumulate(misfit)
+            assert x.grad is not misfit
+            np.testing.assert_array_equal(x.grad, misfit)
+
+    def test_second_gradient_goes_to_the_own_buffer(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        x._grad_buffer = np.empty(3, dtype=x.data.dtype)
+        first = np.ones(3, dtype=x.data.dtype)
+        x._accumulate(first)
+        x._accumulate(first)
+        assert x.grad is x._grad_buffer
+        x._accumulate(first)
+        assert x.grad is x._grad_buffer
+        np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
+        np.testing.assert_array_equal(first, np.ones(3))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_of_one_element(self, shape):
+        assert Tensor(np.full(shape, 2.5)).item() == 2.5
+
+    def test_item_rejects_more_than_one_element(self):
+        with pytest.raises(ValueError):
+            Tensor(np.zeros(2)).item()
 
     def test_deep_chain_iterative_toposort(self):
         """The backward sweep is iterative: deep graphs must not recurse out."""

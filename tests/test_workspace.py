@@ -29,6 +29,7 @@ from repro.tensor import (
     Workspace,
     add_into,
     dropout,
+    fused_ce,
     linear_act,
     relu,
     spmm_agg,
@@ -584,6 +585,114 @@ class TestWorkspaceTraining:
             engine = Engine(MaxKGNN(graph, config, seed=0), graph, lr=0.01)
             result = engine.fit(3, eval_every=3)
             assert np.isfinite(result.train_losses).all()
+
+
+#: (nonlinearity, k, use_cbsr_kernels): the three routes a conv can take.
+_ROUTES = {
+    "relu": ("relu", None, False),
+    "maxk": ("maxk", 4, False),
+    "maxk-cbsr": ("maxk", 4, True),
+}
+
+
+def _route_model(model_type, route, use_workspace, graph=None):
+    if graph is None:
+        graph = sbm_graph(90, 3, 7.0, intra_fraction=0.7, seed=4).to_undirected()
+        attach_classification_task(graph, n_features=8, signal=0.5, seed=4)
+    nonlinearity, k, cbsr = _ROUTES[route]
+    config = GNNConfig(
+        model_type=model_type, in_features=8, hidden=16, out_features=3,
+        n_layers=2, nonlinearity=nonlinearity, k=k, dropout=0.2,
+        use_cbsr_kernels=cbsr, use_workspace=use_workspace,
+    )
+    return MaxKGNN(graph, config, seed=2), graph
+
+
+def _consumers(root):
+    """``{id(node): how many graph nodes take it as a parent}`` over the
+    graph reachable from ``root``, and the reachable nodes."""
+    counts, nodes, stack, seen = {}, [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        for parent in node._parents:
+            counts[id(parent)] = counts.get(id(parent), 0) + 1
+            stack.append(parent)
+    return counts, nodes
+
+
+class TestGradientHandOver:
+    """A first gradient is handed over, not copied (``Tensor._accumulate``):
+    these pin what makes that safe against a reused arena."""
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    @pytest.mark.parametrize("model_type", ["sage", "gcn", "gin"])
+    def test_nan_poisoned_arena_trains_like_fresh_arrays(
+        self, monkeypatch, model_type, route
+    ):
+        # Every float view the arena returns starts as NaN, so a gradient
+        # handed over from a slot that is requested again before it is
+        # consumed poisons the run instead of passing by accident.
+        served = Workspace.buffer
+
+        def poisoned(self, name, shape, dtype):
+            view = served(self, name, shape, dtype)
+            if np.issubdtype(view.dtype, np.floating):
+                view.fill(np.nan)
+            return view
+
+        monkeypatch.setattr(Workspace, "buffer", poisoned)
+        runs = []
+        for use_workspace in (True, False):
+            model, graph = _route_model(model_type, route, use_workspace)
+            result = Engine(model, graph, FullGraphFlow(), lr=0.01).fit(
+                4, eval_every=4
+            )
+            runs.append((result.train_losses,
+                         [p.data.tobytes() for p in model.parameters()]))
+        assert np.isfinite(runs[0][0]).all()
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("model_type", ["sage", "gcn", "gin"])
+    def test_two_sweeps_over_one_forward(self, model_type):
+        # The second sweep's producers rewrite the slots the first sweep
+        # handed over: backward() must own those gradients before it runs.
+        grads = []
+        graph = None
+        for use_workspace in (True, False):
+            model, graph = _route_model(model_type, "maxk", use_workspace, graph)
+            model.train()
+            logits = model(np.asarray(graph.features, dtype=ops.FLOAT_DTYPE))
+            first = np.arange(graph.n_nodes) < graph.n_nodes // 2
+            losses = [
+                fused_ce(logits, graph.labels, mask,
+                         workspace=model.workspace, slot=slot)
+                for mask, slot in ((first, "loss1"), (~first, "loss2"))
+            ]
+            for loss in losses:
+                loss.backward()
+            grads.append([p.grad.tobytes() for p in model.parameters()])
+        assert grads[0] == grads[1]
+
+    def test_single_consumers_hold_handed_over_arrays(self):
+        model, graph = _route_model("sage", "maxk", True)
+        model.train()
+        logits = model(np.asarray(graph.features, dtype=ops.FLOAT_DTYPE))
+        loss = fused_ce(logits, graph.labels, graph.train_mask,
+                        workspace=model.workspace)
+        loss.backward()
+        counts, nodes = _consumers(loss)
+        planned = [n for n in nodes
+                   if n._parents and n._grad_buffer is not None]
+        single = [n for n in planned if counts.get(id(n), 0) == 1]
+        multi = [n for n in planned if counts.get(id(n), 0) > 1]
+        # Layer 1's dropout output feeds the neighbour and the self linear.
+        assert single and multi
+        assert all(n.grad is not n._grad_buffer for n in single)
+        assert all(n.grad is n._grad_buffer for n in multi)
 
 
 class TestBatchGraphs:
