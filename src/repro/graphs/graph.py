@@ -18,7 +18,7 @@ import numpy as np
 from ..sparse import CSRMatrix
 from ..sparse.csr import stable_order
 
-__all__ = ["Graph", "NODE_FIELDS", "normalized_adjacency"]
+__all__ = ["Graph", "NODE_FIELDS", "normalized_adjacency", "scaled_adjacency"]
 
 #: The per-node payload columns of a :class:`Graph` -> the value a node slot
 #: appended by a delta takes (``None``: the rows must be supplied). Slicing,
@@ -315,29 +315,36 @@ class Graph:
 
 
 def normalized_adjacency(graph: Graph, norm: str = "none") -> CSRMatrix:
-    """Build the normalised adjacency matrix for an aggregator type.
-
-    ``none``: ``A[dst, src] = 1`` (GIN sum aggregator).
-    ``sage``: rows scaled by 1 / in-degree (mean aggregator).
-    ``gcn``:  self-loops added, then ``D^{-1/2} (A + I) D^{-1/2}``.
+    """Build the normalised adjacency matrix for an aggregator type: the
+    :func:`scaled_adjacency` of the graph's structural base (``A + I`` for
+    ``gcn``, ``A`` otherwise).
 
     The structural bases come from :meth:`Graph.structural_adjacency`, so
     a graph mutated through :mod:`repro.graphs.mutation` re-derives every
     normalisation from the incrementally-merged buffers via the exact
     scaling expressions a from-scratch build would use (bit-identity).
     """
+    return scaled_adjacency(graph.structural_adjacency(loops=norm == "gcn"), norm)
+
+
+def scaled_adjacency(base: CSRMatrix, norm: str = "none") -> CSRMatrix:
+    """The one place the normalisations are computed, from a structural
+    base (``A + I`` for ``gcn``, ``A`` otherwise): a graph's, or a served
+    window's (:func:`~repro.sparse.ops.induced_rows`).
+
+    ``none``: ``A[dst, src] = 1`` (GIN sum aggregator).
+    ``sage``: rows scaled by 1 / in-degree (mean aggregator).
+    ``gcn``:  ``D^{-1/2} (A + I) D^{-1/2}``.
+    """
     if norm in ("none", "gin"):
-        return graph.structural_adjacency(loops=False)
+        return base
+    degrees = base.row_degrees().astype(base.data.dtype)
     if norm == "sage":
-        adj = graph.structural_adjacency(loops=False)
-        degrees = adj.row_degrees().astype(adj.data.dtype)
         inv = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
-        return adj.scale_rows(inv)
+        return base.scale_rows(inv)
     if norm == "gcn":
-        adj = graph.structural_adjacency(loops=True)
-        degrees = adj.row_degrees().astype(adj.data.dtype)
         inv_sqrt = np.divide(
             1.0, np.sqrt(degrees), out=np.zeros_like(degrees), where=degrees > 0
         )
-        return adj.scale_rows(inv_sqrt).scale_cols(inv_sqrt)
+        return base.scale_rows(inv_sqrt).scale_cols(inv_sqrt)
     raise ValueError(f"unknown normalisation {norm!r}; use none/gin/sage/gcn")

@@ -2,16 +2,20 @@
 
 Concurrent per-node queries coalesce into one fused forward pass: the
 window's fan-out-limited ego-nets (one salt per request seed) expand
-together in one :func:`~repro.graphs.sampling.khop_keys` pass and are
-induced once against the served graph by :func:`~repro.graphs.partition.
-induced_union` (block-diagonal, so no cross-request edges exist and every
-member aggregates exactly as it would alone), the merged adjacencies are
-registered with the active sparse backend via ``warm()`` (never ``A^T``),
-and one eval-mode forward computes each layer at the rows its answers read
-(:func:`layer_blocks`). Row-wise dense kernels plus strictly per-row
-aggregation make each request's logits **bit-identical** to running it
-alone — the property the benchmark gates (see :func:`forward_rows` for the
-products BLAS does not compute row-wise).
+together in one :func:`~repro.graphs.sampling.khop_keys` pass, each
+normalised window adjacency is cut straight out of the served graph's
+structural CSR rows by :func:`~repro.sparse.ops.induced_rows`
+(block-diagonal, so no cross-request edges exist and every member
+aggregates exactly as it would alone: the bytes of :func:`~repro.graphs.
+partition.induced_union`'s merged graph, which a live window never
+builds), and one eval-mode forward computes each layer at the rows its
+answers read (:func:`layer_blocks`). The window's adjacencies are fresh
+one-shot matrices, never ``A^T``: nothing registers them with the sparse
+backend beforehand, and the forward drops them from its caches as it
+ends. Row-wise dense kernels plus strictly per-row aggregation make each
+request's logits **bit-identical** to running it alone — the property
+the benchmark gates (see :func:`forward_rows` for the products BLAS does
+not compute row-wise).
 
 The batch *window* is bounded twice: by ``max_batch`` (size) and by the
 earliest deadline in the queue (time) — :meth:`MicroBatcher.wait_budget`
@@ -22,17 +26,19 @@ expired instead of serving it late.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graphs import Graph
+from ..graphs.graph import scaled_adjacency
 from ..graphs.partition import induced_union
 from ..graphs.sampling import khop_keys
 from ..models.layers import Block
 from ..sparse import CSRMatrix
-from ..sparse.ops import get_backend
+from ..sparse.ops import get_backend, induced_rows
 from ..training.parallel import conv_norms
 from .queue import AdmissionQueue, Request
 
@@ -63,13 +69,40 @@ class BatcherConfig:
 
 @dataclass
 class EgoBatch:
-    """One fused window: the merged graph plus each request's query row."""
+    """One fused window: its rows, their features and adjacencies, and
+    each request's query row."""
 
     requests: List[Request]
-    merged: Graph
-    #: Row of ``merged`` holding each request's query node, request order
-    #: (so ascending: member ``m``'s rows follow member ``m - 1``'s).
+    #: The served graph the window reads.
+    graph: Graph = field(repr=False)
+    #: Sorted unique ``member * n_nodes + node`` ids: window row ``i`` is
+    #: ``keys[i]``'s node in request ``member``'s ego-net.
+    keys: np.ndarray
+    #: Row holding each request's query node, request order (so ascending:
+    #: member ``m``'s rows follow member ``m - 1``'s).
     query_rows: np.ndarray
+    #: The window rows' node features (one gather from the served graph).
+    features: Optional[np.ndarray]
+    _adjacency: Dict[str, CSRMatrix] = field(default_factory=dict, repr=False)
+
+    def adjacency(self, norm: str = "none") -> CSRMatrix:
+        """The window's ``norm`` adjacency, cached per norm as
+        :meth:`Graph.adjacency` caches a graph's: the served graph's
+        structural base cut to the window rows, then scaled by the same
+        expressions (``merged.adjacency(norm)``'s bytes)."""
+        key = "none" if norm == "gin" else norm
+        if key not in self._adjacency:
+            base = self.graph.structural_adjacency(loops=key == "gcn")
+            self._adjacency[key] = scaled_adjacency(
+                induced_rows(base, self.keys, len(self.requests)), key)
+        return self._adjacency[key]
+
+    @cached_property
+    def merged(self) -> Graph:
+        """The window as one block-diagonal :class:`Graph`, built on first
+        read: the oracle :meth:`adjacency` and :attr:`features` equal, and
+        what a staged replay warms (:meth:`MicroBatcher.warm`)."""
+        return induced_union(self.graph, self.keys, len(self.requests))
 
 
 def build_ego_batch(graph: Graph, requests: Sequence[Request],
@@ -77,11 +110,12 @@ def build_ego_batch(graph: Graph, requests: Sequence[Request],
     """Materialise one window: per-request ego-nets fused block-diagonally.
 
     One :func:`khop_keys` expansion with a member per request, salted by
-    its seed, and one :func:`induced_union` of the keys reached: the bytes
-    ``batch_graphs`` gives for the requests' ``khop_neighborhood`` ego-nets.
-    Every member is a pure function of ``(graph, node, seed)``, so a
-    retried batch (and a single-request batch of the same ``(node,
-    seed)``) reproduces the same rows bit for bit.
+    its seed; the keys reached are the rows ``batch_graphs`` gives for the
+    requests' ``khop_neighborhood`` ego-nets, and :meth:`EgoBatch.adjacency`
+    cuts their edges out of the served graph on demand. Every member is a
+    pure function of ``(graph, node, seed)``, so a retried batch (and a
+    single-request batch of the same ``(node, seed)``) reproduces the same
+    rows bit for bit.
     """
     nodes = np.array([request.node for request in requests], dtype=np.int64)
     if nodes.view(np.uint64).max() >= graph.n_nodes:  # negatives wrap high
@@ -90,8 +124,11 @@ def build_ego_batch(graph: Graph, requests: Sequence[Request],
     keys = khop_keys(graph, seeds, [r.seed for r in requests], n_hops, fanout)
     return EgoBatch(
         requests=list(requests),
-        merged=induced_union(graph, keys, len(requests)),
+        graph=graph,
+        keys=keys,
         query_rows=np.searchsorted(keys, seeds),
+        features=None if graph.features is None
+        else graph.features[keys % graph.n_nodes],
     )
 
 
@@ -156,7 +193,7 @@ class MicroBatcher:
             self.requests_batched += len(window)
         return window
 
-    # -- execution helpers (the stages of :func:`serve_window`) ----------
+    # -- a staged replay's hooks (:func:`serve_window` uses neither) -----
     @staticmethod
     def warm(model, merged: Graph) -> None:
         """Register the merged adjacencies (not ``A^T``) with the backend."""
@@ -164,20 +201,25 @@ class MicroBatcher:
 
     @staticmethod
     def release(batch: EgoBatch) -> None:
-        """Drop the transient window's backend wrappers (LRU hygiene).
+        """Drop the merged graph's backend wrappers (LRU hygiene), if
+        something built it; never builds it.
 
-        Served windows are one-shot graphs; without this, every window
-        would churn the backend's LRU and evict the full graph's (and the
-        cache-worthy survivors') warm entries. Only the merged graph ever
-        owns an adjacency: member ego-nets are never warmed or bound.
+        Served windows are one-shot graphs; without this, every warmed
+        window would churn the backend's LRU and evict the full graph's
+        (and the cache-worthy survivors') warm entries. The window's own
+        adjacencies are :func:`forward_rows`' to release.
         """
-        get_backend().release(batch.merged.built_adjacencies().values())
+        if "merged" in vars(batch):
+            get_backend().release(batch.merged.built_adjacencies().values())
 
 
 #: Windows of fewer rows run every layer whole. A layer's fixed cost is
 #: ≈ 0.1 ms at any row count there, so blocks cost more than they save:
 #: the forward's crossover measured ≈ 4 requests (≈ 280 rows) at fanout
-#: 8, 2 hops, hidden 64, on a 2-vCPU x86 host.
+#: 8, 2 hops, hidden 64, on a 2-vCPU x86 host. Whole windows built from
+#: the served graph's rows (no merged graph, no warm) moved it little: a
+#: served window whole against sliced ties at 3–4 requests (≈ 210–280
+#: rows) on both bench graphs, on the same host.
 MIN_SLICED_ROWS = 256
 
 
@@ -187,23 +229,23 @@ def _one_row_twice(rows: np.ndarray) -> np.ndarray:
     return rows.repeat(2) if rows.size == 1 else rows
 
 
-def layer_blocks(model, merged: Graph, rows: np.ndarray
+def layer_blocks(model, batch: EgoBatch, rows: np.ndarray
                  ) -> Tuple[List[Block], np.ndarray]:
     """Each conv's :class:`~repro.models.layers.Block` for a pass reading
     ``rows`` of the last layer, and the first layer's input features.
 
     Layer ``L`` writes ``D_L`` = the sorted unique ``rows`` (every row in a
     window under :data:`MIN_SLICED_ROWS`) and layer ``l`` reads ``D_{l-1} =
-    D_l`` ∪ the columns of ``A[D_l]``: the merged adjacency itself where
+    D_l`` ∪ the columns of ``A[D_l]``: the window adjacency itself where
     ``D_l`` is every row, else its CSR row slice (same edges, same order)
     with columns renumbered into ``D_{l-1}``.
     """
-    n, features = merged.n_nodes, merged.features
+    n, features = batch.keys.size, batch.features
     mark, local = np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64)
     mark[rows if n >= MIN_SLICED_ROWS else slice(None)] = True
     dst, blocks = np.flatnonzero(mark), []
     for conv in reversed(model.convs):
-        adj = merged.adjacency(conv.norm)
+        adj = batch.adjacency(conv.norm)
         if dst.size == n > 1:
             blocks.insert(0, Block(adj, None))
             continue
@@ -242,7 +284,7 @@ def forward_rows(model, batch: EgoBatch) -> List[np.ndarray]:
     """
     from ..tensor import no_grad
 
-    blocks, features = layer_blocks(model, batch.merged, batch.query_rows)
+    blocks, features = layer_blocks(model, batch, batch.query_rows)
     was_training = model.training
     model.eval()
     try:
@@ -254,22 +296,18 @@ def forward_rows(model, batch: EgoBatch) -> List[np.ndarray]:
             return [model.classify(hidden[row:row + 1]).numpy()[0]
                     for row in rows]
     finally:
-        get_backend().release(b.adj for b in blocks if b.dst is not None)
+        # Every block's adjacency is the window's own: one-shot.
+        get_backend().release(block.adj for block in blocks)
         if was_training:
             model.train()
 
 
 def serve_window(graph: Graph, model, requests: Sequence[Request],
                  n_hops: int, fanout: int) -> List[np.ndarray]:
-    """Serve one window: build the ego batch → warm → fused forward.
+    """Serve one window: build the ego batch → fused forward.
 
     What both the in-process service and a worker executor run, so served
     rows are bit-identical wherever a window lands. The window's backend
     wrappers are released whether or not the forward succeeds.
     """
-    batch = build_ego_batch(graph, requests, n_hops, fanout)
-    try:
-        MicroBatcher.warm(model, batch.merged)
-        return forward_rows(model, batch)
-    finally:
-        MicroBatcher.release(batch)
+    return forward_rows(model, build_ego_batch(graph, requests, n_hops, fanout))

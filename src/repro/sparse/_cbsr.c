@@ -16,10 +16,12 @@
  * loop's products and adds, each rounded alone, per element in the same
  * order; the select decides by compares alone, and the pack and unpack
  * copy bytes. Nothing is bounds-checked here; the Python dispatcher
- * validates every index these loops read. Last, outside the aggregation:
- * dropout's forward (dropout_f), numpy's PCG64 float32 draws and its
- * compare and multiplies, portable and on the calling thread, built
- * wherever the compiler has a 128-bit integer. */
+ * validates every index these loops read. Outside the aggregation, both
+ * portable and on the calling thread: a served window's adjacency rows
+ * (window_rows_f / _d), copied out of the served graph's CSR rows and
+ * renumbered, and last dropout's forward (dropout_f), numpy's PCG64
+ * float32 draws and its compare and multiplies, built wherever the
+ * compiler has a 128-bit integer. */
 #include <stdint.h>
 #include <string.h>
 
@@ -449,6 +451,47 @@ SPMM(spmm_d, double)
 CBSR_PORTABLE(d_u8, double, uint8_t)
 CBSR_PORTABLE(d_u16, double, uint16_t)
 CBSR_PORTABLE(d_u32, double, uint32_t)
+
+/* A served window's adjacency, one row at a time, from the served graph's
+ * CSR (its structural base). Window row i is node nodes[i] of member
+ * member[i]. The loop walks that node's base row and keeps each column c
+ * that is a row of the same member, r = table[member[i] * width +
+ * local[c]] >= 0 (local[c] = 0, whose table column holds -1 throughout,
+ * for a node no member holds), writing r and the base's weight in base
+ * order. A member's rows are in node order, so the kept columns stay
+ * ascending. out_indptr receives n_rows + 1 offsets, out_indices /
+ * out_data room for the rows' base degrees summed; the answer is the
+ * entries written. The dispatcher builds local and table, so every index
+ * read is in range. Portable, on the calling thread. */
+#define WINDOW_ROWS(NAME, T)                                                 \
+    int64_t NAME(int64_t n_rows, int64_t width,                              \
+                 const int64_t *restrict nodes,                              \
+                 const int64_t *restrict member,                             \
+                 const int64_t *restrict local,                              \
+                 const int64_t *restrict table,                              \
+                 const int64_t *restrict indptr,                             \
+                 const int64_t *restrict indices, const T *restrict data,    \
+                 int64_t *restrict out_indptr,                               \
+                 int64_t *restrict out_indices, T *restrict out_data)        \
+    {                                                                        \
+        int64_t nnz = 0;                                                     \
+        out_indptr[0] = 0;                                                   \
+        for (int64_t i = 0; i < n_rows; i++) {                               \
+            const int64_t *restrict rows = table + member[i] * width;        \
+            const int64_t end = indptr[nodes[i] + 1];                        \
+            for (int64_t e = indptr[nodes[i]]; e < end; e++) {               \
+                const int64_t r = rows[local[indices[e]]];                   \
+                if (r >= 0) {                                                \
+                    out_indices[nnz] = r;                                    \
+                    out_data[nnz++] = data[e];                               \
+                }                                                            \
+            }                                                                \
+            out_indptr[i + 1] = nnz;                                         \
+        }                                                                    \
+        return nnz;                                                          \
+    }
+WINDOW_ROWS(window_rows_f, float)
+WINDOW_ROWS(window_rows_d, double)
 
 /* Inverted dropout's forward at float32: numpy's PCG64 stream as
  * Generator.random(dtype=float32) reads it, then the keep mask and the

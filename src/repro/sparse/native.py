@@ -1,6 +1,6 @@
 """The compiled tier: ``_cbsr.c``'s aggregation loops, with the MaxK select
-and the CBSR pack / unpack around them and dropout's draw, built on first
-use.
+and the CBSR pack / unpack around them, a served window's adjacency rows
+and dropout's draw, built on first use.
 
 :func:`load` compiles the C file next to this module with the host's
 ``cc`` the first time a kernel asks for it (never at import), caches the
@@ -25,8 +25,9 @@ its numpy bodies. Nothing selects the tier but whether it builds.
 * **Threads.** :func:`available_cores` threads per aggregation call (one
   below ``_cbsr.c``'s ``MIN_PARALLEL_WORK``); ``load().threads()``
   answers the count. The affinity mask decides it, never
-  ``OMP_NUM_THREADS``. The select, pack, unpack and dropout draw run on
-  the calling thread (the draw is one chain of generator states).
+  ``OMP_NUM_THREADS``. The select, pack, unpack, window rows and dropout
+  draw run on the calling thread (the draw is one chain of generator
+  states).
 * **Cache.** ``$XDG_CACHE_HOME/repro-native`` (default ``~/.cache``),
   ``0700`` and refused unless the user's own and private. The file name
   hashes source, flags, compiler version and machine; the object is
@@ -58,7 +59,7 @@ import numpy as np
 
 __all__ = ["FLAGS", "OPENMP", "SOURCE", "available_cores", "cache_dir",
            "dropout", "keep_heap_mapped", "load", "pack", "pin", "run", "spmm",
-           "topk", "unpack"]
+           "topk", "unpack", "window_rows"]
 
 SOURCE = Path(__file__).with_name("_cbsr.c")
 FLAGS = ("-O2", "-ftree-vectorize", "-fPIC", "-shared", "-ffp-contract=off")
@@ -178,6 +179,7 @@ def _declare(library: ctypes.CDLL, parallel: bool) -> ctypes.CDLL:
         ))},
         **{f"cbsr_pack_{suffix}": (3, 4, ctypes.c_int64) for suffix in cbsr},
         **{f"cbsr_unpack_{suffix}": (3, 3, None) for suffix in cbsr},
+        **{f"window_rows_{value}": (2, 10, ctypes.c_int64) for value in "fd"},
         # The select is built on x86 alone.
         **{f"topk_f_{kind}": (3, 2, ctypes.c_int64) for kind in "bf"},
     }
@@ -287,6 +289,25 @@ def unpack(library, block: np.ndarray, index: np.ndarray, out: np.ndarray) -> No
         out.shape[0], out.shape[1], index.shape[1], _address(block),
         _address(index), _address(out),
     )
+
+
+def window_rows(library, base, nodes, member, local, table) -> Optional[tuple]:
+    """``(indptr, indices, data)`` of the window rows ``(member, node)`` of
+    the CSR triple ``base`` (``_cbsr.c``'s ``window_rows``), or ``None``
+    where no loop is built for its weights' dtype. ``local`` / ``table``
+    are :func:`~repro.sparse.ops.induced_rows`' maps, every entry in range."""
+    indptr, indices, data = base
+    kernel = getattr(library, f"window_rows_{data.dtype.char}", None)
+    if kernel is None:
+        return None
+    room = int((indptr[nodes + 1] - indptr[nodes]).sum())
+    out = (np.empty(nodes.size + 1, dtype=np.int64),
+           np.empty(room, dtype=np.int64), np.empty(room, dtype=data.dtype))
+    inputs = [np.ascontiguousarray(a, dtype=np.int64)
+              for a in (nodes, member, local, table, indptr, indices)]
+    inputs.append(np.ascontiguousarray(data))
+    nnz = kernel(nodes.size, table.shape[1], *map(_address, inputs + list(out)))
+    return out[0], out[1][:nnz].copy(), out[2][:nnz].copy()
 
 
 _WORD = (1 << 64) - 1

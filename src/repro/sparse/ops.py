@@ -17,11 +17,12 @@ Backends
     The fast backend, the default. Where :mod:`repro.sparse.native`
     builds (a C compiler on the host), the CSR SpMM, the CBSR SpGEMM /
     SSpMM pair, the MaxK select (float, ``k <= 8``, AVX2), the CBSR pack /
-    unpack and dropout's forward for a PCG64 generator at float32 run as
-    its C loops, the aggregations on every free core. Everything else, and
-    every op where the loops do not build, runs numpy: ``np.add.at`` on
-    flattened segment indices, ``np.maximum.reduceat`` over CSR-sorted
-    segments, an ``np.partition``-threshold top-k with a deterministic
+    unpack, a served window's adjacency rows and dropout's forward for a
+    PCG64 generator at float32 run as its C loops, the aggregations on
+    every free core. Everything else, and every op where the loops do not
+    build, runs numpy: ``np.add.at`` on flattened segment indices,
+    ``np.maximum.reduceat`` over CSR-sorted segments, an
+    ``np.partition``-threshold top-k with a deterministic
     lowest-column tie fill and a cache-blocked degree-bucketed
     gather–accumulate SpMM over cached plans. Both routes accumulate each
     output element in stored-edge order, so they are bit-identical to
@@ -67,6 +68,7 @@ __all__ = [
     "cbsr_pack",
     "cbsr_unpack",
     "dropout_into",
+    "induced_rows",
     "mask_into",
     "index_dtype_for",
     "release",
@@ -240,12 +242,12 @@ class SparseOpsBackend:
 
 
 class _NumpyLines:
-    """The CBSR pack / unpack and dropout's forward as numpy lines: the
-    reference backend's bodies, and the vectorized backend's where its
-    compiled ones do not serve. Kept off :class:`SparseOpsBackend`, so a
-    wrapper subclassing it that forwards what it does not define through
-    ``__getattr__`` (``bench/trace.py``'s) reaches its inner backend's
-    bodies, compiled ones included."""
+    """The CBSR pack / unpack, the window rows and dropout's forward as
+    numpy lines: the reference backend's bodies, and the vectorized
+    backend's where its compiled ones do not serve. Kept off
+    :class:`SparseOpsBackend`, so a wrapper subclassing it that forwards
+    what it does not define through ``__getattr__`` (``bench/trace.py``'s)
+    reaches its inner backend's bodies, compiled ones included."""
 
     def cbsr_pack(self, x, mask, k, data, index) -> None:
         survivors = np.flatnonzero(mask)
@@ -269,6 +271,23 @@ class _NumpyLines:
         np.multiply(x, 1.0 / (1.0 - p), out=out)
         np.multiply(out, keep, out=out)
         out += 0.0
+
+    def induced_rows(self, base, nodes, member, local, table) -> tuple:
+        indptr, indices, data = base
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        bounds = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        # Every base entry the window rows read, row by row in base order.
+        edges = np.repeat(starts - bounds[:-1], counts)
+        edges += np.arange(edges.size)
+        rows = table.reshape(-1)[
+            np.repeat(member * table.shape[1], counts) + local[indices[edges]]
+        ]
+        kept = rows >= 0
+        running = np.zeros(edges.size + 1, dtype=np.int64)
+        np.cumsum(kept, out=running[1:])
+        return running[bounds], rows[kept], data[edges[kept]]
 
 
 class ReferenceBackend(_NumpyLines, SparseOpsBackend):
@@ -414,10 +433,11 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
     and runs numpy where it answers ``None`` (no compiler): the SpMM and
     the CBSR SpGEMM / SSpMM (the pair reads ``sp_index`` at its CBSR
     width), the float select for ``k <= 8`` on an AVX2 CPU
-    (:func:`native.topk`), the CBSR pack / unpack and dropout's forward
-    for a PCG64 generator at float32 (:func:`native.dropout`). Each output
-    element accumulates in stored-edge order at any thread count, so the
-    two routes write the same bytes. ``cache_info()["native"]`` is the
+    (:func:`native.topk`), the CBSR pack / unpack, the window rows
+    (:func:`native.window_rows`) and dropout's forward for a PCG64
+    generator at float32 (:func:`native.dropout`). Each output element
+    accumulates in stored-edge order at any thread count, so the two
+    routes write the same bytes. ``cache_info()["native"]`` is the
     loops' thread count (0: not built). A *read-only* CSR buffer triple's
     O(nnz) bounds and pin are kept in an LRU (:meth:`csr_bound`); a
     writable one is checked on every call.
@@ -814,6 +834,14 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
         if library is None or not native.dropout(library, rng, x, p, draw, keep, out):
             super().dropout_into(rng, x, p, draw, keep, out)
 
+    def induced_rows(self, base, nodes, member, local, table):
+        library = native.load()
+        rows = None if library is None else native.window_rows(
+            library, base, nodes, member, local, table)
+        if rows is None:
+            return super().induced_rows(base, nodes, member, local, table)
+        return rows
+
 
 # ----------------------------------------------------------------------
 # Registry
@@ -1171,6 +1199,45 @@ def dropout_into(rng, x, p: float, draw, keep, out) -> np.ndarray:
         _check_block_out(buffer, x.shape, x.dtype)
     _ACTIVE.dropout_into(rng, x, p, draw, keep, out)
     return out
+
+
+def induced_rows(base, keys, n_members: int = 1):
+    """The rows of the square CSR ``base`` that a disjoint union of induced
+    subgraphs reads, as that union's own CSR.
+
+    ``keys`` are sorted unique ``member * n + node`` ids (``n`` = ``base``'s
+    rows); row ``i`` is ``keys[i]``'s node and keeps the base row's entries
+    whose column is a row of the same member, renumbered, with the base's
+    weights in base order. For a graph's structural base that is
+    :func:`~repro.graphs.partition.induced_union`'s structural base, byte
+    for byte, without its COO round trip. Builds the node-id map and the
+    members x ids row table itself, so every index the backend's body
+    reads is in range; the result is bounds-checked as every
+    ``CSRMatrix`` is.
+    """
+    from .csr import CSRMatrix
+
+    n = base.shape[0]
+    keys = np.asarray(keys, dtype=np.int64)
+    if base.shape[1] != n:
+        raise ValueError("the base adjacency must be square")
+    if n_members < 1:
+        raise ValueError("n_members must be >= 1")
+    if keys.ndim != 1 or (keys[1:] <= keys[:-1]).any():
+        raise ValueError("keys must be a sorted unique 1-D array")
+    if keys.size and keys.view(np.uint64).max() >= n_members * n:
+        raise ValueError("keys out of range")
+    member, nodes = np.divmod(keys, n)
+    # One id per node a member holds: 1 + any one of its rows (whichever
+    # the scatter keeps, read back below), so no dedupe and no scan of the
+    # map; 0 for the rest, which the table's first column maps to -1.
+    local = np.zeros(n, dtype=np.int64)
+    local[nodes] = np.arange(1, keys.size + 1)
+    table = np.full((n_members, keys.size + 1), -1, dtype=np.int64)
+    table[member, local[nodes]] = np.arange(keys.size)
+    indptr, indices, data = _ACTIVE.induced_rows(
+        (base.indptr, base.indices, base.data), nodes, member, local, table)
+    return CSRMatrix(indptr, indices, data, shape=(keys.size, keys.size))
 
 
 def release(matrices) -> int:

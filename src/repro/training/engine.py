@@ -274,13 +274,7 @@ class ReplicaGradients:
             for replica in sources[1:]:
                 reduced += self._arena[replica, lo:hi]
             reduced *= scale
-            shaped = reduced.reshape(p.data.shape)
-            buffer = p._grad_buffer
-            if buffer is not None and buffer.shape == p.data.shape:
-                np.copyto(buffer, shaped)
-                p.grad = buffer
-            else:
-                p.grad = shaped.copy()
+            p._own(reduced.reshape(p.data.shape))
 
     def export_payload(self, replica: int = 0) -> List[object]:
         """``replica``'s arena row as the per-parameter payload to ship.

@@ -235,6 +235,25 @@ def test_a_checkpoint_without_a_recorded_width_is_float64():
             check_width("legacy.ckpt", {}, "resume")
 
 
+def test_a_window_adjacency_follows_the_width(backend, width):
+    """A served window's adjacency, cut from the graph's CSR rows by either
+    body of the window op, is the merged graph's at the width in force."""
+    from repro.serving import Request, build_ego_batch
+
+    graph = _task_graph()
+    requests = [Request(rid=i, node=node, seed=i, deadline=float("inf"),
+                        submitted=0.0) for i, node in enumerate((3, 7, 30, 3))]
+    batch = build_ego_batch(graph, requests, 2, 4)
+    for norm in ("none", "sage", "gcn", "gin"):
+        window, merged = batch.adjacency(norm), batch.merged.adjacency(norm)
+        _assert_floats_are(width, {norm: window.data}, "window adjacency")
+        assert window.shape == merged.shape
+        for part in ("indptr", "indices", "data"):
+            assert (getattr(window, part).tobytes()
+                    == getattr(merged, part).tobytes()), (norm, part)
+    _assert_floats_are(width, {"features": batch.features}, "window features")
+
+
 def test_serving_mutation_and_codecs_follow_the_width(backend, width, tmp_path):
     graph = _task_graph()
     model = MaxKGNN(graph, _config(), seed=0)

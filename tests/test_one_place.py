@@ -220,14 +220,37 @@ def test_one_khop_expansion_and_one_induction():
     sampling = _functions("graphs/sampling.py")
     for name in ("khop_neighborhood", "khop_keys"):
         assert ".choice(" not in sampling[name], name
-    ego = _functions("serving/batcher.py")["build_ego_batch"]
-    assert ego.count("khop_keys(") == ego.count("induced_union(") == 1
-    for gone in ("batch_graphs(", "khop_neighborhood("):
+    batcher = _functions("serving/batcher.py")
+    ego = batcher["build_ego_batch"]
+    assert ego.count("khop_keys(") == 1 and "induced_union(" not in ego
+    # Its edges come from the window op alone, one call per norm in
+    # EgoBatch.adjacency; the merged graph is built only where something
+    # reads EgoBatch.merged (tests' oracle, the bench's staged replay).
+    assert _occurrences("induced_rows(", "serving") == {"serving/batcher.py": 1}
+    assert "induced_rows(" in batcher["adjacency"]
+    assert _occurrences("induced_union(", "serving") == {"serving/batcher.py": 1}
+    assert "induced_union(" in batcher["merged"]
+    for gone in ("batch_graphs(", "khop_neighborhood(", "coo_to_csr(",
+                 "from_edges("):
         assert _occurrences(gone, "serving") == {}, gone
     # partition.py walks the in-edge index in exactly one function.
     walkers = [name for name, body in _functions("graphs/partition.py").items()
                if 'edge_index("in")' in body]
     assert walkers == ["induced_union"]
+
+
+def test_the_normalisations_are_computed_in_one_place():
+    # A graph's adjacency and a served window's scale their structural
+    # bases by the same expressions: byte-identity by construction.
+    graph = _functions("graphs/graph.py")
+    assert [name for name, body in graph.items()
+            if ".scale_rows(" in body or "np.sqrt(" in body] == [
+        "scaled_adjacency"]
+    assert _occurrences(".scale_rows(") == {"graphs/graph.py": 2}
+    assert _occurrences(".scale_cols(") == {"graphs/graph.py": 1}
+    assert _occurrences("scaled_adjacency(") == {
+        "graphs/graph.py": 2, "serving/batcher.py": 1
+    }
 
 
 def test_deleted_knobs_and_aliases_stay_deleted():
@@ -238,7 +261,7 @@ def test_deleted_knobs_and_aliases_stay_deleted():
 
 
 def test_a_window_computes_destination_rows_in_one_place():
-    # layer_blocks walks the merged adjacency back from the query rows;
+    # layer_blocks walks the window adjacency back from the query rows;
     # nothing else builds a Block or a destination set.
     batcher = _functions("serving/batcher.py")
     assert [name for name, body in batcher.items()
@@ -247,7 +270,7 @@ def test_a_window_computes_destination_rows_in_one_place():
         "models/layers.py": 1, "serving/batcher.py": 2
     }
     assert _occurrences("layer_blocks(") == {"serving/batcher.py": 2}
-    # The merged adjacency reaches the layers through the blocks: serving
+    # The window adjacency reaches the layers through the blocks: serving
     # never rebinds a model, so an engine sharing it keeps its graph.
     assert "bind_graph" not in batcher["forward_rows"]
     assert _occurrences("bind_graph(", "serving") == {}

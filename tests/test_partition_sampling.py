@@ -19,6 +19,8 @@ from repro.graphs import (
     sbm_graph,
 )
 from repro.graphs.sampling import khop_keys
+from repro.sparse import ops
+from tests.conftest import ARMS, arm_backend
 
 
 @pytest.fixture
@@ -660,3 +662,124 @@ class TestCounterKeyedDraw:
         assert graph.generation == 1
         changed = [v for v in range(graph.n_nodes) if before[v] != after[v]]
         assert changed == [u]
+
+
+NORMS = ("none", "sage", "gcn", "gin")
+
+
+def assert_same_csr(actual, expected, what=""):
+    assert actual.shape == expected.shape, what
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(actual, part), getattr(expected, part)
+        assert got.dtype == want.dtype, (what, part)
+        assert got.tobytes() == want.tobytes(), (what, part)
+
+
+def assert_window_is_the_merged_graph(batch):
+    """Each norm's window adjacency and the window features are the bytes
+    of the merged graph the window stands for."""
+    for norm in NORMS:
+        assert_same_csr(batch.adjacency(norm), batch.merged.adjacency(norm),
+                        norm)
+    assert batch.features.dtype == batch.merged.features.dtype
+    assert batch.features.tobytes() == batch.merged.features.tobytes()
+
+
+@pytest.fixture(params=ARMS)
+def arm(request):
+    """The vectorized backend's compiled loops, or its numpy bodies."""
+    with ops.use_backend(arm_backend(request)):
+        yield request.param
+
+
+class TestWindowAdjacency:
+    """A served window's adjacency is cut from the served graph's CSR rows
+    (``ops.induced_rows``), never through a merged graph; it must be that
+    graph's, byte for byte, on both arms of the backend."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_window_adjacency_is_the_merged_graphs(self, seed, arm):
+        graph = messy_graph(seed) if seed % 2 else sbm_graph(
+            300, 5, 7.0, seed=seed)
+        if graph.features is None:
+            attach_classification_task(graph, n_features=4, seed=seed)
+        rng = np.random.default_rng(700 + seed)
+        isolated = graph.n_nodes - 1 if seed % 2 else None  # messy: no edges
+        for size in (1, 2, 5, 8):
+            pairs = [(int(rng.integers(0, graph.n_nodes)), int(rng.integers(0, 3)))
+                     for _ in range(size)]
+            if size > 2:
+                pairs[-1] = pairs[0]                     # repeated request
+                pairs[-2] = (pairs[0][0], pairs[0][1] + 1)  # node, other seed
+            if isolated is not None and size > 3:
+                pairs[1] = (isolated, 5)
+            for n_hops, fanout in ((0, 2), (1, 1), (2, 3), (3, 50)):
+                assert_window_is_the_merged_graph(
+                    ego_window(graph, pairs, n_hops, fanout))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_after_a_delta_merged_into_the_bases(self, seed, arm):
+        from repro.graphs.mutation import GraphDelta
+
+        graph = sbm_graph(150, 3, 10.0, seed=seed).to_undirected()
+        attach_classification_task(graph, n_features=4, seed=seed)
+        for norm in NORMS:  # the bases the delta then merges into
+            graph.adjacency(norm)
+        rng = np.random.default_rng(seed)
+        drop = rng.choice(graph.n_edges, 6, replace=False)
+        graph.apply_delta(GraphDelta(
+            add_src=rng.integers(0, graph.n_nodes, 8).tolist() + [4],
+            add_dst=rng.integers(0, graph.n_nodes, 8).tolist() + [4],
+            remove_src=graph.src[drop], remove_dst=graph.dst[drop],
+        ))
+        assert graph.generation == 1
+        assert set(graph._structure_cache) == {"plain", "loops"}
+        for hops in (1, 2):
+            pairs = [(int(node), 1) for node in rng.integers(0, 150, 6)]
+            pairs.append((4, 0))
+            assert_window_is_the_merged_graph(ego_window(graph, pairs, hops, 4))
+
+    @pytest.mark.parametrize("width", [np.float32, np.float64])
+    def test_both_bodies_write_the_same_bytes(self, width, monkeypatch):
+        from repro.sparse import native
+        from repro.sparse.csr import CSRMatrix
+
+        monkeypatch.setattr(ops, "FLOAT_DTYPE", width)
+        rng = np.random.default_rng(5)
+        n, edges = 90, 700
+        base = CSRMatrix.from_edges(  # non-unit weights, duplicates summed
+            rng.integers(0, n, edges), rng.integers(0, n, edges), (n, n),
+            data=rng.random(edges),
+        )
+        keys = np.unique(rng.integers(0, 4 * n, 120))
+        with ops.use_backend("vectorized"):
+            if native.load() is not None:
+                assert hasattr(native.load(), f"window_rows_{base.data.dtype.char}")
+            compiled = ops.induced_rows(base, keys, 4)
+            monkeypatch.setattr(native, "load", lambda: None)
+            fallback = ops.induced_rows(base, keys, 4)
+        assert compiled.data.dtype == width
+        assert_same_csr(compiled, fallback)
+
+    def test_the_op_refuses_keys_it_cannot_read(self, graph):
+        base = graph.structural_adjacency()
+        n = graph.n_nodes
+        for keys, members in (([3, 2], 1), ([1, 1], 1), ([n], 1),
+                              ([-1, 2], 1), ([0, 2 * n], 2)):
+            with pytest.raises(ValueError, match="keys"):
+                ops.induced_rows(base, np.array(keys), members)
+        with pytest.raises(ValueError, match="square"):
+            ops.induced_rows(first_row_alone(base), np.array([0]), 1)
+        with pytest.raises(ValueError, match="n_members"):
+            ops.induced_rows(base, np.array([0]), 0)
+        empty = ops.induced_rows(base, np.empty(0, dtype=np.int64), 3)
+        assert empty.shape == (0, 0) and empty.nnz == 0
+
+
+def first_row_alone(base):
+    """``base``'s first row alone: a non-square CSR."""
+    from repro.sparse.csr import CSRMatrix
+
+    end = base.indptr[1]
+    return CSRMatrix(base.indptr[:2], base.indices[:end], base.data[:end],
+                     shape=(1, base.shape[1]))

@@ -861,3 +861,63 @@ class TestPerLayerRows:
                 engine.close()
 
         assert run(serve=True) == run(serve=False)
+
+
+class TestLiveWindowBuild:
+    """The live path cuts each window's adjacency out of the served graph:
+    no merged graph, no COO-to-CSR, nothing left in the backend's caches."""
+
+    WINDOWS = ([0], [5], [3, 0, 3, 3], [0, 5, 5, 17, 40, 0, 99, 63])
+
+    @staticmethod
+    def _requests(nodes):
+        return [Request(rid=i, node=node, seed=i % 2, deadline=float("inf"),
+                        submitted=0.0) for i, node in enumerate(nodes)]
+
+    @pytest.mark.parametrize("model_type", ["sage", "gcn", "gin"])
+    def test_the_live_path_builds_no_graph(self, model_type, monkeypatch):
+        from repro.graphs import partition
+        from repro.serving import batcher
+        from repro.sparse import csr
+
+        graph = _graph_with_an_isolated_node()
+        model = _routed_model(graph, model_type, "maxk")
+        # The served graph's own structural bases, built once up front.
+        expected = [batcher.serve_window(graph, model, self._requests(nodes),
+                                         3, 8) for nodes in self.WINDOWS]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the live path built a graph")
+
+        for module, name in ((batcher, "induced_union"),
+                             (partition, "induced_union"),
+                             (csr, "coo_to_csr")):
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        for nodes, rows in zip(self.WINDOWS, expected):
+            served = batcher.serve_window(graph, model, self._requests(nodes),
+                                          3, 8)
+            assert [r.tobytes() for r in served] == [r.tobytes() for r in rows]
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_a_served_window_leaves_the_backend_caches_as_found(
+            self, route, backend):
+        from repro.serving.batcher import build_ego_batch, serve_window
+        from repro.sparse.ops import get_backend
+
+        graph = _graph_with_an_isolated_node()
+        model = _routed_model(graph, "gcn", route)
+        serve_window(graph, model, self._requests([5]), 1, 8)
+        before = get_backend().cache_info()
+        for hops in (1, 3):  # whole windows and sliced ones
+            for nodes in self.WINDOWS:
+                serve_window(graph, model, self._requests(nodes), hops, 8)
+                assert get_backend().cache_info() == before
+        # The staged replay's hooks: release drops what warm registered,
+        # and never builds the merged graph just to release it.
+        batch = build_ego_batch(graph, self._requests([5, 17]), 3, 8)
+        MicroBatcher.release(batch)
+        assert "merged" not in vars(batch)
+        MicroBatcher.warm(model, batch.merged)
+        MicroBatcher.release(batch)
+        assert get_backend().cache_info() == before
