@@ -5,7 +5,6 @@ from .deep_mlp import (
     mlp_feature_traffic_cut,
     train_mlp_classifier,
 )
-from .gat import GATConv
 from .gnn import GNNConfig, MaxKGNN
 from .layers import GCNConv, GINConv, GraphConvLayer, SAGEConv, make_conv
 from .mlp import ApproximatorMLP, approximation_error, fit_function
@@ -27,5 +26,4 @@ __all__ = [
     "MaxKMLPClassifier",
     "train_mlp_classifier",
     "mlp_feature_traffic_cut",
-    "GATConv",
 ]

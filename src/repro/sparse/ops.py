@@ -1,12 +1,12 @@
 """Pluggable vectorized sparse-ops backends for the training hot path.
 
-Every numeric kernel in this reproduction — CSR SpMM aggregation, the
-CBSR SpGEMM/SSpMM pair, MaxK top-k selection, and the GAT segment softmax —
-reduces to a handful of segment primitives over edge-parallel arrays. This
-module owns those primitives behind a small backend registry so the whole
-system switches implementation at one seam (the same layering as DGL's
-CPU ``spgemm.h``: one shared segment-reduction substrate that every kernel
-routes through).
+Every numeric kernel of the training and serving hot path — CSR SpMM
+aggregation, the CBSR SpGEMM/SSpMM pair and its pack / unpack, MaxK top-k
+selection, the segment sum, dropout's draw and a served window's adjacency
+rows — is a primitive of this module, behind a small backend registry, so
+the whole system switches implementation at one seam (the same layering as
+DGL's CPU ``spgemm.h``: one shared segment-reduction substrate that every
+kernel routes through).
 
 Backends
 --------
@@ -20,8 +20,7 @@ Backends
     unpack, a served window's adjacency rows and dropout's forward for a
     PCG64 generator at float32 run as its C loops, the aggregations on
     every free core. Everything else, and every op where the loops do not
-    build, runs numpy: ``np.add.at`` on flattened segment indices,
-    ``np.maximum.reduceat`` over CSR-sorted segments, an
+    build, runs numpy: ``np.add.at`` on flattened segment indices, an
     ``np.partition``-threshold top-k with a deterministic
     lowest-column tie fill and a cache-blocked degree-bucketed
     gather–accumulate SpMM over cached plans. Both routes accumulate each
@@ -57,9 +56,6 @@ __all__ = [
     "use_backend",
     "register_backend",
     "segment_sum",
-    "segment_max",
-    "segment_softmax",
-    "gather_scale",
     "spmm_csr",
     "spgemm_cbsr",
     "sspmm_cbsr",
@@ -79,11 +75,6 @@ __all__ = [
 #: as ``ops.FLOAT_DTYPE`` at call time, and only where a float is born or
 #: crosses in from outside; everything downstream follows its operands.
 FLOAT_DTYPE = np.float32
-#: Clip bound shared by every softmax-style exponential in the codebase.
-EXP_CLIP = 60.0
-#: Denominator epsilon of the segment softmax (kept for numerical parity
-#: with the historical GAT implementation).
-SOFTMAX_EPS = 1e-16
 
 
 def index_dtype_for(dim_origin: int) -> np.dtype:
@@ -131,28 +122,6 @@ class SparseOpsBackend:
         segment_ids: np.ndarray,
         n_segments: int,
         out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def segment_max(
-        self,
-        values: np.ndarray,
-        segment_ids: np.ndarray,
-        n_segments: int,
-        empty_value: float,
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def segment_softmax(
-        self, values: np.ndarray, segment_ids: np.ndarray, n_segments: int
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def gather_scale(
-        self,
-        table: np.ndarray,
-        indices: np.ndarray,
-        scale: Optional[np.ndarray],
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -304,39 +273,6 @@ class ReferenceBackend(_NumpyLines, SparseOpsBackend):
             out[segment] += values[i]
         return out
 
-    def segment_max(self, values, segment_ids, n_segments, empty_value):
-        out = np.full((n_segments,) + values.shape[1:], -np.inf, dtype=values.dtype)
-        seen = np.zeros(n_segments, dtype=bool)
-        for i, segment in enumerate(segment_ids):
-            out[segment] = np.maximum(out[segment], values[i])
-            seen[segment] = True
-        out[~seen] = empty_value
-        return out
-
-    def segment_softmax(self, values, segment_ids, n_segments):
-        out = np.empty_like(values)
-        for segment in range(n_segments):
-            members = np.where(segment_ids == segment)[0]
-            if len(members) == 0:
-                continue
-            shift = values[members].max()
-            z = np.exp(np.clip(values[members] - shift, -EXP_CLIP, EXP_CLIP))
-            total = 0.0
-            for value in z:  # strictly sequential, matching the scatter
-                total += value
-            out[members] = z / (total + SOFTMAX_EPS)
-        return out
-
-    def gather_scale(self, table, indices, scale):
-        rows = [np.array(table[i], copy=True) for i in indices]
-        out = np.stack(rows) if rows else np.zeros(
-            (0,) + table.shape[1:], dtype=table.dtype
-        )
-        if scale is not None:
-            for i in range(len(out)):
-                out[i] *= scale[i]
-        return out
-
     def spmm_csr(self, indptr, indices, data, x, n_rows, out=None):
         if out is None:
             out = np.zeros((n_rows,) + x.shape[1:], dtype=x.dtype)
@@ -448,11 +384,9 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
     order, each rounded at that width — bit-identical to the reference
     loop at any width (``np.bincount`` sums in double whatever it is
     handed). Its indexed fast path needs numpy >= 1.25; older releases
-    compute the same bytes slowly. Segment maxima exploit CSR
-    row-sortedness via ``np.maximum.reduceat`` after an (optional) stable
-    counting sort. Its CSR SpMM does **not** ride the generic scatter: it
-    uses a cache-blocked fused gather–accumulate over degree-bucketed row
-    groups (see :meth:`_spmm_blocked`) that reuses backend-owned scratch
+    compute the same bytes slowly. Its CSR SpMM does **not** ride the
+    generic scatter: it uses a cache-blocked fused gather–accumulate over
+    degree-bucketed row groups (see :meth:`_spmm_blocked`) that reuses backend-owned scratch
     of the operand's dtype and is allocation-free in steady state. The
     per-matrix degree-bucket plans are cached by buffer identity in an
     :class:`_IdKeyedLRU` and follow the :meth:`release` / :meth:`warm`
@@ -565,38 +499,6 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
             trailing = int(np.prod(values.shape[1:]))
             flat_ids = segment_ids[:, None] * trailing + np.arange(trailing)
             np.add.at(out.reshape(-1), flat_ids.ravel(), values.ravel())
-        return out
-
-    def segment_max(self, values, segment_ids, n_segments, empty_value):
-        out = np.full(
-            (n_segments,) + values.shape[1:], empty_value, dtype=values.dtype
-        )
-        if len(values) == 0:
-            return out
-        counts = np.bincount(segment_ids, minlength=n_segments)
-        nonempty = counts > 0
-        if np.all(segment_ids[1:] >= segment_ids[:-1]):
-            grouped = values  # already CSR-sorted: reduceat directly
-        else:
-            order = np.argsort(segment_ids, kind="stable")
-            grouped = values[order]
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))[nonempty]
-        out[nonempty] = np.maximum.reduceat(grouped, starts, axis=0)
-        return out
-
-    def segment_softmax(self, values, segment_ids, n_segments):
-        shift = self.segment_max(values, segment_ids, n_segments, 0.0)
-        z = np.exp(np.clip(values - shift[segment_ids], -EXP_CLIP, EXP_CLIP))
-        denominator = self.segment_sum(z, segment_ids, n_segments) + SOFTMAX_EPS
-        return z / denominator[segment_ids]
-
-    def gather_scale(self, table, indices, scale):
-        out = np.take(table, indices, axis=0)
-        if scale is not None:
-            if out.ndim > 1:
-                out = out * scale.reshape((-1,) + (1,) * (out.ndim - 1))
-            else:
-                out = out * scale
         return out
 
     def _spmm_plan(self, indptr, indices, data) -> tuple:
@@ -945,39 +847,6 @@ def segment_sum(values, segment_ids, n_segments: int, out=None) -> np.ndarray:
     values, segment_ids = _check_segment_args(values, segment_ids, n_segments)
     out = _check_out(out, (n_segments,) + values.shape[1:], values.dtype)
     return _ACTIVE.segment_sum(values, segment_ids, n_segments, out=out)
-
-
-def segment_max(
-    values, segment_ids, n_segments: int, empty_value: float = 0.0
-) -> np.ndarray:
-    """Per-segment maxima; empty segments read ``empty_value``."""
-    values, segment_ids = _check_segment_args(values, segment_ids, n_segments)
-    return _ACTIVE.segment_max(values, segment_ids, n_segments, empty_value)
-
-
-def segment_softmax(values, segment_ids, n_segments: int) -> np.ndarray:
-    """Max-shifted softmax within every segment of a 1-D score array."""
-    values, segment_ids = _check_segment_args(values, segment_ids, n_segments)
-    if values.ndim != 1:
-        raise ValueError("segment_softmax expects 1-D scores")
-    return _ACTIVE.segment_softmax(values, segment_ids, n_segments)
-
-
-def gather_scale(table, indices, scale=None) -> np.ndarray:
-    """``table[indices]``, optionally scaled per gathered row by ``scale``."""
-    table = np.asarray(table, dtype=FLOAT_DTYPE)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 1:
-        raise ValueError("indices must be 1-D")
-    if len(indices) and (
-        indices.min() < 0 or indices.max() >= table.shape[0]
-    ):
-        raise ValueError("gather indices out of range")
-    if scale is not None:
-        scale = np.asarray(scale, dtype=FLOAT_DTYPE)
-        if scale.shape != (len(indices),):
-            raise ValueError("scale must hold one factor per gathered row")
-    return _ACTIVE.gather_scale(table, indices, scale)
 
 
 def spmm_csr(indptr, indices, data, x, n_rows: int, out=None) -> np.ndarray:

@@ -11,20 +11,12 @@ from .functional import (
     maxk,
     maxout,
     relu,
-    sigmoid,
     spgemm_agg,
     spmm_agg,
     weighted_cross_entropy,
 )
 from .workspace import Workspace
 from .init import kaiming_uniform, xavier_uniform, zeros
-from .segment import (
-    exp,
-    leaky_relu,
-    segment_max_values,
-    segment_softmax,
-    segment_sum,
-)
 from .optim import SGD, Adam
 from .tensor import Tensor, is_grad_enabled, no_grad
 
@@ -41,7 +33,6 @@ __all__ = [
     "linear_act",
     "add_into",
     "Workspace",
-    "sigmoid",
     "log_softmax",
     "cross_entropy",
     "weighted_cross_entropy",
@@ -52,9 +43,4 @@ __all__ = [
     "xavier_uniform",
     "kaiming_uniform",
     "zeros",
-    "segment_sum",
-    "segment_max_values",
-    "segment_softmax",
-    "exp",
-    "leaky_relu",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "spmm_agg",
     "spgemm_agg",
     "dropout",
-    "sigmoid",
     "log_softmax",
     "cross_entropy",
     "weighted_cross_entropy",
@@ -394,16 +393,6 @@ def dropout(
         x._accumulate(grad_x)
 
     return _node(data, (x,), backward, workspace, slot)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-np.clip(x.data, -60, 60)))
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * out * (1.0 - out))
-
-    return Tensor._make(out, (x,), backward)
 
 
 def log_softmax(x: Tensor) -> Tensor:

@@ -204,17 +204,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = self._coerce(other)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad / other.data)
-            if other.requires_grad:
-                other._accumulate(-grad * self.data / (other.data ** 2))
-
-        return Tensor._make(self.data / other.data, (self, other), backward)
-
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
 
@@ -252,21 +241,6 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def reshape(self, *shape) -> "Tensor":
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(np.asarray(grad).reshape(self.data.shape))
-
-        return Tensor._make(self.data.reshape(*shape), (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(np.asarray(grad).T)
-
-        return Tensor._make(self.data.T, (self,), backward)
 
     def __getitem__(self, key) -> "Tensor":
         def backward(grad):

@@ -39,7 +39,7 @@ from .parallel import (
     resolve_process_workers,
 )
 from .metrics import accuracy, micro_f1, roc_auc
-from .schedulers import CosineLR, EarlyStopping, StepLR
+from .schedulers import EarlyStopping
 from .seeds import SeededResult, run_seeded
 from .supervision import SupervisorConfig, WorkerSupervisionError
 from .timing import EpochBreakdown, EpochCostModel, ModelShape
@@ -86,8 +86,6 @@ __all__ = [
     "CheckpointError",
     "read_checkpoint",
     "write_checkpoint",
-    "StepLR",
-    "CosineLR",
     "EarlyStopping",
     "SeededResult",
     "run_seeded",

@@ -424,9 +424,11 @@ class Engine:
     """Trains a :class:`MaxKGNN` through a pluggable data-flow strategy.
 
     The loss is cross-entropy for single-label tasks and BCE-with-logits
-    for multi-label tasks; the evaluation metric follows the paper's
-    protocol per dataset (accuracy / micro-F1 / ROC-AUC) and is always
-    computed on the full graph, whatever the training flow.
+    for multi-label tasks. The evaluation metric defaults to accuracy on
+    a single-label graph and micro-F1 on a multi-label one (so the
+    ogbn-proteins stand-in reports micro-F1, not OGB's ROC-AUC);
+    ``metric="roc_auc"`` asks for ROC-AUC. It is always computed on the
+    full graph, whatever the training flow.
     """
 
     def __init__(

@@ -1,63 +1,8 @@
-"""Learning-rate schedulers and early stopping for the trainer."""
+"""Early stopping for the trainer."""
 
 from __future__ import annotations
 
-import math
-
-from ..tensor.optim import Optimizer
-
-__all__ = ["StepLR", "CosineLR", "EarlyStopping"]
-
-
-class _Scheduler:
-    """Base: wraps an optimizer and rewrites its ``lr`` every step."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self):
-        self.epoch += 1
-        self.optimizer.lr = self.lr_at(self.epoch)
-
-    def lr_at(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(_Scheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        super().__init__(optimizer)
-        if step_size < 1:
-            raise ValueError("step_size must be >= 1")
-        if not 0 < gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class CosineLR(_Scheduler):
-    """Cosine annealing from the base lr to ``min_lr`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, min_lr: float = 0.0):
-        super().__init__(optimizer)
-        if t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        if min_lr < 0 or min_lr > optimizer.lr:
-            raise ValueError("min_lr must be in [0, base lr]")
-        self.t_max = t_max
-        self.min_lr = min_lr
-
-    def lr_at(self, epoch: int) -> float:
-        progress = min(epoch, self.t_max) / self.t_max
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
-            1 + math.cos(math.pi * progress)
-        )
+__all__ = ["EarlyStopping"]
 
 
 class EarlyStopping:

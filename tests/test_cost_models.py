@@ -158,6 +158,37 @@ class TestSpeedupShape:
             assert low <= ratio <= high, (name, ratio)
 
 
+@pytest.mark.parametrize("name", sorted(TABLE1_GRAPHS))
+class TestEveryTable1Graph:
+    """The Fig.-8 / Table-5 structure holds on every Table-1 graph, not
+    only on Reddit."""
+
+    K_SWEEP = (2, 4, 8, 16, 32, 64, 96, 128, 192)
+
+    def speedups(self, name, cost):
+        pattern = SparsePattern.from_spec(TABLE1_GRAPHS[name])
+        spmm = cusparse_spmm_cost(pattern, DIM, A100).latency
+        return [spmm / cost(pattern, DIM, k, A100).latency for k in self.K_SWEEP]
+
+    def test_gnnadvisor_is_cusparse_traffic_at_its_slowdown(self, name):
+        pattern = SparsePattern.from_spec(TABLE1_GRAPHS[name])
+        cusparse = cusparse_spmm_cost(pattern, DIM, A100)
+        gnnadvisor = gnnadvisor_spmm_cost(pattern, DIM, A100)
+        assert gnnadvisor.traffic.categories == cusparse.traffic.categories
+        ratio = gnnadvisor.latency / cusparse.latency
+        assert 1.0 < ratio <= A100.gnnadvisor_slowdown(pattern.avg_degree)
+
+    def test_spgemm_speedup_falls_with_k_and_wins_up_to_32(self, name):
+        speedups = self.speedups(name, spgemm_cost)
+        assert speedups == sorted(speedups, reverse=True)
+        assert speedups[self.K_SWEEP.index(32)] > 1.0
+
+    def test_sspmm_speedup_falls_with_k_and_wins_up_to_32(self, name):
+        speedups = self.speedups(name, sspmm_cost)
+        assert speedups == sorted(speedups, reverse=True)
+        assert speedups[self.K_SWEEP.index(32)] > 1.0
+
+
 class TestTable4Calibration:
     def test_spmm_to_spgemm_ratio(self):
         """Paper Table 4: 44.98 / 15.49 = 2.9x."""

@@ -15,8 +15,6 @@ from repro.tensor import (
     log_softmax,
     maxk,
     relu,
-    segment_softmax,
-    sigmoid,
     spmm_agg,
 )
 from repro.tensor.functional import maxk_with_mask, spgemm_agg
@@ -61,13 +59,6 @@ class TestActivations:
     def test_maxk_full_k_equals_identity_grad(self):
         check_gradient(lambda x: (maxk(x, 6) ** 2).sum(), (3, 6), seed=3)
 
-    @pytest.mark.usefixtures("double_precision")
-    def test_sigmoid_values_and_gradient(self):
-        np.testing.assert_allclose(
-            sigmoid(Tensor(np.zeros((1, 1)))).numpy(), [[0.5]]
-        )
-        check_gradient(lambda x: sigmoid(x).sum(), (4, 3), seed=4)
-
 
 class TestSpmmAgg:
     def test_forward_matches_dense(self):
@@ -110,9 +101,20 @@ class TestGradchecksAcrossBackends:
 
     Every autograd operator whose forward/backward closures route through
     :mod:`repro.sparse.ops` — SpMM aggregation, the CBSR SpGEMM/SSpMM
-    pair, MaxK selection and the segment softmax — is checked against a
-    central-difference gradient under each registered backend.
+    pair, MaxK selection and the row gather, whose backward is a segment
+    sum — is checked against a central-difference gradient under each
+    registered backend.
     """
+
+    @pytest.mark.usefixtures("double_precision")
+    def test_row_gather_gradcheck(self, backend):
+        key = np.array([0, 0, 1, 4, 4, 4, -1, 2])  # repeats, a wrapped row
+        weights = np.random.default_rng(34).normal(size=(len(key), 3))
+        check_gradient(
+            lambda x: (x[key] * x[key] * Tensor(weights)).sum(),
+            (5, 3),
+            seed=35,
+        )
 
     @pytest.mark.usefixtures("double_precision")
     def test_spmm_agg_gradcheck(self, backend):
@@ -160,18 +162,6 @@ class TestGradchecksAcrossBackends:
             lambda arr: (maxk(Tensor(arr), 2) ** 2).sum().item(), base.copy()
         )
         np.testing.assert_allclose(tensor.grad, numeric, **fd_tolerance())
-
-    @pytest.mark.usefixtures("double_precision")
-    def test_segment_softmax_gradcheck(self, backend):
-        ids = np.array([0, 0, 1, 2, 2, 2, 4, 4])
-        weights = np.random.default_rng(34).normal(size=len(ids))
-        check_gradient(
-            lambda x: (segment_softmax(x, ids, 5) * Tensor(weights)).sum(),
-            (len(ids),),
-            seed=35,
-            rtol=1e-4,
-            atol=1e-7,
-        )
 
     def test_spgemm_agg_matches_spmm_maxk_composition(self, backend):
         graph = chain_of_cliques(3, 3)

@@ -256,7 +256,10 @@ def test_the_normalisations_are_computed_in_one_place():
 def test_deleted_knobs_and_aliases_stay_deleted():
     for gone in ("_SSPMM_DENSE_LIMIT", "cache_limit.setter", "kill_executor",
                  "hang_executor", "corrupt_result", "_removed_edge_mask",
-                 "_sorted_member_mask", "_spmm_bincount"):
+                 "_sorted_member_mask", "_spmm_bincount", "GATConv",
+                 "segment_softmax", "gather_scale", "leaky_relu",
+                 "simulate_spgemm_schedule", "gnnadvisor_execute", "StepLR",
+                 "CosineLR"):
         assert _occurrences(gone) == {}
 
 

@@ -221,8 +221,7 @@ class TestSegmentAndMaxoutProperties:
     @given(feature_matrix(max_rows=12, max_cols=8), st.data())
     @settings(max_examples=40)
     def test_segment_sum_conserves_mass(self, x, data):
-        from repro.tensor import Tensor
-        from repro.tensor.segment import segment_sum
+        from repro.sparse import ops
 
         n_segments = data.draw(st.integers(1, 6))
         ids = data.draw(
@@ -232,9 +231,9 @@ class TestSegmentAndMaxoutProperties:
                 max_size=x.shape[0],
             )
         )
-        out = segment_sum(Tensor(x), np.array(ids), n_segments)
+        out = ops.segment_sum(x, np.array(ids), n_segments)
         np.testing.assert_allclose(
-            out.numpy().sum(axis=0), x.sum(axis=0),
+            out.sum(axis=0), x.sum(axis=0),
             **tolerance(),
         )
 

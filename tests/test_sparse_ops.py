@@ -7,9 +7,9 @@ the shapes the training hot path produces: varying sizes, densities,
 empty rows/segments, unsorted segment ids, and the full k range.
 
 Tolerance: the backends are designed to accumulate in identical order, so
-most checks are exact; where an operation reassociates (softmax division)
-or the oracle is a dense product, ``tests/conftest.py::tolerance`` — a
-multiple of the round-off of the width in force — is enforced.
+most checks are exact; where the oracle is a dense product,
+``tests/conftest.py::tolerance`` — a multiple of the round-off of the width
+in force — is enforced.
 """
 
 import ctypes
@@ -102,53 +102,18 @@ class TestSegmentPrimitiveEquivalence:
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("sorted_ids", [False, True])
-    def test_segment_max(self, backend, seed, sorted_ids):
+    def test_segment_sum_into_out(self, backend, seed, sorted_ids):
+        """Into a buffer holding garbage, every segment — the empty ones
+        too — is written with the oracle's bytes."""
         rng = np.random.default_rng(100 + seed)
         values, ids, n_segments = random_segments(rng, sorted_ids)
         with ops.use_backend("reference"):
-            expected = ops.segment_max(values, ids, n_segments, empty_value=-7.0)
+            expected = ops.segment_sum(values, ids, n_segments)
+        out = np.full(expected.shape, np.nan, dtype=expected.dtype)
         with ops.use_backend(backend):
-            actual = ops.segment_max(values, ids, n_segments, empty_value=-7.0)
-        np.testing.assert_array_equal(actual, expected)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("sorted_ids", [False, True])
-    def test_segment_softmax(self, backend, seed, sorted_ids):
-        rng = np.random.default_rng(200 + seed)
-        n = int(rng.integers(0, 60))
-        n_segments = int(rng.integers(1, 15))
-        ids = rng.integers(0, n_segments, n)
-        if sorted_ids:
-            ids = np.sort(ids)
-        scores = rng.normal(size=n) * 10
-        with ops.use_backend("reference"):
-            expected = ops.segment_softmax(scores, ids, n_segments)
-        with ops.use_backend(backend):
-            actual = ops.segment_softmax(scores, ids, n_segments)
-        np.testing.assert_allclose(actual, expected, **tolerance())
-        # Probabilities: nonnegative, each nonempty segment sums to ~1.
-        assert (actual >= 0).all()
-        if n:
-            sums = ops.segment_sum(actual, ids, n_segments)
-            occupied = np.bincount(ids, minlength=n_segments) > 0
-            np.testing.assert_allclose(sums[occupied], 1.0, **tolerance())
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_gather_scale(self, backend, seed):
-        rng = np.random.default_rng(300 + seed)
-        table = rng.normal(size=(int(rng.integers(1, 30)), int(rng.integers(1, 6))))
-        indices = rng.integers(0, table.shape[0], int(rng.integers(0, 50)))
-        scale = rng.normal(size=len(indices))
-        with ops.use_backend("reference"):
-            expected_plain = ops.gather_scale(table, indices)
-            expected_scaled = ops.gather_scale(table, indices, scale)
-        with ops.use_backend(backend):
-            np.testing.assert_array_equal(
-                ops.gather_scale(table, indices), expected_plain
-            )
-            np.testing.assert_array_equal(
-                ops.gather_scale(table, indices, scale), expected_scaled
-            )
+            assert ops.segment_sum(values, ids, n_segments, out=out) is out
+        assert bytes_equal(out, expected)
+        assert not out[np.bincount(ids, minlength=n_segments) == 0].any()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_spmm_csr(self, backend, seed):
@@ -1346,11 +1311,7 @@ class TestRegistry:
         with pytest.raises(ValueError):
             ops.segment_sum(np.ones(2), np.array([0, 3]), 2)
         with pytest.raises(ValueError):
-            ops.gather_scale(np.ones((2, 2)), np.array([2]))
-        with pytest.raises(ValueError):
             ops.topk_mask(np.ones((2, 4)), 5)
-        with pytest.raises(ValueError):
-            ops.segment_softmax(np.ones((2, 2)), np.array([0, 1]), 2)
 
 
 class TestTensorGatherBackward:
@@ -1396,51 +1357,106 @@ class TestTensorGatherBackward:
         assert bytes_equal(backend.sspmm_cbsr(*args), compiled_route)
 
 
+class TestSegmentSum:
+    """``ops.segment_sum`` on hand-worked cases, and the row gather whose
+    backward it is."""
+
+    def test_forward_values(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = ops.segment_sum(values, np.array([0, 1, 0]), 2)
+        np.testing.assert_array_equal(out, [[6.0, 8.0], [3.0, 4.0]])
+
+    def test_empty_segments_are_zero(self):
+        out = ops.segment_sum(np.ones((2, 3)), np.array([2, 2]), 4)
+        assert (out[[0, 1, 3]] == 0).all() and (out[2] == 2).all()
+
+    def test_1d_values(self):
+        out = ops.segment_sum(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0]), 2)
+        np.testing.assert_array_equal(out, [3.0, 3.0])
+
+    def test_backward_routes_to_rows(self):
+        from repro.tensor import Tensor
+
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        weights = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [70.0, 80.0]])
+        (x[np.array([0, 1, 1, 0])] * Tensor(weights)).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[71.0, 82.0], [8.0, 10.0]])
+
+    @pytest.mark.usefixtures("double_precision")
+    def test_gradient_finite_difference(self):
+        from tests.test_tensor import check_gradient
+
+        ids = np.array([0, 2, 1, 2, 0, -1])
+        check_gradient(lambda x: (x[ids] * x[ids]).sum(), (3, 3), seed=21)
+
+    def test_validation(self):
+        values = np.ones((3, 2))
+        for ids, n_segments in (([0, 1], 2), ([0, 1, 5], 2), ([0, -1, 1], 2),
+                                ([0, 0, 0], 0)):
+            with pytest.raises(ValueError):
+                ops.segment_sum(values, np.array(ids), n_segments)
+        ids = np.array([0, 1, 1])
+        with pytest.raises(ValueError, match="shape"):
+            ops.segment_sum(values, ids, 2, out=np.zeros((3, 2), ops.FLOAT_DTYPE))
+        with pytest.raises(ValueError, match="dtype"):
+            ops.segment_sum(values, ids, 2, out=np.zeros((2, 2), np.int32))
+
+
 class TestAutogradSegmentOpsAcrossBackends:
-    """The Tensor-level segment ops agree with the oracle backend."""
+    """The Tensor-level row gather, whose backward is ``ops.segment_sum``,
+    agrees with the oracle backend."""
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_segment_sum_forward_backward(self, backend, seed):
+    @pytest.mark.parametrize("trailing", [(), (4,)])
+    def test_row_gather_forward_backward(self, backend, seed, trailing):
         from repro.tensor import Tensor
-        from repro.tensor.segment import segment_sum
 
         rng = np.random.default_rng(1000 + seed)
-        n, n_segments, dim = 30, 7, 4
-        ids = rng.integers(0, n_segments, n)
-        x = rng.normal(size=(n, dim))
-        weights = rng.normal(size=(n_segments, dim))
+        n = 7
+        key = rng.integers(-n, n, 30)  # repeated and wrapped rows
+        x = rng.normal(size=(n,) + trailing)
+        weights = rng.normal(size=(len(key),) + trailing)
 
         results = {}
         for name in ("reference", backend):
             with ops.use_backend(name):
                 tensor = Tensor(x.copy(), requires_grad=True)
-                out = segment_sum(tensor, ids, n_segments)
+                out = tensor[key]
                 (out * Tensor(weights)).sum().backward()
                 results[name] = (out.numpy(), tensor.grad)
         assert bytes_equal(results[backend][0], results["reference"][0])
         assert bytes_equal(results[backend][1], results["reference"][1])
 
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_segment_softmax_forward_backward(self, backend, seed):
-        from repro.tensor import Tensor
-        from repro.tensor.segment import segment_softmax
 
-        rng = np.random.default_rng(1100 + seed)
-        n, n_segments = 40, 9
-        ids = rng.integers(0, n_segments, n)
-        scores = rng.normal(size=n) * 5
-        weights = rng.normal(size=n)
+def induced_rows_loop(base, keys):
+    """``ops.induced_rows``'s contract, one base entry at a time."""
+    n = base.shape[0]
+    position = {int(key): i for i, key in enumerate(keys)}
+    indptr, indices, data = [0], [], []
+    for key in keys:
+        member, node = divmod(int(key), n)
+        for edge in range(int(base.indptr[node]), int(base.indptr[node + 1])):
+            column = position.get(member * n + int(base.indices[edge]))
+            if column is not None:
+                indices.append(column)
+                data.append(base.data[edge])
+        indptr.append(len(indices))
+    return indptr, indices, np.array(data, dtype=base.data.dtype)
 
-        results = {}
-        for name in ("reference", backend):
-            with ops.use_backend(name):
-                tensor = Tensor(scores.copy(), requires_grad=True)
-                alpha = segment_softmax(tensor, ids, n_segments)
-                (alpha * Tensor(weights)).sum().backward()
-                results[name] = (alpha.numpy(), tensor.grad)
-        np.testing.assert_allclose(
-            results[backend][0], results["reference"][0], **tolerance()
-        )
-        np.testing.assert_allclose(
-            results[backend][1], results["reference"][1], **tolerance()
-        )
+
+class TestInducedRows:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_induced_rows_is_the_row_loop(self, backend_name, seed, n_members):
+        rng = np.random.default_rng(1300 + seed)
+        n = int(rng.integers(1, 30))
+        base = random_csr(rng, n_rows=n, n_cols=n)
+        size = int(rng.integers(0, n_members * n + 1))
+        keys = np.sort(rng.choice(n_members * n, size=size, replace=False))
+        with ops.use_backend(backend_name):
+            window = ops.induced_rows(base, keys, n_members)
+        indptr, indices, data = induced_rows_loop(base, keys)
+        assert window.shape == (size, size)
+        np.testing.assert_array_equal(window.indptr, indptr)
+        np.testing.assert_array_equal(window.indices, indices)
+        assert bytes_equal(window.data, data)

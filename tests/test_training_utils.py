@@ -1,15 +1,12 @@
-"""Tests for checkpointing, LR schedulers, early stopping, seed averaging."""
+"""Tests for checkpointing, early stopping, seed averaging."""
 
 import numpy as np
 import pytest
 
 from repro.graphs import attach_classification_task, sbm_graph
 from repro.models import GNNConfig, MaxKGNN
-from repro.tensor import Adam, Tensor
 from repro.training import (
-    CosineLR,
     EarlyStopping,
-    StepLR,
     load_checkpoint,
     load_state_dict,
     run_seeded,
@@ -79,49 +76,6 @@ class TestCheckpoint:
         with pytest.raises(ValueError,
                            match="does not match the model architecture"):
             load_state_dict(clone, legacy)
-
-
-class TestSchedulers:
-    def optimizer(self):
-        return Adam([Tensor(np.ones(2), requires_grad=True)], lr=0.1)
-
-    def test_step_lr_decays(self):
-        optimizer = self.optimizer()
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.5)
-        lrs = []
-        for _ in range(4):
-            scheduler.step()
-            lrs.append(optimizer.lr)
-        assert lrs == pytest.approx([0.1, 0.05, 0.05, 0.025])
-
-    def test_cosine_endpoints(self):
-        optimizer = self.optimizer()
-        scheduler = CosineLR(optimizer, t_max=10, min_lr=0.01)
-        assert scheduler.lr_at(0) == pytest.approx(0.1)
-        assert scheduler.lr_at(10) == pytest.approx(0.01)
-        assert scheduler.lr_at(5) == pytest.approx((0.1 + 0.01) / 2)
-
-    def test_cosine_clamps_past_t_max(self):
-        optimizer = self.optimizer()
-        scheduler = CosineLR(optimizer, t_max=5)
-        assert scheduler.lr_at(50) == pytest.approx(0.0, abs=1e-12)
-
-    def test_monotone_decay(self):
-        optimizer = self.optimizer()
-        scheduler = CosineLR(optimizer, t_max=20)
-        values = [scheduler.lr_at(e) for e in range(21)]
-        assert values == sorted(values, reverse=True)
-
-    def test_validation(self):
-        optimizer = self.optimizer()
-        with pytest.raises(ValueError):
-            StepLR(optimizer, step_size=0)
-        with pytest.raises(ValueError):
-            StepLR(optimizer, step_size=1, gamma=0.0)
-        with pytest.raises(ValueError):
-            CosineLR(optimizer, t_max=0)
-        with pytest.raises(ValueError):
-            CosineLR(optimizer, t_max=5, min_lr=1.0)
 
 
 class TestEarlyStopping:
