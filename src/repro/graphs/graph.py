@@ -281,6 +281,31 @@ class Graph:
             )
         return graph
 
+    @classmethod
+    def from_structure(cls, base: CSRMatrix, **fields) -> "Graph":
+        """The graph whose structural base is the square CSR ``base``
+        (``A[dst, src]`` = that edge's multiplicity), installed as its
+        ``"plain"`` base: :meth:`adjacency` scales ``base`` without a sort
+        (``gcn``'s ``loops`` base is still built from the edges). The COO
+        lists each entry once per unit of weight, in CSR order: the edge
+        multiset ``base`` counts, so ``n_edges`` and any base rebuilt from
+        the edges are what an edge-list build gives. ``fields`` are the
+        other dataclass fields (node columns, ``name``, ...).
+        """
+        n_nodes = base.shape[0]
+        if base.shape[1] != n_nodes:
+            raise ValueError("a structural base must be square")
+        counts = base.data.astype(np.int64)
+        if (counts != base.data).any():
+            raise ValueError("structural weights must be edge counts")
+        rows = np.repeat(np.arange(n_nodes), base.row_degrees())
+        graph = cls(
+            n_nodes=n_nodes, src=np.repeat(base.indices, counts),
+            dst=np.repeat(rows, counts), **fields,
+        )
+        graph._structure_cache["plain"] = base
+        return graph
+
     def apply_delta(self, delta, warm: bool = True) -> "Graph":
         """Apply a :class:`~repro.graphs.mutation.GraphDelta` in place.
 
@@ -294,7 +319,13 @@ class Graph:
         return _apply(self, delta, warm=warm)
 
     def to_undirected(self) -> "Graph":
-        """Add reverse edges (deduplicated by the CSR constructor downstream)."""
+        """Add every edge's reverse.
+
+        Nothing deduplicates them: an edge already present in both
+        directions appears twice per direction, and the structural base
+        stores it as one entry of weight 2. ``sage`` divides by the entry
+        count, not the weight sum, so such a row's weights sum above 1.
+        """
         return Graph(
             n_nodes=self.n_nodes,
             src=np.concatenate([self.src, self.dst]),

@@ -13,13 +13,18 @@ batches. This module provides that substrate:
 * :func:`bns_sample` — BNS-GCN-style random boundary sampling: keep a
   fraction of each partition's boundary, drop the rest of the halo.
 
-:func:`induced_union` is the one induction routine behind every sampler,
-the BNS partitions and the serving batcher. It walks the selected rows of
-the graph's cached in-edge index (:meth:`Graph.edge_index`: one stable
-radix order of ``dst`` per graph generation, O(E + n), patched by
+:func:`induced_union` is the edge-list induction: the samplers of
+:mod:`repro.graphs.sampling`, the BNS partitions and
+``EgoBatch.merged`` induce through it. It walks the selected rows of the
+graph's cached in-edge index (:meth:`Graph.edge_index`: one stable radix
+order of ``dst`` per graph generation, O(E + n), patched by
 ``apply_delta``), so one call costs the selected nodes' in-degrees plus an
 ``n_nodes`` id-map fill — not a scan of the edge list — and emits the same
-arrays, in the same COO order, as the full scan would.
+arrays, in the same COO order, as the full scan would. The other route
+cuts CSR rows instead: :func:`~repro.sparse.ops.induced_rows` over the
+graph's structural base gives a served window's adjacency and a k-hop
+training batch (``SampledFlow``), the bytes of this route's adjacency
+without a COO round trip.
 """
 
 from __future__ import annotations

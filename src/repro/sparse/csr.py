@@ -156,10 +156,26 @@ class CSRMatrix:
         )
 
     def transpose(self) -> "CSRMatrix":
-        """Materialise ``A^T`` in CSR form (copies): every sampled batch and
-        served window builds one (``Graph.adjacency_transpose``)."""
+        """Materialise ``A^T`` in CSR form (copies): what
+        ``Graph.adjacency_transpose`` caches for a training backward.
+
+        One stable radix pass over the column indices; row ids come out
+        ascending within each column because the input is row-major. The
+        input must be canonical (strictly ascending columns within every
+        row), as every CSR the program builds is: ``coo_to_csr``,
+        ``ops.induced_rows``, ``scale_rows`` / ``scale_cols`` and the
+        mutation merge. The result is then ``coo_to_csr`` of the swapped
+        triplets, byte for byte. A hand-built CSR that stores an entry
+        twice has the repeats summed, as ``coo_to_csr`` sums them.
+        """
         row_ids = np.repeat(np.arange(self.n_rows), self.row_degrees())
-        return coo_to_csr(self.indices, row_ids, self.data, (self.n_cols, self.n_rows))
+        order = stable_order(((self.indices, self.n_cols),))
+        triplets = self.indices[order], row_ids[order], self.data[order]
+        # Canonical rows step down in column only where a new row starts.
+        steps = np.flatnonzero(self.indices[1:] <= self.indices[:-1]) + 1
+        if (row_ids[steps] == row_ids[steps - 1]).any():
+            triplets = _sum_repeats(*triplets)
+        return _sorted_to_csr(*triplets, (self.n_cols, self.n_rows))
 
     def with_data(self, data: np.ndarray) -> "CSRMatrix":
         """Same sparsity pattern with replaced values."""
@@ -299,17 +315,28 @@ def coo_to_csr(rows, cols, data, shape) -> CSRMatrix:
 
     # Sort lexicographically by (row, col), then merge duplicates.
     order = stable_order(((cols, n_cols), (rows, n_rows)))
-    rows, cols, data = rows[order], cols[order], data[order]
-    if len(rows):
-        is_new = np.empty(len(rows), dtype=bool)
-        is_new[0] = True
-        is_new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        group_ids = np.cumsum(is_new) - 1
-        merged_data = np.bincount(
-            group_ids, weights=data, minlength=group_ids[-1] + 1
-        )
-        rows, cols, data = rows[is_new], cols[is_new], merged_data
+    return _sorted_to_csr(
+        *_sum_repeats(rows[order], cols[order], data[order]), shape
+    )
 
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+
+def _sum_repeats(rows, cols, data):
+    """``(row, col)``-sorted triplets with each repeated position's values
+    summed into one entry."""
+    if not len(rows):
+        return rows, cols, data
+    is_new = np.empty(len(rows), dtype=bool)
+    is_new[0] = True
+    is_new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    group_ids = np.cumsum(is_new) - 1
+    merged_data = np.bincount(
+        group_ids, weights=data, minlength=group_ids[-1] + 1
+    )
+    return rows[is_new], cols[is_new], merged_data
+
+
+def _sorted_to_csr(rows, cols, data, shape) -> CSRMatrix:
+    """The CSR of ``(row, col)``-sorted triplets without repeats."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     return CSRMatrix(indptr=indptr, indices=cols, data=data, shape=shape)

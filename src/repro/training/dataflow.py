@@ -52,12 +52,13 @@ from ..graphs import (
     bfs_partition,
     bns_sample,
     edge_sampler,
-    khop_neighborhood,
     node_sampler,
     random_walk_sampler,
 )
+from ..graphs.partition import sorted_unique
+from ..graphs.sampling import khop_keys
 from ..sparse import ops
-from ..sparse.ops import get_backend
+from ..sparse.ops import get_backend, induced_rows
 from .parallel import (
     PrefetchWorkerError,
     ProcessPrefetchPool,
@@ -380,8 +381,15 @@ class SampledFlow(DataFlow):
         seeds = rng.choice(
             candidates, size=min(size, candidates.size), replace=False
         )
-        return khop_neighborhood(
-            graph, seeds, n_hops=self.n_hops, fanout=self.fanout, rng_seed=rng
+        # khop_neighborhood's nodes and draw; the batch is cut from the
+        # graph's CSR rows instead of induced from its edge list.
+        nodes = khop_keys(
+            graph, sorted_unique(seeds), [rng], self.n_hops, self.fanout
+        )
+        return Graph.from_structure(
+            induced_rows(graph.structural_adjacency(), nodes),
+            name=f"{graph.name}-sub", multilabel=graph.multilabel,
+            **{key: rows[nodes] for key, rows in graph.node_arrays().items()},
         )
 
     def _bind_graph(self, graph: Graph) -> None:

@@ -299,3 +299,77 @@ class TestSortedConstruction:
         order, indptr, values = Graph(n_nodes=3, src=[], dst=[]).edge_index()
         assert order.dtype == np.int64 and order.size == values.size == 0
         np.testing.assert_array_equal(indptr, np.zeros(4, dtype=np.int64))
+
+
+def _parts(csr):
+    return csr.indptr, csr.indices, csr.data
+
+
+def _coo_transpose(csr):
+    """``A^T`` as ``coo_to_csr`` builds it from the swapped triplets (a
+    two-key sort and a duplicate merge): the transpose's oracle."""
+    row_ids = np.repeat(np.arange(csr.n_rows), csr.row_degrees())
+    return coo_to_csr(csr.indices, row_ids, csr.data, (csr.n_cols, csr.n_rows))
+
+
+def _canonical_csr(rng, shape, nnz, sparse_axes=False):
+    """A canonical CSR (strictly ascending columns per row) of ``shape``;
+    with ``sparse_axes`` its entries fall on a few rows and columns only,
+    leaving most rows and columns empty."""
+    n_rows, n_cols = shape
+    rows, cols = rng.integers(0, n_rows, nnz), rng.integers(0, n_cols, nnz)
+    if sparse_axes:
+        rows = rng.choice(rng.integers(0, n_rows, 5), nnz)
+        cols = rng.choice(rng.integers(0, n_cols, 9), nnz)
+    return coo_to_csr(rows, cols, rng.normal(size=nnz), shape)
+
+
+class TestTransposeOracle:
+    """``CSRMatrix.transpose`` is one stable radix pass over the column
+    indices; on a canonical CSR it must be ``coo_to_csr``'s two-key build,
+    dtype and bytes."""
+
+    @pytest.mark.parametrize("width", [np.float32, np.float64])
+    @pytest.mark.parametrize("sparse_axes", [False, True])
+    @pytest.mark.parametrize("shape", [
+        (9, 13), (13, 9), (40, 40), (1, 7), (7, 1), (6, 70_000), (70_000, 6),
+    ])
+    def test_transpose_is_the_coo_build(self, shape, sparse_axes, width,
+                                        monkeypatch):
+        monkeypatch.setattr(ops, "FLOAT_DTYPE", width)
+        rng = np.random.default_rng([shape[0], shape[1], sparse_axes])
+        for nnz in (0, 1, 3 * max(shape), 3_000):
+            csr = _canonical_csr(rng, shape, nnz, sparse_axes)
+            transpose = csr.transpose()
+            assert transpose.shape == (shape[1], shape[0])
+            assert transpose.data.dtype == width
+            _assert_csr_bytes(transpose, _parts(_coo_transpose(csr)))
+            _assert_csr_bytes(transpose.transpose(), _parts(csr))
+
+    def test_empty_rows_and_columns_survive(self):
+        csr = CSRMatrix(indptr=[0, 0, 2, 2, 3], indices=[1, 4, 1],
+                        data=[1.0, 2.0, 3.0], shape=(4, 6))
+        transpose = csr.transpose()
+        np.testing.assert_array_equal(transpose.indptr,
+                                      [0, 0, 2, 2, 2, 3, 3])
+        np.testing.assert_array_equal(transpose.indices, [1, 3, 1])
+        _assert_csr_bytes(transpose, _parts(_coo_transpose(csr)))
+
+    def test_the_programs_csrs_are_canonical(self):
+        # What the one-key pass relies on, from each builder: the edge-list
+        # build, a scaled adjacency, a window cut and a mutation merge.
+        from repro.graphs import sbm_graph
+        from repro.graphs.mutation import GraphDelta
+
+        graph = sbm_graph(120, 3, 6.0, seed=2).to_undirected()
+        built = [graph.adjacency(norm) for norm in ("none", "sage", "gcn")]
+        built.append(ops.induced_rows(graph.structural_adjacency(),
+                                      np.arange(0, 240, 3), 2))
+        graph.apply_delta(GraphDelta(add_src=[0, 5, 5], add_dst=[1, 1, 1]))
+        built += [graph.adjacency(norm) for norm in ("none", "sage", "gcn")]
+        for csr in built:
+            row_ids = np.repeat(np.arange(csr.n_rows), csr.row_degrees())
+            steps = np.flatnonzero(np.diff(csr.indices) <= 0) + 1
+            assert (row_ids[steps] != row_ids[steps - 1]).all()
+            _assert_csr_bytes(csr.transpose(),
+                              _parts(_coo_transpose(csr)))

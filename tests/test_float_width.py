@@ -254,6 +254,37 @@ def test_a_window_adjacency_follows_the_width(backend, width):
     _assert_floats_are(width, {"features": batch.features}, "window features")
 
 
+def test_a_khop_batch_follows_the_width(backend, width):
+    """A k-hop training batch, cut from the graph's CSR rows, is the
+    induced subgraph's at the width in force: payloads, adjacencies and
+    their transposes."""
+    from repro.graphs import khop_neighborhood
+
+    graph = _task_graph()
+    flow = SampledFlow(sampler="khop", batches_per_epoch=2, sample_size=6,
+                       seed=3)
+    for slot in range(2):
+        batch = flow._sample(graph, slot)
+        rng = np.random.default_rng((3, slot))
+        seeds = rng.choice(np.flatnonzero(graph.train_mask), 6, replace=False)
+        expected = khop_neighborhood(graph, seeds, flow.n_hops, flow.fanout,
+                                     rng_seed=rng)
+        built = {}
+        for norm in ("none", "sage", "gcn"):
+            built[norm] = batch.adjacency(norm)
+            built[norm + "^T"] = batch.adjacency_transpose(norm)
+        _assert_floats_are(width, {key: csr.data for key, csr in built.items()},
+                           "batch adjacency")
+        _assert_floats_are(width, batch.node_arrays(), "batch payloads")
+        for key, csr in built.items():
+            want = (expected.adjacency_transpose(key[:-2]) if key.endswith("^T")
+                    else expected.adjacency(key))
+            assert csr.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                assert (getattr(csr, part).tobytes()
+                        == getattr(want, part).tobytes()), (key, part)
+
+
 def test_serving_mutation_and_codecs_follow_the_width(backend, width, tmp_path):
     graph = _task_graph()
     model = MaxKGNN(graph, _config(), seed=0)

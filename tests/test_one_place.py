@@ -196,9 +196,10 @@ def test_one_stable_order_behind_every_csr_and_edge_index():
         ]
         assert len(argsorts(tree)) == len(inside[module]), module
     assert inside["sparse/csr.py"] and not inside["graphs/graph.py"]
-    # Its two callers: coo_to_csr and Graph.edge_index.
+    # Its three callers: coo_to_csr, CSRMatrix.transpose and
+    # Graph.edge_index.
     assert _occurrences("stable_order(((") == {
-        "sparse/csr.py": 1, "graphs/graph.py": 1
+        "sparse/csr.py": 2, "graphs/graph.py": 1
     }
 
 
@@ -237,6 +238,48 @@ def test_one_khop_expansion_and_one_induction():
     walkers = [name for name, body in _functions("graphs/partition.py").items()
                if 'edge_index("in")' in body]
     assert walkers == ["induced_union"]
+
+
+def test_a_khop_training_batch_is_cut_from_the_csr_rows():
+    # The k-hop batch is the graph's structural rows under its nodes, not
+    # an induced edge list sorted back into CSR; its A^T is one radix pass.
+    sample = _functions("training/dataflow.py")["_sample"]
+    assert sample.count("induced_rows(") == 1
+    for gone in ("khop_neighborhood(", "induced_union(", "coo_to_csr("):
+        assert gone not in sample, gone
+    assert "coo_to_csr(" not in _functions("sparse/csr.py")["transpose"]
+
+
+def test_only_the_graph_writes_its_structural_bases():
+    # Graph's own methods (the batch constructor among them) and
+    # apply_delta's merge; nothing else installs or drops a base.
+    import ast
+
+    mutators = {"clear", "update", "pop", "popitem", "setdefault"}
+
+    def writes(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            node = node.value
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", None) in mutators:
+            node = node.func.value
+        elif not (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)):
+            return False
+        return getattr(node, "attr", None) == "_structure_cache"
+
+    writers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef) and any(
+                    writes(node) for node in ast.walk(function)):
+                writers.add((str(path.relative_to(SRC)), function.name))
+    assert writers == {
+        ("graphs/graph.py", "_fresh_caches"),
+        ("graphs/graph.py", "structural_adjacency"),
+        ("graphs/graph.py", "from_structure"),
+        ("graphs/mutation.py", "apply_delta"),
+    }
 
 
 def test_the_normalisations_are_computed_in_one_place():

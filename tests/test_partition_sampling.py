@@ -783,3 +783,108 @@ def first_row_alone(base):
     end = base.indptr[1]
     return CSRMatrix(base.indptr[:2], base.indices[:end], base.data[:end],
                      shape=(1, base.shape[1]))
+
+
+def khop_flow_batches(graph, flow, epochs, monkeypatch):
+    """``(slot, batch, nodes, generator)`` of every batch ``flow`` samples
+    (pool hits yield nothing new): its ``khop_keys`` nodes and the slot's
+    generator after the call."""
+    from repro.training import dataflow
+
+    drawn = []
+
+    def spy(graph, keys, rng_seeds, n_hops, fanout):
+        nodes = khop_keys(graph, keys, rng_seeds, n_hops, fanout)
+        drawn.append((nodes, rng_seeds[0]))
+        return nodes
+
+    monkeypatch.setattr(dataflow, "khop_keys", spy)
+    for epoch in range(epochs):
+        for plan in flow.plan(graph, epoch):
+            before = len(drawn)
+            batch = plan.build()
+            if len(drawn) > before:
+                slot = (plan.step if flow.pool_size is None
+                        else plan.step % flow.pool_size)
+                yield (slot, batch) + drawn[-1]
+
+
+class TestKhopBatchFromRows:
+    """A k-hop ``SampledFlow`` batch is cut from the graph's structural CSR
+    rows (``ops.induced_rows`` + ``Graph.from_structure``); it must be the
+    batch ``khop_neighborhood`` induces from the slot's generator, on both
+    arms of the backend."""
+
+    @pytest.mark.parametrize("pool_size", [None, 2])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_each_slot_is_the_induced_batch(self, seed, pool_size, arm,
+                                            monkeypatch):
+        from repro.training import SampledFlow
+
+        graph = messy_graph(seed)
+        n_hops, fanout = seed % 3, 1 + seed % 4
+        flow = SampledFlow(
+            "khop", batches_per_epoch=3, n_hops=n_hops, fanout=fanout,
+            sample_size=None if seed % 2 else 1 + seed % 5, seed=seed,
+            pool_size=pool_size,
+        )
+        sampled = list(khop_flow_batches(graph, flow, 2, monkeypatch))
+        assert len(sampled) == (2 if pool_size else 6)
+        for slot, batch, nodes, ours in sampled:
+            rng = np.random.default_rng((seed, slot))
+            candidates = np.flatnonzero(graph.train_mask)
+            seeds = rng.choice(candidates, replace=False, size=min(
+                flow._size(graph), candidates.size))
+            expected, expected_nodes = khop_neighborhood(
+                graph, seeds, n_hops, fanout, rng_seed=rng, return_nodes=True)
+            np.testing.assert_array_equal(nodes, expected_nodes)
+            assert ours.bit_generator.state == rng.bit_generator.state
+            assert_same_batch(batch, expected)
+
+    def test_an_empty_seed_set_is_an_empty_batch(self, monkeypatch):
+        from repro.training import SampledFlow
+
+        graph = messy_graph(3)
+        graph.train_mask = np.zeros(graph.n_nodes, dtype=bool)
+        flow = SampledFlow("khop", batches_per_epoch=1, seed=1)
+        (_, batch, nodes, _), = khop_flow_batches(graph, flow, 1, monkeypatch)
+        assert nodes.size == batch.n_nodes == batch.n_edges == 0
+        for norm in NORMS:
+            assert batch.adjacency_transpose(norm).shape == (0, 0)
+
+    def test_the_constructor_refuses_what_is_no_base(self):
+        from repro.sparse.csr import CSRMatrix
+
+        base = messy_graph(4).structural_adjacency()
+        with pytest.raises(ValueError, match="square"):
+            Graph.from_structure(first_row_alone(base))
+        with pytest.raises(ValueError, match="counts"):
+            Graph.from_structure(base.with_data(base.data * 0.5))
+        empty = CSRMatrix(np.zeros(4, dtype=np.int64), [], [], shape=(3, 3))
+        graph = Graph.from_structure(empty, name="e")
+        assert graph.n_nodes == 3 and graph.n_edges == 0
+        assert graph.structural_adjacency() is empty
+
+
+def assert_same_batch(batch, expected):
+    """The batch's nodes, payloads, edge multiset and every adjacency the
+    training step reads are ``expected``'s."""
+    assert batch.n_nodes == expected.n_nodes
+    assert batch.n_edges == expected.n_edges
+    assert (batch.name, batch.multilabel) == (expected.name, expected.multilabel)
+    got, want = batch.node_arrays(), expected.node_arrays()
+    assert list(got) == list(want)
+    for name, column in want.items():
+        assert got[name].dtype == column.dtype, name
+        assert got[name].tobytes() == column.tobytes(), name
+
+    def edges(graph):
+        order = np.lexsort((graph.src, graph.dst))
+        return graph.dst[order], graph.src[order]
+
+    for ours, theirs in zip(edges(batch), edges(expected)):
+        np.testing.assert_array_equal(ours, theirs)
+    for norm in ("none", "sage", "gcn"):
+        assert_same_csr(batch.adjacency(norm), expected.adjacency(norm), norm)
+        assert_same_csr(batch.adjacency_transpose(norm),
+                        expected.adjacency_transpose(norm), norm + "^T")
