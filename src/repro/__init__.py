@@ -3,7 +3,7 @@
 A from-scratch Python implementation of the MaxK-GNN training system:
 
 * :mod:`repro.core` — the MaxK nonlinearity, CBSR format, Amdahl utilities;
-* :mod:`repro.sparse` — CSR/CSC storage and Edge-Group warp partitioning;
+* :mod:`repro.sparse` — CSR storage and Edge-Group warp partitioning;
 * :mod:`repro.graphs` — graph containers, generators, dataset registry;
 * :mod:`repro.tensor` — a numpy autograd engine replacing PyTorch;
 * :mod:`repro.gpusim` — the GPU device/cache/traffic simulator and the

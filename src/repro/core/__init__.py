@@ -1,6 +1,6 @@
 """Core contributions of the paper: MaxK nonlinearity, CBSR format, Amdahl."""
 
-from .amdahl import AmdahlBreakdown, speedup, speedup_limit
+from .amdahl import AmdahlBreakdown, speedup_limit
 from .cbsr import CBSRMatrix, index_dtype_for
 from .sparsity import (
     SparsityStats,
@@ -12,7 +12,6 @@ from .sparsity import (
 )
 from .maxk import (
     PivotSelectResult,
-    maxk_backward,
     maxk_forward,
     maxk_mask,
     pivot_select,
@@ -23,13 +22,11 @@ __all__ = [
     "CBSRMatrix",
     "index_dtype_for",
     "maxk_forward",
-    "maxk_backward",
     "maxk_mask",
     "pivot_select",
     "pivot_select_row",
     "PivotSelectResult",
     "AmdahlBreakdown",
-    "speedup",
     "speedup_limit",
     "SparsityStats",
     "dropout_sparsify",

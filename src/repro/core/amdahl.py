@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["speedup_limit", "speedup", "AmdahlBreakdown"]
+__all__ = ["speedup_limit", "AmdahlBreakdown"]
 
 
 def speedup_limit(accelerated_fraction: float) -> float:
@@ -21,17 +21,6 @@ def speedup_limit(accelerated_fraction: float) -> float:
         raise ValueError("fraction must be in [0, 1]")
     remaining = 1.0 - accelerated_fraction
     return float("inf") if remaining == 0.0 else 1.0 / remaining
-
-
-def speedup(accelerated_fraction: float, kernel_speedup: float) -> float:
-    """Overall speedup when a fraction ``p`` of the time is sped up ``s`` times."""
-    if kernel_speedup <= 0:
-        raise ValueError("kernel_speedup must be positive")
-    if not 0.0 <= accelerated_fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    return 1.0 / (
-        (1.0 - accelerated_fraction) + accelerated_fraction / kernel_speedup
-    )
 
 
 @dataclass(frozen=True)
@@ -64,8 +53,3 @@ class AmdahlBreakdown:
         """Amdahl speedup limit 1 / (1 - p_SpMM)."""
         return speedup_limit(self.p_spmm)
 
-    def speedup_with(self, new_spmm_time: float) -> float:
-        """Epoch speedup when SpMM time is replaced by ``new_spmm_time``."""
-        if new_spmm_time < 0:
-            raise ValueError("new_spmm_time must be non-negative")
-        return self.total_time / (self.other_time + new_spmm_time)

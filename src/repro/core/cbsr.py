@@ -21,7 +21,6 @@ the block at it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -76,15 +75,6 @@ class CBSRMatrix:
     def k(self) -> int:
         return self.sp_data.shape[1]
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """Shape of the dense matrix this represents."""
-        return (self.n_rows, self.dim_origin)
-
-    @property
-    def density(self) -> float:
-        return self.k / self.dim_origin
-
     def storage_bytes(self) -> int:
         """Bytes occupied in global memory: the value and index blocks."""
         return self.sp_data.nbytes + self.sp_index.nbytes
@@ -127,13 +117,3 @@ class CBSRMatrix:
         if sp_data.shape != self.sp_data.shape:
             raise ValueError("replacement sp_data must match shape")
         return CBSRMatrix(sp_data, self.sp_index, self.dim_origin)
-
-    def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(values, columns) of row ``i``."""
-        return self.sp_data[i], self.sp_index[i].astype(np.int64)
-
-    def __repr__(self) -> str:
-        return (
-            f"CBSRMatrix(n_rows={self.n_rows}, k={self.k}, "
-            f"dim_origin={self.dim_origin}, index_dtype={self.sp_index.dtype})"
-        )

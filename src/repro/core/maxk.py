@@ -33,7 +33,6 @@ from ..sparse import ops
 
 __all__ = [
     "maxk_forward",
-    "maxk_backward",
     "maxk_mask",
     "pivot_select_row",
     "pivot_select",
@@ -60,14 +59,6 @@ def maxk_forward(x: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """
     mask = maxk_mask(x, k)
     return np.where(mask, x, 0.0), mask
-
-
-def maxk_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Route gradient through the forward-surviving positions only."""
-    grad_out = np.asarray(grad_out)
-    if grad_out.shape != mask.shape:
-        raise ValueError("gradient and mask shapes must match")
-    return np.where(mask, grad_out, 0.0)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from ..gpusim import A100, DeviceModel, SparsePattern
 from ..graphs import TABLE1_GRAPHS, TRAINING_CONFIGS, TrainingConfig

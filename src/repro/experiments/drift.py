@@ -54,21 +54,6 @@ class DriftResult:
     def zero_stale(self) -> bool:
         return all(w.stale == 0 and w.served == w.queries for w in self.windows)
 
-    @property
-    def accuracy_curve(self) -> List[float]:
-        return [w.accuracy for w in self.windows]
-
-    def summary(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "windows": len(self.windows),
-            "rewired_per_update": self.rewired_per_update,
-            "zero_stale": self.zero_stale,
-            "accuracy_start": self.windows[0].accuracy,
-            "accuracy_end": self.windows[-1].accuracy,
-            "final_generation": self.windows[-1].generation,
-        }
-
 
 def _rewire_delta(graph, rng: np.random.Generator, n_rewire: int) -> GraphDelta:
     """Remove ``n_rewire`` random existing edges; add as many noise edges.

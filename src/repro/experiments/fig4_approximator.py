@@ -29,13 +29,6 @@ class ApproximationResult:
     maxk_errors: List[float]
     relu_errors: List[float]
 
-    def error_curve(self, nonlinearity: str) -> List[float]:
-        if nonlinearity == "maxk":
-            return self.maxk_errors
-        if nonlinearity == "relu":
-            return self.relu_errors
-        raise ValueError("nonlinearity must be 'maxk' or 'relu'")
-
 
 def _target(x: np.ndarray) -> np.ndarray:
     return x ** 2

@@ -8,7 +8,7 @@ reproduction actually materialises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..graphs import TABLE1_GRAPHS
 from .common import format_table

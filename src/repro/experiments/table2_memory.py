@@ -18,7 +18,6 @@ the same factor as the graph) and report the same four rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from ..gpusim import A100, DeviceModel, MemorySystemStudy, profile_memory_system

@@ -15,10 +15,8 @@ from .multigpu import (
     MultiGpuEpochModel,
     PartitionStats,
     pack_assignment,
-    pack_stats,
     partition_stats,
     ring_allreduce_time,
-    shard_stats,
 )
 from .kernels import (
     KernelCost,
@@ -31,11 +29,9 @@ from .kernels import (
     maxk_kernel_execute,
     spgemm_cost,
     spgemm_execute,
-    spgemm_execute_edge_groups,
     spmm_execute,
     sspmm_cost,
     sspmm_execute,
-    sspmm_execute_prefetch,
 )
 from .memory import (
     TrafficReport,
@@ -43,9 +39,7 @@ from .memory import (
     spgemm_traffic_reduction,
     spmm_traffic_bytes,
     sspmm_read_bytes,
-    sspmm_read_reduction,
     sspmm_write_bytes,
-    sspmm_write_reduction,
 )
 from .profiler import KernelMemoryProfile, MemorySystemStudy, profile_memory_system
 
@@ -68,17 +62,13 @@ __all__ = [
     "elementwise_cost",
     "spmm_execute",
     "spgemm_execute",
-    "spgemm_execute_edge_groups",
     "sspmm_execute",
-    "sspmm_execute_prefetch",
     "maxk_kernel_execute",
     "spmm_traffic_bytes",
     "spgemm_traffic_bytes",
     "sspmm_read_bytes",
     "sspmm_write_bytes",
     "spgemm_traffic_reduction",
-    "sspmm_read_reduction",
-    "sspmm_write_reduction",
     "profile_memory_system",
     "KernelMemoryProfile",
     "MemorySystemStudy",
@@ -93,8 +83,6 @@ __all__ = [
     "MultiGpuEpochModel",
     "PartitionStats",
     "partition_stats",
-    "shard_stats",
     "pack_assignment",
-    "pack_stats",
     "ring_allreduce_time",
 ]

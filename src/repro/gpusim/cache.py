@@ -50,10 +50,6 @@ class CacheSim:
         self.hits = 0
         self.misses = 0
 
-    def reset_counters(self):
-        self.hits = 0
-        self.misses = 0
-
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
@@ -90,10 +86,6 @@ class HierarchyStats:
     l2_hit_rate: float
     dram_bytes: float
     requested_bytes: float
-
-    @property
-    def dram_fraction(self) -> float:
-        return self.dram_bytes / self.requested_bytes if self.requested_bytes else 0.0
 
 
 class MemoryHierarchy:

@@ -7,7 +7,6 @@ from .spgemm import (
     spgemm_address_stream,
     spgemm_cost,
     spgemm_execute,
-    spgemm_execute_edge_groups,
     spgemm_request_traffic,
 )
 from .spmm import (
@@ -21,7 +20,6 @@ from .sspmm import (
     sspmm_address_stream,
     sspmm_cost,
     sspmm_execute,
-    sspmm_execute_prefetch,
     sspmm_request_traffic,
 )
 
@@ -35,12 +33,10 @@ __all__ = [
     "spmm_request_traffic",
     "spmm_address_stream",
     "spgemm_execute",
-    "spgemm_execute_edge_groups",
     "spgemm_cost",
     "spgemm_request_traffic",
     "spgemm_address_stream",
     "sspmm_execute",
-    "sspmm_execute_prefetch",
     "sspmm_cost",
     "sspmm_request_traffic",
     "sspmm_address_stream",

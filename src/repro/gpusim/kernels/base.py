@@ -42,10 +42,6 @@ class SparsePattern:
         return cls(n_rows=matrix.n_rows, n_cols=matrix.n_cols, nnz=matrix.nnz)
 
     @classmethod
-    def from_graph(cls, graph) -> "SparsePattern":
-        return cls(n_rows=graph.n_nodes, n_cols=graph.n_nodes, nnz=graph.n_edges)
-
-    @classmethod
     def from_spec(cls, spec) -> "SparsePattern":
         """From a :class:`~repro.graphs.GraphSpec` (real published sizes)."""
         return cls(n_rows=spec.n_nodes, n_cols=spec.n_nodes, nnz=spec.n_edges)
@@ -65,14 +61,6 @@ class KernelCost:
             raise ValueError("latency must be positive")
         if self.flops < 0:
             raise ValueError("flops must be non-negative")
-
-    @property
-    def total_bytes(self) -> float:
-        return self.traffic.total
-
-    def speedup_over(self, other: "KernelCost") -> float:
-        """How many times faster this kernel is than ``other``."""
-        return other.latency / self.latency
 
 
 def bounded_latency(

@@ -1,14 +1,10 @@
 """Forward row-wise-product SpGEMM kernel over the CBSR format (paper §4.1).
 
 Computes ``X_l = A @ X_s`` where ``X_s`` is the MaxK-sparsified feature
-matrix in CBSR form. Two numerically identical implementations:
-
-* :func:`spgemm_execute` — vectorised scatter-add; used by training.
-* :func:`spgemm_execute_edge_groups` — a faithful transcription of
-  Algorithm 1: Edge-Group partitioning, per-EG shared-memory accumulation
-  buffers (``Buf_w``), then coalesced atomic accumulation into global
-  memory. Used by tests to validate the dataflow and by the cache study to
-  generate address streams.
+matrix in CBSR form. :func:`spgemm_execute` runs the multiplication of
+Algorithm 1 through the active sparse-ops backend's ``ops.spgemm_cbsr``,
+which training calls directly; the kernel benchmarks time the wrapper
+against dense SpMM.
 
 The cost model follows §4.3: CBSR fetch ``5 * dim_k * nnz`` bytes (fp32
 sp_data + uint8 sp_index), adjacency ``8 * nnz``, atomic output accumulation
@@ -21,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...core.cbsr import CBSRMatrix
-from ...sparse import CSRMatrix, WarpPartition, ops, partition_edge_groups
+from ...sparse import CSRMatrix, ops
 from ..device import DeviceModel
 from ..memory import TrafficReport, spgemm_traffic_bytes
 from .base import KernelCost, SparsePattern, bounded_latency
@@ -29,7 +25,6 @@ from .spmm import ADJ_BYTES_PER_NNZ, FLOAT_BYTES
 
 __all__ = [
     "spgemm_execute",
-    "spgemm_execute_edge_groups",
     "spgemm_cost",
     "spgemm_request_traffic",
     "spgemm_address_stream",
@@ -57,31 +52,6 @@ def spgemm_execute(adj: CSRMatrix, features: CBSRMatrix) -> np.ndarray:
         features.dim_origin,
         adj.n_rows,
     )
-
-
-def spgemm_execute_edge_groups(
-    adj: CSRMatrix,
-    features: CBSRMatrix,
-    partition: WarpPartition = None,
-) -> np.ndarray:
-    """Algorithm-1-faithful execution with explicit Edge Groups and buffers.
-
-    Every EG accumulates into its own ``dim_origin``-wide buffer (the
-    shared-memory ``Buf_w``); buffers are then atomically added to the global
-    output, which is what keeps global transactions coalesced.
-    """
-    if partition is None:
-        partition = partition_edge_groups(adj, features.k)
-    out = np.zeros((adj.n_rows, features.dim_origin), dtype=np.float64)
-    for group in partition.groups:
-        buffer = np.zeros(features.dim_origin, dtype=np.float64)
-        for edge in range(group.start, group.stop):
-            source = adj.indices[edge]
-            values, columns = features.row(source)
-            # Parallel multiply + sparse accumulation into Buf_w (line 8).
-            np.add.at(buffer, columns, adj.data[edge] * values)
-        out[group.row] += buffer  # stage 2: coalesced atomic accumulation
-    return out
 
 
 def spgemm_request_traffic(

@@ -4,14 +4,13 @@ Computes the sparsified feature gradient ``dX_s = A^T @ dX_l`` where only the
 ``sp_data`` values at the forward sparsity pattern (``sp_index``) are needed —
 a (sparse × dense = sparse) operation with a known output pattern.
 
-Two numerically identical implementations:
-
-* :func:`sspmm_execute` — vectorised gather/scatter; used by training.
-* :func:`sspmm_execute_prefetch` — a faithful transcription of Algorithm 2:
-  for every dense gradient row ``dX_l[i]``, prefetch it into the shared
-  buffer ``Buf_w`` (stage 1, coalesced), then for every nonzero of column
-  ``i`` of ``A^T`` gather ``Buf_w[sp_index[j]]``, multiply by the edge value
-  and atomically accumulate into ``sp_data[j]`` (stage 2, coalesced).
+:func:`sspmm_execute` runs it through the active sparse-ops backend's
+``ops.sspmm_cbsr``, which training calls directly; the kernel benchmarks
+time the wrapper against dense SpMM. Algorithm 2 prefetches every dense
+gradient row ``dX_l[i]`` into the shared buffer ``Buf_w`` (stage 1,
+coalesced), then for every nonzero of column ``i`` of ``A^T`` gathers
+``Buf_w[sp_index[j]]``, multiplies by the edge value and atomically
+accumulates into ``sp_data[j]`` (stage 2, coalesced).
 
 Cost model (§4.3): reads ``4*N*dim_origin + 5*dim_k*nnz``, writes
 ``4*dim_k*nnz``, plus adjacency and the per-Edge-Group prefetch replication
@@ -25,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...core.cbsr import CBSRMatrix
-from ...sparse import CSRMatrix, ops, partition_edge_groups
+from ...sparse import CSRMatrix, ops
 from ..device import DeviceModel
 from ..memory import TrafficReport, sspmm_read_bytes, sspmm_write_bytes
 from .base import KernelCost, SparsePattern, bounded_latency
@@ -33,7 +32,6 @@ from .spmm import ADJ_BYTES_PER_NNZ, FLOAT_BYTES
 
 __all__ = [
     "sspmm_execute",
-    "sspmm_execute_prefetch",
     "sspmm_cost",
     "sspmm_request_traffic",
     "sspmm_address_stream",
@@ -64,24 +62,6 @@ def sspmm_execute(
         sparsity.sp_index,
         sparsity.n_rows,
     )
-    return sparsity.with_data(sp_data)
-
-
-def sspmm_execute_prefetch(
-    adj: CSRMatrix, grad_out: np.ndarray, sparsity: CBSRMatrix
-) -> CBSRMatrix:
-    """Algorithm-2-faithful execution with explicit dense-row prefetching."""
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    partition = partition_edge_groups(adj, sparsity.k)
-    sp_data = np.zeros_like(sparsity.sp_data)
-    for group in partition.groups:
-        # Stage 1: coalesced load of the dense row dX_l[i] into Buf_w.
-        buffer = grad_out[group.row].copy()
-        # Stage 2: sparse fetch via sp_index, multiply, atomic accumulate.
-        for edge in range(group.start, group.stop):
-            source = adj.indices[edge]
-            columns = sparsity.sp_index[source].astype(np.int64)
-            sp_data[source] += adj.data[edge] * buffer[columns]
     return sparsity.with_data(sp_data)
 
 

@@ -2,9 +2,10 @@
 
 Each kernel cost model produces a :class:`TrafficReport` whose categories
 mirror the paper's analysis: adjacency reads, feature/CBSR fetches, output
-accumulation, prefetch, and index traffic. The closed-form reduction
-formulas of §4.3 are provided as module functions so tests can cross-check
-kernel models against the paper's algebra.
+accumulation, prefetch, and index traffic. The closed-form byte counts
+of §4.3 are module functions the kernel models build on; the forward
+reduction formula lets the traffic benchmark cross-check them against the
+paper's algebra.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ __all__ = [
     "sspmm_read_bytes",
     "sspmm_write_bytes",
     "spgemm_traffic_reduction",
-    "sspmm_read_reduction",
-    "sspmm_write_reduction",
 ]
 
 FLOAT_BYTES = 4
@@ -43,16 +42,6 @@ class TrafficReport:
     @property
     def total(self) -> float:
         return sum(self.categories.values())
-
-    def merged(self, other: "TrafficReport") -> "TrafficReport":
-        merged = TrafficReport(dict(self.categories))
-        for category, n_bytes in other.categories.items():
-            merged.add(category, n_bytes)
-        return merged
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{k}={v:.3g}" for k, v in sorted(self.categories.items()))
-        return f"TrafficReport(total={self.total:.4g}, {parts})"
 
 
 # ----------------------------------------------------------------------
@@ -93,13 +82,3 @@ def sspmm_write_bytes(dim_k: int, nnz: int) -> float:
 def spgemm_traffic_reduction(dim_origin: int, dim_k: int, nnz: int) -> float:
     """Paper: forward reduction vs SpMM is ``(4*dim_origin - 5*dim_k) * nnz``."""
     return float((FLOAT_BYTES * dim_origin - 5 * dim_k) * nnz)
-
-
-def sspmm_read_reduction(dim_origin: int, dim_k: int, nnz: int) -> float:
-    """Paper: backward read reduction is ``(4*dim_origin - 5*dim_k) * nnz``."""
-    return float((FLOAT_BYTES * dim_origin - 5 * dim_k) * nnz)
-
-
-def sspmm_write_reduction(dim_origin: int, dim_k: int, nnz: int) -> float:
-    """Paper: backward write reduction is ``(4*dim_origin - 4*dim_k) * nnz``."""
-    return float((FLOAT_BYTES * dim_origin - FLOAT_BYTES * dim_k) * nnz)

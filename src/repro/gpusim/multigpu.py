@@ -19,7 +19,7 @@ shape with a lower constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -32,9 +32,7 @@ from .kernels.maxk_kernel import maxk_kernel_cost
 __all__ = [
     "PartitionStats",
     "partition_stats",
-    "shard_stats",
     "pack_assignment",
-    "pack_stats",
     "ring_allreduce_time",
     "MultiGpuEpochModel",
 ]
@@ -60,10 +58,6 @@ class PartitionStats:
         lists = (self.nodes_per_part, self.edges_per_part, self.boundary_per_part)
         if any(len(values) != self.n_parts for values in lists):
             raise ValueError("per-part lists must have n_parts entries")
-
-    @property
-    def total_boundary(self) -> int:
-        return int(sum(self.boundary_per_part))
 
     def scaled(self, node_factor: float, edge_factor: float) -> "PartitionStats":
         """Extrapolate the measured partition to a larger graph."""
@@ -97,43 +91,16 @@ def partition_stats(graph: Graph, partition: Partition) -> PartitionStats:
     )
 
 
-def shard_stats(stats: PartitionStats, replicas: int) -> PartitionStats:
-    """Fold P partitions onto R replicas by round-chunked placement.
-
-    Mirrors :class:`~repro.training.dataflow.DistributedFlow`'s schedule:
-    round ``i`` trains partitions ``[i*R, (i+1)*R)``, so replica ``r``
-    owns partitions ``r, r+R, r+2R, …`` and its modelled load is their
-    sum. With ``replicas == n_parts`` this is the identity placement.
-    """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    if replicas > stats.n_parts:
-        raise ValueError("more replicas than partitions to place")
-    nodes = [0] * replicas
-    edges = [0] * replicas
-    boundary = [0] * replicas
-    for part in range(stats.n_parts):
-        replica = part % replicas
-        nodes[replica] += stats.nodes_per_part[part]
-        edges[replica] += stats.edges_per_part[part]
-        boundary[replica] += stats.boundary_per_part[part]
-    return PartitionStats(
-        n_parts=replicas,
-        nodes_per_part=nodes,
-        edges_per_part=edges,
-        boundary_per_part=boundary,
-    )
-
-
 def pack_assignment(loads: Sequence[float], replicas: int) -> np.ndarray:
     """Greedy LPT bin-packing: part → replica, balancing ``loads``.
 
     Longest-processing-time-first: visit parts by descending load (stable
     order — equal loads keep their part order) and assign each to the
     currently least-loaded replica (ties → lowest replica id). On uniform
-    loads this reproduces :func:`shard_stats`' round-robin placement
-    exactly, so the packer is a strict refinement: it only departs from
-    round-robin when the measured loads say a straggler exists.
+    loads this reproduces the round-robin placement (replica ``r`` owns
+    parts ``r, r+R, r+2R, …``) exactly, so the packer is a strict
+    refinement: it only departs from round-robin when the measured loads
+    say a straggler exists.
     """
     loads = np.asarray(loads, dtype=np.float64)
     if loads.ndim != 1:
@@ -152,37 +119,6 @@ def pack_assignment(loads: Sequence[float], replicas: int) -> np.ndarray:
         assignment[part] = replica
         bin_loads[replica] += loads[part]
     return assignment
-
-
-def pack_stats(stats: PartitionStats, replicas: int,
-               loads: Optional[Sequence[float]] = None) -> PartitionStats:
-    """Fold P partitions onto R replicas by greedy bin-packing.
-
-    The load-aware successor of :func:`shard_stats`: ``loads`` carries one
-    measured cost per partition (e.g. the wall-clock straggler skew
-    :meth:`~repro.training.dataflow.DistributedFlow.note_replica_step`
-    accumulates per schedule slot); without it, internal edge counts — the
-    static proxy for aggregation work — drive the packing.
-    """
-    if loads is None:
-        loads = stats.edges_per_part
-    elif len(loads) != stats.n_parts:
-        raise ValueError("loads must have one entry per partition")
-    assignment = pack_assignment(loads, replicas)
-    nodes = [0] * replicas
-    edges = [0] * replicas
-    boundary = [0] * replicas
-    for part in range(stats.n_parts):
-        replica = int(assignment[part])
-        nodes[replica] += stats.nodes_per_part[part]
-        edges[replica] += stats.edges_per_part[part]
-        boundary[replica] += stats.boundary_per_part[part]
-    return PartitionStats(
-        n_parts=replicas,
-        nodes_per_part=nodes,
-        edges_per_part=edges,
-        boundary_per_part=boundary,
-    )
 
 
 def ring_allreduce_time(
@@ -393,7 +329,7 @@ class MultiGpuEpochModel:
         range: ``(0, R]``, approaching R on balanced, compute-bound parts.
 
         Earlier revisions folded the partitions onto the replicas
-        (:func:`shard_stats`) *before* modelling both sides, which made
+        (round-robin) *before* modelling both sides, which made
         the serial denominator R-dependent (merged parts amortise fixed
         per-kernel overheads) and produced incomparable values across R
         — e.g. 0.56 at R=2 vs 1.11 at R=4 on identical partitions.

@@ -26,14 +26,7 @@ from .partition import (
     boundary_nodes,
     induced_subgraph,
 )
-from .reorder import (
-    REORDERINGS,
-    apply_permutation,
-    bfs_reorder,
-    community_sort_reorder,
-    degree_sort_reorder,
-    locality_score,
-)
+from .reorder import apply_permutation, bfs_reorder
 from .shm import (
     SharedGraphHandle,
     SharedGraphStore,
@@ -80,11 +73,7 @@ __all__ = [
     "induced_subgraph",
     "bns_sample",
     "apply_permutation",
-    "degree_sort_reorder",
     "bfs_reorder",
-    "community_sort_reorder",
-    "locality_score",
-    "REORDERINGS",
     "SharedGraphHandle",
     "SharedGraphStore",
     "StaleHandleError",

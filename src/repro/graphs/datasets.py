@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from .features import attach_classification_task, attach_multilabel_task
 from .generators import rmat_graph, sbm_graph
 from .graph import Graph

@@ -137,15 +137,6 @@ class GraphDelta:
             raise ValueError("add_nodes must be >= 0")
         object.__setattr__(self, "add_nodes", int(self.add_nodes))
 
-    @property
-    def is_empty(self) -> bool:
-        return (
-            not len(self.add_src)
-            and not len(self.remove_src)
-            and not len(self.detach_nodes)
-            and self.add_nodes == 0
-        )
-
     def summary(self) -> dict:
         return {
             "edges_added": int(len(self.add_src)),

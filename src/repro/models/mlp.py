@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Adam, Tensor, maxk, maxout, relu
+from ..tensor import Adam, Tensor, maxk, relu
 from .modules import Linear, Module
 
 __all__ = ["ApproximatorMLP", "fit_function", "approximation_error"]
@@ -19,13 +19,8 @@ __all__ = ["ApproximatorMLP", "fit_function", "approximation_error"]
 class ApproximatorMLP(Module):
     """``x → Linear(s, r) → f → Linear(r', t)`` (paper Fig. 4a).
 
-    ``f`` is ReLU, MaxK (paper default k = ceil(hidden/4)) or maxout —
-    the construction the paper's universal-approximation proof builds on
-    (Goodfellow et al. [51]). Maxout shrinks the hidden width by its group
-    size, so the output layer adapts accordingly.
+    ``f`` is ReLU or MaxK (paper default k = ceil(hidden/4)).
     """
-
-    MAXOUT_GROUP = 4
 
     def __init__(
         self,
@@ -37,23 +32,16 @@ class ApproximatorMLP(Module):
         seed: int = 0,
     ):
         super().__init__()
-        if nonlinearity not in ("relu", "maxk", "maxout"):
-            raise ValueError("nonlinearity must be 'relu', 'maxk' or 'maxout'")
+        if nonlinearity not in ("relu", "maxk"):
+            raise ValueError("nonlinearity must be 'relu' or 'maxk'")
         if nonlinearity == "maxk":
             if k is None:
                 k = max(1, -(-hidden // 4))  # paper: top ceil(hid/4)
             if not 1 <= k <= hidden:
                 raise ValueError("k out of range")
-        if nonlinearity == "maxout" and hidden % self.MAXOUT_GROUP != 0:
-            raise ValueError(
-                f"hidden must be divisible by {self.MAXOUT_GROUP} for maxout"
-            )
         rng = np.random.default_rng(seed)
-        post_width = (
-            hidden // self.MAXOUT_GROUP if nonlinearity == "maxout" else hidden
-        )
         self.hidden_layer = Linear(in_features, hidden, rng)
-        self.output_layer = Linear(post_width, out_features, rng)
+        self.output_layer = Linear(hidden, out_features, rng)
         self.nonlinearity = nonlinearity
         self.k = k
 
@@ -61,10 +49,8 @@ class ApproximatorMLP(Module):
         h = self.hidden_layer(x)
         if self.nonlinearity == "relu":
             h = relu(h)
-        elif self.nonlinearity == "maxk":
-            h = maxk(h, self.k)
         else:
-            h = maxout(h, self.MAXOUT_GROUP)
+            h = maxk(h, self.k)
         return self.output_layer(h)
 
 

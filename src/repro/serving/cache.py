@@ -34,9 +34,6 @@ class ResultCache:
         self.evictions = 0
         self.invalidations = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @staticmethod
     def key(generation: int, node: int, version: int, seed: int) -> Key:
         return (int(generation), int(node), int(version), int(seed))

@@ -124,11 +124,6 @@ class QueueStats:
     def shed_total(self) -> int:
         return self.shed_overload + self.shed_deadline + self.shed_late
 
-    @property
-    def submitted(self) -> int:
-        return (self.admitted + self.served_from_cache
-                + self.shed_overload)
-
     def as_dict(self) -> Dict[str, float]:
         payload = {
             "admitted": self.admitted,
@@ -165,10 +160,6 @@ class AdmissionQueue:
         self.stats = QueueStats()
 
     def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def depth(self) -> int:
         return len(self._queue)
 
     def offer(self, request: Request, ticket: Ticket) -> bool:

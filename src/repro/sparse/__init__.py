@@ -1,8 +1,8 @@
-"""Sparse-matrix substrate: CSR/CSC storage, segment-op backends and
+"""Sparse-matrix substrate: CSR storage, segment-op backends and
 warp-level partitioning."""
 
 from . import ops
-from .csr import CSCMatrix, CSRMatrix, coo_to_csr
+from .csr import CSRMatrix, coo_to_csr
 from .ops import available_backends, get_backend, set_backend, use_backend
 from .partition import (
     CASE_BOUNDARY_DIM_K,
@@ -15,7 +15,6 @@ from .partition import (
 
 __all__ = [
     "CSRMatrix",
-    "CSCMatrix",
     "coo_to_csr",
     "ops",
     "available_backends",

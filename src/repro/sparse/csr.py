@@ -6,21 +6,23 @@ transposed matrix ``A^T`` in the backward SSpMM kernel (Fig. 7: "Transposed
 adjacent matrix A^T in the CSC format has same storage format as the original
 adjacent matrix A in CSR format, thus no extra storage").
 
-This module provides exactly that storage discipline: :class:`CSRMatrix` owns
-``indptr`` / ``indices`` / ``data`` arrays and :meth:`CSRMatrix.transpose_view`
-returns a :class:`CSCMatrix` that aliases the same three buffers.
+This module provides :class:`CSRMatrix`, which owns ``indptr`` /
+``indices`` / ``data`` arrays. The CBSR SSpMM reads a forward adjacency's
+three buffers as the CSC storage of ``A^T`` without a copy;
+:meth:`CSRMatrix.transpose` materialises ``A^T`` in CSR form where a
+backward SpMM needs its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import ops
 
-__all__ = ["CSRMatrix", "CSCMatrix", "coo_to_csr", "stable_order"]
+__all__ = ["CSRMatrix", "coo_to_csr", "stable_order"]
 
 
 def _validate_csr_buffers(indptr, indices, data, shape):
@@ -122,16 +124,6 @@ class CSRMatrix:
         """Number of stored entries in every row (node in-degree for A)."""
         return np.diff(self.indptr)
 
-    def row_slice(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of row ``i``."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
-
-    def iter_rows(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        for i in range(self.n_rows):
-            cols, vals = self.row_slice(i)
-            yield i, cols, vals
-
     # ------------------------------------------------------------------
     # Conversions and algebra
     # ------------------------------------------------------------------
@@ -140,20 +132,6 @@ class CSRMatrix:
         row_ids = np.repeat(np.arange(self.n_rows), self.row_degrees())
         out[row_ids, self.indices] = self.data
         return out
-
-    def transpose_view(self) -> "CSCMatrix":
-        """Interpret the same buffers as the CSC storage of ``A^T``.
-
-        No data is copied: this mirrors the paper's observation that the CSC
-        layout of the transposed adjacency equals the CSR layout of the
-        original.
-        """
-        return CSCMatrix(
-            indptr=self.indptr,
-            indices=self.indices,
-            data=self.data,
-            shape=(self.shape[1], self.shape[0]),
-        )
 
     def transpose(self) -> "CSRMatrix":
         """Materialise ``A^T`` in CSR form (copies): what
@@ -227,52 +205,6 @@ class CSRMatrix:
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.data, other.data)
         )
-
-    def __repr__(self) -> str:
-        return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
-
-
-@dataclass(frozen=True)
-class CSCMatrix:
-    """A CSC view: column pointer / row index / data.
-
-    Produced by :meth:`CSRMatrix.transpose_view`; shares buffers with the
-    originating CSR matrix.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: Tuple[int, int]
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indptr[-1])
-
-    @property
-    def n_rows(self) -> int:
-        return self.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.shape[1]
-
-    def col_degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def col_slice(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Row indices and values of column ``j``."""
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.data.dtype)
-        col_ids = np.repeat(np.arange(self.n_cols), self.col_degrees())
-        out[self.indices, col_ids] = self.data
-        return out
-
-    def __repr__(self) -> str:
-        return f"CSCMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
 def stable_order(keys) -> np.ndarray:

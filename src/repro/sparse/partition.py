@@ -65,24 +65,12 @@ class WarpPartition:
     #: Number of EGs that share one 32-thread warp (1 when dim_k > 16).
     groups_per_warp: int = field(default=1)
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
     def warp_loads(self) -> np.ndarray:
         """Edges handled per warp — used by balance metrics and cost model."""
         loads = np.zeros(self.n_warps, dtype=np.int64)
         for group in self.groups:
             loads[group.warp] += group.size
         return loads
-
-    def balance_ratio(self) -> float:
-        """max/mean warp load; 1.0 is perfectly balanced."""
-        loads = self.warp_loads()
-        loads = loads[loads > 0]
-        if len(loads) == 0:
-            return 1.0
-        return float(loads.max() / loads.mean())
 
 
 def egs_per_warp(dim_k: int) -> int:

@@ -9,24 +9,21 @@ from .functional import (
     linear_act,
     log_softmax,
     maxk,
-    maxout,
     relu,
     spgemm_agg,
     spmm_agg,
     weighted_cross_entropy,
 )
 from .workspace import Workspace
-from .init import kaiming_uniform, xavier_uniform, zeros
-from .optim import SGD, Adam
-from .tensor import Tensor, is_grad_enabled, no_grad
+from .init import xavier_uniform, zeros
+from .optim import Adam
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
     "relu",
     "maxk",
-    "maxout",
     "spmm_agg",
     "spgemm_agg",
     "dropout",
@@ -39,8 +36,6 @@ __all__ = [
     "fused_ce",
     "bce_with_logits",
     "Adam",
-    "SGD",
     "xavier_uniform",
-    "kaiming_uniform",
     "zeros",
 ]

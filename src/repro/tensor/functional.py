@@ -22,7 +22,6 @@ from .tensor import Tensor
 __all__ = [
     "relu",
     "maxk",
-    "maxout",
     "spmm_agg",
     "spgemm_agg",
     "dropout",
@@ -239,34 +238,6 @@ def maxk_with_mask(x: Tensor, k: int, workspace=None, slot: str = "maxk"):
         x._accumulate(grad_x)
 
     return _node(data, (x,), backward, workspace, slot), mask
-
-
-def maxout(x: Tensor, group_size: int) -> Tensor:
-    """Maxout nonlinearity (Goodfellow et al.), cited by the paper's
-    universal-approximation argument (§3.1, [51]).
-
-    Partitions every row into groups of ``group_size`` and keeps each
-    group's maximum, shrinking the width by ``group_size``. Unlike MaxK it
-    changes the output dimension — one reason MaxK is the
-    hardware-friendlier construction.
-    """
-    n_rows, dim = x.shape
-    if group_size <= 0 or dim % group_size != 0:
-        raise ValueError("group_size must divide the feature dimension")
-    n_groups = dim // group_size
-    grouped = x.data.reshape(n_rows, n_groups, group_size)
-    winners = grouped.argmax(axis=2)
-    out = np.take_along_axis(grouped, winners[:, :, None], axis=2)[:, :, 0]
-
-    def backward(grad):
-        if x.requires_grad:
-            full = np.zeros_like(grouped)
-            np.put_along_axis(
-                full, winners[:, :, None], np.asarray(grad)[:, :, None], axis=2
-            )
-            x._accumulate(full.reshape(n_rows, dim))
-
-    return Tensor._make(out, (x,), backward)
 
 
 def spgemm_agg(

@@ -8,7 +8,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["SGD", "Adam"]
+__all__ = ["Adam"]
 
 
 class Optimizer:
@@ -28,33 +28,6 @@ class Optimizer:
 
     def step(self):
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Plain SGD with optional momentum and weight decay."""
-
-    def __init__(self, parameters, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self):
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
 
 
 class Adam(Optimizer):

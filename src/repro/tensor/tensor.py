@@ -18,7 +18,7 @@ import numpy as np
 
 from ..sparse import ops
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -36,10 +36,6 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._previous
         return False
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -87,10 +83,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -100,15 +92,8 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
-
-    def __repr__(self) -> str:
-        grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{grad_flag})"
 
     # ------------------------------------------------------------------
     # Graph construction helpers
@@ -187,9 +172,6 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)

@@ -73,12 +73,6 @@ class Workspace:
         self.requests = 0
         _tune_ufunc_buffer()
 
-    def __repr__(self) -> str:
-        return (
-            f"Workspace(slots={len(self._store)}, bytes={self.nbytes()}, "
-            f"allocations={self.allocations}, requests={self.requests})"
-        )
-
     def buffer(self, name: str, shape, dtype) -> np.ndarray:
         """A ``shape``-shaped view of slot ``name``'s ``dtype`` storage.
 
@@ -101,14 +95,3 @@ class Workspace:
             self.allocations += 1
         self.requests += 1
         return flat[:size].reshape(shape)
-
-    def nbytes(self) -> int:
-        """Total bytes of backing storage currently held."""
-        return sum(flat.nbytes for flat in self._store.values())
-
-    def n_slots(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        """Drop all backing storage (counters are kept)."""
-        self._store.clear()

@@ -113,9 +113,6 @@ class SubgraphCache:
         self.evictions = 0
         self.released = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, key) -> Optional[Graph]:
         entry = self._entries.get(key)
         if entry is None:
@@ -146,15 +143,6 @@ class SubgraphCache:
             dropped += _release_graph(evicted)
         self.released += dropped
         return dropped
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "size": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "released": self.released,
-        }
 
 
 class BatchPlan:
@@ -894,8 +882,8 @@ class DistributedFlow(DataFlow):
         self.rounds_scheduled = 0
         #: Measured wall-clock per schedule *slot* (plan index — for a
         #: partitioned inner flow, the partition id). This is the
-        #: straggler-skew signal the greedy bin-packing placement in
-        #: :func:`repro.gpusim.multigpu.pack_stats` consumes.
+        #: straggler-skew signal that :meth:`report`'s greedy bin-packing
+        #: placement (:func:`repro.gpusim.multigpu.pack_assignment`) reads.
         self.slot_seconds: Dict[int, float] = {}
         #: Per-replica bytes of the last executed gradient exchange (the
         #: engine reports them after every reduce): the dense full-width

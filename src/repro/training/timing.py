@@ -76,25 +76,11 @@ class EpochBreakdown:
             + self.maxk + self.overhead
         )
 
-    @property
-    def aggregation_fraction(self) -> float:
-        return self.aggregation / self.total
-
     def amdahl(self) -> AmdahlBreakdown:
         """The SpMM-vs-rest split the paper's limit lines use."""
         return AmdahlBreakdown(
             spmm_time=self.aggregation, other_time=self.total - self.aggregation
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "aggregation": self.aggregation,
-            "gemm": self.gemm,
-            "elementwise": self.elementwise,
-            "maxk": self.maxk,
-            "overhead": self.overhead,
-            "total": self.total,
-        }
 
 
 class EpochCostModel:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AmdahlBreakdown, speedup, speedup_limit
+from repro.core import AmdahlBreakdown, speedup_limit
 
 
 class TestSpeedupLimit:
@@ -23,49 +23,14 @@ class TestSpeedupLimit:
             speedup_limit(-0.1)
 
 
-class TestSpeedup:
-    def test_infinite_kernel_speedup_hits_limit(self):
-        p = 0.8
-        assert speedup(p, 1e12) == pytest.approx(speedup_limit(p), rel=1e-6)
-
-    def test_unit_kernel_speedup_is_identity(self):
-        assert speedup(0.7, 1.0) == pytest.approx(1.0)
-
-    def test_monotone_in_kernel_speedup(self):
-        values = [speedup(0.8, s) for s in (1, 2, 4, 8, 100)]
-        assert values == sorted(values)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            speedup(0.5, 0.0)
-        with pytest.raises(ValueError):
-            speedup(2.0, 2.0)
-
-
 class TestBreakdown:
     def test_p_spmm_and_limit(self):
         breakdown = AmdahlBreakdown(spmm_time=8.0, other_time=2.0)
         assert breakdown.p_spmm == pytest.approx(0.8)
         assert breakdown.limit == pytest.approx(5.0)
 
-    def test_speedup_with_free_spmm_reaches_limit(self):
-        breakdown = AmdahlBreakdown(spmm_time=8.0, other_time=2.0)
-        assert breakdown.speedup_with(0.0) == pytest.approx(breakdown.limit)
-
-    def test_speedup_with_halved_spmm(self):
-        breakdown = AmdahlBreakdown(spmm_time=8.0, other_time=2.0)
-        assert breakdown.speedup_with(4.0) == pytest.approx(10.0 / 6.0)
-
-    def test_measured_speedup_never_exceeds_limit(self):
-        breakdown = AmdahlBreakdown(spmm_time=5.0, other_time=5.0)
-        for new_time in (0.0, 0.1, 1.0, 5.0):
-            assert breakdown.speedup_with(new_time) <= breakdown.limit + 1e-12
-
     def test_rejects_invalid_times(self):
         with pytest.raises(ValueError):
             AmdahlBreakdown(spmm_time=-1.0, other_time=1.0)
         with pytest.raises(ValueError):
             AmdahlBreakdown(spmm_time=0.0, other_time=0.0)
-        breakdown = AmdahlBreakdown(1.0, 1.0)
-        with pytest.raises(ValueError):
-            breakdown.speedup_with(-1.0)

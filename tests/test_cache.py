@@ -1,5 +1,7 @@
 """Unit tests for the set-associative cache simulator."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,6 @@ class TestCacheSim:
         lines = list(range(16))
         for line in lines:
             cache.access(line)
-        cache.reset_counters()
         for line in lines:
             assert cache.access(line) is True
 
@@ -66,11 +67,67 @@ class TestCacheSim:
             cache.access(line)
         assert cache.hits == 0
 
-    def test_reset_counters(self):
-        cache = make_cache()
-        cache.access(1)
-        cache.reset_counters()
-        assert cache.accesses == 0
+
+class LruOracle:
+    """Per-set LRU over ``OrderedDict``s: the replacement policy
+    ``CacheSim`` implements with stamps, written the obvious way."""
+
+    def __init__(self, n_sets, assoc):
+        self.n_sets, self.assoc = n_sets, assoc
+        self.sets = [OrderedDict() for _ in range(n_sets)]
+
+    def access(self, line_id):
+        ways = self.sets[line_id % self.n_sets]
+        tag = line_id // self.n_sets
+        if tag in ways:
+            ways.move_to_end(tag)
+            return True
+        if len(ways) == self.assoc:
+            ways.popitem(last=False)
+        ways[tag] = None
+        return False
+
+
+def skewed_stream(seed, n_lines, length=600):
+    """Line ids with reuse at every distance: a hot set plus a cold tail."""
+    rng = np.random.default_rng(seed)
+    hot = rng.integers(0, max(n_lines // 2, 1), length)
+    cold = rng.integers(0, 4 * n_lines, length)
+    return np.where(rng.random(length) < 0.6, hot, cold)
+
+
+class TestAgainstLruOracle:
+    @pytest.mark.parametrize("assoc", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n_sets", [1, 4, 16])
+    def test_hits_match_the_oracle(self, assoc, n_sets):
+        cache = make_cache(size_lines=n_sets * assoc, assoc=assoc)
+        oracle = LruOracle(n_sets, assoc)
+        stream = skewed_stream(10 * assoc + n_sets, n_sets * assoc)
+        got = [cache.access(int(line)) for line in stream]
+        assert got == [oracle.access(int(line)) for line in stream]
+        assert cache.hits == sum(got)
+        assert cache.misses == len(got) - sum(got)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_hierarchy_matches_two_oracles(self, seed):
+        hierarchy = MemoryHierarchy(
+            CacheConfig(4 * 128, 128, 2), CacheConfig(32 * 128, 128, 4)
+        )
+        l1, l2 = LruOracle(2, 2), LruOracle(8, 4)
+        stream = skewed_stream(seed, 32)
+        l1_hits = l2_hits = l2_misses = 0
+        for line in stream:
+            if l1.access(int(line)):
+                l1_hits += 1
+            elif l2.access(int(line)):
+                l2_hits += 1
+            else:
+                l2_misses += 1
+        stats = hierarchy.replay(stream)
+        assert stats.accesses == len(stream)
+        assert stats.l1_hit_rate == l1_hits / len(stream)
+        assert stats.l2_hit_rate == l2_hits / (len(stream) - l1_hits)
+        assert stats.dram_bytes == l2_misses * 128
 
 
 class TestHierarchy:
@@ -96,7 +153,7 @@ class TestHierarchy:
         hierarchy = self.build()
         stats = hierarchy.replay(np.arange(50))
         assert stats.requested_bytes == 50 * 128
-        assert 0 < stats.dram_fraction <= 1.0
+        assert 0 < stats.dram_bytes <= stats.requested_bytes
 
     def test_perfect_reuse_one_dram_line(self):
         hierarchy = self.build()

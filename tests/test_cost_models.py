@@ -22,9 +22,7 @@ from repro.gpusim import (
     spmm_traffic_bytes,
     sspmm_cost,
     sspmm_read_bytes,
-    sspmm_read_reduction,
     sspmm_write_bytes,
-    sspmm_write_reduction,
 )
 from repro.gpusim.kernels.spgemm import spgemm_request_traffic
 from repro.gpusim.kernels.spmm import spmm_request_traffic
@@ -61,11 +59,6 @@ class TestClosedForms:
         assert spgemm_traffic_reduction(DIM, 16, nnz) == (
             spmm_traffic_bytes(DIM, nnz) - spgemm_traffic_bytes(16, nnz)
         )
-
-    def test_backward_reductions(self):
-        nnz = 999
-        assert sspmm_read_reduction(DIM, 16, nnz) == (4 * DIM - 5 * 16) * nnz
-        assert sspmm_write_reduction(DIM, 16, nnz) == 4 * (DIM - 16) * nnz
 
     def test_paper_reddit_headline_reduction(self):
         """Reddit, dim 256 -> k 16: ~90.6% forward traffic reduction."""

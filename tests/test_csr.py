@@ -1,10 +1,10 @@
-"""Unit tests for the CSR/CSC sparse-matrix substrate."""
+"""Unit tests for the CSR sparse-matrix substrate."""
 
 import numpy as np
 import pytest
 
 from repro.graphs import Graph
-from repro.sparse import CSCMatrix, CSRMatrix, coo_to_csr, ops
+from repro.sparse import CSRMatrix, coo_to_csr, ops
 from repro.sparse.csr import stable_order
 from tests.conftest import tolerance
 
@@ -37,10 +37,8 @@ class TestConstruction:
 
     def test_coo_sorted_within_rows(self):
         mat = coo_to_csr([1, 0, 1, 0], [3, 2, 0, 4], [1, 2, 3, 4], (2, 5))
-        cols0, _ = mat.row_slice(0)
-        cols1, _ = mat.row_slice(1)
-        assert list(cols0) == [2, 4]
-        assert list(cols1) == [0, 3]
+        assert list(mat.indices[mat.indptr[0]:mat.indptr[1]]) == [2, 4]
+        assert list(mat.indices[mat.indptr[1]:mat.indptr[2]]) == [0, 3]
 
     def test_from_edges_orients_dst_rows(self):
         mat = CSRMatrix.from_edges(src=[2], dst=[0], shape=(3, 3))
@@ -86,40 +84,10 @@ class TestAccessors:
             csr.row_degrees(), (dense != 0).sum(axis=1)
         )
 
-    def test_row_slice_contents(self, dense, csr):
-        for i in range(csr.n_rows):
-            cols, vals = csr.row_slice(i)
-            np.testing.assert_allclose(dense[i, cols], vals)
-
-    def test_iter_rows_covers_all_nnz(self, csr):
-        total = sum(len(cols) for _, cols, _ in csr.iter_rows())
-        assert total == csr.nnz
-
-    def test_repr_mentions_shape(self, csr):
-        assert "shape" in repr(csr) and "nnz" in repr(csr)
-
 
 class TestTranspose:
     def test_transpose_matches_dense(self, dense, csr):
         np.testing.assert_allclose(csr.transpose().to_dense(), dense.T)
-
-    def test_transpose_view_is_csc_of_transpose(self, dense, csr):
-        view = csr.transpose_view()
-        assert isinstance(view, CSCMatrix)
-        np.testing.assert_allclose(view.to_dense(), dense.T)
-
-    def test_transpose_view_shares_buffers(self, csr):
-        view = csr.transpose_view()
-        assert view.indptr is csr.indptr
-        assert view.indices is csr.indices
-        assert view.data is csr.data
-
-    def test_csc_col_slice(self, dense, csr):
-        view = csr.transpose_view()
-        # Column j of A^T (CSC) is row j of A.
-        for j in range(csr.n_rows):
-            rows, vals = view.col_slice(j)
-            np.testing.assert_allclose(dense[j, rows], vals)
 
 
 class TestAlgebra:

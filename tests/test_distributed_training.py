@@ -14,7 +14,6 @@ from repro.gpusim import (
     MultiGpuEpochModel,
     PartitionStats,
     ring_allreduce_time,
-    shard_stats,
 )
 from repro.graphs import (
     attach_classification_task,
@@ -555,23 +554,6 @@ class TestTelemetryAndReport:
             ring_allreduce_time(-1.0, 2)
         with pytest.raises(ValueError):
             ring_allreduce_time(1e6, 0)
-
-    def test_shard_stats_round_chunk_placement(self):
-        stats = PartitionStats(
-            n_parts=5,
-            nodes_per_part=[10, 20, 30, 40, 50],
-            edges_per_part=[1, 2, 3, 4, 5],
-            boundary_per_part=[5, 5, 5, 5, 5],
-        )
-        placed = shard_stats(stats, 2)
-        # Replica 0 owns parts 0, 2, 4; replica 1 owns parts 1, 3.
-        assert placed.nodes_per_part == [90, 60]
-        assert placed.edges_per_part == [9, 6]
-        assert placed.boundary_per_part == [15, 10]
-        with pytest.raises(ValueError):
-            shard_stats(stats, 6)
-        with pytest.raises(ValueError):
-            shard_stats(stats, 0)
 
     def test_predicted_scaling_bounded_by_replica_count(self):
         stats = PartitionStats(

@@ -180,7 +180,7 @@ class TestEngineSampledFlow:
         flow = SampledFlow(sampler="node", sample_size=40, seed=0)
         for epoch in range(5):
             list(flow.batches(graph, epoch))
-        assert len(flow.cache) == 0
+        assert len(flow.cache._entries) == 0
         assert flow.cache.evictions == 0
 
     def test_cache_defaults_to_pool_size(self):
@@ -218,6 +218,60 @@ class TestEngineSampledFlow:
             SampledFlow(pool_size=0)
         with pytest.raises(ValueError):
             SubgraphCache(0)
+
+
+class TestSubgraphCacheLru:
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_follows_an_lru_oracle(self, monkeypatch, capacity, seed):
+        """Random gets and puts against a plain list kept in recency
+        order: every answer, every counter and every release agree."""
+        import repro.training.dataflow as dataflow
+        from repro.graphs import Graph
+
+        released = []
+
+        class _Spy:
+            def release(self, matrices):
+                matrices = list(matrices)
+                released.extend(matrices)
+                return len(matrices)
+
+        monkeypatch.setattr(dataflow, "get_backend", lambda: _Spy())
+        rng = np.random.default_rng(seed)
+        cache = SubgraphCache(capacity)
+        order, stored = [], {}  # oldest first; the oracle's entries
+        hits = misses = evictions = 0
+        expected_release = []
+        for _ in range(200):
+            slot = int(rng.integers(0, 6))
+            if rng.random() < 0.5:
+                subgraph = Graph(n_nodes=2, src=np.array([0]),
+                                 dst=np.array([1]))
+                subgraph.adjacency("none")  # one CSR to release
+                cache.put(slot, subgraph)
+                if slot in order:
+                    order.remove(slot)
+                order.append(slot)
+                stored[slot] = subgraph
+                if len(order) > capacity:
+                    evicted = stored.pop(order.pop(0))
+                    evictions += 1
+                    expected_release += evicted.built_adjacencies().values()
+            else:
+                got = cache.get(slot)
+                if slot in order:
+                    hits += 1
+                    order.remove(slot)
+                    order.append(slot)
+                    assert got is stored[slot]
+                else:
+                    misses += 1
+                    assert got is None
+        assert (cache.hits, cache.misses, cache.evictions) == (
+            hits, misses, evictions)
+        assert cache.released == len(expected_release)
+        assert all(a is b for a, b in zip(released, expected_release))
 
 
 class TestEnginePartitionedFlow:
@@ -504,7 +558,7 @@ class TestCacheReleaseOnReset:
         flow = SampledFlow(sampler="node", batches_per_epoch=2,
                            sample_size=40, seed=0, pool_size=2)
         list(flow.batches(graph, 0))
-        assert len(flow.cache) == 2
+        assert len(flow.cache._entries) == 2
         other = sbm_graph(100, 3, 6.0, seed=7).to_undirected()
         attach_classification_task(other, n_features=8, seed=7)
         list(flow.batches(other, 0))
@@ -528,13 +582,13 @@ class TestCacheReleaseOnReset:
                             sample_size=25, pool_size=2, seed=0)
         flow = MicroBatchedFlow(inner, 2)
         list(flow.batches(graph, 0))
-        assert len(flow._merged) == 1
+        assert len(flow._merged._entries) == 1
         monkeypatch.setattr(dataflow, "get_backend", lambda: _Spy())
         other = sbm_graph(100, 3, 6.0, seed=7).to_undirected()
         attach_classification_task(other, n_features=8, seed=7)
         list(flow.batches(other, 0))
         # The old parent graph's merged union was dropped and released.
-        assert released and len(flow._merged) == 1
+        assert released and len(flow._merged._entries) == 1
 
     def test_unpooled_stream_releases_each_batch(self, graph, monkeypatch):
         released = []

@@ -71,11 +71,6 @@ class TestFig4:
         """Paper: similar approximation performance at the largest width."""
         assert result.maxk_errors[-1] < max(10 * result.relu_errors[-1], 2e-3)
 
-    def test_error_curve_accessor(self, result):
-        assert result.error_curve("maxk") == result.maxk_errors
-        with pytest.raises(ValueError):
-            result.error_curve("tanh")
-
 
 class TestFig8:
     @pytest.fixture(scope="class")

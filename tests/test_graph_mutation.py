@@ -375,7 +375,8 @@ class TestGenerationCaches:
         apply_delta(graph, GraphDelta(add_src=[11], add_dst=[0]))
         transpose = graph.adjacency_transpose("none")
         # A^T[src, dst]: the new edge must be visible in row 11.
-        assert 0 in transpose.row_slice(11)[0]
+        row = transpose.indices[transpose.indptr[11]:transpose.indptr[12]]
+        assert 0 in row
 
     def test_edge_index_invalidates_on_mutation(self):
         # Node 2 starts with no in-edges; warm the graph's cached edge

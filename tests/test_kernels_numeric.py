@@ -1,8 +1,6 @@
 """Numerical correctness of the SpGEMM / SSpMM / MaxK kernel dataflows.
 
-Every kernel is validated against the dense reference computation, and the
-Algorithm-1/2-faithful Edge-Group implementations are validated against the
-vectorised ones.
+Every kernel is validated against the dense reference computation.
 """
 
 import numpy as np
@@ -12,13 +10,11 @@ from repro.core import CBSRMatrix, maxk_forward
 from repro.gpusim import (
     maxk_kernel_execute,
     spgemm_execute,
-    spgemm_execute_edge_groups,
     spmm_execute,
     sspmm_execute,
-    sspmm_execute_prefetch,
 )
 from repro.graphs import rmat_graph
-from repro.sparse import CSRMatrix, partition_edge_groups
+from repro.sparse import CSRMatrix
 from tests.conftest import tolerance
 
 
@@ -48,23 +44,6 @@ class TestForwardSpGEMM:
         adjacency, dense_adj, sparsified, cbsr, _ = setup
         np.testing.assert_allclose(
             spgemm_execute(adjacency, cbsr), dense_adj @ sparsified,
-            **tolerance(),
-        )
-
-    def test_edge_group_version_matches_vectorised(self, setup):
-        adjacency, _, _, cbsr, _ = setup
-        np.testing.assert_allclose(
-            spgemm_execute_edge_groups(adjacency, cbsr),
-            spgemm_execute(adjacency, cbsr),
-            **tolerance(),
-        )
-
-    def test_edge_group_version_with_custom_partition(self, setup):
-        adjacency, dense_adj, sparsified, cbsr, _ = setup
-        partition = partition_edge_groups(adjacency, cbsr.k, max_edges_per_group=2)
-        np.testing.assert_allclose(
-            spgemm_execute_edge_groups(adjacency, cbsr, partition),
-            dense_adj @ sparsified,
             **tolerance(),
         )
 
@@ -101,15 +80,6 @@ class TestBackwardSSpMM:
         ]
         np.testing.assert_allclose(result.sp_data, expected, **tolerance())
 
-    def test_prefetch_version_matches_vectorised(self, setup):
-        adjacency, _, _, cbsr, rng = setup
-        grad_out = rng.normal(size=(60, 16))
-        np.testing.assert_allclose(
-            sspmm_execute_prefetch(adjacency, grad_out, cbsr).sp_data,
-            sspmm_execute(adjacency, grad_out, cbsr).sp_data,
-            **tolerance(),
-        )
-
     def test_output_inherits_forward_pattern(self, setup):
         """Backward produces sp_data only; sp_index is the forward one."""
         adjacency, _, _, cbsr, rng = setup
@@ -123,11 +93,14 @@ class TestBackwardSSpMM:
             sspmm_execute(adjacency, np.ones((3, 3)), cbsr)
 
     def test_zero_extra_storage_transpose(self, setup):
-        """The CSC view of A^T aliases the CSR buffers of A (Fig. 7)."""
+        """The CSR buffers of A, read as CSC, are A^T (Fig. 7)."""
         adjacency, dense_adj, _, _, _ = setup
-        view = adjacency.transpose_view()
-        assert view.data is adjacency.data
-        np.testing.assert_allclose(view.to_dense(), dense_adj.T)
+        indptr, indices = adjacency.indptr, adjacency.indices
+        transposed = np.zeros((adjacency.n_cols, adjacency.n_rows))
+        for j in range(adjacency.n_rows):  # column j of A^T is row j of A
+            lo, hi = indptr[j], indptr[j + 1]
+            transposed[indices[lo:hi], j] = adjacency.data[lo:hi]
+        np.testing.assert_allclose(transposed, dense_adj.T)
 
 
 class TestMaxKKernel:
@@ -165,5 +138,31 @@ class TestEndToEndLayerDataflow:
         rows = np.arange(60)[:, None]
         np.testing.assert_allclose(
             backward.sp_data, dense_grad[rows, cbsr.sp_index.astype(np.int64)],
+            **tolerance(),
+        )
+
+
+class TestAtEveryIndexWidth:
+    """``sp_index`` is uint8 up to 256 columns and uint16 past it (§4.3);
+    both kernels must read either width, at any k up to the row width."""
+
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    @pytest.mark.parametrize("dim_origin", [16, 256, 300])
+    def test_spgemm_and_sspmm_match_dense(self, setup, dim_origin, k):
+        adjacency, dense_adj, _, _, _ = setup
+        rng = np.random.default_rng(dim_origin + k)
+        sparsified, _ = maxk_forward(rng.normal(size=(60, dim_origin)), k)
+        cbsr = CBSRMatrix.from_dense_rows(sparsified, k)
+        assert cbsr.sp_index.dtype == (np.uint8 if dim_origin <= 256
+                                       else np.uint16)
+        np.testing.assert_allclose(
+            spgemm_execute(adjacency, cbsr), dense_adj @ sparsified,
+            **tolerance(),
+        )
+        grad_out = rng.normal(size=(60, dim_origin))
+        dense_grad = dense_adj.T @ grad_out
+        np.testing.assert_allclose(
+            sspmm_execute(adjacency, grad_out, cbsr).sp_data,
+            dense_grad[np.arange(60)[:, None], cbsr.sp_index.astype(np.int64)],
             **tolerance(),
         )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    maxk_backward,
     maxk_forward,
     maxk_mask,
     pivot_select,
@@ -57,26 +56,6 @@ class TestMaxKForward:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             maxk_mask(np.ones(5), 2)
-
-
-class TestMaxKBackward:
-    def test_gradient_routed_through_mask(self, features):
-        _, mask = maxk_forward(features, 6)
-        grad = np.ones_like(features)
-        routed = maxk_backward(grad, mask)
-        np.testing.assert_array_equal(routed, mask.astype(float))
-
-    def test_same_sparsity_pattern_as_forward(self, features):
-        """Paper §3.1: backward uses the sparsity pattern induced forward."""
-        _, mask = maxk_forward(features, 6)
-        grad = np.random.default_rng(0).normal(size=features.shape)
-        routed = maxk_backward(grad, mask)
-        assert ((routed != 0) <= mask).all()
-
-    def test_shape_check(self, features):
-        _, mask = maxk_forward(features, 6)
-        with pytest.raises(ValueError):
-            maxk_backward(np.ones((2, 2)), mask)
 
 
 class TestPivotSelection:

@@ -302,8 +302,15 @@ def test_deleted_knobs_and_aliases_stay_deleted():
                  "_sorted_member_mask", "_spmm_bincount", "GATConv",
                  "segment_softmax", "gather_scale", "leaky_relu",
                  "simulate_spgemm_schedule", "gnnadvisor_execute", "StepLR",
-                 "CosineLR"):
-        assert _occurrences(gone) == {}
+                 "CosineLR", "CSCMatrix", "transpose_view", "shard_stats",
+                 "pack_stats", "spgemm_execute_edge_groups",
+                 "sspmm_execute_prefetch", "maxout",
+                 # "SGD" alone also names the error-feedback algorithm in a
+                 # docstring; the class and its calls are "SGD(".
+                 "SGD(", "kaiming_uniform", "degree_sort_reorder",
+                 "community_sort_reorder", "locality_score", "maxk_backward",
+                 "sspmm_read_reduction"):
+        assert _occurrences(gone) == {}, gone
 
 
 def test_a_window_computes_destination_rows_in_one_place():

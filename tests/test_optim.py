@@ -3,59 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.tensor import SGD, Adam, Tensor, kaiming_uniform, xavier_uniform, zeros
+from repro.tensor import Adam, Tensor, xavier_uniform, zeros
 
 
 def quadratic_loss(param: Tensor) -> Tensor:
     target = Tensor(np.array([3.0, -2.0, 0.5]))
     diff = param - target
     return (diff * diff).sum()
-
-
-class TestSGD:
-    def test_single_step_matches_formula(self):
-        param = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-        optimizer = SGD([param], lr=0.1)
-        (param * param).sum().backward()
-        optimizer.step()
-        np.testing.assert_allclose(param.data, [0.8, 0.8])
-
-    def test_momentum_accumulates(self):
-        param = Tensor(np.array([1.0]), requires_grad=True)
-        optimizer = SGD([param], lr=0.1, momentum=0.9)
-        for _ in range(2):
-            optimizer.zero_grad()
-            (param * 1.0).sum().backward()
-            optimizer.step()
-        # Step 1: v=1 -> x=0.9; step 2: v=1.9 -> x=0.71.
-        np.testing.assert_allclose(param.data, [0.71])
-
-    def test_weight_decay(self):
-        param = Tensor(np.array([2.0]), requires_grad=True)
-        optimizer = SGD([param], lr=0.1, weight_decay=0.5)
-        optimizer.zero_grad()
-        (param * 0.0).sum().backward()
-        optimizer.step()
-        np.testing.assert_allclose(param.data, [2.0 - 0.1 * 0.5 * 2.0])
-
-    def test_converges_on_quadratic(self):
-        param = Tensor(np.zeros(3), requires_grad=True)
-        optimizer = SGD([param], lr=0.1)
-        for _ in range(200):
-            optimizer.zero_grad()
-            quadratic_loss(param).backward()
-            optimizer.step()
-        np.testing.assert_allclose(param.data, [3.0, -2.0, 0.5], atol=1e-4)
-
-    def test_skips_parameters_without_grad(self):
-        param = Tensor(np.ones(2), requires_grad=True)
-        SGD([param], lr=0.1).step()  # no backward ran; must not crash
-        np.testing.assert_allclose(param.data, [1.0, 1.0])
-
-    def test_rejects_bad_lr(self):
-        param = Tensor(np.ones(1), requires_grad=True)
-        with pytest.raises(ValueError):
-            SGD([param], lr=0.0)
 
 
 class TestAdam:
@@ -100,11 +54,6 @@ class TestInit:
         bound = np.sqrt(6.0 / (64 + 32))
         assert weight.requires_grad
         assert np.abs(weight.data).max() <= bound
-
-    def test_kaiming_bound(self):
-        rng = np.random.default_rng(0)
-        weight = kaiming_uniform(64, 32, rng)
-        assert np.abs(weight.data).max() <= np.sqrt(6.0 / 64)
 
     def test_zeros(self):
         bias = zeros(8)

@@ -227,7 +227,7 @@ class TestPrefetchMechanics:
         fresh_plans = flow.plan(g2, 0)  # rebinds: swaps in a fresh cache
         fresh_cache = flow.cache
         built_stale = stale.build()
-        assert len(fresh_cache) == 0  # stale build landed in the old cache
+        assert len(fresh_cache._entries) == 0  # stale build landed in the old cache
         built_fresh = fresh_plans[0].build()
         assert built_fresh is not built_stale
         assert fresh_cache.get(0) is built_fresh

@@ -1,12 +1,10 @@
 """Tests for load-aware replica placement (PR 7 satellite).
 
-``pack_assignment`` replaces :func:`shard_stats`' blind round-robin with
-greedy LPT bin-packing driven by measured straggler skew. The contract:
-strictly better balance on skewed loads (lower gini, lower makespan, no
-worse efficiency), *exact* round-robin degradation on uniform loads (so
-existing trajectories and reports are unchanged where no skew exists),
-and a :class:`MultiGpuEpochModel` built from the packed
-:class:`PartitionStats` keeps its predicted scaling inside ``(0, R]``.
+``pack_assignment`` replaces a blind round-robin placement with greedy
+LPT bin-packing driven by measured straggler skew. The contract: strictly
+better balance on skewed loads (lower gini, lower makespan, no worse
+efficiency) and *exact* round-robin degradation on uniform loads (so
+existing trajectories and reports are unchanged where no skew exists).
 The distributed flow's report wires the packer to the telemetry it
 gathers per schedule slot.
 """
@@ -14,29 +12,10 @@ gathers per schedule slot.
 import numpy as np
 import pytest
 
-from repro.gpusim import (
-    A100,
-    MultiGpuEpochModel,
-    PartitionStats,
-    gini,
-    pack_assignment,
-    pack_stats,
-    shard_stats,
-)
+from repro.gpusim import gini, pack_assignment
 from repro.graphs import attach_classification_task, sbm_graph
 from repro.models import GNNConfig, MaxKGNN
 from repro.training import DistributedFlow, Engine, PartitionedFlow
-
-
-def _skewed_stats():
-    # One heavy straggler partition plus light ones: round-robin pairs
-    # the heavy part with another load while a bin is left light.
-    return PartitionStats(
-        n_parts=6,
-        nodes_per_part=[400, 100, 100, 100, 100, 100],
-        edges_per_part=[9000, 1500, 1400, 1300, 1200, 1100],
-        boundary_per_part=[60, 30, 30, 30, 30, 30],
-    )
 
 
 class TestPackAssignment:
@@ -62,6 +41,23 @@ class TestPackAssignment:
         packed = pack_assignment([5.0, 4.0, 3.0, 2.0], 3)
         assert set(packed.tolist()) == {0, 1, 2}
 
+    @pytest.mark.parametrize("replicas", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_is_lpt_within_its_bound(self, seed, replicas):
+        # Small integer loads, so equal loads (the tie rules) are common.
+        loads = np.random.default_rng(seed).integers(0, 6, 4 * replicas)
+        bins = [0.0] * replicas
+        expected = [0] * loads.size
+        for part in sorted(range(loads.size), key=lambda p: -loads[p]):
+            replica = bins.index(min(bins))
+            expected[part] = replica
+            bins[replica] += loads[part]
+        packed = pack_assignment(loads.astype(float), replicas)
+        assert packed.tolist() == expected
+        # Graham's LPT bound against the trivial lower bound on the optimum.
+        optimum_floor = max(loads.sum() / replicas, loads.max())
+        assert max(bins) <= 4 / 3 * optimum_floor
+
     def test_validation(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             pack_assignment(np.ones((2, 2)), 1)
@@ -73,41 +69,6 @@ class TestPackAssignment:
             pack_assignment([1.0, 2.0], 0)
         with pytest.raises(ValueError, match="more replicas"):
             pack_assignment([1.0, 2.0], 3)
-
-
-class TestPackStats:
-    def test_folds_structure_by_assignment(self):
-        stats = _skewed_stats()
-        packed = pack_stats(stats, 2)
-        assert packed.n_parts == 2
-        assert sum(packed.nodes_per_part) == sum(stats.nodes_per_part)
-        assert sum(packed.edges_per_part) == sum(stats.edges_per_part)
-        assert sum(packed.boundary_per_part) == sum(stats.boundary_per_part)
-        # The straggler's replica must not also absorb the heavier of the
-        # remaining loads — its edge bin stays below round-robin's.
-        robin = shard_stats(stats, 2)
-        assert max(packed.edges_per_part) <= max(robin.edges_per_part)
-
-    def test_measured_loads_override_edge_proxy(self):
-        stats = _skewed_stats()
-        # Measured wall-clock says the *last* part is the straggler even
-        # though its edge count is smallest.
-        loads = [1.0, 1.0, 1.0, 1.0, 1.0, 50.0]
-        packed = pack_stats(stats, 2, loads=loads)
-        assignment = pack_assignment(loads, 2)
-        assert assignment[5] == 0  # heaviest load placed first, bin 0
-        assert packed.n_parts == 2
-        with pytest.raises(ValueError):
-            pack_stats(stats, 2, loads=[1.0])  # wrong length
-
-    def test_predicted_scaling_stays_physical(self):
-        stats = _skewed_stats()
-        for replicas in (1, 2, 3):
-            packed = pack_stats(stats, replicas)
-            model = MultiGpuEpochModel(packed, hidden=64, n_layers=2,
-                                       device=A100)
-            scaling = model.predicted_scaling()
-            assert 0.0 < scaling <= replicas + 1e-9, (replicas, scaling)
 
 
 class TestFlowPlacementReport:

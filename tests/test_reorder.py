@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
+    Graph,
     apply_permutation,
     bfs_reorder,
-    community_sort_reorder,
-    degree_sort_reorder,
-    locality_score,
+    chain_of_cliques,
+    erdos_renyi_graph,
     rmat_graph,
     sbm_graph,
     attach_classification_task,
@@ -20,6 +20,11 @@ def graph():
     graph = sbm_graph(200, 5, 8.0, seed=3)
     attach_classification_task(graph, n_features=8, seed=3)
     return graph
+
+
+def mean_span(graph):
+    """Mean |src - dst| over edges; lower is more local."""
+    return np.abs(graph.src - graph.dst).mean()
 
 
 class TestApplyPermutation:
@@ -53,7 +58,8 @@ class TestApplyPermutation:
             assert permuted.loss_weights[perm[node]] == graph.loss_weights[node]
 
     def test_degree_distribution_invariant(self, graph):
-        permuted = degree_sort_reorder(graph)
+        perm = np.random.default_rng(2).permutation(graph.n_nodes)
+        permuted = apply_permutation(graph, perm)
         np.testing.assert_array_equal(
             np.sort(permuted.in_degrees()), np.sort(graph.in_degrees())
         )
@@ -68,31 +74,12 @@ class TestApplyPermutation:
 
 
 class TestReorderings:
-    def test_degree_sort_puts_hubs_first(self):
-        graph = rmat_graph(300, 3000, seed=5)
-        reordered = degree_sort_reorder(graph)
-        degrees = reordered.in_degrees()
-        # First decile must out-degree the last decile on average.
-        assert degrees[:30].mean() > degrees[-30:].mean()
-
     def test_bfs_improves_locality_on_communities(self, graph):
         shuffled = apply_permutation(
             graph, np.random.default_rng(7).permutation(graph.n_nodes)
         )
         reordered = bfs_reorder(shuffled)
-        assert locality_score(reordered) < locality_score(shuffled)
-
-    def test_community_sort_improves_locality(self, graph):
-        shuffled = apply_permutation(
-            graph, np.random.default_rng(8).permutation(graph.n_nodes)
-        )
-        reordered = community_sort_reorder(shuffled)
-        assert locality_score(reordered) < locality_score(shuffled)
-
-    def test_community_sort_requires_communities(self):
-        graph = rmat_graph(50, 200, seed=1)
-        with pytest.raises(ValueError, match="community"):
-            community_sort_reorder(graph)
+        assert mean_span(reordered) < mean_span(shuffled)
 
     def test_bfs_seed_validation(self, graph):
         with pytest.raises(ValueError):
@@ -100,8 +87,6 @@ class TestReorderings:
 
     def test_bfs_covers_disconnected_components(self):
         # Two disjoint triangles.
-        from repro.graphs import Graph
-
         graph = Graph(
             n_nodes=6,
             src=np.array([0, 1, 2, 3, 4, 5]),
@@ -110,12 +95,37 @@ class TestReorderings:
         reordered = bfs_reorder(graph)
         assert reordered.n_edges == 6
 
-    def test_locality_score_bounds(self, graph):
-        assert 0.0 <= locality_score(graph) <= 1.0
 
-    def test_locality_score_empty_graph(self):
-        from repro.graphs import Graph
+GRAPHS = {
+    "sbm": lambda: sbm_graph(120, 4, 6.0, seed=1),
+    "rmat": lambda: rmat_graph(100, 600, seed=2),
+    "er-sparse": lambda: erdos_renyi_graph(80, 1.5, seed=3),
+    "er-dense": lambda: erdos_renyi_graph(60, 8.0, seed=4),
+    "cliques": lambda: chain_of_cliques(5, 4),
+    "one-edge": lambda: Graph(n_nodes=4, src=np.array([2]), dst=np.array([3])),
+}
 
-        empty = Graph(n_nodes=3, src=np.array([], dtype=int),
-                      dst=np.array([], dtype=int))
-        assert locality_score(empty) == 0.0
+
+class TestBfsIsABreadthFirstRelabelling:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_relabelling(self, name):
+        graph = GRAPHS[name]()
+        n = graph.n_nodes
+        # A node-id column rides along, naming each new node's old id.
+        graph.features = np.arange(n, dtype=float)[:, None]
+        reordered = bfs_reorder(graph)
+        old_of_new = reordered.features[:, 0].astype(np.int64)
+        assert sorted(old_of_new.tolist()) == list(range(n))
+        new_of_old = np.empty(n, dtype=np.int64)
+        new_of_old[old_of_new] = np.arange(n)
+        np.testing.assert_array_equal(reordered.src, new_of_old[graph.src])
+        np.testing.assert_array_equal(reordered.dst, new_of_old[graph.dst])
+        # The highest-degree node is the seed, and its neighbours (either
+        # direction) take the next ids: the first breadth-first layer.
+        degrees = graph.in_degrees() + graph.out_degrees()
+        seed = int(np.argmax(degrees))
+        assert old_of_new[0] == seed
+        layer = set(graph.dst[graph.src == seed].tolist())
+        layer |= set(graph.src[graph.dst == seed].tolist())
+        layer.discard(seed)
+        assert set(old_of_new[1:1 + len(layer)].tolist()) == layer

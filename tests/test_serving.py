@@ -269,7 +269,7 @@ class TestResultCache:
         cache = ResultCache(capacity=8)
         cache.put(ResultCache.key(0, 1, 0, 0), np.array([1.0]))
         assert cache.invalidate() == 1
-        assert len(cache) == 0
+        assert cache.stats()["size"] == 0
         assert cache.get(ResultCache.key(0, 1, 0, 0)) is None
 
     def test_stored_rows_are_isolated_copies(self):
@@ -285,6 +285,45 @@ class TestResultCache:
         key = ResultCache.key(0, 1, 0, 0)
         cache.put(key, np.array([1.0]))
         assert cache.get(key) is None
+
+    @pytest.mark.parametrize("capacity", [0, 1, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_counters_follow_an_lru_oracle(self, capacity, seed):
+        """Random puts, gets and invalidations against a plain list kept
+        in recency order: every answer and every counter agree."""
+        rng = np.random.default_rng(seed)
+        cache = ResultCache(capacity=capacity)
+        order, rows = [], {}  # oldest first; the oracle's stored rows
+        hits = misses = evictions = 0
+        for step in range(300):
+            key = ResultCache.key(0, int(rng.integers(0, 12)), 0, 0)
+            action = rng.random()
+            if action < 0.45:
+                cache.put(key, np.array([float(step)]))
+                if capacity:
+                    if key in order:
+                        order.remove(key)
+                    order.append(key)
+                    rows[key] = float(step)
+                    if len(order) > capacity:
+                        del rows[order.pop(0)]
+                        evictions += 1
+            elif action < 0.97:
+                got = cache.get(key)
+                if key in order:
+                    hits += 1
+                    order.remove(key)
+                    order.append(key)
+                    assert got.tolist() == [rows[key]]
+                else:
+                    misses += 1
+                    assert got is None
+            else:
+                assert cache.invalidate() == len(order)
+                order, rows = [], {}
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"],
+                stats["size"]) == (hits, misses, evictions, len(order))
 
 
 # ----------------------------------------------------------------------

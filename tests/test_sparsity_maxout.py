@@ -1,4 +1,4 @@
-"""Tests for the sparsity-regularity analysis (§2.3) and maxout."""
+"""Tests for the sparsity-regularity analysis (§2.3)."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,6 @@ from repro.core import (
     relu_sparsify,
     row_nnz_profile,
 )
-from repro.models import ApproximatorMLP
-from repro.tensor import Tensor, maxout
-from tests.test_tensor import check_gradient
 
 
 @pytest.fixture(scope="module")
@@ -82,39 +79,3 @@ class TestRegularityReport:
             regularity_report(np.ones(4), 2)
         with pytest.raises(ValueError):
             regularity_report(np.ones((3, 4)), 0)
-
-
-class TestMaxout:
-    def test_output_width_shrinks(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(5, 12)))
-        assert maxout(x, 4).shape == (5, 3)
-
-    def test_values_are_group_maxima(self):
-        x = Tensor(np.array([[1.0, 5.0, -2.0, 0.0]]))
-        np.testing.assert_allclose(maxout(x, 2).numpy(), [[5.0, 0.0]])
-
-    def test_gradient_routes_to_winner(self):
-        x = Tensor(np.array([[1.0, 5.0, -2.0, 0.0]]), requires_grad=True)
-        maxout(x, 2).sum().backward()
-        np.testing.assert_allclose(x.grad, [[0.0, 1.0, 0.0, 1.0]])
-
-    @pytest.mark.usefixtures("double_precision")
-    def test_gradient_finite_difference(self):
-        check_gradient(lambda x: (maxout(x, 3) ** 2).sum(), (4, 6), seed=19)
-
-    def test_rejects_indivisible_groups(self):
-        with pytest.raises(ValueError):
-            maxout(Tensor(np.ones((2, 5))), 2)
-
-    def test_maxout_approximator_learns(self):
-        from repro.models import fit_function, approximation_error
-
-        rng = np.random.default_rng(20)
-        x = rng.uniform(-1, 1, size=(64, 1))
-        model = ApproximatorMLP(1, 16, 1, nonlinearity="maxout", seed=0)
-        fit_function(model, x, x ** 2, epochs=200)
-        assert approximation_error(model, x, x ** 2) < 0.01
-
-    def test_maxout_width_validation(self):
-        with pytest.raises(ValueError):
-            ApproximatorMLP(1, 10, 1, nonlinearity="maxout")

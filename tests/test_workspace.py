@@ -64,7 +64,7 @@ class TestWorkspace:
         floats = ws.buffer("a", (4,), np.float64)
         bools = ws.buffer("a", (4,), bool)
         assert floats.dtype == np.float64 and bools.dtype == np.bool_
-        assert ws.n_slots() == 2
+        assert ws.allocations == 2
 
     def test_one_slot_however_its_dtype_is_spelled(self):
         # hash(np.dtype("float64")) != hash(np.float64): a raw (name, dtype)
@@ -75,20 +75,13 @@ class TestWorkspace:
         by_instance = ws.buffer("x", (4, 4), x.dtype)
         by_name = ws.buffer("x", (4, 4), "float64")
         assert by_type.base is by_instance.base is by_name.base
-        assert ws.allocations == 1 and ws.n_slots() == 1
+        assert ws.allocations == 1
 
     def test_zero_sized_and_invalid_shapes(self):
         ws = Workspace()
         assert ws.buffer("z", (0, 4), float).shape == (0, 4)
         with pytest.raises(ValueError):
             ws.buffer("n", (-1, 4), float)
-
-    def test_clear_drops_storage(self):
-        ws = Workspace()
-        ws.buffer("a", (4, 4), float)
-        assert ws.nbytes() > 0
-        ws.clear()
-        assert ws.nbytes() == 0
 
 
 # -- numpy oracles ---------------------------------------------------------
@@ -294,7 +287,7 @@ class TestLayerMatchesOracle:
         for tensor, grad in zip(tensors, expected_grads):
             assert tensor.grad.tobytes() == grad.tobytes()
         # Only a training pass may size the arena.
-        assert (layer.workspace.nbytes() > 0) == training
+        assert (layer.workspace.allocations > 0) == training
 
     @pytest.mark.parametrize("model_type", ["sage", "gcn", "gin"])
     def test_cbsr_layer_selects_once(self, monkeypatch, model_type):
@@ -838,8 +831,8 @@ class TestEvalKeepsArenaSmall:
                            seed=0)
         engine = Engine(MaxKGNN(graph, config, seed=0), graph, flow, lr=0.01)
         engine.train_epoch(0)
-        trained_bytes = engine.model.workspace.nbytes()
-        assert trained_bytes > 0
+        trained = engine.model.workspace.allocations
+        assert trained > 0
         scores = engine.evaluate()  # full graph, 10x the batch rows
-        assert engine.model.workspace.nbytes() == trained_bytes
+        assert engine.model.workspace.allocations == trained
         assert np.isfinite(list(scores.values())).all()
