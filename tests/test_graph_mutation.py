@@ -20,6 +20,8 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import (
     Graph,
@@ -32,6 +34,7 @@ from repro.graphs import (
     owned_segment_count,
     sbm_graph,
 )
+from repro.graphs import mutation
 from repro.graphs.generators import erdos_renyi_graph, rmat_graph
 from repro.graphs.shm import SharedGraphStore, StaleHandleError
 from repro.models import GNNConfig, MaxKGNN
@@ -46,6 +49,20 @@ from tests.test_partition_sampling import (
 )
 
 SEEDS = [0, 1, 2]
+
+# _splice copies its input's runs as views while its edits are sparse and
+# compacts through masks when they are dense (mutation._ENTRIES_PER_EDIT);
+# these settings force either regime.
+SPLICE_REGIMES = {"views": 0, "masks": 10**9}
+
+
+@pytest.fixture(params=sorted(SPLICE_REGIMES))
+def splice_regime(request, monkeypatch):
+    """Run the test with every splice taking one regime."""
+    monkeypatch.setattr(
+        mutation, "_ENTRIES_PER_EDIT", SPLICE_REGIMES[request.param]
+    )
+    return request.param
 
 
 def _bitwise_equal(a: CSRMatrix, b: CSRMatrix) -> bool:
@@ -186,6 +203,89 @@ class TestMergeCsrDelta:
                 base, (1, 1), np.empty(0, np.int64), np.empty(0, np.int64),
                 np.empty(0), np.empty(0, np.int64),
             )
+
+    def test_merge_leaves_its_inputs_unwritten(self, splice_regime):
+        # Removed keys, re-added keys, collisions with kept entries and
+        # fresh keys, on read-only buffers, against a COO rebuild.
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            n = int(rng.integers(1, 9))
+            rows, cols = rng.integers(0, n, (2, int(rng.integers(0, 30))))
+            base = coo_to_csr(rows, cols, np.ones(len(rows)), (n, n))
+            for array in (base.indptr, base.indices, base.data):
+                array.flags.writeable = False
+            keys = np.repeat(np.arange(n), np.diff(base.indptr)) * n
+            keys += base.indices
+            removed = np.unique(rng.choice(keys, min(len(keys), 3)))
+            add_rows, add_cols = rng.integers(0, n + 1, (2, 8))
+            merged = merge_csr_delta(
+                base, (n + 1, n + 1), add_rows, add_cols, np.ones(8),
+                removed // n * (n + 1) + removed % n,
+            )
+            kept = ~np.isin(rows * n + cols, removed)
+            oracle = coo_to_csr(
+                np.concatenate([rows[kept], add_rows]),
+                np.concatenate([cols[kept], add_cols]),
+                np.ones(kept.sum() + 8), (n + 1, n + 1),
+            )
+            assert _bitwise_equal(merged, oracle), trial
+
+
+@st.composite
+def splices(draw):
+    """An input array (read-only), sorted unique drops, ascending insert
+    positions in ``[0, len]`` and float64 values, which need a cast."""
+    dtype = draw(st.sampled_from([np.int64, np.float32, np.float64]))
+    n = draw(st.integers(0, 24))
+    array = np.arange(n, dtype=dtype) * 3 + 1
+    array.flags.writeable = False
+    drop = np.array(sorted(draw(st.sets(st.integers(0, max(n - 1, 0)),
+                                        max_size=n))), dtype=np.int64)
+    at = np.array(sorted(draw(st.lists(st.integers(0, n), max_size=10))),
+                  dtype=np.int64)
+    values = np.array(
+        draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                      min_size=len(at), max_size=len(at))),
+        dtype=np.float64,
+    )
+    return array, drop, at, values
+
+
+def _readonly(dtype, values):
+    array = np.asarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+class TestSplice:
+    """``_splice`` against numpy's delete-then-insert, in both regimes."""
+
+    @pytest.mark.parametrize("regime", sorted(SPLICE_REGIMES))
+    @given(case=splices())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @example(case=(_readonly(np.int64, range(6)), np.array([], np.int64),
+                   np.array([], np.int64), np.array([])))
+    @example(case=(_readonly(np.int64, range(6)), np.array([0, 5]),
+                   np.array([], np.int64), np.array([])))
+    @example(case=(_readonly(np.float32, range(6)), np.arange(6),
+                   np.array([0, 3, 6]), np.array([0.1, 1.7, 2.5])))
+    @example(case=(_readonly(np.int64, range(6)), np.array([2, 3]),
+                   np.array([2, 2, 3, 6, 6]),
+                   np.array([9.9, -8.5, 7.2, 6.0, 5.5])))
+    @example(case=(_readonly(np.float64, []), np.array([], np.int64),
+                   np.array([0, 0]), np.array([1.0, 2.0])))
+    def test_matches_delete_then_insert(self, regime, case):
+        array, drop, at, values = case
+        before = array.tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mutation, "_ENTRIES_PER_EDIT",
+                          SPLICE_REGIMES[regime])
+            got = mutation._splice(array, drop, at, values)
+        survivors = at - np.searchsorted(drop, at)
+        want = np.insert(np.delete(array, drop), survivors, values)
+        assert got.dtype == array.dtype
+        assert got.tobytes() == want.tobytes()
+        assert array.tobytes() == before
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +447,42 @@ class TestApplyDeltaBitIdentity:
             # release() dropped each superseded plan, so the count stays
             # flat instead of growing by one per delta.
             assert after <= before + 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_each_splice_regime_matches_fresh_rebuild(self, splice_regime,
+                                                      seed):
+        # The index oracle's corner cases, then the fuzz's deltas: the COO
+        # order contract, every cached matrix and both index directions.
+        rng = np.random.default_rng(500 + seed)
+        messy, fuzzed = messy_graph(seed), _random_graph(seed, rng)
+        runs = [
+            (messy, _index_deltas(messy, rng)),
+            (fuzzed, (_random_delta(fuzzed, rng) for _ in range(4))),
+        ]
+        for graph, deltas in runs:
+            for norm in ("sage", "gcn"):
+                graph.adjacency(norm)
+            for direction in ("in", "out"):
+                graph.edge_index(direction)
+            for delta in deltas:
+                n = graph.n_nodes
+                gone = np.isin(graph.dst * n + graph.src,
+                               delta.remove_dst * n + delta.remove_src)
+                gone |= np.isin(graph.src, delta.detach_nodes)
+                gone |= np.isin(graph.dst, delta.detach_nodes)
+                src = np.concatenate([graph.src[~gone], delta.add_src])
+                dst = np.concatenate([graph.dst[~gone], delta.add_dst])
+                apply_delta(graph, delta)
+                assert graph.src.tobytes() == src.tobytes()
+                assert graph.dst.tobytes() == dst.tobytes()
+                oracle = Graph(graph.n_nodes, src, dst)
+                for norm in ("none", "sage", "gcn"):
+                    assert _bitwise_equal(graph.adjacency(norm),
+                                          oracle.adjacency(norm)), norm
+                for direction in ("in", "out"):
+                    for got, want in zip(graph.edge_index(direction),
+                                         oracle.edge_index(direction)):
+                        assert got.tobytes() == want.tobytes(), direction
 
 
 # ----------------------------------------------------------------------

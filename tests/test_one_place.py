@@ -358,3 +358,11 @@ def test_ids_are_deduped_one_way():
         "training/metrics.py": [["return_counts", "return_inverse"]],
     }
     assert _occurrences("def sorted_unique(") == {"graphs/partition.py": 1}
+
+
+def test_a_graph_delta_is_spliced_in_one_place():
+    # Every E-length patch of a delta goes through mutation._splice;
+    # numpy's delete / insert pair, an E-length mask per call, is gone.
+    for gone in ("np.delete(", "np.insert("):
+        assert _occurrences(gone) == {}, gone
+    assert _occurrences("_splice(") == {"graphs/mutation.py": 7}
