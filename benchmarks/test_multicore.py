@@ -1,28 +1,20 @@
-"""True multi-core execution benchmark: process pools vs in-process (PR 7).
+"""True multi-core execution benchmark: process-per-replica rounds vs
+in-process replicas.
 
-PR 4 pipelined batch building onto a background *thread*; PR 5/6 made the
-distributed replica rounds and their gradient exchange exact. What the
-GIL still serialised was the compute itself: batch induction/CSR builds
-contend with training, and an R-replica round runs its forward/backwards
-back to back on one core. This benchmark measures the PR-7 remedies on
-the scaled Reddit stand-in:
-
-* **process prefetch** — the unpooled sampled protocol (a fresh
-  half-graph batch every epoch) sequential vs ``PrefetchFlow`` backed by
-  a spawn process pool over the shared-memory graph store. Trajectories
-  are asserted bit-identical; the measured ratio is recorded, not gated
-  (``python -m bench`` is the timing authority — a wall-clock floor here
-  made tier-1 depend on the host's core count and load).
-* **replica process rounds** — ``DistributedFlow`` R=2 over BNS
-  partitions, the in-process serial replica executor vs one OS process
-  per replica (persistent model mirrors, flat-parameter broadcast,
-  fixed-order gradient deposit). R=1 process execution is asserted
-  bit-identical to in-process; the R=2 ratio is recorded like the above.
+In one process the GIL serialises an R-replica round: its
+forward/backwards run back to back on one core. This benchmark measures
+the remedy on the scaled Reddit stand-in: ``DistributedFlow``
+R=2 over BNS partitions, the in-process serial replica executor vs one OS
+process per replica (persistent model mirrors, flat-parameter broadcast,
+fixed-order gradient deposit). R=1 process execution is asserted
+bit-identical to in-process; the R=2 ratio is recorded, not gated
+(``python -m bench`` is the timing authority — a wall-clock floor here
+made tier-1 depend on the host's core count and load).
 
 ``REPRO_FORCE_PROCS=1`` is set for the whole module so single-core CI
 still exercises the spawn path end to end. ``REPRO_PERF_SMOKE=1``
 shrinks the protocol for CI gating. Full runs write
-``results/multicore.txt`` plus ``results/BENCH_multicore.json``.
+``results/multicore_replicas.txt`` plus ``results/BENCH_multicore.json``.
 """
 
 import os
@@ -41,8 +33,6 @@ from repro.training import Engine, make_flow
 
 DATASET = "Reddit"
 SMOKE = perf_smoke_enabled()
-PREFETCH_DEPTH = 2
-PREFETCH_WORKERS = 2
 REPLICAS = 2
 #: Interleaved timing rounds (both arms timed in alternating pairs; the
 #: median pairwise ratio is the reported speedup — see test_pipeline).
@@ -94,62 +84,6 @@ def _same(a, b):
     return a[0] == b[0] and all(
         np.array_equal(x, y) for x, y in zip(a[1], b[1])
     )
-
-
-@pytest.mark.slow
-def test_process_prefetch_identity_and_scaling(record_result, record_json):
-    cfg = TRAINING_CONFIGS[DATASET]
-    graph = load_training_dataset(DATASET, seed=0)
-    epochs = 4 if SMOKE else 8
-
-    def unpooled(prefetch, workers):
-        return make_flow(
-            "sampled", sampler="node", batches_per_epoch=1,
-            sample_size=graph.n_nodes // 2, seed=0, prefetch=prefetch,
-            prefetch_workers=workers,
-        )
-
-    sequential = _engine(graph, cfg, unpooled(0, "thread"))
-    procs = _engine(graph, cfg, unpooled(PREFETCH_DEPTH, PREFETCH_WORKERS))
-    try:
-        # Identity first — it doubles as the pools' warm-up, keeping the
-        # one-off spawn cost out of the timed region.
-        identical = _same(
-            _trajectory(sequential, epochs), _trajectory(procs, epochs)
-        )
-        seq_ms, proc_ms, ratio = _interleave(sequential, procs)
-        built = procs.flow.built
-    finally:
-        sequential.close()
-        procs.close()
-
-    backend = get_backend().name
-    payload = {
-        "backend": backend,
-        "protocol": "unpooled node n/2, 1 batch/epoch",
-        "workers": PREFETCH_WORKERS, "prefetch_depth": PREFETCH_DEPTH,
-        "multi_core": MULTI_CORE,
-        "sequential_ms": round(seq_ms, 2), "process_ms": round(proc_ms, 2),
-        "process_scaling": round(ratio, 3), "identical": identical,
-        "worker_batches_built": built,
-    }
-    record_json("BENCH_multicore", f"prefetch[{backend}]", payload)
-    record_result(
-        "multicore",
-        format_table(
-            ["arm", "ms_per_epoch"],
-            [("sequential (sample+train)", round(seq_ms, 1)),
-             (f"process prefetch x{PREFETCH_WORKERS}", round(proc_ms, 1))],
-        )
-        + f"\nprocess prefetch {ratio:.2f}x on {backend} "
-        f"({'multi' if MULTI_CORE else 'single'}-core host), "
-        f"trajectories identical: {identical}",
-    )
-
-    # Moving the builders across a process boundary must not change a bit.
-    assert identical
-    assert built >= epochs
-    assert np.isfinite(ratio) and ratio > 0
 
 
 @pytest.mark.slow

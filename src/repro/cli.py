@@ -145,19 +145,7 @@ def _run_train(args) -> str:
         seed=args.seed, importance=args.importance,
         importance_alpha=args.importance_alpha,
     )
-    workers = args.prefetch_workers
-    if workers != "thread":
-        try:
-            workers = int(workers)
-        except ValueError:
-            raise SystemExit(
-                f"--prefetch-workers must be 'thread' or an integer, "
-                f"got {args.prefetch_workers!r}"
-            )
-    prefetch_kwargs = dict(
-        micro_batch=args.micro_batch, prefetch=args.prefetch,
-        prefetch_workers=workers,
-    )
+    prefetch_kwargs = dict(micro_batch=args.micro_batch, prefetch=args.prefetch)
     if args.flow == "sampled":
         flow = make_flow("sampled", **prefetch_kwargs, **sampled_kwargs)
     elif args.flow == "partitioned":
@@ -219,8 +207,8 @@ def _run_train(args) -> str:
             resume_from=resume_from,
         )
     finally:
-        # Stops prefetch workers (thread or process pool), the replica
-        # process pool, and unlinks any shared-memory segments.
+        # Stops the prefetch thread and the replica process pool, and
+        # unlinks any shared-memory segments.
         engine.close()
     elapsed = time.perf_counter() - start
     lines = [
@@ -413,19 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "induction, CSR build, backend registration); "
                             "N > 0 enables it: the background thread keeps "
                             "up to N batches built or building, rolling "
-                            "into the next epoch as the window drains — "
-                            "worker processes (--prefetch-workers N) run N "
-                            "slots ahead instead; a failed build is raised "
-                            "when its own batch is reached; trajectories "
-                            "are bit-identical to --prefetch 0; ignored by "
-                            "--flow full, whose only batch is the graph")
-    train.add_argument("--prefetch-workers", default="thread",
-                       help="'thread' (default) builds prefetched batches "
-                            "on a background thread; an integer N builds "
-                            "them in a pool of N OS processes against a "
-                            "shared-memory graph store (same batches, "
-                            "bit-identical trajectories; falls back to "
-                            "the thread when the machine can't host it)")
+                            "into the next epoch as the window drains; a "
+                            "failed build is raised when its own batch is "
+                            "reached; trajectories are bit-identical to "
+                            "--prefetch 0; ignored by --flow full, whose "
+                            "only batch is the graph")
     train.add_argument("--n-parts", type=int, default=4,
                        help="partitions for --flow partitioned")
     train.add_argument("--boundary-fraction", type=float, default=0.2)

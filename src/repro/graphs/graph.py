@@ -243,8 +243,7 @@ class Graph:
     def flatten(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         """``(meta, arrays)``: the graph as picklable scalars + named arrays.
 
-        The one codec for both process boundaries (shared-memory export
-        and the prefetch workers' pickled batches): ``arrays`` holds the
+        The codec of the shared-memory export: ``arrays`` holds the
         COO endpoints, the node columns present and every built adjacency
         as ``adj[key].indptr|indices|data``, with their shapes in ``meta``.
         """

@@ -17,10 +17,7 @@ runs the identical optimisation loop over whichever stream it is handed
   boundary halos every epoch;
 * :class:`PrefetchFlow` — a wrapper that materialises the next batches of
   any flow (sampling, induction, CSR build, backend matrix registration)
-  ahead of the consumer: one consumer loop over a builder that is either a
-  window of futures on one background thread or a pool of worker
-  processes, both warming batches through
-  :func:`~repro.training.parallel.build_adjacencies`;
+  ahead of the consumer, on a window of futures of one background thread;
 * :class:`DistributedFlow` — simulated multi-GPU data parallelism: the
   inner flow's epoch schedule is sharded across ``R`` replicas in rounds,
   the engine all-reduces replica gradients in a fixed order (one optimizer
@@ -29,8 +26,8 @@ runs the identical optimisation loop over whichever stream it is handed
 
 A flow *is* its schedule: :meth:`DataFlow.plan` — the one method a flow
 implements — lists an epoch's batches as :class:`BatchPlan` objects, and
-every consumer (the sequential :meth:`DataFlow.batches` loop, both
-prefetch builders, the replica rounds) enumerates that list. Batch content
+every consumer (the sequential :meth:`DataFlow.batches` loop, the
+prefetch thread, the replica rounds) enumerates that list. Batch content
 is a pure function of ``(seed, slot)``, so building a plan early or in
 another process moves *when* and *where* the work happens, never *what* is
 sampled — which is what makes prefetching bit-identical to sequential.
@@ -38,7 +35,6 @@ sampled — which is what makes prefetching bit-identical to sequential.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
@@ -59,13 +55,7 @@ from ..graphs.partition import sorted_unique
 from ..graphs.sampling import khop_keys
 from ..sparse import ops
 from ..sparse.ops import get_backend, induced_rows
-from .parallel import (
-    PrefetchWorkerError,
-    ProcessPrefetchPool,
-    WorkerSupervisionError,
-    resolve_process_workers,
-    warm_batch,
-)
+from .parallel import PrefetchWorkerError, warm_batch
 
 __all__ = [
     "BatchPlan",
@@ -173,7 +163,7 @@ class DataFlow:
         """The epoch's schedule: one :class:`BatchPlan` per batch, each a
         pure function of the flow's deterministic ``(seed, slot)``. The
         one method a flow implements; :meth:`batches`, the prefetch
-        builders and :meth:`DistributedFlow.rounds` all enumerate it."""
+        builder and :meth:`DistributedFlow.rounds` all enumerate it."""
         raise NotImplementedError
 
     def batches(self, graph: Graph, epoch: int) -> Iterator[Graph]:
@@ -464,14 +454,6 @@ class MicroBatchedFlow(DataFlow):
         self._merged = SubgraphCache(8)  # merged unions kept warm
         self._merge_graph: Optional[Graph] = None
 
-    def __getstate__(self):
-        # Spawn-safe: merged unions are keyed by member identity, which
-        # does not survive pickling — workers rebuild their own.
-        state = self.__dict__.copy()
-        state["_merged"] = SubgraphCache(self._merged.capacity)
-        state["_merge_graph"] = None
-        return state
-
     def describe(self) -> str:
         return f"{self.inner.describe()}+micro{self.size}"
 
@@ -622,19 +604,15 @@ class PrefetchFlow(DataFlow):
     Every flow's batch content is a pure function of its ``(seed, slot)``
     schedule, so building a batch early moves only *when* the sampling /
     induction / CSR-build / backend-registration work happens —
-    trajectories are bit-identical with prefetch on or off. A *builder*
-    processes :meth:`DataFlow.plan` entries in schedule order (so the
-    subgraph pool's LRU sees the exact same get/put sequence) and
-    :meth:`batches` consumes them through ``submit_epoch`` / ``result``,
-    whichever builder answers: the background thread
-    (:class:`_ThreadBuilder`, a window of at most ``depth`` futures) or,
-    with an integer ``workers``, that many spawn processes
-    (:class:`~repro.training.parallel.ProcessPrefetchPool`, which runs
-    ``workers`` slots ahead whatever ``depth`` says). The schedule of epoch
-    ``e + 1`` is submitted when epoch ``e`` starts, so the look-ahead rolls
-    into the next epoch as the current one drains. An engine names its
-    model's adjacencies via :meth:`set_warm_norms`, and every builder
-    pre-builds those too.
+    trajectories are bit-identical with prefetch on or off. The builder
+    (:class:`_ThreadBuilder`, a window of at most ``depth`` futures on one
+    background thread) processes :meth:`DataFlow.plan` entries in schedule
+    order (so the subgraph pool's LRU sees the exact same get/put
+    sequence) and :meth:`batches` consumes them through ``submit_epoch`` /
+    ``result``. The schedule of epoch ``e + 1`` is submitted when epoch
+    ``e`` starts, so the look-ahead rolls into the next epoch as the
+    current one drains. An engine names its model's adjacencies via
+    :meth:`set_warm_norms`, and the builder pre-builds those too.
 
     Notes
     -----
@@ -647,97 +625,47 @@ class PrefetchFlow(DataFlow):
       and to the end: an out-of-order request, a new graph or an abandoned
       epoch shuts the builder down (retiring what it built ahead) and the
       next request starts a fresh one.
-    * Only two builder failures reach the consumer: a *deterministic*
-      build error (:class:`PrefetchWorkerError` — retrying cannot help),
-      raised when the failed slot itself is requested, every earlier slot
-      having been delivered; and the process pool's supervised-recovery
-      exhaustion, on which the flow warns once, builds the epoch's
-      remaining slots inline, and pins the thread builder for good.
+    * A build error reaches the consumer as :class:`PrefetchWorkerError`
+      (deterministic — retrying cannot help), raised when the failed slot
+      itself is requested, every earlier slot having been delivered.
     """
 
     name = "prefetch"
 
-    def __init__(self, inner: DataFlow, depth: int = 2,
-                 workers: Union[None, str, int] = None):
+    def __init__(self, inner: DataFlow, depth: int = 2):
         if depth < 1:
             raise ValueError("prefetch depth must be >= 1")
-        if isinstance(workers, int) and workers < 1:
-            raise ValueError("prefetch workers must be >= 1")
-        if isinstance(workers, str) and workers != "thread":
-            raise ValueError(
-                f"unknown prefetch workers {workers!r}; use 'thread' or a "
-                "positive process count"
-            )
         self.inner = inner
-        #: How many batches the thread builder keeps built or building
-        #: ahead of the consumer.
+        #: How many batches the builder keeps built or building ahead of
+        #: the consumer.
         self.depth = depth
-        #: ``None``/``"thread"`` = the background thread; an ``int`` asks
-        #: for that many spawn worker processes building against a
-        #: shared-memory graph store (degrades back to the thread on hosts
-        #: that cannot support it — see
-        #: :func:`repro.training.parallel.resolve_process_workers`).
-        self.workers = workers
-        #: Adjacencies every builder pre-builds per batch, as graph cache
+        #: Adjacencies the builder pre-builds per batch, as graph cache
         #: keys (the engine installs its model's ``training_adjacencies``).
         self.warm_norms: Tuple[str, ...] = ()
-        self._builder: Union[None, _ThreadBuilder, ProcessPrefetchPool] = None
+        self._builder: Optional[_ThreadBuilder] = None
         self._builder_graph: Optional[Graph] = None
         #: The look-ahead table: plans of epochs handed to the builder
         #: but not yet consumed.
         self._ahead: Dict[int, List[BatchPlan]] = {}
-        self._proc_workers: Optional[int] = None  # resolved lazily
-        self.built = 0  # batches delivered by a builder (stats/tests)
+        self.built = 0  # batches delivered by the builder (stats/tests)
 
     def describe(self) -> str:
-        procs = f"/procs{self.workers}" if isinstance(self.workers, int) else ""
-        return f"{self.inner.describe()}+prefetch{self.depth}{procs}"
+        return f"{self.inner.describe()}+prefetch{self.depth}"
 
     def set_warm_norms(self, norms: Tuple[str, ...]) -> None:
-        """Adjacencies (graph cache keys) the builders pre-build on every
+        """Adjacencies (graph cache keys) the builder pre-builds on every
         batch."""
         self.warm_norms = tuple(norms)
 
     # -- builder -------------------------------------------------------
-    def _ensure_builder(self, graph: Graph):
-        """The builder bound to ``graph``: worker processes when requested
-        *and* viable (resolved once; a denial warns once and pins the
-        thread), else the background thread."""
-        if self._builder is None:
-            if isinstance(self.workers, int) and self._proc_workers is None:
-                self._proc_workers = resolve_process_workers(
-                    self.workers, label="prefetch workers", payload=self.inner
-                )
-            if self._proc_workers:
-                try:
-                    self._builder = ProcessPrefetchPool(
-                        self.inner, graph, self._proc_workers, self.warm_norms
-                    )
-                except Exception as exc:
-                    warnings.warn(
-                        f"prefetch process pool failed to start ({exc!r}); "
-                        "falling back to the prefetch thread",
-                        RuntimeWarning,
-                        stacklevel=4,
-                    )
-                    self._proc_workers = 0
-            if self._builder is None:
-                self._builder = _ThreadBuilder(self)
-            self._builder_graph = graph
-        return self._builder
-
     def close(self) -> None:
-        """Drop pending lookahead batches and shut the builder down (the
-        thread is joined; a process pool's workers are joined and its
-        shared-memory segments unlinked).
+        """Drop pending lookahead batches and join the builder thread.
 
         Call when a flow is retired for good (the CLI does after
         training). Not required between ``fit()`` calls — the next
         ``batches()`` request reuses or discards the lookahead — and a
-        never-closed thread-mode flow costs only its idle worker thread
-        plus up to ``depth`` built batches of the one epoch past the last
-        consumed. A process-mode flow should always be closed: its
-        workers and shared segments outlive garbage collection.
+        never-closed flow costs only its idle builder thread plus up to
+        ``depth`` built batches of the one epoch past the last consumed.
         """
         builder, self._builder = self._builder, None
         self._builder_graph = None
@@ -746,18 +674,21 @@ class PrefetchFlow(DataFlow):
             builder.close()
 
     def _build(self, plan: BatchPlan) -> Graph:
-        """Build and warm one batch (builder thread, or inline remainder)."""
+        """Build and warm one batch (on the builder thread)."""
         batch = plan.build()
         warm_batch(batch, self.warm_norms)
         return batch
 
     # -- scheduling ----------------------------------------------------
     def _submit(self, graph: Graph, epoch: int) -> List[BatchPlan]:
-        """Hand ``epoch``'s plans to the builder (once)."""
+        """Hand ``epoch``'s plans to the builder bound to ``graph`` (once)."""
         plans = self._ahead.get(epoch)
         if plans is None:
             plans = self.inner.plan(graph, epoch)
-            self._ensure_builder(graph).submit_epoch(epoch, plans)
+            if self._builder is None:
+                self._builder = _ThreadBuilder(self)
+                self._builder_graph = graph
+            self._builder.submit_epoch(epoch, plans)
             self._ahead[epoch] = plans
         return plans
 
@@ -777,22 +708,7 @@ class PrefetchFlow(DataFlow):
         builder = self._builder
         try:
             for index, plan in enumerate(plans):
-                if builder is not None:
-                    try:
-                        batch = builder.result(epoch, index)
-                    except WorkerSupervisionError as exc:
-                        warnings.warn(
-                            "prefetch process pool exhausted supervised "
-                            f"recovery ({exc}); building the remaining "
-                            "batches in-process",
-                            RuntimeWarning,
-                            stacklevel=3,
-                        )
-                        self._proc_workers = 0
-                        self.close()
-                        builder = None
-                if builder is None:
-                    batch = self._build(plan)
+                batch = builder.result(epoch, index)
                 self.built += 1
                 yield batch
                 plan.retire(batch)
@@ -1068,9 +984,8 @@ class DistributedFlow(DataFlow):
 
 
 class _ThreadBuilder:
-    """:class:`~repro.training.parallel.ProcessPrefetchPool`'s
-    ``submit_epoch`` / ``result`` / ``close`` on one background thread of
-    this process.
+    """:class:`PrefetchFlow`'s builder: one background thread of this
+    process behind ``submit_epoch`` / ``result`` / ``close``.
 
     A bounded buffer between producer and consumer: submitted plans wait
     in schedule order and at most ``flow.depth`` of them are in the
@@ -1131,8 +1046,7 @@ class _ThreadBuilder:
 
 
 def make_flow(
-    flow: str, micro_batch: int = 1, prefetch: int = 0,
-    prefetch_workers: Union[None, str, int] = None, **kwargs
+    flow: str, micro_batch: int = 1, prefetch: int = 0, **kwargs
 ) -> DataFlow:
     """Build a flow by CLI name: ``full`` / ``sampled`` / ``partitioned``
     / ``distributed``.
@@ -1140,12 +1054,9 @@ def make_flow(
     ``micro_batch > 1`` wraps the flow in a :class:`MicroBatchedFlow` that
     merges that many consecutive batches into one fused dense pass;
     ``prefetch > 0`` wraps the result in a :class:`PrefetchFlow` that
-    builds batches ahead — on a background thread by default, which keeps
-    up to that many built or building, or on ``prefetch_workers`` spawn
-    processes against a shared-memory graph store when an integer count
-    is given (they run ``prefetch_workers`` slots ahead, whatever the
-    depth; ``"thread"`` names the default explicitly). ``full`` is never
-    wrapped: its only batch is the graph itself.
+    builds batches ahead on a background thread, which keeps up to that
+    many built or building. ``full`` is never wrapped: its only batch is
+    the graph itself.
 
     ``distributed`` consumes ``replicas`` (simulated data-parallel width),
     ``grad_topk`` (optional top-k gradient-exchange compression),
@@ -1193,5 +1104,5 @@ def make_flow(
     if micro_batch > 1:
         built = MicroBatchedFlow(built, micro_batch)
     if prefetch > 0 and flow != "full":
-        built = PrefetchFlow(built, prefetch, workers=prefetch_workers)
+        built = PrefetchFlow(built, prefetch)
     return built

@@ -14,8 +14,6 @@ the exact same failure at the exact same schedule position on every run.
 
 Scopes and coordinates:
 
-* ``prefetch`` — a :class:`~repro.training.parallel.ProcessPrefetchPool`
-  build task; coordinates are ``(epoch, plan slot)``.
 * ``replica`` — a :class:`~repro.training.parallel.ReplicaProcessPool`
   worker; coordinates are ``(replica index, 1-based build/step op count)``
   of the worker's *first incarnation* (respawned workers receive only the
@@ -37,7 +35,7 @@ process-wide (the test-fixture path), and the ``REPRO_FAULT_PLAN``
 environment variable carries the same ``;``-separated
 ``action:scope:a:b`` grammar for CLI/CI use, e.g.::
 
-    REPRO_FAULT_PLAN="kill_worker:prefetch:1:0;hang_worker:replica:1:2"
+    REPRO_FAULT_PLAN="kill_worker:replica:0:1;hang_worker:serving:1:2"
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 #: that dies outright, one that stops responding, one that ships garbage,
 #: and one that tears its pipe down without an error frame — plus one
 #: that answers late by a parameterised delay. The scope says which pool
-#: is hit; the names are the same in all three.
+#: is hit; the names are the same in both.
 FAULT_ACTIONS = (
     "kill_worker", "hang_worker", "corrupt_payload", "drop_pipe",
     "slow_request",
@@ -71,7 +69,7 @@ FAULT_ACTIONS = (
 #: Actions that take (indeed require) a ``=value`` parameter.
 PARAM_ACTIONS = ("slow_request",)
 
-FAULT_SCOPES = ("prefetch", "replica", "serving")
+FAULT_SCOPES = ("replica", "serving")
 
 #: Wildcard coordinate: matches every value, never consumed.
 WILDCARD = -1
@@ -81,10 +79,8 @@ WILDCARD = -1
 class FaultEvent:
     """One scheduled fault: ``action`` at coordinate ``(a, b)`` of ``scope``.
 
-    For ``scope="prefetch"``, ``a`` is the epoch and ``b`` the plan slot of
-    the build task to sabotage. For ``scope="replica"`` and
-    ``scope="serving"``, ``a`` is the worker/executor index and ``b`` the
-    1-based count of messages the worker has handled when the fault fires.
+    ``a`` is the worker/executor index and ``b`` the 1-based count of
+    messages the worker has handled when the fault fires.
     ``-1`` in either position is the wildcard. ``param`` carries the value
     of parameterised actions (``slow_request``'s delay in milliseconds),
     spelled ``action=value`` in the spec grammar.

@@ -1,38 +1,30 @@
 """Process-pool execution over the shared-memory graph store.
 
-Two executors live here, both spawn-started against a
+:class:`ReplicaProcessPool` is ``DistributedFlow``'s process-per-replica
+round executor, spawn-started against a
 :class:`~repro.graphs.shm.SharedGraphStore` so workers read the full graph
-zero-copy instead of unpickling it:
+zero-copy instead of unpickling it. Each worker holds a persistent model
+mirror plus its own single-row
+:class:`~repro.training.engine.ReplicaGradients` (so ``--grad-topk``
+error-feedback residuals live where the gradients are computed) and runs
+:func:`~repro.training.engine.forward_backward` on the parameters the
+parent ships, behind the ``build`` / ``step`` / ``retire`` calls the
+engine's in-process replicas answer too.
 
-* :class:`ProcessPrefetchPool` — ``PrefetchFlow``'s multi-core builder:
-  dedicated pipe-connected worker processes rebuild the flow's
-  deterministic ``BatchPlan`` schedule against the shared graph and ship
-  the built batches back in ``Graph.flatten`` form (batch content is a
-  pure function of ``(seed, slot)``, so worker-built batches are
-  byte-identical to thread-built or inline ones — and any worker can
-  rebuild any slot),
-  behind the ``submit_epoch`` / ``result`` calls ``PrefetchFlow``'s
-  thread builder answers too;
-* :class:`ReplicaProcessPool` — ``DistributedFlow``'s process-per-replica
-  round executor: each worker holds a persistent model mirror plus its own
-  single-row :class:`~repro.training.engine.ReplicaGradients` (so
-  ``--grad-topk`` error-feedback residuals live where the gradients are
-  computed) and runs :func:`~repro.training.engine.forward_backward` on
-  the parameters the parent ships, behind the ``build`` / ``step`` /
-  ``retire`` calls the engine's in-process replicas answer too.
-
-Both pools are thin clients of
+The pool is a thin client of
 :class:`~repro.training.supervision.SupervisedPool`, which owns spawning,
 the sentinel-watched reply wait, kill, respawn and retry accounting (see
 that module for the supervision rules). What lives here is what makes a
-replay *bit-identical*: a prefetch slot is a pure function of its
-coordinates, so the failed slot is simply re-sent to the respawned
-worker; a replica worker is resurrected from its last state snapshot
-(every gradient reply ships the worker's post-step PCG64 state and
-error-feedback residual row), the active batch is rebuilt, and the failed
-op re-issued. Deterministic *application* errors (a worker's own
-exception frame) are never retried — they raise immediately with the
+replay *bit-identical*: a replica worker is resurrected from its last
+state snapshot (every gradient reply ships the worker's post-step PCG64
+state and error-feedback residual row), the active batch is rebuilt, and
+the failed op re-issued. Deterministic *application* errors (a worker's
+own exception frame) are never retried — they raise immediately with the
 worker's traceback attached.
+
+The module also holds the build-and-warm helpers ``PrefetchFlow``'s
+builder thread runs on each batch, and the replica protocol's
+flat-parameter codec.
 
 :func:`resolve_process_workers` is the shared degradation gate: no usable
 shared memory, an unpicklable flow, or fewer CPU cores than requested all
@@ -49,7 +41,6 @@ import pickle
 import time
 import traceback
 import warnings
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,7 +72,6 @@ __all__ = [
     "WorkerSupervisionError",
     "ReplicaWorkerError",
     "PrefetchWorkerError",
-    "ProcessPrefetchPool",
     "ReplicaProcessPool",
 ]
 
@@ -159,8 +149,8 @@ def resolve_process_workers(requested: int, label: str = "workers",
 
 
 # ----------------------------------------------------------------------
-# Build-and-warm: what every prefetch builder, the inline remainder after
-# a degraded pool and a served window do to a batch before it is used.
+# Build-and-warm: what the prefetch thread and a served window do to a
+# batch before it is used.
 # ----------------------------------------------------------------------
 
 def conv_norms(model) -> Tuple[str, ...]:
@@ -224,195 +214,18 @@ def unpack_parameters(parameters, flat: np.ndarray) -> None:
         offset += size
 
 
-# ----------------------------------------------------------------------
-# Prefetch builder pool (PrefetchFlow's multi-core path).
-# ----------------------------------------------------------------------
-
 class PrefetchWorkerError(RuntimeError):
-    """A prefetch builder failed; names the originating schedule slot."""
+    """``PrefetchFlow``'s builder thread failed to build one schedule slot
+    (deterministic: retrying cannot help); names the slot."""
 
-    def __init__(self, slot: Optional[int], epoch: int,
-                 original: BaseException):
-        where = "unknown slot" if slot is None else f"plan slot {slot}"
+    def __init__(self, slot: int, epoch: int, original: BaseException):
         super().__init__(
-            f"prefetch builder failed at {where} of epoch {epoch}: "
-            f"{original!r}"
+            f"prefetch builder failed at plan slot {slot} of epoch "
+            f"{epoch}: {original!r}"
         )
         self.slot = slot
         self.epoch = epoch
         self.original = original
-
-
-def _prefetch_worker(conn, spec: dict) -> None:
-    """One builder: attach the shared graph, serve build requests forever.
-
-    Replies: ``("built", epoch, index, payload)`` on success,
-    ``("error", epoch, index, summary, traceback)`` on a deterministic
-    build exception (the loop keeps serving — the error is the slot's, not
-    the worker's).
-    """
-    store = None
-    try:
-        set_backend(spec["backend"])
-        store = SharedGraphStore.attach(spec["handle"])
-        graph = store.graph()
-        flow = pickle.loads(spec["flow"])
-        warm_norms = spec["warm_norms"]
-        conn.send(("ready",))
-        while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                break
-            _, epoch, index, actions = message
-            corrupt = _apply_faults(conn, actions)
-            try:
-                plans = flow.plan(graph, epoch)
-                batch = plans[index].build()
-                # Built batches are process-local copies, so pickling them
-                # back is safe; the adjacencies the engine will need ship
-                # pre-built so that cost also leaves the training process.
-                build_adjacencies(batch, warm_norms)
-                payload = batch.flatten()
-                # Worker-side cleanup mirrors the consumer contract:
-                # one-shot batches release their backend wrappers here.
-                plans[index].retire(batch)
-            except BaseException as exc:
-                conn.send((
-                    "error", epoch, index, repr(exc), traceback.format_exc()
-                ))
-                continue
-            if corrupt:
-                payload = (payload[0], {})
-            conn.send(("built", epoch, index, payload))
-    except (EOFError, KeyboardInterrupt, BrokenPipeError, OSError):
-        pass
-    finally:
-        if store is not None:
-            store.close()
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-class ProcessPrefetchPool:
-    """Supervised spawn workers building a flow's ``BatchPlan`` schedule.
-
-    One dedicated pipe-connected process per worker (a ``mp.Pool`` cannot
-    promptly surface a SIGKILLed child — the lost task only shows up as a
-    result timeout; a sentinel-watched ``Process`` reports it instantly).
-    Slots are dispatched one-at-a-time per worker; because a batch is a
-    pure function of ``(seed, slot)``, a failed slot is replayed on the
-    respawned worker with a bit-identical result.
-    """
-
-    def __init__(self, inner_flow, graph: Graph, workers: int,
-                 warm_norms: Sequence[str] = (),
-                 supervisor: Optional[SupervisorConfig] = None):
-        self.workers = workers
-        self.graph = graph
-        spec = {
-            "flow": pickle.dumps(inner_flow),
-            "warm_norms": tuple(warm_norms),
-        }
-        self._inflight: Dict[int, Tuple[int, int]] = {}  # worker -> task
-        self._queue: deque = deque()
-        self._results: Dict[Tuple[int, int], Graph] = {}
-        self._failures: Dict[Tuple[int, int], BaseException] = {}
-        self._pool = SupervisedPool(
-            graph, workers, label="prefetch worker", scope="prefetch",
-            target=_prefetch_worker, spec_for=lambda worker: spec,
-            check_ready=self._check_ready, check_reply=self._check_reply,
-            replay=self._send, supervisor=supervisor,
-        )
-
-    def close(self) -> None:
-        """Stop/kill the workers and free the shared segments (idempotent)."""
-        self._pool.close()
-
-    # -- dispatch ------------------------------------------------------
-    def submit_epoch(self, epoch: int, plans: Sequence) -> None:
-        """Queue every plan of ``epoch``; workers start building at once
-        (they rebuild the schedule themselves — only the count is used)."""
-        for index in range(len(plans)):
-            self._queue.append((epoch, index))
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        for worker in range(self.workers):
-            if not self._queue:
-                return
-            if worker not in self._inflight:
-                self._inflight[worker] = self._queue.popleft()
-                self._send(worker)
-
-    def _send(self, worker: int) -> None:
-        """Send ``worker`` its in-flight slot — also the whole replay
-        recipe: a respawned worker rebuilds the same slot from scratch."""
-        epoch, index = task = self._inflight[worker]
-        self._pool.send(worker, ("build", epoch, index), at=task)
-
-    # -- supervision ---------------------------------------------------
-    def result(self, epoch: int, index: int) -> Graph:
-        """The built (and validated) batch for one submitted plan slot.
-
-        Blocks until the slot is built, replaying it through respawned
-        workers on infrastructure failures. Raises
-        :class:`PrefetchWorkerError` for a deterministic builder exception
-        and :class:`WorkerSupervisionError` once retries are exhausted.
-        """
-        key = (epoch, index)
-        while True:
-            if key in self._failures:
-                raise PrefetchWorkerError(
-                    index, epoch, self._failures.pop(key)
-                )
-            if key in self._results:
-                return self._results.pop(key)
-            if key not in self._inflight.values() and key not in self._queue:
-                raise RuntimeError(
-                    f"plan slot {index} of epoch {epoch} was never submitted"
-                )
-            worker, _ = self._pool.recv_any(list(self._inflight))
-            del self._inflight[worker]
-            self._dispatch()
-
-    @staticmethod
-    def _check_ready(worker: int, frame) -> Optional[str]:
-        if frame != ("ready",):
-            return f"unexpected handshake {frame!r}"
-        return None
-
-    def _check_reply(self, worker: int, frame) -> Optional[str]:
-        """Validate a build reply and bank what it carries.
-
-        A ``built`` frame is accepted only once its payload decodes into a
-        batch (stored for :meth:`result`); an ``error`` frame is the
-        slot's deterministic failure, recorded and never retried.
-        """
-        task = self._inflight[worker]
-        try:
-            kind = frame[0]
-            if kind == "built":
-                _, epoch, index, payload = frame
-            elif kind == "error":
-                _, epoch, index, summary, worker_tb = frame
-            else:
-                raise ValueError(f"unexpected frame kind {kind!r}")
-        except (ValueError, TypeError, IndexError):
-            return f"malformed reply frame {frame!r}"
-        if task != (epoch, index):
-            return f"reply for {(epoch, index)} while {task} in flight"
-        if kind == "error":
-            self._failures.setdefault(
-                task, RuntimeError(f"{summary}\n{worker_tb}")
-            )
-            return None
-        try:
-            self._results[task] = Graph.unflatten(*payload)
-        except Exception as exc:
-            return f"corrupt batch payload ({exc!r})"
-        return None
 
 
 # ----------------------------------------------------------------------

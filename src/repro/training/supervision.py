@@ -14,8 +14,7 @@ of one worker (or a failed respawn) :class:`WorkerSupervisionError`
 tells the caller to degrade to its in-process path.
 
 What a worker *does* is the client's business
-(:class:`~repro.training.parallel.ProcessPrefetchPool`,
-:class:`~repro.training.parallel.ReplicaProcessPool`,
+(:class:`~repro.training.parallel.ReplicaProcessPool`,
 :class:`~repro.serving.executor.ExecutorPool`): each brings a worker
 function, a spec, two frame validators and a replay recipe, and keeps
 the state that makes its replay bit-identical.

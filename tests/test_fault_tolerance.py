@@ -66,26 +66,6 @@ def _config(dropout=0.1, k=4):
     )
 
 
-def _run_sampled(workers, epochs=2, plan=None):
-    set_fault_plan(plan)
-    try:
-        graph = _task_graph()
-        flow = make_flow(
-            "sampled", sampler="node", batches_per_epoch=2, sample_size=40,
-            seed=3, prefetch=2, prefetch_workers=workers,
-        )
-        engine = Engine(MaxKGNN(graph, _config(), seed=0), graph, flow,
-                        lr=0.01)
-        try:
-            losses = [engine.train_epoch(epoch=e) for e in range(epochs)]
-            params = [p.data.copy() for p in engine.optimizer.parameters]
-        finally:
-            engine.close()
-        return losses, params
-    finally:
-        set_fault_plan(None)
-
-
 def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2,
                      plan=None, steps=1):
     set_fault_plan(plan)
@@ -132,7 +112,7 @@ def _no_leaks():
 
 class TestFaultPlan:
     def test_parse_round_trip(self):
-        spec = "kill_worker:prefetch:1:0;hang_worker:replica:*:3"
+        spec = "kill_worker:serving:1:0;hang_worker:replica:*:3"
         plan = FaultPlan.parse(spec)
         assert plan.spec() == spec
         assert len(plan) == 2
@@ -140,15 +120,28 @@ class TestFaultPlan:
 
     def test_malformed_specs_rejected(self):
         with pytest.raises(ValueError, match="expected action:scope"):
-            FaultPlan.parse("kill_worker:prefetch:1")
+            FaultPlan.parse("kill_worker:replica:1")
         with pytest.raises(ValueError, match="unknown fault action"):
-            FaultPlan.parse("explode:prefetch:1:0")
+            FaultPlan.parse("explode:serving:1:0")
         with pytest.raises(ValueError, match="unknown fault scope"):
             FaultPlan.parse("kill_worker:nowhere:1:0")
         with pytest.raises(ValueError, match="coordinate"):
-            FaultPlan.parse("kill_worker:prefetch:x:0")
+            FaultPlan.parse("kill_worker:replica:x:0")
         with pytest.raises(ValueError, match=">= 0"):
-            FaultPlan.parse("kill_worker:prefetch:-2:0")
+            FaultPlan.parse("kill_worker:serving:-2:0")
+
+    @pytest.mark.parametrize("spec", [
+        "kill_worker:prefetch:1:0",
+        "hang_worker:prefetch:*:3",
+        "corrupt_payload:prefetch:0:1",
+        "drop_pipe:prefetch:1:1",
+        "slow_request=5:prefetch:0:*",
+    ])
+    def test_prefetch_scope_is_gone(self, spec):
+        # Prefetch builds on a thread: there is no prefetch worker to hit,
+        # whichever action the spec names.
+        with pytest.raises(ValueError, match="unknown fault scope"):
+            FaultPlan.parse(spec)
 
     def test_env_plan(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "drop_pipe:replica:0:2")
@@ -158,79 +151,20 @@ class TestFaultPlan:
 
     def test_installed_plan_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "drop_pipe:replica:0:2")
-        installed = FaultPlan.parse("kill_worker:prefetch:0:0")
+        installed = FaultPlan.parse("kill_worker:serving:0:0")
         set_fault_plan(installed)
         assert current_fault_plan() is installed
 
     def test_wildcard_events_are_persistent(self):
-        events = [FaultEvent("kill_worker", "prefetch", 1, 0)]
+        events = [FaultEvent("kill_worker", "replica", 1, 0)]
         from repro.training.supervision import _consume_events
 
         assert _consume_events(events, 0, 0) == []
         assert _consume_events(events, 1, 0) == [("kill_worker", None)]
         assert events == []  # exact-coordinate events consume
-        wild = [FaultEvent("kill_worker", "prefetch", -1, -1)]
+        wild = [FaultEvent("kill_worker", "serving", -1, -1)]
         assert _consume_events(wild, 5, 9) == [("kill_worker", None)]
         assert wild  # wildcards never consume
-
-
-class TestPrefetchRecovery:
-    """A sabotaged build slot is respawned + replayed bit-identically."""
-
-    def test_killed_worker_mid_epoch_is_bitwise_invisible(
-        self, force_procs, backend
-    ):
-        clean = _run_sampled(2)
-        faulted = _run_sampled(
-            2, plan=FaultPlan.parse("kill_worker:prefetch:1:0")
-        )
-        assert _identical(clean, faulted)
-        _no_leaks()
-
-    def test_corrupt_payload_is_replayed(self, force_procs):
-        clean = _run_sampled(2)
-        faulted = _run_sampled(
-            2, plan=FaultPlan.parse("corrupt_payload:prefetch:0:1")
-        )
-        assert _identical(clean, faulted)
-        _no_leaks()
-
-    def test_torn_pipe_is_replayed(self, force_procs):
-        clean = _run_sampled(2)
-        faulted = _run_sampled(
-            2, plan=FaultPlan.parse("drop_pipe:prefetch:1:1")
-        )
-        assert _identical(clean, faulted)
-        _no_leaks()
-
-    @pytest.mark.slow
-    def test_hung_worker_is_killed_and_replayed(self, force_procs,
-                                                monkeypatch):
-        # The deadline also bounds the spawn handshake, so keep it large
-        # enough for a cold worker import; one hang costs one deadline.
-        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "15")
-        clean = _run_sampled(2)
-        faulted = _run_sampled(
-            2, plan=FaultPlan.parse("hang_worker:prefetch:1:0")
-        )
-        assert _identical(clean, faulted)
-        _no_leaks()
-
-    def test_exhaustion_degrades_in_process_with_one_warning(
-        self, force_procs, quick_retries
-    ):
-        thread = _run_sampled("thread", epochs=3)
-        with pytest.warns(RuntimeWarning, match="in-process") as caught:
-            faulted = _run_sampled(
-                2, epochs=3,
-                plan=FaultPlan.parse("kill_worker:prefetch:*:*"),
-            )
-        relevant = [w for w in caught
-                    if "in-process" in str(w.message)]
-        assert len(relevant) == 1
-        assert "exhausted supervised recovery" in str(relevant[0].message)
-        assert _identical(thread, faulted)
-        _no_leaks()
 
 
 class TestReplicaRecovery:

@@ -1,14 +1,12 @@
 """Cross-process determinism tests for true multi-core execution (PR 7).
 
-The process pools must be invisible to the numerics: a process-built
-prefetch stream is byte-identical to the thread-built one, a process-per-
+The replica process pool must be invisible to the numerics: a process-per-
 replica round is bit-identical to the in-process store at R=1 (and at
 R>1 with dropout disabled — the only RNG the replica mirrors consume),
 and seed-reproducible otherwise, dense and top-k alike. Failure paths
-degrade gracefully: prompt, slot-attributed errors from broken builders;
-a single warning and in-process fallback when the host can't host the
-pool; and no leaked shared-memory segments or zombie workers after
-``Engine.close``.
+degrade gracefully: a single warning and in-process fallback when the
+host can't host the pool, and no leaked shared-memory segments or zombie
+workers after ``Engine.close``.
 
 ``REPRO_FORCE_PROCS=1`` lets these run on single-core CI: the resolver
 skips its core-count gate, so the pools genuinely exercise the spawn
@@ -32,7 +30,6 @@ from repro.graphs import (
 from repro.models import GNNConfig, MaxKGNN
 from repro.training import (
     Engine,
-    PrefetchWorkerError,
     TrainResult,
     make_flow,
 )
@@ -55,21 +52,6 @@ def _config(dropout=0.1):
         model_type="sage", in_features=8, hidden=16, out_features=4,
         n_layers=2, nonlinearity="maxk", k=4, dropout=dropout,
     )
-
-
-def _run_sampled(workers, epochs=2):
-    graph = _task_graph()
-    flow = make_flow(
-        "sampled", sampler="node", batches_per_epoch=2, sample_size=60,
-        seed=3, prefetch=2, prefetch_workers=workers,
-    )
-    engine = Engine(MaxKGNN(graph, _config(), seed=0), graph, flow, lr=0.01)
-    try:
-        losses = [engine.train_epoch(epoch=e) for e in range(epochs)]
-        params = [p.data.copy() for p in engine.optimizer.parameters]
-    finally:
-        engine.close()
-    return losses, params
 
 
 def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2,
@@ -117,45 +99,6 @@ def _identical(a, b):
 def _no_leaks():
     assert owned_segment_count() == 0
     assert not multiprocessing.active_children()
-
-
-def _broken_sampler(graph, size, seed=0):
-    # Module-level so it pickles into the spawn worker.
-    raise RuntimeError("sampler exploded")
-
-
-class TestProcessPrefetch:
-    def test_matches_thread_builder_bitwise(self, force_procs):
-        thread = _run_sampled("thread")
-        procs = _run_sampled(2)
-        assert _identical(thread, procs)
-        _no_leaks()
-
-    def test_worker_failure_is_prompt_and_slot_attributed(self, force_procs):
-        graph = _task_graph(60)
-        flow = make_flow(
-            "sampled", sampler=_broken_sampler, sample_size=10, seed=0,
-            prefetch=2, prefetch_workers=2,
-        )
-        try:
-            # The historical contract: a RuntimeError whose message embeds
-            # the original error; the new one: the originating plan slot.
-            with pytest.raises(RuntimeError, match="sampler exploded") as info:
-                list(flow.batches(graph, 0))
-            assert isinstance(info.value, PrefetchWorkerError)
-            assert info.value.slot == 0
-            assert info.value.epoch == 0
-            assert "slot 0" in str(info.value)
-        finally:
-            flow.close()
-        _no_leaks()
-
-    def test_falls_back_to_thread_when_cores_are_short(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_PROCS", raising=False)
-        with pytest.warns(RuntimeWarning, match="in-process"):
-            over = _run_sampled(available_cores() + 1)
-        assert _identical(over, _run_sampled("thread"))
-        _no_leaks()
 
 
 class TestReplicaProcesses:

@@ -309,7 +309,8 @@ def test_deleted_knobs_and_aliases_stay_deleted():
                  # docstring; the class and its calls are "SGD(".
                  "SGD(", "kaiming_uniform", "degree_sort_reorder",
                  "community_sort_reorder", "locality_score", "maxk_backward",
-                 "sspmm_read_reduction"):
+                 "sspmm_read_reduction", "ProcessPrefetchPool",
+                 "_prefetch_worker", "prefetch_workers", "prefetch-workers"):
         assert _occurrences(gone) == {}, gone
 
 

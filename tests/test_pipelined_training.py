@@ -4,9 +4,9 @@ Covers the three tentpole layers and their seams:
 
 * :class:`~repro.training.dataflow.PrefetchFlow` — bit-identical
   trajectories with prefetch on/off across every backend and flow shape
-  (pooled / unpooled / micro-batched), in-slot-order worker error
-  propagation and abandonment against both builders, and the warm-up
-  every builder shares with the inline path;
+  (pooled / unpooled / micro-batched), in-slot-order builder error
+  propagation and abandonment, and the warm-up the builder shares with
+  the inline path;
 * ``fused_ce`` — bitwise equality against the composed
   ``cross_entropy`` and a finite-difference gradcheck, per backend;
 * the vectorized backend's blocked gather–scatter SpMM (its numpy route,
@@ -27,7 +27,6 @@ from repro.graphs import (
     attach_classification_task,
     owned_segment_count,
     sbm_graph,
-    shared_memory_available,
 )
 from repro.models import GNNConfig, MaxKGNN
 from repro.sparse import CSRMatrix, native, ops
@@ -44,10 +43,9 @@ from repro.training import (
 from repro.training.parallel import PrefetchWorkerError, warm_batch
 from tests.test_tensor import finite_difference
 
-#: Prefetch builders: the background thread, and (where the host has
-#: shared memory) two worker processes. Looped over inside the cases
-#: below rather than parametrised, so their test ids stay stable.
-BUILDERS = ["thread"] + ([2] if shared_memory_available() else [])
+#: Prefetch builders: the background thread is the only one. The case
+#: parametrised over it keeps its ``[thread]`` id.
+BUILDERS = ["thread"]
 
 
 def _task_graph(n=150, seed=3):
@@ -122,8 +120,7 @@ class TestPrefetchDeterminism:
 
 
 class _RecordingFlow(SampledFlow):
-    """Remembers every batch sampled in *this* process (module-level so it
-    pickles into spawn workers, whose own recordings stay with them)."""
+    """Remembers every batch it sampled."""
 
     sampled = ()
 
@@ -140,16 +137,25 @@ class _FailsOnSlotTwo(_RecordingFlow):
         return super()._sample(graph, slot)
 
 
+class _FailsOnSlot(_RecordingFlow):
+    fail_slot = 0
+
+    def _sample(self, graph, slot):
+        if slot == self.fail_slot:
+            raise RuntimeError(f"slot {slot} exploded")
+        return super()._sample(graph, slot)
+
+
 class TestPrefetchMechanics:
-    @pytest.mark.parametrize("workers", BUILDERS)
-    def test_failure_surfaces_at_its_own_slot(self, workers, force_procs):
-        """Both builders fail in slot order: everything scheduled before
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_failure_surfaces_at_its_own_slot(self, builder):
+        """The builder fails in slot order: everything scheduled before
         the failed slot is delivered, the failure is raised when *its*
         slot is requested, and closing leaves nothing behind."""
         graph = _task_graph(60)
         inner = _FailsOnSlotTwo(sampler="node", batches_per_epoch=4,
                                 sample_size=20, seed=0)
-        flow = PrefetchFlow(inner, 2, workers=workers)
+        flow = PrefetchFlow(inner, 2)
         flow.set_warm_norms(("sage",))
         stream = flow.batches(graph, 0)
         delivered = [next(stream), next(stream)]
@@ -180,6 +186,74 @@ class TestPrefetchMechanics:
         with pytest.raises(RuntimeError, match="sampler exploded"):
             list(flow.batches(graph, 0))
         flow.close()
+
+    @pytest.mark.parametrize("epoch", [0, 3])
+    def test_sampler_failure_is_slot_attributed(self, epoch):
+        """A failing sampler surfaces as a RuntimeError that embeds the
+        original error and names the plan slot and epoch it failed at."""
+        def broken_sampler(graph, size, seed=0):
+            raise RuntimeError("sampler exploded")
+
+        graph = _task_graph(60)
+        flow = PrefetchFlow(
+            SampledFlow(sampler=broken_sampler, sample_size=10, seed=0), 2
+        )
+        try:
+            with pytest.raises(PrefetchWorkerError,
+                               match="sampler exploded") as info:
+                list(flow.batches(graph, epoch))
+            assert isinstance(info.value, RuntimeError)
+            assert isinstance(info.value.original, RuntimeError)
+            assert info.value.slot == 0
+            assert info.value.epoch == epoch
+            assert f"slot 0 of epoch {epoch}" in str(info.value)
+        finally:
+            flow.close()
+
+    @pytest.mark.parametrize("fail_slot", [0, 3])
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_failure_at_window_edges(self, depth, fail_slot):
+        """The first and the last slot fail in order too, whether the
+        window holds one batch or the whole epoch: exactly the earlier
+        slots are delivered, and close() retires what was built ahead."""
+        graph = _task_graph(60)
+        inner = _FailsOnSlot(sampler="node", batches_per_epoch=4,
+                             sample_size=20, seed=0)
+        inner.fail_slot = fail_slot
+        flow = PrefetchFlow(inner, depth)
+        flow.set_warm_norms(("sage",))
+        stream = flow.batches(graph, 0)
+        delivered = [next(stream) for _ in range(fail_slot)]
+        assert [b.n_nodes for b in delivered] == [20] * fail_slot
+        with pytest.raises(PrefetchWorkerError) as failure:
+            next(stream)
+        assert failure.value.slot == fail_slot and failure.value.epoch == 0
+        flow.close()
+        built = [
+            matrix for subgraph in [*inner.sampled, *delivered]
+            for matrix in subgraph._adj_cache.values()
+        ]
+        assert ops.release(built) == 0
+        assert owned_segment_count() == 0
+
+    def test_prefetch_flow_takes_no_workers(self):
+        # The thread is the only builder; there is no pool to size.
+        with pytest.raises(TypeError, match="workers"):
+            PrefetchFlow(SampledFlow(), 2, workers=2)
+
+    def test_make_flow_takes_no_prefetch_worker_count(self):
+        with pytest.raises(TypeError, match="prefetch_workers"):
+            make_flow("sampled", sampler="node", sample_size=10,
+                      prefetch=2, prefetch_workers=2)
+
+    def test_cli_takes_no_prefetch_worker_count(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["train", "--prefetch", "2", "--prefetch-workers", "2"]
+            )
+        assert "--prefetch-workers" in capsys.readouterr().err
 
     def test_early_abandon_does_not_wedge(self):
         graph = _task_graph(60)
@@ -232,19 +306,15 @@ class TestPrefetchMechanics:
         assert built_fresh is not built_stale
         assert fresh_cache.get(0) is built_fresh
 
-    def test_cancelled_prefetch_retires_oneshot_batches(self, force_procs):
-        """A consumer that abandons mid-epoch leaves nothing behind on
-        either builder: batches built ahead but never consumed are still
-        retired (or their warmed backend wrappers stay pinned), the flow
-        keeps serving later epochs, and close() frees every resource."""
-        for workers in BUILDERS:
-            self._abandon_mid_epoch(workers)
-
-    def _abandon_mid_epoch(self, workers):
+    def test_cancelled_prefetch_retires_oneshot_batches(self):
+        """A consumer that abandons mid-epoch leaves nothing behind:
+        batches built ahead but never consumed are still retired (or their
+        warmed backend wrappers stay pinned), the flow keeps serving later
+        epochs, and close() frees every resource."""
         graph = _task_graph(60)
         inner = _RecordingFlow(sampler="node", batches_per_epoch=3,
                                sample_size=20, seed=0)
-        flow = PrefetchFlow(inner, 2, workers=workers)
+        flow = PrefetchFlow(inner, 2)
         flow.set_warm_norms(("sage", "sage^T"))
         stream = flow.batches(graph, 0)
         held = next(stream)
@@ -254,24 +324,23 @@ class TestPrefetchMechanics:
         # Every dropped batch's registrations were released; only the
         # batch the abandoned generator handed out may stay registered
         # (matching sequential flows, which also skip release on
-        # abandonment) — and only the thread builder registers at all.
+        # abandonment).
         built = [
             matrix for subgraph in inner.sampled
             for matrix in subgraph._adj_cache.values()
         ]
         held_matrices = list(held._adj_cache.values())
         assert len(held_matrices) == 2
-        expected = 2 if workers == "thread" else 0
-        assert ops.release(built + held_matrices) == expected
+        assert ops.release(built + held_matrices) == 2
         assert owned_segment_count() == 0
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("cbsr", [False, True], ids=["spmm", "cbsr"])
-    def test_engine_installs_warmer(self, backend, force_procs, cbsr):
+    def test_engine_installs_warmer(self, backend, cbsr):
         """The engine names its model's adjacencies once, and a prefetched
         batch arrives with exactly the matrices an inline-warmed one
-        holds, whichever builder made it. ``A^T`` is among them only for
-        the SpMM route's backward: the CBSR route's SSpMM reads ``A``."""
+        holds. ``A^T`` is among them only for the SpMM route's backward:
+        the CBSR route's SSpMM reads ``A``."""
         graph = _task_graph(80)
         keys = ("sage",) if cbsr else ("sage", "sage^T")
 
@@ -279,22 +348,21 @@ class TestPrefetchMechanics:
             return SampledFlow(sampler="node", sample_size=30, seed=0)
 
         inline = next(inner().batches(graph, 0))
-        for workers in BUILDERS:
-            flow = PrefetchFlow(inner(), 2, workers=workers)
-            engine = _engine(graph, flow, use_cbsr_kernels=cbsr)
-            assert flow.warm_norms == keys
-            warm_batch(inline, flow.warm_norms)
-            try:
-                prefetched = next(flow.batches(graph, 0))
-            finally:
-                engine.close()
-            assert set(inline._adj_cache) == set(keys)
-            assert set(prefetched._adj_cache) == set(inline._adj_cache)
-            for key, matrix in inline._adj_cache.items():
-                twin = prefetched._adj_cache[key]
-                assert twin.data.tobytes() == matrix.data.tobytes()
-                assert twin.indices.tobytes() == matrix.indices.tobytes()
-            ops.release(prefetched._adj_cache.values())
+        flow = PrefetchFlow(inner(), 2)
+        engine = _engine(graph, flow, use_cbsr_kernels=cbsr)
+        assert flow.warm_norms == keys
+        warm_batch(inline, flow.warm_norms)
+        try:
+            prefetched = next(flow.batches(graph, 0))
+        finally:
+            engine.close()
+        assert set(inline._adj_cache) == set(keys)
+        assert set(prefetched._adj_cache) == set(inline._adj_cache)
+        for key, matrix in inline._adj_cache.items():
+            twin = prefetched._adj_cache[key]
+            assert twin.data.tobytes() == matrix.data.tobytes()
+            assert twin.indices.tobytes() == matrix.indices.tobytes()
+        ops.release(prefetched._adj_cache.values())
         ops.release(inline._adj_cache.values())
 
 
