@@ -368,13 +368,25 @@ def scaled_adjacency(base: CSRMatrix, norm: str = "none") -> CSRMatrix:
     """
     if norm in ("none", "gin"):
         return base
-    degrees = base.row_degrees().astype(base.data.dtype)
     if norm == "sage":
-        inv = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
-        return base.scale_rows(inv)
+        return base.with_data(_mean_weights(base.data, base.row_degrees()))
+    degrees = base.row_degrees().astype(base.data.dtype)
     if norm == "gcn":
         inv_sqrt = np.divide(
             1.0, np.sqrt(degrees), out=np.zeros_like(degrees), where=degrees > 0
         )
         return base.scale_rows(inv_sqrt).scale_cols(inv_sqrt)
     raise ValueError(f"unknown normalisation {norm!r}; use none/gin/sage/gcn")
+
+
+def _mean_weights(data: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """``sage``'s row scale: the entries ``data`` of consecutive rows,
+    ``degrees[i]`` of them in row ``i``, each over its row's entry count
+    (a row without entries scales nothing). The one place it is computed:
+    for a whole base by :func:`scaled_adjacency`, for the rows a delta
+    touched by :mod:`repro.graphs.mutation`'s patch of a cached ``sage``
+    matrix. Each weight is one division and one product of its own row's
+    values, so the two give the same bytes."""
+    counts = degrees.astype(data.dtype)
+    inv = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+    return data * np.repeat(inv, degrees)

@@ -13,15 +13,24 @@ keying the edge list (a graph that has no ``in`` index yet builds it here:
 the one sort its first reader would have paid anyway; ``out`` too when
 nodes are detached).  Everything derived is then *patched*: each
 ``(row, col)`` key of the delta is binary-searched in its own row of the
-input CSR, each deleted COO position in its own index group, and every
-E-length array is rebuilt by one :func:`_splice`: the drops and inserts,
-given in input coordinates, go into one new array with one block copy per
-kept run, and the input is never written.  What is left that grows with E
-is memory-bound: those copies, one renumbering of the surviving positions
-per built index direction (``order - shift[order]``) and the
-``scale_rows`` re-derivation of the cached normalisations.  No sort, no
+input CSR, each deleted COO position in its own index group (one compiled
+bisection per query, :func:`_group_search`), and every E-length array is
+rebuilt by one :func:`_splice`: the drops and inserts, given in input
+coordinates, go into one new array with one block copy per kept run, and
+the input is never written.  A built index direction's ``order`` is
+renumbered past the deleted positions (``order - shift[order]``) in the
+same compiled sweep as its splice (:func:`_renumber_splice`), and a cached
+``sage`` matrix takes the ``plain`` base's splice on its own ``data``, with
+only the touched rows' weights recomputed (:func:`_patch_sage`).  What is
+left that grows with E is one memory-bound copy per kept array; ``gcn``,
+whose weights also depend on the column's degree, is still re-derived by
+``scale_rows`` / ``scale_cols``.  The ``sage`` patch costs a gather and a
+scatter per touched entry, so a bulk delta that touches most rows (a
+detach of the highest-degree nodes) pays more for it than a re-derivation
+would; no workload of ``python -m bench`` makes such a delta.  No sort, no
 E-length key array, no E-length search, and no E-length mask unless the
 delta edits an array more than once per ``_ENTRIES_PER_EDIT`` entries.
+Without a compiler the two loops run their numpy bodies, the same bytes.
 
 COO order contract
 ------------------
@@ -44,10 +53,11 @@ list.  Two properties make this exact rather than approximate:
   representable in any float width — so summing an old count with a delta count
   gives the same float as one fused accumulation would.
 
-The normalised adjacencies (``sage``/``gcn``) are then rebuilt from the
-merged structural bases through the *same* scaling expressions
-:func:`~repro.graphs.graph.normalized_adjacency` uses, so every cached
-matrix stays bit-identical to a from-scratch rebuild of the mutated graph.
+The normalised adjacencies (``sage``/``gcn``) are then rebuilt, or for
+``sage`` patched row by row, from the merged structural bases through the
+*same* scaling expressions :func:`~repro.graphs.graph.normalized_adjacency`
+uses, so every cached matrix stays bit-identical to a from-scratch rebuild
+of the mutated graph.
 A patched edge index is likewise byte-equal to ``Graph.edge_index`` over
 the post-delta COO: the index is a stable argsort, survivors keep their
 relative order and adds take the highest positions, so each add belongs at
@@ -72,10 +82,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..sparse import CSRMatrix
+from ..sparse import CSRMatrix, native
 from ..sparse import ops as sparse_ops
 from ..sparse.csr import _sum_repeats
-from .graph import NODE_FIELDS, normalized_adjacency
+from .graph import NODE_FIELDS, _mean_weights, normalized_adjacency
 from .partition import sorted_unique
 
 __all__ = ["GraphDelta", "apply_delta", "merge_csr_delta"]
@@ -160,9 +170,16 @@ def _group_search(
     """Binary-search ``wanted[i]`` in group ``groups[i]``'s ascending members.
 
     Returns the slot of the group's first member ``>= wanted[i]`` (the
-    group's end if there is none) and whether that member is ``wanted[i]``.
-    Every query bisects in the same numpy pass: O(len(wanted) * log degree).
+    group's end if there is none) and whether that member is ``wanted[i]``:
+    O(len(wanted) * log degree). The compiled loop
+    (:func:`~repro.sparse.native.group_search`) bisects one query at a
+    time; without it every query bisects in the same numpy round.
     """
+    library = native.load()
+    searched = None if library is None else native.group_search(
+        library, indptr, members, groups, wanted)
+    if searched is not None:
+        return searched
     low, high = indptr[groups], indptr[groups + 1]
     end = high.copy()
     live = np.flatnonzero(low < high)
@@ -258,6 +275,23 @@ def _splice(
     return np.concatenate(pieces)
 
 
+def _renumber_splice(
+    order: np.ndarray, shift: np.ndarray, drop: np.ndarray, at: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """``_splice(order - shift.take(order), drop, at, values)``: an edge
+    index's positions renumbered past the deleted ones and spliced. The
+    compiled pass (:func:`~repro.sparse.native.splice_renumber`) writes
+    the result in one sweep, with no renumbered E-length copy between the
+    two; numpy's two passes run where it is not built."""
+    library = native.load()
+    spliced = None if library is None else native.splice_renumber(
+        library, order, shift, drop, at, values)
+    if spliced is None:
+        spliced = _splice(order - shift.take(order), drop, at, values)
+    return spliced
+
+
 def _members(sorted_ids: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     """Which of ``sorted_ids`` are in the sorted unique ``sorted_set``."""
     slots = np.searchsorted(sorted_set, sorted_ids)
@@ -273,7 +307,7 @@ def merge_csr_delta(
     add_cols: np.ndarray,
     add_data: np.ndarray,
     remove_keys: np.ndarray,
-) -> CSRMatrix:
+) -> Tuple[CSRMatrix, np.ndarray, np.ndarray, np.ndarray]:
     """Merge a delta into an existing CSR without re-sorting its entries.
 
     ``shape`` is the (possibly larger) output shape; rows/cols may only
@@ -287,9 +321,15 @@ def merge_csr_delta(
     add is inserted at its slot (a key being removed and re-added takes
     the removed entry's slot), and a colliding add drops the kept entry
     and inserts the summed count in its place, so the input's arrays are
-    never written. The result is bit-identical to ``coo_to_csr`` over the
-    equivalent COO list whenever the data are exactly-representable counts
-    (see module docstring).
+    never written. The merged matrix is bit-identical to ``coo_to_csr``
+    over the equivalent COO list whenever the data are exactly-representable
+    counts (see module docstring).
+
+    Returns ``(merged, drop, at, touched)``: the merged matrix and the
+    edits it spliced, the input slots dropped, the input slots each
+    merged-in entry went before, and the sorted unique rows whose entries
+    changed. A matrix laid out like ``csr`` takes the same edits with
+    :func:`_splice` (:func:`_patch_sage`).
     """
     n_rows, n_cols = shape
     if n_rows < csr.n_rows or n_cols < csr.n_cols:
@@ -322,7 +362,26 @@ def merge_csr_delta(
     drop = sorted_unique(np.concatenate([removed, at[hit]]))
     indices = _splice(csr.indices, drop, at, put_cols)
     data = _splice(csr.data, drop, at, put_vals)
-    return CSRMatrix(indptr, indices, data, (n_rows, n_cols))
+    touched = sorted_unique(np.concatenate([removed_rows, rows]))
+    return CSRMatrix(indptr, indices, data, (n_rows, n_cols)), drop, at, touched
+
+
+def _patch_sage(
+    sage: CSRMatrix, merged: CSRMatrix, drop: np.ndarray, at: np.ndarray,
+    touched: np.ndarray,
+) -> CSRMatrix:
+    """The ``sage`` matrix of the merged ``plain`` base ``merged``, patched
+    from the pre-delta one instead of re-derived: its ``data`` takes the
+    base's splice (``drop`` / ``at``, :func:`merge_csr_delta`'s edits),
+    then the entries of the ``touched`` rows are recomputed by the
+    rebuild's own row scale, :func:`~repro.graphs.graph._mean_weights`.
+    Every other row kept its entries and its entry count, so its weights
+    are the rebuild's bytes already."""
+    degrees = merged.indptr[touched + 1] - merged.indptr[touched]
+    data = _splice(sage.data, drop, at, np.zeros(len(at)))
+    slots, _ = _group_slots(merged.indptr, touched)
+    data[slots] = _mean_weights(merged.data[slots], degrees)
+    return merged.with_data(data)
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +474,9 @@ def _patch_index(
     ``doomed`` are the deleted COO positions and ``doomed_keys`` their
     grouping endpoint; ``shift[p]`` counts the doomed positions below
     ``p``. Adds take the COO positions after every survivor, so each lands
-    at the end of its endpoint's group, in delta order.
+    at the end of its endpoint's group, in delta order. Two E-length
+    passes: ``order``'s survivors renumbered (``p - shift[p]``) and
+    spliced in one (:func:`_renumber_splice`), and ``values``' splice.
     """
     order, indptr, values = index
     # A group's positions ascend (stable argsort), like a CSR row's columns.
@@ -429,10 +490,13 @@ def _patch_index(
     indptr[1:] += _group_counts(add_keys, n_nodes) - _group_counts(
         doomed_keys, n_nodes
     )
-    # Survivors renumbered first, so the adds' positions are never shifted.
+    # Survivors renumbered in the splice's pass: the adds' positions are
+    # never shifted.
+    added = len(order) - len(drop) + grouped
     if len(doomed):
-        order = order - shift.take(order)
-    order = _splice(order, drop, at, len(order) - len(drop) + grouped)
+        order = _renumber_splice(order, shift, drop, at, added)
+    else:
+        order = _splice(order, drop, at, added)
     values = _splice(values, drop, at, add_other[grouped])
     for array in (order, indptr, values):
         array.flags.writeable = False
@@ -446,8 +510,9 @@ def _merge_structural(
     new_n: int,
     removed_keys: np.ndarray,
     loops: bool,
-) -> CSRMatrix:
-    """Incrementally merge the delta into a cached structural base.
+) -> Tuple[CSRMatrix, np.ndarray, np.ndarray, np.ndarray]:
+    """Incrementally merge the delta into a cached structural base; the
+    merged base with :func:`merge_csr_delta`'s edits.
 
     The ``loops`` base carries one diagonal entry per node on top of the
     edge multiset; deleting a pair ``(v, v)`` therefore drops the diagonal
@@ -481,10 +546,10 @@ def apply_delta(graph, delta: GraphDelta, warm: bool = True):
     """Apply ``delta`` to ``graph`` in place; returns the same graph.
 
     Doomed edges are located through the edge index, cached structural
-    bases and every built index direction are patched (no re-sort, no
-    per-edge search); cached normalised adjacencies are re-derived from
-    the merged bases via the exact scaling expressions of
-    ``normalized_adjacency``, so every rebuilt matrix and index is
+    bases, a cached ``sage`` matrix and every built index direction are
+    patched (no re-sort, no per-edge search); a cached ``gcn`` matrix is
+    re-derived from the merged bases via the exact scaling expressions of
+    ``normalized_adjacency``, so every matrix and index is
     bit-identical to a from-scratch build of the mutated edge list.
     Transposes are dropped (rebuilt lazily), ``graph.generation`` is
     bumped, and the active sparse backend's plan caches are released for
@@ -494,16 +559,24 @@ def apply_delta(graph, delta: GraphDelta, warm: bool = True):
     new_n = _validate_delta(graph, delta)
     columns = _extended_columns(graph, delta)
     graph._fresh_caches()
+    sage = graph._adj_cache.get("sage")
+    if sage is not None:
+        # The patch reads the plain base's edits: an unflattened graph
+        # builds the base here, as its first reader after the delta would.
+        graph.structural_adjacency()
 
     doomed = _doomed_positions(graph, delta)
     doomed_src, doomed_dst = graph.src[doomed], graph.dst[doomed]
     removed_keys = sorted_unique(doomed_dst * new_n + doomed_src)
-    merged = {
+    edited = {
         key: _merge_structural(
             base, delta, graph.n_nodes, new_n, removed_keys, key == "loops"
         )
         for key, base in graph._structure_cache.items()
     }
+    merged = {key: edits[0] for key, edits in edited.items()}
+    if sage is not None:
+        sage = _patch_sage(sage, *edited["plain"])
     appended = np.full(len(delta.add_src), graph.n_edges)
     src = _splice(graph.src, doomed, appended, delta.add_src)
     dst = _splice(graph.dst, doomed, appended, delta.add_dst)
@@ -542,7 +615,9 @@ def apply_delta(graph, delta: GraphDelta, warm: bool = True):
     graph._structure_cache = merged
     graph._edge_index = indexes
     for norm in cached_norms:
-        graph._adj_cache[norm] = normalized_adjacency(graph, norm)
+        graph._adj_cache[norm] = (
+            sage if norm == "sage" else normalized_adjacency(graph, norm)
+        )
 
     sparse_ops.release(old_matrices)
     if warm and graph._adj_cache:

@@ -16,12 +16,15 @@
  * loop's products and adds, each rounded alone, per element in the same
  * order; the select decides by compares alone, and the pack and unpack
  * copy bytes. Nothing is bounds-checked here; the Python dispatcher
- * validates every index these loops read. Outside the aggregation, both
+ * validates every index these loops read, but for splice_renumber's
+ * order entries (see there). Outside the aggregation, all
  * portable and on the calling thread: a served window's adjacency rows
  * (window_rows_f / _d), copied out of the served graph's CSR rows and
- * renumbered, and last dropout's forward (dropout_f), numpy's PCG64
- * float32 draws and its compare and multiplies, built wherever the
- * compiler has a 128-bit integer. */
+ * renumbered; a graph delta's renumber-splice of an edge index
+ * (splice_renumber_u8 / _u16 / _u32) and its locate step (group_search);
+ * and last dropout's forward (dropout_f), numpy's PCG64 float32 draws and
+ * its compare and multiplies, built wherever the compiler has a 128-bit
+ * integer. */
 #include <stdint.h>
 #include <string.h>
 
@@ -492,6 +495,73 @@ CBSR_PORTABLE(d_u32, double, uint32_t)
     }
 WINDOW_ROWS(window_rows_f, float)
 WINDOW_ROWS(window_rows_d, double)
+
+/* A graph delta's renumber-splice of one edge index direction's `order`
+ * (graphs/mutation.py::_patch_index), in one sweep: each kept entry p =
+ * order[i] is written as p - shift[p] (shift[p]: the deleted COO positions
+ * below p), the n_drop sorted unique positions `drop` are skipped, and
+ * values[j] is written before input position at[j] (ascending, n appends;
+ * equal positions in their given order, an insert at a dropped position
+ * where the entry was). out receives n - n_drop + n_at entries: the bytes
+ * of the numpy expression's renumbering, then its splice, without the
+ * E-length renumbered copy between them. The dispatcher bounds drop and
+ * at and checks that shift has one entry per order entry; it does not
+ * read order's entries, which must be a permutation of shift's positions
+ * (an edge index's are). Portable, on the calling thread. */
+#define SPLICE_RENUMBER(NAME, S)                                             \
+    void NAME(int64_t n, int64_t n_drop, int64_t n_at,                       \
+              const int64_t *restrict order, const S *restrict shift,        \
+              const int64_t *restrict drop, const int64_t *restrict at,      \
+              const int64_t *restrict values, int64_t *restrict out)         \
+    {                                                                        \
+        int64_t i = 0, d = 0, a = 0;                                         \
+        for (;;) {                                                           \
+            int64_t stop = n;                                                \
+            if (d < n_drop && drop[d] < stop) stop = drop[d];                \
+            if (a < n_at && at[a] < stop) stop = at[a];                      \
+            for (; i < stop; i++) {                                          \
+                const int64_t p = order[i];                                  \
+                *out++ = p - (int64_t)shift[p];                              \
+            }                                                                \
+            while (a < n_at && at[a] == i) *out++ = values[a++];             \
+            if (i == n) return;                                              \
+            if (d < n_drop && drop[d] == i) {                                \
+                d++;                                                         \
+                i++;                                                         \
+            }                                                                \
+        }                                                                    \
+    }
+SPLICE_RENUMBER(splice_renumber_u8, uint8_t)
+SPLICE_RENUMBER(splice_renumber_u16, uint16_t)
+SPLICE_RENUMBER(splice_renumber_u32, uint32_t)
+
+/* A delta's locate step (graphs/mutation.py::_group_search): query i
+ * bisects group groups[i], the ascending members[indptr[g]:indptr[g + 1]],
+ * for wanted[i]. slot[i] receives the slot of the group's first member >=
+ * wanted[i] (the group's end if none), found[i] whether that member is
+ * wanted[i]: the numpy body's rounds, one query at a time. The dispatcher
+ * bounds groups, and each queried group's indptr ends within members.
+ * Portable, on the calling thread. */
+void group_search(int64_t n, const int64_t *restrict indptr,
+                  const int64_t *restrict members,
+                  const int64_t *restrict groups,
+                  const int64_t *restrict wanted, int64_t *restrict slot,
+                  uint8_t *restrict found)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t end = indptr[groups[i] + 1], w = wanted[i];
+        int64_t low = indptr[groups[i]], high = end;
+        while (low < high) {
+            const int64_t mid = (low + high) >> 1;
+            if (members[mid] < w)
+                low = mid + 1;
+            else
+                high = mid;
+        }
+        slot[i] = low;
+        found[i] = low < end && members[low] == w;
+    }
+}
 
 /* Inverted dropout's forward at float32: numpy's PCG64 stream as
  * Generator.random(dtype=float32) reads it, then the keep mask and the

@@ -156,11 +156,20 @@ class CSRMatrix:
         return _sorted_to_csr(*triplets, (self.n_cols, self.n_rows))
 
     def with_data(self, data: np.ndarray) -> "CSRMatrix":
-        """Same sparsity pattern with replaced values."""
-        data = np.asarray(data)
+        """Same sparsity pattern with replaced values.
+
+        The pattern is this matrix's own read-only ``indptr`` / ``indices``,
+        bounded when it was built, so only the values are converted: no
+        second O(nnz) bounds pass (a ``sage`` / ``gcn`` scaling and a
+        delta's ``sage`` patch each build one)."""
+        data = np.asarray(data, dtype=ops.FLOAT_DTYPE)
         if data.shape != self.data.shape:
             raise ValueError("replacement data must match nnz")
-        return CSRMatrix(self.indptr, self.indices, data, self.shape)
+        scaled = object.__new__(CSRMatrix)
+        for name, value in (("indptr", self.indptr), ("indices", self.indices),
+                            ("data", data), ("shape", self.shape)):
+            object.__setattr__(scaled, name, value)
+        return scaled
 
     def scale_rows(self, row_scale: np.ndarray) -> "CSRMatrix":
         """Multiply every row ``i`` by ``row_scale[i]`` (e.g. 1/degree)."""

@@ -1,6 +1,7 @@
 """The compiled tier: ``_cbsr.c``'s aggregation loops, with the MaxK select
-and the CBSR pack / unpack around them, a served window's adjacency rows
-and dropout's draw, built on first use.
+and the CBSR pack / unpack around them, a served window's adjacency rows,
+dropout's draw and a graph delta's two loops (:func:`splice_renumber`,
+:func:`group_search`), built on first use.
 
 :func:`load` compiles the C file next to this module with the host's
 ``cc`` the first time a kernel asks for it (never at import), caches the
@@ -25,9 +26,9 @@ its numpy bodies. Nothing selects the tier but whether it builds.
 * **Threads.** :func:`available_cores` threads per aggregation call (one
   below ``_cbsr.c``'s ``MIN_PARALLEL_WORK``); ``load().threads()``
   answers the count. The affinity mask decides it, never
-  ``OMP_NUM_THREADS``. The select, pack, unpack, window rows and dropout
-  draw run on the calling thread (the draw is one chain of generator
-  states).
+  ``OMP_NUM_THREADS``. The select, pack, unpack, window rows, dropout
+  draw and the delta's renumber-splice and group search run on the
+  calling thread (the draw is one chain of generator states).
 * **Cache.** ``$XDG_CACHE_HOME/repro-native`` (default ``~/.cache``),
   ``0700`` and refused unless the user's own and private. The file name
   hashes source, flags, compiler version and machine; the object is
@@ -58,8 +59,9 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["FLAGS", "OPENMP", "SOURCE", "available_cores", "cache_dir",
-           "dropout", "keep_heap_mapped", "load", "pack", "pin", "run", "spmm",
-           "topk", "unpack", "window_rows"]
+           "dropout", "group_search", "keep_heap_mapped", "load", "pack",
+           "pin", "run", "splice_renumber", "spmm", "topk", "unpack",
+           "window_rows"]
 
 SOURCE = Path(__file__).with_name("_cbsr.c")
 FLAGS = ("-O2", "-ftree-vectorize", "-fPIC", "-shared", "-ffp-contract=off")
@@ -180,6 +182,8 @@ def _declare(library: ctypes.CDLL, parallel: bool) -> ctypes.CDLL:
         **{f"cbsr_pack_{suffix}": (3, 4, ctypes.c_int64) for suffix in cbsr},
         **{f"cbsr_unpack_{suffix}": (3, 3, None) for suffix in cbsr},
         **{f"window_rows_{value}": (2, 10, ctypes.c_int64) for value in "fd"},
+        **{f"splice_renumber_u{bits}": (3, 6, None) for bits in (8, 16, 32)},
+        "group_search": (1, 6, None),
         # The select is built on x86 alone.
         **{f"topk_f_{kind}": (3, 2, ctypes.c_int64) for kind in "bf"},
     }
@@ -308,6 +312,57 @@ def window_rows(library, base, nodes, member, local, table) -> Optional[tuple]:
     inputs.append(np.ascontiguousarray(data))
     nnz = kernel(nodes.size, table.shape[1], *map(_address, inputs + list(out)))
     return out[0], out[1][:nnz].copy(), out[2][:nnz].copy()
+
+
+def splice_renumber(library, order, shift, drop, at, values) -> Optional[np.ndarray]:
+    """A delta's renumber-splice of an edge index's ``order``
+    (``_cbsr.c``'s ``splice_renumber``): ``order - shift[order]`` without
+    the sorted unique positions ``drop``, with ``values`` inserted before
+    the ascending positions ``at``, as one new int64 array; ``None`` where
+    no loop is built for ``shift``'s width. ``order`` must be a permutation
+    of ``shift``'s positions, as an edge index's is: its length is checked
+    here, its entries are not (that would be one more E-length pass);
+    ``drop`` / ``at`` are checked in full (O(delta))."""
+    kernel = getattr(library, f"splice_renumber_u{shift.itemsize * 8}", None)
+    if kernel is None or shift.dtype.kind != "u":
+        return None
+    order, drop, at, values = (np.ascontiguousarray(a, dtype=np.int64)
+                               for a in (order, drop, at, values))
+    n = len(order)
+    if len(shift) != n:
+        raise ValueError("shift must have one entry per position of order")
+    if len(values) != len(at) or (drop.size and (
+            drop[0] < 0 or drop[-1] >= n or (np.diff(drop) <= 0).any())) or (
+            at.size and (at[0] < 0 or at[-1] > n or (np.diff(at) < 0).any())):
+        raise ValueError("drop must be sorted unique and at ascending, "
+                         "positions of order, with one value per at")
+    out = np.empty(n - drop.size + at.size, dtype=np.int64)
+    kernel(n, drop.size, at.size, *map(_address, (
+        order, np.ascontiguousarray(shift), drop, at, values, out)))
+    return out
+
+
+def group_search(library, indptr, members, groups, wanted) -> Optional[tuple]:
+    """``(slot, found)``: each ``wanted[i]`` bisected in group
+    ``groups[i]``'s ascending ``members`` (``_cbsr.c``'s ``group_search``),
+    the first member's slot ``>=`` it and whether that member equals it;
+    ``None`` where a group is out of range. Every slot the loop reads lies
+    in a queried group, so bounding those groups' ends is O(queries)."""
+    indptr, members, groups, wanted = (np.ascontiguousarray(a, dtype=np.int64)
+                                       for a in (indptr, members, groups,
+                                                 wanted))
+    if groups.size and (groups.min() < 0 or groups.max() >= len(indptr) - 1):
+        return None
+    if len(wanted) != len(groups):
+        raise ValueError("group_search needs one wanted value per group")
+    if groups.size and (indptr[groups].min() < 0
+                        or indptr[groups + 1].max() > len(members)):
+        raise ValueError("a queried group's bounds lie outside members")
+    inputs = [indptr, members, groups, wanted]
+    slot = np.empty(groups.size, dtype=np.int64)
+    found = np.empty(groups.size, dtype=bool)
+    library.group_search(groups.size, *map(_address, inputs + [slot, found]))
+    return slot, found
 
 
 _WORD = (1 << 64) - 1

@@ -39,7 +39,8 @@ from repro.graphs.generators import erdos_renyi_graph, rmat_graph
 from repro.graphs.shm import SharedGraphStore, StaleHandleError
 from repro.models import GNNConfig, MaxKGNN
 from repro.serving import InferenceService, ServiceConfig
-from repro.sparse import CSRMatrix, coo_to_csr, ops
+from repro.sparse import CSRMatrix, coo_to_csr, native, ops
+from tests.conftest import ARMS, arm_backend, without_compiled_loops
 from tests.test_partition_sampling import (
     assert_expansion_matches_oracle,
     assert_same_graph,
@@ -62,6 +63,14 @@ def splice_regime(request, monkeypatch):
     monkeypatch.setattr(
         mutation, "_ENTRIES_PER_EDIT", SPLICE_REGIMES[request.param]
     )
+    return request.param
+
+
+@pytest.fixture(params=ARMS)
+def arm(request):
+    """Run the test on the compiled delta loops (where they build) and on
+    their numpy bodies."""
+    arm_backend(request)
     return request.param
 
 
@@ -162,7 +171,7 @@ def _index_deltas(graph: Graph, rng):
 class TestMergeCsrDelta:
     def test_pure_insert_matches_coo_build(self):
         base = coo_to_csr([0, 2], [1, 0], [1.0, 1.0], (3, 3))
-        merged = merge_csr_delta(
+        merged, *_ = merge_csr_delta(
             base, (3, 3), np.array([1, 0]), np.array([2, 0]),
             np.ones(2), np.empty(0, np.int64),
         )
@@ -171,7 +180,7 @@ class TestMergeCsrDelta:
 
     def test_colliding_insert_sums_counts(self):
         base = coo_to_csr([0, 0], [1, 1], [1.0, 1.0], (2, 2))  # entry = 2.0
-        merged = merge_csr_delta(
+        merged, *_ = merge_csr_delta(
             base, (2, 2), np.array([0]), np.array([1]),
             np.ones(1), np.empty(0, np.int64),
         )
@@ -180,7 +189,7 @@ class TestMergeCsrDelta:
 
     def test_delete_drops_whole_entry(self):
         base = coo_to_csr([0, 1], [1, 0], [2.0, 1.0], (2, 2))
-        merged = merge_csr_delta(
+        merged, *_ = merge_csr_delta(
             base, (2, 2), np.empty(0, np.int64), np.empty(0, np.int64),
             np.empty(0), np.array([0 * 2 + 1]),
         )
@@ -189,7 +198,7 @@ class TestMergeCsrDelta:
 
     def test_shape_growth_appends_empty_rows(self):
         base = coo_to_csr([0], [0], [1.0], (1, 1))
-        merged = merge_csr_delta(
+        merged, *_ = merge_csr_delta(
             base, (3, 3), np.empty(0, np.int64), np.empty(0, np.int64),
             np.empty(0), np.empty(0, np.int64),
         )
@@ -218,10 +227,18 @@ class TestMergeCsrDelta:
             keys += base.indices
             removed = np.unique(rng.choice(keys, min(len(keys), 3)))
             add_rows, add_cols = rng.integers(0, n + 1, (2, 8))
-            merged = merge_csr_delta(
+            merged, drop, at, touched = merge_csr_delta(
                 base, (n + 1, n + 1), add_rows, add_cols, np.ones(8),
                 removed // n * (n + 1) + removed % n,
             )
+            # The edits it reports: one insert per new slot, and every row
+            # outside `touched` kept its entries.
+            assert len(at) == merged.nnz - base.nnz + len(drop)
+            for row in np.setdiff1d(np.arange(n), touched):
+                old = slice(base.indptr[row], base.indptr[row + 1])
+                new = slice(merged.indptr[row], merged.indptr[row + 1])
+                assert merged.indices[new].tolist() == base.indices[old].tolist()
+                assert merged.data[new].tolist() == base.data[old].tolist()
             kept = ~np.isin(rows * n + cols, removed)
             oracle = coo_to_csr(
                 np.concatenate([rows[kept], add_rows]),
@@ -286,6 +303,160 @@ class TestSplice:
         assert got.dtype == array.dtype
         assert got.tobytes() == want.tobytes()
         assert array.tobytes() == before
+
+
+def _renumber_case(n_edges, n_doomed, n_adds, seed):
+    """An edge index's ``order`` over ``n_edges`` COO positions, the
+    ``shift`` table of ``n_doomed`` deleted positions (apply_delta's), the
+    slots holding them, and insert positions that include a dropped slot
+    (when there is one) and appends at ``n_edges``."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n_edges).astype(np.int64)
+    order.flags.writeable = False
+    doomed = np.sort(rng.choice(n_edges, n_doomed, replace=False))
+    shift = np.repeat(
+        np.arange(n_doomed + 1, dtype=np.min_scalar_type(n_doomed)),
+        np.diff(np.concatenate(([0], doomed, [n_edges]))),
+    )
+    drop = np.flatnonzero(np.isin(order, doomed))
+    at = rng.integers(0, n_edges + 1, n_adds)
+    if n_adds >= 3:
+        at[:2] = n_edges
+        if len(drop):
+            at[2] = drop[len(drop) // 2]
+    at = np.sort(at)
+    values = n_edges - n_doomed + rng.permutation(n_adds)
+    return order, shift, drop, at, values
+
+
+class TestRenumberSplice:
+    """``_renumber_splice`` (one compiled sweep, or numpy's renumbering
+    then ``_splice``) against ``_splice(order - shift.take(order), ...)``."""
+
+    @pytest.mark.parametrize("n_edges, n_doomed, n_adds, width", [
+        (0, 0, 3, 8),          # an empty index: appends only
+        (50, 0, 6, 8),         # no doomed positions
+        (50, 12, 0, 8),        # drops only
+        (50, 50, 4, 8),        # every position doomed
+        (300, 255, 5, 8),      # the widest uint8 shift
+        (900, 256, 7, 16),     # uint16
+        (70000, 65536, 9, 32),  # uint32
+    ])
+    def test_matches_renumbering_then_splicing(self, arm, splice_regime,
+                                               n_edges, n_doomed, n_adds,
+                                               width):
+        for seed in range(3):
+            order, shift, drop, at, values = _renumber_case(
+                n_edges, n_doomed, n_adds, seed)
+            assert shift.dtype.itemsize * 8 == width
+            want = mutation._splice(order - shift.take(order), drop, at,
+                                    values)
+            got = mutation._renumber_splice(order, shift, drop, at, values)
+            assert got.dtype == np.int64
+            assert got.tobytes() == want.tobytes(), seed
+
+    def test_the_compiled_arm_runs_the_loop(self):
+        library = native.load()
+        if library is None:
+            pytest.skip("no compiler: the numpy arm is the only one")
+        order, shift, drop, at, values = _renumber_case(40, 10, 4, 0)
+        got = native.splice_renumber(library, order, shift, drop, at, values)
+        want = mutation._splice(order - shift.take(order), drop, at, values)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("drop, at", [
+        ([3, 3], []), ([4, 2], []), ([-1], []), ([10], []),
+        ([], [5, 2]), ([], [11]), ([], [-1]),
+    ])
+    def test_the_loop_refuses_positions_out_of_order(self, drop, at):
+        library = native.load()
+        if library is None:
+            pytest.skip("no compiler")
+        shift = np.zeros(10, dtype=np.uint8)
+        with pytest.raises(ValueError, match="sorted unique"):
+            native.splice_renumber(
+                library, np.arange(10), shift, np.array(drop, np.int64),
+                np.array(at, np.int64), np.zeros(len(at), np.int64))
+
+    @pytest.mark.parametrize("n_shift", [9, 11])
+    def test_the_loop_refuses_a_shift_of_another_length(self, n_shift):
+        library = native.load()
+        if library is None:
+            pytest.skip("no compiler")
+        with pytest.raises(ValueError, match="one entry per position"):
+            native.splice_renumber(
+                library, np.arange(10), np.zeros(n_shift, dtype=np.uint8),
+                np.empty(0, np.int64), np.empty(0, np.int64),
+                np.empty(0, np.int64))
+
+
+def _numpy_group_search(*args):
+    with pytest.MonkeyPatch.context() as patch:
+        without_compiled_loops(patch)
+        return mutation._group_search(*args)
+
+
+class TestGroupSearch:
+    """``_group_search`` on both arms against its numpy body and against
+    one ``np.searchsorted`` per query."""
+
+    def test_matches_numpy_and_per_query_bisection(self, arm):
+        rng = np.random.default_rng(3)
+        for trial in range(20):
+            n_groups = int(rng.integers(1, 12))
+            sizes = rng.integers(0, 9, n_groups)
+            sizes[rng.integers(0, n_groups)] = 0  # an empty group
+            indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+            members = np.concatenate([
+                np.sort(rng.choice(30, size, replace=False)) for size in sizes
+            ]).astype(np.int64)
+            n_queries = int(rng.integers(0, 40))
+            groups = rng.integers(0, n_groups, n_queries)
+            # Hits, misses inside a group, below it, past its end (30+).
+            wanted = rng.integers(-2, 34, n_queries)
+            slot, found = mutation._group_search(indptr, members, groups,
+                                                 wanted)
+            want_slot, want_found = _numpy_group_search(indptr, members,
+                                                        groups, wanted)
+            assert slot.dtype == np.int64 and found.dtype == bool
+            assert slot.tobytes() == want_slot.tobytes(), trial
+            assert found.tobytes() == want_found.tobytes(), trial
+            for i, (group, value) in enumerate(zip(groups, wanted)):
+                low, high = indptr[group], indptr[group + 1]
+                at = low + np.searchsorted(members[low:high], value)
+                assert slot[i] == at
+                assert found[i] == (at < high and members[at] == value)
+
+    def test_empty_groups_and_misses_past_the_end(self, arm):
+        indptr = np.array([0, 0, 3, 3, 5], dtype=np.int64)
+        members = np.array([2, 4, 6, 1, 9], dtype=np.int64)
+        groups = np.array([0, 1, 1, 1, 2, 3, 3, 3])
+        wanted = np.array([5, 4, 5, 7, 0, 9, 10, 0])
+        slot, found = mutation._group_search(indptr, members, groups, wanted)
+        assert slot.tolist() == [0, 1, 2, 3, 3, 4, 5, 3]
+        assert found.tolist() == [False, True, False, False, False, True,
+                                  False, False]
+
+    def test_no_queries(self, arm):
+        slot, found = mutation._group_search(
+            np.array([0, 2]), np.array([1, 5]), np.empty(0, np.int64),
+            np.empty(0, np.int64))
+        assert slot.shape == found.shape == (0,)
+
+    @pytest.mark.parametrize("indptr, members, groups, wanted, match", [
+        ([0, 2, 4], [1, 5, 2], [0, 1], [1, 2], "outside members"),
+        ([-1, 2, 3], [1, 5, 2], [0], [1], "outside members"),
+        ([0, 2, 3], [1, 5, 2], [0, 1], [1], "one wanted value"),
+        ([0, 2, 3], [1, 5, 2], [0], [1, 5], "one wanted value"),
+    ])
+    def test_the_loop_refuses_inconsistent_groups(self, indptr, members,
+                                                  groups, wanted, match):
+        library = native.load()
+        if library is None:
+            pytest.skip("no compiler")
+        with pytest.raises(ValueError, match=match):
+            native.group_search(library, *(np.array(a, np.int64) for a in (
+                indptr, members, groups, wanted)))
 
 
 # ----------------------------------------------------------------------
@@ -483,6 +654,141 @@ class TestApplyDeltaBitIdentity:
                     for got, want in zip(graph.edge_index(direction),
                                          oracle.edge_index(direction)):
                         assert got.tobytes() == want.tobytes(), direction
+
+
+# ----------------------------------------------------------------------
+# A cached sage matrix is patched, not re-derived
+# ----------------------------------------------------------------------
+def _rebuilt(graph: Graph) -> Graph:
+    return Graph(n_nodes=graph.n_nodes, src=graph.src.copy(),
+                 dst=graph.dst.copy())
+
+
+class TestSagePatch:
+    def test_a_steady_delta_patches_sage_without_rescaling(self, arm,
+                                                          monkeypatch):
+        graph = sbm_graph(2000, 5, 16.0, seed=8).to_undirected()
+        graph.adjacency("sage")
+        graph.edge_index("in")
+        nnz = graph.structural_adjacency().nnz
+        rng = np.random.default_rng(8)
+        picked = rng.choice(graph.n_edges, 3, replace=False)
+        delta = GraphDelta(
+            add_src=rng.integers(0, 2000, 6), add_dst=rng.integers(0, 2000, 6),
+            remove_src=graph.src[picked], remove_dst=graph.dst[picked],
+        )
+        rescaled, rederived, scaled = [], [], []
+        scale_rows, mean_weights = CSRMatrix.scale_rows, mutation._mean_weights
+
+        def spy_scale_rows(matrix, *args):
+            rescaled.append(matrix.nnz)
+            return scale_rows(matrix, *args)
+
+        def spy_mean_weights(data, degrees):
+            scaled.append(len(data))
+            return mean_weights(data, degrees)
+
+        monkeypatch.setattr(CSRMatrix, "scale_rows", spy_scale_rows)
+        monkeypatch.setattr(mutation, "_mean_weights", spy_mean_weights)
+        monkeypatch.setattr(mutation, "normalized_adjacency",
+                            lambda *args: rederived.append(args))
+        apply_delta(graph, delta)
+        monkeypatch.undo()
+        assert rescaled == [] and rederived == []
+        assert len(scaled) == 1
+        assert 0 < scaled[0] < nnz
+        assert _bitwise_equal(graph.adjacency("sage"),
+                              _rebuilt(graph).adjacency("sage"))
+
+    def test_a_bulk_delta_patches_too(self, monkeypatch):
+        graph = sbm_graph(200, 4, 10.0, seed=2)
+        graph.adjacency("sage")
+        rederived = []
+        normalized = mutation.normalized_adjacency
+
+        def spy(graph, norm):
+            rederived.append(norm)
+            return normalized(graph, norm)
+
+        monkeypatch.setattr(mutation, "normalized_adjacency", spy)
+        apply_delta(graph, GraphDelta(detach_nodes=np.arange(0, 200, 2)))
+        assert rederived == []
+        assert _bitwise_equal(graph.adjacency("sage"),
+                              _rebuilt(graph).adjacency("sage"))
+
+    def test_patched_bytes_equal_a_rebuild(self, arm, splice_regime):
+        graph = messy_graph(4)
+        n = graph.n_nodes
+        row = int(np.bincount(graph.dst, minlength=n).argmax())
+        sources = graph.src[graph.dst == row]
+        kept, absent = sources[0], np.setdiff1d(np.arange(n), sources)[0]
+        deltas = [
+            # Row `row` swaps one entry and keeps its count.
+            GraphDelta(remove_src=[kept], remove_dst=[row],
+                       add_src=[absent] * int((sources == kept).sum()),
+                       add_dst=[row] * int((sources == kept).sum())),
+            # Fresh node slots, one receiving edges; duplicate adds.
+            GraphDelta(add_nodes=2, add_features=np.zeros((2, 3)),
+                       add_src=[n, n, 0, 0], add_dst=[1, 1, n + 1, n + 1]),
+            # Self-loops added and removed; a detach.
+            GraphDelta(add_src=[2, 2, 3], add_dst=[2, 2, 3],
+                       remove_src=graph.src[-2:], remove_dst=graph.dst[-2:],
+                       detach_nodes=[row]),
+            GraphDelta(),
+        ]
+        graph.adjacency("sage")
+        graph.adjacency("gcn")
+        for step, delta in enumerate(deltas):
+            apply_delta(graph, delta)
+            oracle = _rebuilt(graph)
+            for norm in ("sage", "gcn"):
+                assert _bitwise_equal(graph.adjacency(norm),
+                                      oracle.adjacency(norm)), (step, norm)
+
+    def test_row_that_swaps_an_entry_is_recomputed(self):
+        # Row 0: in-edges from 1 and 2 (weights 1/2); 1 -> 0 becomes 3 -> 0.
+        graph = Graph(4, np.array([1, 2, 0]), np.array([0, 0, 1]))
+        graph.adjacency("sage")
+        apply_delta(graph, GraphDelta(remove_src=[1], remove_dst=[0],
+                                      add_src=[3], add_dst=[0]))
+        sage = graph.adjacency("sage")
+        assert sage.indices[:2].tolist() == [2, 3]
+        assert sage.data[:2].tolist() == [0.5, 0.5]
+        assert _bitwise_equal(sage, _rebuilt(graph).adjacency("sage"))
+
+    def test_unflattened_graph_builds_its_base_first(self, monkeypatch):
+        source = sbm_graph(120, 3, 6.0, seed=6)
+        source.adjacency("sage")
+        graph = Graph.unflatten(*source.flatten())
+        assert graph._structure_cache == {}
+        rng = np.random.default_rng(6)
+        delta = _random_delta(graph, rng)
+        rederived = []
+        normalized = mutation.normalized_adjacency
+
+        def spy(graph, norm):
+            rederived.append(norm)
+            return normalized(graph, norm)
+
+        monkeypatch.setattr(mutation, "normalized_adjacency", spy)
+        apply_delta(graph, delta)
+        assert rederived == []
+        assert set(graph._structure_cache) == {"plain"}
+        assert _bitwise_equal(graph.adjacency("sage"),
+                              _rebuilt(graph).adjacency("sage"))
+
+    def test_fuzz_matches_fresh_rebuild(self, arm):
+        rng = np.random.default_rng(41)
+        for trial in range(9):
+            graph = _random_graph(trial, rng)
+            graph.adjacency("sage")
+            graph.adjacency("gcn")
+            for _ in range(3):
+                apply_delta(graph, _random_delta(graph, rng))
+                oracle = _rebuilt(graph)
+                for norm in ("sage", "gcn"):
+                    assert _bitwise_equal(graph.adjacency(norm),
+                                          oracle.adjacency(norm)), trial
 
 
 # ----------------------------------------------------------------------

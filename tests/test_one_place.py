@@ -289,7 +289,8 @@ def test_the_normalisations_are_computed_in_one_place():
     assert [name for name, body in graph.items()
             if ".scale_rows(" in body or "np.sqrt(" in body] == [
         "scaled_adjacency"]
-    assert _occurrences(".scale_rows(") == {"graphs/graph.py": 2}
+    # gcn's; sage's row scale is graph._mean_weights (see the delta test).
+    assert _occurrences(".scale_rows(") == {"graphs/graph.py": 1}
     assert _occurrences(".scale_cols(") == {"graphs/graph.py": 1}
     assert _occurrences("scaled_adjacency(") == {
         "graphs/graph.py": 2, "serving/batcher.py": 1
@@ -362,8 +363,26 @@ def test_ids_are_deduped_one_way():
 
 
 def test_a_graph_delta_is_spliced_in_one_place():
-    # Every E-length patch of a delta goes through mutation._splice;
-    # numpy's delete / insert pair, an E-length mask per call, is gone.
+    # Every E-length patch of a delta goes through mutation._splice or the
+    # compiled renumber-splice (whose numpy fallback is _splice after the
+    # renumbering); numpy's delete / insert pair, an E-length mask per
+    # call, is gone.
     for gone in ("np.delete(", "np.insert("):
         assert _occurrences(gone) == {}, gone
-    assert _occurrences("_splice(") == {"graphs/mutation.py": 7}
+    mutation = _functions("graphs/mutation.py")
+
+    def calling(needle):
+        return sorted(name for name, body in mutation.items() if needle in body)
+
+    assert calling("_splice(") == sorted([
+        "_splice", "_renumber_splice", "merge_csr_delta", "_patch_sage",
+        "_patch_index", "apply_delta",
+    ])
+    assert calling("splice_renumber(") == ["_renumber_splice"]
+    assert calling("shift.take(") == ["_renumber_splice"]
+    assert calling("_renumber_splice(") == ["_patch_index", "_renumber_splice"]
+    # The sage row scale lives once, in graphs/graph.py: a rebuild and a
+    # delta's patch of a cached sage matrix compute it by the same lines.
+    assert _occurrences("def _mean_weights(") == {"graphs/graph.py": 1}
+    assert calling("_mean_weights(") == ["_patch_sage"]
+    assert _occurrences("np.divide(", "graphs/mutation.py") == {}
