@@ -1,7 +1,6 @@
-"""Online serving benchmark: load generation, overload shedding, fault
-recovery (PR 9).
+"""Online serving benchmark: load generation and overload shedding.
 
-Three gated claims about :class:`~repro.serving.InferenceService` on the
+Two gated claims about :class:`~repro.serving.InferenceService` on the
 scaled Flickr stand-in:
 
 * **closed-loop batching** — a load generator that keeps the window full
@@ -15,22 +14,14 @@ scaled Flickr stand-in:
   silently dropped), keep the p99 latency of the requests it *does*
   serve under the configured deadline (``deadline_met``), and stay
   bit-identical on spot-checked served responses.
-* **mid-run executor kill** — with a ``kill_worker`` fault injected
-  into the supervised pool, every served response still matches the
-  single-request reference (zero wrong responses, ``identical``) and the
-  pool records the respawn.
 
-``REPRO_FORCE_PROCS=1`` is set for the whole module so single-core CI
-exercises the real executor-pool path. ``REPRO_PERF_SMOKE=1`` shrinks
+``REPRO_PERF_SMOKE=1`` shrinks
 request counts for the CI gate. Full runs write
 ``results/serving.txt`` plus ``results/BENCH_serving.json``; smoke runs
 land in ``results/smoke/`` for ``check_trend.py``.
 """
 
-import os
 import time
-
-os.environ.setdefault("REPRO_FORCE_PROCS", "1")
 
 import numpy as np
 import pytest
@@ -51,8 +42,6 @@ from repro.serving import (
     ServiceConfig,
     build_ego_batch,
 )
-from repro.training import FaultPlan, set_fault_plan
-from repro.training.parallel import reset_fallback_warnings
 
 DATASET = "Flickr"
 SMOKE = perf_smoke_enabled()
@@ -60,23 +49,12 @@ MAX_BATCH = 8
 DEADLINE_S = 2.0
 N_CLOSED = 48 if SMOKE else 160
 N_OVERLOAD = 96 if SMOKE else 320
-N_FAULT = 8 if SMOKE else 24
-MULTI_CORE = (len(os.sched_getaffinity(0))
-              if hasattr(os, "sched_getaffinity") else os.cpu_count()) > 1
 #: Size sweep (ROADMAP item 5): the same SBM generator at 1x and 10x nodes,
 #: degree fixed, so a per-request cost that scans the graph shows as ~10x.
 SWEEP_NODES = (3_000, 30_000)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_state():
-    reset_fallback_warnings()
-    set_fault_plan(None)
-    yield
-    set_fault_plan(None)
-
-
-def _build_service(**overrides):
+def _build_service():
     cfg = TRAINING_CONFIGS[DATASET]
     graph = load_training_dataset(DATASET, seed=0)
     config = GNNConfig(
@@ -85,12 +63,10 @@ def _build_service(**overrides):
         nonlinearity="maxk", k=max(1, cfg.hidden // 8), dropout=cfg.dropout,
     )
     model = MaxKGNN(graph, config, seed=7)
-    defaults = dict(
+    return InferenceService(graph, model, ServiceConfig(
         queue_capacity=2 * MAX_BATCH, max_batch=MAX_BATCH,
         default_deadline=DEADLINE_S,
-    )
-    defaults.update(overrides)
-    return InferenceService(graph, model, ServiceConfig(**defaults))
+    ))
 
 
 def _query_nodes(service, count, seed=3):
@@ -269,60 +245,3 @@ def test_open_loop_overload_sheds_explicitly(record_result, record_json):
     # a healthy service sheds loudly instead of queueing unboundedly.
     assert len(shed) > 0, "2x overload produced no explicit sheds"
     assert stats["max_depth"] <= service.config.queue_capacity
-
-
-@pytest.mark.slow
-def test_executor_kill_mid_run_serves_zero_wrong_responses(
-    record_result, record_json
-):
-    from repro.graphs import shared_memory_available
-
-    if not shared_memory_available():
-        pytest.skip("host cannot create POSIX shared memory")
-    # Kill executor 0 on its 3rd infer op — mid-run, after it has proven
-    # healthy — and keep serving through the respawn.
-    set_fault_plan(FaultPlan.parse("kill_worker:serving:0:3"))
-    service = _build_service(executors=1)
-    try:
-        assert service.pool is not None, "executor pool failed to start"
-        nodes = _query_nodes(service, N_FAULT, seed=17)
-        reference = {
-            node: service.infer_single(node, seed=5)
-            for node in sorted(set(nodes))
-        }
-        tickets = []
-        for base in range(0, len(nodes), 2):  # 2-request windows
-            for node in nodes[base:base + 2]:
-                tickets.append(service.submit(node, seed=5))
-            service.drain()
-        wrong = sum(
-            1 for ticket in tickets
-            if ticket.result.ok
-            and not np.array_equal(
-                ticket.result.logits, reference[ticket.result.node]
-            )
-        )
-        served = sum(1 for ticket in tickets if ticket.result.ok)
-        respawns = service.pool.respawns if service.pool else -1
-        degraded = service.degraded
-    finally:
-        service.close()
-        set_fault_plan(None)
-
-    payload = {
-        "requests": N_FAULT,
-        "served": served,
-        "wrong_responses": wrong,
-        "respawns": respawns,
-        "degraded": degraded,
-        "identical": bool(wrong == 0 and served == N_FAULT),
-    }
-    record_json("BENCH_serving", "executor_kill", payload)
-    record_result("serving_fault", format_table(
-        ["metric", "value"],
-        [[key, f"{value}"] for key, value in payload.items()],
-    ))
-    assert wrong == 0, f"{wrong} responses diverged after executor kill"
-    assert served == N_FAULT, "killed executor lost requests"
-    assert respawns >= 1, "the injected kill never triggered a respawn"
-    assert not degraded

@@ -295,8 +295,7 @@ def _run_serve(args) -> str:
     service = InferenceService(graph, model, ServiceConfig(
         queue_capacity=args.queue_capacity, max_batch=args.max_batch,
         default_deadline=args.deadline_ms / 1000.0,
-        executors=args.executors, n_hops=args.n_hops, fanout=args.fanout,
-        cache_size=args.cache_size,
+        n_hops=args.n_hops, fanout=args.fanout, cache_size=args.cache_size,
     ))
     try:
         if args.checkpoint is not None:
@@ -319,8 +318,6 @@ def _run_serve(args) -> str:
             + (f" k={k}" if k else "")
             + ("" if args.checkpoint is None
                else f", weights from {args.checkpoint}"),
-            f"executors    {stats['executors']}"
-            + (" (degraded to in-process)" if stats["degraded"] else ""),
             f"requests     {args.requests} submitted, "
             f"{stats['served']} served + {stats['served_from_cache']} "
             f"cached, {stats['shed_total']} shed "
@@ -449,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "--checkpoint-dir")
 
     serve = subparsers.add_parser(
-        "serve", help="run the online inference service under a local "
-                      "load generator and report latency/shed stats"
+        "serve", help="run the online inference service in-process under "
+                      "a local load generator and report latency/shed stats"
     )
     serve.add_argument("--dataset", default="Flickr",
                        help="graph to serve (see table1)")
@@ -474,9 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "an explicit 'overloaded' result")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="micro-batch window size bound")
-    serve.add_argument("--executors", type=int, default=0,
-                       help="supervised executor processes over the "
-                            "shared-memory graph store (0 = in-process)")
     serve.add_argument("--n-hops", type=int, default=1)
     serve.add_argument("--fanout", type=int, default=8)
     serve.add_argument("--cache-size", type=int, default=256,

@@ -114,14 +114,12 @@ def run(
     rewire_fraction: float = 0.04,
     epochs: Optional[int] = None,
     seed: int = 0,
-    executors: int = 0,
 ) -> DriftResult:
     """Train once, then serve an interleaved update/query trace.
 
     Window 0 queries the freshly-trained graph (the accuracy anchor);
     every later window first applies ``updates_per_window`` rewire deltas
-    through :meth:`InferenceService.apply_delta` (live, executors
-    re-attached) and then serves ``queries_per_window`` seeded queries
+    through :meth:`InferenceService.apply_delta` (live) and then serves ``queries_per_window`` seeded queries
     over the test split.
     """
     cfg = TRAINING_CONFIGS[dataset]
@@ -149,7 +147,6 @@ def run(
         graph,
         model,
         ServiceConfig(
-            executors=executors,
             max_batch=8,
             default_deadline=60.0,
             queue_capacity=max(64, queries_per_window),

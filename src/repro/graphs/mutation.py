@@ -443,7 +443,9 @@ def _doomed_positions(graph, delta: GraphDelta) -> np.ndarray:
 
     Read off the edge index: a listed pair's occurrences are the entries
     of its destination's in-group whose source matches; a detached node's
-    edges are its whole in-group and out-group.
+    edges are its whole in-group and out-group. A direction whose index
+    is not built is read off its COO column instead (one E-length mask
+    pass), so a detach builds no index the graph did not have.
     """
     found = []
     if len(delta.remove_src):
@@ -451,9 +453,18 @@ def _doomed_positions(graph, delta: GraphDelta) -> np.ndarray:
         slots, owner = _group_slots(indptr, delta.remove_dst)
         found.append(order[slots[in_src[slots] == delta.remove_src[owner]]])
     if len(delta.detach_nodes):
-        for direction in ("in", "out"):
-            order, indptr, _ = graph.edge_index(direction)
-            found.append(order[_group_slots(indptr, delta.detach_nodes)[0]])
+        detached = None
+        for direction, keys in (("in", graph.dst), ("out", graph.src)):
+            index = graph._edge_index.get(direction)
+            if index is not None:
+                order, indptr, _ = index
+                slots = _group_slots(indptr, delta.detach_nodes)[0]
+                found.append(order[slots])
+                continue
+            if detached is None:
+                detached = np.zeros(graph.n_nodes, dtype=bool)
+                detached[delta.detach_nodes] = True
+            found.append(np.flatnonzero(detached[keys]))
     if not found:
         return np.empty(0, dtype=np.int64)
     return sorted_unique(np.concatenate(found))

@@ -3,16 +3,14 @@
 Layered for robustness: a bounded admission queue with per-request
 deadlines (:mod:`~repro.serving.queue`), a deadline-aware micro-batcher
 fusing concurrent ego-net queries into one forward pass
-(:mod:`~repro.serving.batcher`), a supervised executor pool that
-survives crashes by bit-identical replay (:mod:`~repro.serving.
-executor`), and an LRU result cache invalidated on model reload
+(:mod:`~repro.serving.batcher`), served in the calling process, and an
+LRU result cache invalidated on model reload and graph delta
 (:mod:`~repro.serving.cache`) — composed by
 :class:`~repro.serving.service.InferenceService`.
 """
 
 from .batcher import BatcherConfig, EgoBatch, MicroBatcher, build_ego_batch
 from .cache import ResultCache
-from .executor import ExecutorPool
 from .queue import (
     DEADLINE_EXCEEDED,
     FAILED,
@@ -41,7 +39,6 @@ __all__ = [
     "MicroBatcher",
     "build_ego_batch",
     "ResultCache",
-    "ExecutorPool",
     "ServiceConfig",
     "InferenceService",
 ]

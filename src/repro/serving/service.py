@@ -9,12 +9,10 @@ available* under overload, crashes, and malformed input:
   ``OVERLOADED`` result, and a request that would be served past its
   deadline is shed with ``DEADLINE_EXCEEDED`` — never served late, never
   silently dropped;
-* **crashes** — execution runs on a supervised
-  :class:`~repro.serving.executor.ExecutorPool` over the shared-memory
-  graph store; a dead/hung/corrupt executor is respawned and the
-  in-flight window replayed bit-identically; exhausted retries degrade
-  to in-process serving with one cached warning (availability over
-  parallelism);
+* **crashes** — a window runs in the calling process
+  (:func:`~repro.serving.batcher.serve_window`); an exception while
+  serving it resolves every request in the window ``FAILED`` with the
+  error text, and the service keeps serving the next window;
 * **staleness** — results cache under ``(graph generation, node, model
   version, seed)`` and every checkpoint reload bumps the version and
   invalidates the cache, so stale logits are structurally unservable;
@@ -30,7 +28,6 @@ robustness story is in the explicit state machine, not in locking.
 
 from __future__ import annotations
 
-import atexit
 import operator
 import time
 from dataclasses import dataclass
@@ -39,22 +36,14 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.shm import sweep_leaked_segments
 from ..sparse.native import keep_heap_mapped
 from ..training.checkpoint import (
     check_fingerprint,
     load_state_dict,
     read_checkpoint,
 )
-from ..training.parallel import (
-    WorkerSupervisionError,
-    _warn_once,
-    pack_parameters,
-    resolve_process_workers,
-)
 from .batcher import BatcherConfig, MicroBatcher, serve_window
 from .cache import ResultCache
-from .executor import ExecutorPool
 from .queue import (
     DEADLINE_EXCEEDED,
     FAILED,
@@ -70,13 +59,14 @@ __all__ = ["ServiceConfig", "InferenceService"]
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Service geometry: admission, batching, execution, caching."""
+    """Service geometry: admission, batching, caching."""
 
     queue_capacity: int = 64
     max_batch: int = 8
     #: Default per-request deadline (seconds after submission).
     default_deadline: float = 1.0
-    #: Executor processes; 0 serves in-process (still batched).
+    #: Always 0: windows are served in the calling process. The field
+    #: stays only because the benchmark still passes ``executors=0``.
     executors: int = 0
     n_hops: int = 1
     fanout: int = 8
@@ -87,8 +77,10 @@ class ServiceConfig:
     def __post_init__(self):
         if self.default_deadline <= 0:
             raise ValueError("default_deadline must be > 0")
-        if self.executors < 0:
-            raise ValueError("executors must be >= 0")
+        if self.executors != 0:
+            raise ValueError(
+                "executors must be 0: windows are served in-process"
+            )
 
     def batcher(self) -> BatcherConfig:
         return BatcherConfig(
@@ -98,7 +90,7 @@ class ServiceConfig:
 
 
 class InferenceService:
-    """Batched, supervised, cached online inference over one model.
+    """Batched, cached online inference over one model.
 
     Serving never rebinds the model (each window passes its own per-layer
     blocks), so a training engine may share the model object. A service
@@ -109,7 +101,6 @@ class InferenceService:
     def __init__(self, graph: Graph, model,
                  config: Optional[ServiceConfig] = None,
                  clock: Callable[[], float] = time.monotonic):
-        self._closed = True  # true until init completes (close() is safe)
         keep_heap_mapped()
         self.graph = graph
         self.model = model
@@ -121,61 +112,20 @@ class InferenceService:
         self.generation = 0
         #: How many :meth:`apply_delta` calls this service has absorbed.
         self.deltas_applied = 0
-        #: Bumped on every checkpoint reload; baked into cache keys and
-        #: the executor protocol, so a stale result is refused, not served.
+        #: Bumped on every checkpoint reload and baked into cache keys,
+        #: so a pre-reload result is never served.
         self.version = 0
         self._next_rid = 0
-        #: Swept *before* this service exports segments: a previous
-        #: crashed service must not leak into this one's accounting.
-        self.swept_segments = sweep_leaked_segments()
         self.queue = AdmissionQueue(self.config.queue_capacity, clock=clock)
         self.batcher = MicroBatcher(self.config.batcher())
         self.cache = ResultCache(self.config.cache_size)
-        self._params = list(model.parameters())
-        self.pool: Optional[ExecutorPool] = None
-        self.degraded = False
-        self._provision_pool()
         self._closed = False
-        atexit.register(self.close)
 
     # -- lifecycle -------------------------------------------------------
-    def _provision_pool(self) -> None:
-        workers = resolve_process_workers(
-            self.config.executors, label="serving executors",
-            payload=self.model.config,
-        )
-        if workers < 1:
-            return
-        try:
-            self.pool = ExecutorPool(
-                self.graph, self.model.config, self.config.n_hops,
-                self.config.fanout, workers,
-                [int(p.data.size) for p in self._params],
-            )
-        except Exception as exc:
-            _warn_once(
-                "executor-start-failed", "serving executors",
-                f"serving executor pool failed to start ({exc!r}); "
-                "serving in-process",
-            )
-            self.pool = None
-            self.degraded = True
-            return
-        self.pool.set_params(pack_parameters(self._params), self.version)
-
     def close(self) -> None:
-        """Stop executors and free shared segments. Idempotent, and safe
-        after a failed ``__init__`` or via the ``atexit`` hook."""
-        if getattr(self, "_closed", True):
-            return
+        """Refuse further deltas. Idempotent; the service holds no
+        process, pipe or shared segment to free."""
         self._closed = True
-        try:
-            atexit.unregister(self.close)
-        except Exception:
-            pass
-        pool, self.pool = self.pool, None
-        if pool is not None:
-            pool.close()
 
     def __enter__(self) -> "InferenceService":
         return self
@@ -188,11 +138,10 @@ class InferenceService:
         """Reload model weights from a checkpoint file (hot swap).
 
         Validates the architecture fingerprint, swaps the parameters in
-        place, bumps the serving version, **invalidates the result
-        cache**, and re-ships the vector to the executors lazily — no
-        response served after this call can carry pre-swap logits. Weights
-        written at another float width are cast to the model's
-        (:func:`~repro.training.checkpoint.load_state_dict`).
+        place, bumps the serving version and **invalidates the result
+        cache**, so no response served after this call can carry pre-swap
+        logits. Weights written at another float width are cast to the
+        model's (:func:`~repro.training.checkpoint.load_state_dict`).
         """
         arrays, meta = read_checkpoint(path)
         check_fingerprint(path, meta, self.model, "serve it")
@@ -203,8 +152,6 @@ class InferenceService:
         load_state_dict(self.model, state)
         self.version += 1
         self.cache.invalidate()
-        if self.pool is not None:
-            self.pool.set_params(pack_parameters(self._params), self.version)
 
     # -- live graph mutation ----------------------------------------------
     def apply_delta(self, delta) -> Dict[str, object]:
@@ -214,11 +161,8 @@ class InferenceService:
         is served bit-identical to its admission-time graph; then the
         delta merges into the graph's CSR buffers incrementally
         (:mod:`repro.graphs.mutation`), ``generation`` bumps (making every
-        cached result structurally unservable-stale), the result cache is
-        invalidated, and live executors are **re-attached** to the
-        re-exported shared segments — their warm model mirrors survive the
-        swap. Rebind-failure exhaustion degrades to in-process serving
-        exactly like an infer-path supervision failure.
+        cached result structurally unservable-stale) and the result cache
+        is invalidated.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -227,15 +171,6 @@ class InferenceService:
         self.generation += 1
         self.deltas_applied += 1
         self.cache.invalidate()
-        if self.pool is not None:
-            try:
-                self.pool.rebind(self.graph)
-            except WorkerSupervisionError as exc:
-                self._degrade(
-                    "executors-rebind-exhausted",
-                    f"serving executor pool gave up during a graph rebind "
-                    f"({exc}); degrading to in-process serving",
-                )
         return {
             "generation": self.generation,
             "drained": drained,
@@ -397,31 +332,6 @@ class InferenceService:
 
     # -- execution --------------------------------------------------------
     def _serve(self, requests: List[Request]) -> List[np.ndarray]:
-        if self.pool is not None:
-            items = [(r.rid, r.node, r.seed) for r in requests]
-            try:
-                return self.pool.infer(items)
-            except WorkerSupervisionError as exc:
-                # Zero lost requests — the window is re-served below.
-                self._degrade(
-                    "executors-exhausted",
-                    f"serving executor pool gave up ({exc}); degrading "
-                    "to in-process serving",
-                )
-        return self._serve_inline(requests)
-
-    def _degrade(self, reason: str, message: str) -> None:
-        """Availability over parallelism: retire the pool and keep serving
-        in-process, with one cached warning per reason."""
-        _warn_once(reason, "serving executors", message)
-        pool, self.pool = self.pool, None
-        self.degraded = True
-        try:
-            pool.close()
-        except Exception:
-            pass
-
-    def _serve_inline(self, requests: List[Request]) -> List[np.ndarray]:
         return serve_window(
             self.graph, self.model, requests,
             self.config.n_hops, self.config.fanout,
@@ -434,7 +344,7 @@ class InferenceService:
         """
         request = Request(rid=-1, node=int(node), seed=int(seed),
                           deadline=float("inf"), submitted=0.0)
-        return self._serve_inline([request])[0]
+        return self._serve([request])[0]
 
     # -- observability ----------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -449,9 +359,4 @@ class InferenceService:
         payload["version"] = self.version
         payload["generation"] = self.generation
         payload["deltas_applied"] = self.deltas_applied
-        payload["degraded"] = self.degraded
-        payload["executors"] = 0 if self.pool is None else self.pool.executors
-        payload["respawns"] = 0 if self.pool is None else self.pool.respawns
-        payload["rebinds"] = 0 if self.pool is None else self.pool.rebinds
-        payload["swept_segments"] = self.swept_segments
         return payload

@@ -77,9 +77,9 @@ os.register_at_fork(after_in_child=lambda: globals().update(_cores=1))
 
 def available_cores() -> int:
     """The cores this thread may use: the affinity mask's size in the main
-    thread of the main process, 1 in a pool worker (replica, executor)
-    and in any other thread, so two processes never oversubscribe
-    the cores between them. Counted once per process."""
+    thread of the main process, 1 in a replica worker and in any other
+    thread, so two processes never oversubscribe the cores between them.
+    Counted once per process."""
     global _cores
     if threading.current_thread() is not threading.main_thread():
         return 1

@@ -1,29 +1,22 @@
-"""Deterministic fault injection for the process-pool training paths.
+"""Deterministic fault injection for the process-per-replica pool.
 
 Every recovery path the supervision layer implements (dead worker, hung
 worker, corrupt payload, torn pipe) must be testable in CI without flaky
 timing games. A :class:`FaultPlan` is a *seeded schedule* of fault events:
-each event names an action, a scope (which pool type it targets) and a
+each event names an action, a scope (the pool it targets) and a
 deterministic coordinate inside that scope's schedule. A
 :class:`~repro.training.supervision.SupervisedPool` reads its scope's
 events from the active plan at construction and ships the actions due at
 an op's coordinates with the op; the worker runs them through the one
-injection point, :func:`repro.training.supervision._apply_faults`, which
-understands every action for every scope. A given plan therefore produces
-the exact same failure at the exact same schedule position on every run.
+injection point, :func:`repro.training.supervision._apply_faults`. A
+given plan therefore produces the exact same failure at the exact same
+schedule position on every run.
 
-Scopes and coordinates:
-
-* ``replica`` — a :class:`~repro.training.parallel.ReplicaProcessPool`
-  worker; coordinates are ``(replica index, 1-based build/step op count)``
-  of the worker's *first incarnation* (respawned workers receive only the
-  not-yet-consumed events, so a recovery cannot re-fire the fault that
-  caused it).
-* ``serving`` — a :class:`~repro.serving.executor.ExecutorPool` request
-  executor; coordinates are ``(executor index, 1-based infer-op count)``
-  with the same first-incarnation consumption rule as ``replica``. The
-  parameterised ``slow_request=MS`` (sleep ``MS`` milliseconds before
-  serving) drives the deadline/shed paths without a flaky host.
+The one scope, ``replica``, is a
+:class:`~repro.training.parallel.ReplicaProcessPool` worker; coordinates
+are ``(replica index, 1-based build/step op count)`` of the worker's
+*first incarnation* (respawned workers receive only the not-yet-consumed
+events, so a recovery cannot re-fire the fault that caused it).
 
 Either coordinate may be the wildcard ``*`` (stored as ``-1``): a wildcard
 event matches every value and is never consumed, which is how tests drive
@@ -35,7 +28,7 @@ process-wide (the test-fixture path), and the ``REPRO_FAULT_PLAN``
 environment variable carries the same ``;``-separated
 ``action:scope:a:b`` grammar for CLI/CI use, e.g.::
 
-    REPRO_FAULT_PLAN="kill_worker:replica:0:1;hang_worker:serving:1:2"
+    REPRO_FAULT_PLAN="kill_worker:replica:0:1;hang_worker:replica:1:2"
 """
 
 from __future__ import annotations
@@ -46,7 +39,6 @@ from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "FAULT_ACTIONS",
-    "PARAM_ACTIONS",
     "FAULT_PLAN_ENV",
     "FaultEvent",
     "FaultPlan",
@@ -58,18 +50,10 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: Injectable failure modes, in increasing order of subtlety: a worker
 #: that dies outright, one that stops responding, one that ships garbage,
-#: and one that tears its pipe down without an error frame — plus one
-#: that answers late by a parameterised delay. The scope says which pool
-#: is hit; the names are the same in both.
-FAULT_ACTIONS = (
-    "kill_worker", "hang_worker", "corrupt_payload", "drop_pipe",
-    "slow_request",
-)
+#: and one that tears its pipe down without an error frame.
+FAULT_ACTIONS = ("kill_worker", "hang_worker", "corrupt_payload", "drop_pipe")
 
-#: Actions that take (indeed require) a ``=value`` parameter.
-PARAM_ACTIONS = ("slow_request",)
-
-FAULT_SCOPES = ("replica", "serving")
+FAULT_SCOPES = ("replica",)
 
 #: Wildcard coordinate: matches every value, never consumed.
 WILDCARD = -1
@@ -79,38 +63,26 @@ WILDCARD = -1
 class FaultEvent:
     """One scheduled fault: ``action`` at coordinate ``(a, b)`` of ``scope``.
 
-    ``a`` is the worker/executor index and ``b`` the 1-based count of
-    messages the worker has handled when the fault fires.
-    ``-1`` in either position is the wildcard. ``param`` carries the value
-    of parameterised actions (``slow_request``'s delay in milliseconds),
-    spelled ``action=value`` in the spec grammar.
+    ``a`` is the worker index and ``b`` the 1-based count of messages
+    the worker has handled when the fault fires. ``-1`` in either
+    position is the wildcard.
     """
 
     action: str
     scope: str
     a: int
     b: int
-    param: Optional[float] = None
 
     def __post_init__(self):
-        if self.action not in FAULT_ACTIONS:
-            raise ValueError(
-                f"unknown fault action {self.action!r}; "
-                f"options: {list(FAULT_ACTIONS)}"
-            )
         if self.scope not in FAULT_SCOPES:
             raise ValueError(
                 f"unknown fault scope {self.scope!r}; "
                 f"options: {list(FAULT_SCOPES)}"
             )
-        if self.action in PARAM_ACTIONS and self.param is None:
+        if self.action not in FAULT_ACTIONS:
             raise ValueError(
-                f"fault action {self.action!r} needs a parameter "
-                f"(spell it {self.action}=VALUE)"
-            )
-        if self.action not in PARAM_ACTIONS and self.param is not None:
-            raise ValueError(
-                f"fault action {self.action!r} takes no parameter"
+                f"unknown fault action {self.action!r}; "
+                f"options: {list(FAULT_ACTIONS)}"
             )
 
     def matches(self, a: int, b: int) -> bool:
@@ -126,10 +98,9 @@ class FaultEvent:
         def coord(value: int) -> str:
             return "*" if value == WILDCARD else str(value)
 
-        action = self.action
-        if self.param is not None:
-            action = f"{action}={self.param:g}"
-        return f"{action}:{self.scope}:{coord(self.a)}:{coord(self.b)}"
+        return (
+            f"{self.action}:{self.scope}:{coord(self.a)}:{coord(self.b)}"
+        )
 
 
 class FaultPlan:
@@ -153,20 +124,6 @@ class FaultPlan:
                     "action:scope:a:b"
                 )
             action, scope, a, b = parts
-            action = action.strip()
-            param: Optional[float] = None
-            if "=" in action:
-                action, _, raw = action.partition("=")
-                try:
-                    param = float(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"malformed fault parameter {raw!r} in {chunk!r}"
-                    ) from None
-                if param < 0:
-                    raise ValueError(
-                        f"fault parameters must be >= 0, got {raw!r}"
-                    )
 
             def coord(token: str, chunk: str = chunk) -> int:
                 token = token.strip()
@@ -185,7 +142,7 @@ class FaultPlan:
                 return value
 
             events.append(FaultEvent(
-                action, scope.strip(), coord(a), coord(b), param=param
+                action.strip(), scope.strip(), coord(a), coord(b)
             ))
         return cls(events)
 

@@ -13,9 +13,8 @@ the client's replay recipe; after ``max_retries`` consecutive failures
 of one worker (or a failed respawn) :class:`WorkerSupervisionError`
 tells the caller to degrade to its in-process path.
 
-What a worker *does* is the client's business
-(:class:`~repro.training.parallel.ReplicaProcessPool`,
-:class:`~repro.serving.executor.ExecutorPool`): each brings a worker
+What a worker *does* is the client's business: the one client,
+:class:`~repro.training.parallel.ReplicaProcessPool`, brings a worker
 function, a spec, two frame validators and a replay recipe, and keeps
 the state that makes its replay bit-identical.
 
@@ -29,12 +28,11 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..graphs.graph import Graph
-from ..graphs.shm import SharedGraphHandle, SharedGraphStore
+from ..graphs.shm import SharedGraphStore
 from ..sparse.ops import get_backend
 from .faults import current_fault_plan
 
@@ -50,8 +48,8 @@ RETRIES_ENV = "REPRO_WORKER_RETRIES"
 #: deadline, so the parent's timeout path is what ends it.
 _HANG_SECONDS = 3600.0
 
-#: ``(action, param)`` pairs as shipped to a worker with its op.
-FaultActions = List[Tuple[str, Optional[float]]]
+#: Fault action names as shipped to a worker with its op.
+FaultActions = List[str]
 
 
 @dataclass
@@ -144,7 +142,7 @@ def _consume_events(events: List, a: int, b: int) -> FaultActions:
     actions = []
     for event in list(events):
         if event.matches(a, b):
-            actions.append((event.action, event.param))
+            actions.append(event.action)
             if not event.persistent:
                 events.remove(event)
     return actions
@@ -153,7 +151,7 @@ def _consume_events(events: List, a: int, b: int) -> FaultActions:
 def _apply_faults(conn, actions: FaultActions) -> bool:
     """Worker-side injection point. Returns whether to corrupt the reply."""
     corrupt = False
-    for action, param in actions:
+    for action in actions:
         if action == "kill_worker":
             os._exit(3)
         elif action == "hang_worker":
@@ -164,8 +162,6 @@ def _apply_faults(conn, actions: FaultActions) -> bool:
                 conn.close()
             finally:
                 os._exit(0)
-        elif action == "slow_request":
-            time.sleep((param or 0.0) / 1000.0)
         elif action == "corrupt_payload":
             corrupt = True
     return corrupt
@@ -175,7 +171,7 @@ class SupervisedPool:
     """Spawn workers over one shared-memory graph export, supervised.
 
     Owns everything about a worker except its protocol: the spawn context
-    and process, the shared store (export, re-export, unlink), the ready
+    and process, the shared store (export, unlink), the ready
     handshake, kill, close, fault-carrying sends and the supervised
     receive. The client supplies what differs between pools:
 
@@ -301,24 +297,6 @@ class SupervisedPool:
         self._store.close()
         self._store.unlink()
 
-    @contextmanager
-    def reexported(self, graph: Graph) -> Iterator[SharedGraphHandle]:
-        """Move the pool onto a fresh export of ``graph``; yields its handle.
-
-        Inside the block the client tells each live worker to re-attach;
-        a worker respawned from here on attaches the new segments at
-        birth. The old segments are closed and unlinked on exit whatever
-        happened, so a stale :class:`SharedGraphHandle` can only raise
-        :class:`~repro.graphs.shm.StaleHandleError`.
-        """
-        old_store = self._store
-        self._store = SharedGraphStore.export(graph)
-        try:
-            yield self._store.handle()
-        finally:
-            old_store.close()
-            old_store.unlink()
-
     # -- supervised transport --------------------------------------------
     def send(self, worker: int, message: tuple,
              at: Optional[Tuple[int, int]] = None) -> None:
@@ -342,37 +320,22 @@ class SupervisedPool:
         self._deadlines[worker] = (granted, time.monotonic() + granted)
 
     def recv(self, worker: int):
-        """The validated reply to ``worker``'s outstanding op (blocking)."""
-        return self.recv_any((worker,))[1]
+        """The validated reply to ``worker``'s outstanding op.
 
-    def recv_any(self, workers: Sequence[int]) -> Tuple[int, object]:
-        """The next validated reply from any of ``workers``.
-
-        Every listed worker must have an op outstanding. Blocks through
-        respawn-and-replay recoveries; raises
-        :class:`WorkerSupervisionError` once one worker's retry budget is
+        Blocks through respawn-and-replay recoveries; raises
+        :class:`WorkerSupervisionError` once the worker's retry budget is
         spent or it cannot be respawned.
         """
-        from multiprocessing.connection import wait as _wait
-
         while True:
-            sources = {}
-            for worker in workers:
-                sources[self._conns[worker]] = worker
-                sources[self._procs[worker].sentinel] = worker
-            overdue = min(workers, key=lambda w: self._deadlines[w][1])
-            ready = _wait(list(sources), timeout=max(
-                0.0, self._deadlines[overdue][1] - time.monotonic()
-            ))
-            worker = sources[ready[0]] if ready else overdue
             status, frame = _await_frame(
-                self._conns[worker], self._procs[worker], 0.0
+                self._conns[worker], self._procs[worker],
+                self._deadlines[worker][1] - time.monotonic(),
             )
             if status == "ok":
                 cause = self._check_reply(worker, frame)
                 if cause is None:
                     self._retries[worker] = 0
-                    return worker, frame
+                    return frame
             elif status == "dead":
                 cause = f"worker exited unexpectedly (exit code {frame})"
             else:

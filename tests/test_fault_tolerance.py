@@ -112,23 +112,26 @@ def _no_leaks():
 
 class TestFaultPlan:
     def test_parse_round_trip(self):
-        spec = "kill_worker:serving:1:0;hang_worker:replica:*:3"
+        spec = "kill_worker:replica:1:0;hang_worker:replica:*:3"
         plan = FaultPlan.parse(spec)
         assert plan.spec() == spec
         assert len(plan) == 2
-        assert plan.events_for("replica")[0].persistent
+        assert [event.persistent for event in plan.events_for("replica")] \
+            == [False, True]
 
     def test_malformed_specs_rejected(self):
         with pytest.raises(ValueError, match="expected action:scope"):
             FaultPlan.parse("kill_worker:replica:1")
         with pytest.raises(ValueError, match="unknown fault action"):
-            FaultPlan.parse("explode:serving:1:0")
+            FaultPlan.parse("explode:replica:1:0")
+        with pytest.raises(ValueError, match="unknown fault action"):
+            FaultPlan.parse("slow_request=5:replica:0:1")
         with pytest.raises(ValueError, match="unknown fault scope"):
             FaultPlan.parse("kill_worker:nowhere:1:0")
         with pytest.raises(ValueError, match="coordinate"):
             FaultPlan.parse("kill_worker:replica:x:0")
         with pytest.raises(ValueError, match=">= 0"):
-            FaultPlan.parse("kill_worker:serving:-2:0")
+            FaultPlan.parse("kill_worker:replica:-2:0")
 
     @pytest.mark.parametrize("spec", [
         "kill_worker:prefetch:1:0",
@@ -143,6 +146,19 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault scope"):
             FaultPlan.parse(spec)
 
+    @pytest.mark.parametrize("spec", [
+        "kill_worker:serving:1:0",
+        "hang_worker:serving:*:3",
+        "corrupt_payload:serving:0:1",
+        "drop_pipe:serving:1:1",
+        "slow_request=5:serving:0:*",
+    ])
+    def test_serving_scope_is_gone(self, spec):
+        # Serving runs every window in the calling process: there is no
+        # serving worker to hit, whichever action the spec names.
+        with pytest.raises(ValueError, match="unknown fault scope"):
+            FaultPlan.parse(spec)
+
     def test_env_plan(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "drop_pipe:replica:0:2")
         plan = current_fault_plan()
@@ -151,7 +167,7 @@ class TestFaultPlan:
 
     def test_installed_plan_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "drop_pipe:replica:0:2")
-        installed = FaultPlan.parse("kill_worker:serving:0:0")
+        installed = FaultPlan.parse("kill_worker:replica:0:0")
         set_fault_plan(installed)
         assert current_fault_plan() is installed
 
@@ -160,10 +176,10 @@ class TestFaultPlan:
         from repro.training.supervision import _consume_events
 
         assert _consume_events(events, 0, 0) == []
-        assert _consume_events(events, 1, 0) == [("kill_worker", None)]
+        assert _consume_events(events, 1, 0) == ["kill_worker"]
         assert events == []  # exact-coordinate events consume
-        wild = [FaultEvent("kill_worker", "serving", -1, -1)]
-        assert _consume_events(wild, 5, 9) == [("kill_worker", None)]
+        wild = [FaultEvent("kill_worker", "replica", -1, -1)]
+        assert _consume_events(wild, 5, 9) == ["kill_worker"]
         assert wild  # wildcards never consume
 
 

@@ -10,10 +10,7 @@ The contract under test, layer by layer:
   ``generation`` bump, so nothing downstream ever reads pre-delta structure;
 * the serving layer mutates **live**: in-flight requests are served
   bit-identical to their admission-time graph, repeated queries miss the
-  cache on the new generation and match a fresh-graph oracle bit for bit,
-  executors are re-attached to the re-exported shared segments (same pids —
-  re-attach, not restart), and a stale ``SharedGraphHandle`` attach raises
-  ``StaleHandleError`` naming the segment.
+  cache on the new generation and match a fresh-graph oracle bit for bit.
 """
 
 import multiprocessing
@@ -36,7 +33,6 @@ from repro.graphs import (
 )
 from repro.graphs import mutation
 from repro.graphs.generators import erdos_renyi_graph, rmat_graph
-from repro.graphs.shm import SharedGraphStore, StaleHandleError
 from repro.models import GNNConfig, MaxKGNN
 from repro.serving import InferenceService, ServiceConfig
 from repro.sparse import CSRMatrix, coo_to_csr, native, ops
@@ -910,6 +906,30 @@ class TestGenerationCaches:
                 assert held.tobytes() == copy.tobytes()
                 assert held.flags.writeable is False
 
+    @pytest.mark.parametrize("built", [(), ("in",), ("out",), ("in", "out")])
+    def test_a_detach_builds_no_index(self, built):
+        # A detach reads the edges of a direction with no index off its COO
+        # column; the directions the graph had are patched, no other built.
+        graph = sbm_graph(300, 3, 8.0, seed=5)
+        graph.adjacency("sage")
+        for direction in built:
+            graph.edge_index(direction)
+        detached = np.arange(0, 300, 7)
+        kept = ~(np.isin(graph.src, detached) | np.isin(graph.dst, detached))
+        expected_src, expected_dst = graph.src[kept], graph.dst[kept]
+        apply_delta(graph, GraphDelta(detach_nodes=detached))
+        assert sorted(graph._edge_index) == sorted(built)
+        assert graph.src.tobytes() == expected_src.tobytes()
+        assert graph.dst.tobytes() == expected_dst.tobytes()
+        oracle = _rebuilt(graph)
+        for direction in built:
+            for got, want in zip(graph._edge_index[direction],
+                                 oracle.edge_index(direction)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        assert _bitwise_equal(graph.adjacency("sage"),
+                              oracle.adjacency("sage"))
+
     def test_node_payload_extension(self):
         graph = sbm_graph(30, 3, 4.0, seed=2)
         attach_classification_task(graph, n_features=4, seed=2)
@@ -1074,71 +1094,4 @@ class TestServingMutation:
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.apply_delta(GraphDelta())
-        _no_leaks()
-
-
-class TestServingRebind:
-    def test_executors_reattach_not_restart(self, force_procs):
-        service = _service(executors=1, default_deadline=60.0)
-        try:
-            assert service.pool is not None
-            pid = service.pool._pool._procs[0].pid
-            old_handle = service.pool._pool._store.handle()
-
-            first = service.submit(3, seed=5)
-            service.drain()
-            assert first.result.ok
-
-            rng = np.random.default_rng(0)
-            service.apply_delta(_rewire(service.graph, rng))
-
-            # Re-attached, not restarted: same worker process, one
-            # rebind, zero respawns, still not degraded.
-            assert service.pool is not None and not service.degraded
-            assert service.pool._pool._procs[0].pid == pid
-            assert service.pool.rebinds == 1
-            assert service.pool.respawns == 0
-
-            # The mutated-graph result from the pool matches the
-            # in-process oracle bit for bit.
-            second = service.submit(3, seed=5)
-            service.drain()
-            assert second.result.ok
-            expected = service.infer_single(3, seed=5)
-            assert np.array_equal(second.result.logits, expected)
-
-            stats = service.stats()
-            assert stats["rebinds"] == 1 and stats["respawns"] == 0
-
-            with pytest.raises(StaleHandleError) as info:
-                SharedGraphStore.attach(old_handle)
-            stale_segments = {spec.segment for spec in old_handle.arrays}
-            assert any(seg in str(info.value) for seg in stale_segments)
-        finally:
-            service.close()
-        _no_leaks()
-
-    def test_dead_executor_respawns_against_new_store(self, force_procs):
-        service = _service(executors=1, default_deadline=60.0)
-        try:
-            assert service.pool is not None
-            proc = service.pool._pool._procs[0]
-            proc.kill()
-            proc.join(timeout=5.0)
-
-            rng = np.random.default_rng(2)
-            service.apply_delta(_rewire(service.graph, rng))
-
-            # The dead worker could not acknowledge the rebind; the
-            # respawn attached the new store, which completes it.
-            assert service.pool is not None and not service.degraded
-            assert service.pool.respawns == 1
-
-            ticket = service.submit(4, seed=1)
-            service.drain()
-            assert ticket.result.ok
-            expected = service.infer_single(4, seed=1)
-            assert np.array_equal(ticket.result.logits, expected)
-        finally:
-            service.close()
         _no_leaks()

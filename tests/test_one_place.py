@@ -7,7 +7,10 @@ grep checks those PRs quoted in prose, as assertions over ``src/repro``.
 
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.serving import ServiceConfig
 
 SRC = Path(repro.__file__).parent
 
@@ -313,6 +316,18 @@ def test_deleted_knobs_and_aliases_stay_deleted():
                  "sspmm_read_reduction", "ProcessPrefetchPool",
                  "_prefetch_worker", "prefetch_workers", "prefetch-workers"):
         assert _occurrences(gone) == {}, gone
+
+
+def test_serving_runs_in_one_place():
+    # A window is served in the calling process: no executor pool, no
+    # graph re-export for it, no serving fault scope or delayed answer.
+    assert not (SRC / "serving" / "executor.py").exists()
+    for gone in ("ExecutorPool", "reexported", "recv_any", "slow_request",
+                 "PARAM_ACTIONS"):
+        assert _occurrences(gone) == {}, gone
+    with pytest.raises(ValueError, match="executors must be 0"):
+        ServiceConfig(executors=1)
+    assert ServiceConfig(executors=0).executors == 0
 
 
 def test_a_window_computes_destination_rows_in_one_place():

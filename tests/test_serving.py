@@ -1,18 +1,16 @@
-"""Online serving tests (PR 9): admission, deadlines, batching, caching,
-executor supervision, and lifecycle hygiene.
+"""Online serving tests: admission, deadlines, batching, caching and
+lifecycle hygiene.
 
 The contract under test: every request gets an *explicit* outcome
 (``ok`` / ``overloaded`` / ``deadline_exceeded`` / ``failed``) — never an
 unbounded queue, never a silent drop, never a late serve — and every
 ``ok`` response is bit-identical to single-request inference, through
-batching, executor crashes, respawn-and-replay, and degradation to the
-in-process path. Deadline semantics run on a fake clock (no sleeps);
-process tests ride ``REPRO_FORCE_PROCS=1`` like the PR 8 suite.
+batching and the result cache. Deadline semantics run on a fake clock
+(no sleeps).
 """
 
 import multiprocessing
 import resource
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +21,6 @@ from repro.graphs import (
     attach_classification_task,
     owned_segment_count,
     sbm_graph,
-    shared_memory_available,
 )
 from repro.graphs.sampling import khop_neighborhood
 from repro.models import GNNConfig, MaxKGNN
@@ -43,13 +40,12 @@ from repro.serving import (
 )
 from repro.serving import service as service_module
 from repro.sparse.native import keep_heap_mapped
-from repro.training import Engine, FaultPlan, set_fault_plan
+from repro.training import Engine
 from repro.training.checkpoint import (
     config_fingerprint,
     state_dict,
     write_checkpoint,
 )
-from repro.training.faults import FaultEvent
 
 
 def _task_graph(n=120, seed=11):
@@ -90,39 +86,6 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
-
-
-# ----------------------------------------------------------------------
-# Satellite 1: serving fault-plan grammar.
-# ----------------------------------------------------------------------
-
-class TestServingFaultGrammar:
-    def test_serving_actions_parse_and_round_trip(self):
-        spec = ("kill_worker:serving:0:2;hang_worker:serving:*:1;"
-                "corrupt_payload:serving:1:*;slow_request=250:serving:0:1")
-        plan = FaultPlan.parse(spec)
-        assert [e.action for e in plan.events] == [
-            "kill_worker", "hang_worker", "corrupt_payload",
-            "slow_request",
-        ]
-        assert plan.events[3].param == 250.0
-        assert FaultPlan.parse(plan.spec()).spec() == plan.spec()
-
-    def test_param_action_requires_a_parameter(self):
-        with pytest.raises(ValueError, match="needs a parameter"):
-            FaultPlan.parse("slow_request:serving:0:1")
-
-    def test_param_rejected_on_plain_actions(self):
-        with pytest.raises(ValueError, match="takes no parameter"):
-            FaultPlan.parse("kill_worker=3:serving:0:1")
-        with pytest.raises(ValueError, match="takes no parameter"):
-            FaultEvent("kill_worker", "serving", 0, 1, param=3.0)
-
-    def test_malformed_or_negative_params_rejected(self):
-        with pytest.raises(ValueError, match="malformed fault parameter"):
-            FaultPlan.parse("slow_request=abc:serving:0:1")
-        with pytest.raises(ValueError, match=">= 0"):
-            FaultPlan.parse("slow_request=-5:serving:0:1")
 
 
 # ----------------------------------------------------------------------
@@ -519,8 +482,8 @@ class TestDeadlineSemantics:
         service = _service(clock=clock, default_deadline=0.5)
         try:
             forwards = []
-            original = service._serve_inline
-            service._serve_inline = lambda requests: (
+            original = service._serve
+            service._serve = lambda requests: (
                 forwards.append(len(requests)) or original(requests)
             )
             ticket = service.submit(7)
@@ -540,14 +503,14 @@ class TestDeadlineSemantics:
         clock = FakeClock()
         service = _service(clock=clock, default_deadline=0.5)
         try:
-            original = service._serve_inline
+            original = service._serve
 
             def slow_serve(requests):
                 rows = original(requests)
                 clock.advance(0.8)  # service time overshoots the deadline
                 return rows
 
-            service._serve_inline = slow_serve
+            service._serve = slow_serve
             ticket = service.submit(7)
             service.pump(force=True)
             assert ticket.result.status == DEADLINE_EXCEEDED
@@ -585,7 +548,7 @@ class TestDeadlineSemantics:
 
 
 # ----------------------------------------------------------------------
-# Satellite 2: lifecycle — idempotent close, atexit safety, no leaks.
+# Lifecycle: idempotent close, no leaks.
 # ----------------------------------------------------------------------
 
 class TestLifecycle:
@@ -619,22 +582,6 @@ class TestLifecycle:
         engine.close()  # partially constructed: must not AttributeError
         engine.close()
 
-    @pytest.mark.skipif(not shared_memory_available(),
-                        reason="host cannot create POSIX shared memory")
-    def test_pool_backed_service_close_releases_everything(
-        self, force_procs
-    ):
-        service = _service(executors=1)
-        try:
-            assert service.pool is not None
-            ticket = service.submit(3)
-            service.drain()
-            assert ticket.result.status == OK
-        finally:
-            service.close()
-        service.close()
-        _no_leaks()
-
     def test_service_pins_the_heap(self, monkeypatch):
         calls = []
         monkeypatch.setattr(service_module, "keep_heap_mapped",
@@ -655,123 +602,6 @@ class TestLifecycle:
         np.empty(nbytes, dtype=np.uint8).fill(1)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < nbytes // 4096 // 64
-
-
-# ----------------------------------------------------------------------
-# Executor pool: supervision, replay identity, degradation.
-# ----------------------------------------------------------------------
-
-@pytest.mark.skipif(not shared_memory_available(),
-                    reason="host cannot create POSIX shared memory")
-class TestExecutorPoolServing:
-    def _serve_nodes(self, service, nodes, seed=5):
-        tickets = [service.submit(node, seed=seed) for node in nodes]
-        service.drain()
-        return tickets
-
-    def test_pool_results_bit_identical_to_in_process(self, force_procs):
-        service = _service(executors=1, max_batch=4, queue_capacity=16)
-        try:
-            assert service.pool is not None
-            nodes = [0, 7, 33, 99]
-            reference = {
-                node: service.infer_single(node, seed=5) for node in nodes
-            }
-            for ticket in self._serve_nodes(service, nodes):
-                assert ticket.result.status == OK
-                assert np.array_equal(
-                    ticket.result.logits, reference[ticket.result.node]
-                )
-        finally:
-            service.close()
-        _no_leaks()
-
-    def test_killed_executor_respawns_and_replays_identically(
-        self, force_procs
-    ):
-        """An executor SIGKILLed mid-window must be invisible to clients:
-        the respawned executor replays the window bit-for-bit."""
-        set_fault_plan(FaultPlan.parse("kill_worker:serving:0:2"))
-        service = _service(executors=1, max_batch=2, queue_capacity=16)
-        try:
-            assert service.pool is not None
-            reference = {
-                node: service.infer_single(node, seed=5)
-                for node in (0, 7, 33, 99)
-            }
-            clean = self._serve_nodes(service, [0, 7])     # op 1: clean
-            killed = self._serve_nodes(service, [33, 99])  # op 2: killed
-            for ticket in clean + killed:
-                assert ticket.result.status == OK
-                assert np.array_equal(
-                    ticket.result.logits, reference[ticket.result.node]
-                )
-            assert service.pool.respawns == 1
-            assert not service.degraded
-        finally:
-            service.close()
-        _no_leaks()
-
-    def test_corrupt_result_is_refused_and_replayed(self, force_procs):
-        set_fault_plan(FaultPlan.parse("corrupt_payload:serving:0:1"))
-        service = _service(executors=1, max_batch=2, queue_capacity=16)
-        try:
-            reference = service.infer_single(7, seed=5)
-            (ticket,) = self._serve_nodes(service, [7])
-            assert ticket.result.status == OK
-            assert np.array_equal(ticket.result.logits, reference)
-            assert service.pool.respawns == 1
-        finally:
-            service.close()
-        _no_leaks()
-
-    def test_exhausted_retries_degrade_in_process_with_one_warning(
-        self, force_procs, quick_retries
-    ):
-        """A wildcard kill keeps firing through every respawn; the
-        service must give up on the pool, warn once, and keep serving —
-        zero wrong responses, zero lost requests."""
-        set_fault_plan(FaultPlan.parse("kill_worker:serving:*:*"))
-        service = _service(executors=1, max_batch=2, queue_capacity=16)
-        try:
-            assert service.pool is not None
-            reference = {
-                node: service.infer_single(node, seed=5) for node in (1, 2)
-            }
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                tickets = self._serve_nodes(service, [1, 2])
-                more = self._serve_nodes(service, [1])  # after degradation
-            degradations = [
-                w for w in caught
-                if "degrading to in-process serving" in str(w.message)
-            ]
-            assert len(degradations) == 1
-            assert service.degraded and service.pool is None
-            for ticket in tickets + more:
-                assert ticket.result.status == OK
-                assert np.array_equal(
-                    ticket.result.logits, reference[ticket.result.node]
-                )
-        finally:
-            service.close()
-        _no_leaks()
-
-    def test_slow_request_fault_drives_the_late_shed_path(
-        self, force_procs
-    ):
-        set_fault_plan(FaultPlan.parse("slow_request=400:serving:0:1"))
-        service = _service(executors=1, default_deadline=0.15,
-                           queue_capacity=16)
-        try:
-            (ticket,) = self._serve_nodes(service, [3])
-            assert ticket.result.status == DEADLINE_EXCEEDED
-            assert service.queue.stats.shed_late == 1
-            # The executor itself is healthy — no respawn burned.
-            assert service.pool is not None and service.pool.respawns == 0
-        finally:
-            service.close()
-        _no_leaks()
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,9 @@ ops and misbehaves on command, so every path through
 :class:`~repro.training.supervision.SupervisedPool` — handshake dead /
 hung / malformed; reply killed, hung, malformed, refused by the
 validator, torn pipe; retry accounting, exhaustion, failed respawn, fault
-consumption, replay, re-export, close — is driven here, independent of
-the three real pools (whose suites keep asserting that *their* replay
-recipes are bit-identical).
+consumption, replay, close — is driven here, independent of the real
+client, the replica pool (whose suites keep asserting that *its* replay
+recipe is bit-identical).
 """
 
 import multiprocessing
@@ -45,14 +45,14 @@ class _Patience(SupervisorConfig):
         return self.timeout if attempt == 0 else BRISK
 
 
-def _graph(n_nodes=4):
-    ring = np.arange(n_nodes)
-    return Graph(n_nodes=n_nodes, src=ring, dst=np.roll(ring, 1))
+def _graph():
+    ring = np.arange(4)
+    return Graph(n_nodes=4, src=ring, dst=np.roll(ring, 1))
 
 
 def _toy_worker(conn, spec):
     """Echo worker. ``spec["boot"]`` picks the start-up behaviour; ops are
-    ``("echo", value, actions)`` and ``("rebind", handle, actions)``."""
+    ``("echo", value, actions)``."""
     boot = spec["boot"]
     if boot == "exit":
         os._exit(7)
@@ -68,14 +68,8 @@ def _toy_worker(conn, spec):
             message = conn.recv()
             if message[0] == "stop":
                 break
-            kind, value, actions = message
-            lie = _apply_faults(conn, actions)
-            if kind == "rebind":
-                new_store = SharedGraphStore.attach(value)
-                store.close()
-                store = new_store
-                conn.send(("rebound", store.graph().n_nodes))
-            elif lie:
+            _, value, actions = message
+            if _apply_faults(conn, actions):
                 conn.send("garbage" if value == "garble" else ("echo", None))
             else:
                 conn.send(("echo", value))
@@ -97,12 +91,11 @@ class Toy:
         self.boots = boots  # per incarnation; the last one repeats
         self.spawned = [0] * workers
         self.replays = [0] * workers
-        self.ready = [None] * workers
-        self.pending = [None] * workers  # [kind, value, number, attempt]
+        self.pending = [None] * workers  # [value, number, attempt]
         self.rebuild_first = False
         config.setdefault("timeout", 20.0)
         self.pool = SupervisedPool(
-            _graph(), workers, label="toy worker", scope="serving",
+            _graph(), workers, label="toy worker", scope="replica",
             target=_toy_worker, spec_for=self._spec_for,
             check_ready=self._check_ready, check_reply=self._check_reply,
             replay=self._replay, supervisor=_Patience(**config),
@@ -116,31 +109,29 @@ class Toy:
     def _check_ready(self, worker, frame):
         if not (isinstance(frame, tuple) and frame[0] == "ready"):
             return f"bad handshake {frame!r}"
-        self.ready[worker] = frame[1]
         return None
 
     def _check_reply(self, worker, frame):
-        kind, value = self.pending[worker][:2]
-        expected = "rebound" if kind == "rebind" else "echo"
-        if not isinstance(frame, tuple) or frame[0] != expected:
+        value = self.pending[worker][0]
+        if not isinstance(frame, tuple) or frame[0] != "echo":
             return f"malformed frame {frame!r}"
-        if kind == "echo" and frame[1] != value:
+        if frame[1] != value:
             return f"echoed {frame[1]!r}, sent {value!r}"
         return None
 
     def _replay(self, worker):
         self.replays[worker] += 1
-        kind, value, number, attempt = self.pending[worker]
+        value, number, attempt = self.pending[worker]
         if self.rebuild_first:
             # A replica-style recipe: a supervised exchange *inside* the
             # replay (op number 0 is never sabotaged).
             self.send(worker, "rebuilt", 0)
             self.pool.recv(worker)
-        self.send(worker, value, number, kind, attempt + 1)
+        self.send(worker, value, number, attempt + 1)
 
-    def send(self, worker, value, number, kind="echo", attempt=0):
-        self.pending[worker] = [kind, value, number, attempt]
-        self.pool.send(worker, (kind, value), at=(number, attempt))
+    def send(self, worker, value, number, attempt=0):
+        self.pending[worker] = [value, number, attempt]
+        self.pool.send(worker, ("echo", value), at=(number, attempt))
 
     def echo(self, worker, value, number):
         self.send(worker, value, number)
@@ -184,8 +175,8 @@ def test_failed_handshake_raises_and_leaves_nothing(toy, boot, timeout,
 def test_every_reply_failure_is_recovered_with_one_replay_each(toy):
     client = toy(
         max_retries=1,
-        plan="kill_worker:serving:1:0;corrupt_payload:serving:2:0;"
-             "corrupt_payload:serving:3:0;drop_pipe:serving:4:0",
+        plan="kill_worker:replica:1:0;corrupt_payload:replica:2:0;"
+             "corrupt_payload:replica:3:0;drop_pipe:replica:4:0",
     )
     pool = client.pool
     pids = set()
@@ -203,32 +194,25 @@ def test_every_reply_failure_is_recovered_with_one_replay_each(toy):
     _no_leaks()
 
 
-def test_hangs_on_an_op_and_on_a_rebind_are_recovered(toy):
+def test_hangs_on_an_op_are_recovered(toy):
     client = toy(
-        plan="kill_worker:serving:1:0;hang_worker:serving:1:1;"
-             "kill_worker:serving:2:0;hang_worker:serving:2:1",
+        plan="kill_worker:replica:1:0;hang_worker:replica:1:1;"
+             "kill_worker:replica:2:0;hang_worker:replica:2:1",
     )
-    segments = owned_segment_count()
     # Each op is killed on its first try, stalls on the retry until the
     # retry deadline kills it, and is answered by the third incarnation.
     start = time.monotonic()
     assert client.echo(0, "x", 1) == ("echo", "x")
     assert client.replays == [2]
-    with client.pool.reexported(_graph(6)) as handle:
-        client.send(0, handle, 2, kind="rebind")
-        assert client.pool.recv(0) == ("rebound", 6)
+    assert client.echo(0, "y", 2) == ("echo", "y")
     assert time.monotonic() - start >= 2 * BRISK
     assert client.replays == [4]
-    # Respawns during the rebind attached the *new* export at birth, and
-    # the old one is gone.
-    assert client.ready == [6]
-    assert owned_segment_count() == segments
 
 
 def test_exhaustion_reports_the_deadline_actually_waited(toy):
     client = toy(
         max_retries=1,
-        plan="kill_worker:serving:1:0;hang_worker:serving:1:*",
+        plan="kill_worker:replica:1:0;hang_worker:replica:1:*",
     )
     with pytest.raises(WorkerSupervisionError) as info:
         client.echo(0, "x", 1)
@@ -242,7 +226,7 @@ def test_exhaustion_reports_the_deadline_actually_waited(toy):
 
 
 def test_failed_respawn_raises_supervision_error(toy):
-    client = toy(boots=("ok", "exit"), plan="kill_worker:serving:1:0")
+    client = toy(boots=("ok", "exit"), plan="kill_worker:replica:1:0")
     with pytest.raises(WorkerSupervisionError,
                        match="could not be respawned") as info:
         client.echo(0, "x", 1)
@@ -252,7 +236,7 @@ def test_failed_respawn_raises_supervision_error(toy):
 
 
 def test_a_reply_inside_the_replay_does_not_refill_the_budget(toy):
-    client = toy(max_retries=1, plan="kill_worker:serving:7:*")
+    client = toy(max_retries=1, plan="kill_worker:replica:7:*")
     client.rebuild_first = True
     # The recipe's own exchange succeeds on every respawn, the op never
     # does: the budget must run out instead of being refilled by the
@@ -260,20 +244,3 @@ def test_a_reply_inside_the_replay_does_not_refill_the_budget(toy):
     with pytest.raises(WorkerSupervisionError, match="2 consecutive times"):
         client.echo(0, "x", 7)
     assert client.replays == [1]
-
-
-def test_recv_any_recovers_two_workers_failing_in_one_wait(toy):
-    client = toy(
-        workers=2,
-        plan="kill_worker:serving:1:0;kill_worker:serving:2:0",
-    )
-    client.send(0, "left", 1)
-    client.send(1, "right", 2)
-    waiting = {0, 1}
-    replies = {}
-    while waiting:
-        worker, frame = client.pool.recv_any(sorted(waiting))
-        waiting.discard(worker)
-        replies[worker] = frame
-    assert replies == {0: ("echo", "left"), 1: ("echo", "right")}
-    assert client.replays == [1, 1]
