@@ -159,6 +159,17 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault scope"):
             FaultPlan.parse(spec)
 
+    @pytest.mark.parametrize("spec", [
+        "kill_worker=3:replica:0:1",
+        "hang_worker=0:replica:*:1",
+        "corrupt_payload=1:replica:1:0",
+    ])
+    def test_an_action_takes_no_parameter(self, spec):
+        # The grammar is action:scope:a:b; an ``=value`` suffix makes the
+        # action name unknown rather than a parameter of it.
+        with pytest.raises(ValueError, match="unknown fault action"):
+            FaultPlan.parse(spec)
+
     def test_env_plan(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "drop_pipe:replica:0:2")
         plan = current_fault_plan()

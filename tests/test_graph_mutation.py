@@ -1089,6 +1089,29 @@ class TestServingMutation:
             service.close()
         _no_leaks()
 
+    def test_forced_processes_serve_a_delta_in_process(self, force_procs):
+        # Even with worker processes forced on, a service answers before
+        # and after a delta in the calling process: it starts no child
+        # and exports no shared segment, and the post-delta answer is the
+        # single-request answer on the mutated graph.
+        service = _service(default_deadline=60.0)
+        try:
+            first = service.submit(3, seed=5)
+            service.drain()
+            assert first.result.ok
+            rng = np.random.default_rng(2)
+            service.apply_delta(_rewire(service.graph, rng))
+            second = service.submit(3, seed=5)
+            service.drain()
+            assert second.result.ok and second.result.generation == 1
+            assert np.array_equal(second.result.logits,
+                                  service.infer_single(3, seed=5))
+            assert owned_segment_count() == 0
+            assert not multiprocessing.active_children()
+        finally:
+            service.close()
+        _no_leaks()
+
     def test_closed_service_rejects_delta(self):
         service = _service()
         service.close()

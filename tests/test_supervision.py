@@ -244,3 +244,18 @@ def test_a_reply_inside_the_replay_does_not_refill_the_budget(toy):
     with pytest.raises(WorkerSupervisionError, match="2 consecutive times"):
         client.echo(0, "x", 7)
     assert client.replays == [1]
+
+
+def test_two_workers_failing_are_each_recovered_by_their_own_recv(toy):
+    # Both workers die on their op before either reply is read: each
+    # recv notices its own worker's death and replays only that op.
+    client = toy(
+        workers=2,
+        plan="kill_worker:replica:1:0;kill_worker:replica:2:0",
+    )
+    client.send(0, "left", 1)
+    client.send(1, "right", 2)
+    assert client.pool.recv(0) == ("echo", "left")
+    assert client.replays == [1, 0]
+    assert client.pool.recv(1) == ("echo", "right")
+    assert client.replays == [1, 1]
