@@ -10,8 +10,9 @@ A delta costs its own size.  The edges it deletes are located through
 :meth:`Graph.edge_index <repro.graphs.graph.Graph.edge_index>` by reading
 only the touched nodes' groups — O(|delta| * degree) — never by scanning or
 keying the edge list (a graph that has no ``in`` index yet builds it here:
-the one sort its first reader would have paid anyway; ``out`` too when
-nodes are detached).  Everything derived is then *patched*: each
+the one sort its first reader would have paid anyway).  A detached node's
+edges are read off the COO columns in one mask pass, so a detach builds
+no index.  Everything derived is then *patched*: each
 ``(row, col)`` key of the delta is binary-searched in its own row of the
 input CSR, each deleted COO position in its own index group (one compiled
 bisection per query, :func:`_group_search`), and every E-length array is
@@ -28,8 +29,9 @@ whose weights also depend on the column's degree, is still re-derived by
 scatter per touched entry, so a bulk delta that touches most rows (a
 detach of the highest-degree nodes) pays more for it than a re-derivation
 would; no workload of ``python -m bench`` makes such a delta.  No sort, no
-E-length key array, no E-length search, and no E-length mask unless the
-delta edits an array more than once per ``_ENTRIES_PER_EDIT`` entries.
+E-length key array, no E-length search, and no E-length mask but a
+detach's unless the delta edits an array more than once per
+``_ENTRIES_PER_EDIT`` entries.
 Without a compiler the two loops run their numpy bodies, the same bytes.
 
 COO order contract
@@ -441,11 +443,10 @@ def _extended_columns(graph, delta: GraphDelta) -> dict:
 def _doomed_positions(graph, delta: GraphDelta) -> np.ndarray:
     """Sorted COO positions of the edges the delta deletes.
 
-    Read off the edge index: a listed pair's occurrences are the entries
-    of its destination's in-group whose source matches; a detached node's
-    edges are its whole in-group and out-group. A direction whose index
-    is not built is read off its COO column instead (one E-length mask
-    pass), so a detach builds no index the graph did not have.
+    A listed pair's occurrences are read off the ``in`` edge index: the
+    entries of its destination's in-group whose source matches. A
+    detached node's edges are read off the COO columns in one mask pass,
+    so a detach builds no index the graph did not have.
     """
     found = []
     if len(delta.remove_src):
@@ -453,18 +454,9 @@ def _doomed_positions(graph, delta: GraphDelta) -> np.ndarray:
         slots, owner = _group_slots(indptr, delta.remove_dst)
         found.append(order[slots[in_src[slots] == delta.remove_src[owner]]])
     if len(delta.detach_nodes):
-        detached = None
-        for direction, keys in (("in", graph.dst), ("out", graph.src)):
-            index = graph._edge_index.get(direction)
-            if index is not None:
-                order, indptr, _ = index
-                slots = _group_slots(indptr, delta.detach_nodes)[0]
-                found.append(order[slots])
-                continue
-            if detached is None:
-                detached = np.zeros(graph.n_nodes, dtype=bool)
-                detached[delta.detach_nodes] = True
-            found.append(np.flatnonzero(detached[keys]))
+        detached = np.zeros(graph.n_nodes, dtype=bool)
+        detached[delta.detach_nodes] = True
+        found.append(np.flatnonzero(detached[graph.src] | detached[graph.dst]))
     if not found:
         return np.empty(0, dtype=np.int64)
     return sorted_unique(np.concatenate(found))

@@ -306,8 +306,9 @@ def serve_window(graph: Graph, model, requests: Sequence[Request],
                  n_hops: int, fanout: int) -> List[np.ndarray]:
     """Serve one window: build the ego batch → fused forward.
 
-    What both the in-process service and a worker executor run, so served
-    rows are bit-identical wherever a window lands. The window's backend
-    wrappers are released whether or not the forward succeeds.
+    The one function a served window and ``infer_single`` both go
+    through, so batched rows equal single-request rows bit for bit. The
+    window's backend wrappers are released whether or not the forward
+    succeeds.
     """
     return forward_rows(model, build_ego_batch(graph, requests, n_hops, fanout))

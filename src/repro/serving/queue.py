@@ -46,8 +46,7 @@ class Request:
 
     A request is a pure function of ``(model params, node, seed)`` — the
     seed drives the fan-out-limited ego-net sample — which is what makes
-    executor retries bit-identical and batched results comparable to
-    single-request inference.
+    batched results comparable to single-request inference.
     """
 
     rid: int

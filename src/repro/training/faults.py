@@ -5,8 +5,8 @@ worker, corrupt payload, torn pipe) must be testable in CI without flaky
 timing games. A :class:`FaultPlan` is a *seeded schedule* of fault events:
 each event names an action, a scope (the pool it targets) and a
 deterministic coordinate inside that scope's schedule. A
-:class:`~repro.training.supervision.SupervisedPool` reads its scope's
-events from the active plan at construction and ships the actions due at
+:class:`~repro.training.supervision.SupervisedPool` reads the active
+plan's events at construction and ships the actions due at
 an op's coordinates with the op; the worker runs them through the one
 injection point, :func:`repro.training.supervision._apply_faults`. A
 given plan therefore produces the exact same failure at the exact same
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 __all__ = [
     "FAULT_ACTIONS",
@@ -152,9 +152,6 @@ class FaultPlan:
         if not spec:
             return None
         return cls.parse(spec)
-
-    def events_for(self, scope: str) -> List[FaultEvent]:
-        return [event for event in self.events if event.scope == scope]
 
     def spec(self) -> str:
         return ";".join(event.spec() for event in self.events)

@@ -432,7 +432,7 @@ class ReplicaProcessPool:
         self._last_op: List[Optional[Tuple[tuple, int]]] = [None] * replicas
         self._ops = [0] * replicas
         self._pool = SupervisedPool(
-            graph, replicas, label="replica worker", scope="replica",
+            graph, replicas, label="replica worker",
             target=_replica_worker, spec_for=self._spec_for,
             check_ready=self._check_ready, check_reply=self._check_reply,
             replay=self._replay, supervisor=supervisor,

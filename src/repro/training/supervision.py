@@ -187,12 +187,13 @@ class SupervisedPool:
     * ``replay(worker)`` — run once per recovery, after the respawn:
       re-issue through :meth:`send` what the dead worker still owed.
 
-    ``label`` names a worker in process names and messages; ``scope`` is
-    the :class:`~repro.training.faults.FaultPlan` scope the pool reads.
+    ``label`` names a worker in process names and messages. The pool
+    reads every event of the active
+    :class:`~repro.training.faults.FaultPlan`: ``replica`` is the one
+    scope a plan parses.
     """
 
     def __init__(self, graph: Graph, workers: int, *, label: str,
-                 scope: str,
                  target: Callable[[object, dict], None],
                  spec_for: Callable[[int], dict],
                  check_ready: Callable[[int, object], Optional[str]],
@@ -205,7 +206,7 @@ class SupervisedPool:
         self.label = label
         self.supervisor = supervisor or SupervisorConfig.from_env()
         plan = current_fault_plan()
-        self._events = list(plan.events_for(scope)) if plan else []
+        self._events = list(plan.events) if plan else []
         self._target = target
         self._spec_for = spec_for
         self._check_ready = check_ready

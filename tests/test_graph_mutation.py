@@ -908,8 +908,8 @@ class TestGenerationCaches:
 
     @pytest.mark.parametrize("built", [(), ("in",), ("out",), ("in", "out")])
     def test_a_detach_builds_no_index(self, built):
-        # A detach reads the edges of a direction with no index off its COO
-        # column; the directions the graph had are patched, no other built.
+        # A detach reads its edges off the COO columns; the directions the
+        # graph had are patched, no other built.
         graph = sbm_graph(300, 3, 8.0, seed=5)
         graph.adjacency("sage")
         for direction in built:
@@ -1085,29 +1085,6 @@ class TestServingMutation:
             assert stats["generation"] == 3
             assert stats["deltas_applied"] == 3
             assert stats["failed"] == 0
-        finally:
-            service.close()
-        _no_leaks()
-
-    def test_forced_processes_serve_a_delta_in_process(self, force_procs):
-        # Even with worker processes forced on, a service answers before
-        # and after a delta in the calling process: it starts no child
-        # and exports no shared segment, and the post-delta answer is the
-        # single-request answer on the mutated graph.
-        service = _service(default_deadline=60.0)
-        try:
-            first = service.submit(3, seed=5)
-            service.drain()
-            assert first.result.ok
-            rng = np.random.default_rng(2)
-            service.apply_delta(_rewire(service.graph, rng))
-            second = service.submit(3, seed=5)
-            service.drain()
-            assert second.result.ok and second.result.generation == 1
-            assert np.array_equal(second.result.logits,
-                                  service.infer_single(3, seed=5))
-            assert owned_segment_count() == 0
-            assert not multiprocessing.active_children()
         finally:
             service.close()
         _no_leaks()

@@ -95,7 +95,7 @@ class Toy:
         self.rebuild_first = False
         config.setdefault("timeout", 20.0)
         self.pool = SupervisedPool(
-            _graph(), workers, label="toy worker", scope="replica",
+            _graph(), workers, label="toy worker",
             target=_toy_worker, spec_for=self._spec_for,
             check_ready=self._check_ready, check_reply=self._check_reply,
             replay=self._replay, supervisor=_Patience(**config),
