@@ -17,12 +17,6 @@ matching numeric leaves are compared by key semantics:
   gating for same-host trend tracking;
 * boolean correctness flags — ``identical``, ``finite``, ``r1_identical``
   — fail whenever the baseline held and the current run does not;
-* parity ratios — keys named/suffixed ``parity`` — measure agreement with
-  a reference (dense vs compressed accuracy, say) and are *best at 1.0*:
-  they fail when the current value drifts more than ``--tolerance`` from
-  1.0 in either direction. The noise floor never exempts them — a parity
-  baseline sits near 1.0 by construction, so the higher-is-better noise
-  band would otherwise un-gate exactly the leaves it must protect;
 * absolute timings (``*_ms``, ``*_s``) depend on the host, so they are
   reported but only gated with ``--include-times`` (for same-host trend
   tracking);
@@ -48,7 +42,6 @@ from pathlib import Path
 from typing import Iterator, List, Tuple
 
 RATIO_SUFFIXES = ("speedup", "scaling", "efficiency")
-PARITY_SUFFIXES = ("parity",)
 BOOL_KEYS = ("identical", "finite", "r1_identical", "deadline_met",
              "zero_stale")
 TIME_SUFFIXES = ("_ms", "_s")
@@ -73,8 +66,6 @@ def _kind(path: str) -> str:
     leaf = path.rsplit(".", 1)[-1]
     if leaf in BOOL_KEYS:
         return "bool"
-    if any(leaf == s or leaf.endswith("_" + s) for s in PARITY_SUFFIXES):
-        return "parity"
     if any(leaf == s or leaf.endswith("_" + s) for s in RATIO_SUFFIXES):
         return "ratio"
     if any(leaf.endswith(s) for s in TIME_SUFFIXES):
@@ -97,7 +88,7 @@ def compare_file(baseline: dict, current: dict, tolerance: float,
     base_flat, cur_flat = _flat(baseline), _flat(current)
     for path in sorted(set(cur_flat) - set(base_flat)):
         kind = _kind(path)
-        if kind in ("bool", "parity", "ratio") or (
+        if kind in ("bool", "ratio") or (
             kind == "time" and include_times
         ):
             yield path, "new", None, cur_flat[path], True
@@ -106,13 +97,6 @@ def compare_file(baseline: dict, current: dict, tolerance: float,
         kind = _kind(path)
         if kind == "bool":
             yield path, kind, base, cur, not (bool(base) and not bool(cur))
-        elif kind == "parity" and isinstance(
-            base, (int, float)
-        ) and isinstance(cur, (int, float)):
-            # Symmetric gate around 1.0; exempting near-1.0 baselines as
-            # noise would exempt every healthy parity leaf, so the noise
-            # floor deliberately does not apply here.
-            yield path, kind, base, cur, abs(cur - 1.0) <= tolerance
         elif kind == "ratio" and isinstance(base, (int, float)) and isinstance(
             cur, (int, float)
         ):

@@ -17,11 +17,6 @@ stand-in:
 * **importance sampling** — the degree-weighted GraphSAINT-node flow with
   unbiased loss weights trains to within the variance band of uniform
   sampling.
-* **sparse gradient exchange** — the error-feedback top-k compressed
-  all-reduce (``grad_topk``) cuts the modelled CBSR wire volume at least
-  3.9x while the seed-averaged accuracy stays at parity with the dense
-  exchange (the ``accuracy_parity`` leaf is trend-gated symmetrically
-  around 1.0).
 
 ``REPRO_PERF_SMOKE=1`` shrinks the protocol for CI gating. Results land in
 ``results/distributed_flow.txt`` plus the machine-readable
@@ -52,18 +47,6 @@ R1_OVERHEAD_CEILING = 1.35
 #: Importance sampling changes the estimator, not the task: accuracy stays
 #: within the seed-variance band of the uniform sampler.
 VARIANCE_BAND = 0.12
-#: Per-tensor top-k of the compressed exchange; k/d = 0.125 on the 64x64
-#: hidden tensors of the scaled config (biases ship dense — k clamps).
-GRAD_TOPK = 512
-#: Acceptance floor on the modelled all-reduce volume reduction at that k.
-#: The ratio is a byte count, not a measurement: 3.9439 on this config (a
-#: value + a uint16 index per kept entry against one value per dense
-#: entry, biases dense), so the floor sits just under it. It was 4.0 while
-#: the dense side was priced at 8 bytes and the payload at a literal 4
-#: (7.9 recorded — overstated 2x).
-MIN_COMM_REDUCTION = 3.9
-#: Seed-averaged sparse/dense accuracy ratio must stay this close to 1.0.
-PARITY_BAND = 0.1
 
 
 def _epochs(cfg):
@@ -194,79 +177,6 @@ def test_distributed_flow_identity_sweep_and_report(record_result,
         assert stats["allreduce_mb_per_epoch"] > 0
         assert stats["straggler_skew"] >= 1.0
         assert stats["predicted_scaling"] > 0
-
-
-@pytest.mark.slow
-def test_sparse_gradient_exchange_parity_and_volume(record_result,
-                                                    record_json):
-    cfg = TRAINING_CONFIGS[DATASET]
-    graph = load_training_dataset(DATASET, seed=0)
-    # Parity is a statement about converged accuracy, so this test keeps
-    # the full convergence horizon even in smoke mode (smoke trims the
-    # seed sweep instead): half-trained runs sit on the steep part of the
-    # curve, where the compressed exchange's slower early progress reads
-    # as a false accuracy gap.
-    epochs = 2 * cfg.epochs
-    backend = get_backend().name
-    k = scaled_k(32, cfg)
-    seeds = (0,) if SMOKE else (0, 1, 2)
-
-    def final_acc(grad_topk, seed):
-        flow = DistributedFlow(_partitioned(), 2, grad_topk=grad_topk)
-        engine = _engine(graph, cfg, flow, seed=seed)
-        result = engine.fit(epochs, eval_every=20)
-        return flow, engine, result
-
-    dense_accs, sparse_accs, finite = [], [], True
-    report = None
-    for seed in seeds:
-        _, _, dense = final_acc(None, seed)
-        flow, engine, sparse = final_acc(GRAD_TOPK, seed)
-        dense_accs.append(dense.test_at_best_val)
-        sparse_accs.append(sparse.test_at_best_val)
-        finite = finite and bool(np.isfinite(sparse.train_losses).all())
-        if report is None:
-            report = flow.report(
-                graph, hidden=cfg.hidden, n_layers=cfg.layers,
-                n_params=engine.model.n_parameters(), k=k,
-            )
-    parity = float(np.mean(sparse_accs) / np.mean(dense_accs))
-
-    payload = {
-        "backend": backend,
-        "protocol": (
-            f"scaled {DATASET}, R=2 dense vs grad top-k {GRAD_TOPK}, "
-            f"{len(seeds)} seed(s)"
-        ),
-        "grad_topk": GRAD_TOPK,
-        "dense_acc": round(float(np.mean(dense_accs)), 4),
-        "sparse_acc": round(float(np.mean(sparse_accs)), 4),
-        "accuracy_parity": round(parity, 4),
-        "comm_volume_reduction_speedup":
-            report["comm_volume_reduction_speedup"],
-        "allreduce_mb_per_epoch": report["allreduce_mb_per_epoch"],
-        "dense_allreduce_mb_per_epoch":
-            report["dense_allreduce_mb_per_epoch"],
-        "finite": finite,
-    }
-    record_json("BENCH_distributed", f"sparse_exchange[{backend}]", payload)
-    record_result(
-        "distributed_sparse_exchange",
-        format_table(
-            ["exchange", "test_acc", "allreduce_mb"],
-            [("dense", round(float(np.mean(dense_accs)), 3),
-              report["dense_allreduce_mb_per_epoch"]),
-             (f"top-k {GRAD_TOPK} + error feedback",
-              round(float(np.mean(sparse_accs)), 3),
-              report["allreduce_mb_per_epoch"])],
-        )
-        + f"\n{report['comm_volume_reduction_speedup']:.1f}x modelled comm "
-        f"reduction, accuracy parity {parity:.3f} on {backend}",
-    )
-
-    assert finite
-    assert report["comm_volume_reduction_speedup"] >= MIN_COMM_REDUCTION
-    assert abs(parity - 1.0) <= PARITY_BAND, parity
 
 
 @pytest.mark.slow

@@ -161,13 +161,13 @@ def _run_train(args) -> str:
         if args.distributed_inner == "sampled":
             flow = make_flow(
                 "distributed", inner="sampled", replicas=args.replicas,
-                grad_topk=args.grad_topk, processes=args.replica_procs,
+                processes=args.replica_procs,
                 **prefetch_kwargs, **sampled_kwargs,
             )
         else:
             flow = make_flow(
                 "distributed", inner="partitioned", replicas=args.replicas,
-                grad_topk=args.grad_topk, processes=args.replica_procs,
+                processes=args.replica_procs,
                 n_parts=args.n_parts,
                 boundary_fraction=args.boundary_fraction, seed=args.seed,
                 **prefetch_kwargs,
@@ -242,15 +242,6 @@ def _run_train(args) -> str:
             f"{report['allreduce_mb_per_epoch']:.2f} MB/epoch, modelled "
             f"{report['allreduce_ms_per_epoch']:.3f} ms)"
         )
-        if report.get("grad_topk"):
-            lines.append(
-                f"grad top-k   k={report['grad_topk']} per tensor: "
-                f"{report['grad_compression_ratio']:.1f}x payload "
-                f"compression ({report['dense_allreduce_mb_per_epoch']:.2f}"
-                f" -> {report['allreduce_mb_per_epoch']:.2f} MB/epoch, "
-                f"{report['comm_volume_reduction_speedup']:.1f}x modelled "
-                "comm reduction)"
-            )
         lines.append(
             f"balance      straggler skew {report['straggler_skew']:.2f}, "
             f"load efficiency {report['load_efficiency']:.2f}, "
@@ -410,12 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated data-parallel replicas for "
                             "--flow distributed (R=1 replays the inner "
                             "flow bit for bit)")
-    train.add_argument("--grad-topk", type=int, default=None,
-                       help="compress the distributed gradient exchange: "
-                            "each replica all-reduces only its top-K "
-                            "largest-magnitude entries per tensor (CBSR "
-                            "payload) with error-feedback residuals; "
-                            "omit for the bit-identical dense exchange")
     train.add_argument("--replica-procs", action="store_true",
                        help="run each distributed replica in its own OS "
                             "process against a shared-memory graph store "

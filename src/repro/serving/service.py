@@ -123,8 +123,9 @@ class InferenceService:
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Refuse further deltas. Idempotent; the service holds no
-        process, pipe or shared segment to free."""
+        """Refuse further requests and deltas: :meth:`submit` and
+        :meth:`apply_delta` raise ``RuntimeError`` after it. Idempotent;
+        the service holds no process, pipe or shared segment to free."""
         self._closed = True
 
     def __enter__(self) -> "InferenceService":
@@ -187,8 +188,11 @@ class InferenceService:
         Every outcome is explicit: malformed input resolves ``FAILED`` on
         the spot, a cache hit resolves ``OK`` on the spot, a full queue
         resolves ``OVERLOADED`` on the spot, and an admitted request
-        resolves when a pumped window serves or sheds it.
+        resolves when a pumped window serves or sheds it. A closed service
+        raises ``RuntimeError``.
         """
+        if self._closed:
+            raise RuntimeError("service is closed")
         now = self.clock()
         rid = self._next_rid
         self._next_rid += 1

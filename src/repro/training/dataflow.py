@@ -743,21 +743,14 @@ class DistributedFlow(DataFlow):
     name = "distributed"
 
     def __init__(self, inner: DataFlow, replicas: int, device=None,
-                 grad_topk: Optional[int] = None, processes: bool = False):
+                 processes: bool = False):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if grad_topk is not None and grad_topk < 1:
-            raise ValueError("grad_topk must be >= 1")
         self.inner = inner
         self.replicas = replicas
         #: gpusim :class:`~repro.gpusim.device.DeviceModel` used by
         #: :meth:`report` (defaults to the A100 the paper models).
         self.device = device
-        #: Per-tensor entry budget of the compressed gradient exchange
-        #: (``None`` = dense full-width all-reduce, the bit-identical
-        #: default). The engine forwards this to
-        #: :class:`~repro.training.engine.ReplicaGradients`.
-        self.grad_topk = grad_topk
         #: Ask the engine to run each replica in its own worker process
         #: (persistent model mirror, shared-memory graph store, flat
         #: gradients shipped back for the parent's fixed-order
@@ -767,10 +760,7 @@ class DistributedFlow(DataFlow):
         self.reset_telemetry()
 
     def describe(self) -> str:
-        tag = (
-            f"{self.replicas}" if self.grad_topk is None
-            else f"{self.replicas},top{self.grad_topk}"
-        )
+        tag = f"{self.replicas}"
         if self.processes:
             tag += ",procs"
         return f"distributed[{tag}]/{self.inner.describe()}"
@@ -801,12 +791,6 @@ class DistributedFlow(DataFlow):
         #: straggler-skew signal that :meth:`report`'s greedy bin-packing
         #: placement (:func:`repro.gpusim.multigpu.pack_assignment`) reads.
         self.slot_seconds: Dict[int, float] = {}
-        #: Per-replica bytes of the last executed gradient exchange (the
-        #: engine reports them after every reduce): the dense full-width
-        #: figure and what actually went on the modelled wire.
-        self.grad_dense_per_round = 0
-        self.grad_payload_per_round = 0
-        self.grad_exchanges = 0
 
     def note_replica_step(self, replica: int, seconds: float,
                           edges: int, slot: Optional[int] = None) -> None:
@@ -831,13 +815,6 @@ class DistributedFlow(DataFlow):
         if any(value is None for value in loads) or not loads:
             return None
         return [float(value) for value in loads]
-
-    def note_gradient_exchange(self, dense_nbytes: int,
-                               payload_nbytes: int) -> None:
-        """Engine hook: one all-reduce completed with these payload sizes."""
-        self.grad_dense_per_round = int(dense_nbytes)
-        self.grad_payload_per_round = int(payload_nbytes)
-        self.grad_exchanges += 1
 
     def measured(self) -> Dict[str, object]:
         """Measured placement quality of the executed replica schedule.
@@ -872,13 +849,8 @@ class DistributedFlow(DataFlow):
         """Measured wall-clock telemetry next to the gpusim cost model.
 
         Always includes the ring all-reduce volume/latency of the round's
-        gradient exchange. The dense exchange ships ``n_params`` full-width
-        entries per replica; with :attr:`grad_topk` set (and at least one
-        executed round, which records the store's exact CBSR byte
-        accounting) the priced payload shrinks to the k-proportional
-        compressed form, and the report adds the compression ratio plus
-        the modelled communication-volume reduction. When the inner flow
-        is partitioned, the round-sharded
+        gradient exchange, which ships ``n_params`` full-width entries per
+        replica. When the inner flow is partitioned, the round-sharded
         :class:`~repro.gpusim.multigpu.MultiGpuEpochModel` schedule (the
         same rounds :meth:`rounds` executes, over the *original*
         partitions) adds boundary communication, modelled epoch latency
@@ -893,37 +865,20 @@ class DistributedFlow(DataFlow):
 
         device = self.device if self.device is not None else A100
         replicas = self.replicas
-        dense_bytes = float(np.dtype(ops.FLOAT_DTYPE).itemsize * n_params)
-        if self.grad_exchanges > 0:
-            # Exact per-replica figures recorded from the executed store.
-            dense_bytes = float(self.grad_dense_per_round)
-            wire_bytes = float(self.grad_payload_per_round)
-        else:
-            # Never trained: price the default dense exchange (a top-k
-            # payload needs the store's per-tensor spans to be exact).
-            wire_bytes = dense_bytes
+        wire_bytes = float(np.dtype(ops.FLOAT_DTYPE).itemsize * n_params)
         plans = self.inner.plan(graph, 0)
         n_rounds = -(-len(plans) // replicas)
-
-        def epoch_mb(nbytes: float) -> float:
-            per_round = (
-                2.0 * (replicas - 1) / replicas * nbytes if replicas > 1
-                else 0.0
-            )
-            return round(n_rounds * per_round / 1e6, 6)
-
-        compression = dense_bytes / wire_bytes if wire_bytes > 0 else 1.0
+        per_round = (
+            2.0 * (replicas - 1) / replicas * wire_bytes if replicas > 1
+            else 0.0
+        )
         report: Dict[str, object] = {
             "replicas": replicas,
             "rounds_per_epoch": n_rounds,
-            "grad_topk": 0 if self.grad_topk is None else self.grad_topk,
-            "allreduce_mb_per_epoch": epoch_mb(wire_bytes),
-            "dense_allreduce_mb_per_epoch": epoch_mb(dense_bytes),
+            "allreduce_mb_per_epoch": round(n_rounds * per_round / 1e6, 6),
             "allreduce_ms_per_epoch": round(
                 1e3 * n_rounds * ring_allreduce_time(wire_bytes, replicas), 6
             ),
-            "grad_compression_ratio": round(compression, 4),
-            "comm_volume_reduction_speedup": round(compression, 4),
         }
         report.update(self.measured())
         partition_for = getattr(self.inner, "partition_for", None)
@@ -1059,7 +1014,6 @@ def make_flow(
     the graph itself.
 
     ``distributed`` consumes ``replicas`` (simulated data-parallel width),
-    ``grad_topk`` (optional top-k gradient-exchange compression),
     ``processes`` (one worker process per replica) and ``inner``
     (``partitioned``, the default, or ``sampled``); the remaining kwargs
     configure that inner flow. It does not compose with micro-batching or
@@ -1076,7 +1030,6 @@ def make_flow(
                 "distributed flow does not compose with micro_batch/prefetch"
             )
         replicas = kwargs.pop("replicas", 2)
-        grad_topk = kwargs.pop("grad_topk", None)
         processes = kwargs.pop("processes", False)
         inner_name = kwargs.pop("inner", "partitioned")
         if inner_name == "sampled":
@@ -1088,8 +1041,7 @@ def make_flow(
                 f"unknown distributed inner {inner_name!r}; "
                 "options: ['partitioned', 'sampled']"
             )
-        return DistributedFlow(inner, replicas, grad_topk=grad_topk,
-                               processes=processes)
+        return DistributedFlow(inner, replicas, processes=processes)
     if flow == "full":
         built = FullGraphFlow()
     elif flow == "sampled":

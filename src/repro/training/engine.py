@@ -21,14 +21,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.cbsr import CBSRMatrix, index_dtype_for
 from ..graphs import Graph
 from ..models import MaxKGNN
 from ..sparse import ops
 from ..tensor import (
     Adam,
     Tensor,
-    Workspace,
     bce_with_logits,
     cross_entropy,
     fused_ce,
@@ -137,33 +135,13 @@ class ReplicaGradients:
     distributed run is exactly reproducible, and a one-replica round
     degenerates to ``copy → divide by 1`` — bit-identical to handing the
     optimizer the replica's own gradient.
-
-    With ``topk`` set, the exchange is compressed with the paper's own
-    selection primitive: every replica adds its per-parameter error
-    residual to the fresh gradient, keeps only the ``min(topk, dim)``
-    largest-magnitude entries (ties → lower index, the CBSR compaction
-    rule), contributes exactly those to the fixed-order reduction, and
-    stores the dropped mass back into its residual row — classic
-    error-feedback top-k SGD, so no gradient mass is ever lost, merely
-    delayed. The selection happens once, in :meth:`capture` (wherever the
-    replica runs — the engine's process or its own worker); :meth:`reduce`
-    only ever sums rows. It runs through :func:`repro.sparse.ops.topk_mask`
-    with a private :class:`~repro.tensor.workspace.Workspace`, so the
-    steady-state sparse exchange performs no fresh large allocations. The
-    modelled wire format is CBSR (:attr:`payload_nbytes` prices the
-    arena's float plus the narrowest index dtype per tensor;
-    :meth:`payload_cbsr` materialises the actual payload for tests).
     """
 
-    def __init__(self, parameters: Sequence[Tensor], replicas: int,
-                 topk: Optional[int] = None):
+    def __init__(self, parameters: Sequence[Tensor], replicas: int):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if topk is not None and topk < 1:
-            raise ValueError("topk must be >= 1")
         self.parameters = list(parameters)
         self.replicas = replicas
-        self.topk = topk
         self._spans: List[Tuple[int, int]] = []
         offset = 0
         for p in self.parameters:
@@ -173,33 +151,6 @@ class ReplicaGradients:
         self._arena = np.empty((replicas, offset), dtype=dtype)
         self._present = np.zeros((replicas, len(self.parameters)), dtype=bool)
         self._reduced = np.empty(offset, dtype=dtype)
-        #: Bytes one replica ships per round on the dense exchange.
-        self.dense_nbytes = dtype.itemsize * offset
-        if topk is None:
-            self.payload_nbytes = self.dense_nbytes
-            return
-        self._topk_per_param = [
-            min(topk, hi - lo) for lo, hi in self._spans
-        ]
-        # Error-feedback residuals: one persistent row per replica, zero
-        # at the start of training (the first round's corrected gradient
-        # is just the gradient).
-        self._residual = np.zeros((replicas, offset), dtype=dtype)
-        self._workspace = Workspace()
-        #: Bytes one replica ships per round in CBSR form: one value +
-        #: the narrowest index dtype that spans each tensor's flat size.
-        self.payload_nbytes = sum(
-            k * (dtype.itemsize + index_dtype_for(hi - lo).itemsize)
-            for k, (lo, hi) in zip(self._topk_per_param, self._spans)
-            if hi > lo
-        )
-
-    @property
-    def compression_ratio(self) -> float:
-        """Dense-exchange bytes over compressed-payload bytes (1.0 dense)."""
-        if self.payload_nbytes <= 0:
-            return 1.0
-        return self.dense_nbytes / self.payload_nbytes
 
     def capture(self, replica: int) -> None:
         """Snapshot the parameters' current gradients as ``replica``'s.
@@ -208,44 +159,8 @@ class ReplicaGradients:
         gradient buffers are shared across replicas (they execute serially
         on one simulated device), so the next replica's backward overwrites
         them.
-
-        With ``topk`` set this is also where the replica *selects*: per
-        parameter, add the residual row to the fresh gradient in place
-        (the *corrected* gradient), keep the ``k`` largest-magnitude
-        entries with the backend's :func:`~repro.sparse.ops.topk_mask`
-        (float mask — exact 0.0/1.0, so the multiply needs no casting
-        buffer) as the arena row, and subtract them back out of the
-        residual: selected entries zero exactly, dropped entries keep
-        their full corrected mass for the next round. All scratch lives in
-        the store's private workspace, so the steady state allocates
-        nothing per round.
         """
-        if self.topk is None:
-            self.deposit(replica, [p.grad for p in self.parameters])
-            return
-        workspace = self._workspace
-        for index, (p, (lo, hi)) in enumerate(
-            zip(self.parameters, self._spans)
-        ):
-            self._present[replica, index] = p.grad is not None
-            if p.grad is None:
-                continue
-            dim = hi - lo
-            k = self._topk_per_param[index]
-            selected = self._arena[replica, lo:hi]
-            corrected = self._residual[replica, lo:hi]
-            corrected += np.ravel(p.grad)
-            if k == dim:
-                np.copyto(selected, corrected)
-            else:
-                row = corrected.reshape(1, dim)
-                magnitude = workspace.buffer("grad-abs", (1, dim), row.dtype)
-                np.abs(row, out=magnitude)
-                mask = workspace.buffer("grad-mask", (1, dim), row.dtype)
-                ops.topk_mask(magnitude, k, out=mask,
-                              workspace=workspace, slot="grad-topk")
-                np.multiply(row, mask, out=selected.reshape(1, dim))
-            corrected -= selected
+        self.deposit(replica, [p.grad for p in self.parameters])
 
     def reduce(self, participants: Sequence[int]) -> None:
         """Average the participants' arena rows into ``p.grad`` per param.
@@ -254,9 +169,9 @@ class ReplicaGradients:
         round (the round objective is the mean of their losses); a
         parameter no participant touched keeps ``grad = None`` so the
         optimizer skips it, exactly as in sequential execution. Rows are
-        summed as they are, in fixed ascending replica order — on a top-k
-        store they already hold each replica's selection, made by
-        :meth:`capture` here or in the replica's own worker process.
+        summed as they are, in fixed ascending replica order, whether
+        :meth:`capture` filled them here or a replica's own worker process
+        shipped them.
         """
         if not participants:
             raise ValueError("reduce needs at least one participant")
@@ -276,32 +191,21 @@ class ReplicaGradients:
             reduced *= scale
             p._own(reduced.reshape(p.data.shape))
 
-    def export_payload(self, replica: int = 0) -> List[object]:
-        """``replica``'s arena row as the per-parameter payload to ship.
-
-        Entries are ``None`` for untouched parameters, ``(indices,
-        values)`` for sparse spans (``k < dim``; values at the arena's own
-        width keep the exchange bitwise exact) and a dense row otherwise —
-        top-k with ``k == dim`` stays dense so exact-zero selected entries
-        survive the wire. :meth:`deposit` is the inverse.
+    def export_payload(self, replica: int = 0) -> List[Optional[np.ndarray]]:
+        """``replica``'s arena row as the per-parameter payload to ship:
+        ``None`` for an untouched parameter, else a copy of its span.
+        :meth:`deposit` is the inverse.
         """
-        payload: List[object] = []
-        for index, (lo, hi) in enumerate(self._spans):
-            if not self._present[replica, index]:
-                payload.append(None)
-                continue
-            row = self._arena[replica, lo:hi]
-            if self.topk is not None and self._topk_per_param[index] < hi - lo:
-                indices = np.flatnonzero(row)
-                payload.append((indices, row[indices]))
-            else:
-                payload.append(row.copy())
-        return payload
+        return [
+            self._arena[replica, lo:hi].copy()
+            if self._present[replica, index] else None
+            for index, (lo, hi) in enumerate(self._spans)
+        ]
 
     def deposit(self, replica: int, payload: Sequence[object]) -> None:
         """Adopt per-parameter gradients as ``replica``'s arena row, as
-        they are (no selection): raw gradients on a dense store, or a
-        worker-shipped :meth:`export_payload` on the parent side of the
+        they are: raw gradients, or a worker-shipped
+        :meth:`export_payload` on the parent side of the
         process-per-replica exchange.
         """
         if len(payload) != len(self.parameters):
@@ -313,59 +217,8 @@ class ReplicaGradients:
             entry = payload[index]
             present = entry is not None
             self._present[replica, index] = present
-            if not present:
-                continue
-            row = self._arena[replica, lo:hi]
-            if isinstance(entry, tuple):
-                indices, values = entry
-                row[:] = 0.0
-                row[indices] = values
-            else:
-                np.copyto(row, np.ravel(entry))
-
-    def load_residuals(self, rows: Sequence[Optional[np.ndarray]]) -> None:
-        """Adopt per-replica error-feedback residual rows.
-
-        Used when resuming from a full-state checkpoint and when degrading
-        from the process-per-replica pool (whose workers held the live
-        residuals): the adopted rows make the next sparse reduce continue
-        the exact trajectory. ``None`` rows (and rows beyond this store's
-        replica count) are skipped; a dense store ignores the call.
-        """
-        if self.topk is None:
-            return
-        for replica, row in enumerate(rows):
-            if row is None or replica >= self.replicas:
-                continue
-            row = np.asarray(row).ravel()
-            if row.size != self._residual.shape[1]:
-                raise ValueError(
-                    f"residual row {replica} has {row.size} entries, "
-                    f"expected {self._residual.shape[1]}"
-                )
-            self._residual[replica, :] = row
-
-    def payload_cbsr(self, replica: int) -> List[CBSRMatrix]:
-        """``replica``'s captured selection as the CBSR payloads it ships.
-
-        One ``(1, dim)`` :class:`~repro.core.cbsr.CBSRMatrix` per
-        parameter over the arena row :meth:`capture` left (an untouched
-        parameter ships zeros); their summed
-        :meth:`~repro.core.cbsr.CBSRMatrix.storage_bytes` equals
-        :attr:`payload_nbytes`. Diagnostic/test path — the hot exchange
-        never materialises these objects.
-        """
-        if self.topk is None:
-            raise ValueError("payload_cbsr needs a top-k store")
-        payloads = []
-        for index, (lo, hi) in enumerate(self._spans):
-            row = np.zeros((1, hi - lo), dtype=self._arena.dtype)
-            if self._present[replica, index]:
-                row[0] = self._arena[replica, lo:hi]
-            payloads.append(CBSRMatrix.from_dense_rows(
-                row, self._topk_per_param[index]
-            ))
-        return payloads
+            if present:
+                np.copyto(self._arena[replica, lo:hi], np.ravel(entry))
 
 
 class _InProcessReplicas:
@@ -468,9 +321,8 @@ class Engine:
         #: of re-provisioning (and re-crashing) a pool every epoch.
         self._procs_disabled = False
         #: Stashed by :meth:`load_checkpoint`, consumed by the next
-        #: replica-store / replica-pool construction so a resumed run
-        #: continues the exact error-feedback + dropout trajectory.
-        self._resume_residuals: Optional[List[Optional[np.ndarray]]] = None
+        #: replica-pool construction so a resumed run continues the
+        #: workers' exact dropout streams.
         self._resume_worker_states: Optional[List[Optional[dict]]] = None
         # A prefetching flow builds future batches off the training
         # critical path; tell it which adjacencies this model aggregates
@@ -525,21 +377,15 @@ class Engine:
         return loss_value
 
     # -- simulated data-parallel execution ------------------------------
-    def _replica_store(self, replicas: int,
-                       topk: Optional[int] = None) -> ReplicaGradients:
+    def _replica_store(self, replicas: int) -> ReplicaGradients:
         store = getattr(self, "_replica_grads", None)
         if (
             store is None
             or store.replicas != replicas
-            or store.topk != topk
             or store.parameters != self.optimizer.parameters
         ):
-            store = ReplicaGradients(self.optimizer.parameters, replicas,
-                                     topk=topk)
+            store = ReplicaGradients(self.optimizer.parameters, replicas)
             self._replica_grads = store
-        if self._resume_residuals is not None:
-            store.load_residuals(self._resume_residuals)
-            self._resume_residuals = None
         return store
 
     def _train_epoch_rounds(
@@ -564,9 +410,7 @@ class Engine:
         step it reached, continuing the *exact* trajectory.
         """
         flow = self.flow
-        store = self._replica_store(
-            flow.replicas, getattr(flow, "grad_topk", None)
-        )
+        store = self._replica_store(flow.replicas)
         plans = {
             round_index * flow.replicas + replica: plan
             for round_index, round_plans in enumerate(rounds)
@@ -578,7 +422,6 @@ class Engine:
         if executor is None:
             executor = _InProcessReplicas(self, plans)
         note = getattr(flow, "note_replica_step", None)
-        note_exchange = getattr(flow, "note_gradient_exchange", None)
         losses: List[float] = []
         for round_index, round_plans in enumerate(rounds):
             first_slot = round_index * flow.replicas
@@ -612,16 +455,12 @@ class Engine:
                                 note(replica, seconds, infos[replica][2],
                                      slot=first_slot + replica)
                         store.reduce(participants)
-                        if note_exchange is not None:
-                            note_exchange(
-                                store.dense_nbytes, store.payload_nbytes
-                            )
                         self.optimizer.step()
                         steps_done += 1
                     executor.retire(participants)
                     break
                 except WorkerSupervisionError as exc:
-                    self._degrade_to_inproc(exc, store)
+                    self._degrade_to_inproc(exc)
                     executor = _InProcessReplicas(self, plans)
             for replica in participants:
                 value = last_loss.get(replica)
@@ -640,7 +479,7 @@ class Engine:
         ``None`` means in-process fallback — the machine can't host the
         pool (no shared memory, unpicklable flow, too few cores) or the
         model lacks the hooks the worker mirror needs. The verdict is
-        cached per ``(flow, replicas, topk, graph, backend)`` so the
+        cached per ``(flow, replicas, graph, backend)`` so the
         fallback warning fires once, not every epoch.
         """
         if self._procs_disabled:
@@ -649,7 +488,6 @@ class Engine:
         key = (
             id(flow),
             flow.replicas,
-            getattr(flow, "grad_topk", None),
             id(self.graph),
             ops.get_backend().name,
         )
@@ -683,7 +521,6 @@ class Engine:
                 config,
                 rng.bit_generator.state,
                 flow.replicas,
-                getattr(flow, "grad_topk", None),
                 [int(p.data.size) for p in self.optimizer.parameters],
                 resume_states=resume_states,
             )
@@ -719,17 +556,14 @@ class Engine:
         if close_flow is not None:
             close_flow()
 
-    def _degrade_to_inproc(self, exc: WorkerSupervisionError,
-                           store: ReplicaGradients) -> None:
-        """Adopt the dead pool's worker state and pin the in-process path.
+    def _degrade_to_inproc(self, exc: WorkerSupervisionError) -> None:
+        """Adopt the dead pool's dropout stream and pin the in-process path.
 
-        The workers held the live error-feedback residuals (each selects
-        in its own one-row store) and their own dropout streams; both
-        move into the parent so the continuation is bit-identical where
-        that is defined (always for the residuals; for the dropout stream
-        with one replica, whose worker stream *is* the parent stream's
-        continuation). Warned once — the engine never re-provisions a
-        pool after exhaustion.
+        With one replica the worker's stream *is* the parent stream's
+        continuation, so it moves into the parent and the continuation is
+        bit-identical; with more, each worker drew from its own jumped
+        stream and the parent keeps its own. Warned once — the engine
+        never re-provisions a pool after exhaustion.
         """
         pool = self._replica_pool
         states = pool.worker_states() if pool is not None else []
@@ -741,15 +575,10 @@ class Engine:
         )
         self._procs_disabled = True
         self._close_replica_pool()
-        if states:
-            store.load_residuals([
-                None if state is None else state.get("residual")
-                for state in states
-            ])
-            if self.flow.replicas == 1 and states[0] is not None:
-                bit_generator = np.random.PCG64()
-                bit_generator.state = states[0]["rng_state"]
-                self.model._dropout_rng = np.random.Generator(bit_generator)
+        if self.flow.replicas == 1 and states and states[0] is not None:
+            bit_generator = np.random.PCG64()
+            bit_generator.state = states[0]
+            self.model._dropout_rng = np.random.Generator(bit_generator)
 
     def train_epoch(
         self,
@@ -789,43 +618,25 @@ class Engine:
         """Write the complete training state (atomic, CRC-guarded).
 
         Beyond the parameters this captures the Adam flat-buffer moments
-        and step count, the dropout PCG64 stream (the live process-pool
-        workers' streams and error-feedback residual rows when a pool is
-        active — replica 0's stream is the parent stream's continuation),
-        the epoch cursor, and the model's config fingerprint. A run
-        resumed from the file continues bit-for-bit.
+        and step count, the dropout PCG64 stream (and the live
+        process-pool workers' streams when a pool is active — replica 0's
+        stream is the parent stream's continuation), the epoch cursor, and
+        the model's config fingerprint. A run resumed from the file
+        continues bit-for-bit.
         """
         arrays = state_dict(self.model)
         arrays["__adam_m__"] = self.optimizer._flat_m.copy()
         arrays["__adam_v__"] = self.optimizer._flat_v.copy()
         rng_state = self.model._dropout_rng.bit_generator.state
         worker_rng: Optional[List[Optional[dict]]] = None
-        residual_rows = 0
         pool = self._replica_pool
         if pool is not None:
-            states = pool.worker_states()
-            worker_rng = [
-                None if state is None else state["rng_state"]
-                for state in states
-            ]
-            if states and states[0] is not None:
+            worker_rng = pool.worker_states()
+            if worker_rng and worker_rng[0] is not None:
                 # Replica 0's stream is the parent stream's continuation;
                 # banking it keeps a pool-less (or R=1 in-process) resume
                 # on the identical dropout trajectory.
-                rng_state = states[0]["rng_state"]
-            for replica, state in enumerate(states):
-                residual = None if state is None else state.get("residual")
-                if residual is not None:
-                    arrays[f"__residual_{replica}__"] = np.asarray(residual)
-                    residual_rows = max(residual_rows, replica + 1)
-        else:
-            store = self._replica_grads
-            if store is not None and store.topk is not None:
-                for replica in range(store.replicas):
-                    arrays[f"__residual_{replica}__"] = (
-                        store._residual[replica].copy()
-                    )
-                residual_rows = store.replicas
+                rng_state = worker_rng[0]
         meta = {
             "kind": "training",
             "epoch": int(next_epoch),
@@ -833,7 +644,6 @@ class Engine:
             "adam_t": int(self.optimizer._t),
             "rng_state": rng_state,
             "worker_rng": worker_rng,
-            "residual_rows": residual_rows,
             "flow": self.flow.describe(),
         }
         config = getattr(self.model, "config", None)
@@ -845,18 +655,21 @@ class Engine:
         """Restore :meth:`save_checkpoint` state; returns the next epoch.
 
         Refuses (with a clear :class:`CheckpointError`) a file written
-        for a different model configuration or at another float width.
-        Worker dropout streams and error-feedback residuals are stashed
-        and adopted by the next replica store / process pool the engine
-        provisions.
+        for a different model configuration, at another float width, or
+        by a run of the removed ``--grad-topk`` exchange, whose
+        error-feedback residuals nothing here can continue. Worker dropout
+        streams are stashed and adopted by the next process pool the
+        engine provisions.
         """
         arrays, meta = read_checkpoint(path)
         check_fingerprint(path, meta, self.model, "resume")
         check_width(path, meta, "resume")
-        residual_rows = int(meta.get("residual_rows", 0))
-        residuals: List[Optional[np.ndarray]] = []
-        for replica in range(residual_rows):
-            residuals.append(arrays.pop(f"__residual_{replica}__", None))
+        if int(meta.get("residual_rows", 0)) > 0:
+            raise CheckpointError(
+                f"{path} was written by a --grad-topk run; that compressed "
+                "gradient exchange has been removed and its error-feedback "
+                "residuals cannot be resumed"
+            )
         adam_m = arrays.pop("__adam_m__", None)
         adam_v = arrays.pop("__adam_v__", None)
         load_state_dict(self.model, arrays)
@@ -877,20 +690,9 @@ class Engine:
             bit_generator = np.random.PCG64()
             bit_generator.state = rng_state
             self.model._dropout_rng = np.random.Generator(bit_generator)
-        self._resume_residuals = residuals if residuals else None
         worker_rng = meta.get("worker_rng")
         if worker_rng:
-            states: List[Optional[dict]] = []
-            for replica, state in enumerate(worker_rng):
-                if state is None:
-                    states.append(None)
-                    continue
-                residual = (
-                    residuals[replica]
-                    if replica < len(residuals) else None
-                )
-                states.append({"rng_state": state, "residual": residual})
-            self._resume_worker_states = states
+            self._resume_worker_states = list(worker_rng)
             # A resumed pool must attach fresh to the *current* engine's
             # graph/flow — drop any cached pool verdict.
             self._close_replica_pool()

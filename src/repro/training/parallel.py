@@ -5,8 +5,7 @@ round executor, spawn-started against a
 :class:`~repro.graphs.shm.SharedGraphStore` so workers read the full graph
 zero-copy instead of unpickling it. Each worker holds a persistent model
 mirror plus its own single-row
-:class:`~repro.training.engine.ReplicaGradients` (so ``--grad-topk``
-error-feedback residuals live where the gradients are computed) and runs
+:class:`~repro.training.engine.ReplicaGradients` and runs
 :func:`~repro.training.engine.forward_backward` on the parameters the
 parent ships, behind the ``build`` / ``step`` / ``retire`` calls the
 engine's in-process replicas answer too.
@@ -16,9 +15,9 @@ The pool is a thin client of
 the sentinel-watched reply wait, kill, respawn and retry accounting (see
 that module for the supervision rules). What lives here is what makes a
 replay *bit-identical*: a replica worker is resurrected from its last
-state snapshot (every gradient reply ships the worker's post-step PCG64
-state and error-feedback residual row), the active batch is rebuilt, and
-the failed op re-issued. Deterministic *application* errors (a worker's
+state snapshot (every gradient reply ships the worker's post-step
+dropout PCG64 state), the active batch is rebuilt, and the failed op
+re-issued. Deterministic *application* errors (a worker's
 own exception frame) are never retried — they raise immediately with the
 worker's traceback attached.
 
@@ -267,12 +266,10 @@ def _replica_worker(conn, spec: dict) -> None:
     * ``("step", flat_params, actions)`` → ``("grad", payload, loss,
       seconds, state)`` — overwrite the mirror's parameters, run
       :func:`~repro.training.engine.forward_backward` on the current
-      batch, capture the gradients in
-      the worker's own single-row :class:`ReplicaGradients` (a copy for
-      dense; top-k selection + error-feedback residual update for
-      ``grad_topk``), and ship the per-parameter payload. ``state`` is
-      the worker's *post-step* snapshot (dropout PCG64 state + residual
-      row): the parent banks it so a respawn resumes exactly here.
+      batch, copy the gradients into the worker's own single-row
+      :class:`ReplicaGradients`, and ship the per-parameter payload.
+      ``state`` is the worker's *post-step* dropout PCG64 state: the
+      parent banks it so a respawn resumes exactly here.
     * ``("retire", )`` — consumer-side cleanup once the round finished.
     * ``("stop", )`` — exit the loop.
 
@@ -298,7 +295,7 @@ def _replica_worker(conn, spec: dict) -> None:
         bit_generator = np.random.PCG64()
         resume = spec.get("resume_state")
         if resume is not None:
-            bit_generator.state = resume["rng_state"]
+            bit_generator.state = resume
         else:
             bit_generator.state = spec["rng_state"]
             if spec["replica"]:
@@ -308,19 +305,10 @@ def _replica_worker(conn, spec: dict) -> None:
                 bit_generator = bit_generator.jumped(spec["replica"])
         model._dropout_rng = np.random.Generator(bit_generator)
         parameters = list(model.parameters())
-        grads = ReplicaGradients(parameters, 1, topk=spec["grad_topk"])
-        if resume is not None and resume.get("residual") is not None:
-            grads.load_residuals([np.asarray(resume["residual"])])
+        grads = ReplicaGradients(parameters, 1)
 
         def snapshot() -> dict:
-            state = {
-                "rng_state": model._dropout_rng.bit_generator.state,
-                "residual": None,
-            }
-            residual = getattr(grads, "_residual", None)
-            if residual is not None:
-                state["residual"] = residual[0].copy()
-            return state
+            return model._dropout_rng.bit_generator.state
 
         conn.send((
             "ready", [int(p.data.size) for p in parameters], snapshot()
@@ -356,10 +344,6 @@ def _replica_worker(conn, spec: dict) -> None:
                 start = time.perf_counter()
                 unpack_parameters(parameters, flat_params)
                 loss = forward_backward(model, batch.features, batch)
-                # Dense is a plain copy; top-k applies the residual-
-                # corrected selection and updates this replica's residual
-                # — byte-for-byte the in-process store's per-replica
-                # arithmetic.
                 grads.capture(0)
                 payload = grads.export_payload()
                 if corrupt:
@@ -408,8 +392,7 @@ class ReplicaProcessPool:
     _REPLY_KIND = {"build": "built", "step": "grad"}
 
     def __init__(self, graph: Graph, inner_flow, config, rng_state,
-                 replicas: int, grad_topk: Optional[int],
-                 param_sizes: Sequence[int],
+                 replicas: int, param_sizes: Sequence[int],
                  supervisor: Optional[SupervisorConfig] = None,
                  resume_states: Optional[Sequence[Optional[dict]]] = None):
         self.replicas = replicas
@@ -417,7 +400,6 @@ class ReplicaProcessPool:
             "flow": pickle.dumps(inner_flow),
             "config": config,
             "rng_state": rng_state,
-            "grad_topk": grad_topk,
         }
         self._param_sizes = [int(size) for size in param_sizes]
         self._flat: Optional[np.ndarray] = None
@@ -500,17 +482,13 @@ class ReplicaProcessPool:
         if len(frame) != 5:
             return "malformed grad frame"
         payload, state = frame[1], frame[4]
-        if not isinstance(state, dict) or "rng_state" not in state:
+        if not isinstance(state, dict) or "bit_generator" not in state:
             return "grad reply carries no worker state snapshot"
         if not isinstance(payload, (list, tuple)) or \
                 len(payload) != len(self._param_sizes):
             return "corrupt gradient payload (wrong arity)"
         for size, entry in zip(self._param_sizes, payload):
             if entry is None:
-                continue
-            if isinstance(entry, tuple):
-                if len(entry) != 2:
-                    return "corrupt sparse gradient entry"
                 continue
             try:
                 if np.asarray(entry).size != size:
@@ -525,8 +503,8 @@ class ReplicaProcessPool:
 
         The respawned worker resumed from the snapshot taken *before* the
         failed op, so replaying build + op reproduces the op bit-for-bit:
-        builds consume no randomness, and the dropout stream/residual row
-        advance only on a successful ``grad`` reply.
+        builds consume no randomness, and the dropout stream advances
+        only on a successful ``grad`` reply.
         """
         op, number = self._last_op[replica]
         if op[0] == "step" and self._active_build[replica] is not None:
@@ -575,11 +553,10 @@ class ReplicaProcessPool:
             self._active_build[replica] = None
 
     def worker_states(self) -> List[Optional[dict]]:
-        """Last banked per-worker snapshot (dropout PCG64 state + residual).
+        """Last banked per-worker snapshot: its dropout PCG64 state.
 
         What the engine needs to continue the exact trajectory in-process
         after degradation, or to checkpoint mid-run: replica 0's stream is
-        the parent stream's continuation, and each residual row is the
-        error-feedback state the in-process store must adopt.
+        the parent stream's continuation.
         """
         return list(self._states)

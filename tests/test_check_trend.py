@@ -118,30 +118,6 @@ class TestCompareFile:
         verdicts = _verdicts(baseline, current)
         assert verdicts == {"prefetch[scipy].speedup": True}
 
-    def test_parity_gates_drift_from_one_in_both_directions(self):
-        baseline = {"accuracy_parity": 0.998}
-        assert _verdicts(baseline, {"accuracy_parity": 1.05}) == {
-            "accuracy_parity": True
-        }
-        assert _verdicts(baseline, {"accuracy_parity": 0.7}) == {
-            "accuracy_parity": False
-        }
-        # Drift *above* 1.0 is just as fatal — parity is best at 1.0,
-        # not higher-is-better.
-        assert _verdicts(baseline, {"accuracy_parity": 1.3}) == {
-            "accuracy_parity": False
-        }
-
-    def test_parity_ignores_the_noise_floor(self):
-        """A healthy parity baseline sits near 1.0 — exactly where the
-        higher-is-better noise band would exempt it — so the floor must
-        not apply."""
-        rows = list(check_trend.compare_file(
-            {"accuracy_parity": 1.0}, {"accuracy_parity": 0.5}, 0.2, False,
-            noise_floor=1.15,
-        ))
-        assert rows == [("accuracy_parity", "parity", 1.0, 0.5, False)]
-
     def test_noise_floor_reports_but_never_gates_small_ratios(self):
         """A ~1.0x baseline (a path only asserted 'does not regress') must
         not flake CI when a smoke run on another host wobbles below the

@@ -238,218 +238,6 @@ class TestReplicaGradients:
             store.reduce([])
 
 
-class TestSparseGradientExchange:
-    def _params(self, shapes=((4, 8), (5,))):
-        return [Tensor(np.zeros(shape), requires_grad=True)
-                for shape in shapes]
-
-    @staticmethod
-    def _oracle_select(corrected, k):
-        """Reference top-k: largest |value|, ties to the lower index."""
-        if k >= corrected.size:
-            return corrected.copy()
-        order = np.argsort(-np.abs(corrected), kind="stable")
-        selected = np.zeros_like(corrected)
-        selected[order[:k]] = corrected[order[:k]]
-        return selected
-
-    def test_residual_reinjects_dropped_mass(self):
-        """The error-feedback contract, deterministically: mass dropped in
-        round one ships in round two even when the fresh gradient is
-        zero."""
-        params = [Tensor(np.zeros(4), requires_grad=True)]
-        store = ReplicaGradients(params, 1, topk=1)
-        params[0].grad = np.array([1.0, 2.0, 3.0, 4.0])
-        store.capture(0)
-        store.reduce([0])
-        np.testing.assert_array_equal(params[0].grad, [0.0, 0.0, 0.0, 4.0])
-        np.testing.assert_array_equal(store._residual[0], [1.0, 2.0, 3.0, 0.0])
-        params[0].grad = np.zeros(4)
-        store.capture(0)
-        store.reduce([0])
-        np.testing.assert_array_equal(params[0].grad, [0.0, 0.0, 3.0, 0.0])
-        np.testing.assert_array_equal(store._residual[0], [1.0, 2.0, 0.0, 0.0])
-
-    def test_fuzz_matches_error_feedback_oracle(self, backend):
-        """Multi-round fuzz vs a plain-numpy error-feedback oracle, with
-        random gradient presence and participant subsets, on every sparse
-        backend."""
-        rng = np.random.default_rng(sum(map(ord, backend)))
-        shapes = [(4, 8), (5,), (3, 3)]
-        params = self._params(shapes)
-        replicas, topk = 3, 4
-        store = ReplicaGradients(params, replicas, topk=topk)
-        residual = {
-            r: [floats(np.zeros(int(np.prod(s)))) for s in shapes]
-            for r in range(replicas)
-        }
-        for _ in range(6):
-            grads = {}
-            participants = sorted(rng.choice(
-                replicas, size=rng.integers(1, replicas + 1), replace=False
-            ).tolist())
-            for r in participants:
-                grads[r] = [
-                    floats(rng.normal(size=s)) if rng.random() > 0.2 else None
-                    for s in shapes
-                ]
-                for p, g in zip(params, grads[r]):
-                    p.grad = g
-                store.capture(r)
-            store.reduce(participants)
-            scale = 1.0 / len(participants)
-            for index, (p, shape) in enumerate(zip(params, shapes)):
-                sources = [r for r in participants
-                           if grads[r][index] is not None]
-                if not sources:
-                    assert p.grad is None
-                    continue
-                accumulated = floats(np.zeros(int(np.prod(shape))))
-                for r in sources:
-                    corrected = residual[r][index] + grads[r][index].ravel()
-                    k = min(topk, corrected.size)
-                    selected = self._oracle_select(corrected, k)
-                    accumulated += selected
-                    residual[r][index] = corrected - selected
-                np.testing.assert_allclose(
-                    p.grad, (accumulated * scale).reshape(shape),
-                    rtol=0, atol=0,
-                )
-
-    def test_topk_covering_every_entry_matches_dense(self):
-        """topk >= max dim degenerates to the dense average (== semantics:
-        the residual add may flip -0.0 signs, never values)."""
-        rng = np.random.default_rng(1)
-        sparse_params, dense_params = self._params(), self._params()
-        sparse = ReplicaGradients(sparse_params, 2, topk=10**6)
-        dense = ReplicaGradients(dense_params, 2)
-        for _ in range(3):
-            for r in range(2):
-                grads = [rng.normal(size=(4, 8)), rng.normal(size=5)]
-                for store_params, store in ((sparse_params, sparse),
-                                            (dense_params, dense)):
-                    for p, g in zip(store_params, grads):
-                        p.grad = g.copy()
-                    store.capture(r)
-            sparse.reduce([0, 1])
-            dense.reduce([0, 1])
-            for sp, dp in zip(sparse_params, dense_params):
-                np.testing.assert_array_equal(sp.grad, dp.grad)
-        # Nothing was dropped, so no residual may have accumulated.
-        np.testing.assert_array_equal(sparse._residual, 0.0)
-
-    def test_payload_bytes_match_materialised_cbsr(self):
-        params = self._params()
-        store = ReplicaGradients(params, 2, topk=3)
-        rng = np.random.default_rng(2)
-        params[0].grad = rng.normal(size=(4, 8))
-        params[1].grad = rng.normal(size=5)
-        store.capture(0)
-        payloads = store.payload_cbsr(0)
-        assert len(payloads) == len(params)
-        assert store.payload_nbytes == sum(
-            c.storage_bytes() for c in payloads
-        )
-        width = params[0].data.itemsize
-        assert store.dense_nbytes == width * (4 * 8 + 5)
-        assert store.compression_ratio == pytest.approx(
-            store.dense_nbytes / store.payload_nbytes
-        )
-        # k is clamped per tensor: 3 entries from the matrix, 3 from the
-        # 5-vector, each costing one value + a uint8 column index.
-        assert store.payload_nbytes == (3 + 3) * (width + 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReplicaGradients(self._params(), 2, topk=0)
-        with pytest.raises(ValueError):
-            DistributedFlow(PartitionedFlow(n_parts=2), 2, grad_topk=0)
-        dense = ReplicaGradients(self._params(), 2)
-        with pytest.raises(ValueError, match="top-k"):
-            dense.payload_cbsr(0)
-
-    def test_describe_names_the_compression(self):
-        flow = DistributedFlow(PartitionedFlow(n_parts=4, seed=0), 3,
-                               grad_topk=8)
-        assert flow.describe() == "distributed[3,top8]/partitioned/4"
-
-    def test_huge_topk_replays_dense_trajectory(self, graph):
-        """With every entry selected the compressed exchange must not
-        perturb training at all: same losses, same metrics as the dense
-        store at R=2."""
-        def run(grad_topk):
-            flow = DistributedFlow(
-                PartitionedFlow(n_parts=4, boundary_fraction=0.3, seed=0),
-                2, grad_topk=grad_topk,
-            )
-            return make_engine(graph, flow).fit(6, eval_every=2)
-
-        dense, sparse = run(None), run(10**6)
-        assert dense.train_losses == sparse.train_losses
-        assert dense.batch_losses == sparse.batch_losses
-        assert dense.val_metrics == sparse.val_metrics
-        assert dense.test_metrics == sparse.test_metrics
-
-    def test_sparse_r2_trains_above_chance(self, graph):
-        flow = DistributedFlow(
-            PartitionedFlow(n_parts=4, boundary_fraction=0.3, seed=0),
-            2, grad_topk=4,
-        )
-        result = make_engine(graph, flow).fit(
-            8, eval_every=4, steps_per_batch=2
-        )
-        assert result.final_test > 1.0 / 4
-        assert np.isfinite(result.train_losses).all()
-
-    def test_report_surfaces_compression(self, graph):
-        flow = DistributedFlow(
-            PartitionedFlow(n_parts=4, boundary_fraction=0.3, seed=0),
-            2, grad_topk=4,
-        )
-        engine = make_engine(graph, flow)
-        engine.fit(3, eval_every=3)
-        report = flow.report(graph, hidden=16, n_layers=2,
-                             n_params=engine.model.n_parameters(), k=4)
-        assert report["grad_topk"] == 4
-        assert report["grad_compression_ratio"] >= 4.0
-        assert report["comm_volume_reduction_speedup"] == pytest.approx(
-            report["grad_compression_ratio"]
-        )
-        assert report["allreduce_mb_per_epoch"] < \
-            report["dense_allreduce_mb_per_epoch"]
-        assert report["allreduce_ms_per_epoch"] > 0
-
-    def test_dense_report_shows_no_compression(self, graph):
-        flow = DistributedFlow(PartitionedFlow(n_parts=4, seed=0), 2)
-        engine = make_engine(graph, flow)
-        engine.fit(2, eval_every=2)
-        report = flow.report(graph, hidden=16, n_layers=2,
-                             n_params=engine.model.n_parameters(), k=4)
-        assert report["grad_topk"] == 0
-        assert report["grad_compression_ratio"] == pytest.approx(1.0)
-        assert report["allreduce_mb_per_epoch"] == pytest.approx(
-            report["dense_allreduce_mb_per_epoch"]
-        )
-
-    @pytest.mark.slow
-    def test_three_seed_accuracy_parity_with_dense(self, graph):
-        """Acceptance: top-k accuracy within noise of the dense exchange
-        over three model seeds."""
-        def final(grad_topk, seed):
-            flow = DistributedFlow(
-                PartitionedFlow(n_parts=4, boundary_fraction=0.3, seed=0),
-                2, grad_topk=grad_topk,
-            )
-            return make_engine(graph, flow, seed=seed).fit(
-                20, eval_every=10
-            ).final_test
-
-        dense = np.mean([final(None, seed) for seed in range(3)])
-        sparse = np.mean([final(8, seed) for seed in range(3)])
-        assert sparse == pytest.approx(dense, abs=0.1)
-        assert sparse > 1.0 / 4
-
-
 class _StaticPlan(BatchPlan):
     __slots__ = ("batch",)
 
@@ -537,6 +325,20 @@ class TestTelemetryAndReport:
         assert report["straggler_skew"] >= 1.0
         assert report["predicted_scaling"] > 0
         assert 0.0 < report["modelled_comm_fraction"] < 1.0
+
+    def test_report_prices_the_dense_exchange(self, graph):
+        flow = DistributedFlow(PartitionedFlow(n_parts=4, seed=0), 2)
+        engine = make_engine(graph, flow)
+        engine.fit(2, eval_every=2)
+        n_params = engine.model.n_parameters()
+        report = flow.report(graph, hidden=16, n_layers=2,
+                             n_params=n_params, k=4)
+        # Two rounds a step, each ring all-reduce relaying 2 (R - 1) / R
+        # of one full-width copy of the parameters.
+        width = engine.optimizer.parameters[0].data.itemsize
+        assert report["allreduce_mb_per_epoch"] == pytest.approx(
+            2 * width * n_params / 1e6
+        )
 
     def test_r1_allreduce_is_free(self, graph):
         flow = DistributedFlow(PartitionedFlow(n_parts=2, seed=0), 1)

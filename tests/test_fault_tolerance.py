@@ -66,14 +66,14 @@ def _config(dropout=0.1, k=4):
     )
 
 
-def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2,
+def _run_distributed(replicas, processes, dropout=0.1, epochs=2,
                      plan=None, steps=1):
     set_fault_plan(plan)
     try:
         graph = _task_graph()
         flow = make_flow(
             "distributed", inner="partitioned", replicas=replicas,
-            grad_topk=topk, processes=processes, n_parts=4,
+            processes=processes, n_parts=4,
             boundary_fraction=0.2, seed=7,
         )
         engine = Engine(MaxKGNN(graph, _config(dropout), seed=0), graph,
@@ -90,7 +90,7 @@ def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2,
             engine.close()
         bookkeeping = (
             result.batch_losses, result.batch_sizes,
-            flow.replica_steps.tolist(), flow.grad_exchanges,
+            flow.replica_steps.tolist(), engine.optimizer._t,
         )
         return losses, params, bookkeeping
     finally:
@@ -213,9 +213,9 @@ class TestReplicaRecovery:
         _no_leaks()
 
     def test_corrupt_grad_payload_is_replayed(self, force_procs):
-        clean = _run_distributed(2, True, dropout=0.0, topk=4)
+        clean = _run_distributed(2, True, dropout=0.0)
         faulted = _run_distributed(
-            2, True, dropout=0.0, topk=4,
+            2, True, dropout=0.0,
             plan=FaultPlan.parse("corrupt_payload:replica:1:4"),
         )
         assert _identical(clean, faulted)
@@ -249,10 +249,10 @@ class TestReplicaRecovery:
         # engine must finish the interrupted epoch (and all later ones)
         # in-process on the exact same trajectory, then leave no workers
         # or segments behind.
-        inproc = _run_distributed(2, False, dropout=0.0, topk=4, epochs=3)
+        inproc = _run_distributed(2, False, dropout=0.0, epochs=3)
         with pytest.warns(RuntimeWarning, match="in-process") as caught:
             degraded = _run_distributed(
-                2, True, dropout=0.0, topk=4, epochs=3,
+                2, True, dropout=0.0, epochs=3,
                 plan=FaultPlan.parse("kill_worker:replica:*:*"),
             )
         relevant = [w for w in caught
@@ -270,10 +270,10 @@ class TestReplicaRecovery:
         # in-process executor must rebuild the round and take the other
         # two — every loss, batch size and telemetry count as if nothing
         # had happened.
-        inproc = _run_distributed(2, False, dropout=0.0, topk=4, steps=3)
+        inproc = _run_distributed(2, False, dropout=0.0, steps=3)
         with pytest.warns(RuntimeWarning, match="in-process"):
             degraded = _run_distributed(
-                2, True, dropout=0.0, topk=4, steps=3,
+                2, True, dropout=0.0, steps=3,
                 plan=FaultPlan.parse("kill_worker:replica:*:3"),
             )
         assert _identical(inproc, degraded)
@@ -322,7 +322,7 @@ class TestReplicaRecovery:
 
 
 class TestFullStateCheckpoint:
-    """Resume is bit-for-bit: params, Adam moments, RNG, residuals."""
+    """Resume is bit-for-bit: params, Adam moments, RNG streams."""
 
     def _fit_engine(self, graph, flow, **fit_kwargs):
         engine = Engine(MaxKGNN(graph, _config(), seed=0), graph, flow,
@@ -366,15 +366,13 @@ class TestFullStateCheckpoint:
         assert all(np.array_equal(a, b)
                    for a, b in zip(straight, resumed))
 
-    def test_resume_bitwise_distributed_topk(self, tmp_path, backend):
-        # Error-feedback residuals ride in the checkpoint: without them
-        # the resumed sparse exchange would diverge immediately.
+    def test_resume_bitwise_distributed(self, tmp_path, backend):
         graph = _task_graph()
 
         def flow():
             return make_flow(
                 "distributed", inner="partitioned", replicas=2,
-                grad_topk=4, n_parts=4, boundary_fraction=0.2, seed=7,
+                n_parts=4, boundary_fraction=0.2, seed=7,
             )
 
         straight = self._fit_engine(graph, flow())
@@ -388,14 +386,14 @@ class TestFullStateCheckpoint:
                    for a, b in zip(straight, resumed))
 
     def test_resume_bitwise_replica_procs(self, tmp_path, force_procs):
-        # A pool-backed run checkpoints its workers' live streams and
-        # residuals; resuming re-seeds fresh workers from them.
+        # A pool-backed run checkpoints its workers' live streams;
+        # resuming re-seeds fresh workers from them.
         graph = _task_graph()
 
         def flow():
             return make_flow(
                 "distributed", inner="partitioned", replicas=1,
-                grad_topk=4, processes=True, n_parts=4,
+                processes=True, n_parts=4,
                 boundary_fraction=0.2, seed=7,
             )
 
@@ -428,6 +426,29 @@ class TestFullStateCheckpoint:
         assert "fingerprint" in meta
         assert "__adam_m__" in arrays and "__adam_v__" in arrays
         assert any(key.startswith("conv0.") for key in arrays)
+
+    def test_checkpoint_with_residual_rows_is_refused(self, tmp_path):
+        # A file from a run of the removed compressed exchange carries
+        # error-feedback residuals that nothing can continue; resuming it
+        # would silently take another trajectory.
+        graph = _task_graph()
+        engine = Engine(MaxKGNN(graph, _config(), seed=0), graph,
+                        make_flow("full"), lr=0.01)
+        path = tmp_path / "ck.ckpt"
+        try:
+            engine.save_checkpoint(path, next_epoch=1)
+            arrays, meta = read_checkpoint(path)
+            arrays["__residual_0__"] = np.zeros(
+                engine.model.n_parameters(), dtype=ops.FLOAT_DTYPE
+            )
+            write_checkpoint(path, arrays, dict(meta, residual_rows=1))
+            with pytest.raises(CheckpointError, match="--grad-topk"):
+                engine.load_checkpoint(path)
+            del arrays["__residual_0__"]
+            write_checkpoint(path, arrays, dict(meta, residual_rows=0))
+            assert engine.load_checkpoint(path) == 1
+        finally:
+            engine.close()
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         graph = _task_graph()

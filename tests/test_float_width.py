@@ -39,9 +39,6 @@ FLOWS = {
     "distributed": lambda: make_flow(
         "distributed", replicas=2, n_parts=4, seed=7
     ),
-    "distributed-topk": lambda: make_flow(
-        "distributed", replicas=2, n_parts=4, seed=7, grad_topk=4
-    ),
 }
 
 
@@ -109,9 +106,6 @@ def _training_state(engine):
     if store is not None:
         state["replica_arena"] = store._arena
         state["replica_reduced"] = store._reduced
-        if store.topk is not None:
-            state["replica_residual"] = store._residual
-            state.update(_slots(store._workspace))
     for key, csr in engine.graph.built_adjacencies().items():
         state[f"adj[{key}]"] = csr.data
     return state
@@ -130,7 +124,7 @@ def test_training_follows_the_width(backend, width, flow):
             _assert_floats_are(width, _training_state(engine), flow)
             store = engine._replica_grads
             if store is not None:
-                assert store.dense_nbytes == width.itemsize * sum(
+                assert store._arena[0].nbytes == width.itemsize * sum(
                     p.data.size for p in model.parameters()
                 )
         finally:

@@ -54,7 +54,7 @@ def _config(dropout=0.1):
     )
 
 
-def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2,
+def _run_distributed(replicas, processes, dropout=0.1, epochs=2,
                      steps=1, unlabelled_part=None):
     graph = _task_graph()
     boundary_fraction = 0.2
@@ -67,7 +67,7 @@ def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2,
         graph.train_mask[members] = False
     flow = make_flow(
         "distributed", inner="partitioned", replicas=replicas,
-        grad_topk=topk, processes=processes, n_parts=4,
+        processes=processes, n_parts=4,
         boundary_fraction=boundary_fraction, seed=7,
     )
     engine = Engine(MaxKGNN(graph, _config(dropout), seed=0), graph, flow,
@@ -83,7 +83,7 @@ def _run_distributed(replicas, processes, topk=None, dropout=0.1, epochs=2,
         engine.close()
     bookkeeping = (
         result.batch_losses, result.batch_sizes,
-        flow.replica_steps.tolist(), flow.grad_exchanges,
+        flow.replica_steps.tolist(), engine.optimizer._t,
     )
     return losses, params, bookkeeping
 
@@ -140,7 +140,7 @@ class TestReplicaProcesses:
         by the executor summed as they are."""
         graph = _task_graph()
         flow = make_flow(
-            "distributed", inner="partitioned", replicas=2, grad_topk=1,
+            "distributed", inner="partitioned", replicas=2,
             processes=True, n_parts=4, boundary_fraction=0.2, seed=7,
         )
         engine = Engine(MaxKGNN(graph, _config(), seed=0), graph, flow,
@@ -187,18 +187,11 @@ class TestReplicaProcesses:
         assert loss == pytest.approx(2.5 / 3)
         assert flow.replica_steps.tolist() == [4, 2]
         assert flow.replica_edges.tolist() == [2 * 100 + 2 * 102, 2 * 101]
-        assert flow.grad_exchanges == 4
-        # The top-1 store summed the deposited rows as they were: reduce
-        # never selects, whoever filled the arena.
+        assert engine.optimizer._t == 4
+        # The store summed the deposited rows as they were, whoever
+        # filled the arena.
         for p in engine.optimizer.parameters:
             assert np.array_equal(p.grad, np.ones_like(p.data))
-
-    def test_r2_topk_bit_identical_without_dropout(self, force_procs):
-        assert _identical(
-            _run_distributed(2, False, topk=4, dropout=0.0),
-            _run_distributed(2, True, topk=4, dropout=0.0),
-        )
-        _no_leaks()
 
     def test_r2_seed_reproducible_with_dropout(self, force_procs):
         # With dropout the replica mirrors draw from jumped streams, so

@@ -65,9 +65,17 @@ def test_a_flow_is_enumerated_in_one_place():
         assert _occurrences(gone, dataflow) == {}
 
 
-def test_replica_gradients_are_selected_in_one_place():
+def test_one_gradient_exchange():
+    # Replicas all-reduce their dense gradients; nothing in training
+    # selects. The compressed exchange and its error-feedback residuals
+    # are gone: only load_checkpoint names them, to refuse a file one
+    # of its runs wrote.
     assert _occurrences("preselected") == {}
-    assert _occurrences("topk_mask(", "training") == {"training/engine.py": 1}
+    assert _occurrences("topk_mask(", "training") == {}
+    refusal = _functions("training/engine.py")["load_checkpoint"]
+    for gone in ("grad_topk", "grad-topk", "load_residuals", "payload_cbsr",
+                 "note_gradient_exchange", "_residual", "residual_rows"):
+        assert sum(_occurrences(gone).values()) == refusal.count(gone), gone
 
 
 def test_only_the_graph_module_knows_what_a_graph_holds():

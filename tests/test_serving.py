@@ -559,6 +559,14 @@ class TestLifecycle:
         service.close()
         _no_leaks()
 
+    def test_closed_service_refuses_new_requests(self):
+        service = _service()
+        service.close()
+        with pytest.raises(RuntimeError, match="service is closed"):
+            service.submit(3)
+        assert service.drain() == 0
+        _no_leaks()
+
     def test_service_usable_as_context_manager(self):
         with _service() as service:
             ticket = service.submit(3)
