@@ -118,6 +118,17 @@ class TestCompareFile:
         verdicts = _verdicts(baseline, current)
         assert verdicts == {"prefetch[scipy].speedup": True}
 
+    def test_committed_baselines_carry_no_ungated_parity_leaf(self):
+        """No kind gates parity: a committed ``*_parity`` leaf would read
+        as ``other`` and go unchecked while looking guarded."""
+        assert check_trend._kind("accuracy_parity") == "other"
+        results = Path(__file__).parent.parent / "benchmarks" / "results"
+        baselines = sorted(results.glob("BENCH_*.json"))
+        assert baselines
+        for path in baselines:
+            for leaf in check_trend._flat(json.loads(path.read_text())):
+                assert not leaf.endswith("parity"), (path.name, leaf)
+
     def test_noise_floor_reports_but_never_gates_small_ratios(self):
         """A ~1.0x baseline (a path only asserted 'does not regress') must
         not flake CI when a smoke run on another host wobbles below the

@@ -7,6 +7,8 @@ math, the gpusim placement/communication report, and the degree-weighted
 GraphSAINT importance samplers with their unbiased loss normalisation.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from repro.training import (
     SampledFlow,
     make_flow,
 )
+from repro.training.parallel import ReplicaProcessPool
 from tests.conftest import floats
 
 
@@ -237,6 +240,70 @@ class TestReplicaGradients:
         with pytest.raises(ValueError):
             store.reduce([])
 
+    def test_fuzz_matches_mean_oracle(self, backend):
+        """Multi-round fuzz vs a plain-numpy oracle, with random gradient
+        presence and participant subsets, on every backend: each round
+        sums the present rows in ascending replica order and divides by
+        the participant count, bit for bit."""
+        rng = np.random.default_rng(sum(map(ord, backend)))
+        shapes = [(4, 8), (5,), (3, 3)]
+        params = [Tensor(np.zeros(shape), requires_grad=True)
+                  for shape in shapes]
+        replicas = 3
+        store = ReplicaGradients(params, replicas)
+        for _ in range(6):
+            grads = {}
+            participants = sorted(rng.choice(
+                replicas, size=rng.integers(1, replicas + 1), replace=False
+            ).tolist())
+            for r in participants:
+                grads[r] = [
+                    floats(rng.normal(size=s)) if rng.random() > 0.2 else None
+                    for s in shapes
+                ]
+                for p, g in zip(params, grads[r]):
+                    p.grad = g
+                store.capture(r)
+            store.reduce(participants)
+            scale = 1.0 / len(participants)
+            for index, p in enumerate(params):
+                sources = [grads[r][index] for r in participants
+                           if grads[r][index] is not None]
+                if not sources:
+                    assert p.grad is None
+                    continue
+                accumulated = sources[0].copy()
+                for g in sources[1:]:
+                    accumulated += g
+                accumulated *= scale
+                assert p.grad.tobytes() == accumulated.tobytes()
+
+    def test_exported_payload_deposits_to_the_same_reduction(self):
+        """The process-per-replica hand-off: a worker's exported row,
+        deposited on the parent, reduces exactly as a local capture —
+        an untouched parameter ships as ``None`` and stays ungraded."""
+        rng = np.random.default_rng(3)
+        local_params, parent_params = self._params(), self._params()
+        local = ReplicaGradients(local_params, 2)
+        parent = ReplicaGradients(parent_params, 2)
+        for replica in range(2):
+            local_params[0].grad = floats(rng.normal(size=(2, 2)))
+            local_params[1].grad = None
+            local.capture(replica)
+            payload = local.export_payload(replica)
+            assert payload[1] is None
+            parent.deposit(replica, payload)
+        local.reduce([0, 1])
+        parent.reduce([0, 1])
+        assert parent_params[0].grad.tobytes() == \
+            local_params[0].grad.tobytes()
+        assert parent_params[1].grad is None
+
+    def test_deposit_rejects_a_payload_of_another_length(self):
+        store = ReplicaGradients(self._params(), 2)
+        with pytest.raises(ValueError, match="1 entries for 2 parameters"):
+            store.deposit(0, [np.zeros((2, 2))])
+
 
 class _StaticPlan(BatchPlan):
     __slots__ = ("batch",)
@@ -339,6 +406,18 @@ class TestTelemetryAndReport:
         assert report["allreduce_mb_per_epoch"] == pytest.approx(
             2 * width * n_params / 1e6
         )
+
+    def test_report_carries_no_compression_keys(self, graph):
+        """The exchange is dense: the report prices one figure for it
+        and names no compression."""
+        flow = DistributedFlow(PartitionedFlow(n_parts=4, seed=0), 2)
+        make_engine(graph, flow).fit(2, eval_every=2)
+        report = flow.report(graph, hidden=16, n_layers=2, n_params=1000)
+        assert "allreduce_mb_per_epoch" in report
+        for gone in ("grad_topk", "dense_allreduce_mb_per_epoch",
+                     "grad_compression_ratio",
+                     "comm_volume_reduction_speedup"):
+            assert gone not in report
 
     def test_r1_allreduce_is_free(self, graph):
         flow = DistributedFlow(PartitionedFlow(n_parts=2, seed=0), 1)
@@ -447,6 +526,28 @@ class TestMakeFlowDistributed:
     def test_rejects_unknown_inner(self):
         with pytest.raises(ValueError, match="unknown distributed inner"):
             make_flow("distributed", inner="full")
+
+
+class TestOneGradientExchange:
+    """The compressed exchange is gone; none of its settings is taken."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: make_flow("distributed", replicas=2,
+                                       grad_topk=4), id="make_flow"),
+        pytest.param(lambda: DistributedFlow(PartitionedFlow(n_parts=2), 2,
+                                             grad_topk=4),
+                     id="DistributedFlow"),
+        pytest.param(lambda: ReplicaGradients(
+            [Tensor(np.zeros(3), requires_grad=True)], 2, topk=4),
+            id="ReplicaGradients"),
+        pytest.param(lambda: ReplicaProcessPool(
+            None, PartitionedFlow(n_parts=2), None, None, 2, [3],
+            grad_topk=4), id="ReplicaProcessPool"),
+    ])
+    def test_a_topk_setting_is_refused(self, build):
+        with pytest.raises(TypeError, match="topk"):
+            build()
+        assert not multiprocessing.active_children()
 
 
 class TestImportanceSampling:
@@ -663,6 +764,16 @@ class TestCliDistributed:
             main(["train", "--dataset", "Flickr", "--epochs", "2",
                   "--flow", "distributed", "--replicas", "2",
                   "--prefetch", "2"])
+
+    def test_cli_refuses_grad_topk(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--dataset", "Flickr", "--epochs", "2",
+                  "--flow", "distributed", "--replicas", "2",
+                  "--grad-topk", "4"])
+        assert exit_info.value.code == 2
+        assert "--grad-topk" in capsys.readouterr().err
 
     def test_cli_r1_matches_partitioned_flow(self, capsys):
         """CLI-level acceptance: --flow distributed --replicas 1 reports

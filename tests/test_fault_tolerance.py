@@ -450,6 +450,58 @@ class TestFullStateCheckpoint:
         finally:
             engine.close()
 
+    def _as_written_before_the_removal(self, path):
+        # A dense run of the compressed-exchange era wrote the same file
+        # with a ``residual_rows`` of 0 in its meta.
+        arrays, meta = read_checkpoint(path)
+        assert "residual_rows" not in meta
+        write_checkpoint(path, arrays, dict(meta, residual_rows=0))
+
+    def test_dense_checkpoint_from_before_the_removal_resumes_bitwise(
+            self, tmp_path):
+        graph = _task_graph()
+
+        def flow():
+            return make_flow(
+                "distributed", inner="partitioned", replicas=2,
+                n_parts=4, boundary_fraction=0.2, seed=7,
+            )
+
+        straight = self._fit_engine(graph, flow())
+        self._fit_engine(
+            graph, flow(), checkpoint_every=2, checkpoint_dir=tmp_path,
+        )
+        path = tmp_path / "checkpoint-00002.ckpt"
+        self._as_written_before_the_removal(path)
+        resumed = self._fit_engine(graph, flow(), resume_from=path)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(straight, resumed))
+
+    def test_dense_pool_checkpoint_from_before_the_removal_resumes_bitwise(
+            self, tmp_path, force_procs):
+        # Its worker streams were banked as bare PCG64 states then too.
+        graph = _task_graph()
+
+        def flow():
+            return make_flow(
+                "distributed", inner="partitioned", replicas=1,
+                processes=True, n_parts=4,
+                boundary_fraction=0.2, seed=7,
+            )
+
+        straight = self._fit_engine(graph, flow())
+        self._fit_engine(
+            graph, flow(), checkpoint_every=2, checkpoint_dir=tmp_path,
+        )
+        path = tmp_path / "checkpoint-00002.ckpt"
+        _, meta = read_checkpoint(path)
+        assert meta["worker_rng"][0]["bit_generator"] == "PCG64"
+        self._as_written_before_the_removal(path)
+        resumed = self._fit_engine(graph, flow(), resume_from=path)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(straight, resumed))
+        _no_leaks()
+
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         graph = _task_graph()
         engine = Engine(MaxKGNN(graph, _config(), seed=0), graph,

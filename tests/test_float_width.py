@@ -39,6 +39,10 @@ FLOWS = {
     "distributed": lambda: make_flow(
         "distributed", replicas=2, n_parts=4, seed=7
     ),
+    "distributed-sampled": lambda: make_flow(
+        "distributed", replicas=2, inner="sampled", sampler="node",
+        batches_per_epoch=4, sample_size=60, seed=7,
+    ),
 }
 
 

@@ -216,6 +216,29 @@ class TestReplicaProcesses:
         assert _identical(procs, _run_distributed(replicas, False, epochs=3))
         _no_leaks()
 
+    def test_worker_snapshot_is_the_dropout_stream(self, force_procs):
+        # What a worker banks per step, hands to a degraded in-process
+        # run and to a checkpoint is its PCG64 dropout state and nothing
+        # else: no gradient state outlives an exchange.
+        graph = _task_graph()
+        flow = make_flow(
+            "distributed", inner="partitioned", replicas=2, processes=True,
+            n_parts=4, boundary_fraction=0.2, seed=7,
+        )
+        engine = Engine(MaxKGNN(graph, _config(), seed=0), graph, flow,
+                        lr=0.01)
+        try:
+            engine.train_epoch(epoch=0)
+            states = engine._replica_pool.worker_states()
+        finally:
+            engine.close()
+        assert len(states) == 2
+        for state in states:
+            assert state.keys() == np.random.PCG64().state.keys()
+            assert state["bit_generator"] == "PCG64"
+        assert states[0]["state"] != states[1]["state"]
+        _no_leaks()
+
     def test_pool_persists_across_epochs(self, force_procs):
         graph = _task_graph()
         flow = make_flow(

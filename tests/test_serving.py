@@ -18,6 +18,7 @@ import pytest
 
 from repro.graphs import (
     Graph,
+    GraphDelta,
     attach_classification_task,
     owned_segment_count,
     sbm_graph,
@@ -565,6 +566,16 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="service is closed"):
             service.submit(3)
         assert service.drain() == 0
+        _no_leaks()
+
+    def test_closed_service_refuses_deltas(self):
+        service = _service()
+        n_edges, generation = service.graph.n_edges, service.generation
+        service.close()
+        with pytest.raises(RuntimeError, match="service is closed"):
+            service.apply_delta(GraphDelta(add_src=[0], add_dst=[1]))
+        assert service.graph.n_edges == n_edges
+        assert service.generation == generation
         _no_leaks()
 
     def test_service_usable_as_context_manager(self):
