@@ -1,4 +1,4 @@
-"""Dense hot-path benchmark: workspace-planned step + micro-batching.
+"""Dense hot-path benchmark: the workspace-planned step.
 
 The PR-2 engine benchmark left the sampled flow dominated by per-step dense
 work (linear/bias/activation temporaries, dropout masks, Adam moment
@@ -12,13 +12,8 @@ under the active sparse backend:
 
 * **planned** — the sampled-flow protocol's epoch time, with the
   optimisation trajectory asserted *bit-identical* between arena and
-  fresh-array buffers.
-* **micro** — a many-small-batches flow (8 pooled GraphSAINT-node
-  subgraphs of ``n/16`` per epoch) with and without
-  :class:`~repro.training.dataflow.MicroBatchedFlow` stacking the group's
-  dense transforms into one fused pass over the concatenated rows. The
-  ratio is recorded, not asserted (``python -m bench`` is the timing
-  authority).
+  fresh-array buffers. The time is recorded, not asserted
+  (``python -m bench`` is the timing authority).
 * **allocation regression** — a steady-state step must not perform large
   fresh allocations: tracemalloc peak growth stays under one layer buffer
   and the workspace allocation counter stays flat.
@@ -40,7 +35,7 @@ from repro.experiments.common import format_table, perf_smoke_enabled, scaled_k
 from repro.graphs import TRAINING_CONFIGS, load_training_dataset
 from repro.models import GNNConfig, MaxKGNN
 from repro.sparse.ops import get_backend
-from repro.training import Engine, MicroBatchedFlow, SampledFlow
+from repro.training import Engine, SampledFlow
 
 DATASET = "Reddit"
 SMOKE = perf_smoke_enabled()
@@ -49,11 +44,7 @@ N_SEEDS = 1 if SMOKE else 3
 #: twice the epochs, pool of 8 (see benchmarks/test_engine_flows.py).
 SAMPLE_FRACTION = 2
 POOL_SIZE = 8
-#: Accuracy band of the seed-variance study (same as the engine benchmark).
-VARIANCE_BAND = 0.12
-#: Members per merged micro-step.
-MICRO_SIZE = 8
-#: Timing rounds per seed (one epoch of every timed engine per round).
+#: Timed epochs per seed.
 TIMING_ROUNDS = 30 if SMOKE else 60
 
 
@@ -79,14 +70,6 @@ def _node_flow(graph, seed):
     )
 
 
-def _many_small_flow(graph, seed):
-    return SampledFlow(
-        sampler="node", batches_per_epoch=MICRO_SIZE,
-        sample_size=graph.n_nodes // (2 * MICRO_SIZE),
-        pool_size=POOL_SIZE, seed=seed,
-    )
-
-
 def _engine(graph, cfg, flow, use_workspace, seed):
     return Engine(
         MaxKGNN(graph, _config(graph, cfg, use_workspace), seed=seed),
@@ -94,33 +77,22 @@ def _engine(graph, cfg, flow, use_workspace, seed):
     )
 
 
-def _interleave(*engines):
-    """Per-epoch ms samples, one row per engine, timed in alternating turns.
-
-    This container's clock is bimodal; alternating single epochs means a
-    mode flip hits every arm equally, so per-round ratios (and the medians
-    reported from them) stay meaningful where back-to-back full runs do
-    not.
-    """
-    times = [[] for _ in engines]
+def _median_epoch_ms(engine):
+    """Median ms of one warm epoch over :data:`TIMING_ROUNDS` epochs."""
+    times = []
     for index in range(TIMING_ROUNDS):
         epoch = 1000 + index  # past the fitted range; pooled slots repeat
-        for samples, engine in zip(times, engines):
-            start = time.perf_counter()
-            engine.train_epoch(epoch)
-            samples.append(time.perf_counter() - start)
-    return 1e3 * np.array(times)
+        start = time.perf_counter()
+        engine.train_epoch(epoch)
+        times.append(time.perf_counter() - start)
+    return 1e3 * float(np.median(times))
 
 
 def run():
     cfg = TRAINING_CONFIGS[DATASET]
     epochs = _epochs(cfg)
     rows = []
-    stats = {
-        "fused_ms": [], "fused_acc": [],
-        "plain_ms": [], "micro_ms": [], "plain_acc": [], "micro_acc": [],
-        "micro_speedup": [], "identical": True,
-    }
+    stats = {"fused_ms": [], "fused_acc": [], "identical": True}
     for seed in range(N_SEEDS):
         graph = load_training_dataset(DATASET, seed=seed)
         fresh = _engine(graph, cfg, _node_flow(graph, seed), False, seed)
@@ -132,84 +104,47 @@ def run():
             and fresh_result.val_metrics == fused_result.val_metrics
             and fresh_result.test_metrics == fused_result.test_metrics
         )
-        fused_ms = float(np.median(_interleave(fused)))
-
-        plain = _engine(graph, cfg, _many_small_flow(graph, seed), True, seed)
-        micro = _engine(
-            graph, cfg,
-            MicroBatchedFlow(_many_small_flow(graph, seed), MICRO_SIZE),
-            True, seed,
-        )
-        plain_result = plain.fit(epochs // 2, eval_every=20)
-        micro_result = micro.fit(epochs // 2, eval_every=20)
-        plain_times, micro_times = _interleave(plain, micro)
-        plain_ms = float(np.median(plain_times))
-        micro_ms = float(np.median(micro_times))
-
+        fused_ms = _median_epoch_ms(fused)
         stats["fused_ms"].append(fused_ms)
         stats["fused_acc"].append(fused_result.test_at_best_val)
-        stats["plain_ms"].append(plain_ms)
-        stats["micro_ms"].append(micro_ms)
-        stats["micro_speedup"].append(
-            float(np.median(plain_times / micro_times))
-        )
-        stats["plain_acc"].append(plain_result.test_at_best_val)
-        stats["micro_acc"].append(micro_result.test_at_best_val)
         rows.append((seed, round(fused_ms, 1),
-                     round(fused_result.test_at_best_val, 3),
-                     round(plain_ms, 1), round(micro_ms, 1),
-                     round(micro_result.test_at_best_val, 3)))
+                     round(fused_result.test_at_best_val, 3)))
     summary = {key: float(np.mean(val)) for key, val in stats.items()
                if key != "identical"}
-    # A mean of per-seed medians stays noise-robust; the ratio uses the
-    # median of the pairwise interleaved samples per seed.
-    summary["micro_speedup"] = float(np.median(stats["micro_speedup"]))
     summary["identical"] = stats["identical"]
     summary["rows"] = rows
     return summary
 
 
 @pytest.mark.slow
-def test_fused_hotpath_speedup_and_bit_identity(benchmark, record_result,
-                                                record_json):
+def test_fused_hotpath_bit_identity(benchmark, record_result, record_json):
     data = benchmark.pedantic(run, rounds=1, iterations=1)
     backend = get_backend().name
-    micro_speedup = data["micro_speedup"]
     record_json(
         "BENCH_dense_hotpath", f"hotpath[{backend}]",
         {
             "backend": backend,
-            "protocol": f"scaled {DATASET}, pooled node n/2 + micro x8",
+            "protocol": f"scaled {DATASET}, pooled node n/2",
             "fused_ms": round(data["fused_ms"], 2),
-            "unmerged_ms": round(data["plain_ms"], 2),
-            "micro_ms": round(data["micro_ms"], 2),
-            "micro_speedup": round(micro_speedup, 3),
             "identical": bool(data["identical"]),
         },
     )
     record_result(
         "dense_hotpath",
         format_table(
-            ["seed", "fused_ms", "acc", "unmerged_ms", "micro_ms",
-             "micro_acc"],
+            ["seed", "fused_ms", "acc"],
             data["rows"] + [(
                 f"mean[{backend}]",
                 round(data["fused_ms"], 1), round(data["fused_acc"], 3),
-                round(data["plain_ms"], 1), round(data["micro_ms"], 1),
-                round(data["micro_acc"], 3),
             )],
         )
-        + f"\nmicro speedup {micro_speedup:.2f}x (median of interleaved "
-        f"per-epoch pairs), arena and fresh-array trajectories identical: "
+        + "\narena and fresh-array trajectories identical: "
         f"{data['identical']}",
     )
 
     # The workspace only says where the buffers come from: the whole
     # sampled-flow trajectory must agree bit for bit with fresh arrays.
     assert data["identical"]
-    # Merging must stay within the variance band of its own unmerged flow
-    # (its ~2.3x epoch ratio is recorded above, not asserted).
-    assert data["micro_acc"] > data["plain_acc"] - VARIANCE_BAND
 
 
 #: Hard ceiling on a steady-state fused step's tracemalloc peak growth,

@@ -17,13 +17,11 @@ Training runs through the execution engine with a selectable data flow::
     python -m repro train --dataset Reddit --flow sampled --sampler node \
         --batches-per-epoch 2 --sample-size 300 --pool-size 8
     python -m repro train --dataset Reddit --flow sampled --sampler node \
-        --batches-per-epoch 8 --sample-size 50 --pool-size 8 --micro-batch 8
-    python -m repro train --dataset Reddit --flow sampled --sampler node \
         --batches-per-epoch 2 --prefetch 2   # pipeline sampling vs training
     python -m repro train --dataset ogbn-products --flow partitioned --n-parts 4
     python -m repro train --dataset Reddit --flow distributed --replicas 4
     python -m repro train --dataset Reddit --flow distributed --replicas 2 \
-        --distributed-inner sampled --importance   # degree-weighted batches
+        --distributed-inner sampled --sampler node
 """
 
 from __future__ import annotations
@@ -142,27 +140,24 @@ def _run_train(args) -> str:
         sampler=args.sampler, batches_per_epoch=args.batches_per_epoch,
         sample_size=args.sample_size, walk_length=args.walk_length,
         n_hops=args.n_hops, fanout=args.fanout, pool_size=args.pool_size,
-        seed=args.seed, importance=args.importance,
-        importance_alpha=args.importance_alpha,
+        seed=args.seed,
     )
-    prefetch_kwargs = dict(micro_batch=args.micro_batch, prefetch=args.prefetch)
     if args.flow == "sampled":
-        flow = make_flow("sampled", **prefetch_kwargs, **sampled_kwargs)
+        flow = make_flow("sampled", prefetch=args.prefetch, **sampled_kwargs)
     elif args.flow == "partitioned":
         flow = make_flow(
             "partitioned", n_parts=args.n_parts,
             boundary_fraction=args.boundary_fraction, seed=args.seed,
-            **prefetch_kwargs,
+            prefetch=args.prefetch,
         )
     elif args.flow == "distributed":
-        # micro_batch/prefetch are forwarded so make_flow's explicit
-        # incompatibility error surfaces instead of silently ignoring the
-        # user's flags.
+        # prefetch is forwarded so make_flow's explicit incompatibility
+        # error surfaces instead of silently ignoring the user's flag.
         if args.distributed_inner == "sampled":
             flow = make_flow(
                 "distributed", inner="sampled", replicas=args.replicas,
-                processes=args.replica_procs,
-                **prefetch_kwargs, **sampled_kwargs,
+                processes=args.replica_procs, prefetch=args.prefetch,
+                **sampled_kwargs,
             )
         else:
             flow = make_flow(
@@ -170,10 +165,10 @@ def _run_train(args) -> str:
                 processes=args.replica_procs,
                 n_parts=args.n_parts,
                 boundary_fraction=args.boundary_fraction, seed=args.seed,
-                **prefetch_kwargs,
+                prefetch=args.prefetch,
             )
     else:
-        flow = make_flow("full", **prefetch_kwargs)
+        flow = make_flow("full", prefetch=args.prefetch)
     model = MaxKGNN(graph, config, seed=args.seed)
     engine = Engine(model, graph, flow, lr=cfg.lr)
     epochs = args.epochs if args.epochs is not None else cfg.epochs
@@ -381,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--fanout", type=int, default=8)
     train.add_argument("--pool-size", type=int, default=None,
                        help="recycle sampled subgraphs through a pool")
-    train.add_argument("--micro-batch", type=int, default=1,
-                       help="stack this many consecutive batches of the "
-                            "chosen flow into one fused dense pass")
     train.add_argument("--prefetch", type=int, default=0,
                        help="build batches ahead of the trainer (sampling, "
                             "induction, CSR build, backend registration); "
@@ -411,13 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["partitioned", "sampled"],
                        help="which flow --flow distributed shards "
                             "across the replicas")
-    train.add_argument("--importance", action="store_true",
-                       help="degree-weighted GraphSAINT importance "
-                            "sampling (node/edge samplers): batches carry "
-                            "unbiased loss weights")
-    train.add_argument("--importance-alpha", type=float, default=1.0,
-                       help="degree exponent of the importance "
-                            "distribution (0 = uniform)")
     train.add_argument("--checkpoint-dir", default=None,
                        help="write full-state checkpoints (params, Adam "
                             "moments, RNG streams, epoch cursor) under "

@@ -15,7 +15,6 @@ from .features import (
     attach_multilabel_task,
     random_splits,
 )
-from .batching import batch_graphs
 from .generators import chain_of_cliques, erdos_renyi_graph, rmat_graph, sbm_graph
 from .graph import Graph, normalized_adjacency
 from .mutation import GraphDelta, apply_delta, merge_csr_delta
@@ -37,8 +36,6 @@ from .shm import (
 )
 from .sampling import (
     as_generator,
-    degree_edge_probabilities,
-    degree_node_probabilities,
     edge_sampler,
     khop_neighborhood,
     node_sampler,
@@ -51,7 +48,6 @@ __all__ = [
     "GraphDelta",
     "apply_delta",
     "merge_csr_delta",
-    "batch_graphs",
     "rmat_graph",
     "sbm_graph",
     "chain_of_cliques",
@@ -81,8 +77,6 @@ __all__ = [
     "shared_memory_available",
     "sweep_leaked_segments",
     "as_generator",
-    "degree_node_probabilities",
-    "degree_edge_probabilities",
     "node_sampler",
     "edge_sampler",
     "random_walk_sampler",

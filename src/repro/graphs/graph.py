@@ -31,7 +31,6 @@ NODE_FIELDS = {
     "val_mask": False,
     "test_mask": False,
     "communities": -1,
-    "loss_weights": 0.0,
 }
 
 _CSR_PARTS = ("indptr", "indices", "data")
@@ -59,11 +58,6 @@ class Graph:
     multilabel: bool = False
     #: Planted community assignment (set by the SBM generator).
     communities: Optional[np.ndarray] = None
-    #: Per-node importance-sampling loss weights (set by the degree-weighted
-    #: samplers): a batch's training loss is ``sum_v w_v * loss_v`` instead
-    #: of the plain masked mean, making the sampled-loss estimator unbiased
-    #: for the full-graph mean (GraphSAINT normalisation).
-    loss_weights: Optional[np.ndarray] = None
     _adj_cache: Dict[str, CSRMatrix] = field(default_factory=dict, repr=False)
     #: Mutation stamp: bumped by :meth:`apply_delta`, which installs the
     #: merged structural bases and the patched edge index under the new

@@ -165,10 +165,11 @@ def induced_union(graph: Graph, keys: np.ndarray, n_members: int = 1) -> Graph:
 
     ``keys`` are sorted unique ``member * n_nodes + node`` ids; row ``i``
     is ``keys[i]``'s node and each member keeps its edges in COO order —
-    the bytes :func:`~repro.graphs.batching.batch_graphs` gives for the
-    members induced one by one. Reads the in-edge ranges of the members'
-    node union once: O(n_nodes memset + the union's in-degrees + kept log
-    kept + members x kept), not a scan of the edge list.
+    the bytes of the members induced one by one and stacked (node ids
+    offset, payload rows concatenated in member order). Reads the in-edge
+    ranges of the members' node union once: O(n_nodes memset + the
+    union's in-degrees + kept log kept + members x kept), not a scan of
+    the edge list.
     """
     order, indptr, in_src = graph.edge_index("in")
     # Per call, not cached: concurrent builders induce from one graph.

@@ -4,10 +4,9 @@ The paper positions MaxK-GNN as compatible with "current methods employed
 in … graph sampling [28, 33]". These samplers produce the mini-batch
 subgraphs such trainers consume; MaxK layers run on them unchanged.
 
-* :func:`node_sampler` — GraphSAINT random-node sampler (uniform, or
-  degree-weighted importance sampling with unbiased loss weights);
+* :func:`node_sampler` — GraphSAINT random-node sampler;
 * :func:`edge_sampler` — GraphSAINT random-edge sampler (union of
-  endpoints, induced; optionally degree-weighted à la GraphSAINT-Edge);
+  endpoints, induced);
 * :func:`random_walk_sampler` — GraphSAINT random-walk sampler;
 * :func:`khop_neighborhood` — GraphSAGE-style fan-out-limited k-hop
   neighbourhood around seed nodes.
@@ -20,16 +19,6 @@ and every sampler induces through
 walk draws positionally, so the edge-list order is part of its stream;
 the k-hop draw is counter-keyed (:func:`khop_keys`), so a node's pick
 depends only on the call's salt, the node and its own in-edge list.
-
-Importance sampling draws **with replacement** from an explicit probability
-vector and attaches :attr:`~repro.graphs.graph.Graph.loss_weights` to the
-induced subgraph: node ``v`` drawn ``c_v`` times out of ``m`` draws gets
-weight ``c_v / (m * q_v * N)`` where ``q_v`` is its expected incidences
-per draw and ``N`` the number of labelled training nodes of the parent
-graph. Because ``E[c_v] = m * q_v``, the weighted batch loss
-``sum_v w_v * loss_v`` is an *unbiased* estimator of the full-graph mean
-training loss — the GraphSAINT loss-normalisation argument, testable by
-the fuzz test in ``tests/test_distributed_training.py``.
 """
 
 from __future__ import annotations
@@ -43,8 +32,6 @@ from .partition import induced_subgraph, induced_union, sorted_unique
 
 __all__ = [
     "as_generator",
-    "degree_node_probabilities",
-    "degree_edge_probabilities",
     "node_sampler",
     "edge_sampler",
     "random_walk_sampler",
@@ -68,142 +55,28 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _labelled_count(graph: Graph) -> int:
-    """Training nodes the loss estimator targets (all nodes when unmasked)."""
-    if graph.train_mask is None:
-        return graph.n_nodes
-    count = int(np.count_nonzero(graph.train_mask))
-    return count if count else graph.n_nodes
-
-
-def _attach_importance_weights(
-    graph: Graph,
-    subgraph: Graph,
-    nodes: np.ndarray,
-    counts: np.ndarray,
-    expected_rate: np.ndarray,
-    n_draws: int,
-) -> Graph:
-    """Attach the unbiased GraphSAINT loss weights to an induced subgraph.
-
-    ``counts[v]`` is how many of the ``n_draws`` draws touched node ``v``
-    and ``expected_rate[v]`` its expected incidences per draw, so
-    ``counts / (n_draws * expected_rate)`` has expectation 1 for every
-    node; dividing by the parent's labelled-node count turns the weighted
-    batch sum into an unbiased estimator of the full-graph mean loss.
-    ``nodes`` must be the sorted unique node set (the order
-    :func:`induced_subgraph` keeps its rows in).
-    """
-    scale = float(n_draws) * float(_labelled_count(graph))
-    subgraph.loss_weights = counts[nodes] / (expected_rate[nodes] * scale)
-    return subgraph
-
-
-def degree_node_probabilities(graph: Graph, alpha: float = 1.0) -> np.ndarray:
-    """Degree-weighted node-draw distribution ``p_v ∝ (deg_in(v) + 1)^alpha``.
-
-    The +1 smoothing keeps isolated nodes reachable (a zero probability
-    would bias the labelled-loss estimator wherever such a node is
-    labelled); ``alpha`` interpolates between uniform (0) and fully
-    degree-proportional (1) sampling.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    weights = (graph.in_degrees() + 1.0) ** alpha
-    return weights / weights.sum()
-
-
-def node_sampler(
-    graph: Graph,
-    n_nodes: int,
-    seed: SeedLike = 0,
-    importance: bool = False,
-    alpha: float = 1.0,
-) -> Graph:
-    """Random-node induced subgraph (GraphSAINT-Node).
-
-    Uniform without replacement by default. With ``importance=True``,
-    ``n_nodes`` i.i.d. draws are taken from the degree-weighted
-    distribution (:func:`degree_node_probabilities`), the subgraph is
-    induced over the unique draws, and unbiased loss weights are attached
-    (see the module docstring) — high-degree hubs are visited more often
-    but down-weighted exactly in proportion.
-    """
+def node_sampler(graph: Graph, n_nodes: int, seed: SeedLike = 0) -> Graph:
+    """Random-node induced subgraph (GraphSAINT-Node): uniform without
+    replacement."""
     if not 1 <= n_nodes <= graph.n_nodes:
         raise ValueError("n_nodes must be in [1, graph.n_nodes]")
     rng = as_generator(seed)
-    if not importance:
-        nodes = rng.choice(graph.n_nodes, size=n_nodes, replace=False)
-        return induced_subgraph(graph, nodes)
-    probs = degree_node_probabilities(graph, alpha)
-    draws = rng.choice(graph.n_nodes, size=n_nodes, replace=True, p=probs)
-    counts = np.bincount(draws, minlength=graph.n_nodes)
-    nodes = np.flatnonzero(counts)
-    subgraph = induced_subgraph(graph, nodes)
-    return _attach_importance_weights(
-        graph, subgraph, nodes, counts, probs, n_nodes
-    )
+    nodes = rng.choice(graph.n_nodes, size=n_nodes, replace=False)
+    return induced_subgraph(graph, nodes)
 
 
-def degree_edge_probabilities(graph: Graph, alpha: float = 1.0) -> np.ndarray:
-    """GraphSAINT-Edge draw distribution ``p_e ∝ (1/deg(u) + 1/deg(v))^alpha``.
-
-    Degrees are in-degrees with +1 smoothing (matching the node variant);
-    the ``alpha = 1`` form favours edges whose endpoints are otherwise
-    rarely covered, which is GraphSAINT's variance-reduction argument, and
-    ``alpha = 0`` degenerates to uniform edge draws — the same
-    interpolation knob :func:`degree_node_probabilities` exposes.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    deg = graph.in_degrees() + 1.0
-    weights = (1.0 / deg[graph.src] + 1.0 / deg[graph.dst]) ** alpha
-    return weights / weights.sum()
-
-
-def edge_sampler(
-    graph: Graph,
-    n_edges: int,
-    seed: SeedLike = 0,
-    importance: bool = False,
-    alpha: float = 1.0,
-) -> Graph:
-    """Random-edge sampler (GraphSAINT-Edge): endpoints of sampled edges.
-
-    Uniform without replacement by default. With ``importance=True``,
-    ``n_edges`` i.i.d. edge draws come from
-    :func:`degree_edge_probabilities`; a node's draw count is its number
-    of sampled incident edges, whose per-draw expectation is the summed
-    probability of its incident edges — the counting estimator stays
-    unbiased, so the attached loss weights normalise exactly as in the
-    node variant.
-    """
+def edge_sampler(graph: Graph, n_edges: int, seed: SeedLike = 0) -> Graph:
+    """Random-edge sampler (GraphSAINT-Edge): endpoints of sampled edges,
+    drawn uniformly without replacement."""
     if graph.n_edges == 0:
         raise ValueError("graph has no edges to sample")
     if n_edges < 1:
         raise ValueError("n_edges must be positive")
     rng = as_generator(seed)
-    if not importance:
-        picked = rng.choice(graph.n_edges, size=min(n_edges, graph.n_edges),
-                            replace=False)
-        return induced_subgraph(
-            graph, np.concatenate([graph.src[picked], graph.dst[picked]])
-        )
-    probs = degree_edge_probabilities(graph, alpha)
-    draws = rng.choice(graph.n_edges, size=n_edges, replace=True, p=probs)
-    endpoint_counts = (
-        np.bincount(graph.src[draws], minlength=graph.n_nodes)
-        + np.bincount(graph.dst[draws], minlength=graph.n_nodes)
-    )
-    # Expected incidences of node v per draw: the mass of its edges.
-    incident_rate = (
-        np.bincount(graph.src, weights=probs, minlength=graph.n_nodes)
-        + np.bincount(graph.dst, weights=probs, minlength=graph.n_nodes)
-    )
-    nodes = np.flatnonzero(endpoint_counts)
-    subgraph = induced_subgraph(graph, nodes)
-    return _attach_importance_weights(
-        graph, subgraph, nodes, endpoint_counts, incident_rate, n_edges
+    picked = rng.choice(graph.n_edges, size=min(n_edges, graph.n_edges),
+                        replace=False)
+    return induced_subgraph(
+        graph, np.concatenate([graph.src[picked], graph.dst[picked]])
     )
 
 

@@ -110,8 +110,8 @@ def build_ego_batch(graph: Graph, requests: Sequence[Request],
     """Materialise one window: per-request ego-nets fused block-diagonally.
 
     One :func:`khop_keys` expansion with a member per request, salted by
-    its seed; the keys reached are the rows ``batch_graphs`` gives for the
-    requests' ``khop_neighborhood`` ego-nets, and :meth:`EgoBatch.adjacency`
+    its seed; the keys reached are the rows of the requests'
+    ``khop_neighborhood`` ego-nets stacked in request order, and :meth:`EgoBatch.adjacency`
     cuts their edges out of the served graph on demand. Every member is a
     pure function of ``(graph, node, seed)``, so a retried batch (and a
     single-request batch of the same ``(node, seed)``) reproduces the same

@@ -12,7 +12,6 @@ from .functional import (
     relu,
     spgemm_agg,
     spmm_agg,
-    weighted_cross_entropy,
 )
 from .workspace import Workspace
 from .init import xavier_uniform, zeros
@@ -32,7 +31,6 @@ __all__ = [
     "Workspace",
     "log_softmax",
     "cross_entropy",
-    "weighted_cross_entropy",
     "fused_ce",
     "bce_with_logits",
     "Adam",

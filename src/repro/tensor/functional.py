@@ -27,7 +27,6 @@ __all__ = [
     "dropout",
     "log_softmax",
     "cross_entropy",
-    "weighted_cross_entropy",
     "fused_ce",
     "bce_with_logits",
     "linear_act",
@@ -392,30 +391,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray = None) -
     return -picked.mean()
 
 
-def weighted_cross_entropy(
-    logits: Tensor,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    mask: np.ndarray = None,
-) -> Tensor:
-    """Importance-weighted negative log-likelihood: ``sum_v w_v * nll_v``.
-
-    The weights carry the whole normalisation (the degree-weighted samplers
-    attach ``c_v / (draws * rate_v * N_labelled)``, see
-    :mod:`repro.graphs.sampling`), so the weighted *sum* — not a mean — is
-    the unbiased estimator of the full-graph mean training loss.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    weights = np.asarray(weights)
-    log_probs = log_softmax(logits)
-    n = logits.shape[0]
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    idx = np.where(mask)[0]
-    picked = log_probs[(idx, labels[idx])]
-    return -(picked * weights[idx]).sum()
-
-
 def fused_ce(
     logits: Tensor,
     labels: np.ndarray,
@@ -485,28 +460,19 @@ def fused_ce(
 
 
 def bce_with_logits(
-    logits: Tensor,
-    targets: np.ndarray,
-    mask: np.ndarray = None,
-    weights: np.ndarray = None,
+    logits: Tensor, targets: np.ndarray, mask: np.ndarray = None
 ) -> Tensor:
     """Mean binary cross-entropy with logits (multi-label tasks).
 
     Uses the numerically stable form
     ``max(z, 0) - z*y + log(1 + exp(-|z|))`` computed via autograd-safe
-    primitives. With per-node importance ``weights`` (see
-    :func:`weighted_cross_entropy`), each row's class-mean loss is scaled
-    by its weight and summed — the weights carry the normalisation.
+    primitives.
     """
     targets = np.asarray(targets, dtype=logits.data.dtype)
-    if weights is not None:
-        weights = np.asarray(weights)
     if mask is not None:
         idx = np.where(mask)[0]
         logits = logits[idx]
         targets = targets[idx]
-        if weights is not None:
-            weights = weights[idx]
     z = logits.data
     stable = np.maximum(z, 0) - z * targets + np.log1p(np.exp(-np.abs(z)))
     probs = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
@@ -519,12 +485,4 @@ def bce_with_logits(
             source._accumulate(grad * (probs - targets))
 
     per_element = Tensor._make(stable, (source,), backward)
-    if weights is not None:
-        # Shape the per-row weights to broadcast elementwise against the
-        # per-element losses: a column for (n, C) logits, flat for (n,).
-        if z.ndim == 2:
-            return (per_element * weights.reshape(-1, 1)).sum() * (
-                1.0 / z.shape[1]
-            )
-        return (per_element * weights).sum()
     return per_element.sum() * (1.0 / count)

@@ -23,7 +23,6 @@ from .dataflow import (
     DataFlow,
     DistributedFlow,
     FullGraphFlow,
-    MicroBatchedFlow,
     PartitionedFlow,
     PrefetchFlow,
     PrefetchWorkerError,
@@ -68,7 +67,6 @@ __all__ = [
     "FullGraphFlow",
     "SampledFlow",
     "PartitionedFlow",
-    "MicroBatchedFlow",
     "PrefetchFlow",
     "SubgraphCache",
     "make_flow",

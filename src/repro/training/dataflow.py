@@ -44,7 +44,6 @@ import numpy as np
 from ..graphs import (
     Graph,
     Partition,
-    batch_graphs,
     bfs_partition,
     bns_sample,
     edge_sampler,
@@ -63,7 +62,6 @@ __all__ = [
     "FullGraphFlow",
     "SampledFlow",
     "PartitionedFlow",
-    "MicroBatchedFlow",
     "PrefetchFlow",
     "PrefetchWorkerError",
     "DistributedFlow",
@@ -83,7 +81,7 @@ def _release_graph(graph: Graph) -> int:
 
 
 class SubgraphCache:
-    """Bounded LRU of built subgraphs, keyed by schedule slot or by members.
+    """Bounded LRU of built subgraphs, keyed by schedule slot.
 
     A cached subgraph keeps its CSR adjacency (and transpose) warm across
     epochs, so re-visiting a pool slot skips both the sampler and the
@@ -229,8 +227,6 @@ class SampledFlow(DataFlow):
         fanout: int = 8,
         seed: int = 0,
         pool_size: Optional[int] = None,
-        importance: bool = False,
-        importance_alpha: float = 1.0,
     ):
         if isinstance(sampler, str) and sampler not in SAMPLER_NAMES:
             raise ValueError(
@@ -238,12 +234,6 @@ class SampledFlow(DataFlow):
             )
         if not isinstance(sampler, str) and not callable(sampler):
             raise ValueError("sampler must be a name or a callable")
-        if importance and sampler not in ("node", "edge"):
-            raise ValueError(
-                "importance sampling needs the node or edge sampler"
-            )
-        if importance_alpha < 0:
-            raise ValueError("importance_alpha must be >= 0")
         if batches_per_epoch < 1:
             raise ValueError("batches_per_epoch must be >= 1")
         if sample_size is not None and sample_size < 1:
@@ -257,10 +247,6 @@ class SampledFlow(DataFlow):
         self.n_hops = n_hops
         self.fanout = fanout
         self.seed = seed
-        #: Degree-weighted GraphSAINT importance sampling: batches carry
-        #: the unbiased ``loss_weights`` the engine's weighted losses use.
-        self.importance = importance
-        self.importance_alpha = importance_alpha
         self.pool_size = pool_size
         # The cache spans the whole pool: one cycling through more slots
         # than the LRU holds never hits and evicts on every batch (PERF.md:
@@ -284,8 +270,7 @@ class SampledFlow(DataFlow):
 
     def describe(self) -> str:
         label = self.sampler if isinstance(self.sampler, str) else "custom"
-        suffix = "+imp" if self.importance else ""
-        return f"sampled/{label}x{self.batches_per_epoch}{suffix}"
+        return f"sampled/{label}x{self.batches_per_epoch}"
 
     # ------------------------------------------------------------------
     def _labelled_floor(self, graph: Graph) -> int:
@@ -333,19 +318,14 @@ class SampledFlow(DataFlow):
             # named samplers below opt in to streamed generators).
             return self.sampler(graph, size, seed=int(rng.integers(1 << 31)))
         if self.sampler == "node":
-            return node_sampler(
-                graph, size, seed=rng, importance=self.importance,
-                alpha=self.importance_alpha,
-            )
+            return node_sampler(graph, size, seed=rng)
         if self.sampler == "edge":
             # sample_size counts edges on this path; the default splits the
             # edge set across the epoch's batches like _size does for nodes.
             n_edges = self.sample_size or max(
                 1, graph.n_edges // max(2 * self.batches_per_epoch, 2)
             )
-            return edge_sampler(graph, n_edges, seed=rng,
-                                importance=self.importance,
-                                alpha=self.importance_alpha)
+            return edge_sampler(graph, n_edges, seed=rng)
         if self.sampler == "walk":
             return random_walk_sampler(
                 graph, n_roots=size, walk_length=self.walk_length, seed=rng
@@ -424,109 +404,6 @@ class _SampledBatchPlan(BatchPlan):
     def retire(self, batch: Graph) -> None:
         if self.flow.pool_size is None:
             _release_graph(batch)
-
-
-class MicroBatchedFlow(DataFlow):
-    """Stack consecutive batches of an inner flow into merged micro-steps.
-
-    Every group of ``size`` subgraphs the inner flow yields is replaced by
-    their disjoint union (:func:`repro.graphs.batch_graphs`): the engine
-    then runs the group's dense transforms — dropout, the fused
-    linear/bias/activation kernels, the classifier — as **one pass over the
-    concatenated rows with shared weights**, while the block-diagonal
-    adjacency scatters aggregation back per subgraph (no cross-subgraph
-    edges). One optimizer step covers the group, trading step count for
-    arithmetic intensity exactly like gradient-accumulation micro-batching.
-
-    Merged graphs are cached (a :class:`SubgraphCache` keyed by member
-    identity) so a pooled inner flow keeps merged CSR adjacencies warm
-    across epochs; evictions release only the evicted union's backend
-    wrappers.
-    """
-
-    name = "micro"
-
-    def __init__(self, inner: DataFlow, size: int):
-        if size < 1:
-            raise ValueError("micro-batch size must be >= 1")
-        self.inner = inner
-        self.size = size
-        self._merged = SubgraphCache(8)  # merged unions kept warm
-        self._merge_graph: Optional[Graph] = None
-
-    def describe(self) -> str:
-        return f"{self.inner.describe()}+micro{self.size}"
-
-    def _merge(self, group: list) -> Graph:
-        if len(group) == 1:
-            return group[0]
-        key = _Members(group)
-        merged = self._merged.get(key)
-        if merged is not None:
-            return merged
-        merged = batch_graphs(group)
-        if merged.loss_weights is not None:
-            # Each member's weighted-sum loss estimates the full-graph mean
-            # on its own; the merged step computes ONE weighted sum over
-            # the union, so rescale to the mean of the member estimators —
-            # otherwise a K-way merge silently multiplies loss and
-            # gradients by K. (batch_graphs concatenates into a fresh
-            # array, so scaling here cannot alias member weights.)
-            merged.loss_weights = merged.loss_weights / len(group)
-        self._merged.put(key, merged)
-        return merged
-
-    def plan(self, graph: Graph, epoch: int) -> List[BatchPlan]:
-        inner_plans = self.inner.plan(graph, epoch)
-        if self._merge_graph is not graph:
-            # New parent graph: the pooled members are gone, so drop (and
-            # release) every merged union built from them.
-            self._merged.release_all()
-            self._merge_graph = graph
-        # A trailing partial group still trains.
-        return [
-            _MicroBatchPlan(self, inner_plans[start:start + self.size])
-            for start in range(0, len(inner_plans), self.size)
-        ]
-
-
-class _Members(tuple):
-    """Member graphs as a cache key, by identity. Being the key, they live
-    as long as the entry, so no ``id`` is recycled under it."""
-
-    def __hash__(self):
-        return hash(tuple(map(id, self)))
-
-    def __eq__(self, other):
-        return tuple(map(id, self)) == tuple(map(id, other))
-
-
-class _MicroBatchPlan(BatchPlan):
-    """A group of inner-flow plans merged into one micro-step union.
-
-    Members that were merged into a fresh union are retired right after the
-    merge (their own backend wrappers — if any were built — are no longer
-    needed; the union carries its own adjacency). A singleton group *is*
-    its member, so its retirement waits for the consumer's step.
-    """
-
-    __slots__ = ("flow", "members")
-
-    def __init__(self, flow: "MicroBatchedFlow", members: List[BatchPlan]):
-        self.flow = flow
-        self.members = members
-
-    def build(self) -> Graph:
-        built = [plan.build() for plan in self.members]
-        merged = self.flow._merge(built)
-        if len(built) > 1:
-            for plan, member in zip(self.members, built):
-                plan.retire(member)
-        return merged
-
-    def retire(self, merged: Graph) -> None:
-        if len(self.members) == 1:
-            self.members[0].retire(merged)
 
 
 class PartitionedFlow(DataFlow):
@@ -1000,35 +877,26 @@ class _ThreadBuilder:
                 plan.retire(future.result())
 
 
-def make_flow(
-    flow: str, micro_batch: int = 1, prefetch: int = 0, **kwargs
-) -> DataFlow:
+def make_flow(flow: str, prefetch: int = 0, **kwargs) -> DataFlow:
     """Build a flow by CLI name: ``full`` / ``sampled`` / ``partitioned``
     / ``distributed``.
 
-    ``micro_batch > 1`` wraps the flow in a :class:`MicroBatchedFlow` that
-    merges that many consecutive batches into one fused dense pass;
-    ``prefetch > 0`` wraps the result in a :class:`PrefetchFlow` that
-    builds batches ahead on a background thread, which keeps up to that
-    many built or building. ``full`` is never wrapped: its only batch is
-    the graph itself.
+    ``prefetch > 0`` wraps the flow in a :class:`PrefetchFlow` that builds
+    batches ahead on a background thread, which keeps up to that many
+    built or building. ``full`` is never wrapped: its only batch is the
+    graph itself.
 
     ``distributed`` consumes ``replicas`` (simulated data-parallel width),
     ``processes`` (one worker process per replica) and ``inner``
     (``partitioned``, the default, or ``sampled``); the remaining kwargs
-    configure that inner flow. It does not compose with micro-batching or
-    prefetch — rounds already group the schedule, and the engine drives
-    the builds synchronously per round.
+    configure that inner flow. It does not compose with prefetch — the
+    engine drives the builds synchronously per round.
     """
-    if micro_batch < 1:
-        raise ValueError("micro_batch must be >= 1")
     if prefetch < 0:
         raise ValueError("prefetch must be >= 0")
     if flow == "distributed":
-        if micro_batch > 1 or prefetch > 0:
-            raise ValueError(
-                "distributed flow does not compose with micro_batch/prefetch"
-            )
+        if prefetch > 0:
+            raise ValueError("distributed flow does not compose with prefetch")
         replicas = kwargs.pop("replicas", 2)
         processes = kwargs.pop("processes", False)
         inner_name = kwargs.pop("inner", "partitioned")
@@ -1053,8 +921,6 @@ def make_flow(
             f"unknown flow {flow!r}; options: "
             "['full', 'sampled', 'partitioned', 'distributed']"
         )
-    if micro_batch > 1:
-        built = MicroBatchedFlow(built, micro_batch)
     if prefetch > 0 and flow != "full":
         built = PrefetchFlow(built, prefetch)
     return built

@@ -31,7 +31,6 @@ from ..tensor import (
     cross_entropy,
     fused_ce,
     no_grad,
-    weighted_cross_entropy,
 )
 from .checkpoint import (
     CheckpointError,
@@ -66,16 +65,8 @@ def batch_loss(model, logits: Tensor, subgraph: Graph,
     loss-stage allocations) — what :func:`forward_backward` always does;
     the composed path stays as the oracle the fused one is tested against.
     """
-    weights = subgraph.loss_weights
     if subgraph.multilabel:
-        return bce_with_logits(logits, subgraph.labels,
-                               subgraph.train_mask, weights=weights)
-    if weights is not None:
-        # Importance-sampled batch: the weighted sum is the unbiased
-        # estimator of the full-graph mean loss (GraphSAINT norm).
-        return weighted_cross_entropy(
-            logits, subgraph.labels, weights, subgraph.train_mask
-        )
+        return bce_with_logits(logits, subgraph.labels, subgraph.train_mask)
     if fused and model.training:
         return fused_ce(
             logits, subgraph.labels, subgraph.train_mask,

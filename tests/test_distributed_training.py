@@ -1,10 +1,9 @@
-"""Tests for simulated multi-GPU data-parallel training + importance sampling.
+"""Tests for simulated multi-GPU data-parallel training.
 
 Covers the DistributedFlow contract (replica-sharded rounds, deterministic
 fixed-order gradient all-reduce, R=1 bit-identity with the sequential inner
 flow, fixed-seed reproducibility at R>1), the ReplicaGradients reduction
-math, the gpusim placement/communication report, and the degree-weighted
-GraphSAINT importance samplers with their unbiased loss normalisation.
+math and the gpusim placement/communication report.
 """
 
 import multiprocessing
@@ -19,14 +18,10 @@ from repro.gpusim import (
 )
 from repro.graphs import (
     attach_classification_task,
-    attach_multilabel_task,
-    degree_node_probabilities,
-    edge_sampler,
-    node_sampler,
     sbm_graph,
 )
 from repro.models import GNNConfig, MaxKGNN
-from repro.tensor import Tensor, weighted_cross_entropy
+from repro.tensor import Tensor
 from repro.training import (
     BatchPlan,
     DistributedFlow,
@@ -513,13 +508,11 @@ class TestMakeFlowDistributed:
 
     def test_builds_sampled_inner(self):
         flow = make_flow("distributed", replicas=2, inner="sampled",
-                         sampler="node", importance=True)
+                         sampler="edge")
         assert flow.inner.name == "sampled"
-        assert flow.inner.importance
+        assert flow.inner.sampler == "edge"
 
-    def test_rejects_micro_batch_and_prefetch(self):
-        with pytest.raises(ValueError, match="does not compose"):
-            make_flow("distributed", micro_batch=2, replicas=2)
+    def test_rejects_prefetch(self):
         with pytest.raises(ValueError, match="does not compose"):
             make_flow("distributed", prefetch=1, replicas=2)
 
@@ -550,179 +543,16 @@ class TestOneGradientExchange:
         assert not multiprocessing.active_children()
 
 
-class TestImportanceSampling:
-    def _loss_carrier(self, seed=3):
-        """Graph whose feature column 0 carries a per-node 'loss' value."""
-        graph = sbm_graph(150, 3, 6.0, seed=seed).to_undirected()
-        attach_classification_task(graph, n_features=4, seed=seed)
-        rng = np.random.default_rng(seed)
-        values = rng.normal(size=graph.n_nodes) ** 2
-        features = np.asarray(graph.features, dtype=np.float64).copy()
-        features[:, 0] = values
-        graph.features = features
-        return graph, values
-
-    def test_degree_probabilities_normalised_and_smoothed(self, graph):
-        probs = degree_node_probabilities(graph)
-        assert probs.sum() == pytest.approx(1.0)
-        assert (probs > 0).all()  # +1 smoothing reaches isolated nodes
-        uniform = degree_node_probabilities(graph, alpha=0.0)
-        np.testing.assert_allclose(uniform, 1.0 / graph.n_nodes)
-        with pytest.raises(ValueError):
-            degree_node_probabilities(graph, alpha=-1.0)
-
-    def test_importance_subgraph_carries_weights(self, graph):
-        sub = node_sampler(graph, 50, seed=0, importance=True)
-        assert sub.loss_weights is not None
-        assert sub.loss_weights.shape == (sub.n_nodes,)
-        assert (sub.loss_weights > 0).all()
-        assert node_sampler(graph, 50, seed=0).loss_weights is None
-
-    def test_importance_sampler_deterministic(self, graph):
-        a = node_sampler(graph, 50, seed=7, importance=True)
-        b = node_sampler(graph, 50, seed=7, importance=True)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.loss_weights, b.loss_weights)
-
-    @pytest.mark.slow
-    def test_node_estimator_unbiased(self):
-        """Fuzz: the weighted-loss mean over many draws hits the full-graph
-        mean (the GraphSAINT normalisation argument, empirically)."""
-        graph, values = self._loss_carrier()
-        mask = np.asarray(graph.train_mask, dtype=bool)
-        target = values[mask].mean()
-        estimates = []
-        for seed in range(2000):
-            sub = node_sampler(graph, 40, seed=seed, importance=True)
-            sub_mask = np.asarray(sub.train_mask, dtype=bool)
-            carried = np.asarray(sub.features)[sub_mask, 0]
-            estimates.append((sub.loss_weights[sub_mask] * carried).sum())
-        assert np.mean(estimates) == pytest.approx(target, rel=0.05)
-
-    @pytest.mark.slow
-    def test_edge_estimator_unbiased(self):
-        graph, values = self._loss_carrier()
-        mask = np.asarray(graph.train_mask, dtype=bool)
-        target = values[mask].mean()
-        estimates = []
-        for seed in range(2000):
-            sub = edge_sampler(graph, 60, seed=seed, importance=True)
-            sub_mask = np.asarray(sub.train_mask, dtype=bool)
-            carried = np.asarray(sub.features)[sub_mask, 0]
-            estimates.append((sub.loss_weights[sub_mask] * carried).sum())
-        assert np.mean(estimates) == pytest.approx(target, rel=0.05)
-
-    def test_weighted_cross_entropy_matches_manual(self):
-        rng = np.random.default_rng(0)
-        logits = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        labels = rng.integers(0, 3, size=6)
-        weights = rng.random(6) + 0.1
-        mask = np.array([True, True, False, True, False, True])
-        loss = weighted_cross_entropy(logits, labels, weights, mask)
-        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(
-            np.exp(shifted).sum(axis=1, keepdims=True)
-        )
-        idx = np.where(mask)[0]
-        expected = -(log_probs[idx, labels[idx]] * weights[idx]).sum()
-        assert loss.item() == pytest.approx(expected)
-        loss.backward()
-        assert logits.grad is not None
-        # Unmasked rows receive zero gradient.
-        np.testing.assert_array_equal(logits.grad[~mask], 0.0)
-
-    def test_sampled_flow_importance_trains(self, graph):
-        flow = SampledFlow(sampler="node", batches_per_epoch=2,
-                           sample_size=60, seed=0, importance=True)
-        assert flow.describe() == "sampled/nodex2+imp"
-        result = make_engine(graph, flow).fit(4, eval_every=2)
-        assert np.isfinite(result.train_losses).all()
-
-    def test_multilabel_importance_trains(self):
-        graph = sbm_graph(160, 4, 6.0, seed=2).to_undirected()
-        attach_multilabel_task(graph, n_features=6, n_labels=3, seed=2)
-        flow = SampledFlow(sampler="node", batches_per_epoch=2,
-                           sample_size=60, seed=0, importance=True)
-        config = GNNConfig(
-            model_type="sage", in_features=6, hidden=8,
-            out_features=int(np.asarray(graph.labels).shape[1]), n_layers=2,
-            nonlinearity="maxk", k=2,
-        )
-        engine = Engine(MaxKGNN(graph, config, seed=0), graph, flow, lr=0.01)
-        result = engine.fit(3, eval_every=2)
-        assert np.isfinite(result.train_losses).all()
-
-    def test_distributed_over_importance_sampled_flow(self, graph):
+class TestDistributedSampledFlow:
+    def test_distributed_over_sampled_flow(self, graph):
         flow = DistributedFlow(
             SampledFlow(sampler="node", batches_per_epoch=4, sample_size=40,
-                        seed=0, importance=True),
+                        seed=0),
             2,
         )
         result = make_engine(graph, flow).fit(4, eval_every=2)
         assert np.isfinite(result.train_losses).all()
         assert len(result.batch_losses) == 16
-
-    def test_importance_requires_node_or_edge_sampler(self):
-        with pytest.raises(ValueError, match="node or edge"):
-            SampledFlow(sampler="walk", importance=True)
-        with pytest.raises(ValueError):
-            SampledFlow(importance=True, importance_alpha=-0.5)
-
-    def test_edge_alpha_interpolates_to_uniform(self, graph):
-        from repro.graphs import degree_edge_probabilities
-
-        uniform = degree_edge_probabilities(graph, alpha=0.0)
-        np.testing.assert_allclose(uniform, 1.0 / graph.n_edges)
-        weighted = degree_edge_probabilities(graph, alpha=1.0)
-        assert weighted.std() > 0
-        with pytest.raises(ValueError):
-            degree_edge_probabilities(graph, alpha=-1.0)
-        # The flow forwards its alpha to the edge sampler: alpha=0 and
-        # alpha=1 must draw different batches under the same seed.
-        a = edge_sampler(graph, 40, seed=5, importance=True, alpha=0.0)
-        b = edge_sampler(graph, 40, seed=5, importance=True, alpha=1.0)
-        assert a.n_nodes != b.n_nodes or a.features.shape != b.features.shape \
-            or not np.array_equal(a.features, b.features)
-
-    def test_weighted_bce_handles_1d_logits(self):
-        from repro.tensor import bce_with_logits
-
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=5)
-        targets = rng.integers(0, 2, size=5).astype(np.float64)
-        weights = rng.random(5) + 0.1
-        logits = Tensor(z, requires_grad=True)
-        loss = bce_with_logits(logits, targets, weights=weights)
-        stable = (np.maximum(z, 0) - z * targets
-                  + np.log1p(np.exp(-np.abs(z))))
-        assert loss.item() == pytest.approx(float((stable * weights).sum()))
-        loss.backward()
-        assert logits.grad.shape == z.shape
-
-    def test_micro_batch_merge_normalises_importance_weights(self, graph):
-        """Merging K importance batches must not K-fold the weighted loss:
-        the merged weights are the concatenation scaled by 1/K, so the
-        merged weighted sum is the mean of the member estimators."""
-        from repro.training import MicroBatchedFlow
-
-        inner = SampledFlow(sampler="node", batches_per_epoch=2,
-                            sample_size=50, pool_size=2, seed=0,
-                            importance=True)
-        members = list(inner.batches(graph, 0))
-        flow = MicroBatchedFlow(
-            SampledFlow(sampler="node", batches_per_epoch=2, sample_size=50,
-                        pool_size=2, seed=0, importance=True),
-            2,
-        )
-        merged = list(flow.batches(graph, 0))[0]
-        assert merged.loss_weights is not None
-        expected = np.concatenate(
-            [m.loss_weights for m in members]
-        ) / len(members)
-        np.testing.assert_allclose(merged.loss_weights, expected)
-        assert merged.loss_weights.sum() == pytest.approx(
-            np.mean([m.loss_weights.sum() for m in members])
-        )
 
 
 class TestCliDistributed:
@@ -739,27 +569,23 @@ class TestCliDistributed:
         assert "straggler skew" in out
         assert "predicted" in out
 
-    def test_train_command_distributed_importance(self, capsys):
+    def test_train_command_distributed_sampled(self, capsys):
         from repro.cli import main
 
         assert main([
             "train", "--dataset", "Flickr", "--epochs", "2",
             "--flow", "distributed", "--replicas", "2",
-            "--distributed-inner", "sampled", "--importance",
+            "--distributed-inner", "sampled",
             "--batches-per-epoch", "4", "--sample-size", "80",
         ]) == 0
         out = capsys.readouterr().out
-        assert "distributed[2]/sampled/nodex4+imp" in out
+        assert "distributed[2]/sampled/nodex4" in out
 
-    def test_cli_distributed_rejects_micro_batch_and_prefetch(self):
+    def test_cli_distributed_rejects_prefetch(self):
         """The incompatibility must surface as make_flow's error, not as
-        silently dropped flags."""
+        a silently dropped flag."""
         from repro.cli import main
 
-        with pytest.raises(ValueError, match="does not compose"):
-            main(["train", "--dataset", "Flickr", "--epochs", "2",
-                  "--flow", "distributed", "--replicas", "2",
-                  "--micro-batch", "4"])
         with pytest.raises(ValueError, match="does not compose"):
             main(["train", "--dataset", "Flickr", "--epochs", "2",
                   "--flow", "distributed", "--replicas", "2",

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.graphs import attach_classification_task, sbm_graph
+from repro.graphs import (
+    Graph,
+    attach_classification_task,
+    edge_sampler,
+    node_sampler,
+    sbm_graph,
+)
 from repro.models import GNNConfig, MaxKGNN
+from repro.tensor import Tensor, bce_with_logits
 from repro.training import (
     Engine,
     FullGraphFlow,
@@ -47,7 +54,7 @@ class TestEngineFullFlow:
     def test_full_graph_is_a_one_entry_schedule(self, graph):
         """The graph itself is the only plan, so wrappers that enumerate
         the schedule replay the plain full-batch run bit for bit."""
-        from repro.training import DistributedFlow, MicroBatchedFlow
+        from repro.training import DistributedFlow
 
         assert FullGraphFlow().plan(graph, 0)[0].build() is graph
 
@@ -55,7 +62,6 @@ class TestEngineFullFlow:
             return make_engine(graph, flow).fit(4, eval_every=2).train_losses
 
         plain = losses(FullGraphFlow())
-        assert losses(MicroBatchedFlow(FullGraphFlow(), 2)) == plain
         assert losses(DistributedFlow(FullGraphFlow(), 1)) == plain
         assert type(make_flow("full", prefetch=2)) is FullGraphFlow
 
@@ -359,17 +365,6 @@ class TestCliTrain:
         ]) == 0
         assert "sampled/nodex2" in capsys.readouterr().out
 
-    def test_train_command_micro_batched(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "train", "--dataset", "Flickr", "--epochs", "2",
-            "--flow", "sampled", "--sampler", "node",
-            "--batches-per-epoch", "4", "--sample-size", "80",
-            "--pool-size", "4", "--micro-batch", "2",
-        ]) == 0
-        assert "sampled/nodex4+micro2" in capsys.readouterr().out
-
     def test_train_command_partitioned(self, capsys):
         from repro.cli import main
 
@@ -378,98 +373,6 @@ class TestCliTrain:
             "--flow", "partitioned", "--n-parts", "2",
         ]) == 0
         assert "partitioned/2" in capsys.readouterr().out
-
-
-class TestMicroBatchedFlow:
-    def test_merges_groups_and_trains(self, graph):
-        from repro.training import MicroBatchedFlow
-
-        inner = SampledFlow(sampler="node", batches_per_epoch=4,
-                            sample_size=30, pool_size=4, seed=0)
-        flow = MicroBatchedFlow(inner, 2)
-        assert flow.describe() == "sampled/nodex4+micro2"
-        result = make_engine(graph, flow).fit(3, eval_every=3)
-        # 4 inner batches per epoch -> 2 merged steps per epoch.
-        assert len(result.batch_losses) == 6
-        assert all(size == 60 for size in result.batch_sizes)
-        assert result.final_test > 0
-
-    def test_merged_graphs_are_block_diagonal_unions(self, graph):
-        from repro.training import MicroBatchedFlow
-
-        inner = SampledFlow(sampler="node", batches_per_epoch=2,
-                            sample_size=25, pool_size=2, seed=0)
-        flow = MicroBatchedFlow(inner, 2)
-        members = list(inner.batches(graph, 0))
-        merged = list(flow.batches(graph, 0))[0]
-        assert merged.n_nodes == sum(m.n_nodes for m in members)
-        assert merged.n_edges == sum(m.n_edges for m in members)
-        np.testing.assert_array_equal(
-            merged.features,
-            np.concatenate([np.asarray(m.features) for m in members]),
-        )
-
-    def test_merge_cache_serves_pooled_repeats(self, graph):
-        from repro.training import MicroBatchedFlow
-
-        inner = SampledFlow(sampler="node", batches_per_epoch=2,
-                            sample_size=25, pool_size=2, seed=0)
-        flow = MicroBatchedFlow(inner, 2)
-        first = list(flow.batches(graph, 0))[0]
-        second = list(flow.batches(graph, 1))[0]  # same pooled slots
-        assert second is first
-        assert flow._merged.hits == 1 and flow._merged.misses == 1
-
-    def test_trailing_partial_group_still_trains(self, graph):
-        from repro.training import MicroBatchedFlow
-
-        inner = SampledFlow(sampler="node", batches_per_epoch=3,
-                            sample_size=25, pool_size=3, seed=0)
-        flow = MicroBatchedFlow(inner, 2)
-        merged = list(flow.batches(graph, 0))
-        assert [m.n_nodes for m in merged] == [50, 25]
-
-    def test_make_flow_micro_batch_wrapping(self):
-        from repro.training import MicroBatchedFlow
-        from repro.training.dataflow import make_flow
-
-        flow = make_flow("sampled", micro_batch=3, sampler="node")
-        assert isinstance(flow, MicroBatchedFlow) and flow.size == 3
-        assert make_flow("sampled", sampler="node").name == "sampled"
-        with pytest.raises(ValueError):
-            make_flow("sampled", micro_batch=0)
-
-    def test_validation(self):
-        from repro.training import MicroBatchedFlow
-
-        with pytest.raises(ValueError):
-            MicroBatchedFlow(SampledFlow(), 0)
-
-    def test_bitwise_equal_to_manual_batching(self, graph):
-        """One merged step equals training on the explicit disjoint union."""
-        from repro.graphs import batch_graphs
-        from repro.training import MicroBatchedFlow
-
-        inner = SampledFlow(sampler="node", batches_per_epoch=2,
-                            sample_size=30, pool_size=2, seed=0)
-        members = list(inner.batches(graph, 0))
-        manual = batch_graphs(members)
-
-        engine_a = make_engine(graph, MicroBatchedFlow(inner, 2), seed=0)
-        loss_a = engine_a.train_epoch(0)
-
-        class _Fixed:
-            name = "fixed"
-
-            def batches(self, _graph, _epoch):
-                yield manual
-
-            def describe(self):
-                return "fixed"
-
-        engine_b = make_engine(graph, _Fixed(), seed=0)
-        loss_b = engine_b.train_epoch(0)
-        assert loss_a == loss_b
 
 
 class TestSampledFlowSizeHeuristics:
@@ -565,31 +468,6 @@ class TestCacheReleaseOnReset:
         # Both of the abandoned pool's subgraphs were released.
         assert len(released) >= 2
 
-    def test_micro_flow_releases_merged_on_graph_switch(self, graph,
-                                                        monkeypatch):
-        released = []
-
-        class _Spy:
-            def release(self, matrices):
-                released.append(list(matrices))
-                return 0
-
-        import repro.training.dataflow as dataflow
-
-        from repro.training import MicroBatchedFlow
-
-        inner = SampledFlow(sampler="node", batches_per_epoch=2,
-                            sample_size=25, pool_size=2, seed=0)
-        flow = MicroBatchedFlow(inner, 2)
-        list(flow.batches(graph, 0))
-        assert len(flow._merged._entries) == 1
-        monkeypatch.setattr(dataflow, "get_backend", lambda: _Spy())
-        other = sbm_graph(100, 3, 6.0, seed=7).to_undirected()
-        attach_classification_task(other, n_features=8, seed=7)
-        list(flow.batches(other, 0))
-        # The old parent graph's merged union was dropped and released.
-        assert released and len(flow._merged._entries) == 1
-
     def test_unpooled_stream_releases_each_batch(self, graph, monkeypatch):
         released = []
 
@@ -608,3 +486,39 @@ class TestCacheReleaseOnReset:
                 subgraph.adjacency("sage")  # simulate one training step
         # Every one-shot subgraph was released right after its step.
         assert len(released) == 6
+
+
+class TestOneBatchOneLoss:
+    """Micro-batching and importance sampling are gone; none of their
+    settings is taken."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda g: make_flow("sampled", micro_batch=2),
+                     id="make_flow"),
+        pytest.param(lambda g: SampledFlow(importance=True),
+                     id="SampledFlow-importance"),
+        pytest.param(lambda g: SampledFlow(importance_alpha=0.5),
+                     id="SampledFlow-importance_alpha"),
+        pytest.param(lambda g: node_sampler(g, 10, importance=True),
+                     id="node_sampler"),
+        pytest.param(lambda g: edge_sampler(g, 10, alpha=1.0),
+                     id="edge_sampler"),
+        pytest.param(lambda g: bce_with_logits(
+            Tensor(np.zeros((2, 2))), np.zeros((2, 2)), weights=np.ones(2)),
+            id="bce_with_logits"),
+        pytest.param(lambda g: Graph(2, [0], [1], loss_weights=np.ones(2)),
+                     id="Graph"),
+    ])
+    def test_a_removed_setting_is_refused(self, graph, build):
+        with pytest.raises(TypeError):
+            build(graph)
+
+    @pytest.mark.parametrize("flag", ["--micro-batch", "--importance",
+                                      "--importance-alpha"])
+    def test_cli_refuses_a_removed_flag(self, capsys, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--dataset", "Flickr", "--epochs", "1", flag])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err

@@ -136,8 +136,7 @@ def test_the_float_width_is_named_in_one_place():
     # ... and nowhere downstream: these follow the arrays they are handed.
     for follower in ("tensor/functional.py", "tensor/optim.py",
                      "tensor/workspace.py", "models", "serving",
-                     "training/parallel.py", "graphs/mutation.py",
-                     "graphs/batching.py"):
+                     "training/parallel.py", "graphs/mutation.py"):
         assert _occurrences("FLOAT_DTYPE", follower) == {}, follower
 
 
@@ -323,6 +322,17 @@ def test_deleted_knobs_and_aliases_stay_deleted():
                  "community_sort_reorder", "locality_score", "maxk_backward",
                  "sspmm_read_reduction", "ProcessPrefetchPool",
                  "_prefetch_worker", "prefetch_workers", "prefetch-workers"):
+        assert _occurrences(gone) == {}, gone
+
+
+def test_one_batch_one_loss():
+    # A step trains on the batch its flow built, under the plain masked
+    # loss: no micro-batch merging, no importance draws, no per-node
+    # loss-weight column.
+    assert not (SRC / "graphs" / "batching.py").exists()
+    for gone in ("MicroBatchedFlow", "batch_graphs", "micro_batch",
+                 "loss_weights", "weighted_cross_entropy", "importance",
+                 "degree_node_probabilities"):
         assert _occurrences(gone) == {}, gone
 
 

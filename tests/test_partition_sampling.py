@@ -8,6 +8,7 @@ from repro.graphs import (
     Partition,
     as_generator,
     attach_classification_task,
+    attach_multilabel_task,
     bfs_partition,
     bns_sample,
     boundary_nodes,
@@ -18,6 +19,7 @@ from repro.graphs import (
     random_walk_sampler,
     sbm_graph,
 )
+from repro.graphs.graph import NODE_FIELDS
 from repro.graphs.sampling import khop_keys
 from repro.sparse import ops
 from tests.conftest import ARMS, arm_backend
@@ -274,7 +276,7 @@ class TestPayloadPropagation:
 # and draw the same random numbers. ``tests/test_graph_mutation.py``
 # reuses them after deltas.
 PAYLOADS = ("features", "labels", "train_mask", "val_mask", "test_mask",
-            "communities", "loss_weights")
+            "communities")
 
 
 def reference_induced_subgraph(graph, nodes):
@@ -295,6 +297,98 @@ def reference_induced_subgraph(graph, nodes):
         multilabel=graph.multilabel,
         **payloads,
     )
+
+
+def batch_graphs(graphs):
+    """Disjoint union of ``graphs``: node ids offset by member, every
+    payload column stacked row-wise in member order (the DGL ``batch``
+    role). A lone member is returned as is; an empty sequence, mixed
+    label kinds and a column present on only some members are refused."""
+    graphs = list(graphs)
+    if not graphs:
+        raise ValueError("batch_graphs needs at least one graph")
+    if len(graphs) == 1:
+        return graphs[0]
+    multilabel = graphs[0].multilabel
+    if any(g.multilabel != multilabel for g in graphs):
+        raise ValueError("cannot batch multi-label with single-label graphs")
+    offsets = np.cumsum([0] + [g.n_nodes for g in graphs])
+    payload = {}
+    for name in NODE_FIELDS:
+        parts = [getattr(g, name) for g in graphs]
+        present = sum(part is not None for part in parts)
+        if present not in (0, len(parts)):
+            raise ValueError("payload present on some members but not all")
+        payload[name] = (np.concatenate([np.asarray(p) for p in parts])
+                         if present else None)
+    return Graph(
+        n_nodes=int(offsets[-1]),
+        src=np.concatenate([g.src + o for g, o in zip(graphs, offsets)]),
+        dst=np.concatenate([g.dst + o for g, o in zip(graphs, offsets)]),
+        name=f"batch[{len(graphs)}x{graphs[0].name}]",
+        multilabel=multilabel,
+        **payload,
+    )
+
+
+class TestBatchGraphs:
+    """The union oracle itself: block-diagonal, payloads in member order."""
+
+    def _labelled(self, n, seed):
+        graph = sbm_graph(n, 3, 6.0, seed=seed).to_undirected()
+        attach_classification_task(graph, n_features=5, seed=seed)
+        return graph
+
+    def test_block_diagonal_adjacency(self):
+        parts = [self._labelled(30, 1), self._labelled(20, 2)]
+        merged = batch_graphs(parts)
+        assert merged.n_nodes == 50
+        assert merged.n_edges == parts[0].n_edges + parts[1].n_edges
+        dense = merged.adjacency("none").to_dense()
+        np.testing.assert_array_equal(
+            dense[:30, :30], parts[0].adjacency("none").to_dense()
+        )
+        np.testing.assert_array_equal(
+            dense[30:, 30:], parts[1].adjacency("none").to_dense()
+        )
+        assert not dense[:30, 30:].any() and not dense[30:, :30].any()
+
+    def test_payloads_concatenate_in_order(self):
+        parts = [self._labelled(30, 1), self._labelled(20, 2)]
+        merged = batch_graphs(parts)
+        np.testing.assert_array_equal(
+            merged.features, np.concatenate([p.features for p in parts])
+        )
+        np.testing.assert_array_equal(
+            merged.labels, np.concatenate([p.labels for p in parts])
+        )
+        np.testing.assert_array_equal(
+            merged.train_mask,
+            np.concatenate([p.train_mask for p in parts]),
+        )
+
+    def test_multilabel_members_stack(self):
+        graphs = []
+        for seed in (1, 2):
+            graph = sbm_graph(25, 3, 5.0, seed=seed).to_undirected()
+            attach_multilabel_task(graph, n_features=4, n_labels=3, seed=seed)
+            graphs.append(graph)
+        merged = batch_graphs(graphs)
+        assert merged.multilabel
+        assert merged.labels.shape == (50, 3)
+
+    def test_mixed_label_kinds_rejected(self):
+        single = self._labelled(20, 1)
+        multi = sbm_graph(20, 3, 5.0, seed=2).to_undirected()
+        attach_multilabel_task(multi, n_features=4, n_labels=3, seed=2)
+        with pytest.raises(ValueError, match="multi-label"):
+            batch_graphs([single, multi])
+
+    def test_empty_and_singleton(self):
+        with pytest.raises(ValueError, match="at least one"):
+            batch_graphs([])
+        lone = self._labelled(20, 1)
+        assert batch_graphs([lone]) is lone
 
 
 def reference_neighbour_lists(graph, direction):
@@ -398,7 +492,6 @@ def messy_graph(seed):
         name=f"messy{seed}",
         multilabel=multilabel,
         communities=rng.integers(0, 3, n),
-        loss_weights=rng.random(n),
     )
 
 
@@ -573,8 +666,6 @@ class TestCounterKeyedDraw:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_window_is_its_requests(self, seed):
-        from repro.graphs import batch_graphs
-
         graph = messy_graph(seed) if seed % 2 else sbm_graph(
             300, 5, 7.0, seed=seed)
         if graph.features is None:

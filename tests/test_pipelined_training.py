@@ -4,7 +4,7 @@ Covers the three tentpole layers and their seams:
 
 * :class:`~repro.training.dataflow.PrefetchFlow` — bit-identical
   trajectories with prefetch on/off across every backend and flow shape
-  (pooled / unpooled / micro-batched), in-slot-order builder error
+  (pooled / unpooled / partitioned / k-hop), in-slot-order builder error
   propagation and abandonment, and the warm-up the builder shares with
   the inline path;
 * ``fused_ce`` — bitwise equality against the composed
@@ -33,7 +33,6 @@ from repro.sparse import CSRMatrix, native, ops
 from repro.tensor import Tensor, Workspace, cross_entropy, fused_ce
 from repro.training import (
     Engine,
-    MicroBatchedFlow,
     PartitionedFlow,
     PrefetchFlow,
     SampledFlow,
@@ -72,9 +71,6 @@ FLOW_MAKERS = {
                                   sample_size=50, pool_size=4, seed=0),
     "unpooled": lambda: SampledFlow(sampler="node", batches_per_epoch=2,
                                     sample_size=50, seed=0),
-    "micro": lambda: MicroBatchedFlow(
-        SampledFlow(sampler="node", batches_per_epoch=4, sample_size=30,
-                    pool_size=4, seed=0), 2),
     "partitioned": lambda: PartitionedFlow(n_parts=3, seed=0),
 }
 
@@ -280,9 +276,9 @@ class TestPrefetchMechanics:
 
     def test_describe_and_make_flow(self):
         flow = make_flow("sampled", sampler="node", sample_size=10,
-                         micro_batch=2, prefetch=3)
+                         prefetch=3)
         assert isinstance(flow, PrefetchFlow)
-        assert flow.describe() == "sampled/nodex1+micro2+prefetch3"
+        assert flow.describe() == "sampled/nodex1+prefetch3"
         with pytest.raises(ValueError, match="prefetch"):
             make_flow("full", prefetch=-1)
         with pytest.raises(ValueError, match="depth"):

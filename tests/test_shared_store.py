@@ -248,7 +248,6 @@ class TestBatchPayload:
             attach_multilabel_task(graph, n_features=6, n_labels=4, seed=2)
         else:
             attach_classification_task(graph, n_features=6, seed=2)
-        graph.loss_weights = np.linspace(0.0, 1.0, graph.n_nodes)
         assert set(graph.node_arrays()) == set(NODE_FIELDS)
         graph.adjacency("sage")
         graph.adjacency_transpose("gcn")  # builds "gcn" and "gcn^T"

@@ -15,8 +15,6 @@ import pytest
 
 from repro.graphs import (
     attach_classification_task,
-    attach_multilabel_task,
-    batch_graphs,
     chain_of_cliques,
     sbm_graph,
 )
@@ -686,131 +684,6 @@ class TestGradientHandOver:
         assert single and multi
         assert all(n.grad is not n._grad_buffer for n in single)
         assert all(n.grad is n._grad_buffer for n in multi)
-
-
-class TestBatchGraphs:
-    def _labelled(self, n, seed):
-        graph = sbm_graph(n, 3, 6.0, seed=seed).to_undirected()
-        attach_classification_task(graph, n_features=5, seed=seed)
-        return graph
-
-    def test_block_diagonal_adjacency(self):
-        parts = [self._labelled(30, 1), self._labelled(20, 2)]
-        merged = batch_graphs(parts)
-        assert merged.n_nodes == 50
-        assert merged.n_edges == parts[0].n_edges + parts[1].n_edges
-        dense = merged.adjacency("none").to_dense()
-        np.testing.assert_array_equal(
-            dense[:30, :30], parts[0].adjacency("none").to_dense()
-        )
-        np.testing.assert_array_equal(
-            dense[30:, 30:], parts[1].adjacency("none").to_dense()
-        )
-        assert not dense[:30, 30:].any() and not dense[30:, :30].any()
-
-    def test_payloads_concatenate_in_order(self):
-        parts = [self._labelled(30, 1), self._labelled(20, 2)]
-        merged = batch_graphs(parts)
-        np.testing.assert_array_equal(
-            merged.features, np.concatenate([p.features for p in parts])
-        )
-        np.testing.assert_array_equal(
-            merged.labels, np.concatenate([p.labels for p in parts])
-        )
-        np.testing.assert_array_equal(
-            merged.train_mask,
-            np.concatenate([p.train_mask for p in parts]),
-        )
-
-    def test_multilabel_members_stack(self):
-        graphs = []
-        for seed in (1, 2):
-            graph = sbm_graph(25, 3, 5.0, seed=seed).to_undirected()
-            attach_multilabel_task(graph, n_features=4, n_labels=3, seed=seed)
-            graphs.append(graph)
-        merged = batch_graphs(graphs)
-        assert merged.multilabel
-        assert merged.labels.shape == (50, 3)
-
-    def test_mixed_label_kinds_rejected(self):
-        single = self._labelled(20, 1)
-        multi = sbm_graph(20, 3, 5.0, seed=2).to_undirected()
-        attach_multilabel_task(multi, n_features=4, n_labels=3, seed=2)
-        with pytest.raises(ValueError, match="multi-label"):
-            batch_graphs([single, multi])
-
-    def test_empty_and_singleton(self):
-        with pytest.raises(ValueError, match="at least one"):
-            batch_graphs([])
-        lone = self._labelled(20, 1)
-        assert batch_graphs([lone]) is lone
-
-    def _weighted(self, n, seed):
-        graph = self._labelled(n, seed)
-        rng = np.random.default_rng(seed)
-        mask = np.asarray(graph.train_mask, dtype=bool)
-        weights = np.zeros(graph.n_nodes)
-        weights[mask] = rng.random(int(mask.sum())) + 0.1
-        weights[mask] /= weights[mask].sum()
-        graph.loss_weights = weights
-        return graph
-
-    def test_mixed_loss_weights_fill_implicit_uniform(self):
-        """Merging a weighted member with an unweighted one must fill the
-        unweighted member's implicit uniform weights (1/n_labelled on its
-        training rows), not drop or misalign the payload."""
-        weighted, plain = self._weighted(24, 1), self._labelled(30, 2)
-        merged = batch_graphs([weighted, plain])
-        assert merged.loss_weights is not None
-        assert merged.loss_weights.shape == (54,)
-        np.testing.assert_array_equal(
-            merged.loss_weights[:24], weighted.loss_weights
-        )
-        mask = np.asarray(plain.train_mask, dtype=bool)
-        expected = np.zeros(30)
-        expected[mask] = 1.0 / mask.sum()
-        np.testing.assert_allclose(merged.loss_weights[24:], expected)
-        # Member order must not matter for the fill.
-        flipped = batch_graphs([plain, weighted])
-        np.testing.assert_allclose(flipped.loss_weights[:30], expected)
-
-    def test_mixed_loss_weights_preserve_member_estimators(self):
-        """The merged weighted-sum loss (with MicroBatchedFlow's 1/K
-        rescale) equals the mean of the members' own losses — the
-        weighted member's weighted sum and the unweighted member's masked
-        mean — so the mixed merge stays unbiased."""
-        from repro.tensor import cross_entropy, weighted_cross_entropy
-
-        weighted, plain = self._weighted(24, 3), self._labelled(30, 4)
-        rng = np.random.default_rng(0)
-        logits_w = rng.normal(size=(24, 3))
-        logits_p = rng.normal(size=(30, 3))
-        loss_w = weighted_cross_entropy(
-            Tensor(logits_w), weighted.labels, weighted.loss_weights,
-            weighted.train_mask,
-        ).item()
-        loss_p = cross_entropy(
-            Tensor(logits_p), plain.labels, plain.train_mask
-        ).item()
-        merged = batch_graphs([weighted, plain])
-        rescaled = merged.loss_weights / 2  # the 1/K micro-batch rescale
-        loss_m = weighted_cross_entropy(
-            Tensor(np.vstack([logits_w, logits_p])), merged.labels,
-            rescaled, merged.train_mask,
-        ).item()
-        assert loss_m == pytest.approx((loss_w + loss_p) / 2)
-
-    def test_all_absent_loss_weights_stay_none(self):
-        merged = batch_graphs([self._labelled(20, 1), self._labelled(20, 2)])
-        assert merged.loss_weights is None
-
-    def test_all_present_loss_weights_concatenate_unchanged(self):
-        a, b = self._weighted(20, 1), self._weighted(25, 2)
-        merged = batch_graphs([a, b])
-        np.testing.assert_array_equal(
-            merged.loss_weights,
-            np.concatenate([a.loss_weights, b.loss_weights]),
-        )
 
 
 class TestEvalKeepsArenaSmall:
