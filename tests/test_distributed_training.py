@@ -554,6 +554,22 @@ class TestDistributedSampledFlow:
         assert np.isfinite(result.train_losses).all()
         assert len(result.batch_losses) == 16
 
+    @pytest.mark.parametrize("sampler,size", [("edge", 60), ("walk", 10),
+                                              ("khop", 15)])
+    def test_r1_bit_identical_for_each_sampler(self, graph, sampler, size):
+        """R=1 replays the sequential flow under every built-in sampler."""
+        def flow():
+            return SampledFlow(sampler=sampler, batches_per_epoch=3,
+                               sample_size=size, seed=0)
+
+        sequential = make_engine(graph, flow()).fit(3, eval_every=3)
+        distributed = make_engine(
+            graph, DistributedFlow(flow(), 1)
+        ).fit(3, eval_every=3)
+        assert len(sequential.batch_losses) == 9
+        assert sequential.train_losses == distributed.train_losses
+        assert sequential.batch_losses == distributed.batch_losses
+
 
 class TestCliDistributed:
     def test_train_command_distributed(self, capsys):

@@ -206,6 +206,23 @@ class TestEngineSampledFlow:
             result = make_engine(graph, flow).fit(2, eval_every=1)
             assert len(result.batch_losses) == 2
 
+    def test_multilabel_sampled_flow_trains(self):
+        from repro.graphs import attach_multilabel_task
+
+        graph = sbm_graph(160, 4, 6.0, seed=2).to_undirected()
+        attach_multilabel_task(graph, n_features=6, n_labels=3, seed=2)
+        flow = SampledFlow(sampler="node", batches_per_epoch=2,
+                           sample_size=60, seed=0)
+        config = GNNConfig(
+            model_type="sage", in_features=6, hidden=8,
+            out_features=int(np.asarray(graph.labels).shape[1]), n_layers=2,
+            nonlinearity="maxk", k=2,
+        )
+        engine = Engine(MaxKGNN(graph, config, seed=0), graph, flow, lr=0.01)
+        result = engine.fit(3, eval_every=2)
+        assert len(result.batch_losses) == 6
+        assert np.isfinite(result.train_losses).all()
+
     def test_custom_callable_sampler(self, graph):
         from repro.graphs import node_sampler
 
@@ -486,6 +503,41 @@ class TestCacheReleaseOnReset:
                 subgraph.adjacency("sage")  # simulate one training step
         # Every one-shot subgraph was released right after its step.
         assert len(released) == 6
+
+
+class TestBatchLoss:
+    """A batch's loss is the unweighted mean over its training rows."""
+
+    def test_single_label_is_the_masked_cross_entropy(self, graph):
+        from repro.tensor import cross_entropy
+        from repro.training.engine import batch_loss
+
+        model = MaxKGNN(graph, maxk_config(), seed=0)
+        logits = model(np.asarray(graph.features))
+        mask = np.asarray(graph.train_mask, dtype=bool)
+        composed = batch_loss(model, logits, graph, False).item()
+        fused = batch_loss(model, logits, graph, True).item()
+        kept = cross_entropy(Tensor(logits.data[mask]),
+                             np.asarray(graph.labels)[mask]).item()
+        assert composed == fused
+        assert composed == pytest.approx(kept, rel=1e-12)
+
+    def test_multilabel_is_the_masked_bce(self):
+        from repro.graphs import attach_multilabel_task
+        from repro.training.engine import batch_loss
+
+        graph = sbm_graph(80, 3, 6.0, seed=4).to_undirected()
+        attach_multilabel_task(graph, n_features=6, n_labels=3, seed=4)
+        config = GNNConfig(model_type="sage", in_features=6, hidden=8,
+                           out_features=3, n_layers=2,
+                           nonlinearity="maxk", k=2)
+        model = MaxKGNN(graph, config, seed=0)
+        logits = model(np.asarray(graph.features))
+        mask = np.asarray(graph.train_mask, dtype=bool)
+        loss = batch_loss(model, logits, graph, True).item()
+        kept = bce_with_logits(Tensor(logits.data[mask]),
+                               np.asarray(graph.labels)[mask]).item()
+        assert loss == pytest.approx(kept, rel=1e-12)
 
 
 class TestOneBatchOneLoss:

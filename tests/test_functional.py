@@ -432,6 +432,33 @@ class TestLosses:
             lambda x: bce_with_logits(x, targets), (4, 3), seed=13, rtol=1e-4
         )
 
+    def test_bce_handles_1d_logits(self):
+        rng = np.random.default_rng(15)
+        z = rng.normal(size=5)
+        targets = rng.integers(0, 2, size=5).astype(np.float64)
+        logits = Tensor(z, requires_grad=True)
+        loss = bce_with_logits(logits, targets)
+        stable = (np.maximum(z, 0) - z * targets
+                  + np.log1p(np.exp(-np.abs(z))))
+        assert loss.item() == pytest.approx(float(stable.mean()))
+        loss.backward()
+        assert logits.grad.shape == z.shape
+        np.testing.assert_allclose(
+            logits.grad, (1 / (1 + np.exp(-z)) - targets) / 5, **tolerance()
+        )
+
+    def test_cross_entropy_masked_rows_get_zero_gradient(self):
+        rng = np.random.default_rng(16)
+        logits = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        labels = rng.integers(0, 3, size=6)
+        mask = np.array([True, True, False, True, False, True])
+        cross_entropy(logits, labels, mask).backward()
+        np.testing.assert_array_equal(logits.grad[~mask], 0.0)
+        assert np.abs(logits.grad[mask]).sum() > 0
+        # Each kept row's softmax-minus-one-hot gradient sums to zero.
+        np.testing.assert_allclose(logits.grad.sum(axis=1), 0.0,
+                                   **tolerance())
+
     def test_bce_mask(self):
         rng = np.random.default_rng(14)
         logits = rng.normal(size=(6, 2))

@@ -181,6 +181,71 @@ class TestSamplers:
             khop_neighborhood(graph, np.array([graph.n_nodes]), 1, 2)
 
 
+class TestUniformSamplers:
+    """GraphSAINT's node and edge samplers draw uniformly without
+    replacement; an identity-coded feature column names each row's node."""
+
+    @pytest.fixture
+    def coded(self):
+        graph = sbm_graph(150, 3, 6.0, seed=3).to_undirected()
+        attach_classification_task(graph, n_features=4, seed=3)
+        features = np.asarray(graph.features, dtype=np.float64).copy()
+        features[:, 0] = np.arange(graph.n_nodes)
+        graph.features = features
+        return graph
+
+    def test_node_sampler_draws_distinct_parent_rows(self, coded):
+        sub = node_sampler(coded, 40, seed=2)
+        ids = sub.features[:, 0].astype(np.int64)
+        assert np.unique(ids).size == 40
+        np.testing.assert_array_equal(sub.features,
+                                      np.asarray(coded.features)[ids])
+        np.testing.assert_array_equal(sub.labels,
+                                      np.asarray(coded.labels)[ids])
+        np.testing.assert_array_equal(sub.train_mask,
+                                      np.asarray(coded.train_mask)[ids])
+
+    def test_node_sampler_inclusion_is_uniform(self, coded):
+        """Every node is drawn with probability n / N: over 300 draws each
+        count sits within five binomial deviations of its expectation."""
+        n, big_n, draws = 40, coded.n_nodes, 300
+        counts = np.zeros(big_n, dtype=np.int64)
+        rng = np.random.default_rng(0)
+        for _ in range(draws):
+            sub = node_sampler(coded, n, seed=rng)
+            counts[sub.features[:, 0].astype(np.int64)] += 1
+        p = n / big_n
+        expected = draws * p
+        assert counts.sum() == draws * n
+        assert np.abs(counts - expected).max() < 5 * np.sqrt(expected * (1 - p))
+
+    def test_node_sampler_rejects_more_than_the_graph(self, coded):
+        assert node_sampler(coded, coded.n_nodes, seed=0).n_nodes == coded.n_nodes
+        with pytest.raises(ValueError, match="n_nodes"):
+            node_sampler(coded, coded.n_nodes + 1)
+
+    def test_edge_sampler_induces_the_drawn_endpoints(self, coded):
+        sub = edge_sampler(coded, 30, seed=4)
+        picked = np.random.default_rng(4).choice(coded.n_edges, size=30,
+                                                 replace=False)
+        endpoints = np.union1d(coded.src[picked], coded.dst[picked])
+        np.testing.assert_array_equal(
+            np.sort(sub.features[:, 0].astype(np.int64)), endpoints
+        )
+
+    def test_edge_sampler_caps_at_the_edge_count(self, coded):
+        whole = edge_sampler(coded, coded.n_edges + 50, seed=0)
+        touched = np.union1d(coded.src, coded.dst)
+        assert whole.n_nodes == touched.size
+        assert whole.n_edges == induced_subgraph(coded, touched).n_edges
+
+    def test_edge_sampler_rejects_an_edgeless_graph(self):
+        empty = Graph(n_nodes=3, src=np.array([], dtype=np.int64),
+                      dst=np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="no edges"):
+            edge_sampler(empty, 1)
+
+
 class TestGeneratorSeeds:
     """Samplers accept a streaming np.random.Generator in place of an int."""
 

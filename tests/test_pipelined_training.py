@@ -4,9 +4,9 @@ Covers the three tentpole layers and their seams:
 
 * :class:`~repro.training.dataflow.PrefetchFlow` — bit-identical
   trajectories with prefetch on/off across every backend and flow shape
-  (pooled / unpooled / partitioned / k-hop), in-slot-order builder error
-  propagation and abandonment, and the warm-up the builder shares with
-  the inline path;
+  (pooled / unpooled / partitioned / edge / walk / k-hop), in-slot-order
+  builder error propagation and abandonment, and the warm-up the builder
+  shares with the inline path;
 * ``fused_ce`` — bitwise equality against the composed
   ``cross_entropy`` and a finite-difference gradcheck, per backend;
 * the vectorized backend's blocked gather–scatter SpMM (its numpy route,
@@ -72,6 +72,10 @@ FLOW_MAKERS = {
     "unpooled": lambda: SampledFlow(sampler="node", batches_per_epoch=2,
                                     sample_size=50, seed=0),
     "partitioned": lambda: PartitionedFlow(n_parts=3, seed=0),
+    "edge": lambda: SampledFlow(sampler="edge", batches_per_epoch=2,
+                                sample_size=60, pool_size=2, seed=0),
+    "walk": lambda: SampledFlow(sampler="walk", batches_per_epoch=2,
+                                sample_size=12, walk_length=4, seed=0),
 }
 
 
