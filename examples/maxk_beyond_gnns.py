@@ -10,11 +10,8 @@ Run:  python examples/maxk_beyond_gnns.py
 
 import numpy as np
 
-from repro.models import (
-    MaxKMLPClassifier,
-    mlp_feature_traffic_cut,
-    train_mlp_classifier,
-)
+from repro.gpusim.memory import mlp_feature_traffic_cut
+from repro.models import MaxKMLPClassifier, train_mlp_classifier
 
 
 def make_blobs(n_per_class=60, n_classes=5, n_features=16, seed=0):

@@ -6,14 +6,24 @@ A from-scratch Python implementation of the MaxK-GNN training system:
 * :mod:`repro.sparse` — CSR storage and Edge-Group warp partitioning;
 * :mod:`repro.graphs` — graph containers, generators, dataset registry;
 * :mod:`repro.tensor` — a numpy autograd engine replacing PyTorch;
+* :mod:`repro.models` — GraphSAGE / GCN / GIN with ReLU or MaxK;
+* :mod:`repro.training` — the execution engine, its data flows and
+  checkpoints;
+* :mod:`repro.serving` — the online inference service.
+
+Importing :mod:`repro` loads the executed program only. The paper's A100
+cost model and its artifacts are imported by name where they are used:
+
 * :mod:`repro.gpusim` — the GPU device/cache/traffic simulator and the
   SpMM / SpGEMM / SSpMM / MaxK kernel dataflows + cost models;
-* :mod:`repro.models` — GraphSAGE / GCN / GIN with ReLU or MaxK;
-* :mod:`repro.training` — the full-batch trainer and epoch timing model;
-* :mod:`repro.experiments` — one module per paper table/figure.
+* :mod:`repro.experiments` — one module per paper table/figure, and the
+  epoch timing model that prices them.
+
+``gpusim`` may import the program; the program never imports ``gpusim``
+or ``experiments``.
 """
 
-from . import core, experiments, gpusim, graphs, models, sparse, tensor, training
+from . import core, graphs, models, sparse, tensor, training
 
 __version__ = "1.0.0"
 
@@ -22,9 +32,7 @@ __all__ = [
     "sparse",
     "graphs",
     "tensor",
-    "gpusim",
     "models",
     "training",
-    "experiments",
     "__version__",
 ]

@@ -9,7 +9,8 @@ Regenerate any paper artifact from the shell::
     python -m repro fig9 --models sage gcn
 
 Each command prints the paper-shaped table produced by the corresponding
-module in :mod:`repro.experiments`.
+module in :mod:`repro.experiments`, imported by its runner alone, so
+``train`` and ``serve`` load neither the artifacts nor the A100 cost model.
 
 Training runs through the execution engine with a selectable data flow::
 
@@ -30,66 +31,72 @@ import argparse
 import time
 from typing import Callable, Dict
 
-from .experiments import (
-    drift,
-    fig1_breakdown,
-    fig4_approximator,
-    fig8_kernels,
-    fig9_system,
-    fig10_convergence,
-    table1_datasets,
-    table2_memory,
-    table3_setup,
-    table4_maxk_kernel,
-    table5_accuracy,
-)
-
 __all__ = ["main", "build_parser", "ARTIFACTS"]
 
 
 def _run_fig1(args) -> str:
+    from .experiments import fig1_breakdown
+
     return fig1_breakdown.report(fig1_breakdown.run(n_epochs=args.epochs or 30))
 
 
 def _run_fig4(args) -> str:
+    from .experiments import fig4_approximator
+
     return fig4_approximator.report(
         fig4_approximator.run(epochs=args.epochs or 400)
     )
 
 
 def _run_fig8(args) -> str:
+    from .experiments import fig8_kernels
+
     return fig8_kernels.report(fig8_kernels.run(graphs=args.graphs))
 
 
 def _run_fig9(args) -> str:
+    from .experiments import fig9_system
+
     return fig9_system.report(
         fig9_system.run(models=args.models, datasets=args.datasets)
     )
 
 
 def _run_fig10(args) -> str:
+    from .experiments import fig10_convergence
+
     return fig10_convergence.report(
         fig10_convergence.run(epochs=args.epochs)
     )
 
 
 def _run_table1(args) -> str:
+    from .experiments import table1_datasets
+
     return table1_datasets.report()
 
 
 def _run_table3(args) -> str:
+    from .experiments import table3_setup
+
     return table3_setup.report()
 
 
 def _run_table2(args) -> str:
+    from .experiments import table2_memory
+
     return table2_memory.report(table2_memory.run())
 
 
 def _run_table4(args) -> str:
+    from .experiments import table4_maxk_kernel
+
     return table4_maxk_kernel.report(table4_maxk_kernel.run())
 
 
 def _run_table5(args) -> str:
+    from .experiments import table5_accuracy
+
     return table5_accuracy.report(
         table5_accuracy.run(
             models=args.models, datasets=args.datasets, epochs=args.epochs
@@ -98,6 +105,8 @@ def _run_table5(args) -> str:
 
 
 def _run_drift(args) -> str:
+    from .experiments import drift
+
     return drift.report(
         dataset=(args.datasets[0] if args.datasets else "Flickr"),
         epochs=args.epochs,
@@ -223,32 +232,25 @@ def _run_train(args) -> str:
         + (f"val {result.best_val:.3f}  test {result.test_at_best_val:.3f}"
            if result.train_losses else "n/a (no epochs ran)"),
     ]
-    report_of = getattr(flow, "report", None)
-    if report_of is not None:
-        # DistributedFlow: measured placement quality next to the gpusim
-        # communication / scaling model.
-        report = report_of(
-            graph, hidden=cfg.hidden, n_layers=cfg.layers,
-            n_params=model.n_parameters(), k=k,
+    measured_of = getattr(flow, "measured", None)
+    if measured_of is not None:
+        # DistributedFlow: what its replicas measured during this run.
+        measured = measured_of()
+
+        def per_replica(key, spec=""):
+            return "/".join(format(value, spec) for value in measured[key])
+
+        lines.append(
+            f"replicas     {flow.replicas} ({measured['rounds']} rounds; per "
+            f"replica {per_replica('replica_steps')} steps, "
+            f"{per_replica('replica_ms', '.1f')} ms, "
+            f"{per_replica('replica_edges')} edges)"
         )
         lines.append(
-            f"replicas     {report['replicas']} "
-            f"({report['rounds_per_epoch']} rounds/epoch, all-reduce "
-            f"{report['allreduce_mb_per_epoch']:.2f} MB/epoch, modelled "
-            f"{report['allreduce_ms_per_epoch']:.3f} ms)"
+            f"balance      straggler skew {measured['straggler_skew']:.2f}, "
+            f"load efficiency {measured['load_efficiency']:.2f}, "
+            f"gini {measured['load_gini']:.3f}"
         )
-        lines.append(
-            f"balance      straggler skew {report['straggler_skew']:.2f}, "
-            f"load efficiency {report['load_efficiency']:.2f}, "
-            f"gini {report['load_gini']:.3f}"
-        )
-        if "predicted_scaling" in report:
-            lines.append(
-                f"scaling      predicted {report['predicted_scaling']:.2f}x "
-                f"at R={report['replicas']} (modelled epoch "
-                f"{report['modelled_epoch_ms']:.2f} ms, comm "
-                f"{100 * report['modelled_comm_fraction']:.0f}%)"
-            )
     return "\n".join(lines)
 
 
@@ -390,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partitions for --flow partitioned")
     train.add_argument("--boundary-fraction", type=float, default=0.2)
     train.add_argument("--replicas", type=int, default=2,
-                       help="simulated data-parallel replicas for "
+                       help="data-parallel replicas for "
                             "--flow distributed (R=1 replays the inner "
                             "flow bit for bit)")
     train.add_argument("--replica-procs", action="store_true",

@@ -7,7 +7,7 @@ from typing import Iterable, List, Sequence
 
 from ..gpusim import A100, DeviceModel, SparsePattern
 from ..graphs import TABLE1_GRAPHS, TRAINING_CONFIGS, TrainingConfig
-from ..training import EpochCostModel, ModelShape
+from .timing import EpochCostModel, ModelShape
 
 __all__ = [
     "K_VALUES",

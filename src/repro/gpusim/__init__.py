@@ -11,13 +11,6 @@ from .balance import (
 from .cache import CacheConfig, CacheSim, HierarchyStats, MemoryHierarchy
 from .device import A100, DeviceModel
 from .kernels.naive import naive_spgemm_cost, naive_sspmm_cost
-from .multigpu import (
-    MultiGpuEpochModel,
-    PartitionStats,
-    pack_assignment,
-    partition_stats,
-    ring_allreduce_time,
-)
 from .kernels import (
     KernelCost,
     SparsePattern,
@@ -35,6 +28,7 @@ from .kernels import (
 )
 from .memory import (
     TrafficReport,
+    mlp_feature_traffic_cut,
     spgemm_traffic_bytes,
     spgemm_traffic_reduction,
     spmm_traffic_bytes,
@@ -69,6 +63,7 @@ __all__ = [
     "sspmm_read_bytes",
     "sspmm_write_bytes",
     "spgemm_traffic_reduction",
+    "mlp_feature_traffic_cut",
     "profile_memory_system",
     "KernelMemoryProfile",
     "MemorySystemStudy",
@@ -80,9 +75,4 @@ __all__ = [
     "edge_group_loads",
     "warp_efficiency",
     "gini",
-    "MultiGpuEpochModel",
-    "PartitionStats",
-    "partition_stats",
-    "pack_assignment",
-    "ring_allreduce_time",
 ]

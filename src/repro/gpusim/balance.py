@@ -8,7 +8,8 @@ that imbalance and how the paper's partitioner removes it:
 * :func:`row_split_loads` — per-warp edge counts under the naive one
   row = one warp mapping;
 * :func:`edge_group_loads` — per-warp counts under Edge-Group partitioning;
-* :func:`warp_efficiency` / :func:`gini` — balance metrics;
+* :func:`warp_efficiency` / :func:`gini` — balance metrics (defined in
+  :mod:`repro.sparse.partition`, re-exported here);
 * :func:`compare_mappings` — a side-by-side report used by the ablation
   benchmark.
 """
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse import CSRMatrix, partition_edge_groups
+from ..sparse.partition import gini, warp_efficiency
 
 __all__ = [
     "row_split_loads",
@@ -42,29 +44,6 @@ def edge_group_loads(
     """Per-warp edge loads under the paper's Edge-Group partitioning."""
     partition = partition_edge_groups(adj, dim_k, max_edges_per_group)
     return partition.warp_loads()
-
-
-def warp_efficiency(loads: np.ndarray) -> float:
-    """mean/max load over active warps — 1.0 means perfectly balanced.
-
-    This is the fraction of issue slots doing useful work when every warp
-    runs for as long as the slowest one (lock-step kernel completion).
-    """
-    loads = np.asarray(loads, dtype=np.float64)
-    loads = loads[loads > 0]
-    if loads.size == 0:
-        return 1.0
-    return float(loads.mean() / loads.max())
-
-
-def gini(loads: np.ndarray) -> float:
-    """Gini coefficient of the load distribution (0 = perfectly equal)."""
-    loads = np.sort(np.asarray(loads, dtype=np.float64))
-    n = loads.size
-    if n == 0 or loads.sum() == 0:
-        return 0.0
-    cumulative = np.cumsum(loads)
-    return float((n + 1 - 2 * (cumulative / cumulative[-1]).sum()) / n)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ __all__ = [
     "sspmm_read_bytes",
     "sspmm_write_bytes",
     "spgemm_traffic_reduction",
+    "mlp_feature_traffic_cut",
 ]
 
 FLOAT_BYTES = 4
@@ -82,3 +83,15 @@ def sspmm_write_bytes(dim_k: int, nnz: int) -> float:
 def spgemm_traffic_reduction(dim_origin: int, dim_k: int, nnz: int) -> float:
     """Paper: forward reduction vs SpMM is ``(4*dim_origin - 5*dim_k) * nnz``."""
     return float((FLOAT_BYTES * dim_origin - 5 * dim_k) * nnz)
+
+
+def mlp_feature_traffic_cut(hidden: int, k: int, batch: int) -> float:
+    """Fractional input-fetch traffic cut of a CBSR dense layer (§6).
+
+    Treats each batch row as one "nonzero" consumer of a hidden feature
+    row — the dense-layer analogue of the §4.3 SpGEMM reduction, for a
+    MaxK MLP such as :class:`repro.models.MaxKMLPClassifier`.
+    """
+    dense = spmm_traffic_bytes(hidden, batch)
+    sparse = spgemm_traffic_bytes(k, batch, uint8_index=hidden <= 256)
+    return 1.0 - sparse / dense

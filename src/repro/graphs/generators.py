@@ -139,7 +139,7 @@ def chain_of_cliques(n_cliques: int, clique_size: int, name: str = "cliques") ->
 def erdos_renyi_graph(
     n_nodes: int, avg_degree: float, seed: int = 0, name: str = "er"
 ) -> Graph:
-    """Uniform random graph — the no-skew control for balance experiments."""
+    """Uniform random graph — the no-skew control for balance studies."""
     rng = np.random.default_rng(seed)
     n_edges = int(n_nodes * avg_degree)
     src = rng.integers(0, n_nodes, size=int(n_edges * 1.2) + 8)

@@ -1,10 +1,6 @@
 """GNN models and layers with ReLU / MaxK nonlinearities."""
 
-from .deep_mlp import (
-    MaxKMLPClassifier,
-    mlp_feature_traffic_cut,
-    train_mlp_classifier,
-)
+from .deep_mlp import MaxKMLPClassifier, train_mlp_classifier
 from .gnn import GNNConfig, MaxKGNN
 from .layers import GCNConv, GINConv, GraphConvLayer, SAGEConv, make_conv
 from .mlp import ApproximatorMLP, approximation_error, fit_function
@@ -25,5 +21,4 @@ __all__ = [
     "approximation_error",
     "MaxKMLPClassifier",
     "train_mlp_classifier",
-    "mlp_feature_traffic_cut",
 ]

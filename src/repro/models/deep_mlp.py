@@ -3,12 +3,12 @@
 The conclusion proposes expanding MaxK "to more DNN architectures such as
 CNNs and Transformers, to provide regularly sparsified feature map for
 acceleration". This module is the simplest such extension: a deep MLP
-classifier whose hidden activations are MaxK-sparsified, together with the
-traffic accounting a CBSR-based dense-layer kernel would enjoy.
+classifier whose hidden activations are MaxK-sparsified.
 
 The analogue of the GNN result carries over: a ``(batch × hidden)`` MaxK
 feature map in CBSR form cuts the second linear layer's input fetch from
-``4 * hidden`` to ``5 * k`` bytes per row.
+``4 * hidden`` to ``5 * k`` bytes per row. That cut is priced beside the
+other §4.3 traffic formulas in the A100 cost model; this module trains.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from typing import List
 
 import numpy as np
 
-from ..gpusim.memory import spgemm_traffic_bytes, spmm_traffic_bytes
 from ..tensor import Adam, Tensor, cross_entropy, maxk, no_grad, relu
 from .modules import Linear, Module
 
-__all__ = ["MaxKMLPClassifier", "train_mlp_classifier", "mlp_feature_traffic_cut"]
+__all__ = ["MaxKMLPClassifier", "train_mlp_classifier"]
 
 
 class MaxKMLPClassifier(Module):
@@ -84,13 +83,3 @@ def train_mlp_classifier(
         predictions = model(x).numpy().argmax(axis=1)
     return float((predictions == labels).mean())
 
-
-def mlp_feature_traffic_cut(hidden: int, k: int, batch: int) -> float:
-    """Fractional input-fetch traffic cut of a CBSR dense layer.
-
-    Treats each batch row as one "nonzero" consumer of a hidden feature
-    row — the dense-layer analogue of the §4.3 SpGEMM reduction.
-    """
-    dense = spmm_traffic_bytes(hidden, batch)
-    sparse = spgemm_traffic_bytes(k, batch, uint8_index=hidden <= 256)
-    return 1.0 - sparse / dense

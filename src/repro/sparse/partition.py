@@ -11,7 +11,9 @@ accumulation buffer of ``dim_origin`` floats, and EGs are mapped to warps:
 
 The mapper runs in O(n + nnz/w) like the paper's "light-weight warp-level
 partition mapper" and is shared by the forward SpGEMM and backward SSpMM
-kernels.
+kernels. :func:`warp_efficiency` and :func:`gini` measure how level a load
+vector is: the warps' :meth:`WarpPartition.warp_loads`, or the edges each
+data-parallel replica trained.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ import numpy as np
 
 from .csr import CSRMatrix
 
-__all__ = ["EdgeGroup", "WarpPartition", "partition_edge_groups", "egs_per_warp"]
+__all__ = [
+    "EdgeGroup",
+    "WarpPartition",
+    "partition_edge_groups",
+    "egs_per_warp",
+    "warp_efficiency",
+    "gini",
+]
 
 WARP_SIZE = 32
 #: Paper Case-1/Case-2 boundary for how many EGs share a warp.
@@ -121,3 +130,27 @@ def partition_edge_groups(
         max_edges_per_group=max_edges_per_group,
         groups_per_warp=per_warp,
     )
+
+
+def warp_efficiency(loads: np.ndarray) -> float:
+    """mean/max load over active warps — 1.0 means perfectly balanced.
+
+    This is the fraction of issue slots doing useful work when every warp
+    runs for as long as the slowest one (lock-step kernel completion).
+    Integer loads (and float64 ones holding integers) are summed exactly.
+    """
+    loads = np.asarray(loads)
+    loads = loads[loads > 0]
+    if loads.size == 0:
+        return 1.0
+    return float(loads.mean() / loads.max())
+
+
+def gini(loads: np.ndarray) -> float:
+    """Gini coefficient of the load distribution (0 = perfectly equal)."""
+    loads = np.sort(np.asarray(loads))
+    n = loads.size
+    if n == 0 or loads.sum() == 0:
+        return 0.0
+    cumulative = np.cumsum(loads)
+    return float((n + 1 - 2 * (cumulative / cumulative[-1]).sum()) / n)

@@ -1,4 +1,4 @@
-"""Training system: execution engine, data flows, metrics, latency model."""
+"""Training system: execution engine, data flows, checkpoints, metrics."""
 
 from .checkpoint import (
     CheckpointError,
@@ -41,7 +41,6 @@ from .metrics import accuracy, micro_f1, roc_auc
 from .schedulers import EarlyStopping
 from .seeds import SeededResult, run_seeded
 from .supervision import SupervisorConfig, WorkerSupervisionError
-from .timing import EpochBreakdown, EpochCostModel, ModelShape
 
 __all__ = [
     "accuracy",
@@ -71,9 +70,6 @@ __all__ = [
     "SubgraphCache",
     "make_flow",
     "TrainResult",
-    "EpochBreakdown",
-    "EpochCostModel",
-    "ModelShape",
     "state_dict",
     "load_state_dict",
     "save_checkpoint",

@@ -18,11 +18,11 @@ runs the identical optimisation loop over whichever stream it is handed
 * :class:`PrefetchFlow` — a wrapper that materialises the next batches of
   any flow (sampling, induction, CSR build, backend matrix registration)
   ahead of the consumer, on a window of futures of one background thread;
-* :class:`DistributedFlow` — simulated multi-GPU data parallelism: the
-  inner flow's epoch schedule is sharded across ``R`` replicas in rounds,
-  the engine all-reduces replica gradients in a fixed order (one optimizer
-  step per round), and the flow reports measured straggler skew next to
-  the gpusim-modelled communication volume and predicted scaling.
+* :class:`DistributedFlow` — data parallelism: the inner flow's epoch
+  schedule is sharded across ``R`` replicas in rounds, the engine
+  all-reduces replica gradients in a fixed order (one optimizer step per
+  round), and the flow reports the measured straggler skew and load
+  balance of the replicas it ran.
 
 A flow *is* its schedule: :meth:`DataFlow.plan` — the one method a flow
 implements — lists an epoch's batches as :class:`BatchPlan` objects, and
@@ -52,8 +52,8 @@ from ..graphs import (
 )
 from ..graphs.partition import sorted_unique
 from ..graphs.sampling import khop_keys
-from ..sparse import ops
 from ..sparse.ops import get_backend, induced_rows
+from ..sparse.partition import gini, warp_efficiency
 from .parallel import PrefetchWorkerError, warm_batch
 
 __all__ = [
@@ -598,7 +598,7 @@ class PrefetchFlow(DataFlow):
 
 
 class DistributedFlow(DataFlow):
-    """Simulated multi-GPU data-parallel execution of an inner flow.
+    """Data-parallel execution of an inner flow over ``R`` replicas.
 
     The inner flow's deterministic epoch schedule is sharded into *rounds*
     of up to ``replicas`` consecutive :class:`BatchPlan` entries: round
@@ -609,25 +609,20 @@ class DistributedFlow(DataFlow):
     to the sequential inner flow at ``R = 1`` and seed-reproducible at any
     ``R``), and a single optimizer step covers the round.
 
-    The flow doubles as the placement oracle: measured per-replica
-    wall-clock and edge loads accumulate via :meth:`note_replica_step`
-    (straggler skew, load balance through the gpusim balance metrics),
-    and :meth:`report` puts them next to the gpusim-modelled gradient
-    all-reduce volume, boundary-exchange cost and predicted scaling from
-    :mod:`repro.gpusim.multigpu`.
+    The replicas run in this process, or each in a worker process of its
+    own. Measured per-replica wall-clock and edge loads accumulate via
+    :meth:`note_replica_step`, and :meth:`measured` reads them back as
+    straggler skew and load balance.
     """
 
     name = "distributed"
 
-    def __init__(self, inner: DataFlow, replicas: int, device=None,
+    def __init__(self, inner: DataFlow, replicas: int,
                  processes: bool = False):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         self.inner = inner
         self.replicas = replicas
-        #: gpusim :class:`~repro.gpusim.device.DeviceModel` used by
-        #: :meth:`report` (defaults to the A100 the paper models).
-        self.device = device
         #: Ask the engine to run each replica in its own worker process
         #: (persistent model mirror, shared-memory graph store, flat
         #: gradients shipped back for the parent's fixed-order
@@ -663,156 +658,35 @@ class DistributedFlow(DataFlow):
         self.replica_edges = np.zeros(self.replicas)
         self.replica_steps = np.zeros(self.replicas, dtype=np.int64)
         self.rounds_scheduled = 0
-        #: Measured wall-clock per schedule *slot* (plan index — for a
-        #: partitioned inner flow, the partition id). This is the
-        #: straggler-skew signal that :meth:`report`'s greedy bin-packing
-        #: placement (:func:`repro.gpusim.multigpu.pack_assignment`) reads.
-        self.slot_seconds: Dict[int, float] = {}
 
     def note_replica_step(self, replica: int, seconds: float,
-                          edges: int, slot: Optional[int] = None) -> None:
-        """Engine hook: one replica finished one forward/backward.
-
-        ``slot`` (when the engine knows it) attributes the measurement to
-        the schedule slot that was trained, feeding the measured-load
-        placement; the three-argument form stays valid for callers that
-        predate it.
-        """
+                          edges: int) -> None:
+        """Engine hook: one replica finished one forward/backward."""
         self.replica_seconds[replica] += seconds
         self.replica_edges[replica] += edges
         self.replica_steps[replica] += 1
-        if slot is not None:
-            self.slot_seconds[slot] = self.slot_seconds.get(slot, 0.0) \
-                + seconds
-
-    def measured_slot_loads(self, n_slots: int) -> Optional[List[float]]:
-        """Per-slot wall-clock loads, or ``None`` until every slot in
-        ``range(n_slots)`` has at least one measurement."""
-        loads = [self.slot_seconds.get(slot) for slot in range(n_slots)]
-        if any(value is None for value in loads) or not loads:
-            return None
-        return [float(value) for value in loads]
 
     def measured(self) -> Dict[str, object]:
         """Measured placement quality of the executed replica schedule.
 
         ``straggler_skew`` is max/mean wall-clock across active replicas
-        (1.0 = perfectly level rounds); load efficiency/Gini reuse the
-        gpusim balance metrics on the per-replica edge loads — the same
-        yardstick the kernel-level "evil rows" analysis uses.
+        (1.0 = perfectly level rounds); load efficiency/Gini are the
+        Edge-Group partitioner's balance metrics on the per-replica edge
+        loads — the same yardstick the kernel-level "evil rows" analysis
+        uses.
         """
-        from ..gpusim.balance import gini, warp_efficiency
-
         active = self.replica_seconds[self.replica_steps > 0]
         skew = float(active.max() / active.mean()) if active.size else 1.0
         return {
-            "replica_ms": [round(1e3 * s, 3) for s in self.replica_seconds],
+            "replica_ms": [round(1e3 * float(s), 3)
+                           for s in self.replica_seconds],
             "replica_edges": [int(e) for e in self.replica_edges],
+            "replica_steps": [int(n) for n in self.replica_steps],
             "straggler_skew": skew,
             "load_efficiency": warp_efficiency(self.replica_edges),
             "load_gini": gini(self.replica_edges),
             "rounds": int(self.rounds_scheduled),
         }
-
-    # -- modelled placement --------------------------------------------
-    def report(
-        self,
-        graph: Graph,
-        hidden: int,
-        n_layers: int,
-        n_params: int,
-        k: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """Measured wall-clock telemetry next to the gpusim cost model.
-
-        Always includes the ring all-reduce volume/latency of the round's
-        gradient exchange, which ships ``n_params`` full-width entries per
-        replica. When the inner flow is partitioned, the round-sharded
-        :class:`~repro.gpusim.multigpu.MultiGpuEpochModel` schedule (the
-        same rounds :meth:`rounds` executes, over the *original*
-        partitions) adds boundary communication, modelled epoch latency
-        and predicted scaling with an R-independent serial denominator.
-        """
-        from ..gpusim import (
-            A100,
-            MultiGpuEpochModel,
-            partition_stats,
-            ring_allreduce_time,
-        )
-
-        device = self.device if self.device is not None else A100
-        replicas = self.replicas
-        wire_bytes = float(np.dtype(ops.FLOAT_DTYPE).itemsize * n_params)
-        plans = self.inner.plan(graph, 0)
-        n_rounds = -(-len(plans) // replicas)
-        per_round = (
-            2.0 * (replicas - 1) / replicas * wire_bytes if replicas > 1
-            else 0.0
-        )
-        report: Dict[str, object] = {
-            "replicas": replicas,
-            "rounds_per_epoch": n_rounds,
-            "allreduce_mb_per_epoch": round(n_rounds * per_round / 1e6, 6),
-            "allreduce_ms_per_epoch": round(
-                1e3 * n_rounds * ring_allreduce_time(wire_bytes, replicas), 6
-            ),
-        }
-        report.update(self.measured())
-        partition_for = getattr(self.inner, "partition_for", None)
-        if partition_for is not None:
-            from ..gpusim import pack_assignment
-            from ..gpusim.balance import gini, warp_efficiency
-
-            stats = partition_stats(graph, partition_for(graph))
-            model = MultiGpuEpochModel(
-                stats, hidden, n_layers, device,
-                boundary_fraction=getattr(
-                    self.inner, "boundary_fraction", 1.0
-                ),
-            )
-            sharded = min(replicas, stats.n_parts)
-            report.update({
-                "modelled_epoch_ms": round(
-                    1e3 * model.round_epoch(sharded, k), 6
-                ),
-                "modelled_comm_fraction": round(
-                    model.communication_fraction(k, replicas=sharded), 6
-                ),
-                "predicted_scaling": round(
-                    model.predicted_scaling(k, replicas=sharded), 4
-                ),
-            })
-            # Placement: greedy bin-packing of the partitions onto the
-            # replicas, driven by measured per-slot wall-clock when every
-            # partition has been trained at least once (the straggler
-            # signal note_replica_step accumulates), else by edge counts.
-            measured = self.measured_slot_loads(stats.n_parts)
-            loads = np.asarray(
-                measured if measured is not None else stats.edges_per_part
-            )
-            packed = pack_assignment(loads, sharded)
-            robin = np.arange(stats.n_parts) % sharded
-            packed_bins = np.bincount(packed, weights=loads,
-                                      minlength=sharded)
-            robin_bins = np.bincount(robin, weights=loads,
-                                     minlength=sharded)
-            report["placement"] = {
-                "strategy": "bin-packed",
-                "load_source": "measured" if measured is not None
-                else "edges",
-                "assignment": [int(bin_) for bin_ in packed],
-                "packed_gini": round(gini(packed_bins), 6),
-                "round_robin_gini": round(gini(robin_bins), 6),
-                "packed_efficiency": round(
-                    warp_efficiency(packed_bins), 6
-                ),
-                "round_robin_efficiency": round(
-                    warp_efficiency(robin_bins), 6
-                ),
-                "packed_makespan": round(float(packed_bins.max()), 6),
-                "round_robin_makespan": round(float(robin_bins.max()), 6),
-            }
-        return report
 
 
 class _ThreadBuilder:
@@ -886,7 +760,7 @@ def make_flow(flow: str, prefetch: int = 0, **kwargs) -> DataFlow:
     built or building. ``full`` is never wrapped: its only batch is the
     graph itself.
 
-    ``distributed`` consumes ``replicas`` (simulated data-parallel width),
+    ``distributed`` consumes ``replicas`` (data-parallel width),
     ``processes`` (one worker process per replica) and ``inner``
     (``partitioned``, the default, or ``sampled``); the remaining kwargs
     configure that inner flow. It does not compose with prefetch — the

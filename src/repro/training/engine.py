@@ -443,8 +443,7 @@ class Engine:
                         for replica in participants:
                             last_loss[replica], seconds = replies[replica]
                             if note is not None:
-                                note(replica, seconds, infos[replica][2],
-                                     slot=first_slot + replica)
+                                note(replica, seconds, infos[replica][2])
                         store.reduce(participants)
                         self.optimizer.step()
                         steps_done += 1

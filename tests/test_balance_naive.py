@@ -39,6 +39,53 @@ class TestBalanceMetrics:
         assert warp_efficiency(np.array([0, 0, 4, 4])) == 1.0
 
 
+class TestLoadMetricsBesideThePartitioner:
+    """``gini`` / ``warp_efficiency`` live in ``sparse/partition.py`` (the
+    executed program scores replica loads with them); ``gpusim`` re-exports
+    them unchanged."""
+
+    def test_gpusim_re_exports_the_partitioner_metrics(self):
+        from repro import gpusim
+        from repro.gpusim import balance
+        from repro.sparse import partition
+
+        for name in ("gini", "warp_efficiency"):
+            assert getattr(balance, name) is getattr(partition, name)
+            assert getattr(gpusim, name) is getattr(partition, name)
+
+    @pytest.mark.parametrize("loads", [
+        [7] * 10,
+        [1, 1, 1, 1, 100],
+        [0, 0, 4, 4],
+        [0, 0, 0],
+        [3],
+        # Longer than numpy's reduction buffer: a cast-then-sum and an
+        # exact integer sum must still agree.
+        list(np.random.default_rng(3).integers(0, 10**6, size=20_000)),
+    ], ids=["level", "evil-row", "idle-warps", "all-zero", "one",
+            "long"])
+    def test_integer_and_float_loads_read_the_same(self, loads):
+        as_int = np.asarray(loads, dtype=np.int64)
+        for same in (as_int.astype(float), list(loads)):
+            assert warp_efficiency(same) == warp_efficiency(as_int)
+            assert gini(same) == gini(as_int)
+
+    def test_order_and_power_of_two_scale_do_not_matter(self):
+        loads = np.random.default_rng(5).integers(0, 1000, size=257)
+        shuffled = np.random.default_rng(6).permutation(loads)
+        for other in (shuffled, 4 * loads):
+            assert warp_efficiency(other) == warp_efficiency(loads)
+            assert gini(other) == gini(loads)
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_gini_spans_level_to_one_hot(self, n):
+        one_hot = np.zeros(n, dtype=np.int64)
+        one_hot[-1] = 9
+        assert gini(one_hot) == pytest.approx(1.0 - 1.0 / n)
+        assert warp_efficiency(one_hot) == 1.0  # idle warps are ignored
+        assert gini(np.full(n, 9)) == pytest.approx(0.0, abs=1e-12)
+
+
 class TestMappingComparison:
     def test_edge_groups_fix_power_law_imbalance(self):
         """The paper's motivation: EGs remove the evil-row problem."""

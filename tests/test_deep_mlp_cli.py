@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cli import ARTIFACTS, build_parser, main
-from repro.models import (
-    MaxKMLPClassifier,
-    mlp_feature_traffic_cut,
-    train_mlp_classifier,
-)
+from repro.gpusim.memory import mlp_feature_traffic_cut
+from repro.models import MaxKMLPClassifier, train_mlp_classifier
 
 
 def blobs(n_per_class=40, n_classes=3, n_features=8, seed=0):
@@ -63,6 +60,17 @@ class TestMaxKMLPClassifier:
         # hidden 256 -> k 32 with uint8 index: 1 - 5*32/(4*256) = 84.4%.
         assert mlp_feature_traffic_cut(256, 32, 1024) == pytest.approx(
             1 - (5 * 32) / (4 * 256)
+        )
+
+    @pytest.mark.parametrize("hidden,index_bytes", [
+        (256, 1), (257, 4), (512, 4),
+    ])
+    def test_traffic_cut_index_width_follows_hidden(self, hidden,
+                                                     index_bytes):
+        # A uint8 sp_index addresses 256 columns; past that it is 4 bytes:
+        # 1 - (4 + index_bytes) * k / (4 * hidden).
+        assert mlp_feature_traffic_cut(hidden, 32, 64) == pytest.approx(
+            1 - ((4 + index_bytes) * 32) / (4 * hidden)
         )
 
     def test_traffic_cut_monotone_in_k(self):

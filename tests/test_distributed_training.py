@@ -1,9 +1,9 @@
-"""Tests for simulated multi-GPU data-parallel training.
+"""Tests for data-parallel training over replicas.
 
 Covers the DistributedFlow contract (replica-sharded rounds, deterministic
 fixed-order gradient all-reduce, R=1 bit-identity with the sequential inner
 flow, fixed-seed reproducibility at R>1), the ReplicaGradients reduction
-math and the gpusim placement/communication report.
+math and the flow's measured replica telemetry.
 """
 
 import multiprocessing
@@ -11,16 +11,12 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.gpusim import (
-    MultiGpuEpochModel,
-    PartitionStats,
-    ring_allreduce_time,
-)
 from repro.graphs import (
     attach_classification_task,
     sbm_graph,
 )
 from repro.models import GNNConfig, MaxKGNN
+from repro.sparse.partition import gini, warp_efficiency
 from repro.tensor import Tensor
 from repro.training import (
     BatchPlan,
@@ -372,130 +368,119 @@ class TestTelemetryAndReport:
         assert measured["straggler_skew"] == pytest.approx(0.5 / 0.3)
         assert 0.0 < measured["load_efficiency"] <= 1.0
 
-    def test_report_includes_model_and_measurement(self, graph):
-        flow = DistributedFlow(
-            PartitionedFlow(n_parts=4, boundary_fraction=0.3, seed=0), 2
-        )
-        engine = make_engine(graph, flow)
-        engine.fit(3, eval_every=3)
-        report = flow.report(graph, hidden=16, n_layers=2,
-                             n_params=engine.model.n_parameters(), k=4)
-        assert report["replicas"] == 2
-        assert report["rounds_per_epoch"] == 2
-        assert report["allreduce_mb_per_epoch"] > 0
-        assert report["allreduce_ms_per_epoch"] > 0
-        assert report["straggler_skew"] >= 1.0
-        assert report["predicted_scaling"] > 0
-        assert 0.0 < report["modelled_comm_fraction"] < 1.0
+    def test_measured_reads_back_the_rounds_the_engine_ran(self, graph):
+        """After a short R=2 partitioned fit, measured() counts the rounds
+        the engine ran, one step per plan, and scores the per-replica edge
+        loads with the Edge-Group balance metrics."""
+        inner = PartitionedFlow(n_parts=5, boundary_fraction=0.3, seed=0)
+        flow = DistributedFlow(inner, 2)
+        ran = []
+        original = flow.rounds
 
-    def test_report_prices_the_dense_exchange(self, graph):
-        flow = DistributedFlow(PartitionedFlow(n_parts=4, seed=0), 2)
-        engine = make_engine(graph, flow)
-        engine.fit(2, eval_every=2)
-        n_params = engine.model.n_parameters()
-        report = flow.report(graph, hidden=16, n_layers=2,
-                             n_params=n_params, k=4)
-        # Two rounds a step, each ring all-reduce relaying 2 (R - 1) / R
-        # of one full-width copy of the parameters.
-        width = engine.optimizer.parameters[0].data.itemsize
-        assert report["allreduce_mb_per_epoch"] == pytest.approx(
-            2 * width * n_params / 1e6
+        def spy(graph, epoch):
+            rounds = original(graph, epoch)
+            ran.append(rounds)
+            return rounds
+
+        flow.rounds = spy
+        make_engine(graph, flow).fit(3, eval_every=3)
+        measured = flow.measured()
+        assert len(ran) == 3
+        assert measured["rounds"] == sum(len(rounds) for rounds in ran) == 9
+        n_plans = sum(len(plans) for rounds in ran for plans in rounds)
+        assert sum(measured["replica_steps"]) == n_plans == 15
+        assert measured["replica_steps"] == [9, 6]
+        assert len(measured["replica_ms"]) == 2
+        assert all(ms > 0 for ms in measured["replica_ms"])
+        edges = measured["replica_edges"]
+        assert measured["load_efficiency"] == warp_efficiency(edges)
+        assert measured["load_gini"] == gini(edges)
+        assert measured["straggler_skew"] >= 1.0
+
+    @pytest.mark.parametrize("replicas,n_parts", [
+        (1, 5), (2, 5), (3, 5), (4, 5), (4, 3), (5, 2),
+    ])
+    def test_plan_i_r_plus_r_trains_on_replica_r(self, graph, replicas,
+                                                 n_parts):
+        """Each replica measures the steps and edges of exactly the plans
+        the rounds hand it: plan ``i * R + r`` on replica ``r``. A replica
+        no plan reaches stays idle and out of the skew."""
+        def inner():
+            return PartitionedFlow(n_parts=n_parts, boundary_fraction=0.3,
+                                   seed=0)
+
+        flow = DistributedFlow(inner(), replicas)
+        make_engine(graph, flow).fit(2, eval_every=2)
+        steps, edges = [0] * replicas, [0] * replicas
+        for epoch in range(2):
+            for index, plan in enumerate(inner().plan(graph, epoch)):
+                batch = plan.build()
+                steps[index % replicas] += 1
+                edges[index % replicas] += batch.n_edges
+                plan.retire(batch)
+        measured = flow.measured()
+        assert measured["replica_steps"] == steps
+        assert measured["replica_edges"] == edges
+        assert measured["rounds"] == 2 * -(-n_parts // replicas)
+        active = flow.replica_seconds[np.array(steps) > 0]
+        assert len(active) == min(replicas, n_parts)
+        assert measured["straggler_skew"] == pytest.approx(
+            active.max() / active.mean()
         )
+        if replicas == 1:
+            assert measured["straggler_skew"] == 1.0
+            assert measured["load_efficiency"] == 1.0
+            assert measured["load_gini"] == 0.0
+
+    def test_a_fresh_or_reset_flow_measures_nothing(self, graph):
+        flow = DistributedFlow(PartitionedFlow(n_parts=4, seed=0), 2)
+        nothing = {
+            "replica_ms": [0.0, 0.0], "replica_edges": [0, 0],
+            "replica_steps": [0, 0], "straggler_skew": 1.0,
+            "load_efficiency": 1.0, "load_gini": 0.0, "rounds": 0,
+        }
+        assert flow.measured() == nothing
+        make_engine(graph, flow).fit(1, eval_every=1)
+        assert flow.measured()["replica_steps"] == [2, 2]
+        flow.reset_telemetry()
+        assert flow.measured() == nothing
+
+    @pytest.mark.parametrize("replicas,rounds,steps", [
+        (2, 6, [6, 6]), (3, 6, [6, 3, 3]),
+    ])
+    def test_a_sampled_inner_measures_every_batch(self, graph, replicas,
+                                                  rounds, steps):
+        flow = DistributedFlow(
+            SampledFlow(sampler="node", batches_per_epoch=4, sample_size=40,
+                        seed=0),
+            replicas,
+        )
+        make_engine(graph, flow).fit(3, eval_every=3)
+        measured = flow.measured()
+        assert measured["rounds"] == rounds
+        assert measured["replica_steps"] == steps
+        assert all(edges > 0 for edges in measured["replica_edges"])
 
     def test_report_carries_no_compression_keys(self, graph):
-        """The exchange is dense: the report prices one figure for it
-        and names no compression."""
+        """The exchange is dense: the flow measures it and names no
+        compression."""
         flow = DistributedFlow(PartitionedFlow(n_parts=4, seed=0), 2)
         make_engine(graph, flow).fit(2, eval_every=2)
-        report = flow.report(graph, hidden=16, n_layers=2, n_params=1000)
-        assert "allreduce_mb_per_epoch" in report
+        measured = flow.measured()
+        assert "straggler_skew" in measured
         for gone in ("grad_topk", "dense_allreduce_mb_per_epoch",
                      "grad_compression_ratio",
                      "comm_volume_reduction_speedup"):
-            assert gone not in report
+            assert gone not in measured
 
-    def test_r1_allreduce_is_free(self, graph):
-        flow = DistributedFlow(PartitionedFlow(n_parts=2, seed=0), 1)
-        report = flow.report(graph, hidden=16, n_layers=2, n_params=1000)
-        assert report["allreduce_mb_per_epoch"] == 0.0
-        assert report["allreduce_ms_per_epoch"] == 0.0
-
-    def test_ring_allreduce_time_model(self):
-        assert ring_allreduce_time(1e6, 1) == 0.0
-        two = ring_allreduce_time(1e6, 2)
-        four = ring_allreduce_time(1e6, 4)
-        assert two > 0
-        assert four > two  # more latency-bound steps, more relayed volume
-        with pytest.raises(ValueError):
-            ring_allreduce_time(-1.0, 2)
-        with pytest.raises(ValueError):
-            ring_allreduce_time(1e6, 0)
-
-    def test_predicted_scaling_bounded_by_replica_count(self):
-        stats = PartitionStats(
-            n_parts=4,
-            nodes_per_part=[50000] * 4,
-            edges_per_part=[2000000] * 4,
-            boundary_per_part=[1000] * 4,
-        )
-        from repro.gpusim import A100
-
-        model = MultiGpuEpochModel(stats, hidden=256, n_layers=3, device=A100)
-        scaling = model.predicted_scaling()
-        assert 1.0 < scaling <= 4.0
-        assert model.serial_epoch() > model.baseline_epoch()
-        maxk_scaling = model.predicted_scaling(k=32)
-        assert 0.0 < maxk_scaling <= 4.0
-
-    def test_serial_epoch_sums_per_part_selection_on_skew(self):
-        """The serial sweep charges each part its own MaxK selection cost;
-        charging n_parts x the largest part would overstate
-        predicted_scaling on skewed partitions."""
-        from repro.gpusim import A100
-        from repro.gpusim.kernels.maxk_kernel import maxk_kernel_cost
-
-        skewed = PartitionStats(
-            n_parts=4,
-            nodes_per_part=[40000, 400, 400, 400],
-            edges_per_part=[1600000, 16000, 16000, 16000],
-            boundary_per_part=[500] * 4,
-        )
-        model = MultiGpuEpochModel(skewed, hidden=256, n_layers=1,
-                                   device=A100)
-        from repro.gpusim.kernels import SparsePattern, spgemm_cost, sspmm_cost
-
-        kernel_sum = sum(
-            spgemm_cost(SparsePattern(n, n, e), 256, 32, A100).latency
-            + sspmm_cost(SparsePattern(n, n, e), 256, 32, A100).latency
-            for n, e in zip(skewed.nodes_per_part, skewed.edges_per_part)
-        )
-        per_part_selection = sum(
-            maxk_kernel_cost(n, 256, 32, A100).latency
-            for n in skewed.nodes_per_part
-        )
-        inflated_selection = 4 * maxk_kernel_cost(40000, 256, 32,
-                                                  A100).latency
-        assert per_part_selection < inflated_selection
-        # n_layers=1: the serial epoch decomposes exactly into the summed
-        # kernels plus the *per-part* selection sum.
-        assert model.serial_epoch(k=32) == pytest.approx(
-            kernel_sum + per_part_selection
-        )
-        # And the balanced case is unchanged by the fix (sum == P * each).
-        balanced = PartitionStats(
-            n_parts=2, nodes_per_part=[1000, 1000],
-            edges_per_part=[40000, 40000], boundary_per_part=[100, 100],
-        )
-        balanced_model = MultiGpuEpochModel(balanced, hidden=64,
-                                            n_layers=1, device=A100)
-        assert balanced_model.serial_epoch(k=8) == pytest.approx(
-            2 * MultiGpuEpochModel(
-                PartitionStats(n_parts=1, nodes_per_part=[1000],
-                               edges_per_part=[40000],
-                               boundary_per_part=[100]),
-                hidden=64, n_layers=1, device=A100,
-            ).serial_epoch(k=8)
-        )
+    def test_the_flow_prices_no_hardware(self):
+        flow = DistributedFlow(PartitionedFlow(n_parts=2, seed=0), 2)
+        for gone in ("report", "device"):
+            assert not hasattr(flow, gone), gone
+        with pytest.raises(TypeError):
+            DistributedFlow(PartitionedFlow(n_parts=2), 2, device=None)
+        with pytest.raises(TypeError):
+            flow.note_replica_step(0, 0.1, 10, slot=0)
 
 
 class TestMakeFlowDistributed:
@@ -581,9 +566,26 @@ class TestCliDistributed:
         ]) == 0
         out = capsys.readouterr().out
         assert "distributed[2]/partitioned/4" in out
-        assert "all-reduce" in out
         assert "straggler skew" in out
-        assert "predicted" in out
+
+    def test_distributed_lines_come_from_what_was_measured(self, capsys):
+        """The replicas and balance lines read flow.measured(); nothing
+        modelled is printed."""
+        from repro.cli import main
+
+        assert main([
+            "train", "--dataset", "Flickr", "--epochs", "2",
+            "--flow", "distributed", "--replicas", "2", "--n-parts", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "straggler skew" in out
+        assert "modelled" not in out
+        assert "predicted" not in out
+        replicas = next(line for line in out.splitlines()
+                        if line.startswith("replicas"))
+        # 3 plans an epoch over R = 2: 2 rounds an epoch, plans 0 and 2 on
+        # replica 0, plan 1 on replica 1.
+        assert "(4 rounds; per replica 4/2 steps," in replicas
 
     def test_train_command_distributed_sampled(self, capsys):
         from repro.cli import main
@@ -596,6 +598,64 @@ class TestCliDistributed:
         ]) == 0
         out = capsys.readouterr().out
         assert "distributed[2]/sampled/nodex4" in out
+
+    def test_distributed_sampled_lines_come_from_what_was_measured(
+            self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "train", "--dataset", "Flickr", "--epochs", "2",
+            "--flow", "distributed", "--replicas", "2",
+            "--distributed-inner", "sampled",
+            "--batches-per-epoch", "4", "--sample-size", "80",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(4 rounds; per replica 4/4 steps," in out
+        assert "straggler skew" in out
+        assert "modelled" not in out and "predicted" not in out
+
+    def test_cli_r1_measures_one_level_replica(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "train", "--dataset", "Flickr", "--epochs", "2",
+            "--flow", "distributed", "--replicas", "1", "--n-parts", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(6 rounds; per replica 6 steps," in out
+        assert ("balance      straggler skew 1.00, load efficiency 1.00, "
+                "gini 0.000") in out
+
+    def test_cli_replica_procs_print_what_the_workers_measured(
+            self, capsys, force_procs):
+        from repro.cli import main
+
+        assert main([
+            "train", "--dataset", "Flickr", "--epochs", "2",
+            "--flow", "distributed", "--replicas", "2", "--n-parts", "4",
+            "--replica-procs",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "distributed[2,procs]/partitioned/4" in out
+        assert "(4 rounds; per replica 4/4 steps," in out
+        assert "modelled" not in out and "predicted" not in out
+        assert not multiprocessing.active_children()
+
+    def test_cli_resumed_at_the_target_measures_no_round(self, capsys,
+                                                         tmp_path):
+        from repro.cli import main
+
+        argv = ["train", "--dataset", "Flickr", "--epochs", "2",
+                "--flow", "distributed", "--replicas", "2",
+                "--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "(0 rounds; per replica 0/0 steps, 0.0/0.0 ms, 0/0 edges)" \
+            in out
+        assert ("balance      straggler skew 1.00, load efficiency 1.00, "
+                "gini 0.000") in out
 
     def test_cli_distributed_rejects_prefetch(self):
         """The incompatibility must surface as make_flow's error, not as

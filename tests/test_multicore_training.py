@@ -122,6 +122,33 @@ class TestReplicaProcesses:
         assert inproc[2][2] == [4, 2] and len(inproc[2][0]) == 6
         _no_leaks()
 
+    def test_both_executors_measure_the_same_loads(self, force_procs):
+        """Worker processes report each batch's edges back to the parent,
+        so ``measured()`` reads the same loads as in-process replicas."""
+        measured = []
+        for processes in (False, True):
+            graph = _task_graph()
+            flow = make_flow(
+                "distributed", inner="partitioned", replicas=2,
+                processes=processes, n_parts=4, boundary_fraction=0.2,
+                seed=7,
+            )
+            engine = Engine(MaxKGNN(graph, _config(), seed=0), graph, flow,
+                            lr=0.01)
+            try:
+                for epoch in range(2):
+                    engine.train_epoch(epoch=epoch)
+            finally:
+                engine.close()
+            measured.append(flow.measured())
+        inproc, procs = measured
+        for key in ("replica_edges", "replica_steps", "rounds",
+                    "load_efficiency", "load_gini"):
+            assert inproc[key] == procs[key], key
+        assert procs["replica_steps"] == [4, 4]
+        assert all(ms > 0 for ms in procs["replica_ms"])
+        _no_leaks()
+
     def test_zero_steps_train_nothing_on_either_executor(self, force_procs):
         runs = [
             _run_distributed(2, processes, dropout=0.0, steps=0, epochs=1)

@@ -180,8 +180,72 @@ def test_the_tensor_layer_packs_cbsr_blocks_without_a_cbsr_matrix():
     assert _occurrences("cbsr_pack(", "tensor") == {"tensor/functional.py": 1}
 
 
+#: The packages the CLI's train and serve commands execute.
+PROGRAM = ("core", "sparse", "graphs", "tensor", "models", "training",
+           "serving")
+
+
 def test_the_executed_program_does_not_import_the_simulator():
-    assert _occurrences("gpusim", "tensor") == {}
+    # gpusim (the A100 cost model) and experiments (the paper artifacts)
+    # may import the program; the program names neither of them.
+    for package in PROGRAM:
+        for model in ("gpusim", "experiments"):
+            assert _occurrences(model, package) == {}, (package, model)
+
+
+def _model_modules_after(code):
+    """The ``repro.gpusim*`` / ``repro.experiments*`` modules a fresh
+    interpreter holds after running ``code``."""
+    import os
+    import subprocess
+    import sys
+
+    probe = code + (
+        "\nimport sys\n"
+        "print(sorted(name for name in sys.modules "
+        "if name.startswith(('repro.gpusim', 'repro.experiments'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_a_fresh_interpreter_runs_the_program_without_the_model():
+    assert _model_modules_after(
+        "import repro.training, repro.serving, repro.cli"
+    ) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--dataset", "Flickr", "--epochs", "2"],
+    ["train", "--dataset", "Flickr", "--epochs", "2", "--flow",
+     "distributed", "--replicas", "2"],
+    ["serve", "--dataset", "Flickr", "--requests", "8"],
+], ids=["train", "train-distributed", "serve"])
+def test_train_and_serve_run_without_the_model(argv):
+    # An import made inside a function (as the deleted modelled report
+    # made) only shows once the command has run.
+    assert _model_modules_after(
+        f"from repro.cli import main\nmain({argv!r})"
+    ) == "[]"
+
+
+def test_the_model_stays_importable_by_name():
+    import repro.experiments.timing
+    import repro.gpusim
+    import repro.models
+    import repro.training
+
+    assert repro.gpusim.mlp_feature_traffic_cut(256, 32, 8) > 0
+    assert repro.experiments.timing.EpochCostModel
+    for gone in ("EpochCostModel", "EpochBreakdown", "ModelShape"):
+        assert not hasattr(repro.training, gone), gone
+    assert not hasattr(repro.models, "mlp_feature_traffic_cut")
+    assert _model_modules_after(
+        "from repro.cli import main\nmain(['table1'])"
+    ).startswith("['repro.experiments'")
 
 
 def test_one_stable_order_behind_every_csr_and_edge_index():
@@ -321,7 +385,11 @@ def test_deleted_knobs_and_aliases_stay_deleted():
                  "SGD(", "kaiming_uniform", "degree_sort_reorder",
                  "community_sort_reorder", "locality_score", "maxk_backward",
                  "sspmm_read_reduction", "ProcessPrefetchPool",
-                 "_prefetch_worker", "prefetch_workers", "prefetch-workers"):
+                 "_prefetch_worker", "prefetch_workers", "prefetch-workers",
+                 # DistributedFlow's modelled multi-GPU half.
+                 "MultiGpuEpochModel", "pack_assignment",
+                 "ring_allreduce_time", "measured_slot_loads",
+                 "slot_seconds"):
         assert _occurrences(gone) == {}, gone
 
 

@@ -10,6 +10,8 @@ Invariants locked here:
   arbitrary graphs and feature matrices.
 * §4.3 traffic reductions are consistent identities.
 * The Amdahl limit is at least one.
+* The load-balance metrics stay in range and read integer and float
+  loads alike.
 """
 
 import numpy as np
@@ -253,7 +255,7 @@ class TestSegmentAndMaxoutProperties:
     )
     @settings(max_examples=60)
     def test_mlp_traffic_cut_bounds(self, hidden, k, batch):
-        from repro.models import mlp_feature_traffic_cut
+        from repro.gpusim.memory import mlp_feature_traffic_cut
 
         if k > hidden:
             return
@@ -262,3 +264,25 @@ class TestSegmentAndMaxoutProperties:
         # uint8 index: cut = 1 - 5k/4h, positive whenever 5k < 4h.
         if 5 * k < 4 * hidden:
             assert cut > 0.0
+
+
+class TestLoadMetricProperties:
+    @given(st.lists(st.integers(0, 10**9), max_size=300))
+    @settings(max_examples=80)
+    def test_metrics_stay_in_range(self, loads):
+        from repro.sparse.partition import gini, warp_efficiency
+
+        efficiency, spread = warp_efficiency(loads), gini(loads)
+        assert 0.0 < efficiency <= 1.0
+        n = len(loads)
+        assert -1e-12 <= spread <= (1.0 - 1.0 / n if n else 0.0) + 1e-12
+
+    @given(st.lists(st.integers(0, 10**9), max_size=300))
+    @settings(max_examples=80)
+    def test_integer_and_float_loads_read_the_same(self, loads):
+        from repro.sparse.partition import gini, warp_efficiency
+
+        as_int = np.asarray(loads, dtype=np.int64)
+        as_float = as_int.astype(float)
+        assert warp_efficiency(as_float) == warp_efficiency(as_int)
+        assert gini(as_float) == gini(as_int)

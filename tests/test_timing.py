@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.experiments.timing import EpochCostModel, ModelShape
 from repro.gpusim import A100, SparsePattern
 from repro.graphs import TABLE1_GRAPHS
-from repro.training import EpochCostModel, ModelShape
 
 
 def model_for(dataset="Reddit", model_type="sage", layers=4, hidden=256):
