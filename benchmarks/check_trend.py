@@ -8,13 +8,15 @@ matching numeric leaves are compared by key semantics:
 * dimensionless quality ratios — keys named/suffixed ``speedup``,
   ``scaling``, ``efficiency`` — are *higher is better* and fail when the
   current value drops more than ``--tolerance`` (default 20%) below the
-  baseline. Baselines already inside the noise band (below
-  ``--noise-floor``, default 1.15 — e.g. a path a benchmark only asserts
-  "does not regress" on) are reported but not gated: a 1-seed smoke run
-  on a different host class can legitimately wobble a ~1.0× ratio past
-  any fixed tolerance, and those paths keep their own backend-aware
-  floors inside the benchmarks themselves. ``--gate-all`` restores strict
-  gating for same-host trend tracking;
+  baseline. ``speedup`` / ``scaling`` baselines already inside the noise
+  band (below ``--noise-floor``, default 1.15 — e.g. a path a benchmark
+  only asserts "does not regress" on) are reported but not gated: a
+  1-seed smoke run on a different host class can legitimately wobble a
+  ~1.0× ratio past any fixed tolerance, and those paths keep their own
+  backend-aware floors inside the benchmarks themselves. An
+  ``efficiency`` is at most 1.0 by definition, so the floor would exempt
+  every one of them: they are always gated. ``--gate-all`` restores
+  strict gating for same-host trend tracking;
 * boolean correctness flags — ``identical``, ``finite``, ``r1_identical``
   — fail whenever the baseline held and the current run does not;
 * absolute timings (``*_ms``, ``*_s``) depend on the host, so they are
@@ -42,6 +44,8 @@ from pathlib import Path
 from typing import Iterator, List, Tuple
 
 RATIO_SUFFIXES = ("speedup", "scaling", "efficiency")
+#: The ratios the noise floor exempts; an efficiency (<= 1.0) never is.
+FLOORED_SUFFIXES = ("speedup", "scaling")
 BOOL_KEYS = ("identical", "finite", "r1_identical", "deadline_met",
              "zero_stale")
 TIME_SUFFIXES = ("_ms", "_s")
@@ -62,11 +66,15 @@ def _flat(payload) -> dict:
     return flat
 
 
+def _named(leaf: str, suffixes) -> bool:
+    return any(leaf == s or leaf.endswith("_" + s) for s in suffixes)
+
+
 def _kind(path: str) -> str:
     leaf = path.rsplit(".", 1)[-1]
     if leaf in BOOL_KEYS:
         return "bool"
-    if any(leaf == s or leaf.endswith("_" + s) for s in RATIO_SUFFIXES):
+    if _named(leaf, RATIO_SUFFIXES):
         return "ratio"
     if any(leaf.endswith(s) for s in TIME_SUFFIXES):
         return "time"
@@ -77,13 +85,15 @@ def compare_file(baseline: dict, current: dict, tolerance: float,
                  include_times: bool, noise_floor: float = 0.0):
     """Yield ``(path, kind, base, cur, ok)`` for every comparable leaf.
 
-    Ratio leaves whose baseline sits below ``noise_floor`` are yielded
-    with kind ``"ratio-info"`` and always ``ok`` — visible in the report,
-    never fatal. Gated-kind leaves the current run emits but the baseline
-    lacks are yielded with kind ``"new"``, ``base=None`` and always
-    ``ok`` — the caller announces the bootstrap instead of failing (the
-    baseline does not exist yet) or silently passing (the gap would
-    otherwise be invisible until someone commits the baseline).
+    ``speedup`` / ``scaling`` leaves whose baseline sits below
+    ``noise_floor`` are yielded with kind ``"ratio-info"`` and always
+    ``ok`` — visible in the report, never fatal; ``efficiency`` leaves are
+    gated whatever their baseline. Gated-kind leaves the current run
+    emits but the baseline lacks are yielded with kind ``"new"``,
+    ``base=None`` and always ``ok`` — the caller announces the bootstrap
+    instead of failing (the baseline does not exist yet) or silently
+    passing (the gap would otherwise be invisible until someone commits
+    the baseline).
     """
     base_flat, cur_flat = _flat(baseline), _flat(current)
     for path in sorted(set(cur_flat) - set(base_flat)):
@@ -100,7 +110,8 @@ def compare_file(baseline: dict, current: dict, tolerance: float,
         elif kind == "ratio" and isinstance(base, (int, float)) and isinstance(
             cur, (int, float)
         ):
-            if base < noise_floor:
+            if base < noise_floor and _named(path.rsplit(".", 1)[-1],
+                                             FLOORED_SUFFIXES):
                 yield path, "ratio-info", base, cur, True
             else:
                 floor = base * (1.0 - tolerance)
@@ -169,8 +180,9 @@ def main(argv=None) -> int:
                              "meaningful when baseline and current ran on "
                              "the same host class)")
     parser.add_argument("--noise-floor", type=float, default=1.15,
-                        help="ratios whose baseline is below this are "
-                             "reported but not gated (default 1.15)")
+                        help="speedups and scalings whose baseline is "
+                             "below this are reported but not gated "
+                             "(default 1.15); efficiencies are always gated")
     parser.add_argument("--gate-all", action="store_true",
                         help="gate every ratio regardless of the noise "
                              "floor (same-host trend tracking)")

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..graphs import Graph
-from ..tensor import Tensor, Workspace, dropout, linear_act
+from ..tensor import Tensor, Workspace, dropout, linear_act, release
 from .layers import Block, make_conv
 from .modules import Linear, Module
 
@@ -65,8 +65,9 @@ class MaxKGNN(Module):
         self.graph = graph
         rng = np.random.default_rng(seed)
         self._dropout_rng = np.random.default_rng(seed + 1)
-        #: One arena serves the whole model; each layer writes to its own
-        #: slots, so a steady-state step reuses every large buffer.
+        #: One arena serves the whole model; each layer names its own slots,
+        #: and every training forward restarts the arena's tape (reset), so
+        #: a steady-state step reuses one backing array.
         self.workspace = Workspace() if config.use_workspace else None
 
         self.convs: List[Module] = []
@@ -111,12 +112,16 @@ class MaxKGNN(Module):
         # Evaluation takes fresh arrays (see GraphConvLayer._buffers): the
         # arena never shrinks, so full-graph eval must not size its slots.
         ws = self.workspace if self.training else None
+        if ws is not None:
+            ws.reset()
         for index, conv in enumerate(self.convs):
-            x = dropout(
+            dropped = dropout(
                 x, self.config.dropout, self.training, self._dropout_rng,
                 workspace=ws, slot=f"drop{index}",
             )
-            x = conv(x, None if blocks is None else blocks[index])
+            if dropped is not x:
+                release(x.data)  # the dropout's backward reads its keep mask
+            x = conv(dropped, None if blocks is None else blocks[index])
         return x
 
     def classify(self, hidden: Tensor) -> Tensor:

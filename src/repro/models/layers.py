@@ -19,7 +19,7 @@ import numpy as np
 
 from ..graphs import Graph
 from ..sparse import CSRMatrix
-from ..tensor import Tensor, add_into, linear_act, maxk, relu, spmm_agg
+from ..tensor import Tensor, add_into, linear_act, maxk, relu, release, spmm_agg
 from ..tensor.functional import maxk_with_mask, spgemm_agg
 from .modules import Linear, Module
 
@@ -143,8 +143,11 @@ class GraphConvLayer(Module):
             workspace=ws, slot=self.slot + ".lin",
         )
         if cbsr:
-            return spgemm_agg(adj, h, self.k, workspace=ws, slot=self.slot + ".cbsr")
-        return spmm_agg(adj, h, adj_t, workspace=ws, slot=self.slot + ".agg")
+            out = spgemm_agg(adj, h, self.k, workspace=ws, slot=self.slot + ".cbsr")
+        else:
+            out = spmm_agg(adj, h, adj_t, workspace=ws, slot=self.slot + ".agg")
+        release(h.data)  # neither aggregation's backward reads its input
+        return out
 
 
 class SAGEConv(GraphConvLayer):
@@ -170,7 +173,9 @@ class SAGEConv(GraphConvLayer):
             self.linear_self.bias, activation="none", workspace=ws,
             slot=self.slot + ".self",
         )
-        return add_into(aggregated, root, workspace=ws, slot=self.slot + ".sum")
+        out = add_into(aggregated, root, workspace=ws, slot=self.slot + ".sum")
+        release(aggregated.data, root.data)  # add_into's backward reads neither
+        return out
 
 
 class GCNConv(GraphConvLayer):
@@ -212,14 +217,20 @@ class GINConv(GraphConvLayer):
                                     slot=self.slot + ".cbsr")
         else:
             h = self._activate(y, ws, ".act")
-            aggregated = spmm_agg(
-                adj, self._activate(y, ws, ".act2"), adj_t,
-                workspace=ws, slot=self.slot + ".agg",
-            )
-        return add_into(
-            aggregated, self._at_destinations(h, block) * (self.eps + 1.0),
-            workspace=ws, slot=self.slot + ".sum",
-        )
+            h2 = self._activate(y, ws, ".act2")
+            aggregated = spmm_agg(adj, h2, adj_t, workspace=ws,
+                                  slot=self.slot + ".agg")
+            if h2 is not y:
+                release(h2.data)
+        # No backward reads the pre-activation (the activations keep their
+        # masks) or the aggregation (add_into reads neither input); ``h``
+        # stays, the epsilon product's backward reads it.
+        if h is not y:
+            release(y.data)
+        self_term = self._at_destinations(h, block) * (self.eps + 1.0)
+        out = add_into(aggregated, self_term, workspace=ws, slot=self.slot + ".sum")
+        release(aggregated.data)
+        return out
 
 
 _CONV_TYPES = {"sage": SAGEConv, "gcn": GCNConv, "gin": GINConv}

@@ -402,12 +402,13 @@ def dropout(library, rng, x: np.ndarray, p: float, draw: np.ndarray,
     return True
 
 
-def run(library, op, adjacency, values, index, dim, shape) -> np.ndarray:
+def run(library, op, adjacency, values, index, dim, shape, out=None) -> np.ndarray:
     """The CBSR loop ``op`` (``"spgemm"`` / ``"sspmm"``) over the values or
-    gradient ``values`` and the unsigned column block ``index``, into a
-    fresh ``shape`` array of the operands' float dtype (each thread zeroes
-    the output rows it owns)."""
-    out = np.empty(shape, dtype=np.result_type(adjacency[0][2], values))
+    gradient ``values`` and the unsigned column block ``index``, into
+    ``out`` — a C-contiguous ``shape`` array of the operands' float dtype —
+    or a fresh one (each thread zeroes the output rows it owns)."""
+    if out is None:
+        out = np.empty(shape, dtype=np.result_type(adjacency[0][2], values))
     values = np.ascontiguousarray(values, dtype=out.dtype)
     index = np.ascontiguousarray(index)
     if index.dtype.kind != "u":

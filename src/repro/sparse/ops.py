@@ -37,6 +37,8 @@ The active backend is chosen, in order of precedence, by the
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 import threading
 from contextlib import contextmanager
@@ -145,6 +147,7 @@ class SparseOpsBackend:
         sp_index: np.ndarray,
         dim_origin: int,
         n_rows: int,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -156,6 +159,7 @@ class SparseOpsBackend:
         grad_out: np.ndarray,
         sp_index: np.ndarray,
         n_src: int,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -283,16 +287,24 @@ class ReferenceBackend(_NumpyLines, SparseOpsBackend):
                 out[row] += data[edge] * x[indices[edge]]
         return out
 
-    def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
-        out = np.zeros((n_rows, dim_origin), dtype=sp_data.dtype)
+    def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin,
+                    n_rows, out=None):
+        if out is None:
+            out = np.zeros((n_rows, dim_origin), dtype=sp_data.dtype)
+        else:
+            out[...] = 0.0
         for row in range(n_rows):
             for edge in range(int(indptr[row]), int(indptr[row + 1])):
                 source = indices[edge]
                 out[row, sp_index[source]] += data[edge] * sp_data[source]
         return out
 
-    def sspmm_cbsr(self, indptr, indices, data, grad_out, sp_index, n_src):
-        sp_grad = np.zeros((n_src, sp_index.shape[1]), dtype=grad_out.dtype)
+    def sspmm_cbsr(self, indptr, indices, data, grad_out, sp_index, n_src, out=None):
+        sp_grad = out
+        if sp_grad is None:
+            sp_grad = np.zeros((n_src, sp_index.shape[1]), dtype=grad_out.dtype)
+        else:
+            sp_grad[...] = 0.0
         for row in range(len(indptr) - 1):
             for edge in range(int(indptr[row]), int(indptr[row + 1])):
                 source = indices[edge]
@@ -595,33 +607,30 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
         # Wider feature maps ride the same kernel through an (n, -1) view.
         flat = x.reshape(len(x), int(np.prod(x.shape[1:])))
         result = self._spmm_blocked(plan, indices, data, flat, n_rows)
-        result = result.reshape((n_rows,) + x.shape[1:])
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
+        return _into(out, result.reshape((n_rows,) + x.shape[1:]))
 
-    def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin, n_rows):
+    def spgemm_cbsr(self, indptr, indices, data, sp_data, sp_index, dim_origin,
+                    n_rows, out=None):
         library = native.load()
         if library is not None:
             index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
             return native.run(library, "spgemm", self._pinned(indptr, indices, data),
-                              sp_data, index, dim_origin, (n_rows, dim_origin))
+                              sp_data, index, dim_origin, (n_rows, dim_origin), out)
         row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
         contributions = data[:, None] * sp_data[indices]
         flat_targets = row_ids[:, None] * dim_origin + sp_index[indices]
         flat = self.segment_sum(
             contributions.ravel(), flat_targets.ravel(), n_rows * dim_origin
         )
-        return flat.reshape(n_rows, dim_origin)
+        return _into(out, flat.reshape(n_rows, dim_origin))
 
-    def sspmm_cbsr(self, indptr, indices, data, grad_out, sp_index, n_src):
+    def sspmm_cbsr(self, indptr, indices, data, grad_out, sp_index, n_src, out=None):
         library = native.load()
         if library is not None:
             dim_origin = grad_out.shape[1]
             index = sp_index.astype(index_dtype_for(dim_origin), copy=False)
             return native.run(library, "sspmm", self._pinned(indptr, indices, data),
-                              grad_out, index, dim_origin, sp_index.shape)
+                              grad_out, index, dim_origin, sp_index.shape, out)
         k = sp_index.shape[1]
         n_rows = len(indptr) - 1
         row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
@@ -633,7 +642,7 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
         flat = self.segment_sum(
             contributions.ravel(), flat_targets.ravel(), n_src * k
         )
-        return flat.reshape(n_src, k)
+        return _into(out, flat.reshape(n_src, k))
 
     @staticmethod
     def _stable_topk_mask_into(keys, k, out, workspace=None, slot="topk"):
@@ -648,21 +657,34 @@ class VectorizedBackend(_NumpyLines, SparseOpsBackend):
         Every (n, dim)-sized intermediate — the partition scratch, the
         compare flags, the tie mask, the running tie count — comes from
         ``workspace`` slots when one is given (steady-state MaxK selection
-        then allocates nothing large) and is a fresh array otherwise.
+        then allocates nothing large), each released before the select
+        returns, and is a fresh array otherwise.
         ``out`` may be bool or of ``keys``' dtype; a float mask holds exact
         0.0/1.0 (:func:`mask_into`) and lets callers multiply by it without
         numpy's mixed-dtype casting buffers.
         """
-        n_rows, dim = keys.shape
-        if k == dim:
+        if k == keys.shape[1]:
             out[...] = True
             return out
+        taken = []
 
         def take(name, dtype):
             if workspace is None:
                 return np.empty(keys.shape, dtype=dtype)
-            return workspace.buffer(slot + name, keys.shape, dtype)
+            taken.append(workspace.buffer(slot + name, keys.shape, dtype))
+            return taken[-1]
 
+        try:
+            return VectorizedBackend._select_into(keys, k, out, take)
+        finally:
+            for view in taken:
+                workspace.release(view)
+
+    @staticmethod
+    def _select_into(keys, k, out, take):
+        """:meth:`_stable_topk_mask_into`'s body; ``take(name, dtype)``
+        serves each ``keys``-shaped scratch array."""
+        n_rows, dim = keys.shape
         scratch = take(".part", keys.dtype)
         np.copyto(scratch, keys)
         scratch.partition(dim - k, axis=1)
@@ -827,6 +849,15 @@ def _check_segment_args(values, segment_ids, n_segments):
     return values, segment_ids
 
 
+def _into(out, result: np.ndarray) -> np.ndarray:
+    """``result``, copied into ``out`` when one is given (the numpy bodies
+    that compute into fresh arrays)."""
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
+
+
 def _check_out(out, shape, dtype) -> Optional[np.ndarray]:
     if out is None:
         return None
@@ -920,13 +951,16 @@ def _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows):
 
 
 def spgemm_cbsr(
-    indptr, indices, data, sp_data, sp_index, dim_origin: int, n_rows: int
+    indptr, indices, data, sp_data, sp_index, dim_origin: int, n_rows: int,
+    out=None,
 ) -> np.ndarray:
     """Forward row-wise-product SpGEMM over CBSR features (paper §4.1).
 
     ``out[i, sp_index[j, :]] += A[i, j] * sp_data[j, :]`` for every stored
     adjacency entry ``(i, j)``; returns the dense ``(n_rows, dim_origin)``
-    aggregation output.
+    aggregation output. ``out``, when given, must be a C-contiguous array
+    of that shape and the float dtype, disjoint from the operands; the
+    output is written there (the same bytes) and returned.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
@@ -936,18 +970,21 @@ def spgemm_cbsr(
     if sp_data.shape != sp_index.shape or sp_data.ndim != 2:
         raise ValueError("sp_data and sp_index must be matching 2-D blocks")
     sp_index = _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows)
-    return _ACTIVE.spgemm_cbsr(
+    out = _check_kernel_out(out, (n_rows, dim_origin), (sp_data, sp_index))
+    return _run_kernel("spgemm_cbsr", (
         indptr, indices, data, sp_data, sp_index, dim_origin, n_rows
-    )
+    ), out)
 
 
-def sspmm_cbsr(indptr, indices, data, grad_out, sp_index, n_src: int) -> np.ndarray:
+def sspmm_cbsr(indptr, indices, data, grad_out, sp_index, n_src: int,
+               out=None) -> np.ndarray:
     """Backward outer-product SSpMM (paper §4.2): the source-node gradient
     sampled at the forward CBSR pattern.
 
     ``out[j, :] += A[i, j] * grad_out[i, sp_index[j, :]]`` for every stored
     adjacency entry ``(i, j)``; returns the ``(n_src, k)`` ``sp_data``
-    gradient block.
+    gradient block, written into ``out`` when one is given (as
+    :func:`spgemm_cbsr`'s).
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
@@ -960,7 +997,44 @@ def sspmm_cbsr(indptr, indices, data, grad_out, sp_index, n_src: int) -> np.ndar
         raise ValueError("grad_out must be (n_rows, dim_origin)")
     n_rows, dim_origin = grad_out.shape
     sp_index = _check_cbsr_args(indptr, indices, data, sp_index, dim_origin, n_rows)
-    return _ACTIVE.sspmm_cbsr(indptr, indices, data, grad_out, sp_index, n_src)
+    out = _check_kernel_out(out, sp_index.shape, (grad_out, sp_index))
+    return _run_kernel("sspmm_cbsr", (
+        indptr, indices, data, grad_out, sp_index, n_src
+    ), out)
+
+
+@functools.lru_cache(maxsize=None)
+def _takes_out(backend_type: type, kernel: str) -> bool:
+    return "out" in inspect.signature(getattr(backend_type, kernel)).parameters
+
+
+def _run_kernel(kernel: str, args: tuple, out: Optional[np.ndarray]) -> np.ndarray:
+    """The active backend's CBSR ``kernel`` over ``args``, into ``out`` when
+    one is given. A backend (or wrapper) whose kernel takes no ``out`` —
+    written against the signatures before it existed — computes into a
+    fresh array that is copied over: the same bytes. The one such wrapper
+    is ``bench/trace.py``'s ``TracingBackend``; once it passes ``out``
+    through, this fork and :func:`_takes_out` go (ROADMAP, Small open
+    ends)."""
+    method = getattr(_ACTIVE, kernel)
+    if out is None:
+        return method(*args)
+    if _takes_out(type(_ACTIVE), kernel):
+        return method(*args, out)
+    return _into(out, method(*args))
+
+
+def _check_kernel_out(out, shape, operands) -> Optional[np.ndarray]:
+    """A CBSR kernel's ``out``: ``None``, or C-contiguous of ``shape`` and
+    the float dtype, sharing no memory with ``operands``."""
+    if out is None:
+        return None
+    _check_out(out, shape, np.dtype(FLOAT_DTYPE))
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    if any(np.may_share_memory(out, operand) for operand in operands):
+        raise ValueError("out must not overlap the operands")
+    return out
 
 
 def _check_topk_args(x, k: int, op_name: str) -> np.ndarray:
@@ -988,11 +1062,12 @@ def topk_mask(x, k: int, out=None, workspace=None, slot: str = "topk") -> np.nda
     A NaN entry is selected as ``+inf`` would be (rows stay exactly ``k``)
     and its mask entry is an ordinary 0.0/1.0, never NaN: the caller's
     ``x * mask`` still poisons the output, the gradient there is masked.
-    ``workspace`` — any object with a ``buffer(name, shape, dtype)`` method,
-    normally :class:`repro.tensor.workspace.Workspace` — additionally
-    routes the selection's internal scratch through reusable slots keyed by
-    ``slot``, making steady-state MaxK selection allocation-free on the
-    vectorized backends.
+    ``workspace`` — any object with ``buffer(name, shape, dtype)`` and
+    ``release(view)`` methods, normally
+    :class:`repro.tensor.workspace.Workspace` — additionally routes the
+    selection's internal scratch through slots keyed by ``slot``, each
+    released before the select returns, making steady-state MaxK selection
+    allocation-free on the vectorized backends.
     """
     x = _check_topk_args(x, k, "topk_mask")
     if out is not None and (

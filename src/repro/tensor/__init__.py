@@ -13,7 +13,7 @@ from .functional import (
     spgemm_agg,
     spmm_agg,
 )
-from .workspace import Workspace
+from .workspace import Workspace, release
 from .init import xavier_uniform, zeros
 from .optim import Adam
 from .tensor import Tensor, no_grad
@@ -29,6 +29,7 @@ __all__ = [
     "linear_act",
     "add_into",
     "Workspace",
+    "release",
     "log_softmax",
     "cross_entropy",
     "fused_ce",

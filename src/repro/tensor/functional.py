@@ -12,12 +12,14 @@ The two operators at the heart of the paper live here:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..sparse import CSRMatrix, ops
 from .tensor import Tensor
+from .workspace import holders, release
 
 __all__ = [
     "relu",
@@ -44,20 +46,37 @@ def _taker(workspace, slot: str, dtype):
     The only place that knows whether an arena exists — every op below has
     one arithmetic body and asks this for each large array it writes.
     ``dtype`` is the op's operand's: what a request that names none gets.
+
+    A planned view lives until it is released, and the ops state that
+    lifetime by when they release (:func:`release` ignores fresh arrays, so
+    one body serves both): *scratch* before the op returns, a *gradient*
+    right after handing it to ``_accumulate`` (an adopting tensor holds it
+    on until its own backward has run), and *saved* state never — it lives
+    until the model's next training forward resets the arena. ``own=True``
+    asks for storage of its own instead, outside that plan: a weight
+    gradient, which its parameter may keep past that reset
+    (:meth:`~repro.tensor.workspace.Workspace.owned`).
     """
     if workspace is None:
-        return lambda name, shape, dtype=dtype: np.empty(shape, dtype=dtype)
-    return lambda name, shape, dtype=dtype: workspace.buffer(
-        slot + name, shape, dtype
-    )
+        return lambda name, shape, dtype=dtype, own=False: np.empty(shape, dtype=dtype)
+
+    def take(name, shape, dtype=dtype, own=False):
+        serve = workspace.owned if own else workspace.buffer
+        return serve(slot + name, shape, dtype)
+
+    return take
 
 
 def _node(data, parents, backward, workspace, slot: str) -> Tensor:
-    """Autograd node whose gradient, when planned, owns an arena slot: where
-    a second arriving gradient is summed (the first is handed over)."""
+    """Autograd node whose gradient, when planned, may own an arena slot:
+    requested only when a second gradient arrives and is summed there (the
+    first is handed over), so a node with one consumer never takes one. It
+    is a gradient's lifetime: :meth:`Tensor.backward` releases it once this
+    node's backward has run."""
     out = Tensor._make(data, parents, backward)
     if workspace is not None and out.requires_grad:
-        out._grad_buffer = workspace.buffer(slot + ".grad", data.shape, data.dtype)
+        out._grad_buffer_slot = partial(workspace.buffer, slot + ".grad",
+                                        data.shape, data.dtype)
     return out
 
 
@@ -113,7 +132,9 @@ def linear_act(
     # scratch, one cast.
     if activation == "relu":
         mask = take(".mask", y.shape)
-        ops.mask_into(np.greater, y, 0.0, take(".flags", y.shape, bool), mask)
+        flags = take(".flags", y.shape, bool)
+        ops.mask_into(np.greater, y, 0.0, flags, mask)
+        release(flags)
         np.maximum(y, 0.0, out=y)
         h = y
     elif activation == "maxk":
@@ -133,26 +154,34 @@ def linear_act(
     def backward(grad):
         if mask is None:
             grad_y = grad
-        elif activation == "relu":
-            grad_y = take(".gy", grad.shape)
+        else:
+            # A gradient no one but this node holds is dead once read here,
+            # so the masked product overwrites it (same operands, same
+            # bytes) instead of taking a slot.
+            grad_y = grad if holders(grad) == 1 else take(".gy", grad.shape)
             np.multiply(grad, mask, out=grad_y)
-        else:  # maxk routes gradient through the surviving positions only
-            # grad * mask, + 0.0 to normalise dropped entries to +0.0 —
-            # bit-identical to ``np.where(mask, grad, 0.0)`` and ~5x
-            # faster than a masked copy.
-            grad_y = take(".gy", grad.shape)
-            np.multiply(grad, mask, out=grad_y)
-            grad_y += 0.0
+            if activation == "maxk":
+                # Routes gradient through the surviving positions only;
+                # + 0.0 normalises dropped entries to +0.0 — bit-identical
+                # to ``np.where(mask, grad, 0.0)`` and ~5x faster than a
+                # masked copy.
+                grad_y += 0.0
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_y.sum(axis=0))
         if weight.requires_grad:
-            grad_w = take(".gw", weight.shape)
+            # Parameter-shaped: storage of its own, which outlives the next
+            # forward's reset (gradients may sum over several forwards
+            # before one optimizer step; see Workspace.owned).
+            grad_w = take(".gw", weight.shape, own=True)
             np.matmul(x.data.T, grad_y, out=grad_w)
             weight._accumulate(grad_w)
         if x.requires_grad:
             grad_x = take(".gx", x.shape)
             np.matmul(grad_y, weight.data.T, out=grad_x)
             x._accumulate(grad_x)
+            release(grad_x)
+        if grad_y is not grad:
+            release(grad_y)
 
     return _node(h, parents, backward, workspace, slot)
 
@@ -191,7 +220,9 @@ def relu(x: Tensor, workspace=None, slot: str = "relu") -> Tensor:
     """
     take = _taker(workspace, slot, x.data.dtype)
     mask = take(".mask", x.data.shape)  # float 0/1 mask, see linear_act
-    ops.mask_into(np.greater, x.data, 0.0, take(".flags", x.data.shape, bool), mask)
+    flags = take(".flags", x.data.shape, bool)
+    ops.mask_into(np.greater, x.data, 0.0, flags, mask)
+    release(flags)
     data = take(".out", x.data.shape)
     np.multiply(x.data, mask, out=data)
     data += 0.0
@@ -202,6 +233,7 @@ def relu(x: Tensor, workspace=None, slot: str = "relu") -> Tensor:
         grad_x = take(".gx", x.data.shape)
         np.multiply(np.asarray(grad), mask, out=grad_x)
         x._accumulate(grad_x)
+        release(grad_x)
 
     return _node(data, (x,), backward, workspace, slot)
 
@@ -235,6 +267,7 @@ def maxk_with_mask(x: Tensor, k: int, workspace=None, slot: str = "maxk"):
         np.multiply(np.asarray(grad), mask, out=grad_x)
         grad_x += 0.0
         x._accumulate(grad_x)
+        release(grad_x)
 
     return _node(data, (x,), backward, workspace, slot), mask
 
@@ -258,28 +291,39 @@ def spgemm_agg(
     survivors included. ``mask`` hands in the selection
     :func:`maxk_with_mask` already made over ``x`` (GIN's self term), so
     the layer selects once. ``workspace`` / ``slot`` route the mask, the
-    block and the dense gradient into planned buffers.
+    block, the aggregation output and both backward blocks into planned
+    buffers; only the column block is saved for the backward (it never
+    reads ``x.data``).
     """
     n, dim = x.data.shape
     take = _taker(workspace, slot, x.data.dtype)
-    if mask is None:
-        mask = ops.topk_mask(x.data, k, out=take(".mask", (n, dim), bool),
-                             workspace=workspace, slot=slot + ".topk")
+    selection = mask
+    if selection is None:
+        selection = ops.topk_mask(x.data, k, out=take(".mask", (n, dim), bool),
+                                  workspace=workspace, slot=slot + ".topk")
     sp_data, sp_index = ops.cbsr_pack(
-        x.data, mask, k, take(".data", (n, k)),
+        x.data, selection, k, take(".data", (n, k)),
         take(".index", (n, k), ops.index_dtype_for(dim)),
     )
+    if mask is None:
+        release(selection)
     out = ops.spgemm_cbsr(
-        adj.indptr, adj.indices, adj.data, sp_data, sp_index, dim, adj.n_rows
+        adj.indptr, adj.indices, adj.data, sp_data, sp_index, dim, adj.n_rows,
+        out=take(".out", (adj.n_rows, dim)),
     )
+    release(sp_data)
 
     def backward(grad):
         if not x.requires_grad:
             return
-        sp_grad = ops.sspmm_cbsr(adj.indptr, adj.indices, adj.data, grad, sp_index, n)
-        x._accumulate(ops.cbsr_unpack(sp_grad, sp_index, dim, take(".gx", (n, dim))))
+        sp_grad = ops.sspmm_cbsr(adj.indptr, adj.indices, adj.data, grad,
+                                 sp_index, n, out=take(".spg", (n, k)))
+        grad_x = ops.cbsr_unpack(sp_grad, sp_index, dim, take(".gx", (n, dim)))
+        release(sp_grad)
+        x._accumulate(grad_x)
+        release(grad_x)
 
-    return Tensor._make(out, (x,), backward)
+    return _node(out, (x,), backward, workspace, slot)
 
 
 def spmm_agg(
@@ -318,9 +362,9 @@ def spmm_agg(
         if not x.requires_grad:
             return
         transpose = adj_t if adj_t is not None else adj.transpose()
-        x._accumulate(
-            transpose.matmul_dense(np.asarray(grad), out=take(".gx", x.shape))
-        )
+        grad_x = transpose.matmul_dense(np.asarray(grad), out=take(".gx", x.shape))
+        x._accumulate(grad_x)
+        release(grad_x)
 
     return _node(data, (x,), backward, workspace, slot)
 
@@ -351,8 +395,11 @@ def dropout(
     scale = 1.0 / (1.0 - p)
     take = _taker(workspace, slot, x.data.dtype)
     keep = take(".keep", x.data.shape)  # float 0/1 mask, see linear_act
-    data = ops.dropout_into(rng, x.data, p, take(".draw", x.data.shape), keep,
-                            take(".out", x.data.shape))
+    draw = take(".draw", x.data.shape)
+    data = ops.dropout_into(rng, x.data, p, draw, keep, take(".out", x.data.shape))
+    release(draw)
+    if not x.requires_grad:
+        release(keep)  # no backward will read it
 
     def backward(grad):
         if not x.requires_grad:
@@ -361,6 +408,7 @@ def dropout(
         np.multiply(np.asarray(grad), keep, out=grad_x)
         grad_x *= scale
         x._accumulate(grad_x)
+        release(grad_x)
 
     return _node(data, (x,), backward, workspace, slot)
 
@@ -436,6 +484,7 @@ def fused_ce(
     count = idx.size
     # sum → * (1/count) → negate: the exact op chain of -picked.mean().
     value = -(log_probs[idx, picked_labels].sum() * (1.0 / count))
+    release(shift, log_probs, norm)  # the backward reads only the softmax
 
     source = logits
 
@@ -454,7 +503,9 @@ def fused_ce(
         grad_x = take(".gx", (n, dim))
         np.multiply(softmax, row_sum, out=grad_x)
         np.subtract(grad_lp, grad_x, out=grad_x)
+        release(grad_lp, row_sum)
         source._accumulate(grad_x)
+        release(grad_x)
 
     return Tensor._make(np.asarray(value), (source,), backward)
 

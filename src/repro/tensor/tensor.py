@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..sparse import ops
+from .workspace import hold, holders, release
 
 __all__ = ["Tensor", "no_grad"]
 
@@ -53,7 +54,7 @@ class Tensor:
     """An n-d array node in the autograd graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_grad_buffer", "name")
+                 "_grad_buffer", "_grad_buffer_slot", "name")
 
     def __init__(
         self,
@@ -69,12 +70,17 @@ class Tensor:
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
         #: Optional preallocated storage this tensor owns (set by optimizers
-        #: for parameters and by the workspace-planned fused ops for
-        #: intermediates). A first gradient is handed over, not copied; this
-        #: is where a second one is summed (copy-on-write), so a steady-state
-        #: backward accumulates into reused memory instead of allocating.
+        #: for parameters, and requested through ``_grad_buffer_slot`` by the
+        #: workspace-planned fused ops' nodes). A first gradient is handed
+        #: over, not copied; this is where a second one is summed
+        #: (copy-on-write), so a steady-state backward accumulates into
+        #: reused memory instead of allocating.
         #: ``grad is _grad_buffer`` is what "owned" means (see _accumulate).
         self._grad_buffer: Optional[np.ndarray] = None
+        #: A workspace-planned node's request for that storage, made anew
+        #: each time a second gradient arrives (see _fitting_buffer), never
+        #: at forward: a node with one consumer needs none.
+        self._grad_buffer_slot: Optional[Callable[[], np.ndarray]] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -115,20 +121,34 @@ class Tensor:
         the second gradient is summed into this tensor's own buffer, or a
         fresh array (copy-on-write), and later ones ``+=`` there. The sum
         takes its operands in ``+=``'s order, so its bytes are the same.
+
+        An adopted workspace view gains this tensor as a holder; it lets go
+        when the sum replaces it, or once this node's backward has run
+        (:meth:`backward`), so the view lives exactly as long as it is read.
+        A planned node whose adopted view no one else holds sums the second
+        gradient into it (the same operands, so the same bytes) instead of
+        requesting a slot of its own.
         """
         grad = _unbroadcast(np.asarray(grad), self.data.shape)
         if self.grad is None:
             if (grad.shape == self.data.shape and grad.dtype == self.data.dtype
                     and grad.flags.c_contiguous):
                 self.grad = grad
+                hold(grad)
             else:
                 self._own(grad)
         elif self.grad is self._grad_buffer:
             self.grad += grad
+        elif self._grad_buffer_slot is not None and holders(self.grad) == 1:
+            self._grad_buffer = np.add(self.grad, grad, out=self.grad)
         else:
-            self.grad = np.add(self.grad, grad, out=self._fitting_buffer())
+            adopted = self.grad
+            self.grad = np.add(adopted, grad, out=self._fitting_buffer())
+            release(adopted)
 
     def _fitting_buffer(self) -> Optional[np.ndarray]:
+        if self._grad_buffer_slot is not None:
+            self._grad_buffer = self._grad_buffer_slot()
         buffer = self._grad_buffer
         if buffer is not None and buffer.shape == self.data.shape:
             return buffer
@@ -279,13 +299,22 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        # A gradient left by an earlier sweep may be an array handed over
-        # from a workspace slot, which this sweep's producer rewrites: own
-        # it before any producer runs.
+        # What an earlier sweep left behind: an intermediate node's gradient
+        # was consumed when that sweep ran its backward (a workspace view's
+        # lifetime ended there), so it is dropped, not summed into again. A
+        # leaf's may be an array handed over from a workspace slot that this
+        # sweep's producer rewrites: own it before any producer runs.
         for node in topo:
-            if node.grad is not None and node.grad is not node._grad_buffer:
-                node._own(node.grad)
+            if node.grad is None:
+                continue
+            if node._backward is not None:
+                node.grad = None
+            elif node.grad is not node._grad_buffer:
+                left = node.grad
+                node._own(left)
+                release(left)
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                release(node.grad)

@@ -145,6 +145,20 @@ class TestCompareFile:
         ))
         assert rows == [("speedup", "ratio", 1.5, 0.5, False)]
 
+    def test_noise_floor_never_exempts_an_efficiency(self):
+        """An efficiency is at most 1.0, so a floor above 1.0 would leave
+        every one ungated: a 0.99 -> 0.5 drop fails at the default floor,
+        while a 1.05 speedup beside it still only reads ratio-info."""
+        rows = list(check_trend.compare_file(
+            {"load_efficiency": 0.99, "speedup": 1.05},
+            {"load_efficiency": 0.5, "speedup": 1.05}, 0.2, False,
+            noise_floor=1.15,
+        ))
+        assert rows == [
+            ("load_efficiency", "ratio", 0.99, 0.5, False),
+            ("speedup", "ratio-info", 1.05, 1.05, True),
+        ]
+
 
 class TestMain:
     def _write(self, directory, name, payload):
@@ -311,3 +325,11 @@ class TestMain:
                 "--current", str(tmp_path / "cur")]
         assert check_trend.main(args) == 0  # inside the noise floor
         assert check_trend.main(args + ["--gate-all"]) == 1
+
+    def test_default_floor_gates_an_efficiency_drop(self, tmp_path):
+        self._write(tmp_path / "base", "BENCH_x.json",
+                    {"r2": {"load_efficiency": 0.99}})
+        self._write(tmp_path / "cur", "BENCH_x.json",
+                    {"r2": {"load_efficiency": 0.5}})
+        assert check_trend.main(["--baseline", str(tmp_path / "base"),
+                                 "--current", str(tmp_path / "cur")]) == 1

@@ -29,6 +29,7 @@ from repro.graphs.graph import Graph
 from repro.models import GNNConfig, MaxKGNN
 from repro.serving import InferenceService
 from repro.sparse import ops
+from repro.tensor import Workspace
 from repro.training import Engine, FullGraphFlow, SampledFlow, make_flow
 from repro.training.checkpoint import CheckpointError, read_checkpoint
 from tests.conftest import ARMS, arm_backend, without_compiled_loops
@@ -90,13 +91,25 @@ def _assert_floats_are(width, arrays, what):
     assert not wrong, f"{what}: {wrong} (expected {width})"
 
 
-def _slots(workspace):
-    return {f"{name}:{dtype}": flat
-            for (name, dtype), flat in workspace._store.items()}
+@pytest.fixture
+def served(monkeypatch):
+    """``{"name:dtype": view}`` of every request an arena serves while the
+    test runs: scratch and gradients released long before the run ends, as
+    well as the saved state and the parameter-shaped gradients."""
+    slots = {}
+    for method in ("buffer", "owned"):
+        def record(self, name, shape, dtype, serve=getattr(Workspace, method)):
+            view = serve(self, name, shape, dtype)
+            slots[f"{name}:{np.dtype(dtype)}"] = view
+            return view
+
+        monkeypatch.setattr(Workspace, method, record)
+    return slots
 
 
 def _training_state(engine):
-    """Every float the training step keeps, by name."""
+    """Every float the training step keeps, by name (arena slots apart:
+    the ``served`` fixture records those)."""
     model, optimizer = engine.model, engine.optimizer
     state = {}
     for index, p in enumerate(optimizer.parameters):
@@ -105,7 +118,6 @@ def _training_state(engine):
         state[f"grad_buffer{index}"] = p._grad_buffer
     for name in ("_flat_m", "_flat_v", "_flat_grad", "_flat_scratch"):
         state[f"adam{name}"] = getattr(optimizer, name)
-    state.update(_slots(model.workspace))
     store = engine._replica_grads
     if store is not None:
         state["replica_arena"] = store._arena
@@ -116,7 +128,7 @@ def _training_state(engine):
 
 
 @pytest.mark.parametrize("flow", sorted(FLOWS))
-def test_training_follows_the_width(backend, width, flow):
+def test_training_follows_the_width(backend, width, flow, served):
     losses = {}
     for cbsr in (False, True):
         graph = _task_graph()
@@ -126,6 +138,10 @@ def test_training_follows_the_width(backend, width, flow):
         try:
             result = engine.fit(2, eval_every=1)
             _assert_floats_are(width, _training_state(engine), flow)
+            # Every slot the step requested, the released ones included.
+            assert any(key.startswith(("conv0", "drop0")) and ".g" in key
+                       for key in served), sorted(served)
+            _assert_floats_are(width, served, f"{flow} arena")
             store = engine._replica_grads
             if store is not None:
                 assert store._arena[0].nbytes == width.itemsize * sum(

@@ -350,8 +350,10 @@ class TestFloatMasksMatchHeaviside:
                 maxk_with_mask(Tensor(data), 2, ws, "m")
                 linear_act(Tensor(data[:, :1]), Tensor(np.ones((1, dim))),
                            None, "relu", None, ws, "l")
-                dropout(Tensor(data), 0.5, True, np.random.default_rng(n_rows),
-                        ws, "d")
+                # An input that takes a gradient: its keep mask is saved
+                # state (without one it dies before dropout returns).
+                dropout(Tensor(data, requires_grad=True), 0.5, True,
+                        np.random.default_rng(n_rows), ws, "d")
             draw = np.random.default_rng(n_rows).random(
                 data.shape, dtype=data.dtype
             )

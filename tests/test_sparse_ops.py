@@ -1209,6 +1209,50 @@ def test_an_out_that_overlaps_x_is_refused(backend_name):
                             out=out) is out
 
 
+def test_cbsr_kernels_write_the_same_bytes_into_out(backend_name):
+    """``spgemm_cbsr`` / ``sspmm_cbsr`` with ``out`` return that array,
+    holding the fresh call's bytes whatever it held before (each thread
+    zeroes the rows it owns; the numpy bodies copy over)."""
+    for seed, empty_rows in [(1020, False), (1021, True)]:
+        case = cbsr_case(np.random.default_rng(seed), 9, 11, 12, 3,
+                         empty_rows=empty_rows)
+        adj, sp_data, sp_index, grad_out = case
+        csr = (adj.indptr, adj.indices, adj.data)
+        fresh = run_cbsr_pair(backend_name, case)
+        outs = [np.full(fresh[0].shape, np.nan, dtype=fresh[0].dtype),
+                np.full(fresh[1].shape, np.nan, dtype=fresh[1].dtype)]
+        with ops.use_backend(backend_name):
+            got = (
+                ops.spgemm_cbsr(*csr, sp_data, sp_index, grad_out.shape[1],
+                                adj.n_rows, out=outs[0]),
+                ops.sspmm_cbsr(*csr, grad_out, sp_index, adj.n_cols,
+                               out=outs[1]),
+            )
+        assert got[0] is outs[0] and got[1] is outs[1]
+        assert bytes_equal(got[0], fresh[0]) and bytes_equal(got[1], fresh[1])
+
+
+def test_a_cbsr_out_of_the_wrong_form_is_refused(backend_name):
+    adj, sp_data, sp_index, grad_out = cbsr_case(
+        np.random.default_rng(1022), 6, 6, 8, 2
+    )
+    csr = (adj.indptr, adj.indices, adj.data)
+    shape, width = (adj.n_rows, 8), adj.data.dtype
+    other = np.float64 if width == np.float32 else np.float32
+    with ops.use_backend(backend_name):
+        for out, match in [
+            (np.empty((adj.n_rows + 1, 8), dtype=width), "shape"),
+            (np.empty(shape, dtype=other), "dtype"),
+            (np.empty((8, adj.n_rows), dtype=width).T, "C-contiguous"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                ops.spgemm_cbsr(*csr, sp_data, sp_index, 8, adj.n_rows, out=out)
+        with pytest.raises(ValueError, match="overlap"):
+            ops.sspmm_cbsr(*csr, grad_out, sp_index, adj.n_cols,
+                           out=grad_out.reshape(-1)[:adj.n_cols * 2]
+                           .reshape(adj.n_cols, 2))
+
+
 def test_bounds_are_validated_once_per_read_only_adjacency(monkeypatch):
     """Where the loops build, the vectorized backend keeps an adjacency's
     O(nnz) bounds per read-only buffer triple (a warmed ``CSRMatrix``

@@ -148,6 +148,17 @@ class TestGraphMechanics:
         np.testing.assert_array_equal(c.grad, np.ones(3))
         np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
 
+    def test_a_second_sweep_sums_only_its_own_gradient(self):
+        # Two losses over one forward, swept one after the other: the
+        # leaf gets d(a + b)/dx. What the first sweep left on the shared
+        # intermediate was consumed by it and is not sent down again.
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = x * 3.0
+        a, b = h.sum(), (h * h).sum()
+        a.backward()
+        b.backward()
+        np.testing.assert_array_equal(x.grad, 3.0 + 18.0 * x.data)
+
     def test_first_gradient_is_adopted_only_when_it_fits(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         fits = np.ones((2, 3), dtype=x.data.dtype)

@@ -32,7 +32,7 @@ from repro.tensor import (
     relu,
     spmm_agg,
 )
-from repro.training import Engine, FullGraphFlow
+from repro.training import Engine, FullGraphFlow, TrainResult
 from tests.conftest import fd_tolerance, floats
 from tests.test_tensor import finite_difference
 
@@ -668,6 +668,27 @@ class TestGradientHandOver:
             grads.append([p.grad.tobytes() for p in model.parameters()])
         assert grads[0] == grads[1]
 
+    def test_a_weight_gradient_outlives_the_next_forward(self):
+        # Gradients summed over two forwards before one step: the weight
+        # holds its first gradient across a reset, and the second forward
+        # (more rows than the first, inside the capacity an earlier step
+        # grew) requests the span an arena view of it would sit in.
+        def run(workspace):
+            rng = np.random.default_rng(0)
+            weight = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+            grads = []
+            for rows, fresh in ((80, True), (5, True), (40, False)):
+                if fresh:
+                    weight.zero_grad()
+                if workspace is not None:
+                    workspace.reset()
+                x = Tensor(rng.standard_normal((rows, 4)))
+                linear_act(x, weight, workspace=workspace, slot="l").sum().backward()
+                grads.append(weight.grad.tobytes())
+            return grads
+
+        assert run(Workspace()) == run(None)
+
     def test_single_consumers_hold_handed_over_arrays(self):
         model, graph = _route_model("sage", "maxk", True)
         model.train()
@@ -677,11 +698,13 @@ class TestGradientHandOver:
         loss.backward()
         counts, nodes = _consumers(loss)
         planned = [n for n in nodes
-                   if n._parents and n._grad_buffer is not None]
+                   if n._parents and n._grad_buffer_slot is not None]
         single = [n for n in planned if counts.get(id(n), 0) == 1]
         multi = [n for n in planned if counts.get(id(n), 0) > 1]
         # Layer 1's dropout output feeds the neighbour and the self linear.
         assert single and multi
+        # The own slot is requested only where a second gradient arrives.
+        assert all(n._grad_buffer is None for n in single)
         assert all(n.grad is not n._grad_buffer for n in single)
         assert all(n.grad is n._grad_buffer for n in multi)
 
@@ -709,3 +732,116 @@ class TestEvalKeepsArenaSmall:
         scores = engine.evaluate()  # full graph, 10x the batch rows
         assert engine.model.workspace.allocations == trained
         assert np.isfinite(list(scores.values())).all()
+
+
+@pytest.fixture
+def poisoned_arena(monkeypatch):
+    """Every float view the arena serves starts as NaN: a view read after
+    its lifetime ended, or two live views sharing bytes, poisons the run
+    instead of passing by accident."""
+    served = Workspace.buffer
+
+    def poisoned(self, name, shape, dtype):
+        view = served(self, name, shape, dtype)
+        if np.issubdtype(view.dtype, np.floating):
+            view.fill(np.nan)
+        return view
+
+    monkeypatch.setattr(Workspace, "buffer", poisoned)
+
+
+def _khop(pool_size):
+    from repro.training import SampledFlow
+
+    return SampledFlow(sampler="khop", batches_per_epoch=3, sample_size=6,
+                       n_hops=2, fanout=3, pool_size=pool_size, seed=1)
+
+
+def _planned_and_fresh_runs(flow_of, route, model_type="sage", epochs=3):
+    """Training losses and parameter bytes with and without the arena,
+    and the planned run's result."""
+    graph = sbm_graph(240, 3, 6.0, intra_fraction=0.7, seed=6).to_undirected()
+    attach_classification_task(graph, n_features=8, signal=0.5, seed=6)
+    runs = []
+    for use_workspace in (True, False):
+        model, _ = _route_model(model_type, route, use_workspace, graph)
+        result = Engine(model, graph, flow_of(), lr=0.01).fit(
+            epochs, eval_every=epochs
+        )
+        runs.append((result.train_losses, result.batch_losses,
+                     [p.data.tobytes() for p in model.parameters()]))
+        if use_workspace:
+            planned = result
+    return runs, planned
+
+
+@pytest.mark.usefixtures("poisoned_arena")
+class TestPoisonedArenaAcrossFlows:
+    """The poisoned full-graph check above, on flows whose batches change
+    the arena's row count from one step to the next."""
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    @pytest.mark.parametrize("pool_size", [None, 2], ids=["fresh", "pooled"])
+    def test_sampled_khop_trains_like_fresh_arrays(self, route, pool_size):
+        runs, planned = _planned_and_fresh_runs(lambda: _khop(pool_size), route)
+        assert len(set(planned.batch_sizes)) > 1
+        assert np.isfinite(runs[0][1]).all()
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("route", ["relu", "maxk-cbsr"])
+    @pytest.mark.parametrize("model_type", ["sage", "gin"])
+    def test_two_replicas_train_like_fresh_arrays(self, route, model_type):
+        from repro.training import DistributedFlow
+
+        runs, _ = _planned_and_fresh_runs(
+            lambda: DistributedFlow(_khop(2), 2), route, model_type
+        )
+        assert np.isfinite(runs[0][0]).all()
+        assert runs[0] == runs[1]
+
+
+def _bench_shaped_model(n_nodes, hidden, k):
+    """The benchmark's model (SAGE, 3 layers, MaxK through the CBSR
+    kernels, dropout 0.5, 64 features) on its graph family."""
+    graph = sbm_graph(n_nodes, 10, 48.0, intra_fraction=0.5,
+                      seed=11).to_undirected()
+    attach_classification_task(graph, n_features=64, signal=0.3, seed=11)
+    config = GNNConfig(
+        model_type="sage", in_features=64, hidden=hidden, out_features=10,
+        n_layers=3, nonlinearity="maxk", k=k, dropout=0.5,
+        use_cbsr_kernels=True,
+    )
+    return MaxKGNN(graph, config, seed=0), graph
+
+
+class TestPlannedArenaSize:
+    """What a step holds, counted in bytes (never timed): the arena is
+    sized by the most the tape holds at once, not by its slot count."""
+
+    @pytest.mark.parametrize("hidden, k, bytes_per_node", [
+        (64, 8, 16 * 2**20 / 5000),  # the benchmark shape: <= 16 MiB at 5 000 rows
+        (256, 32, 14_000),           # the paper's width: <= 14 KB / node
+    ], ids=["64-k8", "256-k32"])
+    def test_bytes_per_node(self, hidden, k, bytes_per_node):
+        n_nodes = 1200
+        model, graph = _bench_shaped_model(n_nodes, hidden, k)
+        Engine(model, graph, FullGraphFlow(), lr=0.01).fit(3, eval_every=3)
+        workspace = model.workspace
+        assert workspace.nbytes <= bytes_per_node * n_nodes
+        # One slot per name kept 39 blocks of n x hidden floats alive.
+        assert workspace.nbytes < 14 * n_nodes * hidden * 4
+
+    def test_allocations_flat_while_batch_rows_vary(self):
+        graph = sbm_graph(240, 3, 6.0, intra_fraction=0.7, seed=6).to_undirected()
+        attach_classification_task(graph, n_features=8, signal=0.5, seed=6)
+        model, _ = _route_model("sage", "maxk-cbsr", True, graph)
+        engine = Engine(model, graph, _khop(3), lr=0.01)
+        for epoch in range(2):  # every pooled batch, the largest included
+            engine.train_epoch(epoch)
+        settled = model.workspace.allocations
+        steady = TrainResult()
+        engine.train_epoch(2, result=steady)
+        engine.train_epoch(3, result=steady)
+        assert len(steady.batch_sizes) >= 5
+        assert len(set(steady.batch_sizes)) > 1
+        assert model.workspace.allocations == settled
