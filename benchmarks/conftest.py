@@ -68,14 +68,22 @@ def record_result(results_dir):
     return _record
 
 
-@pytest.fixture
-def record_json(results_dir):
-    """Merge one benchmark's machine-readable payload into a JSON artifact.
+@pytest.fixture(scope="session")
+def _json_written() -> set:
+    """The JSON artifacts this pytest session has already written."""
+    return set()
 
-    ``record_json(file_stem, key, payload)`` updates ``<stem>.json`` in
-    the run's results directory under ``key`` (read–update–write, so
-    independent tests and repeated runs compose). CI uploads the smoke
-    directory as workflow artifacts and feeds it to the trend check
+
+@pytest.fixture
+def record_json(results_dir, _json_written):
+    """Record one benchmark's machine-readable payload in a JSON artifact.
+
+    ``record_json(file_stem, key, payload)`` writes ``<stem>.json`` in the
+    run's results directory under ``key``. A stem's first write in a
+    pytest session replaces the file, so a key whose test is gone does not
+    outlive it; later writes in the session merge (read–update–write), so
+    independent tests compose. CI uploads the smoke directory as workflow
+    artifacts and feeds it to the trend check
     (``benchmarks/check_trend.py``) against the committed baselines.
     """
 
@@ -83,11 +91,12 @@ def record_json(results_dir):
         print(f"\n=== {stem}:{key} ===\n{json.dumps(payload, indent=2)}")
         path = results_dir / f"{stem}.json"
         merged = {}
-        if path.exists():
+        if path in _json_written:
             merged = json.loads(path.read_text())
         merged[key] = payload
         _atomic_write_text(
             path, json.dumps(merged, indent=2, sort_keys=True) + "\n"
         )
+        _json_written.add(path)
 
     return _record

@@ -11,6 +11,14 @@ bit-identical to in-process; the R=2 ratio is recorded, not gated
 (``python -m bench`` is the timing authority — a wall-clock floor here
 made tier-1 depend on the host's core count and load).
 
+At this stand-in's size (800 nodes, a replica step of a few ms) the
+message round trip outweighs the second core: the committed row reads
+0.77×. It is not the reading the process path is kept on: at R = 2 on a
+30k-node graph the processes ran 1.7× (k-hop inner flow) and 1.8×
+(partitioned inner flow) faster than in-process replicas, 10 of 10
+alternated pairs each, and 0.8× pinned to one core
+(``PERF.md``, *measured first*).
+
 ``REPRO_FORCE_PROCS=1`` is set for the whole module so single-core CI
 still exercises the spawn path end to end. ``REPRO_PERF_SMOKE=1``
 shrinks the protocol for CI gating. Full runs write

@@ -12,7 +12,9 @@ Lifecycle is explicit: the exporting process owns the segments and must
 ``unlink()`` them (``close()`` only drops this process's mappings); worker
 attachments ``close()`` theirs. Every segment this module creates is
 tracked in a process-local registry so tests can assert none leak
-(:func:`owned_segment_count`).
+(:func:`owned_segment_count`), and an owner keeps a pidfile beside its
+segments exactly while it owns any, so a crash sweep can tell a live
+owner from a recycled pid.
 
 CPython detail that shapes :meth:`SharedGraphStore.attach`: on 3.11,
 ``SharedMemory(name=...)`` registers the segment with the resource tracker
@@ -63,8 +65,8 @@ _GENERATION = 0
 #: Monotonic per-process segment counter (uniquifies names).
 _SEQ = 0
 
-#: Whether this process has already swept leaked segments / written its
-#: pidfile (both happen lazily at the first export).
+#: Whether this process has already swept leaked segments (lazily, at
+#: its first export).
 _SWEPT = False
 
 #: All segments this module creates follow this prefix so a startup sweep
@@ -107,6 +109,13 @@ def _write_pidfile() -> None:
     try:
         with open(_pidfile_path(os.getpid()), "w") as handle:
             handle.write(str(os.getpid()))
+    except OSError:
+        pass
+
+
+def _remove_pidfile() -> None:
+    try:
+        os.unlink(_pidfile_path(os.getpid()))
     except OSError:
         pass
 
@@ -234,6 +243,7 @@ class SharedGraphStore:
         if not _SWEPT:
             _SWEPT = True
             sweep_leaked_segments()
+        if not _OWNED:
             _write_pidfile()
         try:
             meta, arrays = graph.flatten()
@@ -370,6 +380,8 @@ class SharedGraphStore:
                 pass
             _OWNED.discard(shm.name)
         self._segments = []
+        if not _OWNED:
+            _remove_pidfile()
 
     def __enter__(self) -> "SharedGraphStore":
         return self

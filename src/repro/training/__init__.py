@@ -33,6 +33,7 @@ from .dataflow import (
 from .engine import Engine, ReplicaGradients, TrainResult, batch_loss
 from .parallel import (
     ReplicaWorkerError,
+    WorkerSupervisionError,
     available_cores,
     reset_fallback_warnings,
     resolve_process_workers,
@@ -40,7 +41,6 @@ from .parallel import (
 from .metrics import accuracy, micro_f1, roc_auc
 from .schedulers import EarlyStopping
 from .seeds import SeededResult, run_seeded
-from .supervision import SupervisorConfig, WorkerSupervisionError
 
 __all__ = [
     "accuracy",
@@ -52,7 +52,6 @@ __all__ = [
     "available_cores",
     "reset_fallback_warnings",
     "resolve_process_workers",
-    "SupervisorConfig",
     "WorkerSupervisionError",
     "ReplicaWorkerError",
     "FaultEvent",

@@ -496,9 +496,7 @@ class Engine:
             )
             return None
         workers = resolve_process_workers(
-            flow.replicas,
-            label="replica processes",
-            payload=(flow.inner, config),
+            flow.replicas, payload=(flow.inner, config)
         )
         if workers == 0:
             return None

@@ -3,17 +3,22 @@ vectorized backend's numpy bodies, the backends every suite case runs
 on, and the one place the suite's float tolerances come from:
 ``ops.FLOAT_DTYPE``'s round-off."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from repro.graphs import owned_segment_count
+from repro.graphs.shm import _pidfile_path
 from repro.sparse import native, ops
 from repro.training import set_fault_plan
-from repro.training.parallel import reset_fallback_warnings
+from repro.training.parallel import ReplicaProcessPool, reset_fallback_warnings
 
 
 @pytest.fixture(autouse=True)
 def _fresh_state():
-    # The degradation warning is cached per (reason, label) process-wide
+    # The degradation warning is cached per reason process-wide
     # and the fault plan is process-global; each test must observe its own
     # first warning and must not inherit (or leak) a plan.
     reset_fallback_warnings()
@@ -29,7 +34,15 @@ def force_procs(monkeypatch):
 
 @pytest.fixture
 def quick_retries(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
+    monkeypatch.setattr(ReplicaProcessPool, "RETRIES", 1)
+
+
+def no_leaks():
+    """Nothing a process pool or an export made is left: no shared
+    segment this process owns, no pidfile saying it owns one, no child."""
+    assert owned_segment_count() == 0
+    assert not os.path.exists(_pidfile_path(os.getpid()))
+    assert not multiprocessing.active_children()
 
 
 def without_compiled_loops(patch) -> None:

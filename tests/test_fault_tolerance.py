@@ -1,15 +1,17 @@
-"""Fault-tolerance tests (PR 8): supervision, deterministic replay,
-full-state checkpoints, and shared-segment hygiene.
+"""Fault-tolerance tests: supervision, deterministic replay, full-state
+checkpoints, and shared-segment hygiene.
 
 The contract under test: worker failures are *invisible to the numerics*.
 A :class:`FaultPlan` SIGKILLs / hangs / corrupts specific scheduled ops,
-the pools respawn and replay them from banked snapshots, and the final
-parameters are bit-identical to a fault-free run. When recovery is
+the replica pool respawns and replays them from banked snapshots, and the
+final parameters are bit-identical to a fault-free run. When recovery is
 exhausted (wildcard plans), training degrades to the in-process path with
 one warning and still finishes on the exact trajectory the worker state
-implies — leaving zero leaked segments and zero zombie children. Full
-state checkpoints resume bit-for-bit and reject corrupt or mismatched
-files before touching any array.
+implies — leaving zero leaked segments, pidfiles and zombie children.
+Each supervision rule (handshake, reply validation, retry accounting,
+backoff, failed respawn) is asserted once, against the real pool
+(:class:`TestPoolSupervision`). Full state checkpoints resume bit-for-bit
+and reject corrupt or mismatched files before touching any array.
 """
 
 import multiprocessing
@@ -20,21 +22,26 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
+    Graph,
     SharedGraphStore,
     StaleHandleError,
     attach_classification_task,
-    owned_segment_count,
     sbm_graph,
     shared_memory_available,
     sweep_leaked_segments,
 )
+from repro.graphs.shm import _pidfile_path
 from repro.models import GNNConfig, MaxKGNN
 from repro.sparse import ops
 from repro.training import (
     CheckpointError,
     Engine,
     FaultPlan,
+    PartitionedFlow,
+    ReplicaGradients,
+    ReplicaWorkerError,
     TrainResult,
+    WorkerSupervisionError,
     current_fault_plan,
     make_flow,
     set_fault_plan,
@@ -44,8 +51,9 @@ from repro.training.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.training.faults import FaultEvent
-from repro.training.parallel import reset_fallback_warnings
+from repro.training.faults import FaultEvent, _consume_events
+from repro.training.parallel import ReplicaProcessPool, reset_fallback_warnings
+from tests.conftest import no_leaks
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(),
@@ -105,14 +113,9 @@ def _identical(a, b):
     )
 
 
-def _no_leaks():
-    assert owned_segment_count() == 0
-    assert not multiprocessing.active_children()
-
-
 class TestFaultPlan:
     def test_parse_round_trip(self):
-        spec = "kill_worker:replica:1:0;hang_worker:replica:*:3"
+        spec = "kill_worker:1:0;hang_worker:*:3"
         plan = FaultPlan.parse(spec)
         assert plan.spec() == spec
         assert len(plan) == 2
@@ -120,70 +123,276 @@ class TestFaultPlan:
             == [False, True]
 
     @pytest.mark.parametrize("spec, match", [
-        ("kill_worker:replica:1", "expected action:scope"),
-        ("explode:replica:1:0", "unknown fault action"),
+        ("kill_worker:1", "expected action:replica:op"),
+        ("explode:1:0", "unknown fault action"),
         # An action takes no ``=value`` parameter: the suffix makes the
         # action name unknown.
-        ("slow_request=5:replica:0:1", "unknown fault action"),
-        ("kill_worker=3:replica:0:1", "unknown fault action"),
-        ("hang_worker=0:replica:*:1", "unknown fault action"),
-        ("corrupt_payload=1:replica:1:0", "unknown fault action"),
-        ("kill_worker:nowhere:1:0", "unknown fault scope"),
-        ("kill_worker:replica:x:0", "coordinate"),
-        ("kill_worker:replica:-2:0", ">= 0"),
+        ("slow_request=5:0:1", "unknown fault action"),
+        ("kill_worker=3:0:1", "unknown fault action"),
+        ("hang_worker=0:*:1", "unknown fault action"),
+        ("corrupt_payload=1:1:0", "unknown fault action"),
+        ("kill_worker:x:0", "coordinate"),
+        ("kill_worker:-2:0", ">= 0"),
+        ("kill_worker:0:", "coordinate"),
+        ("kill_worker:0:-1", ">= 0"),
     ])
     def test_malformed_specs_rejected(self, spec, match):
         with pytest.raises(ValueError, match=match):
             FaultPlan.parse(spec)
 
     @pytest.mark.parametrize("spec", [
+        "kill_worker:replica:0:1",
+        "hang_worker:replica:*:3",
+        # Prefetch builds on a thread and serving runs every window in the
+        # calling process: there is no other worker for a scope to name.
         "kill_worker:prefetch:1:0",
-        "hang_worker:prefetch:*:3",
         "corrupt_payload:prefetch:0:1",
-        "drop_pipe:prefetch:1:1",
-        "slow_request=5:prefetch:0:*",
-    ])
-    def test_prefetch_scope_is_gone(self, spec):
-        # Prefetch builds on a thread: there is no prefetch worker to hit,
-        # whichever action the spec names.
-        with pytest.raises(ValueError, match="unknown fault scope"):
-            FaultPlan.parse(spec)
-
-    @pytest.mark.parametrize("spec", [
-        "kill_worker:serving:1:0",
-        "hang_worker:serving:*:3",
-        "corrupt_payload:serving:0:1",
         "drop_pipe:serving:1:1",
         "slow_request=5:serving:0:*",
     ])
-    def test_serving_scope_is_gone(self, spec):
-        # Serving runs every window in the calling process: there is no
-        # serving worker to hit, whichever action the spec names.
-        with pytest.raises(ValueError, match="unknown fault scope"):
+    def test_four_field_specs_are_refused(self, spec):
+        with pytest.raises(ValueError, match="expected action:replica:op"):
             FaultPlan.parse(spec)
 
-    def test_env_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "drop_pipe:replica:0:2")
-        plan = current_fault_plan()
-        assert plan is not None
-        assert plan.events[0] == FaultEvent("drop_pipe", "replica", 0, 2)
-
-    def test_installed_plan_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "drop_pipe:replica:0:2")
-        installed = FaultPlan.parse("kill_worker:replica:0:0")
+    def test_only_an_installed_plan_is_active(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "drop_pipe:0:2")
+        assert current_fault_plan() is None
+        installed = FaultPlan.parse("kill_worker:0:0")
         set_fault_plan(installed)
         assert current_fault_plan() is installed
 
     def test_wildcard_events_are_persistent(self):
-        events = [FaultEvent("kill_worker", "replica", 1, 0)]
-        from repro.training.supervision import _consume_events
-
+        events = [FaultEvent("kill_worker", 1, 0)]
         assert _consume_events(events, 0, 0) == []
         assert _consume_events(events, 1, 0) == ["kill_worker"]
         assert events == []  # exact-coordinate events consume
-        wild = [FaultEvent("kill_worker", "replica", -1, -1)]
+        wild = [FaultEvent("kill_worker", -1, -1)]
         assert _consume_events(wild, 5, 9) == ["kill_worker"]
+        assert _consume_events(wild, 5, 0) == ["kill_worker"]  # start-up too
         assert wild  # wildcards never consume
+
+
+class _Driver:
+    """A real :class:`ReplicaProcessPool` on the task graph's four
+    partitions, driven round by round as the engine drives it."""
+
+    def __init__(self, replicas=1, plan=""):
+        set_fault_plan(FaultPlan.parse(plan))
+        graph = _task_graph()
+        model = MaxKGNN(graph, _config(), seed=0)
+        parameters = list(model.parameters())
+        self.store = ReplicaGradients(parameters, replicas)
+        self.pool = ReplicaProcessPool(
+            graph, PartitionedFlow(4, boundary_fraction=0.2, seed=7),
+            model.config, model._dropout_rng.bit_generator.state, replicas,
+            [p.data.size for p in parameters],
+        )
+
+    def round(self, first_slot):
+        """Build ``first_slot + r`` on replica ``r`` and take one step:
+        the build infos, the losses and the deposited gradient rows."""
+        assignments = [
+            (replica, first_slot + replica)
+            for replica in range(self.pool.replicas)
+        ]
+        infos = self.pool.build(assignments, epoch=0)
+        replicas = [replica for replica, _ in assignments]
+        losses = {
+            replica: loss
+            for replica, (loss, _) in self.pool.step(replicas,
+                                                     self.store).items()
+        }
+        self.pool.retire(replicas)
+        return infos, losses, self.store._arena.copy()
+
+
+def _same_round(a, b):
+    return a[:2] == b[:2] and np.array_equal(a[2], b[2])
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Every replay the pools run, as ``(replica, pid of the respawned
+    worker)``."""
+    seen = []
+    replay = ReplicaProcessPool._replay
+
+    def counted(pool, replica):
+        seen.append((replica, pool._procs[replica].pid))
+        replay(pool, replica)
+
+    monkeypatch.setattr(ReplicaProcessPool, "_replay", counted)
+    return seen
+
+
+@pytest.fixture
+def driver():
+    made = []
+
+    def make(*args, **kwargs):
+        made.append(_Driver(*args, **kwargs))
+        return made[-1]
+
+    yield make
+    for client in made:
+        client.pool.close()
+    no_leaks()
+
+
+class TestPoolSupervision:
+    """Each supervision rule of the replica pool, asserted once."""
+
+    @pytest.mark.parametrize("action, detail", [
+        ("kill_worker", "exited with code 3"),
+        ("drop_pipe", "exited with code 0"),
+        ("corrupt_payload", "mirror layout mismatch: ('ready',)"),
+        ("hang_worker", "no ready handshake before the deadline"),
+    ])
+    def test_failed_handshake_raises_and_leaves_nothing(
+        self, driver, monkeypatch, action, detail
+    ):
+        if action == "hang_worker":
+            monkeypatch.setattr(ReplicaProcessPool, "TIMEOUT", 1.0)
+        with pytest.raises(RuntimeError,
+                           match="replica worker 0 failed to start") as info:
+            driver(plan=f"{action}:0:0")
+        assert detail in str(info.value)
+        # close() already ran inside the failed __init__.
+        no_leaks()
+
+    def test_every_reply_failure_is_recovered_with_one_replay_each(
+        self, driver, replays
+    ):
+        clean = driver()
+        expected = [clean.round(slot) for slot in range(3)]
+        clean.pool.close()
+        # Op 1 (a build) is killed, op 2 (a step) ships a corrupt payload,
+        # op 3 (a build) a malformed frame, op 4 (a step) tears its pipe;
+        # ops 5 and 6 are clean.
+        faulted = driver(
+            plan="kill_worker:0:1;corrupt_payload:0:2;"
+                 "corrupt_payload:0:3;drop_pipe:0:4",
+        )
+        pool = faulted.pool
+        first = pool._procs[0].pid
+        for slot in range(3):
+            # Each op is still answered with the clean run's bytes, and a
+            # success resets the retry count ...
+            assert _same_round(faulted.round(slot), expected[slot])
+            assert pool._retries == [0]
+        # ... after one replay per recovery, each by a new worker ...
+        assert [replica for replica, _ in replays] == [0, 0, 0, 0]
+        assert len({first, *(pid for _, pid in replays)}) == 5
+        assert pool._events == []  # ... and the one-shot faults are spent.
+        pool.close()
+        pool.close()  # idempotent (the fixture closes a third time)
+        no_leaks()
+
+    def test_exhaustion_reports_the_deadline_actually_waited(
+        self, driver, monkeypatch, quick_retries, replays
+    ):
+        # Patient with every first attempt, brisk with a retry: op 1 is
+        # killed, and its replay hangs for the 0.3 s a retry is granted.
+        monkeypatch.setattr(ReplicaProcessPool, "TIMEOUT", 20.0)
+        monkeypatch.setattr(ReplicaProcessPool, "BACKOFF", 0.015)
+        faulted = driver(plan="kill_worker:0:1;hang_worker:*:1")
+        with pytest.raises(WorkerSupervisionError) as info:
+            faulted.round(0)
+        message = str(info.value)
+        assert "replica worker 0 failed 2 consecutive times" in message
+        assert "no reply within the 0.3s deadline" in message
+        assert len(replays) == 1
+        # The one-shot kill was consumed when shipped; the wildcard persists.
+        assert [event.spec() for event in faulted.pool._events] \
+            == ["hang_worker:*:1"]
+
+    def test_a_hang_on_a_retry_is_cut_at_the_retry_deadline(
+        self, driver, monkeypatch, replays
+    ):
+        # Patient with first attempts and handshakes, brisk with the first
+        # retry only, so that the second retry can still be answered.
+        monkeypatch.setattr(
+            ReplicaProcessPool, "_deadline",
+            lambda pool, attempt: 0.3 if attempt == 1 else 20.0,
+        )
+        causes = []
+        recover = ReplicaProcessPool._recover
+
+        def noted(pool, replica, cause):
+            causes.append(cause)
+            recover(pool, replica, cause)
+
+        monkeypatch.setattr(ReplicaProcessPool, "_recover", noted)
+        clean = driver()
+        expected = clean.round(0)
+        clean.pool.close()
+        # Op 2 (the step) is killed; its replay's rebuild of op 1 hangs
+        # and is killed at the retry's deadline; the third worker answers.
+        faulted = driver(plan="kill_worker:0:2")
+        pool = faulted.pool
+        infos = pool.build([(0, 0)], epoch=0)
+        # Scheduled after op 1 was shipped, so only the rebuild meets it.
+        pool._events.append(FaultEvent("hang_worker", 0, 1))
+        losses = {
+            replica: loss
+            for replica, (loss, _) in pool.step([0], faulted.store).items()
+        }
+        pool.retire([0])
+        assert _same_round((infos, losses, faulted.store._arena.copy()),
+                           expected)
+        assert causes == [
+            "worker exited unexpectedly (exit code 3)",
+            "no reply within the 0.3s deadline (hung worker killed)",
+        ]
+        assert len(replays) == 2
+        assert pool._retries == [0]
+        assert pool._events == []
+
+    def test_failed_respawn_raises_supervision_error(self, driver, replays):
+        faulted = driver(plan="kill_worker:0:1")
+        # Scheduled after the first start-up, so only the respawn meets it.
+        faulted.pool._events.append(FaultEvent("kill_worker", 0, 0))
+        with pytest.raises(WorkerSupervisionError,
+                           match="could not be respawned") as info:
+            faulted.round(0)
+        assert "exit code 3" in str(info.value)          # why it was respawned
+        assert "exited with code 3" in str(info.value)   # why that failed
+        assert replays == []
+
+    def test_a_reply_inside_the_replay_does_not_refill_the_budget(
+        self, driver, quick_retries, replays
+    ):
+        # Every attempt at op 2 (the first step) dies, and each replay's
+        # rebuilt batch (op 1) is answered: the budget must run out
+        # instead of being refilled by the rebuilt-batch reply.
+        faulted = driver(plan="kill_worker:*:2")
+        with pytest.raises(WorkerSupervisionError,
+                           match="2 consecutive times"):
+            faulted.round(0)
+        assert len(replays) == 1
+
+    def test_two_workers_failing_are_each_recovered_by_their_own_recv(
+        self, driver, replays
+    ):
+        clean = driver(replicas=2)
+        expected = clean.round(0)
+        clean.pool.close()
+        # Both workers die on their build before either reply is read:
+        # each recv notices its own worker's death and replays only its op.
+        faulted = driver(replicas=2, plan="kill_worker:0:1;kill_worker:1:1")
+        assert _same_round(faulted.round(0), expected)
+        assert [replica for replica, _ in replays] == [0, 1]
+
+    def test_a_worker_exception_is_raised_at_once(self, driver, replays):
+        # A step with no batch built fails in the worker's own code: a
+        # deterministic error, raised with its traceback, never replayed.
+        faulted = driver()
+        with pytest.raises(ReplicaWorkerError,
+                           match="replica worker 0 failed: AttributeError") \
+                as info:
+            faulted.pool.step([0], faulted.store)
+        assert "Traceback" in info.value.worker_traceback
+        assert replays == []
 
 
 class TestReplicaRecovery:
@@ -197,55 +406,55 @@ class TestReplicaRecovery:
         clean = _run_distributed(2, True, dropout=0.0)
         faulted = _run_distributed(
             2, True, dropout=0.0,
-            plan=FaultPlan.parse("kill_worker:replica:0:3"),
+            plan=FaultPlan.parse("kill_worker:0:3"),
         )
         assert _identical(clean, faulted)
-        _no_leaks()
+        no_leaks()
 
     def test_killed_worker_mid_step_with_dropout_r1(self, force_procs):
         # R=1 exercises the snapshot rng restore: the replayed step must
         # redraw the *same* dropout mask the lost reply consumed.
         clean = _run_distributed(1, True)
         faulted = _run_distributed(
-            1, True, plan=FaultPlan.parse("kill_worker:replica:0:6"),
+            1, True, plan=FaultPlan.parse("kill_worker:0:6"),
         )
         assert _identical(clean, faulted)
-        _no_leaks()
+        no_leaks()
 
     def test_corrupt_grad_payload_is_replayed(self, force_procs):
         clean = _run_distributed(2, True, dropout=0.0)
         faulted = _run_distributed(
             2, True, dropout=0.0,
-            plan=FaultPlan.parse("corrupt_payload:replica:1:4"),
+            plan=FaultPlan.parse("corrupt_payload:1:4"),
         )
         assert _identical(clean, faulted)
-        _no_leaks()
+        no_leaks()
 
     def test_torn_pipe_is_replayed(self, force_procs):
         clean = _run_distributed(2, True, dropout=0.0)
         faulted = _run_distributed(
             2, True, dropout=0.0,
-            plan=FaultPlan.parse("drop_pipe:replica:1:2"),
+            plan=FaultPlan.parse("drop_pipe:1:2"),
         )
         assert _identical(clean, faulted)
-        _no_leaks()
+        no_leaks()
 
     @pytest.mark.slow
     def test_hung_worker_is_killed_and_replayed(self, force_procs,
                                                 monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "15")
+        monkeypatch.setattr(ReplicaProcessPool, "TIMEOUT", 15.0)
         clean = _run_distributed(1, True, dropout=0.0)
         faulted = _run_distributed(
             1, True, dropout=0.0,
-            plan=FaultPlan.parse("hang_worker:replica:0:2"),
+            plan=FaultPlan.parse("hang_worker:0:2"),
         )
         assert _identical(clean, faulted)
-        _no_leaks()
+        no_leaks()
 
     def test_exhaustion_degrades_mid_epoch_with_one_warning(
         self, force_procs, quick_retries
     ):
-        # Wildcard kills exhaust max_retries on the very first op; the
+        # Wildcard kills exhaust the retry budget on the very first op; the
         # engine must finish the interrupted epoch (and all later ones)
         # in-process on the exact same trajectory, then leave no workers
         # or segments behind.
@@ -253,14 +462,14 @@ class TestReplicaRecovery:
         with pytest.warns(RuntimeWarning, match="in-process") as caught:
             degraded = _run_distributed(
                 2, True, dropout=0.0, epochs=3,
-                plan=FaultPlan.parse("kill_worker:replica:*:*"),
+                plan=FaultPlan.parse("kill_worker:*:1"),
             )
         relevant = [w for w in caught
                     if "exhausted supervised recovery" in str(w.message)]
         assert len(relevant) == 1
         assert "exit code" in str(relevant[0].message)
         assert _identical(inproc, degraded)
-        _no_leaks()
+        no_leaks()
 
     def test_exhaustion_mid_round_resumes_at_the_step_it_reached(
         self, force_procs, quick_retries
@@ -274,11 +483,11 @@ class TestReplicaRecovery:
         with pytest.warns(RuntimeWarning, match="in-process"):
             degraded = _run_distributed(
                 2, True, dropout=0.0, steps=3,
-                plan=FaultPlan.parse("kill_worker:replica:*:3"),
+                plan=FaultPlan.parse("kill_worker:*:3"),
             )
         assert _identical(inproc, degraded)
         assert degraded[2][2] == [12, 12] and degraded[2][3] == 12
-        _no_leaks()
+        no_leaks()
 
     def test_engine_close_after_degradation_leaves_nothing(
         self, force_procs, quick_retries
@@ -290,7 +499,7 @@ class TestReplicaRecovery:
         )
         engine = Engine(MaxKGNN(graph, _config(0.0), seed=0), graph, flow,
                         lr=0.01)
-        set_fault_plan(FaultPlan.parse("kill_worker:replica:*:*"))
+        set_fault_plan(FaultPlan.parse("kill_worker:*:1"))
         try:
             with pytest.warns(RuntimeWarning, match="in-process"):
                 engine.train_epoch(epoch=0)
@@ -301,7 +510,7 @@ class TestReplicaRecovery:
         finally:
             engine.close()
             engine.close()  # idempotent
-        _no_leaks()
+        no_leaks()
 
     def test_shared_memory_failure_still_completes_in_process(
         self, force_procs, monkeypatch
@@ -318,7 +527,7 @@ class TestReplicaRecovery:
         reset_fallback_warnings()
         clean = _run_distributed(2, False, dropout=0.0)
         assert _identical(clean, faulted)
-        _no_leaks()
+        no_leaks()
 
 
 class TestFullStateCheckpoint:
@@ -406,7 +615,7 @@ class TestFullStateCheckpoint:
         )
         assert all(np.array_equal(a, b)
                    for a, b in zip(straight, resumed))
-        _no_leaks()
+        no_leaks()
 
     def test_checkpoint_meta_records_training_state(self, tmp_path):
         graph = _task_graph()
@@ -500,7 +709,7 @@ class TestFullStateCheckpoint:
         resumed = self._fit_engine(graph, flow(), resume_from=path)
         assert all(np.array_equal(a, b)
                    for a, b in zip(straight, resumed))
-        _no_leaks()
+        no_leaks()
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         graph = _task_graph()
@@ -644,7 +853,41 @@ class TestCheckpointIntegrity:
             np.testing.assert_array_equal(kept, param.data)
 
 
+def _export_and_unlink():
+    ring = np.arange(4)
+    with SharedGraphStore.export(Graph(4, ring, np.roll(ring, 1))):
+        pass
+
+
 class TestSegmentHygiene:
+    def test_an_exporter_that_unlinked_leaves_no_pidfile(self):
+        # The pidfile says "this live pid owns segments": once the owner
+        # has unlinked its last one, nothing may say so.
+        child = multiprocessing.get_context("spawn").Process(
+            target=_export_and_unlink
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert not os.path.exists(_pidfile_path(child.pid))
+        with SharedGraphStore.export(_task_graph(60)):
+            assert os.path.exists(_pidfile_path(os.getpid()))
+        no_leaks()
+
+    def test_the_pidfile_stays_while_any_segment_is_owned(self):
+        pidfile = _pidfile_path(os.getpid())
+        second = SharedGraphStore.export(_task_graph(60))
+        try:
+            with SharedGraphStore.export(_task_graph(60)):
+                pass
+            # The first store is gone, but this pid still owns segments.
+            assert os.path.exists(pidfile)
+        finally:
+            second.close()
+            second.unlink()
+        assert not os.path.exists(pidfile)
+        no_leaks()
+
     def test_sweep_unlinks_dead_owner_segments(self):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this host")
@@ -678,7 +921,7 @@ class TestSegmentHygiene:
         with pytest.raises(StaleHandleError, match="no longer exists"):
             attached = SharedGraphStore.attach(handle)
             attached.graph()
-        _no_leaks()
+        no_leaks()
 
     def test_handles_carry_a_generation(self):
         graph = _task_graph(60)
@@ -686,4 +929,4 @@ class TestSegmentHygiene:
             generation = first.handle().generation
         with SharedGraphStore.export(graph) as second:
             assert second.handle().generation == generation + 1
-        _no_leaks()
+        no_leaks()

@@ -13,8 +13,6 @@ The contract under test, layer by layer:
   cache on the new generation and match a fresh-graph oracle bit for bit.
 """
 
-import multiprocessing
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +26,6 @@ from repro.graphs import (
     induced_subgraph,
     khop_neighborhood,
     merge_csr_delta,
-    owned_segment_count,
     sbm_graph,
 )
 from repro.graphs import mutation
@@ -36,7 +33,7 @@ from repro.graphs.generators import erdos_renyi_graph, rmat_graph
 from repro.models import GNNConfig, MaxKGNN
 from repro.serving import InferenceService, ServiceConfig
 from repro.sparse import CSRMatrix, coo_to_csr, native, ops
-from tests.conftest import ARMS, arm_backend, without_compiled_loops
+from tests.conftest import ARMS, arm_backend, no_leaks, without_compiled_loops
 from tests.test_partition_sampling import (
     assert_expansion_matches_oracle,
     assert_same_graph,
@@ -982,11 +979,6 @@ def _rewire(graph, rng, n=30) -> GraphDelta:
     )
 
 
-def _no_leaks():
-    assert owned_segment_count() == 0
-    assert not multiprocessing.active_children()
-
-
 class TestServingMutation:
     def test_repeat_query_recomputes_and_matches_fresh_oracle(self):
         service = _service()
@@ -1028,7 +1020,7 @@ class TestServingMutation:
             assert third.result.ok and third.result.cached
         finally:
             service.close()
-        _no_leaks()
+        no_leaks()
 
     def test_inflight_requests_served_on_admission_graph(self):
         service = _service(max_batch=64, linger=10.0, default_deadline=60.0)
@@ -1049,7 +1041,7 @@ class TestServingMutation:
                 assert np.array_equal(result.logits, want)
         finally:
             service.close()
-        _no_leaks()
+        no_leaks()
 
     def test_out_of_band_generation_bump_fails_loud(self):
         service = _service(max_batch=64, linger=10.0, default_deadline=60.0)
@@ -1063,7 +1055,7 @@ class TestServingMutation:
             assert "stale" in ticket.error
         finally:
             service.close()
-        _no_leaks()
+        no_leaks()
 
     def test_mutation_stream_zero_stale(self):
         service = _service(default_deadline=60.0)
@@ -1087,11 +1079,11 @@ class TestServingMutation:
             assert stats["failed"] == 0
         finally:
             service.close()
-        _no_leaks()
+        no_leaks()
 
     def test_closed_service_rejects_delta(self):
         service = _service()
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.apply_delta(GraphDelta())
-        _no_leaks()
+        no_leaks()

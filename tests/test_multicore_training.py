@@ -14,7 +14,6 @@ path (correctness everywhere; the *scaling* gates live in
 ``benchmarks/test_multicore.py`` and auto-relax on one core).
 """
 
-import multiprocessing
 import warnings
 
 import numpy as np
@@ -23,7 +22,6 @@ import pytest
 from repro.graphs import (
     attach_classification_task,
     bfs_partition,
-    owned_segment_count,
     sbm_graph,
     shared_memory_available,
 )
@@ -34,6 +32,7 @@ from repro.training import (
     make_flow,
 )
 from repro.training.parallel import available_cores
+from tests.conftest import no_leaks
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(),
@@ -96,11 +95,6 @@ def _identical(a, b):
     )
 
 
-def _no_leaks():
-    assert owned_segment_count() == 0
-    assert not multiprocessing.active_children()
-
-
 class TestReplicaProcesses:
     def test_r1_bit_identical(self, force_procs, backend):
         # R=1 replays the in-process trajectory bit for bit even with
@@ -108,7 +102,7 @@ class TestReplicaProcesses:
         assert _identical(
             _run_distributed(1, False), _run_distributed(1, True)
         )
-        _no_leaks()
+        no_leaks()
 
     def test_r2_dense_bit_identical_without_dropout(self, force_procs):
         for unlabelled_part in (None, 1):
@@ -120,7 +114,7 @@ class TestReplicaProcesses:
             ))
         # The skipped slot trained nothing on either executor.
         assert inproc[2][2] == [4, 2] and len(inproc[2][0]) == 6
-        _no_leaks()
+        no_leaks()
 
     def test_both_executors_measure_the_same_loads(self, force_procs):
         """Worker processes report each batch's edges back to the parent,
@@ -147,7 +141,7 @@ class TestReplicaProcesses:
             assert inproc[key] == procs[key], key
         assert procs["replica_steps"] == [4, 4]
         assert all(ms > 0 for ms in procs["replica_ms"])
-        _no_leaks()
+        no_leaks()
 
     def test_zero_steps_train_nothing_on_either_executor(self, force_procs):
         runs = [
@@ -159,7 +153,7 @@ class TestReplicaProcesses:
             assert bookkeeping == ([], [], [0, 0], 0)
         assert all(np.array_equal(x, y) for x, y in zip(runs[0][1],
                                                         runs[1][1]))
-        _no_leaks()
+        no_leaks()
 
     def test_round_loop_drives_any_executor_in_order(self):
         """The one round loop against a recording fake (no processes):
@@ -227,7 +221,7 @@ class TestReplicaProcesses:
             _run_distributed(2, True, dropout=0.1),
             _run_distributed(2, True, dropout=0.1),
         )
-        _no_leaks()
+        no_leaks()
 
     def test_falls_back_in_process_with_one_warning(self, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_PROCS", raising=False)
@@ -241,7 +235,7 @@ class TestReplicaProcesses:
         # The verdict is cached: one warning, not one per epoch.
         assert len(relevant) == 1
         assert _identical(procs, _run_distributed(replicas, False, epochs=3))
-        _no_leaks()
+        no_leaks()
 
     def test_worker_snapshot_is_the_dropout_stream(self, force_procs):
         # What a worker banks per step, hands to a degraded in-process
@@ -264,7 +258,7 @@ class TestReplicaProcesses:
             assert state.keys() == np.random.PCG64().state.keys()
             assert state["bit_generator"] == "PCG64"
         assert states[0]["state"] != states[1]["state"]
-        _no_leaks()
+        no_leaks()
 
     def test_pool_persists_across_epochs(self, force_procs):
         graph = _task_graph()
@@ -283,4 +277,4 @@ class TestReplicaProcesses:
         finally:
             engine.close()
             engine.close()  # idempotent
-        _no_leaks()
+        no_leaks()

@@ -28,8 +28,11 @@ def _occurrences(needle, under=""):
 
 
 def test_only_the_supervised_pool_spawns_processes():
+    # ReplicaProcessPool spawns, awaits, kills, respawns and replays; no
+    # generic supervision layer sits under it.
     for needle in (".Process(", "get_context("):
-        assert set(_occurrences(needle)) == {"training/supervision.py"}
+        assert set(_occurrences(needle)) == {"training/parallel.py"}
+    assert not (SRC / "training" / "supervision.py").exists()
 
 
 def test_one_place_knows_whether_a_workspace_exists():
@@ -389,7 +392,12 @@ def test_deleted_knobs_and_aliases_stay_deleted():
                  # DistributedFlow's modelled multi-GPU half.
                  "MultiGpuEpochModel", "pack_assignment",
                  "ring_allreduce_time", "measured_slot_loads",
-                 "slot_seconds"):
+                 "slot_seconds",
+                 # The generic supervision layer, its knobs and the fault
+                 # grammar's scope token: the replica pool supervises itself.
+                 "SupervisedPool", "SupervisorConfig",
+                 "REPRO_WORKER_TIMEOUT", "REPRO_WORKER_RETRIES",
+                 "REPRO_FAULT_PLAN", "FAULT_SCOPES"):
         assert _occurrences(gone) == {}, gone
 
 

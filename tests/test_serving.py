@@ -9,7 +9,6 @@ batching and the result cache. Deadline semantics run on a fake clock
 (no sleeps).
 """
 
-import multiprocessing
 import resource
 from dataclasses import replace
 
@@ -20,7 +19,6 @@ from repro.graphs import (
     Graph,
     GraphDelta,
     attach_classification_task,
-    owned_segment_count,
     sbm_graph,
 )
 from repro.graphs.sampling import khop_neighborhood
@@ -47,6 +45,7 @@ from repro.training.checkpoint import (
     state_dict,
     write_checkpoint,
 )
+from tests.conftest import no_leaks
 
 
 def _task_graph(n=120, seed=11):
@@ -71,11 +70,6 @@ def _service(graph=None, model=None, clock=None, **overrides):
     return InferenceService(
         graph, model, ServiceConfig(**overrides), **kwargs
     )
-
-
-def _no_leaks():
-    assert owned_segment_count() == 0
-    assert not multiprocessing.active_children()
 
 
 class FakeClock:
@@ -558,7 +552,7 @@ class TestLifecycle:
         service.close()
         service.close()
         service.close()
-        _no_leaks()
+        no_leaks()
 
     def test_closed_service_refuses_new_requests(self):
         service = _service()
@@ -566,7 +560,7 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="service is closed"):
             service.submit(3)
         assert service.drain() == 0
-        _no_leaks()
+        no_leaks()
 
     def test_closed_service_refuses_deltas(self):
         service = _service()
@@ -576,21 +570,21 @@ class TestLifecycle:
             service.apply_delta(GraphDelta(add_src=[0], add_dst=[1]))
         assert service.graph.n_edges == n_edges
         assert service.generation == generation
-        _no_leaks()
+        no_leaks()
 
     def test_service_usable_as_context_manager(self):
         with _service() as service:
             ticket = service.submit(3)
             service.drain()
             assert ticket.result.status == OK
-        _no_leaks()
+        no_leaks()
 
     def test_engine_close_is_idempotent(self):
         graph = _task_graph()
         engine = Engine(MaxKGNN(graph, _config(), seed=0), graph)
         engine.close()
         engine.close()
-        _no_leaks()
+        no_leaks()
 
     def test_engine_close_safe_after_failed_init(self):
         graph = _task_graph()

@@ -176,36 +176,27 @@ class TestResolver:
             warnings.simplefilter("error")
             assert resolve_process_workers(0) == 0
 
-    def test_exactly_one_warning_per_reason_and_label(self, monkeypatch):
-        # The denial warning is cached on (reason, label): repeating the
-        # same denial stays silent, a different label or reason warns
-        # afresh — so multi-epoch training logs each failure mode once.
+    def test_exactly_one_warning_per_reason(self, monkeypatch):
+        # The denial warning is cached per reason: repeating the same
+        # denial stays silent, a different reason warns afresh — so
+        # multi-epoch training logs each failure mode once.
         monkeypatch.delenv("REPRO_FORCE_PROCS", raising=False)
         requested = available_cores() + 1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for _ in range(3):
-                assert resolve_process_workers(
-                    requested, label="prefetch workers"
-                ) == 0
-            assert resolve_process_workers(
-                requested, label="replica processes"
-            ) == 0
+                assert resolve_process_workers(requested) == 0
             monkeypatch.setenv("REPRO_FORCE_PROCS", "1")
             unpicklable = lambda: None  # noqa: E731
             for _ in range(2):
-                assert resolve_process_workers(
-                    2, label="prefetch workers", payload=unpicklable
-                ) == 0
+                assert resolve_process_workers(2, payload=unpicklable) == 0
         relevant = [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
-        assert len(relevant) == 3  # cores×2 labels + picklability×1
+        assert len(relevant) == 2  # cores×1 + picklability×1
         reset_fallback_warnings()
         with pytest.warns(RuntimeWarning, match="core"):
             monkeypatch.delenv("REPRO_FORCE_PROCS", raising=False)
-            assert resolve_process_workers(
-                requested, label="prefetch workers"
-            ) == 0
+            assert resolve_process_workers(requested) == 0
 
 
 class TestFlatParameters:
