@@ -27,7 +27,9 @@ matching numeric leaves are compared by key semantics:
   current run emits but the baseline lacks (the first run of a brand-new
   benchmark) is announced as ``new benchmark, baseline bootstrapped`` so
   the gap is visible instead of silently passing until the baseline is
-  committed.
+  committed. One the baseline holds but the current run no longer emits
+  (a benchmark or backend that was removed) is announced as ``gone`` so
+  the stale baseline entry is seen and deleted.
 
 Usage (the CI perf-smoke job)::
 
@@ -93,15 +95,22 @@ def compare_file(baseline: dict, current: dict, tolerance: float,
     ``base=None`` and always ``ok`` — the caller announces the bootstrap
     instead of failing (the baseline does not exist yet) or silently
     passing (the gap would otherwise be invisible until someone commits
-    the baseline).
+    the baseline). Gated-kind leaves the baseline holds but the current
+    run lacks are yielded with kind ``"gone"``, ``cur=None`` and always
+    ``ok``: nothing gates them any more, and the report says so.
     """
     base_flat, cur_flat = _flat(baseline), _flat(current)
-    for path in sorted(set(cur_flat) - set(base_flat)):
+
+    def gated(path):
         kind = _kind(path)
-        if kind in ("bool", "ratio") or (
-            kind == "time" and include_times
-        ):
+        return kind in ("bool", "ratio") or (kind == "time" and include_times)
+
+    for path in sorted(set(cur_flat) - set(base_flat)):
+        if gated(path):
             yield path, "new", None, cur_flat[path], True
+    for path in sorted(set(base_flat) - set(cur_flat)):
+        if gated(path):
+            yield path, "gone", base_flat[path], None, True
     for path in sorted(set(base_flat) & set(cur_flat)):
         base, cur = base_flat[path], cur_flat[path]
         kind = _kind(path)
@@ -149,6 +158,8 @@ def _write_step_summary(rows: List[Tuple], compared: int, failures: int,
     for name, path, kind, base, cur, ok in rows:
         if kind == "new":
             status = "bootstrapped"
+        elif kind == "gone":
+            status = "gone"
         elif ok:
             status = "pass"
         else:
@@ -241,6 +252,11 @@ def main(argv=None) -> int:
                 print(f"[new]  {current_path.name}:{path} "
                       f"current={cur} — new benchmark, baseline "
                       "bootstrapped")
+                continue
+            if kind == "gone":
+                print(f"[gone] {current_path.name}:{path} "
+                      f"baseline={base} — no longer emitted; delete it "
+                      "from the committed baseline")
                 continue
             compared += 1
             status = "ok  " if ok else "FAIL"

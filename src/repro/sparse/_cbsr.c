@@ -14,11 +14,13 @@
  * CPU that has it (`wide`); other CPUs and architectures run the portable
  * loops, and the select is numpy's. A vector body does the portable
  * loop's products and adds, each rounded alone, per element in the same
- * order; the select decides by compares alone, and the pack and unpack
- * copy bytes. Nothing is bounds-checked here; the Python dispatcher
- * validates every index these loops read, but for splice_renumber's
- * order entries (see there). Outside the aggregation, all
- * portable and on the calling thread: a served window's adjacency rows
+ * order: the SpMM's body walks a row's edges once per eight registers of
+ * columns (64 float, 32 double), the last strip narrower and its last
+ * register masked to the tail. The select decides by compares alone, and
+ * the pack and unpack copy bytes. Nothing is bounds-checked here; the
+ * Python dispatcher validates every index these loops read, but for
+ * splice_renumber's order entries (see there). Outside the aggregation,
+ * all portable and on the calling thread: a served window's adjacency rows
  * (window_rows_f / _d), copied out of the served graph's CSR rows and
  * renumbered; a graph delta's renumber-splice of an edge index
  * (splice_renumber_u8 / _u16 / _u32) and its locate step (group_search);
@@ -30,19 +32,26 @@
 
 /* Below this many multiply-adds (nnz * dim, or nnz * k) a call stays on
  * the calling thread. 2-vCPU Xeon, gcc 12, float32, idle threads asleep
- * between calls. The SpMM's AVX2 strips at dim 64, 12 rounds of 41 calls
- * alternated within minutes, medians: at 2^20 two threads 0.21 ms against
- * one's 0.25 (faster in 8 of 12 rounds), at the 465 k-edge bench point
- * 4.8 against 6.8 ms (9 of 12); one thread under taskset -c 0, 0.20 and
- * 6.3 ms. The CBSR pair's AVX2 bodies at k 8, built with no threshold,
- * two runs of 8 rounds of 21 calls, one thread against two: the SpGEMM
- * gains from 2^16-2^17 (0.20 against 0.16 ms at 2^17, 7 of 8 rounds
- * twice), the owner-split SSpMM from 2^18-2^19 (0.50-0.52 against
- * 0.42-0.43 ms at 2^19, 7-8 of 8); at 2^20 two threads win every round
- * (SpGEMM 1.5 against 1.0 ms, SSpMM 1.0 against 0.73-0.83); under
- * taskset -c 0 one thread reads 1.2-1.5 and 0.76-1.08 ms there. One bound
- * for all three stays at 2^20: the pair gives up at most 0.5 ms per call
- * between its crossovers and it, the SpMM none. */
+ * between calls. The SpMM's 16-column AVX2 strips at dim 64, 12 rounds of
+ * 41 calls alternated within minutes, medians: at 2^20 two threads
+ * 0.21 ms against one's 0.25 (faster in 8 of 12 rounds), at the 465
+ * k-edge bench point 4.8 against 6.8 ms (9 of 12); one thread under
+ * taskset -c 0, 0.20 and 6.3 ms. The eight-register strips, the same
+ * protocol in two runs on a VM whose second vCPU then bought nothing: at
+ * 2^20 two threads 0.092 / 0.085 ms against one's 0.085 / 0.078 (faster
+ * in 3 and 0 of 12 rounds), at the bench point 2.54 / 2.06 against
+ * 2.37 / 2.07 (4 and 7 of 12); under taskset -c 0, 0.079 and 3.0 ms. The
+ * 16-column strips, timed between them, read alike (0 and 3 of 12), so
+ * the readings place no crossover and the bound stays. The CBSR pair's
+ * AVX2 bodies at k 8, built with no threshold, two runs of 8 rounds of 21
+ * calls, one thread against two: the SpGEMM gains from 2^16-2^17 (0.20
+ * against 0.16 ms at 2^17, 7 of 8 rounds twice), the owner-split SSpMM
+ * from 2^18-2^19 (0.50-0.52 against 0.42-0.43 ms at 2^19, 7-8 of 8); at
+ * 2^20 two threads win every round (SpGEMM 1.5 against 1.0 ms, SSpMM 1.0
+ * against 0.73-0.83); under taskset -c 0 one thread reads 1.2-1.5 and
+ * 0.76-1.08 ms there. One bound for all three stays at 2^20: the pair
+ * gives up at most 0.5 ms per call between its crossovers and it, the
+ * SpMM none. */
 #define MIN_PARALLEL_WORK (INT64_C(1) << 20)
 const int64_t min_parallel_work = MIN_PARALLEL_WORK;
 
@@ -233,49 +242,90 @@ __attribute__((constructor)) static void choose_width(void)
     wide = __builtin_cpu_supports("avx2") != 0;
 }
 
-/* The SpMM's sums, a row at a time in strips of STRIP columns: a strip's
- * partial sums stay in registers across all of the row's edges and are
- * stored once; the last dim % STRIP columns run the loop above. The
- * unrolls keep a strip in vector registers at both float widths (without
- * them gcc 12 kept double's on the stack and stored float's through it).
- * Only the AVX2 build was measured on a CPU that runs it, so the CPUs
- * that take the loop above keep it. (Built for SSE and run on the AVX2
- * host, the strips read 5.8-10.1 against the loop's 6.9-11.6 ms at the
- * bench point, one thread, three runs of 9 alternated rounds.) */
-#define STRIP 16
-#define SPMM_STRIP_ROWS(NAME, T)                                             \
+/* The SpMM's sums, a row at a time in strips of eight vector registers
+ * (64 float or 32 double columns): one walk over the row's edges adds
+ * each edge's a * v into all eight, and the strip's sums are stored once.
+ * The dim % (8 * LANES) columns left after the whole strips run as one
+ * narrower strip of REGS registers, the last masked to the dim % LANES
+ * tail columns (its lanes past dim neither loaded nor stored; all lanes
+ * where LANES divides dim). A strip is a function per register count, so
+ * its accumulators are named registers; a generic T sum[64] under GCC
+ * unroll kept them on the stack (1.12x slower at dim 64), and inlined
+ * into the row loop gcc 12 re-derived each register's address per edge.
+ * The tail walked as the loop above read 0.92x of the 16-column strips
+ * against the masked register's 0.31x at dim 7. Each register starts at
+ * +0 and takes acc + a * v per edge, a multiply then an add. Only the
+ * AVX2 build was measured on a CPU that runs it, so the CPUs that take
+ * the loop above keep it. */
+#define SPMM_STRIP(NAME, T, V, SFX, LANES, REGS, MASKED)                     \
+    __attribute__((target("avx2"), noinline)) static void NAME(              \
+        const int64_t lo, const int64_t hi, const int64_t dim,               \
+        const int64_t *restrict indices, const T *restrict data,             \
+        const T *restrict in, const __m256i tail, T *restrict row)           \
+    {                                                                        \
+        enum { PLAIN = REGS - MASKED };                                      \
+        V acc[REGS];                                                         \
+        _Pragma("GCC unroll 8")                                              \
+        for (int r = 0; r < REGS; r++)                                       \
+            acc[r] = _mm256_setzero_##SFX();                                 \
+        for (int64_t e = lo; e < hi; e++) {                                  \
+            const V a = _mm256_set1_##SFX(data[e]);                          \
+            const T *restrict v = in + indices[e] * dim;                     \
+            _Pragma("GCC unroll 8")                                          \
+            for (int r = 0; r < PLAIN; r++)                                  \
+                acc[r] = _mm256_add_##SFX(acc[r], _mm256_mul_##SFX(          \
+                    a, _mm256_loadu_##SFX(v + r * LANES)));                  \
+            if (MASKED)                                                      \
+                acc[PLAIN] = _mm256_add_##SFX(acc[PLAIN], _mm256_mul_##SFX(  \
+                    a, _mm256_maskload_##SFX(v + PLAIN * LANES, tail)));     \
+        }                                                                    \
+        _Pragma("GCC unroll 8")                                              \
+        for (int r = 0; r < PLAIN; r++)                                      \
+            _mm256_storeu_##SFX(row + r * LANES, acc[r]);                    \
+        if (MASKED)                                                          \
+            _mm256_maskstore_##SFX(row + PLAIN * LANES, tail, acc[PLAIN]);   \
+    }
+#define SPMM_STRIP_ROWS(NAME, T, V, SFX, LANES, TAIL)                        \
+    SPMM_STRIP(NAME##_8, T, V, SFX, LANES, 8, 0)                             \
+    SPMM_STRIP(NAME##_1m, T, V, SFX, LANES, 1, 1)                            \
+    SPMM_STRIP(NAME##_2m, T, V, SFX, LANES, 2, 1)                            \
+    SPMM_STRIP(NAME##_3m, T, V, SFX, LANES, 3, 1)                            \
+    SPMM_STRIP(NAME##_4m, T, V, SFX, LANES, 4, 1)                            \
+    SPMM_STRIP(NAME##_5m, T, V, SFX, LANES, 5, 1)                            \
+    SPMM_STRIP(NAME##_6m, T, V, SFX, LANES, 6, 1)                            \
+    SPMM_STRIP(NAME##_7m, T, V, SFX, LANES, 7, 1)                            \
+    SPMM_STRIP(NAME##_8m, T, V, SFX, LANES, 8, 1)                            \
     __attribute__((target("avx2")))                                          \
     static void NAME(int64_t lo, int64_t hi, ARGS(T, uint8_t))               \
     {                                                                        \
-        const int64_t whole = dim - dim % STRIP;                             \
+        void (*const narrower[9])(const int64_t, const int64_t,              \
+                                  const int64_t, const int64_t *, const T *, \
+                                  const T *, const __m256i, T *) = {         \
+            0, NAME##_1m, NAME##_2m, NAME##_3m, NAME##_4m, NAME##_5m,        \
+            NAME##_6m, NAME##_7m, NAME##_8m};                                \
+        const int64_t strips = dim - dim % (8 * LANES);                      \
+        const int regs = (int)((dim - strips + LANES - 1) / LANES);          \
+        const __m256i tail = TAIL((dim - 1) % LANES + 1);                    \
         for (int64_t i = lo; i < hi; i++) {                                  \
             T *restrict row = out + i * dim;                                 \
-            for (int64_t s = 0; s < whole; s += STRIP) {                     \
-                T sum[STRIP] = {0};                                          \
-                for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {       \
-                    const T a = data[e];                                     \
-                    const T *restrict v = in + indices[e] * dim + s;         \
-                    _Pragma("GCC unroll 16")                                 \
-                    for (int t = 0; t < STRIP; t++)                          \
-                        sum[t] += a * v[t];                                  \
-                }                                                            \
-                _Pragma("GCC unroll 16")                                     \
-                for (int t = 0; t < STRIP; t++)                              \
-                    row[s + t] = sum[t];                                     \
-            }                                                                \
-            for (int64_t t = whole; t < dim; t++)                            \
-                row[t] = 0;                                                  \
-            for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {           \
-                const T a = data[e], *restrict v = in + indices[e] * dim;   \
-                for (int64_t t = whole; t < dim; t++)                        \
-                    row[t] += a * v[t];                                      \
-            }                                                                \
+            for (int64_t s = 0; s < strips; s += 8 * LANES)                  \
+                NAME##_8(indptr[i], indptr[i + 1], dim, indices, data,       \
+                         in + s, tail, row + s);                             \
+            if (regs)                                                        \
+                narrower[regs](indptr[i], indptr[i + 1], dim, indices, data, \
+                               in + strips, tail, row + strips);             \
         }                                                                    \
     }
 
-#define SPMM(NAME, T)                                                        \
+/* All-ones in the first N (1..LANES) lanes of a mask. */
+#define TAIL_F(n) _mm256_cmpgt_epi32(_mm256_set1_epi32((int)(n)),            \
+                                     _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+#define TAIL_D(n) _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),                  \
+                                     _mm256_setr_epi64x(0, 1, 2, 3))
+
+#define SPMM(NAME, T, V, SFX, LANES, TAIL)                                   \
     SPMM_ROWS(NAME##_rows, T)                                                \
-    SPMM_STRIP_ROWS(NAME##_strip_rows, T)                                    \
+    SPMM_STRIP_ROWS(NAME##_strip_rows, T, V, SFX, LANES, TAIL)               \
     SPLIT(NAME, wide ? NAME##_strip_rows : NAME##_rows, T, uint8_t,         \
           n_rows, indptr[n_rows] * dim)
 
@@ -436,7 +486,8 @@ __attribute__((target("avx2"))) static inline __m256 merge8(__m256 v)
 
 TOPK(topk_f_b, uint8_t, STORE_BYTE)
 TOPK(topk_f_f, float, STORE_FLOAT)
-SPMM(spmm_f, float)
+SPMM(spmm_f, float, __m256, ps, 8, TAIL_F)
+SPMM(spmm_d, double, __m256d, pd, 4, TAIL_D)
 CBSR_WIDE(f_u8, uint8_t, WIDEN_U8)
 CBSR_WIDE(f_u16, uint16_t, WIDEN_U16)
 CBSR_WIDE(f_u32, uint32_t, WIDEN_U32)
@@ -445,12 +496,12 @@ CBSR_WIDE(f_u32, uint32_t, WIDEN_U32)
     SPMM_ROWS(NAME##_rows, T)                                                \
     SPLIT(NAME, NAME##_rows, T, uint8_t, n_rows, indptr[n_rows] * dim)
 SPMM(spmm_f, float)
+SPMM(spmm_d, double)
 CBSR_PORTABLE(f_u8, float, uint8_t)
 CBSR_PORTABLE(f_u16, float, uint16_t)
 CBSR_PORTABLE(f_u32, float, uint32_t)
 #endif
 
-SPMM(spmm_d, double)
 CBSR_PORTABLE(d_u8, double, uint8_t)
 CBSR_PORTABLE(d_u16, double, uint16_t)
 CBSR_PORTABLE(d_u32, double, uint32_t)

@@ -17,7 +17,10 @@ its numpy bodies. Nothing selects the tier but whether it builds.
   the float select (``k`` up to 8) carry AVX2 bodies (``target("avx2")``,
   x86 only), chosen at run time from the CPU's flags as the object loads
   (the exported ``int wide``); every other CPU runs the portable loops and
-  numpy's select, with the same bytes. The dropout draw (``dropout_f``)
+  numpy's select, with the same bytes. The SpMM's body holds eight
+  registers of output columns (64 float, 32 double) over one walk of a
+  row's edges, the columns past the whole strips in one narrower strip
+  whose last register is masked to the tail. The dropout draw (``dropout_f``)
   is portable C built where the compiler has a 128-bit integer
   (``__SIZEOF_INT128__``: 64-bit targets) and serves PCG64 generators
   only; every other generator, width and target keeps numpy's

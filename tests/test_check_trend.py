@@ -81,9 +81,28 @@ class TestCompareFile:
         verdicts = _verdicts(baseline, current, include_times=True)
         assert verdicts == {"epoch_ms": False}
 
-    def test_baseline_only_keys_are_ignored(self):
-        verdicts = _verdicts({"only_base": {"speedup": 2.0}}, {"other": 1})
-        assert verdicts == {}
+    def test_baseline_only_gated_key_is_reported_gone_not_failed(self):
+        """A gated-kind key the current run no longer emits (its benchmark
+        or backend was removed) surfaces as a non-fatal 'gone' row, so the
+        stale baseline entry is seen instead of silently never compared."""
+        rows = list(check_trend.compare_file(
+            {"only_base": {"speedup": 2.0, "identical": True}}, {"other": 1},
+            0.2, False,
+        ))
+        assert rows == [
+            ("only_base.identical", "gone", True, None, True),
+            ("only_base.speedup", "gone", 2.0, None, True),
+        ]
+
+    def test_baseline_only_ungated_keys_stay_silent(self):
+        rows = list(check_trend.compare_file(
+            {"req_count": 100, "epoch_ms": 3.0}, {}, 0.2, False,
+        ))
+        assert rows == []
+        rows = list(check_trend.compare_file(
+            {"epoch_ms": 3.0}, {}, 0.2, True,
+        ))
+        assert rows == [("epoch_ms", "gone", 3.0, None, True)]
 
     def test_current_only_gated_key_is_announced_not_failed(self):
         """A gated-kind key the baseline lacks (first run of a brand-new
@@ -116,7 +135,8 @@ class TestCompareFile:
                     "blocked[vectorized]": {"speedup": 4.0}}
         current = {"prefetch[scipy]": {"speedup": 1.02}}
         verdicts = _verdicts(baseline, current)
-        assert verdicts == {"prefetch[scipy].speedup": True}
+        assert verdicts == {"prefetch[scipy].speedup": True,
+                            "blocked[vectorized].speedup": True}  # gone
 
     def test_committed_baselines_carry_no_ungated_parity_leaf(self):
         """No kind gates parity: a committed ``*_parity`` leaf would read
@@ -211,6 +231,26 @@ class TestMain:
         out = capsys.readouterr().out
         assert "serve.identical" in out
         assert "new benchmark, baseline bootstrapped" in out
+
+    def test_baseline_leaf_the_run_no_longer_emits_is_reported(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self._write(tmp_path / "base", "BENCH_x.json",
+                    {"replicas[gone]": {"replica_scaling": 0.7},
+                     "replicas[kept]": {"replica_scaling": 0.75}})
+        self._write(tmp_path / "cur", "BENCH_x.json",
+                    {"replicas[kept]": {"replica_scaling": 0.8}})
+        summary = tmp_path / "summary.md"
+        monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
+        assert check_trend.main([
+            "--baseline", str(tmp_path / "base"),
+            "--current", str(tmp_path / "cur"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "[gone] BENCH_x.json:replicas[gone].replica_scaling" in out
+        assert "1 leaves compared, 0 regression(s)" in out
+        assert ("| BENCH_x.json | replicas[gone].replica_scaling | gone "
+                "| 0.7 | — | gone |") in summary.read_text()
 
     def test_tolerance_flag_widens_the_floor(self, tmp_path):
         self._write(tmp_path / "base", "BENCH_x.json", {"speedup": 2.0})

@@ -25,7 +25,8 @@ from repro.core.maxk import maxk_forward
 from repro.gpusim.kernels.spgemm import spgemm_execute
 from repro.gpusim.kernels.sspmm import sspmm_execute
 from repro.sparse import CSRMatrix, coo_to_csr, native, ops
-from repro.tensor import Workspace
+from repro.tensor import Tensor, Workspace
+from repro.tensor.functional import spmm_agg
 from tests.conftest import (
     ARMS, BACKENDS, arm_backend, tolerance, without_compiled_loops,
 )
@@ -681,7 +682,7 @@ class TestNativeCbsrLoops:
     @pytest.fixture(scope="class", params=[np.float32, np.float64],
                     ids=["float32", "float64"])
     def spmm_case(self, request):
-        """``(csr, x, reference A @ x)`` at width 100, its edges enough for
+        """``(csr, x, reference A @ x)`` at width 264, its edges enough for
         two threads to split every width from 6 up. Each output column is
         its own sums, so the first ``w`` columns of ``A @ x`` are ``A`` at
         ``x[:, :w]``. ``x`` holds ±0, ±inf and the NaN this CPU makes of
@@ -695,7 +696,7 @@ class TestNativeCbsrLoops:
         nnz = int(degrees.sum())
         csr = (np.concatenate(([0], np.cumsum(degrees))),
                rng.integers(0, 80, nnz), rng.normal(size=nnz).astype(dtype))
-        x = rng.normal(size=(80, 100)).astype(dtype)
+        x = rng.normal(size=(80, 264)).astype(dtype)
         special = rng.random(x.shape) < 0.05
         with np.errstate(invalid="ignore"):  # inf - inf
             nan = dtype(np.inf) - dtype(np.inf)
@@ -705,13 +706,18 @@ class TestNativeCbsrLoops:
             expected = ops._REGISTRY["reference"].spmm_csr(*csr, x, 64)
         return csr, x, expected
 
-    @pytest.mark.parametrize("dim", [1, 6, 15, 16, 17, 40, 64, 100])
+    @pytest.mark.parametrize("dim", [
+        1, 3, 4, 6, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 48, 63, 64, 65,
+        72, 100, 127, 128, 129, 200, 256, 264,
+    ])
     def test_the_spmm_at_every_width_and_path_is_the_reference_loop(
         self, library, paths, spmm_case, dim, monkeypatch
     ):
-        """Widths around the 16-column strip: whole strips, a tail alone,
-        both. Each on the path this CPU takes (the AVX2 strips where it
-        has them) and forced onto the narrow loop, on one thread and on
+        """Widths around the eight-register strips (64 float, 32 double
+        columns) and their vectors (8 and 4 lanes): whole strips, a
+        narrower strip alone, a masked tail alone, each with the others.
+        Each on the path this CPU takes (the AVX2 strips where it has
+        them) and forced onto the portable loop, on one thread and on
         two."""
         csr, x, expected = spmm_case
         x, expected = np.ascontiguousarray(x[:, :dim]), expected[:, :dim]
@@ -722,6 +728,27 @@ class TestNativeCbsrLoops:
                 got = native.spmm(library, pinned, x)
                 assert bytes_equal(got, expected), (threads, wide)
         assert dim < 6 or len(csr[1]) * dim >= self.threshold(library)
+
+    def test_the_spmm_into_a_workspace_view_is_the_reference_loop(
+        self, library, paths, spmm_case
+    ):
+        """``spmm_agg``'s forward through a model's arena: the product is
+        written into the planned view, which lies past another live one
+        and so off the backing array's start, with the reference loop's
+        bytes on each path."""
+        csr, x, _ = spmm_case
+        x = np.ascontiguousarray(x[:, :72])
+        adjacency = CSRMatrix(*csr, shape=(64, len(x)))
+        with ops.use_backend("reference"), np.errstate(invalid="ignore"):
+            expected = adjacency.matmul_dense(x)
+        arena = Workspace()
+        arena.buffer("before", (3, 5), x.dtype)
+        with ops.use_backend("vectorized"):
+            for wide in paths():
+                out = spmm_agg(adjacency, Tensor(x), workspace=arena,
+                               slot="agg").data
+                assert arena.holders(out) == 1, wide
+                assert bytes_equal(out, expected), wide
 
     @staticmethod
     def select_rows(dim):
