@@ -10,24 +10,30 @@
  * order, which IEEE 754 leaves open. Threads split the output rows so
  * each element is written by one thread: the same order at any thread
  * count. On x86 the SpMM, the float CBSR pair and the float select have
- * second bodies, built for AVX2 alone and chosen as the object loads on a
- * CPU that has it (`wide`); other CPUs and architectures run the portable
- * loops, and the select is numpy's. A vector body does the portable
- * loop's products and adds, each rounded alone, per element in the same
- * order: the SpMM's body walks a row's edges once per eight registers of
- * columns (64 float, 32 double), the last strip narrower and its last
- * register masked to the tail. The select decides by compares alone, and
- * the pack and unpack copy bytes. Nothing is bounds-checked here; the
- * Python dispatcher validates every index these loops read, but for
- * splice_renumber's order entries (see there). Outside the aggregation,
- * all portable and on the calling thread: a served window's adjacency rows
- * (window_rows_f / _d), copied out of the served graph's CSR rows and
- * renumbered; a graph delta's renumber-splice of an edge index
- * (splice_renumber_u8 / _u16 / _u32) and its locate step (group_search);
- * and last dropout's forward (dropout_f), numpy's PCG64 float32 draws and
- * its compare and multiplies, built wherever the compiler has a 128-bit
- * integer. */
+ * AVX2 bodies, and the float CBSR pair AVX-512 (F, VL, BW) bodies at
+ * dim <= 64 and k <= 16, each built for its instruction set alone. `wide`
+ * holds the level the CPU has, read as the object loads: 2 AVX-512, 1
+ * AVX2, 0 the portable loops (and numpy's select) on other CPUs and
+ * architectures; each call takes the highest body its level and shape
+ * allow. A vector body does the portable loop's products and adds, each
+ * rounded alone, per element in the same order: the SpMM's AVX2 body walks
+ * a row's edges once per eight registers of columns (64 float, 32
+ * double), the last strip narrower and its last register masked to the
+ * tail; the AVX-512 pair keeps the SpGEMM's output row and the SSpMM's
+ * gradient row in registers, the SpGEMM adding an exact +0 to the columns
+ * an edge does not touch (the same bytes: see there). The select decides
+ * by compares alone, and the pack and unpack copy bytes. Nothing is
+ * bounds-checked here; the Python dispatcher validates every index these
+ * loops read, but for splice_renumber's order entries (see there).
+ * Outside the aggregation, all portable and on the calling thread: a
+ * served window's adjacency rows (window_rows_f / _d), copied out of the
+ * served graph's CSR rows and renumbered; a graph delta's renumber-splice
+ * of an edge index (splice_renumber_u8 / _u16 / _u32) and its locate step
+ * (group_search); and last dropout's forward (dropout_f), numpy's PCG64
+ * float32 draws and its compare and multiplies, built wherever the
+ * compiler has a 128-bit integer. */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Below this many multiply-adds (nnz * dim, or nnz * k) a call stays on
@@ -51,7 +57,10 @@
  * against 0.73-0.83); under taskset -c 0 one thread reads 1.2-1.5 and
  * 0.76-1.08 ms there. One bound for all three stays at 2^20: the pair
  * gives up at most 0.5 ms per call between its crossovers and it, the
- * SpMM none. */
+ * SpMM none. The AVX-512 pair at 64 / 8 on the 465 k-edge graph, 10
+ * rounds on a VM whose second vCPU then bought nothing: two threads read
+ * 1.87 ms (SpGEMM) and 1.60 ms (owner-split SSpMM) against one's 1.45
+ * and 1.07; recorded for the threads question, the bound unchanged. */
 #define MIN_PARALLEL_WORK (INT64_C(1) << 20)
 const int64_t min_parallel_work = MIN_PARALLEL_WORK;
 
@@ -65,21 +74,29 @@ const int64_t min_parallel_work = MIN_PARALLEL_WORK;
     T *restrict out
 #define PASS n_rows, n_src, k, dim, threads, indptr, indices, data, in, col, out
 
-/* NAME runs ROWS over blocks [lo, hi) of its N output rows: all of them
- * on the calling thread below MIN_PARALLEL_WORK, else one contiguous block
- * per thread. ROWS is evaluated once per call. */
-#define SPLIT(NAME, ROWS, T, I, N, WORK)                                     \
-    void NAME(ARGS(T, I))                                                    \
+/* Runs ROWS(lo, hi, ...) over blocks [lo, hi) of N output rows: all of
+ * them on the calling thread below MIN_PARALLEL_WORK, else one contiguous
+ * block per thread. */
+#define SPLIT_RUN(ROWS, N, WORK, ...)                                        \
     {                                                                        \
-        void (*const rows)(int64_t, int64_t, ARGS(T, I)) = ROWS;             \
         const int64_t blocks = (WORK) >= MIN_PARALLEL_WORK ? threads : 1;   \
         if (blocks == 1) {                                                   \
-            rows(0, N, PASS);                                                \
-            return;                                                          \
+            ROWS(0, N, __VA_ARGS__);                                         \
+        } else {                                                             \
+            _Pragma("omp parallel for schedule(static) num_threads(threads)") \
+            for (int64_t p = 0; p < blocks; p++)                             \
+                ROWS(N * p / blocks, N * (p + 1) / blocks, __VA_ARGS__);     \
         }                                                                    \
-        _Pragma("omp parallel for schedule(static) num_threads(threads)")   \
-        for (int64_t p = 0; p < blocks; p++)                                 \
-            rows(N * p / blocks, N * (p + 1) / blocks, PASS);                \
+    }
+
+/* NAME runs the statement FIRST (which may return), then ROWS, evaluated
+ * once per call, split over its N output rows. */
+#define SPLIT(NAME, FIRST, ROWS, T, I, N, WORK)                              \
+    void NAME(ARGS(T, I))                                                    \
+    {                                                                        \
+        FIRST                                                                \
+        void (*const rows)(int64_t, int64_t, ARGS(T, I)) = ROWS;             \
+        SPLIT_RUN(rows, N, WORK, PASS)                                       \
     }
 
 /* out (n_rows, dim) = A @ x, each row zeroed and accumulated in turn. */
@@ -125,12 +142,13 @@ const int64_t min_parallel_work = MIN_PARALLEL_WORK;
 #define SSPMM_EDGE(FROM)                                                     \
     for (int64_t t = FROM; t < k; t++)                                       \
         o[t] += a * g[c[t]];
-#define CBSR_SSPMM_ROWS(NAME, T, I, EDGE)                                    \
+#define CBSR_SSPMM_ROWS(NAME, T, I, ROW, EDGE)                               \
     static void NAME(int64_t lo, int64_t hi, ARGS(T, I))                     \
     {                                                                        \
         memset(out + lo * k, 0, (hi - lo) * k * sizeof(T));                  \
         for (int64_t i = 0; i < n_rows; i++) {                               \
             const T *restrict g = in + i * dim;                              \
+            ROW                                                              \
             for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {           \
                 const int64_t j = indices[e];                                \
                 if (j < lo || j >= hi)                                       \
@@ -216,21 +234,24 @@ static inline uint64_t survivors(const uint8_t *m, int64_t width)
     }
 
 /* One instance per value type (numpy type char f / d) and index width,
- * its SpGEMM / SSpMM running SPGEMM_ROWS / SSPMM_ROWS (evaluated per
- * call) over their output rows. */
-#define CBSR(SUFFIX, T, I, SPGEMM_ROWS, SSPMM_ROWS)                          \
+ * its SpGEMM running SPGEMM_FIRST, then SPGEMM_ROWS, and its SSpMM
+ * SSPMM_ROWS (each evaluated per call) over their output rows. */
+#define CBSR(SUFFIX, T, I, SPGEMM_FIRST, SPGEMM_ROWS, SSPMM_ROWS)            \
     CBSR_SPGEMM_ROWS(spgemm_##SUFFIX##_rows, T, I)                           \
-    CBSR_SSPMM_ROWS(sspmm_##SUFFIX##_rows, T, I, SSPMM_EDGE(0))              \
-    SPLIT(spgemm_##SUFFIX, SPGEMM_ROWS, T, I, n_rows, indptr[n_rows] * k)    \
-    SPLIT(sspmm_##SUFFIX, SSPMM_ROWS, T, I, n_src, indptr[n_rows] * k)      \
+    CBSR_SSPMM_ROWS(sspmm_##SUFFIX##_rows, T, I, , SSPMM_EDGE(0))            \
+    SPLIT(spgemm_##SUFFIX, SPGEMM_FIRST, SPGEMM_ROWS, T, I, n_rows,          \
+          indptr[n_rows] * k)                                                \
+    SPLIT(sspmm_##SUFFIX, , SSPMM_ROWS, T, I, n_src, indptr[n_rows] * k)    \
     CBSR_PACK(cbsr_pack_##SUFFIX, T, I)                                      \
     CBSR_UNPACK(cbsr_unpack_##SUFFIX, T, I)
 #define CBSR_PORTABLE(SUFFIX, T, I)                                          \
-    CBSR(SUFFIX, T, I, spgemm_##SUFFIX##_rows, sspmm_##SUFFIX##_rows)
+    CBSR(SUFFIX, T, I, , spgemm_##SUFFIX##_rows, sspmm_##SUFFIX##_rows)
 
-/* 1 when every call takes the AVX2 bodies below: set as the object loads,
- * on an x86 CPU that has AVX2. Tests write 0 to force the portable loops
- * (and numpy's select). */
+/* The vector level every call takes, set as the object loads from the
+ * x86 CPU's flags: 2 with AVX-512 F, VL and BW, 1 with AVX2, else 0 (the
+ * portable loops and numpy's select). A body runs where the level reaches
+ * its own and the call's shape fits it. Tests write lower levels to force
+ * the bodies below. */
 int wide = 0;
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -239,7 +260,11 @@ int wide = 0;
 __attribute__((constructor)) static void choose_width(void)
 {
     __builtin_cpu_init();
-    wide = __builtin_cpu_supports("avx2") != 0;
+    wide = __builtin_cpu_supports("avx512f") &&
+                   __builtin_cpu_supports("avx512vl") &&
+                   __builtin_cpu_supports("avx512bw")
+               ? 2
+               : __builtin_cpu_supports("avx2") != 0;
 }
 
 /* The SpMM's sums, a row at a time in strips of eight vector registers
@@ -326,7 +351,7 @@ __attribute__((constructor)) static void choose_width(void)
 #define SPMM(NAME, T, V, SFX, LANES, TAIL)                                   \
     SPMM_ROWS(NAME##_rows, T)                                                \
     SPMM_STRIP_ROWS(NAME##_strip_rows, T, V, SFX, LANES, TAIL)               \
-    SPLIT(NAME, wide ? NAME##_strip_rows : NAME##_rows, T, uint8_t,         \
+    SPLIT(NAME, , wide ? NAME##_strip_rows : NAME##_rows, T, uint8_t,       \
           n_rows, indptr[n_rows] * dim)
 
 /* The float CBSR pair eight survivors at a time; the last k % 8 run the
@@ -370,16 +395,157 @@ __attribute__((constructor)) static void choose_width(void)
 #define WIDEN_U16(p) _mm256_cvtepu16_epi32(_mm_loadu_si128((const __m128i *)(p)))
 #define WIDEN_U32(p) _mm256_loadu_si256((const __m256i *)(p))
 
-/* The gather's int32 lanes hold columns below 2^31 only. */
-#define CBSR_WIDE(SUFFIX, I, WIDEN)                                          \
+/* The float CBSR pair at dim <= 64 and k <= 16 (a uint8 index block at
+ * the shapes the program runs), where an output or gradient row fits four
+ * 16-lane registers and an edge's survivors one: the row stays in
+ * registers instead of taking k scalar read-modify-writes (SpGEMM) or a
+ * gather (SSpMM) per edge. Lanes are picked by vpermt2ps, whose index
+ * lanes read their low five bits: 0-15 pick a lane of the first table,
+ * 16-31 one of the second. At k <= 8 a row's k floats are read and written
+ * as 32 bytes: 64 bytes at a row's 32-byte offset split a cache line every
+ * other row, masked lanes included (the SSpMM read 0.69 of the AVX2 body
+ * that way against 0.59). The SpGEMM runs from k = 2: at 64 / 1 one
+ * scalar add per edge (the AVX2 body, 0.77 ms) beats four permutes (1.43
+ * ms), at 64 / 2 the permutes read 0.90x of it. And it runs from two
+ * edges per source row, where the edges pay for its rank table: about
+ * 45 us to build for 5 000 source rows against 4.5 ns saved per edge at
+ * 64 / 8 (8 output rows over them, 705 edges, read 3.4x the AVX2 body;
+ * 128 rows, 11 895 edges, 0.87x). Measured on a 2-vCPU Xeon, gcc 12. */
+#define AVX512 "avx512f,avx512vl,avx512bw"
+#define FITS_512 (wide >= 2 && dim >= 1 && dim <= 64 && k <= 16)
+
+/* The first N (clamped to 0..16) lanes. */
+static inline __mmask16 lanes(int64_t n)
+{
+    return (__mmask16)(n >= 16 ? 0xFFFF : n <= 0 ? 0 : (1u << n) - 1);
+}
+
+/* The SpGEMM's rows over REGS (1..4) registers of output columns, from a
+ * rank table: 64 bytes per source row, the survivor rank of each column or
+ * 0xFF where it did not survive (one entry per column: a CBSR row's
+ * columns are distinct). Per edge one register holds the k products a * v,
+ * the lanes past k zero; each output register adds its 16 columns' lanes
+ * of it, an absent column's rank picking a lane of the zero register. The
+ * absent columns so add +0, which leaves every sum's bytes as the portable
+ * loop's: a sum that starts at +0 is never -0, and NaN and +-inf are fixed
+ * points of + 0. The row is stored once, its last register masked to dim. */
+#define SPGEMM_512_ROWS(NAME, REGS)                                          \
+    __attribute__((target(AVX512), noinline)) static void NAME(              \
+        const int64_t lo, const int64_t hi, const int64_t k,                 \
+        const int64_t dim, const int64_t *restrict indptr,                   \
+        const int64_t *restrict indices, const float *restrict data,         \
+        const float *restrict in, const uint8_t *restrict rank,              \
+        float *restrict out)                                                 \
+    {                                                                        \
+        const __mmask16 kept = lanes(k), tail = lanes(dim - 16 * (REGS - 1));\
+        const __m512 zero = _mm512_setzero_ps();                             \
+        for (int64_t i = lo; i < hi; i++) {                                  \
+            __m512 acc[REGS];                                                \
+            _Pragma("GCC unroll 4")                                          \
+            for (int r = 0; r < REGS; r++)                                   \
+                acc[r] = zero;                                               \
+            for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {           \
+                const int64_t j = indices[e];                                \
+                const __m512 v = k <= 8                                      \
+                    ? _mm512_castps256_ps512(                                \
+                          _mm256_maskz_loadu_ps(kept, in + j * k))           \
+                    : _mm512_maskz_loadu_ps(kept, in + j * k);               \
+                const __m512 p =                                             \
+                    _mm512_maskz_mul_ps(kept, _mm512_set1_ps(data[e]), v);   \
+                _Pragma("GCC unroll 4")                                      \
+                for (int r = 0; r < REGS; r++)                               \
+                    acc[r] = _mm512_add_ps(acc[r], _mm512_permutex2var_ps(   \
+                        p, _mm512_cvtepu8_epi32(_mm_loadu_si128(             \
+                            (const __m128i *)(rank + j * 64 + 16 * r))),     \
+                        zero));                                              \
+            }                                                                \
+            float *restrict row = out + i * dim;                             \
+            _Pragma("GCC unroll 4")                                          \
+            for (int r = 0; r < REGS - 1; r++)                               \
+                _mm512_storeu_ps(row + 16 * r, acc[r]);                      \
+            _mm512_mask_storeu_ps(row + 16 * (REGS - 1), tail, acc[REGS - 1]);\
+        }                                                                    \
+    }
+SPGEMM_512_ROWS(spgemm_512_rows_1, 1)
+SPGEMM_512_ROWS(spgemm_512_rows_2, 2)
+SPGEMM_512_ROWS(spgemm_512_rows_3, 3)
+SPGEMM_512_ROWS(spgemm_512_rows_4, 4)
+
+/* The SpGEMM: the rank table built once per call, then the rows split
+ * over it. Answers 0, nothing written, where the table's allocation fails
+ * (the AVX2 body then serves). */
+#define SPGEMM_512(NAME, I)                                                  \
+    static int NAME(ARGS(float, I))                                          \
+    {                                                                        \
+        void (*const rows[4])(const int64_t, const int64_t, const int64_t,   \
+                              const int64_t, const int64_t *,                \
+                              const int64_t *, const float *, const float *, \
+                              const uint8_t *, float *) = {                  \
+            spgemm_512_rows_1, spgemm_512_rows_2, spgemm_512_rows_3,         \
+            spgemm_512_rows_4};                                              \
+        uint8_t *const rank = malloc(n_src * 64);                            \
+        if (rank == NULL)                                                    \
+            return 0;                                                        \
+        memset(rank, 0xFF, n_src * 64);                                      \
+        for (int64_t j = 0; j < n_src; j++)                                  \
+            for (int64_t t = 0; t < k; t++)                                  \
+                rank[j * 64 + col[j * k + t]] = (uint8_t)t;                  \
+        SPLIT_RUN(rows[(dim - 1) / 16], n_rows, indptr[n_rows] * k, k, dim,  \
+                  indptr, indices, data, in, rank, out)                      \
+        free(rank);                                                          \
+        return 1;                                                            \
+    }
+
+/* The SSpMM with gradient row i in four registers, zero past dim. Per
+ * edge, two vpermt2ps pick the edge's columns from registers 0-1 and 2-3,
+ * a blend on c >= 32 keeps the right one, and a * g is added into o's k
+ * entries. WIDEN16 loads an index block row's k entries as int32 lanes,
+ * reading nothing past them. */
+#define SSPMM_512_ROW                                                        \
+    const __mmask16 kept = lanes(k);                                         \
+    const __m512 g0 = _mm512_maskz_loadu_ps(lanes(dim), g),                  \
+                 g1 = _mm512_maskz_loadu_ps(lanes(dim - 16), g + 16),        \
+                 g2 = _mm512_maskz_loadu_ps(lanes(dim - 32), g + 32),        \
+                 g3 = _mm512_maskz_loadu_ps(lanes(dim - 48), g + 48);
+#define SSPMM_512_EDGE(WIDEN16)                                              \
+    const __m512i at = WIDEN16(c, kept);                                     \
+    const __m512 picked = _mm512_mask_blend_ps(                              \
+        _mm512_cmpge_epu32_mask(at, _mm512_set1_epi32(32)),                  \
+        _mm512_permutex2var_ps(g0, at, g1),                                  \
+        _mm512_permutex2var_ps(g2, at, g3));                                 \
+    if (k <= 8)                                                              \
+        _mm256_mask_storeu_ps(o, kept, _mm256_add_ps(                        \
+            _mm256_maskz_loadu_ps(kept, o),                                  \
+            _mm256_mul_ps(_mm256_set1_ps(a), _mm512_castps512_ps256(picked))));\
+    else                                                                     \
+        _mm512_mask_storeu_ps(o, kept, _mm512_add_ps(                        \
+            _mm512_maskz_loadu_ps(kept, o),                                  \
+            _mm512_mul_ps(_mm512_set1_ps(a), picked)));
+#define WIDEN16_U8(p, m) _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(m, p))
+#define WIDEN16_U16(p, m) _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(m, p))
+#define WIDEN16_U32(p, m) _mm512_maskz_loadu_epi32(m, p)
+
+/* Every dispatcher takes the highest level its shape allows: AVX-512
+ * (FITS_512; the SpGEMM from k = 2 and 2 n_src edges), AVX2 (the
+ * gather's int32 lanes hold columns below 2^31 only), then the portable
+ * loops. */
+#define CBSR_WIDE(SUFFIX, I, WIDEN, WIDEN16)                                 \
     SPGEMM_WIDE_ROWS(spgemm_##SUFFIX##_wide_rows, I)                         \
     __attribute__((target("avx2")))                                          \
-    CBSR_SSPMM_ROWS(sspmm_##SUFFIX##_wide_rows, float, I,                    \
+    CBSR_SSPMM_ROWS(sspmm_##SUFFIX##_wide_rows, float, I, ,                  \
                     SSPMM_WIDE_EDGE(WIDEN))                                  \
+    SPGEMM_512(spgemm_##SUFFIX##_512, I)                                     \
+    __attribute__((target(AVX512)))                                          \
+    CBSR_SSPMM_ROWS(sspmm_##SUFFIX##_512_rows, float, I, SSPMM_512_ROW,      \
+                    SSPMM_512_EDGE(WIDEN16))                                 \
     CBSR(SUFFIX, float, I,                                                   \
+         if (FITS_512 && k >= 2 && indptr[n_rows] >= 2 * n_src &&            \
+             spgemm_##SUFFIX##_512(PASS))                                    \
+             return;,                                                        \
          wide ? spgemm_##SUFFIX##_wide_rows : spgemm_##SUFFIX##_rows,        \
-         wide && dim <= INT32_MAX ? sspmm_##SUFFIX##_wide_rows               \
-                                  : sspmm_##SUFFIX##_rows)
+         FITS_512 ? sspmm_##SUFFIX##_512_rows                                \
+         : wide && dim <= INT32_MAX ? sspmm_##SUFFIX##_wide_rows             \
+                                    : sspmm_##SUFFIX##_rows)
 
 /* Compare-exchange of V's lanes with PARTNER's (V's lanes permuted onto
  * their partners): the lanes set in MAX keep the larger value. */
@@ -488,13 +654,13 @@ TOPK(topk_f_b, uint8_t, STORE_BYTE)
 TOPK(topk_f_f, float, STORE_FLOAT)
 SPMM(spmm_f, float, __m256, ps, 8, TAIL_F)
 SPMM(spmm_d, double, __m256d, pd, 4, TAIL_D)
-CBSR_WIDE(f_u8, uint8_t, WIDEN_U8)
-CBSR_WIDE(f_u16, uint16_t, WIDEN_U16)
-CBSR_WIDE(f_u32, uint32_t, WIDEN_U32)
+CBSR_WIDE(f_u8, uint8_t, WIDEN_U8, WIDEN16_U8)
+CBSR_WIDE(f_u16, uint16_t, WIDEN_U16, WIDEN16_U16)
+CBSR_WIDE(f_u32, uint32_t, WIDEN_U32, WIDEN16_U32)
 #else
 #define SPMM(NAME, T)                                                        \
     SPMM_ROWS(NAME##_rows, T)                                                \
-    SPLIT(NAME, NAME##_rows, T, uint8_t, n_rows, indptr[n_rows] * dim)
+    SPLIT(NAME, , NAME##_rows, T, uint8_t, n_rows, indptr[n_rows] * dim)
 SPMM(spmm_f, float)
 SPMM(spmm_d, double)
 CBSR_PORTABLE(f_u8, float, uint8_t)

@@ -14,13 +14,24 @@ its numpy bodies. Nothing selects the tier but whether it builds.
   No FMA contraction and no ``-ffast-math``: every product and add rounds
   as the ``reference`` loops' do. No ``-march=native``: a cached object
   never traps on another CPU. Instead the SpMM, the float CBSR pair and
-  the float select (``k`` up to 8) carry AVX2 bodies (``target("avx2")``,
-  x86 only), chosen at run time from the CPU's flags as the object loads
-  (the exported ``int wide``); every other CPU runs the portable loops and
-  numpy's select, with the same bytes. The SpMM's body holds eight
-  registers of output columns (64 float, 32 double) over one walk of a
-  row's edges, the columns past the whole strips in one narrower strip
-  whose last register is masked to the tail. The dropout draw (``dropout_f``)
+  the float select (``k`` up to 8) carry AVX2 bodies (``target("avx2")``),
+  and the float CBSR pair AVX-512 bodies
+  (``target("avx512f,avx512vl,avx512bw")``) for ``dim`` ≤ 64 and ``k`` ≤ 16
+  (the SpGEMM from ``k`` = 2 and from two edges per source row, which
+  pay for its per-call rank table), x86 only. The exported ``int wide`` is the
+  level, set from the CPU's flags as the object loads: 2 with AVX-512, 1
+  with AVX2, 0 on every other CPU, which runs the portable loops and
+  numpy's select. Each call takes the highest body its level and shape
+  allow, with the same bytes. The SpMM's AVX2 body holds eight registers
+  of output columns (64 float, 32 double) over one walk of a row's edges,
+  the columns past the whole strips in one narrower strip whose last
+  register is masked to the tail. The AVX-512 SpGEMM holds the output row
+  in four registers and adds every edge's products into all of them,
+  an exact ``+0`` into the columns the edge does not touch: a sum that
+  starts at ``+0`` is never ``-0``, and NaN and ±inf are fixed points of
+  ``+ 0``, so the bytes are the portable loop's. The AVX-512 SSpMM holds
+  the gradient row in four registers and picks each edge's columns from
+  them by permutes, no gather. The dropout draw (``dropout_f``)
   is portable C built where the compiler has a 128-bit integer
   (``__SIZEOF_INT128__``: 64-bit targets) and serves PCG64 generators
   only; every other generator, width and target keeps numpy's
@@ -35,7 +46,9 @@ its numpy bodies. Nothing selects the tier but whether it builds.
 * **Cache.** ``$XDG_CACHE_HOME/repro-native`` (default ``~/.cache``),
   ``0700`` and refused unless the user's own and private. The file name
   hashes source, flags, compiler version and machine; the object is
-  written to a temporary name and ``os.replace``-d into place.
+  written to a temporary name and ``os.replace``-d into place, and then
+  every other ``cbsr-*.so`` there is removed (a loaded one stays mapped),
+  so the cache holds one object, not one per source edit.
 * **Calls.** ``ctypes.CDLL`` releases the GIL for the call. The loops
   index unchecked: the dispatcher bounds each adjacency, which arrives
   :func:`pin`-ned (the vectorized backend keeps a read-only triple's pin).
@@ -153,6 +166,10 @@ def _build(variants=(FLAGS + (OPENMP,), FLAGS)) -> Optional[ctypes.CDLL]:
                     capture_output=True, check=True, timeout=300,
                 )
                 os.replace(partial, target)
+                # Other sources' objects go; a *.tmp may be a build in flight.
+                for stale in directory.glob("cbsr-*.so"):
+                    if stale != target:
+                        stale.unlink(missing_ok=True)
             return _declare(_open(target), OPENMP in flags)
         except (OSError, subprocess.SubprocessError):
             continue

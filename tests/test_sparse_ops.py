@@ -224,6 +224,18 @@ def adversarial_rows(dim=8):
     return adversarial_values()[:, None] * column_weights()[None, :dim]
 
 
+def with_specials(rng, a):
+    """``a`` with ≈ 5 % of its entries ±0, ±inf or the NaN this CPU makes
+    of ``inf - inf``: the one NaN pattern, so every NaN in a sum has it."""
+    special = rng.random(a.shape) < 0.05
+    with np.errstate(invalid="ignore"):
+        nan = a.dtype.type(np.inf) - a.dtype.type(np.inf)
+    a[special] = rng.choice(
+        np.array([0.0, -0.0, np.inf, -np.inf, nan], a.dtype), special.sum()
+    )
+    return a
+
+
 def bytes_equal(actual, expected):
     """Same dtype, shape and bytes: signed zeros and all."""
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
@@ -603,15 +615,15 @@ class TestNativeCbsrLoops:
 
     @pytest.fixture
     def paths(self, library):
-        """``paths()`` sets the loops' ``wide`` switch to the chosen body
-        (AVX2 on a CPU that has it), then to 0 (the portable loops and
-        numpy's select), yielding each; the chosen one is restored after
-        the test."""
+        """``paths()`` sets the loops' ``wide`` level to the chosen one
+        (2 on a CPU with AVX-512, 1 with AVX2), then to every level below
+        it down to 0 (the portable loops and numpy's select), yielding
+        each; the chosen one is restored after the test."""
         switch = ctypes.c_int.in_dll(library, "wide")
         chosen = switch.value
 
         def each():
-            for wide in dict.fromkeys((chosen, 0)):
+            for wide in range(chosen, -1, -1):
                 switch.value = wide
                 yield wide
 
@@ -696,13 +708,8 @@ class TestNativeCbsrLoops:
         nnz = int(degrees.sum())
         csr = (np.concatenate(([0], np.cumsum(degrees))),
                rng.integers(0, 80, nnz), rng.normal(size=nnz).astype(dtype))
-        x = rng.normal(size=(80, 264)).astype(dtype)
-        special = rng.random(x.shape) < 0.05
+        x = with_specials(rng, rng.normal(size=(80, 264)).astype(dtype))
         with np.errstate(invalid="ignore"):  # inf - inf
-            nan = dtype(np.inf) - dtype(np.inf)
-            x[special] = rng.choice(
-                np.array([0.0, -0.0, np.inf, -np.inf, nan], dtype), special.sum()
-            )
             expected = ops._REGISTRY["reference"].spmm_csr(*csr, x, 64)
         return csr, x, expected
 
@@ -789,25 +796,38 @@ class TestNativeCbsrLoops:
                                          np.empty(x.shape, bool))
                     assert served == bool(wide and k <= 8), (wide, k)
 
-    @pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17])
+    @pytest.mark.parametrize("dim, k", [
+        (dim, k) for dim in (1, 8, 15, 16, 17, 40, 63, 64, 65, 100)
+        for k in (1, 7, 8, 9, 15, 16, 17) if k <= dim
+    ])
     def test_the_pair_at_every_survivor_count_and_path_is_the_reference_pair(
-        self, library, paths, k, monkeypatch
+        self, library, paths, dim, k, monkeypatch
     ):
-        """Survivor counts around the eight-lane vector bodies — a tail
-        alone, whole vectors, both — at every index width, on one thread
-        and two, on the path this CPU takes and forced onto the portable
-        loops. From k = 16 the case passes ``MIN_PARALLEL_WORK``, so two
-        threads split it."""
+        """Survivor counts around the eight-lane AVX2 bodies and the
+        16-lane AVX-512 ones (a tail alone, whole vectors, both, k == dim),
+        at widths around the AVX-512 bodies' four 16-column registers and
+        past them, at every index width, on one thread and two, on every
+        path down from the one this CPU takes. The values hold ±0, ±inf
+        and one NaN pattern, the weights negatives and ±0, and the first
+        and last rows are empty. From k = 16 the case passes
+        ``MIN_PARALLEL_WORK``, so two threads split it."""
         rng = np.random.default_rng(1014)
         nnz = 2 * self.threshold(library) // 16 if k >= 16 else 900
-        adj, sp_data, sp_index, grad_out = cbsr_case(rng, 300, 300, 40, k, nnz=nnz)
+        adj, sp_data, sp_index, grad_out = cbsr_case(
+            rng, 300, 300, dim, k, empty_rows=True, nnz=nnz
+        )
         assert k < 16 or adj.nnz * k >= self.threshold(library)
+        assert adj.nnz >= 2 * adj.n_cols  # the AVX-512 SpGEMM's edges per source row
+        assert adj.indptr[1] == 0 and adj.indptr[-2] == adj.nnz
+        adj.data[::7], adj.data[3::11] = 0.0, -0.0
+        sp_data, grad_out = with_specials(rng, sp_data), with_specials(rng, grad_out)
         csr = (adj.indptr, adj.indices, adj.data)
         reference = ops._REGISTRY["reference"]
-        expected = (
-            reference.spgemm_cbsr(*csr, sp_data, sp_index, 40, adj.n_rows),
-            reference.sspmm_cbsr(*csr, grad_out, sp_index, adj.n_cols),
-        )
+        with np.errstate(invalid="ignore"):  # inf - inf, 0 * inf
+            expected = (
+                reference.spgemm_cbsr(*csr, sp_data, sp_index, dim, adj.n_rows),
+                reference.sspmm_cbsr(*csr, grad_out, sp_index, adj.n_cols),
+            )
         pinned = native.pin(*csr)
         for wide in paths():
             for threads, width in itertools.product(
@@ -816,9 +836,9 @@ class TestNativeCbsrLoops:
                 monkeypatch.setattr(library, "threads", lambda: threads)
                 index = sp_index.astype(width)
                 got = (
-                    native.run(library, "spgemm", pinned, sp_data, index, 40,
-                               (adj.n_rows, 40)),
-                    native.run(library, "sspmm", pinned, grad_out, index, 40,
+                    native.run(library, "spgemm", pinned, sp_data, index, dim,
+                               (adj.n_rows, dim)),
+                    native.run(library, "sspmm", pinned, grad_out, index, dim,
                                index.shape),
                 )
                 assert_same_bits(got, expected)
@@ -924,8 +944,9 @@ class TestNativeCbsrLoops:
     def test_the_cache_is_private_atomic_and_built_once(self, tmp_path, monkeypatch):
         """Built once into a ``0700`` per-user directory; a fresh process
         loads the cached object without compiling; a leftover temporary
-        file is never what gets loaded; a directory others can read or
-        write is refused."""
+        file is never what gets loaded, nor removed; a build removes the
+        objects of other sources; a directory others can read or write is
+        refused."""
         import json
         import shutil
         import subprocess
@@ -964,8 +985,12 @@ class TestNativeCbsrLoops:
         assert calls and not any(str(native.SOURCE) in call for call in calls)
 
         built.unlink()  # a lost object is rebuilt; the leftover is not it
+        stale = directory / "cbsr-0000.so"  # another source's object
+        stale.write_bytes(b"an older object")
         assert native._build()._name == str(built) and built.exists()
         assert leftover.read_bytes() == b"not an object file"
+        assert not stale.exists()
+        assert sorted(directory.iterdir()) == [built, leftover]
 
         directory.chmod(0o755)
         assert native._build() is None
