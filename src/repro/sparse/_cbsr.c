@@ -89,12 +89,10 @@ const int64_t min_parallel_work = MIN_PARALLEL_WORK;
         }                                                                    \
     }
 
-/* NAME runs the statement FIRST (which may return), then ROWS, evaluated
- * once per call, split over its N output rows. */
-#define SPLIT(NAME, FIRST, ROWS, T, I, N, WORK)                              \
+/* NAME runs ROWS, evaluated once per call, split over its N output rows. */
+#define SPLIT(NAME, ROWS, T, I, N, WORK)                                     \
     void NAME(ARGS(T, I))                                                    \
     {                                                                        \
-        FIRST                                                                \
         void (*const rows)(int64_t, int64_t, ARGS(T, I)) = ROWS;             \
         SPLIT_RUN(rows, N, WORK, PASS)                                       \
     }
@@ -233,19 +231,21 @@ static inline uint64_t survivors(const uint8_t *m, int64_t width)
         }                                                                    \
     }
 
-/* One instance per value type (numpy type char f / d) and index width,
- * its SpGEMM running SPGEMM_FIRST, then SPGEMM_ROWS, and its SSpMM
- * SSPMM_ROWS (each evaluated per call) over their output rows. */
-#define CBSR(SUFFIX, T, I, SPGEMM_FIRST, SPGEMM_ROWS, SSPMM_ROWS)            \
+/* One instance per value type (numpy type char f / d) and index width:
+ * the portable rows, the SSpMM running SSPMM_ROWS (evaluated per call)
+ * over its output rows, the pack and the unpack. The SpGEMM's dispatcher
+ * is the caller's: CBSR_PORTABLE splits the portable rows, CBSR_WIDE
+ * tries its vector bodies first. */
+#define CBSR(SUFFIX, T, I, SSPMM_ROWS)                                       \
     CBSR_SPGEMM_ROWS(spgemm_##SUFFIX##_rows, T, I)                           \
     CBSR_SSPMM_ROWS(sspmm_##SUFFIX##_rows, T, I, , SSPMM_EDGE(0))            \
-    SPLIT(spgemm_##SUFFIX, SPGEMM_FIRST, SPGEMM_ROWS, T, I, n_rows,          \
-          indptr[n_rows] * k)                                                \
-    SPLIT(sspmm_##SUFFIX, , SSPMM_ROWS, T, I, n_src, indptr[n_rows] * k)    \
+    SPLIT(sspmm_##SUFFIX, SSPMM_ROWS, T, I, n_src, indptr[n_rows] * k)      \
     CBSR_PACK(cbsr_pack_##SUFFIX, T, I)                                      \
     CBSR_UNPACK(cbsr_unpack_##SUFFIX, T, I)
 #define CBSR_PORTABLE(SUFFIX, T, I)                                          \
-    CBSR(SUFFIX, T, I, , spgemm_##SUFFIX##_rows, sspmm_##SUFFIX##_rows)
+    CBSR(SUFFIX, T, I, sspmm_##SUFFIX##_rows)                                \
+    SPLIT(spgemm_##SUFFIX, spgemm_##SUFFIX##_rows, T, I, n_rows,             \
+          indptr[n_rows] * k)
 
 /* The vector level every call takes, set as the object loads from the
  * x86 CPU's flags: 2 with AVX-512 F, VL and BW, 1 with AVX2, else 0 (the
@@ -351,7 +351,7 @@ __attribute__((constructor)) static void choose_width(void)
 #define SPMM(NAME, T, V, SFX, LANES, TAIL)                                   \
     SPMM_ROWS(NAME##_rows, T)                                                \
     SPMM_STRIP_ROWS(NAME##_strip_rows, T, V, SFX, LANES, TAIL)               \
-    SPLIT(NAME, , wide ? NAME##_strip_rows : NAME##_rows, T, uint8_t,       \
+    SPLIT(NAME, wide ? NAME##_strip_rows : NAME##_rows, T, uint8_t,         \
           n_rows, indptr[n_rows] * dim)
 
 /* The float CBSR pair eight survivors at a time; the last k % 8 run the
@@ -401,16 +401,18 @@ __attribute__((constructor)) static void choose_width(void)
  * registers instead of taking k scalar read-modify-writes (SpGEMM) or a
  * gather (SSpMM) per edge. Lanes are picked by vpermt2ps, whose index
  * lanes read their low five bits: 0-15 pick a lane of the first table,
- * 16-31 one of the second. At k <= 8 a row's k floats are read and written
- * as 32 bytes: 64 bytes at a row's 32-byte offset split a cache line every
- * other row, masked lanes included (the SSpMM read 0.69 of the AVX2 body
- * that way against 0.59). The SpGEMM runs from k = 2: at 64 / 1 one
- * scalar add per edge (the AVX2 body, 0.77 ms) beats four permutes (1.43
- * ms), at 64 / 2 the permutes read 0.90x of it. And it runs from two
- * edges per source row, where the edges pay for its rank table: about
- * 45 us to build for 5 000 source rows against 4.5 ns saved per edge at
- * 64 / 8 (8 output rows over them, 705 edges, read 3.4x the AVX2 body;
- * 128 rows, 11 895 edges, 0.87x). Measured on a 2-vCPU Xeon, gcc 12. */
+ * 16-31 one of the second. At k <= 8 a row's k floats are read (and the
+ * SSpMM's written) as 32 bytes: 64 bytes at a row's 32-byte offset split a
+ * cache line every other row, masked lanes included. At 64 / 8 the SSpMM
+ * read 0.69 of the AVX2 body that way against 0.59, and the SpGEMM with
+ * one 64-byte load 1.06x and 1.09x its time with the 32-byte one (two
+ * runs of 10 alternated rounds, slower in 10 and 6). The SpGEMM runs from
+ * k = 2: at 64 / 1 one scalar add per edge (the AVX2 body, 0.77 ms) beats
+ * four permutes (1.43 ms), at 64 / 2 the permutes read 0.90x of it. And
+ * from two edges per source row, where the edges pay for its rank table:
+ * about 45 us to build for 5 000 source rows against 4.5 ns saved per
+ * edge at 64 / 8 (8 output rows over them, 705 edges, read 3.4x the AVX2
+ * body; 128 rows, 11 895 edges, 0.87x). Measured on a 2-vCPU Xeon, gcc 12. */
 #define AVX512 "avx512f,avx512vl,avx512bw"
 #define FITS_512 (wide >= 2 && dim >= 1 && dim <= 64 && k <= 16)
 
@@ -422,13 +424,14 @@ static inline __mmask16 lanes(int64_t n)
 
 /* The SpGEMM's rows over REGS (1..4) registers of output columns, from a
  * rank table: 64 bytes per source row, the survivor rank of each column or
- * 0xFF where it did not survive (one entry per column: a CBSR row's
- * columns are distinct). Per edge one register holds the k products a * v,
- * the lanes past k zero; each output register adds its 16 columns' lanes
- * of it, an absent column's rank picking a lane of the zero register. The
- * absent columns so add +0, which leaves every sum's bytes as the portable
- * loop's: a sum that starts at +0 is never -0, and NaN and +-inf are fixed
- * points of + 0. The row is stored once, its last register masked to dim. */
+ * 0xFF where it did not survive (one entry per column: the row's columns
+ * are distinct, or the AVX2 body serves). Per edge one register holds the
+ * k products a * v, the lanes past k zero; each output register adds its
+ * 16 columns' lanes of it, an absent column's rank picking a lane of the
+ * zero register. The absent columns so add +0, which leaves every sum's
+ * bytes as the portable loop's: a sum that starts at +0 is never -0, and
+ * NaN and +-inf are fixed points of + 0. The row is stored once, its last
+ * register masked to dim. */
 #define SPGEMM_512_ROWS(NAME, REGS)                                          \
     __attribute__((target(AVX512), noinline)) static void NAME(              \
         const int64_t lo, const int64_t hi, const int64_t k,                 \
@@ -473,7 +476,8 @@ SPGEMM_512_ROWS(spgemm_512_rows_4, 4)
 
 /* The SpGEMM: the rank table built once per call, then the rows split
  * over it. Answers 0, nothing written, where the table's allocation fails
- * (the AVX2 body then serves). */
+ * or a source row repeats a column (k > dim always does), and the AVX2
+ * body, which adds every product, serves. */
 #define SPGEMM_512(NAME, I)                                                  \
     static int NAME(ARGS(float, I))                                          \
     {                                                                        \
@@ -488,8 +492,14 @@ SPGEMM_512_ROWS(spgemm_512_rows_4, 4)
             return 0;                                                        \
         memset(rank, 0xFF, n_src * 64);                                      \
         for (int64_t j = 0; j < n_src; j++)                                  \
-            for (int64_t t = 0; t < k; t++)                                  \
-                rank[j * 64 + col[j * k + t]] = (uint8_t)t;                  \
+            for (int64_t t = 0; t < k; t++) {                                \
+                uint8_t *const at = rank + j * 64 + col[j * k + t];          \
+                if (*at != 0xFF) {                                           \
+                    free(rank);                                              \
+                    return 0;                                                \
+                }                                                            \
+                *at = (uint8_t)t;                                            \
+            }                                                                \
         SPLIT_RUN(rows[(dim - 1) / 16], n_rows, indptr[n_rows] * k, k, dim,  \
                   indptr, indices, data, in, rank, out)                      \
         free(rank);                                                          \
@@ -539,13 +549,18 @@ SPGEMM_512_ROWS(spgemm_512_rows_4, 4)
     CBSR_SSPMM_ROWS(sspmm_##SUFFIX##_512_rows, float, I, SSPMM_512_ROW,      \
                     SSPMM_512_EDGE(WIDEN16))                                 \
     CBSR(SUFFIX, float, I,                                                   \
-         if (FITS_512 && k >= 2 && indptr[n_rows] >= 2 * n_src &&            \
-             spgemm_##SUFFIX##_512(PASS))                                    \
-             return;,                                                        \
-         wide ? spgemm_##SUFFIX##_wide_rows : spgemm_##SUFFIX##_rows,        \
          FITS_512 ? sspmm_##SUFFIX##_512_rows                                \
          : wide && dim <= INT32_MAX ? sspmm_##SUFFIX##_wide_rows             \
-                                    : sspmm_##SUFFIX##_rows)
+                                    : sspmm_##SUFFIX##_rows)                 \
+    void spgemm_##SUFFIX(ARGS(float, I))                                     \
+    {                                                                        \
+        if (FITS_512 && k >= 2 && indptr[n_rows] >= 2 * n_src &&            \
+            spgemm_##SUFFIX##_512(PASS))                                     \
+            return;                                                          \
+        void (*const rows)(int64_t, int64_t, ARGS(float, I)) =               \
+            wide ? spgemm_##SUFFIX##_wide_rows : spgemm_##SUFFIX##_rows;     \
+        SPLIT_RUN(rows, n_rows, indptr[n_rows] * k, PASS)                    \
+    }
 
 /* Compare-exchange of V's lanes with PARTNER's (V's lanes permuted onto
  * their partners): the lanes set in MAX keep the larger value. */
@@ -660,7 +675,7 @@ CBSR_WIDE(f_u32, uint32_t, WIDEN_U32, WIDEN16_U32)
 #else
 #define SPMM(NAME, T)                                                        \
     SPMM_ROWS(NAME##_rows, T)                                                \
-    SPLIT(NAME, , NAME##_rows, T, uint8_t, n_rows, indptr[n_rows] * dim)
+    SPLIT(NAME, NAME##_rows, T, uint8_t, n_rows, indptr[n_rows] * dim)
 SPMM(spmm_f, float)
 SPMM(spmm_d, double)
 CBSR_PORTABLE(f_u8, float, uint8_t)

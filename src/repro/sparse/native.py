@@ -47,8 +47,11 @@ its numpy bodies. Nothing selects the tier but whether it builds.
   ``0700`` and refused unless the user's own and private. The file name
   hashes source, flags, compiler version and machine; the object is
   written to a temporary name and ``os.replace``-d into place, and then
-  every other ``cbsr-*.so`` there is removed (a loaded one stays mapped),
-  so the cache holds one object, not one per source edit.
+  every other ``cbsr-*.so`` there that no process has built or loaded for
+  a day is removed (each load refreshes its object's mtime), so the cache
+  does not keep one object per source edit, while the objects of other
+  checkouts in use stay. A load that finds its object gone (another
+  build's sweep between the check and the load) builds it again.
 * **Calls.** ``ctypes.CDLL`` releases the GIL for the call. The loops
   index unchecked: the dispatcher bounds each adjacency, which arrives
   :func:`pin`-ned (the vectorized backend keeps a read-only triple's pin).
@@ -69,6 +72,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -135,6 +139,11 @@ def keep_heap_mapped() -> bool:
     )
 
 
+#: A cached object no process has built or loaded for this long is
+#: removed by the next build (another checkout in use keeps its own).
+_STALE_SECONDS = 24 * 3600
+
+
 def _build(variants=(FLAGS + (OPENMP,), FLAGS)) -> Optional[ctypes.CDLL]:
     compiler = shutil.which("cc")
     if compiler is None:
@@ -156,27 +165,57 @@ def _build(variants=(FLAGS + (OPENMP,), FLAGS)) -> Optional[ctypes.CDLL]:
             platform.machine().encode(),
         ])).hexdigest()[:20]
         target = directory / f"cbsr-{key}.so"
-        partial = None
-        try:
-            if not target.exists():
-                handle, partial = tempfile.mkstemp(dir=directory, suffix=".tmp")
-                os.close(handle)
-                subprocess.run(
-                    [compiler, *flags, "-o", partial, str(SOURCE)],
-                    capture_output=True, check=True, timeout=300,
-                )
-                os.replace(partial, target)
-                # Other sources' objects go; a *.tmp may be a build in flight.
-                for stale in directory.glob("cbsr-*.so"):
-                    if stale != target:
-                        stale.unlink(missing_ok=True)
-            return _declare(_open(target), OPENMP in flags)
-        except (OSError, subprocess.SubprocessError):
-            continue
-        finally:
-            if partial and os.path.exists(partial):
-                os.unlink(partial)
+        for _ in range(2):  # once more if another build's sweep took it
+            if not _compiled(compiler, flags, target):
+                break
+            try:
+                return _declare(_open(target), OPENMP in flags)
+            except OSError:
+                if target.exists():
+                    break  # it does not load here: the next flags
     return None
+
+
+def _compiled(compiler: str, flags, target: Path) -> bool:
+    """Whether ``target`` holds the object built with ``flags``: built now
+    if it is missing, else marked used (its mtime), which keeps it from
+    other builds' sweeps for :data:`_STALE_SECONDS`."""
+    try:
+        os.utime(target)
+        return True
+    except FileNotFoundError:
+        pass
+    except OSError:
+        return False
+    partial = None
+    try:
+        handle, partial = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+        os.close(handle)
+        subprocess.run(
+            [compiler, *flags, "-o", partial, str(SOURCE)],
+            capture_output=True, check=True, timeout=300,
+        )
+        os.replace(partial, target)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        if partial and os.path.exists(partial):
+            os.unlink(partial)
+    _sweep(target)
+    return True
+
+
+def _sweep(built: Path) -> None:
+    """Remove the cache's other ``cbsr-*.so`` objects unused for
+    :data:`_STALE_SECONDS` (a loaded one stays mapped); never a ``*.tmp``,
+    which may be a build in flight."""
+    cutoff = time.time() - _STALE_SECONDS
+    for stale in built.parent.glob("cbsr-*.so"):
+        try:
+            if stale != built and stale.stat().st_mtime < cutoff:
+                stale.unlink()
+        except OSError:  # another build's sweep took it first
+            continue
 
 
 def _open(target: Path) -> ctypes.CDLL:

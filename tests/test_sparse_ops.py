@@ -16,6 +16,7 @@ import ctypes
 import itertools
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -843,6 +844,44 @@ class TestNativeCbsrLoops:
                 )
                 assert_same_bits(got, expected)
 
+    @pytest.mark.parametrize("dim, k", [(4, 8), (16, 8), (64, 16)])
+    def test_a_repeated_column_adds_every_product_on_every_path(
+        self, library, paths, dim, k, monkeypatch
+    ):
+        """A block row that names a column twice (outside CBSR, which
+        holds distinct columns; always so at k > dim) gets every product
+        added, in order, on every path: the AVX-512 SpGEMM, whose rank
+        table holds one survivor per column, leaves such a call to the
+        AVX2 body."""
+        rng = np.random.default_rng(1016)
+        adj, sp_data, _, grad_out = cbsr_case(rng, 40, 12, dim, k, nnz=120)
+        assert adj.nnz >= 2 * adj.n_cols  # the AVX-512 SpGEMM's edges per source row
+        sp_index = rng.integers(0, dim, size=(adj.n_cols, k))
+        sp_index[:, -1] = sp_index[:, 0]
+        expected = np.zeros((adj.n_rows, dim), sp_data.dtype)
+        for i in range(adj.n_rows):
+            for e in range(adj.indptr[i], adj.indptr[i + 1]):
+                j = adj.indices[e]
+                for t in range(k):
+                    expected[i, sp_index[j, t]] += adj.data[e] * sp_data[j, t]
+        csr = (adj.indptr, adj.indices, adj.data)
+        expected = (expected, ops._REGISTRY["reference"].sspmm_cbsr(
+            *csr, grad_out, sp_index, adj.n_cols))
+        pinned = native.pin(*csr)
+        for wide in paths():
+            for threads, width in itertools.product(
+                (1, 2), (np.uint8, np.uint16, np.uint32)
+            ):
+                monkeypatch.setattr(library, "threads", lambda: threads)
+                index = sp_index.astype(width)
+                got = (
+                    native.run(library, "spgemm", pinned, sp_data, index, dim,
+                               (adj.n_rows, dim)),
+                    native.run(library, "sspmm", pinned, grad_out, index, dim,
+                               index.shape),
+                )
+                assert_same_bits(got, expected)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pack_and_unpack_are_the_numpy_lines(self, library, dtype):
         """The compiled pack copies each row's survivors and their columns,
@@ -945,7 +984,8 @@ class TestNativeCbsrLoops:
         """Built once into a ``0700`` per-user directory; a fresh process
         loads the cached object without compiling; a leftover temporary
         file is never what gets loaded, nor removed; a build removes the
-        objects of other sources; a directory others can read or write is
+        objects of other sources that nothing has used for a day, while a
+        recently used one stays; a directory others can read or write is
         refused."""
         import json
         import shutil
@@ -985,15 +1025,45 @@ class TestNativeCbsrLoops:
         assert calls and not any(str(native.SOURCE) in call for call in calls)
 
         built.unlink()  # a lost object is rebuilt; the leftover is not it
-        stale = directory / "cbsr-0000.so"  # another source's object
+        stale = directory / "cbsr-0000.so"  # another source's, unused
         stale.write_bytes(b"an older object")
+        old = time.time() - 2 * 24 * 3600
+        os.utime(stale, (old, old))
+        in_use = directory / "cbsr-1111.so"  # another checkout's, loaded now
+        in_use.write_bytes(b"an object in use")
         assert native._build()._name == str(built) and built.exists()
         assert leftover.read_bytes() == b"not an object file"
         assert not stale.exists()
-        assert sorted(directory.iterdir()) == [built, leftover]
+        assert sorted(directory.iterdir()) == [in_use, built, leftover]
 
         directory.chmod(0o755)
         assert native._build() is None
+
+    def test_an_object_swept_before_its_load_is_rebuilt_with_openmp(
+        self, library, tmp_path, monkeypatch
+    ):
+        """Another build's sweep may remove the object between the check
+        that it exists and its load: the same flags build it again, never
+        the next variant's one-thread loops."""
+        if library.threads() != native.available_cores():
+            pytest.skip("the compiler has no OpenMP")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert native._build() is not None
+        (built,) = native.cache_dir().glob("*.so")
+        real, opened = native._open, []
+
+        def swept_first(target):
+            opened.append(target)
+            if len(opened) == 1:  # gone after the exists() check
+                target.unlink()
+                raise OSError(f"{target}: cannot open shared object file")
+            return real(target)
+
+        monkeypatch.setattr(native, "_open", swept_first)
+        rebuilt = native._build()
+        assert opened == [built, built] and built.exists()
+        assert rebuilt._name == str(built)
+        assert rebuilt.threads() == native.available_cores()
 
     def test_a_compiler_without_openmp_builds_the_same_loops(
         self, library, tmp_path, monkeypatch
